@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DegenerateFrameError,
     EvolutionError,
+    OrthogonalityError,
     PssframeError,
     StructureGateError,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "ConfigError",
     "DegenerateFrameError",
     "EvolutionError",
+    "OrthogonalityError",
     "PssframeError",
     "StructureGateError",
     "read_field",

@@ -19,7 +19,12 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .conservation import analyze, hierarchy_report, write_csv, write_q_svg
-from .errors import ConfigError, PssframeError, StructureGateError
+from .errors import (
+    ConfigError,
+    OrthogonalityError,
+    PssframeError,
+    StructureGateError,
+)
 from .fieldio import write_field
 from .frames import load_frame_data, structure_residuals
 from .grid import GridChart
@@ -37,7 +42,12 @@ from .models import (
     sg_pde_residual,
     sg_solution,
 )
-from .rotation_solver import solve_L_nd, solve_phi_2d, special_coordinates_check
+from .rotation_solver import (
+    solve_L_nd,
+    solve_phi_2d,
+    special_coordinates_check,
+    structure_threshold,
+)
 
 
 def _scaled_chart(cfg: RunConfig, scale):
@@ -99,15 +109,21 @@ def _build_model(cfg: RunConfig, scale):
     if kind == "external":
         if scale != 1:
             raise ConfigError("--grid-scale is not applicable to external fields")
-        fd = load_frame_data(cfg.field_file)
+        try:
+            fd = load_frame_data(cfg.field_file)
+        except OSError as exc:
+            raise ConfigError(
+                "%s: %s" % (cfg.field_file, exc.strerror or exc)
+            ) from exc
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (cfg.field_file, exc)) from exc
         return fd, ["model: external file=%s" % cfg.field_file], None
     raise ConfigError("unsupported model kind %r" % kind)
 
 
 def _structure_lines(fd, cfg):
     res1, res2 = structure_residuals(fd, curvature=-1.0)
-    h_max = max(fd.chart.spacing)
-    threshold = cfg.gate_factor * h_max**2 * max(1.0, fd.max_abs())
+    threshold = structure_threshold(fd, cfg.gate_factor)
     ok = res1 <= threshold and res2 <= threshold
     line = "structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (
         res1,
@@ -119,11 +135,17 @@ def _structure_lines(fd, cfg):
 
 
 def _solve(fd, cfg):
+    """Solve for the rotation and enforce `[tolerances] orth_tol` on it."""
     if fd.dim == 2:
-        return solve_phi_2d(
-            fd, cfg.phi0, cfg.base, gate_factor=cfg.gate_factor
+        report = solve_phi_2d(fd, cfg.phi0, cfg.base, gate_factor=cfg.gate_factor)
+    else:
+        report = solve_L_nd(fd, cfg.l0, cfg.base, gate_factor=cfg.gate_factor)
+    if not report.orth_residual <= cfg.orth_tol:
+        raise OrthogonalityError(
+            "orthogonality residual %.3e exceeds orth_tol %.3e"
+            % (report.orth_residual, cfg.orth_tol)
         )
-    return solve_L_nd(fd, cfg.l0, cfg.base, gate_factor=cfg.gate_factor)
+    return report
 
 
 def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
@@ -436,7 +458,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except StructureGateError as exc:
+    except (StructureGateError, OrthogonalityError) as exc:
         print("gate failure: %s" % exc, file=sys.stderr)
         return 1
     except PssframeError as exc:

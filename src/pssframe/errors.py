@@ -22,6 +22,10 @@ class StructureGateError(PssframeError):
         )
 
 
+class OrthogonalityError(PssframeError, ValueError):
+    """A matrix field that must be orthogonal is not, within its tolerance."""
+
+
 class DegenerateFrameError(PssframeError):
     """Frame coefficient matrix is singular where a caller needs it inverted."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldio
-from .errors import DegenerateFrameError
+from .errors import DegenerateFrameError, OrthogonalityError
 from .forms import ConnectionField, OneFormField, d_oneform, d_scalar, wedge
 from .grid import GridChart, ScalarField, partial_derivative
 
@@ -43,7 +43,7 @@ class FrameRotationField:
             raise ValueError("rotation matrix field has wrong shape")
         err = self.orthogonality_error()
         if not np.isfinite(err) or err > self.orth_tol:
-            raise ValueError(
+            raise OrthogonalityError(
                 "matrix field is not orthogonal: max |LL^T - I| = %.3e" % err
             )
 

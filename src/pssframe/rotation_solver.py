@@ -188,12 +188,17 @@ class SolveReport:
         )
 
 
+def structure_threshold(fd: FrameData, gate_factor):
+    """Structure-gate threshold: gate_factor * h_max^2 * max(1, max |coeff|)."""
+    h_max = max(fd.chart.spacing)
+    return gate_factor * h_max**2 * max(1.0, fd.max_abs())
+
+
 def _structure_gate(fd: FrameData, gate_factor):
     res1, res2 = structure_residuals(fd, curvature=-1.0)
     if gate_factor is None:
         return (res1, res2), float("inf")
-    h_max = max(fd.chart.spacing)
-    threshold = gate_factor * h_max**2 * max(1.0, fd.max_abs())
+    threshold = structure_threshold(fd, gate_factor)
     if not (res1 <= threshold and res2 <= threshold):
         raise StructureGateError(res1, res2, threshold)
     return (res1, res2), threshold

@@ -3,12 +3,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import flat_frame
+from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
-from pssframe.frames import save_frame_data
+from pssframe.frames import FrameRotationField, save_frame_data
 
 SG_CONFIG = """
 [model]
@@ -213,6 +215,56 @@ def test_grid_scale_rejected_for_external_fields(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_external_missing_field_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.pssfield"
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % missing
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % missing)
+    assert "Traceback" not in err
+
+
+def test_external_truncated_field_file_is_config_error(tmp_path, capsys):
+    field = tmp_path / "short.pssfield"
+    save_frame_data(field, flat_frame(3))
+    field.write_text("".join(field.read_text().splitlines(True)[:2]))
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % field)
+    assert "body has shape (1, 6), expected (9, 6)" in err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("solve-frame", ""),
+        ("converge", "\n[convergence]\nscales = 1, 2\n"),
+        ("conserve", ""),
+    ],
+)
+def test_orth_tol_is_enforced(tmp_path, capsys, command, extra):
+    tolerances = "\n[tolerances]\north_tol = 1e-30\n"
+    cfg = write_config(tmp_path, SG_CONFIG + extra + tolerances)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("gate failure: orthogonality residual")
+
+
+def test_non_orthogonal_rotation_exits_1(tmp_path, capsys, monkeypatch):
+    def skewed_solve(fd, *args, **kwargs):
+        bad = np.broadcast_to([[1.0, 0.5], [0.0, 1.0]], fd.chart.counts + (2, 2))
+        return FrameRotationField(fd.chart, bad.copy())
+
+    monkeypatch.setattr(cli, "solve_phi_2d", skewed_solve)
+    cfg = write_config(tmp_path, SG_CONFIG)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("gate failure: matrix field is not orthogonal")
 
 
 @pytest.mark.parametrize(

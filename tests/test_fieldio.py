@@ -11,6 +11,7 @@ from pssframe import (
     write_field,
     write_scalar,
 )
+from pssframe import fieldio
 
 
 def test_scalar_round_trip_is_bit_exact(tmp_path, rng):
@@ -97,3 +98,64 @@ def test_identical_fields_produce_identical_bytes(tmp_path):
     write_scalar(tmp_path / "a.pssfield", f)
     write_scalar(tmp_path / "b.pssfield", f)
     assert (tmp_path / "a.pssfield").read_bytes() == (tmp_path / "b.pssfield").read_bytes()
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _reference_bytes(chart, stack):
+    """The writer's output as formatted value by value, one node per line."""
+    lines = [
+        "pssfield v1; dim=%d; counts=%s; origin=%s; spacing=%s; components=%d"
+        % (
+            chart.dim,
+            ",".join(str(c) for c in chart.counts),
+            ",".join(_fmt(v) for v in chart.origin),
+            ",".join(_fmt(v) for v in chart.spacing),
+            stack.shape[0],
+        )
+    ]
+    flat = stack.reshape(stack.shape[0], -1)
+    for node in range(flat.shape[1]):
+        lines.append(" ".join(_fmt(flat[c, node]) for c in range(flat.shape[0])))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e22, 3.0, -7.0, 0.1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_write_matches_per_value_reference_across_blocks(tmp_path, rng, m):
+    # 2.5 blocks and a bit: two block boundaries and a partial last block
+    counts = (fieldio._BLOCK_NODES // 2 + 1, 5)
+    chart = GridChart((-0.3, 1.0 / 3.0), (0.1, 1e-7), counts)
+    stack = rng.standard_normal((m,) + chart.shape) * 10.0 ** rng.integers(
+        -300, 300, (m,) + chart.shape
+    )
+    flat = stack.reshape(m, -1)
+    flat[:, : len(_SPECIAL)] = _SPECIAL
+    flat[:, fieldio._BLOCK_NODES - 1 : fieldio._BLOCK_NODES + 1] = [-0.0, np.nan]
+    path = tmp_path / "g.pssfield"
+    write_field(path, chart, stack)
+    assert path.read_bytes() == _reference_bytes(chart, stack)
+
+
+def test_write_matches_reference_for_non_contiguous_stack(tmp_path, rng):
+    chart = GridChart((0.0, 0.0), (0.5, 0.25), (fieldio._BLOCK_NODES // 16, 20))
+    base = rng.standard_normal((20, chart.counts[0], 3 * len(_SPECIAL)))
+    base[..., : len(_SPECIAL)] = _SPECIAL
+    stack = np.transpose(base, (2, 1, 0))[::3, :, ::-1]  # (m, counts) view
+    assert stack.shape[1:] == chart.shape and not stack.flags.c_contiguous
+    path = tmp_path / "nc.pssfield"
+    write_field(path, chart, stack)
+    assert path.read_bytes() == _reference_bytes(chart, stack)
+
+
+def test_write_matches_reference_for_integer_components(tmp_path):
+    chart = GridChart((0.0,), (1.0,), (7,))
+    comps = [np.arange(-3, 4), np.array([0, 1, -1, 2**53, -(2**60), 10**18, 5])]
+    path = tmp_path / "int.pssfield"
+    write_field(path, chart, comps)
+    stack = np.stack([np.asarray(c, dtype=float) for c in comps])
+    assert path.read_bytes() == _reference_bytes(chart, stack)

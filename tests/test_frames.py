@@ -15,7 +15,7 @@ from pssframe import (
     special_frame_residual,
     structure_residuals,
 )
-from pssframe.errors import DegenerateFrameError
+from pssframe.errors import DegenerateFrameError, OrthogonalityError, PssframeError
 
 from conftest import cosh_metric_frame, exp_metric_frame, flat_frame, square_chart
 
@@ -99,6 +99,14 @@ def test_rotation_field_rejects_non_orthogonal_matrix():
     bad = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]), chart.counts + (2, 2))
     with pytest.raises(ValueError, match="not orthogonal"):
         FrameRotationField(chart, bad.copy())
+
+
+def test_non_orthogonal_rotation_raises_package_error():
+    chart = square_chart(5)
+    bad = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]), chart.counts + (2, 2))
+    with pytest.raises(OrthogonalityError) as info:
+        FrameRotationField(chart, bad.copy())
+    assert isinstance(info.value, PssframeError)
 
 
 def test_frame_vector_fields_of_exp_metric():
