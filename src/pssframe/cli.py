@@ -43,6 +43,7 @@ from .models import (
     sg_solution,
 )
 from .rotation_solver import (
+    initial_rotation,
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
@@ -135,11 +136,23 @@ def _structure_lines(fd, cfg):
 
 
 def _solve(fd, cfg):
-    """Solve for the rotation and enforce `[tolerances] orth_tol` on it."""
+    """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
+
+    2D charts start from `phi0`, higher dimensions from `l0`; an `l0` that
+    does not fit the chart is a config error.
+    """
     if fd.dim == 2:
+        if cfg.l0 is not None:
+            raise ConfigError(
+                "[solver] l0: applies to charts of dimension >= 3; 2D charts start from phi0"
+            )
         report = solve_phi_2d(fd, cfg.phi0, cfg.base, gate_factor=cfg.gate_factor)
     else:
-        report = solve_L_nd(fd, cfg.l0, cfg.base, gate_factor=cfg.gate_factor)
+        try:
+            l0 = initial_rotation(cfg.l0, fd.dim)
+        except ValueError as exc:
+            raise ConfigError("[solver] l0: %s" % exc) from exc
+        report = solve_L_nd(fd, l0, cfg.base, gate_factor=cfg.gate_factor)
     if not report.orth_residual <= cfg.orth_tol:
         raise OrthogonalityError(
             "orthogonality residual %.3e exceeds orth_tol %.3e"
@@ -451,7 +464,15 @@ def main(argv=None):
         return 2
 
     out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        source = "--out" if args.out else "[output] directory"
+        print(
+            "config error: %s %s: %s" % (source, out_dir, exc.strerror or exc),
+            file=sys.stderr,
+        )
+        return 2
 
     try:
         return _COMMANDS[args.command](cfg, args.config, out_dir, args.grid_scale)

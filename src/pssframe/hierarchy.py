@@ -28,6 +28,8 @@ from .grid import GridChart, ScalarField, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
     SolveReport,
+    additive_kernels,
+    rkmk4_step,
     solve_phi_2d,
     sweep_scalar,
 )
@@ -192,17 +194,14 @@ def _order_zero_frame(chart, table):
 # periodic starting values via the circle return map
 
 def _integrate_line(y0, h, node_fields, mid_fields, rhs):
+    kernels = additive_kernels(rhs)
     y = y0
     count = node_fields[0].shape[0]
     for i in range(count - 1):
         lo = [f[i] for f in node_fields]
         md = [f[i] for f in mid_fields]
         hi = [f[i + 1] for f in node_fields]
-        k1 = rhs(lo, y)
-        k2 = rhs(md, y + 0.5 * h * k1)
-        k3 = rhs(md, y + 0.5 * h * k2)
-        k4 = rhs(hi, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rkmk4_step(h, y, lo, md, hi, kernels)
     return y
 
 

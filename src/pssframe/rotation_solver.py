@@ -16,7 +16,13 @@ interval midpoints through cubic interpolation).  In general dimension the
 orthogonal matrix L is advanced in the Lie algebra (Munthe-Kaas form of the
 same tableau), so every update is exp(skew) * L and L stays orthogonal to
 round-off by construction; on 2D charts all commutators vanish and the two
-solvers coincide algebraically.
+solvers coincide algebraically.  For n = 3 the Lie-algebra elements are
+carried as axial 3-vectors (skew matrix <-> axial vector, commutator <->
+cross product, exp <-> Rodrigues); every other n uses skew matrices.  The
+two forms are algebraically identical and differ only in round-off.
+
+One step engine serves both solvers: the scalar scheme is the same tableau
+on the additive group.
 """
 
 from __future__ import annotations
@@ -42,6 +48,43 @@ GATE_FACTOR_DEFAULT = 10.0
 # ---------------------------------------------------------------------------
 # vectorized exponentials of skew matrices
 
+def _rodrigues(w):
+    """exp(hat(w)) for a stack of axial vectors w (..., 3), hat(w) x = w x x.
+
+    Rodrigues' formula I + s hat(w) + c hat(w)^2 with s = sin(t)/t and
+    c = (1 - cos t)/t^2, t = |w|, written out entry by entry through
+    hat(w)^2 = w w^T - t^2 I.
+    """
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    t2 = w1 * w1 + w2 * w2 + w3 * w3
+    t = np.sqrt(t2)
+    # sin(t)/t and (1-cos t)/t^2 with series fallbacks near 0
+    small = t < 1e-4
+    tt = np.where(small, 1.0, t)
+    s = np.sin(t) / tt
+    c = (1.0 - np.cos(t)) / (tt * tt)
+    if np.any(small):
+        s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s)
+        c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, c)
+    out = np.empty(w.shape + (3,))
+    d = 1.0 - c * t2
+    cw1, cw2 = c * w1, c * w2
+    sw1, sw2, sw3 = s * w1, s * w2, s * w3
+    out[..., 0, 0] = cw1 * w1 + d
+    out[..., 1, 1] = cw2 * w2 + d
+    out[..., 2, 2] = c * w3 * w3 + d
+    x = cw1 * w2
+    out[..., 0, 1] = x - sw3
+    out[..., 1, 0] = x + sw3
+    x = cw1 * w3
+    out[..., 0, 2] = x + sw2
+    out[..., 2, 0] = x - sw2
+    x = cw2 * w3
+    out[..., 1, 2] = x - sw1
+    out[..., 2, 1] = x + sw1
+    return out
+
+
 def expm_skew(a):
     """exp(A) for a stack of skew matrices A (..., n, n), exactly orthogonal.
 
@@ -60,20 +103,7 @@ def expm_skew(a):
         out[..., 1, 1] = c
         return out
     if n == 3:
-        w = np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
-        t2 = np.sum(w * w, axis=-1)
-        t = np.sqrt(t2)
-        small = t < 1e-4
-        # sin(t)/t and (1-cos t)/t^2 with series fallbacks near 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(t) / np.where(t == 0, 1.0, t))
-            c = np.where(
-                small,
-                0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                (1.0 - np.cos(t)) / np.where(t2 == 0, 1.0, t2),
-            )
-        eye = np.broadcast_to(np.eye(3), a.shape)
-        return eye + s[..., None, None] * a + c[..., None, None] * np.matmul(a, a)
+        return _rodrigues(np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1))
     # general n: scaling and squaring, Taylor kernel of order 18
     # (truncation ~0.5^19/19! at the scaled norm: below round-off)
     norm = np.max(np.abs(a))
@@ -101,37 +131,95 @@ def _dexpinv(u, k):
     return k - 0.5 * c1 + _commutator(u, c1) / 12.0
 
 
+def _cross(a, b):
+    """Cross product over the last axis of two stacks of 3-vectors."""
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
+
+
+def _dexpinv_axial(u, k):
+    """_dexpinv in so(3) axial form, where [hat(u), hat(k)] = hat(u x k)."""
+    c1 = _cross(u, k)
+    return k - 0.5 * c1 + _cross(u, c1) / 12.0
+
+
 # ---------------------------------------------------------------------------
 # sweep engine
 
-def _sweep(chart: GridChart, base, axes_order, prepare, step):
-    """Fill the chart by line sweeps from the base node.
+def rkmk4_step(h, y0, lo, mid, hi, kernels):
+    """One Munthe-Kaas RK4 step of length h from y0.
 
-    prepare(axis) is called once per swept axis (build midpoint caches);
-    step(axis, sign, r_from, r_mid, r_to) advances the caller's state from
-    the nodes addressed by r_from to those addressed by r_to, where the
-    region tuples fix the swept axis index, keep already-swept axes full,
-    and pin not-yet-swept axes at the base.
+    kernels = (field, dexpinv, exp_mul): field(samples, y) is the Lie-algebra
+    element the equation assigns to y at the coefficient samples lo / mid /
+    hi (line left, interval midpoints, line reached), dexpinv(u, k) the
+    truncated inverse differential of exp and exp_mul(u, y) = exp(u) y.  On
+    the additive group (dexpinv(u, k) = k, exp_mul(u, y) = y + u) this is
+    the classic RK4 step.
     """
-    n = chart.dim
-    filled = set()
+    field, dexpinv, exp_mul = kernels
+    k1 = field(lo, y0)
+    u2 = (0.5 * h) * k1
+    k2 = dexpinv(u2, field(mid, exp_mul(u2, y0)))
+    u3 = (0.5 * h) * k2
+    k3 = dexpinv(u3, field(mid, exp_mul(u3, y0)))
+    u4 = h * k3
+    k4 = dexpinv(u4, field(hi, exp_mul(u4, y0)))
+    return exp_mul((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y0)
 
-    def region(axis, i):
-        return tuple(
-            slice(i, i + 1)
-            if k == axis
-            else (slice(None) if k in filled else slice(base[k], base[k] + 1))
-            for k in range(n)
+
+def _sweep(chart: GridChart, base, axes_order, y, system):
+    """Fill y (*counts, ...) from its value at the base node by line sweeps.
+
+    Each swept axis fills one block: that axis and the axes swept before it
+    in full, the others pinned at the base.  take(f) is the block of a
+    full-grid array f (any trailing component shape) with the swept axis
+    first, and system(axis, take) returns (arrays, kernels): the blocks of
+    the coefficient arrays the equation along that axis consumes and the
+    kernels of `rkmk4_step`.  The blocks are made contiguous, midpoints are
+    taken on them only, the block of y is filled line by line from its base
+    line by one step per interval, and it is written back once.
+    """
+    filled = set()
+    for axis in axes_order:
+        idx = tuple(
+            slice(None) if k == axis or k in filled else slice(base[k], base[k] + 1)
+            for k in range(chart.dim)
         )
 
-    for axis in axes_order:
-        prepare(axis)
+        def take(f):
+            return np.moveaxis(f[idx], axis, 0)
+
+        arrays, kernels = system(axis, take)
+        node = [np.ascontiguousarray(f) for f in arrays]
+        mid = [midpoints(f, 0) for f in node]
+        h = chart.spacing[axis]
         b = base[axis]
-        for i in range(b, chart.counts[axis] - 1):
-            step(axis, 1.0, region(axis, i), region(axis, i), region(axis, i + 1))
+        # only the base line of the block is known before the sweep fills it
+        blk = np.empty(take(y).shape)
+        blk[b] = take(y)[b]
+        for i in range(b, blk.shape[0] - 1):
+            lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
+            blk[i + 1] = rkmk4_step(h, blk[i], lo, md, hi, kernels)
         for i in range(b, 0, -1):
-            step(axis, -1.0, region(axis, i), region(axis, i - 1), region(axis, i - 1))
+            lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
+            blk[i - 1] = rkmk4_step(-h, blk[i], lo, md, hi, kernels)
+        y[idx] = np.moveaxis(blk, 0, axis)
         filled.add(axis)
+    return y
+
+
+def _add(u, y):
+    return y + u
+
+
+def _identity(u, k):
+    return k
+
+
+def additive_kernels(field):
+    """Kernels of `rkmk4_step` on the additive group: the classic RK4 step."""
+    return field, _identity, _add
 
 
 def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
@@ -143,26 +231,12 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
     """
     y = np.zeros(chart.counts)
     y[tuple(base)] = init_value
-    mids = {}
 
-    def prepare(axis):
-        mids.clear()
-        mids[axis] = [midpoints(f, axis) for f in node_fields]
+    def system(axis, take):
+        kernels = additive_kernels(lambda s, v: rhs(axis, s, v))
+        return [take(f) for f in node_fields], kernels
 
-    def step(axis, sign, r_from, r_mid, r_to):
-        h = sign * chart.spacing[axis]
-        f_lo = [f[r_from] for f in node_fields]
-        f_mid = [f[r_mid] for f in mids[axis]]
-        f_hi = [f[r_to] for f in node_fields]
-        y0 = y[r_from]
-        k1 = rhs(axis, f_lo, y0)
-        k2 = rhs(axis, f_mid, y0 + 0.5 * h * k1)
-        k3 = rhs(axis, f_mid, y0 + 0.5 * h * k2)
-        k4 = rhs(axis, f_hi, y0 + h * k3)
-        y[r_to] = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    _sweep(chart, base, axes_order, prepare, step)
-    return y
+    return _sweep(chart, base, axes_order, y, system)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +342,12 @@ def solve_phi_2d(
 # ---------------------------------------------------------------------------
 # general-dimension orthogonal solver
 
-def _solve_L_once(fd: FrameData, L0, base_idx, axes_order):
-    chart = fd.chart
+def _matrix_system(fd: FrameData):
+    """RKMK4 system of the n x n orthogonal field with skew-matrix kernels."""
     n = fd.dim
 
-    # om_by_axis[a][..., k] = coefficient of dx_a in omega_k
-    om_by_axis = []
-    w_by_axis = []
-    for a in range(n):
-        om_a = np.empty(chart.counts + (n,))
-        for k in range(n):
-            om_a[..., k] = fd.omega[k].coeffs[a].values
-        om_by_axis.append(om_a)
-        w_by_axis.append(fd.connection.coefficient_matrix(a))
-
-    state = np.zeros(chart.counts + (n, n))
-    state[tuple(base_idx)] = L0
-
-    cache = {}
-
-    def prepare(axis):
-        cache.clear()
-        cache["om"] = midpoints(om_by_axis[axis], axis)
-        cache["w"] = midpoints(w_by_axis[axis], axis)
-
-    def algebra_element(om, w, L):
+    def algebra_element(samples, L):
+        om, w = samples
         m = np.matmul(np.matmul(L, w), np.swapaxes(L, -1, -2))
         th = np.einsum("...ik,...k->...i", L, om)
         a = np.empty_like(m)
@@ -303,25 +358,86 @@ def _solve_L_once(fd: FrameData, L0, base_idx, axes_order):
         a[..., idx, idx] = 0.0
         return a
 
-    def step(axis, sign, r_from, r_mid, r_to):
-        h = sign * chart.spacing[axis]
-        om_f, w_f = om_by_axis[axis][r_from], w_by_axis[axis][r_from]
-        om_m, w_m = cache["om"][r_mid], cache["w"][r_mid]
-        om_t, w_t = om_by_axis[axis][r_to], w_by_axis[axis][r_to]
-        y0 = state[r_from]
+    def exp_mul(u, y):
+        return np.matmul(expm_skew(u), y)
 
-        k1 = algebra_element(om_f, w_f, y0)
-        u2 = (0.5 * h) * k1
-        k2 = _dexpinv(u2, algebra_element(om_m, w_m, np.matmul(expm_skew(u2), y0)))
-        u3 = (0.5 * h) * k2
-        k3 = _dexpinv(u3, algebra_element(om_m, w_m, np.matmul(expm_skew(u3), y0)))
-        u4 = h * k3
-        k4 = _dexpinv(u4, algebra_element(om_t, w_t, np.matmul(expm_skew(u4), y0)))
-        u = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state[r_to] = np.matmul(expm_skew(u), y0)
+    def system(axis, take):
+        # om[..., k] = coefficient of dx_axis in omega_k
+        om = np.stack([take(fd.omega[k].coeffs[axis].values) for k in range(n)], axis=-1)
+        w = take(fd.connection.coefficient_matrix(axis))
+        return [om, w], (algebra_element, _dexpinv, exp_mul)
 
-    _sweep(chart, base_idx, axes_order, prepare, step)
-    return state
+    return system
+
+
+def _axial_system(fd: FrameData, sigma):
+    """RKMK4 system of the 3 x 3 orthogonal field in so(3) axial-vector form.
+
+    The algebra element -L W L^T + (L om) e_1^T - e_1 (L om)^T of the matrix
+    form is hat(alpha) with alpha = e_1 x (L om) - sigma L w, where w is the
+    axial vector of W and sigma = det(L): L hat(w) L^T = det(L) hat(L w).
+    Every exp update keeps det(L) = det(L0), so sigma is fixed per solve.
+    The coefficients are stacked as P = [om | -sigma w] (..., 3, 2), so
+    each stage takes one stacked product L P.
+    """
+    conn = fd.connection.upper
+
+    def algebra_element(samples, L):
+        (p,) = samples
+        lp = np.matmul(L, p)
+        a = lp[..., 1].copy()
+        a[..., 1] -= lp[..., 2, 0]
+        a[..., 2] += lp[..., 1, 0]
+        return a
+
+    def exp_mul(u, y):
+        return np.matmul(_rodrigues(u), y)
+
+    def system(axis, take):
+        def coeff(form):
+            return take(form.coeffs[axis].values)
+
+        om = [coeff(fd.omega[k]) for k in range(3)]
+        p = np.empty(om[0].shape + (3, 2))
+        for k in range(3):
+            p[..., k, 0] = om[k]
+        # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w
+        p[..., 0, 1] = sigma * coeff(conn[(1, 2)])
+        p[..., 1, 1] = -sigma * coeff(conn[(0, 2)])
+        p[..., 2, 1] = sigma * coeff(conn[(0, 1)])
+        return [p], (algebra_element, _dexpinv_axial, exp_mul)
+
+    return system
+
+
+def _solve_L_once(fd: FrameData, L0, base_idx, axes_order):
+    n = fd.dim
+    state = np.zeros(fd.chart.counts + (n, n))
+    state[tuple(base_idx)] = L0
+    if n == 3:
+        system = _axial_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0)
+    else:
+        system = _matrix_system(fd)
+    return _sweep(fd.chart, base_idx, axes_order, state, system)
+
+
+def initial_rotation(L0, n):
+    """The start matrix of `solve_L_nd` on an n-dimensional chart, checked.
+
+    None gives the identity; anything else must be an orthogonal n x n
+    matrix (to 1e-10), or ValueError names what is wrong with it.
+    """
+    if L0 is None:
+        return np.eye(n)
+    L0 = np.asarray(L0, dtype=float)
+    if L0.shape != (n, n):
+        raise ValueError(
+            "L0 must be %d x %d on a %dD chart, got shape %s" % (n, n, n, L0.shape)
+        )
+    err = np.max(np.abs(L0 @ L0.T - np.eye(n)))
+    if not err <= 1e-10:
+        raise ValueError("L0 must be orthogonal: max |L0 L0^T - I| = %.3e" % err)
+    return L0
 
 
 def solve_L_nd(
@@ -339,13 +455,7 @@ def solve_L_nd(
     chart = fd.chart
     n = fd.dim
     base_idx = chart.base_index(base)
-    if L0 is None:
-        L0 = np.eye(n)
-    L0 = np.asarray(L0, dtype=float)
-    if L0.shape != (n, n):
-        raise ValueError("L0 must be n x n")
-    if np.max(np.abs(L0 @ L0.T - np.eye(n))) > 1e-10:
-        raise ValueError("L0 must be orthogonal")
+    L0 = initial_rotation(L0, n)
     structure, threshold = _structure_gate(fd, gate_factor)
 
     order = tuple(range(n))

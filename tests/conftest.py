@@ -46,6 +46,54 @@ def cosh_metric_frame(n, lo=-1.0, hi=1.0):
     return FrameData(chart, (omega1, omega2), conn)
 
 
+def half_space_frame(n, m):
+    """Coframe of the upper half-space metric in n dimensions (curvature -1).
+
+    omega_1 = dx_1, omega_i = e^{-x_1} dx_i, omega_1i = -e^{-x_1} dx_i and
+    every other omega_ij = 0 on the uniform grid [0, 1]^n with m nodes per
+    axis: the n-dimensional form of `exp_metric_frame`.  It is special
+    already, so the solved rotation is the identity and theta_1 = dx_1.
+    """
+    chart = GridChart((0.0,) * n, (1.0 / (m - 1),) * n, (m,) * n)
+    x1 = chart.meshgrid()[0]
+    zero = np.zeros(chart.shape)
+    decay = np.exp(-x1)
+
+    def form(k, values):
+        coeffs = [zero] * n
+        coeffs[k] = values
+        return OneFormField.from_arrays(chart, coeffs)
+
+    omega = [form(0, np.ones(chart.shape))] + [form(i, decay) for i in range(1, n)]
+    upper = {
+        (i, j): form(j, -decay) if i == 0 else OneFormField.zeros(chart)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return FrameData(chart, tuple(omega), ConnectionField(chart, upper))
+
+
+def rotated_l0(n, seed=20260817):
+    """A fixed, seeded, non-identity orthogonal start matrix.
+
+    The explicit solution's coframe already has the target shape, so an
+    identity start makes the solve a no-op with exactly zero residuals;
+    starting from a composed Givens rotation keeps the convergence
+    measurement meaningful.
+    """
+    rng = np.random.default_rng(seed)
+    L = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = rng.uniform(0.3, 1.2)
+            G = np.eye(n)
+            G[i, i] = G[j, j] = np.cos(a)
+            G[i, j] = -np.sin(a)
+            G[j, i] = np.sin(a)
+            L = L @ G
+    return L
+
+
 def flat_frame(n):
     """Coframe of the flat plane: fails every curvature -1 check."""
     chart = square_chart(n)

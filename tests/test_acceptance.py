@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exp_metric_frame, flat_frame
+from conftest import exp_metric_frame, flat_frame, rotated_l0
 from pssframe import GridChart, StructureGateError, solve_L_nd, solve_phi_2d
 from pssframe.cli import main
 from pssframe.conservation import analyze, hierarchy_report
@@ -49,27 +49,6 @@ def _pair_orders(values):
     return [float(np.log2(values[i] / values[i + 1])) for i in range(len(values) - 1)]
 
 
-def _rotated_l0(n, seed=20260817):
-    """A fixed, seeded, non-identity orthogonal start matrix.
-
-    The explicit solution's coframe already has the target shape, so an
-    identity start makes the solve a no-op with exactly zero residuals;
-    starting from a composed Givens rotation keeps the convergence
-    measurement meaningful.
-    """
-    rng = np.random.default_rng(seed)
-    L = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = rng.uniform(0.3, 1.2)
-            G = np.eye(n)
-            G[i, i] = G[j, j] = np.cos(a)
-            G[i, j] = -np.sin(a)
-            G[j, i] = np.sin(a)
-            L = L @ G
-    return L
-
-
 @pytest.fixture(scope="module")
 def sg_ladder():
     """Kink coframe solves on [-8, 8]^2 over two grid halvings."""
@@ -86,7 +65,7 @@ def sg_ladder():
 @pytest.fixture(scope="module")
 def igsge_ladder():
     """Explicit-solution solves on [0.5, 6] x [-4, 4]^2, rotated start."""
-    L0 = _rotated_l0(3)
+    L0 = rotated_l0(3)
     rows = []
     start = time.perf_counter()
     for n in (17, 33, 65):

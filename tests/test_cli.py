@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,17 @@ kind = sine_gordon
 origin = -4, -4
 extent = 8, 8
 counts = 33, 33
+"""
+
+IGSGE3D_CONFIG = """
+[model]
+kind = igsge
+c = 0.6, 0.8
+
+[chart]
+origin = 0.5, -4, -4
+extent = 5.5, 8, 8
+counts = 9, 9, 9
 """
 
 CH_CONFIG = """
@@ -312,6 +326,45 @@ def test_cli_exit_code_2_on_config_problems(tmp_path, capsys):
         ["verify", "--config", cfg_ok, "--out", str(tmp_path / "o"), "--grid-scale", "0"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "base_config, l0, reason",
+    [
+        (IGSGE3D_CONFIG, "1, 0, 0, 1", "must be 3 x 3"),
+        (IGSGE3D_CONFIG, "1, 0, 0, 0, 1, 0, 0, 0, 2", "must be orthogonal"),
+        (SG_CONFIG, "1, 0, 0, 2", "2D charts start from phi0"),
+    ],
+    ids=["2x2-on-3d-chart", "not-orthogonal", "on-2d-chart"],
+)
+def test_bad_l0_is_a_config_error(tmp_path, capsys, base_config, l0, reason):
+    cfg = write_config(tmp_path, base_config + "\n[solver]\nl0 = %s\n" % l0)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] l0: ")
+    assert reason in err
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SG_CONFIG)
+    target = tmp_path / "afile"
+    target.write_text("")
+    assert main(["verify", "--config", cfg, "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out %s: " % target)
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pssframe", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "solve-frame" in proc.stdout
 
 
 def test_defaults_round_trip_through_parser(tmp_path):

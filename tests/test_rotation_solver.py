@@ -8,14 +8,23 @@ import pytest
 from pssframe import (
     FrameData,
     FrameRotationField,
+    GridChart,
     expm_skew,
+    frame_change,
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
 )
 from pssframe.errors import StructureGateError
+from pssframe.models import igsge_explicit_solution, igsge_forms
 
-from conftest import cosh_metric_frame, exp_metric_frame, flat_frame
+from conftest import (
+    cosh_metric_frame,
+    exp_metric_frame,
+    flat_frame,
+    half_space_frame,
+    rotated_l0,
+)
 
 
 def expm_reference(a, terms=40):
@@ -160,6 +169,103 @@ def test_gate_reports_pass_threshold_on_good_frames():
     rep = solve_phi_2d(fd)
     assert np.isfinite(rep.gate_threshold)
     assert max(rep.structure) <= rep.gate_threshold
+
+
+def igsge_frame(n):
+    """The acceptance igsge chart [0.5, 6] x [-4, 4]^2 with n^3 nodes, c = (0.6, 0.8)."""
+    chart = GridChart(
+        (0.5, -4.0, -4.0),
+        (5.5 / (n - 1), 8.0 / (n - 1), 8.0 / (n - 1)),
+        (n, n, n),
+    )
+    return igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
+
+
+# igsge 17^3 from rotated_l0(3), solved with the skew-matrix RKMK4 kernels
+# that n = 3 used before it moved to axial vectors
+IGSGE17_COMPAT = 4.577953499766696e-05
+IGSGE17_CLOSED = 0.0010382963055847773
+IGSGE17_CORNERS = {
+    (0, 0, 0): [
+        [0.9942091150309189, -0.10385027067651643, 0.027628913656725852],
+        [0.016382299725964274, -0.10762861525978054, -0.9940561862555607],
+        [0.10620666572831113, 0.9887523463727793, -0.10530404406858465],
+    ],
+    (0, 0, -1): [
+        [0.9938161882454746, -0.11089678485221888, -0.005593486450899611],
+        [0.049639118946518145, 0.48877930793935565, -0.8709941136428752],
+        [0.09932442726464187, 0.865330394265546, 0.49126160740361674],
+    ],
+    (0, -1, 0): [
+        [0.996125273311423, -0.0859807008866481, 0.018486723486959632],
+        [0.01758239707600487, -0.011263258191801049, -0.9997819753966196],
+        [0.08617017571819299, 0.9962331344067744, -0.00970786932082276],
+    ],
+    (0, -1, -1): [
+        [0.995953220798395, -0.08979856904830895, -0.0036604614708015677],
+        [0.03939944747249127, 0.47285999362348624, -0.8802562751660784],
+        [0.08077663969345057, 0.8765498522202109, 0.47448444764034314],
+    ],
+    (-1, 0, 0): [
+        [-0.9786962041526832, -0.19841399256237238, 0.052779044445576496],
+        [0.03130710609916875, -0.39827966554358285, -0.9167296074209598],
+        [0.2029128016780228, -0.895547427873003, 0.39600656477541435],
+    ],
+    (-1, 0, -1): [
+        [-0.9800399228282093, -0.19854873410922122, -0.010007489520564915],
+        [0.08886703710263874, -0.3925078367514497, -0.915445382207642],
+        [0.17783250372042977, -0.8980623576747464, 0.4023177877601238],
+    ],
+    (-1, -1, 0): [
+        [-0.9683003373950417, -0.24420897399036717, 0.05250174876344993],
+        [0.04994405485627533, -0.3952223808633064, -0.9172267228168034],
+        [0.24474486304141632, -0.8855287949509673, 0.3948907511293807],
+    ],
+    (-1, -1, -1): [
+        [-0.9696299688978537, -0.24437394268895365, -0.009954875679971878],
+        [0.10721395728429327, -0.3881168472987568, -0.9153526534654911],
+        [0.21982468191399562, -0.8886206665262348, 0.4025300240278741],
+    ],
+}
+
+
+def test_three_dimensional_solve_matches_matrix_kernel_reference():
+    rep = solve_L_nd(igsge_frame(17), rotated_l0(3))
+    assert abs(rep.compat_residual - IGSGE17_COMPAT) <= 1e-13
+    assert abs(rep.closed_residual - IGSGE17_CLOSED) <= 1e-13
+    for corner, want in IGSGE17_CORNERS.items():
+        assert np.max(np.abs(rep.rotation.matrix[corner] - np.array(want))) <= 1e-13
+
+
+def test_three_dimensional_solve_is_reflection_equivariant():
+    # D = diag(1, 1, -1) fixes e_1, so D L solves the equation whenever L
+    # does, with the same first row; an improper start must keep det = -1
+    fd = igsge_frame(17)
+    reflect = np.diag([1.0, 1.0, -1.0])
+    L0 = rotated_l0(3)
+    rep = solve_L_nd(fd, L0)
+    rep_d = solve_L_nd(fd, reflect @ L0)
+    assert np.max(np.abs(reflect @ rep.rotation.matrix - rep_d.rotation.matrix)) <= 1e-13
+    for a in range(3):
+        diff = rep.theta1.coefficient(a).values - rep_d.theta1.coefficient(a).values
+        assert np.max(np.abs(diff)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(3, 13), (4, 9)])
+@pytest.mark.parametrize("proper", [True, False])
+def test_solve_L_nd_recovers_constant_rotation_of_half_space(n, m, proper):
+    # theta = R omega with the special half-space coframe omega: the exact
+    # answer is L = R^T everywhere and theta_1 = dx_1
+    fd = half_space_frame(n, m)
+    R = rotated_l0(n, seed=7)
+    if not proper:
+        R = np.diag([1.0] * (n - 1) + [-1.0]) @ R
+    rotated = frame_change(fd, FrameRotationField.constant(fd.chart, R))
+    rep = solve_L_nd(rotated, R.T)
+    assert np.max(np.abs(rep.rotation.matrix - R.T)) <= 1e-13
+    for a in range(n):
+        want = 1.0 if a == 0 else 0.0
+        assert np.max(np.abs(rep.theta1.coefficient(a).values - want)) <= 1e-13
 
 
 def test_initial_rotation_must_be_orthogonal():
