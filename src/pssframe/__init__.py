@@ -12,7 +12,6 @@ from .conservation import (
     AxisConservation,
     ConservationReport,
     analyze,
-    hierarchy_report,
     write_csv,
     write_q_svg,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "AxisConservation",
     "ConservationReport",
     "analyze",
-    "hierarchy_report",
     "write_csv",
     "write_q_svg",
     "ChartMismatchError",

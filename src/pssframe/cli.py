@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .conservation import analyze, hierarchy_report, write_csv, write_q_svg
+from .conservation import analyze, write_csv, write_q_svg
 from .errors import (
     ConfigError,
     OrthogonalityError,
@@ -44,6 +44,7 @@ from .models import (
 )
 from .rotation_solver import (
     initial_rotation,
+    scaling_constants,
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
@@ -135,24 +136,34 @@ def _structure_lines(fd, cfg):
     return (res1, res2), threshold, ok, line
 
 
+def _base_index(chart, cfg):
+    """`[solver] base` resolved on chart; a base off the chart is a config error."""
+    try:
+        return chart.base_index(cfg.base)
+    except ValueError as exc:
+        raise ConfigError("[solver] base: %s" % exc) from exc
+
+
 def _solve(fd, cfg):
     """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
 
-    2D charts start from `phi0`, higher dimensions from `l0`; an `l0` that
-    does not fit the chart is a config error.
+    2D charts start from `phi0`, higher dimensions from `l0`; an `l0` or a
+    `base` that does not fit the chart is a config error.
     """
+    base = _base_index(fd.chart, cfg)
     if fd.dim == 2:
         if cfg.l0 is not None:
             raise ConfigError(
                 "[solver] l0: applies to charts of dimension >= 3; 2D charts start from phi0"
             )
-        report = solve_phi_2d(fd, cfg.phi0, cfg.base, gate_factor=cfg.gate_factor)
+        phi0 = 0.0 if cfg.phi0 is None else cfg.phi0
+        report = solve_phi_2d(fd, phi0, base, gate_factor=cfg.gate_factor)
     else:
         try:
             l0 = initial_rotation(cfg.l0, fd.dim)
         except ValueError as exc:
             raise ConfigError("[solver] l0: %s" % exc) from exc
-        report = solve_L_nd(fd, l0, cfg.base, gate_factor=cfg.gate_factor)
+        report = solve_L_nd(fd, l0, base, gate_factor=cfg.gate_factor)
     if not report.orth_residual <= cfg.orth_tol:
         raise OrthogonalityError(
             "orthogonality residual %.3e exceeds orth_tol %.3e"
@@ -224,6 +235,11 @@ def cmd_verify(cfg, cfg_path, out_dir, scale):
 
 def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     fd, _, _ = _build_model(cfg, scale)
+    if cfg.coordinates_check:
+        try:
+            constants = scaling_constants(cfg.coordinate_constants or None, fd.dim)
+        except ValueError as exc:
+            raise ConfigError("[solver] coordinate_constants: %s" % exc) from exc
     report = _solve(fd, cfg)
     _write_report_fields(out_dir, report)
     print(report.summary())
@@ -235,7 +251,6 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
         "res2": report.structure[1],
     }
     if cfg.coordinates_check:
-        constants = cfg.coordinate_constants or None
         check = special_coordinates_check(
             fd, report, constants, cfg.base, cfg.det_rtol
         )
@@ -260,6 +275,13 @@ def _run_hierarchy(cfg, scale):
         raise ConfigError(
             "the expansion commands need the camassa_holm model (parameter family)"
         )
+    for key, value in (("l0", cfg.l0), ("phi0", cfg.phi0)):
+        if value is not None:
+            raise ConfigError(
+                "[solver] %s: the expansion commands start each order from "
+                "[hierarchy] start_values (or periodic_axis)" % key
+            )
+
     def profile(x):
         return cfg.u0_offset + cfg.u0_amplitude * np.cos(2.0 * np.pi * x / cfg.period)
 
@@ -278,7 +300,7 @@ def _run_hierarchy(cfg, scale):
         state.chart,
         table,
         cfg.order,
-        base=cfg.base,
+        base=_base_index(state.chart, cfg),
         start_values=start,
         periodic_axis=cfg.periodic_axis,
         gate_factor=cfg.gate_factor,
@@ -317,9 +339,8 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
     results = {}
     if cfg.model_kind == "camassa_holm":
         state, hier = _run_hierarchy(cfg, scale)
-        forms = [item.form for item in hier.orders]
         orders = [item.order for item in hier.orders]
-        reports = hierarchy_report(forms, time_axis)
+        reports = [analyze(item.form, time_axis) for item in hier.orders]
         drift_u = ch_integral_drift(state)
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u

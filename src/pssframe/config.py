@@ -78,7 +78,7 @@ class RunConfig:
     counts: tuple = ()
     axis_names: tuple = ()
     # solver
-    phi0: float = 0.0
+    phi0: float = None  # None: start from 0 (2D charts)
     l0: np.ndarray = None
     base: object = "center"
     coordinates_check: bool = False

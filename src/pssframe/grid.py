@@ -97,10 +97,14 @@ class GridChart:
             return tuple(0 for _ in self.counts)
         base = tuple(int(v) for v in selector)
         if len(base) != self.dim:
-            raise ValueError("base index has wrong length")
+            raise ValueError(
+                "base index %s has %d entries for a %dD chart" % (base, len(base), self.dim)
+            )
         for b, c in zip(base, self.counts):
             if not (0 <= b < c):
-                raise ValueError("base index out of range")
+                raise ValueError(
+                    "base index %s out of range for node counts %s" % (base, self.counts)
+                )
         return base
 
 

@@ -7,16 +7,30 @@ and each order contributes one conserved-current 1-form.  Order zero is the
 nonlinear angle solve; every later order is a *linear* transport equation
 whose coefficients only involve lower orders.
 
+The sine and cosine of the angle series are filled order by order with the
+Taylor-mode recurrences (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13)
+
+    s_j = (1/j) sum_{i=1..j} i phi_i c_{j-i},
+    c_j = -(1/j) sum_{i=1..j} i phi_i s_{j-i},
+
+O(K^2) products for K orders.  `solve_hierarchy` keeps the running s and c
+across orders: the source term of order j needs only their orders below j
+and the table powers that are not identically zero, and once phi_j is
+solved its terms phi_j c_0 and -phi_j s_0 complete order j.  The closed
+forms come from the same s and c.
+
 `EtaSeries` is a minimal truncated-series arithmetic over ndarray
-coefficients (enough ring operations for the compositions needed here), and
-`solve_hierarchy` runs the order-by-order integration with the same
-staircase sweeps and exchanged-order compatibility certificate used by the
-plain solver.
+coefficients, and `solve_hierarchy` runs the order-by-order integration with
+the same staircase sweeps and exchanged-order compatibility certificate used
+by the plain solver.  Periodic starting values come from return maps along
+the first-axis line through the base: safeguarded Newton (with the
+variational equation integrated alongside) for the nonlinear order zero,
+one stacked integration of the affine map for every later order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,35 +134,14 @@ class EtaSeries:
         return EtaSeries(out)
 
     def sin_cos(self):
-        """Return (sin(series), cos(series)) as truncated series.
-
-        The constant term is split off so the remainder has positive
-        valuation and its sine/cosine are finite Taylor sums.
-        """
-        k = self.order
-        head = self.coeffs[0]
-        tail = self.coeffs.copy()
-        tail[0] = 0.0
-        psi = EtaSeries(tail)
-
-        sin_psi = EtaSeries(np.zeros_like(self.coeffs))
-        cos_psi = EtaSeries.from_terms({0: np.ones_like(head)}, k, head.shape)
-        power = EtaSeries.from_terms({0: np.ones_like(head)}, k, head.shape)
-        for m in range(1, k + 1):
-            power = power * psi
-            coeff = 1.0 / math.factorial(m)
-            if m % 2 == 1:
-                sign = -1.0 if (m // 2) % 2 else 1.0
-                sin_psi = sin_psi + power * (sign * coeff)
-            else:
-                sign = -1.0 if (m // 2) % 2 else 1.0
-                cos_psi = cos_psi + power * (sign * coeff)
-
-        s0 = np.sin(head)
-        c0 = np.cos(head)
-        sin_full = EtaSeries(s0 * cos_psi.coeffs + c0 * sin_psi.coeffs)
-        cos_full = EtaSeries(c0 * cos_psi.coeffs - s0 * sin_psi.coeffs)
-        return sin_full, cos_full
+        """Return (sin(series), cos(series)) as truncated series."""
+        s = np.empty_like(self.coeffs)
+        c = np.empty_like(self.coeffs)
+        s[0] = np.sin(self.coeffs[0])
+        c[0] = np.cos(self.coeffs[0])
+        for j in range(1, self.order + 1):
+            _sin_cos_fill(self.coeffs, s, c, j, j)
+        return EtaSeries(s), EtaSeries(c)
 
     def evaluate(self, eta):
         """Evaluate the truncated polynomial at a parameter value."""
@@ -156,6 +149,59 @@ class EtaSeries:
         for j in range(self.order, -1, -1):
             out = out * eta + self.coeffs[j]
         return out
+
+
+def _sin_cos_fill(phi, s, c, j, top):
+    """Fill order j of s = sin(phi), c = cos(phi) from the orders below j.
+
+    phi, s and c are coefficient arrays with the power first.  The Taylor
+    recurrences sum i = 1..top; top = j - 1 leaves out the phi_j terms,
+    phi_j c_0 in s_j and -phi_j s_0 in c_j, for a caller that does not know
+    phi_j yet.
+    """
+    s[j] = 0.0
+    c[j] = 0.0
+    for i in range(1, top + 1):
+        w = i * phi[i]
+        s[j] += w * c[j - i]
+        c[j] -= w * s[j - i]
+    s[j] /= j
+    c[j] /= j
+
+
+def _sparse(entry):
+    """A table series with the powers whose coefficient is not identically zero."""
+    coeffs = entry.coeffs
+    return coeffs, [p for p in range(coeffs.shape[0]) if np.any(coeffs[p])]
+
+
+def _table_product(j, terms, out):
+    """Add the power-j coefficient of sum(series * entry) over terms to out.
+
+    terms holds (series, entry) pairs: series a coefficient array with the
+    power first, entry a `_sparse` table series, whose identically zero
+    powers are skipped (the Camassa-Holm table has degree two, f21 = eta).
+    """
+    for series, (coeffs, powers) in terms:
+        for p in powers:
+            if p > j:
+                break
+            out += coeffs[p] * series[j - p]
+    return out
+
+
+def _table_series(terms):
+    """The series sum(series * entry) over the (series, entry) terms."""
+    series_list = [x for pair in terms for x in pair]
+    order = series_list[0].order
+    if any(x.order != order for x in series_list):
+        raise ValueError("series truncation orders differ")
+    shape = np.broadcast_shapes(*(x.coeffs.shape[1:] for x in series_list))
+    out = np.zeros((order + 1,) + shape)
+    sparse = [(series.coeffs, _sparse(entry)) for series, entry in terms]
+    for j in range(order + 1):
+        _table_product(j, sparse, out[j])
+    return EtaSeries(out)
 
 
 def expand_phi_system(table, phi):
@@ -166,17 +212,18 @@ def expand_phi_system(table, phi):
     series for (phi_x, phi_t) given the angle series phi.
     """
     s, c = phi.sin_cos()
-    rhs_x = table[2][0] + s * table[0][0] + c * table[1][0]
-    rhs_t = table[2][1] + s * table[0][1] + c * table[1][1]
-    return rhs_x, rhs_t
+    return tuple(
+        table[2][col] + _table_series([(s, table[0][col]), (c, table[1][col])])
+        for col in (0, 1)
+    )
 
 
 def closed_form_series(table, phi):
     """Series for the two coefficients of the rotated closed form."""
     s, c = phi.sin_cos()
-    fx = c * table[0][0] - s * table[1][0]
-    ft = c * table[0][1] - s * table[1][1]
-    return fx, ft
+    return tuple(
+        _table_series([(c, table[0][col]), (-s, table[1][col])]) for col in (0, 1)
+    )
 
 
 def _order_zero_frame(chart, table):
@@ -194,27 +241,56 @@ def _order_zero_frame(chart, table):
 # periodic starting values via the circle return map
 
 def _integrate_line(y0, h, node_fields, mid_fields, rhs):
+    """RK4 along a line of nodes from y0: y' = rhs(samples, y).
+
+    rhs gets the samples as a tuple of Python floats, one per field: on
+    scalar and two-entry states numpy scalars would cost more than the step.
+    """
     kernels = additive_kernels(rhs)
+    nodes = list(zip(*(f.tolist() for f in node_fields)))
+    mids = list(zip(*(f.tolist() for f in mid_fields)))
     y = y0
-    count = node_fields[0].shape[0]
-    for i in range(count - 1):
-        lo = [f[i] for f in node_fields]
-        md = [f[i] for f in mid_fields]
-        hi = [f[i + 1] for f in node_fields]
+    for lo, md, hi in zip(nodes[:-1], mids, nodes[1:]):
         y = rkmk4_step(h, y, lo, md, hi, kernels)
     return y
 
 
-def _periodic_angle_start(h, node_fields, rhs, samples=96, tol=1e-13):
+def _angle_rhs(s, y):
+    """The angle equation along the line: y' = s2 + sin(y) s0 + cos(y) s1."""
+    return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
+
+
+def _angle_rhs_variational(s, yv):
+    """The angle equation stacked with its variational equation.
+
+    yv = (y, v): v' = (cos(y) s0 - sin(y) s1) v, so v = dR/dy at the end of
+    the line when v starts at 1.
+    """
+    y, v = yv
+    sin_y, cos_y = np.sin(y), np.cos(y)
+    return np.array(
+        [s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v]
+    )
+
+
+def _affine_rhs(s, y):
+    return s[0] * y + s[1]
+
+
+def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
     """Starting angle whose line integration closes up after one period.
 
+    node_fields are the (s0, s1, s2) samples of `_angle_rhs` along the line.
     The displacement map y -> R(y) - y is continuous and 2*pi periodic, so a
-    coarse scan followed by bisection on each bracketed multiple of 2*pi
-    finds a fixed point of the return map on the circle when one exists.
+    coarse scan brackets a fixed point of the return map on the circle when
+    one exists.  Inside the first bracket, safeguarded Newton solves
+    R(y) - y = 2*pi*k with R'(y) from the variational equation carried in
+    the same line integration; a step that leaves the bracket or does not
+    halve the previous one is replaced by bisection.
     """
     mids = [midpoints(f, 0) for f in node_fields]
     grid = np.linspace(-np.pi, np.pi, samples + 1)
-    disp = _integrate_line(grid, h, node_fields, mids, rhs) - grid
+    disp = _integrate_line(grid, h, node_fields, mids, _angle_rhs) - grid
 
     for a, b, da, db in zip(grid[:-1], grid[1:], disp[:-1], disp[1:]):
         lo_k = int(np.ceil(min(da, db) / (2.0 * np.pi)))
@@ -229,28 +305,46 @@ def _periodic_angle_start(h, node_fields, rhs, samples=96, tol=1e-13):
                 return float(b)
             if fa * fb > 0:
                 continue
-            left, right = float(a), float(b)
-            f_left = fa
-            while right - left > tol:
-                mid = 0.5 * (left + right)
-                f_mid = (
-                    _integrate_line(mid, h, node_fields, mids, rhs) - mid - target
+            left, right, f_left = float(a), float(b), fa
+            y = left - fa * (right - left) / (fb - fa)
+            step_old = right - left
+            # bisection alone gets from 2*pi/samples to tol in < 50 steps
+            for _ in range(100):
+                r, dr = _integrate_line(
+                    np.array([y, 1.0]), h, node_fields, mids, _angle_rhs_variational
                 )
-                if f_left * f_mid <= 0:
-                    right = mid
+                f = r - y - target
+                if f == 0.0:
+                    break
+                if (f < 0.0) == (f_left < 0.0):
+                    left, f_left = y, f
                 else:
-                    left, f_left = mid, f_mid
-            return 0.5 * (left + right)
+                    right = y
+                df = dr - 1.0
+                newton = f / df if df != 0.0 else np.inf
+                if left < y - newton < right and abs(newton) <= 0.5 * abs(step_old):
+                    step = newton
+                else:
+                    step = y - 0.5 * (left + right)
+                y -= step
+                step_old = step
+                if abs(step) <= tol:
+                    break
+            return float(y)
     raise PssframeError(
         "no periodic starting angle: the return map has no fixed point on the circle"
     )
 
 
-def _periodic_linear_start(h, node_fields, rhs):
-    """Fixed point of the affine return map of a linear transport line."""
+def _periodic_linear_start(h, node_fields):
+    """Fixed point of the affine return map of a linear transport line.
+
+    node_fields are the (slope, source) samples of `_affine_rhs`; the starts
+    0 and 1 are integrated in one stacked call.
+    """
     mids = [midpoints(f, 0) for f in node_fields]
-    shift = _integrate_line(0.0, h, node_fields, mids, rhs)
-    gain = _integrate_line(1.0, h, node_fields, mids, rhs) - shift
+    shift, one = _integrate_line(np.array([0.0, 1.0]), h, node_fields, mids, _affine_rhs)
+    gain = one - shift
     denom = 1.0 - gain
     if abs(denom) < 1e-12 * (1.0 + abs(shift)):
         raise PssframeError("periodic linear order is resonant (unit return gain)")
@@ -347,88 +441,80 @@ def solve_hierarchy(
             f21_0[:, t_line],
             table[2][0].coefficient(0)[:, t_line],
         ]
-
-        def line_rhs(s, y):
-            return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
-
-        phi0_start = _periodic_angle_start(chart.spacing[0], line_fields, line_rhs)
+        phi0_start = _periodic_angle_start(chart.spacing[0], line_fields)
     else:
         phi0_start = float(start_values.get(0, 0.0))
 
     report0 = solve_phi_2d(fd0, phi0_start, base_idx, gate_factor=gate_factor)
-    phi_coeffs = np.zeros((order + 1,) + counts)
-    phi_coeffs[0] = report0.rotation.angle.values
-
-    fx0 = report0.theta1.coeffs[0].values
-    ft0 = report0.theta1.coeffs[1].values
+    phi = np.zeros((order + 1,) + counts)
+    phi[0] = report0.rotation.angle.values
     results = [
         OrderResult(
             order=0,
-            phi=ScalarField(chart, phi_coeffs[0].copy()),
-            form=OneFormField.from_arrays(chart, [fx0, ft0]),
-            closed_residual=report0.closed_residual,
+            phi=ScalarField(chart, phi[0].copy()),
+            form=None,  # every form is built from the full s and c below
+            closed_residual=0.0,
             compat_residual=report0.compat_residual,
             start_value=phi0_start,
         )
     ]
 
-    cos0 = np.cos(phi_coeffs[0])
-    sin0 = np.sin(phi_coeffs[0])
-    alpha_x = f11_0 * cos0 - f21_0 * sin0
-    alpha_t = f12_0 * cos0 - f22_0 * sin0
+    # running sin / cos of the angle series, filled one order at a time
+    s = np.empty_like(phi)
+    c = np.empty_like(phi)
+    s[0] = np.sin(phi[0])
+    c[0] = np.cos(phi[0])
+    alpha_x = f11_0 * c[0] - f21_0 * s[0]
+    alpha_t = f12_0 * c[0] - f22_0 * s[0]
+    (f11, f12), (f21, f22) = [[_sparse(e) for e in row] for row in table[:2]]
+
+    def linear_rhs(axis, samples, y):
+        if axis == 0:
+            return samples[0] * y + samples[1]
+        return samples[2] * y + samples[3]
 
     for j in range(1, order + 1):
-        # source term: expand with this order's coefficient zeroed, so the
-        # j-th power picks up everything except the linear alpha * phi_j part
-        partial = EtaSeries(phi_coeffs.copy())
-        partial.coeffs[j:] = 0.0
-        rhs_x, rhs_t = expand_phi_system(table, partial)
-        beta_x = rhs_x.coefficient(j)
-        beta_t = rhs_t.coefficient(j)
+        # source term: order j of the expansion without the phi_j terms, so
+        # what is left of the j-th power is the linear alpha * phi_j part
+        _sin_cos_fill(phi, s, c, j, j - 1)
+        beta_x = _table_product(j, ((s, f11), (c, f21)), table[2][0].coeffs[j].copy())
+        beta_t = _table_product(j, ((s, f12), (c, f22)), table[2][1].coeffs[j].copy())
 
         if periodic_axis == 0:
-            lines = [alpha_x[:, t_line], beta_x[:, t_line]]
-
-            def affine_rhs(s, y):
-                return s[0] * y + s[1]
-
-            start = _periodic_linear_start(chart.spacing[0], lines, affine_rhs)
+            start = _periodic_linear_start(
+                chart.spacing[0], [alpha_x[:, t_line], beta_x[:, t_line]]
+            )
         else:
             start = float(start_values.get(j, 0.0))
 
         fields = [alpha_x, beta_x, alpha_t, beta_t]
-
-        def linear_rhs(axis, s, y):
-            if axis == 0:
-                return s[0] * y + s[1]
-            return s[2] * y + s[3]
-
         sol = sweep_scalar(chart, base_idx, (0, 1), start, fields, linear_rhs)
         sol_ex = sweep_scalar(chart, base_idx, (1, 0), start, fields, linear_rhs)
-        compat = float(np.max(np.abs(sol - sol_ex)))
-        phi_coeffs[j] = sol
+        phi[j] = sol
+        s[j] += sol * c[0]
+        c[j] -= sol * s[0]
 
         results.append(
             OrderResult(
                 order=j,
-                phi=ScalarField(chart, sol.copy()),
-                form=None,  # filled below once the full series is known
+                phi=ScalarField(chart, sol),
+                form=None,
                 closed_residual=0.0,
-                compat_residual=compat,
+                compat_residual=float(np.max(np.abs(sol - sol_ex))),
                 start_value=start,
             )
         )
 
-    phi_series = EtaSeries(phi_coeffs)
-    fx, ft = closed_form_series(table, phi_series)
+    neg_s = -s
     for j, item in enumerate(results):
-        form = OneFormField.from_arrays(chart, [fx.coefficient(j), ft.coefficient(j)])
-        item.form = form
-        item.closed_residual = closedness_residual(form)
+        fx = _table_product(j, ((c, f11), (neg_s, f21)), np.zeros(counts))
+        ft = _table_product(j, ((c, f12), (neg_s, f22)), np.zeros(counts))
+        item.form = OneFormField.from_arrays(chart, [fx, ft])
+        item.closed_residual = closedness_residual(item.form)
 
     return HierarchyResult(
         orders=results,
-        phi_series=phi_series,
+        phi_series=EtaSeries(phi),
         base_index=base_idx,
         base_report=report0,
     )

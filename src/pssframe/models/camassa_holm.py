@@ -122,17 +122,20 @@ def ch_evolve(
         raise ValueError("u0 must provide nx samples")
 
     k = _wavenumbers(n, period)
+    ik = 1j * k
     helmholtz = 1.0 + k**2
-
-    def u_from_h(h):
-        h_hat = np.fft.rfft(h - 0.5 * m)
-        return np.fft.irfft(h_hat / helmholtz, n)
+    # rfft(h - m/2) differs from rfft(h) only in the k = 0 bin (the sum)
+    mean_shift = 0.5 * m * n
 
     def rhs(h):
-        u = u_from_h(h)
-        u_hat = np.fft.rfft(u)
-        u_x = np.fft.irfft(1j * k * u_hat, n)
-        h_x = np.fft.irfft(1j * k * np.fft.rfft(h), n)
+        # one forward transform of h, one stacked inverse for u, u_x and h_x
+        h_hat = np.fft.rfft(h)
+        spectra = np.empty((3,) + h_hat.shape, dtype=complex)
+        spectra[0] = h_hat / helmholtz
+        spectra[0, 0] -= mean_shift  # helmholtz[0] == 1
+        np.multiply(ik, spectra[0], out=spectra[1])
+        np.multiply(ik, h_hat, out=spectra[2])
+        u, u_x, h_x = np.fft.irfft(spectra, n)
         return -(u * h_x + 2.0 * u_x * h)
 
     u_hat0 = np.fft.rfft(u_now)

@@ -521,6 +521,23 @@ class CoordinateCheck:
         return worst
 
 
+def scaling_constants(constants, n):
+    """The constants c_2..c_n of `special_coordinates_check`, checked.
+
+    None gives ones; anything else must hold n - 1 values, or ValueError
+    says how many it holds.
+    """
+    if constants is None:
+        return np.ones(n - 1)
+    constants = np.asarray(constants, dtype=float)
+    if constants.shape != (n - 1,):
+        raise ValueError(
+            "need n - 1 = %d scaling constants on a %dD chart, got %d"
+            % (n - 1, n, constants.size)
+        )
+    return constants
+
+
 def special_coordinates_check(
     fd: FrameData,
     report: SolveReport,
@@ -537,11 +554,7 @@ def special_coordinates_check(
     """
     chart = fd.chart
     n = fd.dim
-    if constants is None:
-        constants = np.ones(n - 1)
-    constants = np.asarray(constants, dtype=float)
-    if constants.shape != (n - 1,):
-        raise ValueError("need one scaling constant per index 2..n")
+    constants = scaling_constants(constants, n)
 
     g, path_residual = potential(report.theta1, base)
     decay = np.exp(-g.values)

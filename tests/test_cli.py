@@ -378,3 +378,49 @@ def test_defaults_round_trip_through_parser(tmp_path):
     sg = parse_config(write_config(tmp_path, SG_CONFIG, name="sg.ini"))
     assert sg.resolved_time_axis() == 0
     assert sg.spacing == (0.25, 0.25)  # extent 8 over 32 intervals
+
+
+SG_SCALES_CONFIG = SG_CONFIG + "\n[convergence]\nscales = 1, 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, base_config, base, reason",
+    [
+        ("solve-frame", SG_CONFIG, "100, 100", "out of range"),
+        ("solve-frame", SG_CONFIG, "1, 2, 3", "3 entries for a 2D chart"),
+        ("converge", SG_SCALES_CONFIG, "100, 100", "out of range"),
+        ("conserve", SG_CONFIG, "100, 100", "out of range"),
+        ("conserve", CH_CONFIG, "1000, 3", "out of range"),
+        ("hierarchy", CH_CONFIG, "1000, 3", "out of range"),
+    ],
+    ids=["solve-frame", "length", "converge", "conserve", "conserve-ch", "hierarchy"],
+)
+def test_base_off_the_chart_is_a_config_error(
+    tmp_path, capsys, command, base_config, base, reason
+):
+    cfg = write_config(tmp_path, base_config + "\n[solver]\nbase = %s\n" % base)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] base: ")
+    assert reason in err
+
+
+def test_wrong_number_of_coordinate_constants_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        SG_CONFIG + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1, 2\n",
+    )
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] coordinate_constants: ")
+    assert "got 2" in err
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "conserve"])
+@pytest.mark.parametrize("key, value", [("l0", "1, 0, 0, 2"), ("phi0", "0.3")])
+def test_expansion_commands_refuse_solver_start_keys(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, CH_CONFIG + "\n[solver]\n%s = %s\n" % (key, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] %s: " % key)
+    assert "[hierarchy] start_values" in err

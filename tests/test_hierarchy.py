@@ -5,7 +5,16 @@ import pytest
 
 from pssframe import EtaSeries, solve_hierarchy, solve_phi_2d
 from pssframe.errors import PssframeError
-from pssframe.hierarchy import closed_form_series, expand_phi_system
+from pssframe.grid import midpoints
+from pssframe.hierarchy import (
+    _angle_rhs,
+    _angle_rhs_variational,
+    _integrate_line,
+    _periodic_angle_start,
+    _periodic_linear_start,
+    closed_form_series,
+    expand_phi_system,
+)
 from pssframe.models import ch_evolve, ch_forms, ch_series_table
 
 
@@ -172,3 +181,93 @@ def test_hierarchy_rejects_bad_arguments():
         solve_hierarchy(state.chart, table, 1, periodic_axis=1)
     with pytest.raises(ValueError):
         solve_hierarchy(state.chart, ch_series_table(state, 0), 1)
+
+
+# Order-8 periodic hierarchy on a small evolved Camassa-Holm state: per order
+# (start value, compat residual, phi_k at the corners [0,0], [0,-1], [-1,0],
+# [-1,-1]), recorded from the factorial-series sin/cos and bisection start
+# finder that the Taylor-mode recurrences and Newton starts replaced.
+FROZEN_PERIODIC_ORDER_8 = [
+    (0.9785628119406722, 9.397148763579111e-07,
+     (1.1046759433926794, 0.869912355870919, 1.1046759433926954, 0.8699123558709398)),
+    (1.829695925883224, 1.4977804390081673e-06,
+     (1.8933185360189022, 1.7642724039808884, 1.8933185360189002, 1.76427240398089)),
+    (0.510682100723597, 2.0437769426839836e-06,
+     (0.4254511073751119, 0.5688836616694474, 0.4254511073751108, 0.5688836616694495)),
+    (-0.3679179135172623, 2.798523887403981e-06,
+     (-0.46997096574585, -0.27419721426345744, -0.46997096574584907, -0.2741972142634579)),
+    (-0.38763126290282895, 4.392608493275496e-06,
+     (-0.35979062318795185, -0.3835374129782142, -0.3597906231879503, -0.3835374129782161)),
+    (0.028848951805942442, 4.530785716938546e-06,
+     (0.13758345616111115, -0.05274390440522404, 0.13758345616111098, -0.052743904405224876)),
+    (0.24983645752066744, 7.232037972482175e-06,
+     (0.2785943531419555, 0.19721062210861842, 0.27859435314195385, 0.1972106221086195)),
+    (0.10068678893929911, 6.987856078360943e-06,
+     (0.01428757806492291, 0.14224422776552206, 0.01428757806492228, 0.14224422776552337)),
+    (-0.12224414236337605, 9.372178400302023e-06,
+     (-0.1921832348568382, -0.05021114065617347, -0.19218323485683675, -0.050211140656173534)),
+]
+
+
+def _periodic_ch_state(nt=16):
+    return ch_evolve(
+        lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
+        m=0.5,
+        period=6.0,
+        t_final=1.0,
+        nx=64,
+        nt=nt,
+    )
+
+
+def test_periodic_order_8_matches_frozen_reference():
+    state = _periodic_ch_state()
+    result = solve_hierarchy(state.chart, ch_series_table(state, 8), 8, periodic_axis=0)
+    assert len(result.orders) == len(FROZEN_PERIODIC_ORDER_8)
+    for item, (start, compat, corners) in zip(result.orders, FROZEN_PERIODIC_ORDER_8):
+        phi = item.phi.values
+        got = [phi[0, 0], phi[0, -1], phi[-1, 0], phi[-1, -1]]
+        assert abs(item.start_value - start) <= 1e-12
+        assert abs(item.compat_residual - compat) <= 1e-12
+        assert np.max(np.abs(np.subtract(got, corners))) <= 1e-12
+
+
+def _line(values, count=33):
+    return np.full(count, float(values))
+
+
+def test_periodic_angle_start_is_a_fixed_point_of_the_return_map():
+    state = _periodic_ch_state()
+    table = ch_series_table(state, 0)
+    t_line = state.chart.counts[1] // 2
+    fields = [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
+    h = state.chart.spacing[0]
+    y = _periodic_angle_start(h, fields)
+    mids = [midpoints(f, 0) for f in fields]
+    gap = _integrate_line(y, h, fields, mids, _angle_rhs) - y
+    assert abs(gap - 2 * np.pi * round(gap / (2 * np.pi))) <= 1e-12
+
+
+def test_variational_equation_gives_the_return_map_slope():
+    x = np.linspace(0.0, 2 * np.pi, 65)
+    fields = [0.3 + 0.1 * np.cos(x), 0.2 * np.sin(x), 0.5 + 0.0 * x]
+    h = x[1] - x[0]
+    mids = [midpoints(f, 0) for f in fields]
+    y, eps = 0.4, 1e-6
+    _, slope = _integrate_line(np.array([y, 1.0]), h, fields, mids, _angle_rhs_variational)
+    up, down = (_integrate_line(y + d, h, fields, mids, _angle_rhs) for d in (eps, -eps))
+    assert abs(slope - (up - down) / (2 * eps)) < 1e-8
+
+
+def test_periodic_angle_start_without_fixed_point_is_refused():
+    # y' = 5 + 0.1 sin(y) over unit length: the displacement stays within
+    # [4.9, 5.1], which holds no multiple of 2 pi
+    fields = [_line(0.1), _line(0.0), _line(5.0)]
+    with pytest.raises(PssframeError, match="no periodic starting angle"):
+        _periodic_angle_start(1.0 / 32, fields)
+
+
+def test_periodic_linear_start_with_unit_gain_is_resonant():
+    # y' = 1: the return map y -> y + 1 has gain one and no fixed point
+    with pytest.raises(PssframeError, match="resonant"):
+        _periodic_linear_start(1.0 / 32, [_line(0.0), _line(1.0)])
