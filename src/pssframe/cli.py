@@ -144,6 +144,19 @@ def _base_index(chart, cfg):
         raise ConfigError("[solver] base: %s" % exc) from exc
 
 
+def _check_coordinate_keys(cfg, command):
+    """The coordinate check runs in solve-frame only; elsewhere its keys are refused."""
+    if cfg.coordinates_check and command != "solve-frame":
+        raise ConfigError(
+            "[solver] coordinates_check: only solve-frame runs the coordinate check"
+        )
+    if cfg.coordinate_constants and not cfg.coordinates_check:
+        raise ConfigError(
+            "[solver] coordinate_constants: applies only with coordinates_check = true "
+            "(solve-frame)"
+        )
+
+
 def _solve(fd, cfg):
     """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
 
@@ -199,7 +212,7 @@ def _write_report_fields(out_dir, report):
     write_field(
         os.path.join(out_dir, "theta1.pssfield"),
         chart,
-        [c.values for c in report.theta1.coeffs],
+        report.theta1.values,
     )
     n = chart.dim
     rot = report.rotation.matrix
@@ -294,13 +307,19 @@ def _run_hierarchy(cfg, scale):
         nt=cfg.nt * scale,
         cfl=cfg.cfl,
     )
+    base = _base_index(state.chart, cfg)
+    if cfg.periodic_axis == 0 and cfg.base != "center" and base[0] != 0:
+        raise ConfigError(
+            "[solver] base: periodic_axis = 1 starts every order on the first-axis "
+            "index 0, got base %s" % (base,)
+        )
     table = ch_series_table(state, cfg.order)
     start = dict(enumerate(cfg.start_values)) if cfg.start_values else None
     result = solve_hierarchy(
         state.chart,
         table,
         cfg.order,
-        base=_base_index(state.chart, cfg),
+        base=base,
         start_values=start,
         periodic_axis=cfg.periodic_axis,
         gate_factor=cfg.gate_factor,
@@ -321,7 +340,7 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
         write_field(
             os.path.join(out_dir, "theta_%d.pssfield" % item.order),
             chart,
-            [c.values for c in item.form.coeffs],
+            item.form.values,
         )
         per_order[str(item.order)] = {
             "compat_residual": item.compat_residual,
@@ -496,6 +515,7 @@ def main(argv=None):
         return 2
 
     try:
+        _check_coordinate_keys(cfg, args.command)
         return _COMMANDS[args.command](cfg, args.config, out_dir, args.grid_scale)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -102,7 +102,7 @@ def analyze(theta: OneFormField, time_axis):
     n = chart.dim
     if not 0 <= time_axis < n:
         raise ValueError("time_axis out of range")
-    f_time = theta.coeffs[time_axis].values
+    f_time = theta.values[time_axis]
     inner = tuple(slice(1, -1) for _ in range(n))
     times = chart.axis_coordinates(time_axis)
 
@@ -110,7 +110,7 @@ def analyze(theta: OneFormField, time_axis):
     for j in range(n):
         if j == time_axis:
             continue
-        f_j = theta.coeffs[j].values
+        f_j = theta.values[j]
 
         flux = partial_derivative(f_time, j, chart.spacing[j]) - partial_derivative(
             f_j, time_axis, chart.spacing[time_axis]
@@ -157,19 +157,14 @@ def analyze(theta: OneFormField, time_axis):
         for j in range(i + 1, n):
             if time_axis in (i, j):
                 continue
-            f_i = theta.coeffs[i].values
-            f_j = theta.coeffs[j].values
+            f_i = theta.values[i]
+            f_j = theta.values[j]
             res = partial_derivative(f_j, i, chart.spacing[i]) - partial_derivative(
                 f_i, j, chart.spacing[j]
             )
             cross[(i, j)] = float(np.max(np.abs(res[inner])))
 
     return ConservationReport(time_axis=time_axis, axes=axes, cross_residuals=cross)
-
-
-def hierarchy_report(forms, time_axis):
-    """One report per closed form of an expansion family."""
-    return [analyze(form, time_axis) for form in forms]
 
 
 def write_csv(path, reports, orders=None):

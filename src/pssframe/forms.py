@@ -1,17 +1,28 @@
 """Discrete differential forms on grid charts.
 
-One-forms store one coefficient field per axis, two-forms one per ordered
-axis pair (k, l) with k < l, and connection fields a skew matrix of
-one-forms kept exactly skew by storing only the upper triangle.  The
-exterior derivative uses the chart's second-order stencils; `potential`
-recovers a primitive of a closed one-form by staircase line integration
-(composite trapezoid, axes in chart order) and reports the discrepancy
-against the reversed axis order as a self-check.
+Every form is one float array with the form index first:
+
+- `OneFormField.values`, shape (n, *counts): values[k] is the coefficient
+  of dx_k;
+- `TwoFormField.values`, shape (pairs, *counts): one row per axis pair
+  (k, l) with k < l, in row-major order (0, 1), (0, 2), ..., (1, 2), ...;
+- `ConnectionField.values`, shape (pairs, n, *counts): the one-form
+  omega_ij of each pair i < j, pairs in the same order.  Only the upper
+  triangle is stored, so entry(j, i) == -entry(i, j) holds by construction
+  rather than up to round-off.
+
+`coefficient` and `entry` hand out ScalarField / OneFormField views of these
+arrays (negated copies below the diagonal).  The exterior derivative uses
+the chart's second-order stencils; `potential` recovers a primitive of a
+closed one-form by staircase line integration (composite trapezoid, axes in
+chart order) and reports the discrepancy against the reversed axis order as
+a self-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -19,168 +30,143 @@ from .grid import GridChart, ScalarField, interior_max_abs, partial_derivative
 
 
 def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return list(combinations(range(n), 2))
+
+
+def _skew_entry(values, n, i, j):
+    """Entry (i, j), i != j, of a skew family stored as its upper triangle."""
+    if i < j:
+        return values[_pairs(n).index((i, j))]
+    return -values[_pairs(n).index((j, i))]
+
+
+def _dense(values, shape, what):
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError("%s needs shape %s, got %s" % (what, shape, values.shape))
+    return values
 
 
 @dataclass
 class OneFormField:
-    """theta = sum_k coeffs[k] dx_k."""
+    """theta = sum_k values[k] dx_k."""
 
     chart: GridChart
-    coeffs: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.chart.dim:
-            raise ValueError("one-form needs one coefficient per axis")
-        for c in coeffs:
-            self.chart.require_same(c.chart)
-        self.coeffs = coeffs
+        shape = (self.chart.dim,) + self.chart.counts
+        self.values = _dense(self.values, shape, "one-form (one coefficient per axis)")
 
     @classmethod
     def from_arrays(cls, chart, arrays):
-        return cls(chart, tuple(ScalarField(chart, a) for a in arrays))
+        return cls(chart, np.array(arrays, dtype=float))
 
     @classmethod
     def zeros(cls, chart):
-        return cls(chart, tuple(ScalarField.zeros(chart) for _ in range(chart.dim)))
+        return cls(chart, np.zeros((chart.dim,) + chart.counts))
 
     def coefficient(self, axis):
-        return self.coeffs[axis]
-
-    def __add__(self, other):
-        self.chart.require_same(other.chart)
-        return OneFormField(
-            self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return ScalarField(self.chart, self.values[axis])
 
     def __sub__(self, other):
         self.chart.require_same(other.chart)
-        return OneFormField(
-            self.chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return OneFormField(self.chart, tuple(-a for a in self.coeffs))
+        return OneFormField(self.chart, self.values - other.values)
 
     def scaled(self, factor):
         """Pointwise scaling by a scalar or ScalarField."""
-        return OneFormField(self.chart, tuple(c * factor for c in self.coeffs))
+        if isinstance(factor, ScalarField):
+            self.chart.require_same(factor.chart)
+            factor = factor.values
+        return OneFormField(self.chart, self.values * factor)
 
     def max_abs(self):
-        return max(c.max_abs() for c in self.coeffs)
+        return float(np.max(np.abs(self.values)))
 
 
 @dataclass
 class TwoFormField:
-    """omega = sum_{k<l} coeffs[(k,l)] dx_k^dx_l."""
+    """omega = sum_{k<l} values[pair(k, l)] dx_k^dx_l."""
 
     chart: GridChart
-    coeffs: dict
+    values: np.ndarray
 
     def __post_init__(self):
-        want = _pairs(self.chart.dim)
-        if sorted(self.coeffs.keys()) != want:
-            raise ValueError("two-form needs coefficients exactly for k<l pairs")
-        for c in self.coeffs.values():
-            self.chart.require_same(c.chart)
-
-    @classmethod
-    def zeros(cls, chart):
-        return cls(
-            chart,
-            {p: ScalarField.zeros(chart) for p in _pairs(chart.dim)},
-        )
+        shape = (len(_pairs(self.chart.dim)),) + self.chart.counts
+        self.values = _dense(self.values, shape, "two-form (one coefficient per k<l pair)")
 
     def coefficient(self, k, l):
         if k == l:
             return ScalarField.zeros(self.chart)
-        if k < l:
-            return self.coeffs[(k, l)]
-        return -self.coeffs[(l, k)]
-
-    def __add__(self, other):
-        self.chart.require_same(other.chart)
-        return TwoFormField(
-            self.chart,
-            {p: self.coeffs[p] + other.coeffs[p] for p in self.coeffs},
-        )
-
-    def __sub__(self, other):
-        self.chart.require_same(other.chart)
-        return TwoFormField(
-            self.chart,
-            {p: self.coeffs[p] - other.coeffs[p] for p in self.coeffs},
-        )
+        return ScalarField(self.chart, _skew_entry(self.values, self.chart.dim, k, l))
 
     def max_abs(self):
-        return max(c.max_abs() for c in self.coeffs.values())
+        return float(np.max(np.abs(self.values)))
 
     def interior_max_abs(self):
-        return max(interior_max_abs(c.values) for c in self.coeffs.values())
+        return max(interior_max_abs(c) for c in self.values)
 
 
 @dataclass
 class ConnectionField:
     """Skew matrix of one-forms; entry(j, i) == -entry(i, j) exactly.
 
-    Only the upper triangle is stored, so the skew invariant holds by
-    construction rather than up to round-off.
+    values is the (pairs, n, *counts) upper triangle, or a dict
+    {(i, j): OneFormField} for the pairs i < j, stacked once here.
     """
 
     chart: GridChart
-    upper: dict  # {(i, j): OneFormField} for i < j
+    values: np.ndarray
 
     def __post_init__(self):
         n = self.chart.dim
-        if sorted(self.upper.keys()) != _pairs(n):
-            raise ValueError("connection needs entries exactly for i<j pairs")
-        for w in self.upper.values():
-            self.chart.require_same(w.chart)
-
-    @classmethod
-    def zeros(cls, chart):
-        return cls(chart, {p: OneFormField.zeros(chart) for p in _pairs(chart.dim)})
+        pairs = _pairs(n)
+        shape = (len(pairs), n) + self.chart.counts
+        if isinstance(self.values, dict):
+            if sorted(self.values) != pairs:
+                raise ValueError("connection needs entries exactly for i<j pairs")
+            for w in self.values.values():
+                self.chart.require_same(w.chart)
+            forms = [self.values[p].values for p in pairs]
+            self.values = np.array(forms, dtype=float).reshape(shape)
+        self.values = _dense(self.values, shape, "connection (one one-form per i<j pair)")
 
     def entry(self, i, j):
         if i == j:
             return OneFormField.zeros(self.chart)
-        if i < j:
-            return self.upper[(i, j)]
-        return -self.upper[(j, i)]
+        return OneFormField(self.chart, _skew_entry(self.values, self.chart.dim, i, j))
 
     def coefficient_matrix(self, axis):
         """Array W of shape (*counts, n, n) with W[..., i, j] = entry(i,j)_axis."""
         n = self.chart.dim
         out = np.zeros(self.chart.counts + (n, n))
-        for (i, j), w in self.upper.items():
-            vals = w.coeffs[axis].values
-            out[..., i, j] = vals
-            out[..., j, i] = -vals
+        for (i, j), w in zip(_pairs(n), self.values):
+            out[..., i, j] = w[axis]
+            out[..., j, i] = -w[axis]
         return out
 
     def max_abs(self):
-        return max(w.max_abs() for w in self.upper.values())
+        return float(np.max(np.abs(self.values)))
 
 
 def d_scalar(f: ScalarField) -> OneFormField:
     """Exterior derivative of a scalar field (its gradient one-form)."""
     chart = f.chart
-    coeffs = [
-        ScalarField(chart, partial_derivative(f.values, k, chart.spacing[k]))
-        for k in range(chart.dim)
-    ]
-    return OneFormField(chart, tuple(coeffs))
+    out = np.empty((chart.dim,) + chart.counts)
+    for k in range(chart.dim):
+        out[k] = partial_derivative(f.values, k, chart.spacing[k])
+    return OneFormField(chart, out)
 
 
 def d_oneform(theta: OneFormField) -> TwoFormField:
     """Exterior derivative; coefficient of dx_k^dx_l is d_k theta_l - d_l theta_k."""
     chart = theta.chart
-    out = {}
-    for k, l in _pairs(chart.dim):
-        dk = partial_derivative(theta.coeffs[l].values, k, chart.spacing[k])
-        dl = partial_derivative(theta.coeffs[k].values, l, chart.spacing[l])
-        out[(k, l)] = ScalarField(chart, dk - dl)
+    pairs = _pairs(chart.dim)
+    out = np.empty((len(pairs),) + chart.counts)
+    for p, (k, l) in enumerate(pairs):
+        dk = partial_derivative(theta.values[l], k, chart.spacing[k])
+        dl = partial_derivative(theta.values[k], l, chart.spacing[l])
+        np.subtract(dk, dl, out=out[p])
     return TwoFormField(chart, out)
 
 
@@ -188,13 +174,14 @@ def wedge(alpha: OneFormField, beta: OneFormField) -> TwoFormField:
     """Wedge product of two one-forms."""
     alpha.chart.require_same(beta.chart)
     chart = alpha.chart
-    out = {}
-    for k, l in _pairs(chart.dim):
-        out[(k, l)] = ScalarField(
-            chart,
-            alpha.coeffs[k].values * beta.coeffs[l].values
-            - alpha.coeffs[l].values * beta.coeffs[k].values,
-        )
+    a, b = alpha.values, beta.values
+    pairs = _pairs(chart.dim)
+    # one pair at a time into a preallocated block: fancy-indexing all pairs
+    # at once would copy both operands
+    out = np.empty((len(pairs),) + chart.counts)
+    for p, (k, l) in enumerate(pairs):
+        np.multiply(a[k], b[l], out=out[p])
+        out[p] -= a[l] * b[k]
     return TwoFormField(chart, out)
 
 
@@ -245,7 +232,7 @@ def potential(theta: OneFormField, base="center"):
                 else slice(fixed[k], fixed[k] + 1)
                 for k in range(chart.dim)
             )
-            block = theta.coeffs[axis].values[region]
+            block = theta.values[axis][region]
             incr = _cumulative_line_integral(
                 block, axis, base_idx[axis], chart.spacing[axis]
             )

@@ -1,11 +1,13 @@
 """Orthonormal coframes, connection forms, and frame rotations.
 
-`FrameData` bundles the dual coframe (one-forms omega_1..omega_n) with the
-skew connection matrix (omega_ij).  `structure_residuals` measures how well
-the bundle satisfies the first and second structure equations at constant
-sectional curvature K; `frame_change` rotates the bundle by a pointwise
-orthogonal matrix field; `special_frame_residual` measures the defining
-conditions of the distinguished frame whose first dual form is closed.
+`FrameData` bundles the dual coframe (one-forms omega_1..omega_n, each an
+(n, *counts) array, see `forms`) with the skew connection matrix (omega_ij,
+one (pairs, n, *counts) array of its upper triangle).
+`structure_residuals` measures how well the bundle satisfies the first and
+second structure equations at constant sectional curvature K;
+`frame_change` rotates the bundle by a pointwise orthogonal matrix field;
+`special_frame_residual` measures the defining conditions of the
+distinguished frame whose first dual form is closed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
-from .forms import ConnectionField, OneFormField, d_oneform, d_scalar, wedge
+from .forms import ConnectionField, OneFormField, d_oneform, wedge
 from .grid import GridChart, ScalarField, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
@@ -74,9 +76,9 @@ class FrameRotationField:
         return cls(chart, mat)
 
     def orthogonality_error(self):
-        n = self.chart.dim
         gram = np.matmul(self.matrix, np.swapaxes(self.matrix, -1, -2))
-        return float(np.max(np.abs(gram - np.eye(n))))
+        gram -= np.eye(self.chart.dim)
+        return float(np.max(np.abs(gram, out=gram)))
 
     def entry(self, i, j):
         return ScalarField(self.chart, self.matrix[..., i, j].copy())
@@ -111,8 +113,7 @@ class FrameData:
         n = self.dim
         out = np.empty(self.chart.counts + (n, n))
         for i in range(n):
-            for k in range(n):
-                out[..., i, k] = self.omega[i].coeffs[k].values
+            out[..., i, :] = np.moveaxis(self.omega[i].values, 0, -1)
         return out
 
     def max_abs(self):
@@ -127,26 +128,22 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     res2: d(omega_ij) - sum_k omega_ik ^ omega_kj + K omega_i ^ omega_j
     """
     n = fd.dim
+    conn = fd.connection
     res1 = 0.0
     for i in range(n):
         resid = d_oneform(fd.omega[i])
         for j in range(n):
-            if j == i:
-                continue
-            resid = resid - wedge(fd.omega[j], fd.connection.entry(j, i))
+            if j != i:
+                resid.values -= wedge(fd.omega[j], conn.entry(j, i)).values
         res1 = max(res1, resid.interior_max_abs())
 
     res2 = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            resid = d_oneform(fd.connection.entry(i, j))
+            resid = d_oneform(conn.entry(i, j))
             for k in range(n):
-                resid = resid - wedge(
-                    fd.connection.entry(i, k), fd.connection.entry(k, j)
-                )
-            target = wedge(fd.omega[i], fd.omega[j])
-            for pair, coeff in target.coeffs.items():
-                resid.coeffs[pair] = resid.coeffs[pair] + coeff * float(curvature)
+                resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
+            resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
             res2 = max(res2, resid.interior_max_abs())
     return res1, res2
 
@@ -158,13 +155,12 @@ def special_frame_residual(fd: FrameData):
     theta_ij = 0 (2 <= i < j).  Algebraic, so no interior restriction.
     """
     n = fd.dim
+    upper = fd.connection.values  # pairs (1, 2), ..., (1, n) come first
     worst = 0.0
     for i in range(1, n):
-        form = fd.connection.entry(0, i) + fd.omega[i]
-        worst = max(worst, form.max_abs())
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            worst = max(worst, fd.connection.entry(i, j).max_abs())
+        worst = max(worst, float(np.max(np.abs(upper[i - 1] + fd.omega[i].values))))
+    if n > 2:
+        worst = max(worst, float(np.max(np.abs(upper[n - 1 :]))))
     return worst
 
 
@@ -179,42 +175,25 @@ def frame_change(fd: FrameData, rot: FrameRotationField) -> FrameData:
     chart = fd.chart
     n = fd.dim
     L = rot.matrix
+    L_ij = np.moveaxis(L, (-2, -1), (0, 1))  # L_ij[i, j] = L[..., i, j]
 
-    theta = []
-    for i in range(n):
-        coeffs = []
-        for k in range(n):
-            acc = np.zeros(chart.counts)
-            for j in range(n):
-                acc += L[..., i, j] * fd.omega[j].coeffs[k].values
-            coeffs.append(acc)
-        theta.append(OneFormField.from_arrays(chart, coeffs))
+    # theta[i, k] = sum_j L_ij omega_j,k, summed over j in order
+    theta = np.zeros((n, n) + chart.counts)
+    for j in range(n):
+        theta += L_ij[:, j, None] * fd.omega[j].values
 
-    # dL as a matrix of gradient coefficient arrays: dL[a][i][j] = d_a L_ij
-    dL = np.empty((n,) + tuple(chart.counts) + (n, n))
-    for i in range(n):
-        for j in range(n):
-            grad = d_scalar(ScalarField(chart, L[..., i, j]))
-            for a in range(n):
-                dL[a][..., i, j] = grad.coeffs[a].values
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.empty((len(rows), n) + chart.counts)
+    for a in range(n):
+        dL = partial_derivative(L, a, chart.spacing[a])
+        w_a = fd.connection.coefficient_matrix(a)
+        total = np.einsum("...ik,...jk->...ij", dL, L)
+        total += np.matmul(np.matmul(L, w_a), np.swapaxes(L, -1, -2))
+        skew = 0.5 * (total - np.swapaxes(total, -1, -2))
+        upper[:, a] = np.moveaxis(skew[..., rows, cols], -1, 0)
 
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = []
-            for a in range(n):
-                w_a = fd.connection.coefficient_matrix(a)
-                m_a = np.matmul(np.matmul(L, w_a), np.swapaxes(L, -1, -2))
-                d_part = np.einsum("...k,...k->...", dL[a][..., i, :], L[..., j, :])
-                d_part_t = np.einsum(
-                    "...k,...k->...", dL[a][..., j, :], L[..., i, :]
-                )
-                total = d_part + m_a[..., i, j]
-                total_t = d_part_t + m_a[..., j, i]
-                coeffs.append(0.5 * (total - total_t))
-            upper[(i, j)] = OneFormField.from_arrays(chart, coeffs)
-
-    return FrameData(chart, tuple(theta), ConnectionField(chart, upper))
+    omega = tuple(OneFormField(chart, t) for t in theta)
+    return FrameData(chart, omega, ConnectionField(chart, upper))
 
 
 def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
@@ -263,29 +242,18 @@ def save_frame_data(path, fd: FrameData):
     Component order: omega_1..omega_n then omega_ij for i<j (row-major),
     each form contributing its n coefficients in axis order.
     """
-    comps = []
-    for w in fd.omega:
-        comps.extend(w.coeffs)
-    for i in range(fd.dim):
-        for j in range(i + 1, fd.dim):
-            comps.extend(fd.connection.entry(i, j).coeffs)
-    fieldio.write_field(path, fd.chart, comps)
+    counts = fd.chart.counts
+    comps = [w.values for w in fd.omega] + [fd.connection.values.reshape((-1,) + counts)]
+    fieldio.write_field(path, fd.chart, np.concatenate(comps))
 
 
 def load_frame_data(path):
+    """Read a file written by `save_frame_data`; the forms are views of one block."""
     chart, stack = fieldio.read_field(path)
     n = chart.dim
     n_pairs = n * (n - 1) // 2
     if stack.shape[0] != n * n + n_pairs * n:
         raise ValueError("component count does not match frame data layout")
-    omega = []
-    pos = 0
-    for _ in range(n):
-        omega.append(OneFormField.from_arrays(chart, stack[pos : pos + n]))
-        pos += n
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            upper[(i, j)] = OneFormField.from_arrays(chart, stack[pos : pos + n])
-            pos += n
-    return FrameData(chart, tuple(omega), ConnectionField(chart, upper))
+    omega = tuple(OneFormField(chart, stack[i * n : (i + 1) * n]) for i in range(n))
+    upper = stack[n * n :].reshape((n_pairs, n) + chart.counts)
+    return FrameData(chart, omega, ConnectionField(chart, upper))

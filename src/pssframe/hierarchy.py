@@ -227,14 +227,10 @@ def closed_form_series(table, phi):
 
 
 def _order_zero_frame(chart, table):
-    def one_form(row):
-        return OneFormField.from_arrays(
-            chart, [row[0].coefficient(0), row[1].coefficient(0)]
-        )
-
-    omega = (one_form(table[0]), one_form(table[1]))
-    connection = ConnectionField(chart, {(0, 1): one_form(table[2])})
-    return FrameData(chart, omega, connection)
+    # rows: two dual forms and the connection form; columns: dx and dt
+    block = np.array([[entry.coefficient(0) for entry in row] for row in table])
+    forms = (OneFormField(chart, block[0]), OneFormField(chart, block[1]))
+    return FrameData(chart, forms, ConnectionField(chart, block[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +503,10 @@ def solve_hierarchy(
 
     neg_s = -s
     for j, item in enumerate(results):
-        fx = _table_product(j, ((c, f11), (neg_s, f21)), np.zeros(counts))
-        ft = _table_product(j, ((c, f12), (neg_s, f22)), np.zeros(counts))
-        item.form = OneFormField.from_arrays(chart, [fx, ft])
+        form = np.zeros((2,) + counts)
+        _table_product(j, ((c, f11), (neg_s, f21)), form[0])
+        _table_product(j, ((c, f12), (neg_s, f22)), form[1])
+        item.form = OneFormField(chart, form)
         item.closed_residual = closedness_residual(item.form)
 
     return HierarchyResult(

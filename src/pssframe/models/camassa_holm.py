@@ -269,38 +269,9 @@ def ch_series_table(state: CamassaHolmState, order):
 
 
 def ch_forms(state: CamassaHolmState, eta):
-    """Coframe and connection at a value of the spectral parameter.
-
-    With a real eta the result is a FrameData.  With an EtaSeries the table
-    polynomials are composed with that series and the 3 x 2 nest of
-    EtaSeries coefficients is returned instead (rows: two dual forms and
-    connection form; columns: dx and dt coefficients).
-    """
+    """Coframe and connection (a FrameData) at a real value of the parameter."""
     chart = state.chart
-    if isinstance(eta, EtaSeries):
-        table = ch_series_table(state, eta.order)
-        composed = []
-        for row in table:
-            new_row = []
-            for entry in row:
-                acc = EtaSeries.constant(entry.coefficient(0), eta.order)
-                power = EtaSeries.from_terms({0: 1.0}, eta.order)
-                for p in range(1, entry.order + 1):
-                    power = power * eta
-                    acc = acc + power * EtaSeries.constant(
-                        entry.coefficient(p), eta.order
-                    )
-                new_row.append(acc)
-            composed.append(new_row)
-        return composed
-
-    table = ch_series_table(state, 2)
-
-    def one_form(row):
-        return OneFormField.from_arrays(
-            chart, [row[0].evaluate(eta), row[1].evaluate(eta)]
-        )
-
-    omega = (one_form(table[0]), one_form(table[1]))
-    connection = ConnectionField(chart, {(0, 1): one_form(table[2])})
-    return FrameData(chart, omega, connection)
+    # rows: two dual forms and the connection form; columns: dx and dt
+    block = np.array([[entry.evaluate(eta) for entry in row] for row in ch_series_table(state, 2)])
+    forms = (OneFormField(chart, block[0]), OneFormField(chart, block[1]))
+    return FrameData(chart, forms, ConnectionField(chart, block[2:]))

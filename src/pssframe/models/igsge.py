@@ -18,6 +18,7 @@ it is sampled analytically here, derivatives included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -185,18 +186,15 @@ def igsge_forms(state: IGSGEState):
     """Coframe omega_i = V_i dx_i, connection omega_ij = h_ij dx_j - h_ji dx_i."""
     chart = state.chart
     n = chart.dim
-    omega = []
+    # entries that are identically zero are not written: the zero pages of
+    # np.zeros arrays that stay untouched cost no memory
+    omega = tuple(OneFormField.zeros(chart) for _ in range(n))
     for i in range(n):
-        coeffs = [np.zeros(chart.counts) for _ in range(n)]
-        coeffs[i] = state.V[i].values
-        omega.append(OneFormField.from_arrays(chart, coeffs))
-
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = [np.zeros(chart.counts) for _ in range(n)]
-            coeffs[j] = state.h[(i, j)].values
-            coeffs[i] = -state.h[(j, i)].values
-            upper[(i, j)] = OneFormField.from_arrays(chart, coeffs)
-    connection = ConnectionField(chart, upper)
-    return FrameData(chart, tuple(omega), connection)
+        omega[i].values[i] = state.V[i].values
+    upper = np.zeros((n * (n - 1) // 2, n) + chart.counts)
+    for p, (i, j) in enumerate(combinations(range(n), 2)):
+        if np.any(state.h[(i, j)].values):
+            upper[p, j] = state.h[(i, j)].values
+        if np.any(state.h[(j, i)].values):
+            np.negative(state.h[(j, i)].values, out=upper[p, i])
+    return FrameData(chart, omega, ConnectionField(chart, upper))

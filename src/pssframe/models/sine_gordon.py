@@ -109,14 +109,14 @@ def sg_forms(u, u_x1=None, u_x2=None):
 
     chart = sol.chart
     half = 0.5 * sol.u.values
-    zero = np.zeros(chart.counts)
-    omega1 = OneFormField.from_arrays(chart, [np.cos(half), zero])
-    omega2 = OneFormField.from_arrays(chart, [zero, np.sin(half)])
-    omega12 = OneFormField.from_arrays(
-        chart, [0.5 * sol.u_x2.values, 0.5 * sol.u_x1.values]
-    )
-    connection = ConnectionField(chart, {(0, 1): omega12})
-    return FrameData(chart, (omega1, omega2), connection)
+    omega = np.zeros((2, 2) + chart.counts)
+    np.cos(half, out=omega[0, 0])
+    np.sin(half, out=omega[1, 1])
+    upper = np.empty((1, 2) + chart.counts)
+    np.multiply(0.5, sol.u_x2.values, out=upper[0, 0])
+    np.multiply(0.5, sol.u_x1.values, out=upper[0, 1])
+    forms = (OneFormField(chart, omega[0]), OneFormField(chart, omega[1]))
+    return FrameData(chart, forms, ConnectionField(chart, upper))
 
 
 @dataclass

@@ -299,19 +299,12 @@ def solve_phi_2d(
     base_idx = chart.base_index(base)
     structure, threshold = _structure_gate(fd, gate_factor)
 
-    fields = [
-        fd.omega[0].coeffs[0].values,
-        fd.omega[0].coeffs[1].values,
-        fd.omega[1].coeffs[0].values,
-        fd.omega[1].coeffs[1].values,
-        fd.connection.entry(0, 1).coeffs[0].values,
-        fd.connection.entry(0, 1).coeffs[1].values,
-    ]
+    om1, om2, om12 = fd.omega[0].values, fd.omega[1].values, fd.connection.values[0]
+    # the dx_1 coefficients of omega_1, omega_2, omega_12, then the dx_2 ones
+    fields = [om1[0], om2[0], om12[0], om1[1], om2[1], om12[1]]
 
     def rhs(axis, s, y):
-        w1 = s[0] if axis == 0 else s[1]
-        w2 = s[2] if axis == 0 else s[3]
-        w12 = s[4] if axis == 0 else s[5]
+        w1, w2, w12 = s[3 * axis : 3 * axis + 3]
         return w12 + np.sin(y) * w1 + np.cos(y) * w2
 
     phi = sweep_scalar(chart, base_idx, (0, 1), float(phi0), fields, rhs)
@@ -320,14 +313,7 @@ def solve_phi_2d(
 
     angle = ScalarField(chart, phi)
     rotation = FrameRotationField.from_angle(angle)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    theta1 = OneFormField.from_arrays(
-        chart,
-        [
-            cos_phi * fields[0] - sin_phi * fields[2],
-            cos_phi * fields[1] - sin_phi * fields[3],
-        ],
-    )
+    theta1 = OneFormField(chart, np.cos(phi) * om1 - np.sin(phi) * om2)
     return SolveReport(
         rotation=rotation,
         theta1=theta1,
@@ -363,7 +349,7 @@ def _matrix_system(fd: FrameData):
 
     def system(axis, take):
         # om[..., k] = coefficient of dx_axis in omega_k
-        om = np.stack([take(fd.omega[k].coeffs[axis].values) for k in range(n)], axis=-1)
+        om = np.stack([take(fd.omega[k].values[axis]) for k in range(n)], axis=-1)
         w = take(fd.connection.coefficient_matrix(axis))
         return [om, w], (algebra_element, _dexpinv, exp_mul)
 
@@ -380,7 +366,7 @@ def _axial_system(fd: FrameData, sigma):
     The coefficients are stacked as P = [om | -sigma w] (..., 3, 2), so
     each stage takes one stacked product L P.
     """
-    conn = fd.connection.upper
+    conn = fd.connection.values  # pairs (1, 2), (1, 3), (2, 3)
 
     def algebra_element(samples, L):
         (p,) = samples
@@ -394,17 +380,14 @@ def _axial_system(fd: FrameData, sigma):
         return np.matmul(_rodrigues(u), y)
 
     def system(axis, take):
-        def coeff(form):
-            return take(form.coeffs[axis].values)
-
-        om = [coeff(fd.omega[k]) for k in range(3)]
+        om = [take(fd.omega[k].values[axis]) for k in range(3)]
         p = np.empty(om[0].shape + (3, 2))
         for k in range(3):
             p[..., k, 0] = om[k]
         # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w
-        p[..., 0, 1] = sigma * coeff(conn[(1, 2)])
-        p[..., 1, 1] = -sigma * coeff(conn[(0, 2)])
-        p[..., 2, 1] = sigma * coeff(conn[(0, 1)])
+        p[..., 0, 1] = sigma * take(conn[2, axis])
+        p[..., 1, 1] = -sigma * take(conn[1, axis])
+        p[..., 2, 1] = sigma * take(conn[0, axis])
         return [p], (algebra_element, _dexpinv_axial, exp_mul)
 
     return system
@@ -464,13 +447,10 @@ def solve_L_nd(
     compat = float(np.max(np.abs(L - L_ex)))
 
     rotation = FrameRotationField(chart, L)
-    coeffs = []
-    for a in range(n):
-        acc = np.zeros(chart.counts)
-        for k in range(n):
-            acc += L[..., 0, k] * fd.omega[k].coeffs[a].values
-        coeffs.append(acc)
-    theta1 = OneFormField.from_arrays(chart, coeffs)
+    th = np.zeros((n,) + chart.counts)
+    for k in range(n):
+        th += L[..., 0, k] * fd.omega[k].values
+    theta1 = OneFormField(chart, th)
 
     return SolveReport(
         rotation=rotation,

@@ -13,7 +13,7 @@ import pytest
 from conftest import exp_metric_frame, flat_frame, rotated_l0
 from pssframe import GridChart, StructureGateError, solve_L_nd, solve_phi_2d
 from pssframe.cli import main
-from pssframe.conservation import analyze, hierarchy_report
+from pssframe.conservation import analyze
 from pssframe.hierarchy import (
     EtaSeries,
     closed_form_series,
@@ -92,7 +92,7 @@ def ch_run():
     )
     table = ch_series_table(state, 1)
     result = solve_hierarchy(state.chart, table, 1, periodic_axis=0)
-    reports = hierarchy_report([item.form for item in result.orders], time_axis=1)
+    reports = [analyze(item.form, time_axis=1) for item in result.orders]
     return {"state": state, "result": result, "reports": reports}
 
 

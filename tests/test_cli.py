@@ -424,3 +424,50 @@ def test_expansion_commands_refuse_solver_start_keys(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: [solver] %s: " % key)
     assert "[hierarchy] start_values" in err
+
+
+@pytest.mark.parametrize(
+    "key, lines",
+    [
+        ("coordinates_check", "coordinates_check = true\ncoordinate_constants = 1, 2, 3\n"),
+        ("coordinates_check", "coordinates_check = true\n"),
+        ("coordinate_constants", "coordinate_constants = 1\n"),
+    ],
+    ids=["both", "check", "constants"],
+)
+@pytest.mark.parametrize(
+    "command, base_config",
+    [
+        ("hierarchy", CH_CONFIG),
+        ("conserve", CH_CONFIG),
+        ("conserve", SG_CONFIG),
+        ("converge", SG_SCALES_CONFIG),
+        ("verify", SG_CONFIG),
+    ],
+    ids=["hierarchy", "conserve-ch", "conserve", "converge", "verify"],
+)
+def test_coordinate_keys_outside_solve_frame_are_config_errors(
+    tmp_path, capsys, command, base_config, key, lines
+):
+    cfg = write_config(tmp_path, base_config + "\n[solver]\n" + lines)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [solver] %s: " % key)
+
+
+def test_coordinate_constants_without_the_check_are_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SG_CONFIG + "\n[solver]\ncoordinate_constants = 2\n")
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] coordinate_constants: ")
+    assert "coordinates_check = true" in err
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "conserve"])
+def test_periodic_base_must_start_on_the_first_column(tmp_path, capsys, command):
+    bad = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = 5, 3\n", name="bad.ini")
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] base: ")
+    assert "periodic_axis" in err
+    good = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = 0, 3\n", name="good.ini")
+    assert main([command, "--config", good, "--out", str(tmp_path / "good")]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pssframe import GridChart, OneFormField, ScalarField
-from pssframe.conservation import analyze, hierarchy_report, write_csv, write_q_svg
+from pssframe.conservation import analyze, write_csv, write_q_svg
 
 
 def xt_chart(nx=33, nt=9, x_hi=np.pi, t_hi=1.0):
@@ -107,18 +107,6 @@ def test_time_axis_validation():
         analyze(theta, time_axis=2)
     with pytest.raises(ValueError, match="time_axis"):
         analyze(theta, time_axis=-1)
-
-
-def test_hierarchy_report_maps_over_forms():
-    chart = xt_chart()
-    forms = [
-        form_from(chart, [lambda x, t: np.sin(x), lambda x, t: 0.0 * x]),
-        form_from(chart, [lambda x, t: np.cos(x), lambda x, t: 0.0 * x]),
-    ]
-    reports = hierarchy_report(forms, time_axis=1)
-    assert len(reports) == 2
-    assert reports[0].axes[0].q_values[0] == pytest.approx(2.0, abs=5e-6)
-    assert reports[1].axes[0].q_values[0] == pytest.approx(0.0, abs=5e-6)
 
 
 def test_csv_layout_and_determinism(tmp_path):

@@ -12,12 +12,21 @@ from pssframe import (
     lie_bracket,
     load_frame_data,
     save_frame_data,
+    read_field,
     special_frame_residual,
     structure_residuals,
 )
 from pssframe.errors import DegenerateFrameError, OrthogonalityError, PssframeError
 
-from conftest import cosh_metric_frame, exp_metric_frame, flat_frame, square_chart
+from pssframe.rotation_solver import expm_skew
+
+from conftest import (
+    cosh_metric_frame,
+    exp_metric_frame,
+    flat_frame,
+    half_space_frame,
+    square_chart,
+)
 
 
 def test_structure_residuals_second_order_on_exp_metric():
@@ -170,6 +179,49 @@ def test_save_load_round_trip(tmp_path):
         back.connection.entry(0, 1).coefficient(1).values,
         fd.connection.entry(0, 1).coefficient(1).values,
     )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_save_load_round_trip_pins_the_component_order(tmp_path, n):
+    fd = half_space_frame(n, 5)
+    # a varying rotation makes every stored component distinct
+    x = fd.chart.meshgrid()
+    skew = np.zeros(fd.chart.counts + (n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[..., i, j] = 0.2 * (i + 1) * x[0] + 0.1 * (j + 1) * x[-1] + 0.05 * j
+            skew[..., j, i] = -skew[..., i, j]
+    fd = frame_change(fd, FrameRotationField(fd.chart, expm_skew(skew)))
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, fd)
+    back = load_frame_data(path)
+
+    # file layout: omega_1..omega_n, then omega_12, omega_13, ..., omega_(n-1)n,
+    # each form's n coefficients in axis order
+    _, stack = read_field(path)
+    want = [w.coefficient(a).values for w in fd.omega for a in range(n)]
+    want += [
+        fd.connection.entry(i, j).coefficient(a).values
+        for i in range(n)
+        for j in range(i + 1, n)
+        for a in range(n)
+    ]
+    assert len(stack) == len(want)
+    assert len({comp.tobytes() for comp in stack}) == len(stack)
+    for comp, w in zip(stack, want):
+        assert np.array_equal(comp, w)
+
+    for i in range(n):
+        for a in range(n):
+            assert np.array_equal(
+                back.omega[i].coefficient(a).values, fd.omega[i].coefficient(a).values
+            )
+        for j in range(n):
+            for a in range(n):
+                assert np.array_equal(
+                    back.connection.entry(i, j).coefficient(a).values,
+                    fd.connection.entry(i, j).coefficient(a).values,
+                )
 
 
 def test_load_rejects_wrong_component_count(tmp_path):

@@ -173,36 +173,3 @@ def test_series_table_truncation_control():
     table0 = ch_series_table(state, 0)
     assert table0[1][0].order == 0
     assert np.max(np.abs(table0[1][0].coefficient(0))) == 0.0
-
-
-def test_forms_compose_with_identity_series_reproduces_table():
-    from pssframe import EtaSeries
-
-    state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=0.5, nx=64, nt=8)
-    table = ch_series_table(state, 2)
-    identity = EtaSeries.from_terms({1: 1.0}, 2)
-    composed = ch_forms(state, identity)
-    for row, row2 in zip(table, composed):
-        for entry, entry2 in zip(row, row2):
-            for p in range(3):
-                assert np.max(np.abs(entry.coefficient(p) - entry2.coefficient(p))) < 1e-14
-
-
-def test_forms_compose_with_constant_series_matches_real_evaluation():
-    from pssframe import EtaSeries
-
-    state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=0.5, nx=64, nt=8)
-    eta0 = 0.3
-    fd = ch_forms(state, eta0)
-    composed = ch_forms(state, EtaSeries.constant(eta0, 2))
-    pairs = [
-        (composed[0][0], fd.omega[0].coefficient(0).values),
-        (composed[0][1], fd.omega[0].coefficient(1).values),
-        (composed[1][0], fd.omega[1].coefficient(0).values),
-        (composed[1][1], fd.omega[1].coefficient(1).values),
-        (composed[2][0], fd.connection.entry(0, 1).coefficient(0).values),
-        (composed[2][1], fd.connection.entry(0, 1).coefficient(1).values),
-    ]
-    for series, want in pairs:
-        assert np.max(np.abs(series.coefficient(0) - want)) < 1e-13
-        assert np.max(np.abs(series.coeffs[1:])) < 1e-13
