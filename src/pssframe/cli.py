@@ -26,7 +26,7 @@ from .errors import (
     StructureGateError,
 )
 from .fieldio import write_field
-from .frames import load_frame_data, structure_residuals
+from .frames import load_frame_data
 from .grid import GridChart
 from .hierarchy import solve_hierarchy
 from .models import (
@@ -48,7 +48,7 @@ from .rotation_solver import (
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
-    structure_threshold,
+    structure_gate,
 )
 
 
@@ -124,9 +124,7 @@ def _build_model(cfg: RunConfig, scale):
 
 
 def _structure_lines(fd, cfg):
-    res1, res2 = structure_residuals(fd, curvature=-1.0)
-    threshold = structure_threshold(fd, cfg.gate_factor)
-    ok = res1 <= threshold and res2 <= threshold
+    (res1, res2), threshold, ok = structure_gate(fd, cfg.gate_factor)
     line = "structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (
         res1,
         res2,
@@ -137,9 +135,12 @@ def _structure_lines(fd, cfg):
 
 
 def _base_index(chart, cfg):
-    """`[solver] base` resolved on chart; a base off the chart is a config error."""
+    """`[solver] base` resolved on chart, the center when unset.
+
+    A base off the chart is a config error.
+    """
     try:
-        return chart.base_index(cfg.base)
+        return chart.base_index("center" if cfg.base is None else cfg.base)
     except ValueError as exc:
         raise ConfigError("[solver] base: %s" % exc) from exc
 
@@ -265,7 +266,7 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     }
     if cfg.coordinates_check:
         check = special_coordinates_check(
-            fd, report, constants, cfg.base, cfg.det_rtol
+            fd, report, constants, _base_index(fd.chart, cfg), cfg.det_rtol
         )
         write_field(
             os.path.join(out_dir, "potential.pssfield"),
@@ -308,7 +309,7 @@ def _run_hierarchy(cfg, scale):
         cfl=cfg.cfl,
     )
     base = _base_index(state.chart, cfg)
-    if cfg.periodic_axis == 0 and cfg.base != "center" and base[0] != 0:
+    if cfg.periodic_axis == 0 and cfg.base is not None and base[0] != 0:
         raise ConfigError(
             "[solver] base: periodic_axis = 1 starts every order on the first-axis "
             "index 0, got base %s" % (base,)

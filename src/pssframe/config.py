@@ -80,7 +80,7 @@ class RunConfig:
     # solver
     phi0: float = None  # None: start from 0 (2D charts)
     l0: np.ndarray = None
-    base: object = "center"
+    base: object = None  # None: the chart center (index 0 of a periodic first axis)
     coordinates_check: bool = False
     coordinate_constants: tuple = ()
     # expansion

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PssframeError(Exception):
     """Base class for package errors."""
@@ -16,10 +18,14 @@ class StructureGateError(PssframeError):
         self.res1 = res1
         self.res2 = res2
         self.threshold = threshold
-        super().__init__(
-            "structure residuals (%.3e, %.3e) exceed gate %.3e"
-            % (res1, res2, threshold)
+        message = "structure residuals (%.3e, %.3e) exceed gate %.3e" % (
+            res1,
+            res2,
+            threshold,
         )
+        if not math.isfinite(threshold):
+            message += " (the frame data holds a non-finite coefficient)"
+        super().__init__(message)
 
 
 class OrthogonalityError(PssframeError, ValueError):

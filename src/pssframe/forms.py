@@ -104,7 +104,7 @@ class TwoFormField:
         return float(np.max(np.abs(self.values)))
 
     def interior_max_abs(self):
-        return max(interior_max_abs(c) for c in self.values)
+        return float(np.max([interior_max_abs(c) for c in self.values]))
 
 
 @dataclass

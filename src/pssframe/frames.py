@@ -12,7 +12,7 @@ distinguished frame whose first dual form is closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,19 +31,21 @@ class FrameRotationField:
 
     For n = 2 rotations built from an angle field, `angle` keeps the
     (unwrapped) angle so cos/sin relations stay available to callers.
+    `orth_residual` is `orthogonality_error()` of the matrix as constructed.
     """
 
     chart: GridChart
     matrix: np.ndarray
     angle: ScalarField = None
     orth_tol: float = ORTH_TOL_DEFAULT
+    orth_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.chart.dim
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.shape != tuple(self.chart.counts) + (n, n):
             raise ValueError("rotation matrix field has wrong shape")
-        err = self.orthogonality_error()
+        err = self.orth_residual = self.orthogonality_error()
         if not np.isfinite(err) or err > self.orth_tol:
             raise OrthogonalityError(
                 "matrix field is not orthogonal: max |LL^T - I| = %.3e" % err
@@ -117,8 +119,8 @@ class FrameData:
         return out
 
     def max_abs(self):
-        scale = max(w.max_abs() for w in self.omega)
-        return max(scale, self.connection.max_abs())
+        """Max |coefficient| over the bundle; NaN when any coefficient is NaN."""
+        return float(np.max([w.max_abs() for w in self.omega] + [self.connection.max_abs()]))
 
 
 def structure_residuals(fd: FrameData, curvature=-1.0):
@@ -126,26 +128,28 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
 
     res1: d(omega_i) - sum_{j != i} omega_j ^ omega_{ji}
     res2: d(omega_ij) - sum_k omega_ik ^ omega_kj + K omega_i ^ omega_j
+
+    A NaN anywhere in a residual makes that max-norm NaN.
     """
     n = fd.dim
     conn = fd.connection
-    res1 = 0.0
+    res1 = []
     for i in range(n):
         resid = d_oneform(fd.omega[i])
         for j in range(n):
             if j != i:
                 resid.values -= wedge(fd.omega[j], conn.entry(j, i)).values
-        res1 = max(res1, resid.interior_max_abs())
+        res1.append(resid.interior_max_abs())
 
-    res2 = 0.0
+    res2 = []
     for i in range(n):
         for j in range(i + 1, n):
             resid = d_oneform(conn.entry(i, j))
             for k in range(n):
                 resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
             resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
-            res2 = max(res2, resid.interior_max_abs())
-    return res1, res2
+            res2.append(resid.interior_max_abs())
+    return float(np.max(res1)), float(np.max(res2))
 
 
 def special_frame_residual(fd: FrameData):
@@ -248,8 +252,18 @@ def save_frame_data(path, fd: FrameData):
 
 
 def load_frame_data(path):
-    """Read a file written by `save_frame_data`; the forms are views of one block."""
+    """Read a file written by `save_frame_data`; the forms are views of one block.
+
+    A NaN or infinite coefficient is refused with a ValueError naming it.
+    """
     chart, stack = fieldio.read_field(path)
+    bad = np.argwhere(~np.isfinite(stack))
+    if bad.size:
+        comp, *node = bad[0].tolist()
+        raise ValueError(
+            "non-finite coefficient %r in component %d at node %s"
+            % (float(stack[tuple(bad[0])]), comp + 1, tuple(node))
+        )
     n = chart.dim
     n_pairs = n * (n - 1) // 2
     if stack.shape[0] != n * n + n_pairs * n:

@@ -23,10 +23,13 @@ forms come from the same s and c.
 `EtaSeries` is a minimal truncated-series arithmetic over ndarray
 coefficients, and `solve_hierarchy` runs the order-by-order integration with
 the same staircase sweeps and exchanged-order compatibility certificate used
-by the plain solver.  Periodic starting values come from return maps along
-the first-axis line through the base: safeguarded Newton (with the
-variational equation integrated alongside) for the nonlinear order zero,
-one stacked integration of the affine map for every later order.
+by the plain solver.  Order zero is stepped line by line (`sweep_scalar`);
+every later order is linear, so its RK4 steps are affine maps
+y -> A y + B built with the same tableau (`sweep_linear`, `affine_fill`).
+Periodic starting values come from return maps along the first-axis line
+through the base: safeguarded Newton (with the variational equation
+integrated alongside) for the nonlinear order zero, and for every later
+order the composition of the line's affine step maps.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
     SolveReport,
     additive_kernels,
+    affine_step_maps,
     rkmk4_step,
     solve_phi_2d,
-    sweep_scalar,
+    sweep_linear,
 )
 
 
@@ -269,10 +273,6 @@ def _angle_rhs_variational(s, yv):
     )
 
 
-def _affine_rhs(s, y):
-    return s[0] * y + s[1]
-
-
 def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
     """Starting angle whose line integration closes up after one period.
 
@@ -335,12 +335,19 @@ def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
 def _periodic_linear_start(h, node_fields):
     """Fixed point of the affine return map of a linear transport line.
 
-    node_fields are the (slope, source) samples of `_affine_rhs`; the starts
-    0 and 1 are integrated in one stacked call.
+    node_fields are the (slope, source) samples of y' = slope y + source.
+    The return map is the composition of the RK4 step maps y -> A y + B of
+    `affine_step_maps`: its gain is the product of the A and its shift the
+    recurrence from 0.
     """
     mids = [midpoints(f, 0) for f in node_fields]
-    shift, one = _integrate_line(np.array([0.0, 1.0]), h, node_fields, mids, _affine_rhs)
-    gain = one - shift
+    A, B = affine_step_maps(
+        h, [f[:-1] for f in node_fields], mids, [f[1:] for f in node_fields]
+    )
+    gain, shift = 1.0, 0.0
+    for a, b in zip(A.tolist(), B.tolist()):
+        gain *= a
+        shift = a * shift + b
     denom = 1.0 - gain
     if abs(denom) < 1e-12 * (1.0 + abs(shift)):
         raise PssframeError("periodic linear order is resonant (unit return gain)")
@@ -464,11 +471,6 @@ def solve_hierarchy(
     alpha_t = f12_0 * c[0] - f22_0 * s[0]
     (f11, f12), (f21, f22) = [[_sparse(e) for e in row] for row in table[:2]]
 
-    def linear_rhs(axis, samples, y):
-        if axis == 0:
-            return samples[0] * y + samples[1]
-        return samples[2] * y + samples[3]
-
     for j in range(1, order + 1):
         # source term: order j of the expansion without the phi_j terms, so
         # what is left of the j-th power is the linear alpha * phi_j part
@@ -483,9 +485,9 @@ def solve_hierarchy(
         else:
             start = float(start_values.get(j, 0.0))
 
-        fields = [alpha_x, beta_x, alpha_t, beta_t]
-        sol = sweep_scalar(chart, base_idx, (0, 1), start, fields, linear_rhs)
-        sol_ex = sweep_scalar(chart, base_idx, (1, 0), start, fields, linear_rhs)
+        slopes, sources = (alpha_x, alpha_t), (beta_x, beta_t)
+        sol = sweep_linear(chart, base_idx, (0, 1), start, slopes, sources)
+        sol_ex = sweep_linear(chart, base_idx, (1, 0), start, slopes, sources)
         phi[j] = sol
         s[j] += sol * c[0]
         c[j] -= sol * s[0]

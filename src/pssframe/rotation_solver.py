@@ -22,7 +22,11 @@ cross product, exp <-> Rodrigues); every other n uses skew matrices.  The
 two forms are algebraically identical and differ only in round-off.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
-on the additive group.
+on the additive group.  One block walker, `_sweep`, serves every sweep, with
+two block fills: `rkmk4_fill` steps each line from the one before, and
+`affine_fill` serves linear equations y' = a y + b, whose RK4 steps are
+affine maps y -> A y + B: the maps of a whole block come from two
+vectorized steps, and each line is then one multiply-add.
 """
 
 from __future__ import annotations
@@ -174,11 +178,11 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
     Each swept axis fills one block: that axis and the axes swept before it
     in full, the others pinned at the base.  take(f) is the block of a
     full-grid array f (any trailing component shape) with the swept axis
-    first, and system(axis, take) returns (arrays, kernels): the blocks of
-    the coefficient arrays the equation along that axis consumes and the
-    kernels of `rkmk4_step`.  The blocks are made contiguous, midpoints are
-    taken on them only, the block of y is filled line by line from its base
-    line by one step per interval, and it is written back once.
+    first, and system(axis, take) returns (arrays, fill): the blocks of the
+    coefficient arrays the equation along that axis consumes and the block
+    fill (`rkmk4_fill` or `affine_fill`).  The blocks are made contiguous,
+    midpoints are taken on them only, fill(h, blk, b, node, mid) fills the
+    block of y from its base line b, and the block is written back once.
     """
     filled = set()
     for axis in axes_order:
@@ -190,23 +194,71 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
         def take(f):
             return np.moveaxis(f[idx], axis, 0)
 
-        arrays, kernels = system(axis, take)
+        arrays, fill = system(axis, take)
         node = [np.ascontiguousarray(f) for f in arrays]
         mid = [midpoints(f, 0) for f in node]
-        h = chart.spacing[axis]
         b = base[axis]
         # only the base line of the block is known before the sweep fills it
         blk = np.empty(take(y).shape)
         blk[b] = take(y)[b]
+        fill(chart.spacing[axis], blk, b, node, mid)
+        y[idx] = np.moveaxis(blk, 0, axis)
+        filled.add(axis)
+    return y
+
+
+def rkmk4_fill(kernels):
+    """Block fill of `_sweep`: one `rkmk4_step` per line and interval."""
+
+    def fill(h, blk, b, node, mid):
         for i in range(b, blk.shape[0] - 1):
             lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
             blk[i + 1] = rkmk4_step(h, blk[i], lo, md, hi, kernels)
         for i in range(b, 0, -1):
             lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
             blk[i - 1] = rkmk4_step(-h, blk[i], lo, md, hi, kernels)
-        y[idx] = np.moveaxis(blk, 0, axis)
-        filled.add(axis)
-    return y
+
+    return fill
+
+
+def _linear_field(s, y):
+    return s[0] * y
+
+
+def _affine_field(s, y):
+    return s[0] * y + s[1]
+
+
+def affine_step_maps(h, lo, mid, hi):
+    """The RK4 steps of y' = a y + b as affine maps y -> A y + B.
+
+    lo, mid and hi are the (a, b) samples of a stack of intervals, as in
+    `rkmk4_step`.  The step is affine in y, so A is one step from 1 on
+    y' = a y and B one step from 0 on the full equation: two vectorized
+    steps cover every interval of the stack.
+    """
+    A = rkmk4_step(h, 1.0, lo[:1], mid[:1], hi[:1], additive_kernels(_linear_field))
+    B = rkmk4_step(h, 0.0, lo, mid, hi, additive_kernels(_affine_field))
+    return A, B
+
+
+def affine_fill(h, blk, b, node, mid):
+    """Block fill of `_sweep` for y' = a y + b, node = (a, b) blocks.
+
+    The step maps of every interval above the base line come from one
+    `affine_step_maps` call, those below it from one call with -h and lo
+    and hi swapped; each line is then A * previous + B.
+    """
+    A, B = affine_step_maps(
+        h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
+    )
+    for i in range(b, blk.shape[0] - 1):
+        blk[i + 1] = A[i - b] * blk[i] + B[i - b]
+    A, B = affine_step_maps(
+        -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
+    )
+    for i in range(b, 0, -1):
+        blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
 
 
 def _add(u, y):
@@ -233,8 +285,24 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
     y[tuple(base)] = init_value
 
     def system(axis, take):
-        kernels = additive_kernels(lambda s, v: rhs(axis, s, v))
-        return [take(f) for f in node_fields], kernels
+        fill = rkmk4_fill(additive_kernels(lambda s, v: rhs(axis, s, v)))
+        return [take(f) for f in node_fields], fill
+
+    return _sweep(chart, base, axes_order, y, system)
+
+
+def sweep_linear(chart, base, axes_order, init_value, slopes, sources):
+    """`sweep_scalar` for y' = slopes[axis] y + sources[axis] along each axis.
+
+    The RK4 steps of a linear equation are affine maps, so every block is
+    filled by `affine_fill`: two vectorized steps and one multiply-add per
+    line.
+    """
+    y = np.zeros(chart.counts)
+    y[tuple(base)] = init_value
+
+    def system(axis, take):
+        return [take(slopes[axis]), take(sources[axis])], affine_fill
 
     return _sweep(chart, base, axes_order, y, system)
 
@@ -263,19 +331,33 @@ class SolveReport:
 
 
 def structure_threshold(fd: FrameData, gate_factor):
-    """Structure-gate threshold: gate_factor * h_max^2 * max(1, max |coeff|)."""
+    """Structure-gate threshold: gate_factor * h_max^2 * max(1, max |coeff|).
+
+    A NaN coefficient makes it NaN, an infinite one infinite.
+    """
     h_max = max(fd.chart.spacing)
-    return gate_factor * h_max**2 * max(1.0, fd.max_abs())
+    return gate_factor * h_max**2 * float(np.maximum(1.0, fd.max_abs()))
+
+
+def structure_gate(fd: FrameData, gate_factor):
+    """Residuals, threshold and verdict of the structure gate.
+
+    Both residuals must be at most a finite threshold, so a frame with a
+    non-finite coefficient never passes.
+    """
+    res1, res2 = structure_residuals(fd, curvature=-1.0)
+    threshold = structure_threshold(fd, gate_factor)
+    ok = bool(np.isfinite(threshold) and res1 <= threshold and res2 <= threshold)
+    return (res1, res2), threshold, ok
 
 
 def _structure_gate(fd: FrameData, gate_factor):
-    res1, res2 = structure_residuals(fd, curvature=-1.0)
     if gate_factor is None:
-        return (res1, res2), float("inf")
-    threshold = structure_threshold(fd, gate_factor)
-    if not (res1 <= threshold and res2 <= threshold):
-        raise StructureGateError(res1, res2, threshold)
-    return (res1, res2), threshold
+        return structure_residuals(fd, curvature=-1.0), float("inf")
+    structure, threshold, ok = structure_gate(fd, gate_factor)
+    if not ok:
+        raise StructureGateError(*structure, threshold)
+    return structure, threshold
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +401,7 @@ def solve_phi_2d(
         theta1=theta1,
         compat_residual=compat,
         closed_residual=closedness_residual(theta1),
-        orth_residual=rotation.orthogonality_error(),
+        orth_residual=rotation.orth_residual,
         structure=structure,
         gate_threshold=threshold,
     )
@@ -351,7 +433,7 @@ def _matrix_system(fd: FrameData):
         # om[..., k] = coefficient of dx_axis in omega_k
         om = np.stack([take(fd.omega[k].values[axis]) for k in range(n)], axis=-1)
         w = take(fd.connection.coefficient_matrix(axis))
-        return [om, w], (algebra_element, _dexpinv, exp_mul)
+        return [om, w], rkmk4_fill((algebra_element, _dexpinv, exp_mul))
 
     return system
 
@@ -388,7 +470,7 @@ def _axial_system(fd: FrameData, sigma):
         p[..., 0, 1] = sigma * take(conn[2, axis])
         p[..., 1, 1] = -sigma * take(conn[1, axis])
         p[..., 2, 1] = sigma * take(conn[0, axis])
-        return [p], (algebra_element, _dexpinv_axial, exp_mul)
+        return [p], rkmk4_fill((algebra_element, _dexpinv_axial, exp_mul))
 
     return system
 
@@ -457,7 +539,7 @@ def solve_L_nd(
         theta1=theta1,
         compat_residual=compat,
         closed_residual=closedness_residual(theta1),
-        orth_residual=rotation.orthogonality_error(),
+        orth_residual=rotation.orth_residual,
         structure=structure,
         gate_threshold=threshold,
     )

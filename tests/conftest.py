@@ -127,3 +127,16 @@ def cosh_frame():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+def non_finite_frame(dim, component, value, node="center"):
+    """A curvature -1 frame with one coefficient set to value.
+
+    component "omega" hits the dx_2 coefficient of omega_2, "connection"
+    the dx_2 coefficient of omega_12; node is the center or the origin.
+    """
+    fd = exp_metric_frame(9) if dim == 2 else half_space_frame(3, 7)
+    where = tuple(c // 2 if node == "center" else 0 for c in fd.chart.counts)
+    target = fd.omega[1].values[1] if component == "omega" else fd.connection.values[0, 1]
+    target[where] = value
+    return fd

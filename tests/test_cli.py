@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import flat_frame
+from conftest import flat_frame, non_finite_frame
 from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
@@ -86,6 +86,39 @@ def test_verify_fails_on_frame_with_wrong_curvature(tmp_path, capsys):
         tmp_path,
         "[model]\nkind = external\nfield_file = %s\n" % field,
     )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
+    assert read_manifest(out)["results"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf"], ids=["nan", "+inf", "-inf"]
+)
+@pytest.mark.parametrize("component", ["omega", "connection"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_refuses_non_finite_field_file(tmp_path, capsys, dim, component, value):
+    field = tmp_path / "bad.pssfield"
+    save_frame_data(field, non_finite_frame(dim, component, float(value)))
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: non-finite coefficient %s" % (field, value))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf"], ids=["nan", "+inf", "-inf"]
+)
+@pytest.mark.parametrize("component", ["omega", "connection"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_fails_non_finite_frame_data(
+    tmp_path, capsys, monkeypatch, dim, component, value
+):
+    # frame data that reaches the gate without the file check
+    fd = non_finite_frame(dim, component, float(value))
+    monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = unused\n")
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
@@ -471,3 +504,15 @@ def test_periodic_base_must_start_on_the_first_column(tmp_path, capsys, command)
     assert "periodic_axis" in err
     good = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = 0, 3\n", name="good.ini")
     assert main([command, "--config", good, "--out", str(tmp_path / "good")]) == 0
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "conserve"])
+def test_periodic_explicit_center_base_is_a_config_error(tmp_path, capsys, command):
+    bad = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = center\n", name="bad.ini")
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver] base: ")
+    assert "periodic_axis" in err
+    good = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = origin\n", name="good.ini")
+    assert main([command, "--config", good, "--out", str(tmp_path / "good")]) == 0
+    assert parse_config(write_config(tmp_path, CH_CONFIG, name="unset.ini")).base is None

@@ -16,15 +16,21 @@ from pssframe import (
     special_frame_residual,
     structure_residuals,
 )
-from pssframe.errors import DegenerateFrameError, OrthogonalityError, PssframeError
+from pssframe.errors import (
+    DegenerateFrameError,
+    OrthogonalityError,
+    PssframeError,
+    StructureGateError,
+)
 
-from pssframe.rotation_solver import expm_skew
+from pssframe.rotation_solver import expm_skew, solve_L_nd, solve_phi_2d
 
 from conftest import (
     cosh_metric_frame,
     exp_metric_frame,
     flat_frame,
     half_space_frame,
+    non_finite_frame,
     square_chart,
 )
 
@@ -230,4 +236,39 @@ def test_load_rejects_wrong_component_count(tmp_path):
     chart = square_chart(5)
     write_field(tmp_path / "bad.pssfield", chart, np.zeros((5,) + chart.shape))
     with pytest.raises(ValueError, match="component count"):
+        load_frame_data(tmp_path / "bad.pssfield")
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("component", ["omega", "connection"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_coefficient_fails_the_structure_gate(dim, component, value):
+    fd = non_finite_frame(dim, component, value)
+    assert not all(np.isfinite(structure_residuals(fd)))
+    solve = solve_phi_2d if dim == 2 else solve_L_nd
+    with pytest.raises(StructureGateError):
+        solve(fd)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_coefficient_off_the_interior_fails_the_gate(dim, value):
+    # the residuals are interior max-norms; the threshold still sees the corner
+    fd = non_finite_frame(dim, "omega", value, node="origin")
+    solve = solve_phi_2d if dim == 2 else solve_L_nd
+    with pytest.raises(StructureGateError, match="non-finite coefficient"):
+        solve(fd)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("component", ["omega", "connection"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_load_refuses_non_finite_coefficients(tmp_path, dim, component, value):
+    save_frame_data(tmp_path / "bad.pssfield", non_finite_frame(dim, component, value))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
         load_frame_data(tmp_path / "bad.pssfield")

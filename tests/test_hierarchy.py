@@ -267,6 +267,16 @@ def test_periodic_angle_start_without_fixed_point_is_refused():
         _periodic_angle_start(1.0 / 32, fields)
 
 
+def test_periodic_linear_start_closes_its_line():
+    x = np.linspace(0.0, 2 * np.pi, 65)
+    fields = [0.3 + 0.2 * np.cos(x), 0.5 + np.sin(x)]
+    h = x[1] - x[0]
+    y = _periodic_linear_start(h, fields)
+    mids = [midpoints(f, 0) for f in fields]
+    end = _integrate_line(y, h, fields, mids, lambda s, v: s[0] * v + s[1])
+    assert abs(end - y) <= 1e-12
+
+
 def test_periodic_linear_start_with_unit_gain_is_resonant():
     # y' = 1: the return map y -> y + 1 has gain one and no fixed point
     with pytest.raises(PssframeError, match="resonant"):

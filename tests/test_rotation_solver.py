@@ -17,6 +17,7 @@ from pssframe import (
 )
 from pssframe.errors import StructureGateError
 from pssframe.models import igsge_explicit_solution, igsge_forms
+from pssframe.rotation_solver import sweep_linear, sweep_scalar
 
 from conftest import (
     cosh_metric_frame,
@@ -72,6 +73,25 @@ def test_expm_skew_small_angle_branch():
     )
     got = expm_skew(a)
     assert np.max(np.abs(got - (np.eye(3) + a))) < 1e-17
+
+
+@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
+def test_affine_sweep_matches_the_stepwise_sweep(axes_order):
+    # smooth linear transport y' = a y + b along each axis; the base is
+    # interior, so both axes are stepped forward and backward
+    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
+    x, t = chart.meshgrid()
+    slopes = (np.cos(x + t), 0.5 - x * t)
+    sources = (np.sin(2.0 * x) * t, np.exp(-x) + t**2)
+    base = (13, 9)
+
+    def rhs(axis, s, y):
+        return s[axis] * y + s[2 + axis]
+
+    stepwise = sweep_scalar(chart, base, axes_order, 0.7, slopes + sources, rhs)
+    affine = sweep_linear(chart, base, axes_order, 0.7, slopes, sources)
+    assert np.max(np.abs(affine - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
+    assert affine[base] == 0.7
 
 
 def test_solve_is_exact_when_frame_is_already_special():
