@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -186,6 +187,20 @@ def _solve(fd, cfg):
     return report
 
 
+def _json_value(value):
+    """value with every non-finite float replaced by "nan", "inf" or "-inf".
+
+    Strict JSON has no NaN or Infinity, so a manifest spells them as strings.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
     with open(cfg_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -204,7 +219,7 @@ def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(_json_value(manifest), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -295,6 +310,16 @@ def _run_hierarchy(cfg, scale):
                 "[solver] %s: the expansion commands start each order from "
                 "[hierarchy] start_values (or periodic_axis)" % key
             )
+    if cfg.start_values and cfg.periodic_axis == 0:
+        raise ConfigError(
+            "[hierarchy] start_values: periodic_axis = 1 chooses the start of every "
+            "order itself"
+        )
+    if len(cfg.start_values) > cfg.order + 1:
+        raise ConfigError(
+            "[hierarchy] start_values: %d entries, but order %d starts only orders "
+            "0..%d" % (len(cfg.start_values), cfg.order, cfg.order)
+        )
 
     def profile(x):
         return cfg.u0_offset + cfg.u0_amplitude * np.cos(2.0 * np.pi * x / cfg.period)

@@ -127,7 +127,7 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     """Max-norm interior residuals of the two structure equations.
 
     res1: d(omega_i) - sum_{j != i} omega_j ^ omega_{ji}
-    res2: d(omega_ij) - sum_k omega_ik ^ omega_kj + K omega_i ^ omega_j
+    res2: d(omega_ij) - sum_{k != i, j} omega_ik ^ omega_kj + K omega_i ^ omega_j
 
     A NaN anywhere in a residual makes that max-norm NaN.
     """
@@ -146,6 +146,8 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
         for j in range(i + 1, n):
             resid = d_oneform(conn.entry(i, j))
             for k in range(n):
+                if k == i or k == j:  # omega_ii = omega_jj = 0: a zero wedge
+                    continue
                 resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
             resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
             res2.append(resid.interior_max_abs())

@@ -29,11 +29,15 @@ y -> A y + B built with the same tableau (`sweep_linear`, `affine_fill`).
 Periodic starting values come from return maps along the first-axis line
 through the base: safeguarded Newton (with the variational equation
 integrated alongside) for the nonlinear order zero, and for every later
-order the composition of the line's affine step maps.
+order the composition of the line's affine step maps.  Both run on the
+solver's one line engine (`integrate_line`, `affine_line`), which also
+steps every sweep block that is a single line of nodes, on Python floats.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +50,9 @@ from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
     SolveReport,
     additive_kernels,
+    affine_line,
     affine_step_maps,
-    rkmk4_step,
+    integrate_line,
     solve_phi_2d,
     sweep_linear,
 )
@@ -241,18 +246,9 @@ def _order_zero_frame(chart, table):
 # periodic starting values via the circle return map
 
 def _integrate_line(y0, h, node_fields, mid_fields, rhs):
-    """RK4 along a line of nodes from y0: y' = rhs(samples, y).
-
-    rhs gets the samples as a tuple of Python floats, one per field: on
-    scalar and two-entry states numpy scalars would cost more than the step.
-    """
-    kernels = additive_kernels(rhs)
-    nodes = list(zip(*(f.tolist() for f in node_fields)))
-    mids = list(zip(*(f.tolist() for f in mid_fields)))
-    y = y0
-    for lo, md, hi in zip(nodes[:-1], mids, nodes[1:]):
-        y = rkmk4_step(h, y, lo, md, hi, kernels)
-    return y
+    """RK4 along a line of nodes from y0, y' = rhs(samples, y): the end state."""
+    states = integrate_line(h, y0, node_fields, mid_fields, additive_kernels(rhs))
+    return deque(states, maxlen=1).pop()
 
 
 def _angle_rhs(s, y):
@@ -338,16 +334,14 @@ def _periodic_linear_start(h, node_fields):
     node_fields are the (slope, source) samples of y' = slope y + source.
     The return map is the composition of the RK4 step maps y -> A y + B of
     `affine_step_maps`: its gain is the product of the A and its shift the
-    recurrence from 0.
+    recurrence from 0 (`affine_line`).
     """
     mids = [midpoints(f, 0) for f in node_fields]
     A, B = affine_step_maps(
         h, [f[:-1] for f in node_fields], mids, [f[1:] for f in node_fields]
     )
-    gain, shift = 1.0, 0.0
-    for a, b in zip(A.tolist(), B.tolist()):
-        gain *= a
-        shift = a * shift + b
+    gain = math.prod(A.tolist())
+    shift = deque(affine_line(A, B, 0.0), maxlen=1).pop()
     denom = 1.0 - gain
     if abs(denom) < 1e-12 * (1.0 + abs(shift)):
         raise PssframeError("periodic linear order is resonant (unit return gain)")

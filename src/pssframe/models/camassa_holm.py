@@ -127,16 +127,26 @@ def ch_evolve(
     # rfft(h - m/2) differs from rfft(h) only in the k = 0 bin (the sum)
     mean_shift = 0.5 * m * n
 
-    def rhs(h):
+    # the right-hand side writes into these buffers and the RK4 steps into
+    # the stage arrays below, so the substeps allocate no arrays
+    h_spec = np.empty(k.shape, dtype=complex)
+    spectra = np.empty((3,) + k.shape, dtype=complex)
+    fields = np.empty((3, n))
+
+    def rhs(h, out):
         # one forward transform of h, one stacked inverse for u, u_x and h_x
-        h_hat = np.fft.rfft(h)
-        spectra = np.empty((3,) + h_hat.shape, dtype=complex)
-        spectra[0] = h_hat / helmholtz
+        np.fft.rfft(h, out=h_spec)
+        np.divide(h_spec, helmholtz, out=spectra[0])
         spectra[0, 0] -= mean_shift  # helmholtz[0] == 1
         np.multiply(ik, spectra[0], out=spectra[1])
-        np.multiply(ik, h_hat, out=spectra[2])
-        u, u_x, h_x = np.fft.irfft(spectra, n)
-        return -(u * h_x + 2.0 * u_x * h)
+        np.multiply(ik, h_spec, out=spectra[2])
+        u, u_x, h_x = np.fft.irfft(spectra, n, out=fields)
+        # -(u h_x + 2 u_x h), written as (-2 u_x) h - u h_x: negation is
+        # exact, so both give the same double
+        np.multiply(u_x, -2.0, out=out)
+        out *= h
+        np.multiply(u, h_x, out=u_x)
+        out -= u_x
 
     u_hat0 = np.fft.rfft(u_now)
     u_xx0 = np.fft.irfft(-(k**2) * u_hat0, n)
@@ -152,13 +162,28 @@ def ch_evolve(
     limit = blowup_factor * (1.0 + float(np.max(np.abs(h_now))))
     h_rows = np.empty((nt + 1, n))
     h_rows[0] = h_now
+    k1, k2, k3, k4, stage = np.empty((5, n))
+    half, sixth = 0.5 * dt, dt / 6.0
     for row in range(1, nt + 1):
         for _ in range(substeps):
-            k1 = rhs(h_now)
-            k2 = rhs(h_now + 0.5 * dt * k1)
-            k3 = rhs(h_now + 0.5 * dt * k2)
-            k4 = rhs(h_now + dt * k3)
-            h_now = h_now + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # h + (dt/6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order
+            rhs(h_now, k1)
+            np.multiply(k1, half, out=stage)
+            stage += h_now
+            rhs(stage, k2)
+            np.multiply(k2, half, out=stage)
+            stage += h_now
+            rhs(stage, k3)
+            np.multiply(k3, dt, out=stage)
+            stage += h_now
+            rhs(stage, k4)
+            np.multiply(k2, 2.0, out=stage)
+            stage += k1
+            k3 *= 2.0
+            stage += k3
+            stage += k4
+            stage *= sixth
+            h_now += stage
         if not np.all(np.isfinite(h_now)) or np.max(np.abs(h_now)) > limit:
             raise EvolutionError(
                 "momentum density blew up at output row %d" % row

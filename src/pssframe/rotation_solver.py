@@ -26,7 +26,12 @@ on the additive group.  One block walker, `_sweep`, serves every sweep, with
 two block fills: `rkmk4_fill` steps each line from the one before, and
 `affine_fill` serves linear equations y' = a y + b, whose RK4 steps are
 affine maps y -> A y + B: the maps of a whole block come from two
-vectorized steps, and each line is then one multiply-add.
+vectorized steps, and each line is then one multiply-add, in place.  One
+line engine, `integrate_line` (with `affine_line` for the affine maps),
+steps a single line of nodes on Python floats: both fills use it when the
+block is one line of single nodes, shape (m, 1), and the hierarchy's
+periodic starts use it for their return maps.  The block shape alone picks
+the path, and both paths do the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -207,10 +212,41 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
     return y
 
 
+def integrate_line(h, y, node_fields, mid_fields, kernels):
+    """`rkmk4_step` along one line of nodes from y; yields y, y_1, y_2, ...
+
+    node_fields and mid_fields are the coefficient samples of the line at
+    its nodes and interval midpoints.  They are handed to the kernels as
+    tuples of Python floats, one per field: on scalar and two-entry states
+    numpy scalars or 1-element arrays would cost more than the step.
+    """
+    nodes = list(zip(*(f.ravel().tolist() for f in node_fields)))
+    mids = list(zip(*(f.ravel().tolist() for f in mid_fields)))
+    yield y
+    for lo, md, hi in zip(nodes[:-1], mids, nodes[1:]):
+        y = rkmk4_step(h, y, lo, md, hi, kernels)
+        yield y
+
+
 def rkmk4_fill(kernels):
-    """Block fill of `_sweep`: one `rkmk4_step` per line and interval."""
+    """Block fill of `_sweep`: one `rkmk4_step` per line and interval.
+
+    A block that is one line of single nodes, shape (m, 1), is stepped on
+    Python floats by `integrate_line`; wider blocks step whole lines.
+    """
 
     def fill(h, blk, b, node, mid):
+        if blk.shape[1:] == (1,):
+            y = blk[b, 0].item()
+            blk[b:, 0] = list(
+                integrate_line(h, y, [f[b:] for f in node], [f[b:] for f in mid], kernels)
+            )
+            blk[b::-1, 0] = list(
+                integrate_line(
+                    -h, y, [f[b::-1] for f in node], [f[:b][::-1] for f in mid], kernels
+                )
+            )
+            return
         for i in range(b, blk.shape[0] - 1):
             lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
             blk[i + 1] = rkmk4_step(h, blk[i], lo, md, hi, kernels)
@@ -242,23 +278,47 @@ def affine_step_maps(h, lo, mid, hi):
     return A, B
 
 
+def affine_line(A, B, y):
+    """The recurrence y -> a y + b over the maps A, B; yields y, y_1, y_2, ...
+
+    Runs on Python floats: one line of single nodes, or a return map.
+    """
+    yield y
+    for a, b in zip(A.ravel().tolist(), B.ravel().tolist()):
+        y = a * y + b
+        yield y
+
+
+def _affine_rows(A, B, rows):
+    """Fill rows[1:] from rows[0] by row = a * previous + b, in place."""
+    for a, b, prev, row in zip(A, B, rows, rows[1:]):
+        np.multiply(a, prev, out=row)
+        row += b
+
+
 def affine_fill(h, blk, b, node, mid):
     """Block fill of `_sweep` for y' = a y + b, node = (a, b) blocks.
 
     The step maps of every interval above the base line come from one
     `affine_step_maps` call, those below it from one call with -h and lo
-    and hi swapped; each line is then A * previous + B.
+    and hi swapped; each line is then A * previous + B, on Python floats
+    for a block of single nodes, shape (m, 1), and in place otherwise.
     """
-    A, B = affine_step_maps(
+    up = affine_step_maps(
         h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
     )
-    for i in range(b, blk.shape[0] - 1):
-        blk[i + 1] = A[i - b] * blk[i] + B[i - b]
     A, B = affine_step_maps(
         -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
     )
-    for i in range(b, 0, -1):
-        blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
+    down = A[::-1], B[::-1]
+    if blk.shape[1:] == (1,):
+        y = blk[b, 0].item()
+        blk[b:, 0] = list(affine_line(*up, y))
+        blk[b::-1, 0] = list(affine_line(*down, y))
+    else:
+        rows = list(blk)
+        _affine_rows(*up, rows[b:])
+        _affine_rows(*down, rows[b::-1])
 
 
 def _add(u, y):

@@ -516,3 +516,64 @@ def test_periodic_explicit_center_base_is_a_config_error(tmp_path, capsys, comma
     good = write_config(tmp_path, CH_CONFIG + "\n[solver]\nbase = origin\n", name="good.ini")
     assert main([command, "--config", good, "--out", str(tmp_path / "good")]) == 0
     assert parse_config(write_config(tmp_path, CH_CONFIG, name="unset.ini")).base is None
+
+
+CH_OPEN_CONFIG = CH_CONFIG.replace("periodic_axis = 1\n", "")
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "conserve"])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (CH_CONFIG + "start_values = 0.1\n", "periodic_axis = 1"),
+        (CH_OPEN_CONFIG + "start_values = 0.1, 0.2, 0.3\n", "3 entries, but order 1"),
+    ],
+    ids=["periodic", "past-order"],
+)
+def test_start_values_that_would_be_ignored_are_config_errors(
+    tmp_path, capsys, command, text, reason
+):
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [hierarchy] start_values: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_start_values_up_to_the_order_are_used(tmp_path):
+    cfg = write_config(tmp_path, CH_OPEN_CONFIG + "start_values = 0.1, 0.2\n")
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", cfg, "--out", str(out)]) == 0
+    orders = read_manifest(out)["results"]["orders"]
+    assert [orders[key]["start_value"] for key in ("0", "1")] == [0.1, 0.2]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError("not strict JSON: %s" % constant)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "value, threshold", [("nan", "nan"), ("inf", "inf")], ids=["nan", "inf"]
+)
+def test_non_finite_manifest_values_are_strict_json(
+    tmp_path, monkeypatch, value, threshold
+):
+    fd = non_finite_frame(2, "omega", float(value))
+    monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = unused\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    results = _strict_json((out / "manifest.json").read_text())["results"]
+    assert results["res1"] == "nan"
+    assert results["res2"] == value
+    assert results["threshold"] == threshold
+    assert results["pass"] is False
+
+
+def test_manifest_values_spell_non_finite_floats():
+    value = {"a": [1.5, float("-inf")], "b": (float("nan"),), "c": np.float64("inf"), "d": True}
+    assert cli._json_value(value) == {"a": [1.5, "-inf"], "b": ["nan"], "c": "inf", "d": True}

@@ -51,6 +51,63 @@ def cosine_profile(x):
     return 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0)
 
 
+def _reference_evolve(u0, m, period, t_final, nx, nt, cfl=0.3):
+    # ch_evolve as it stood before its buffers were preallocated: the same
+    # right-hand side and RK4 loop, every intermediate a new array
+    n = nx
+    x = np.arange(n) * (period / n)
+    u_now = np.asarray(u0(x), dtype=float)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    ik = 1j * k
+    helmholtz = 1.0 + k**2
+    mean_shift = 0.5 * m * n
+
+    def rhs(h):
+        h_hat = np.fft.rfft(h)
+        spectra = np.empty((3,) + h_hat.shape, dtype=complex)
+        spectra[0] = h_hat / helmholtz
+        spectra[0, 0] -= mean_shift
+        np.multiply(ik, spectra[0], out=spectra[1])
+        np.multiply(ik, h_hat, out=spectra[2])
+        u, u_x, h_x = np.fft.irfft(spectra, n)
+        return -(u * h_x + 2.0 * u_x * h)
+
+    u_hat0 = np.fft.rfft(u_now)
+    h_now = u_now - np.fft.irfft(-(k**2) * u_hat0, n) + 0.5 * m
+    speed = 2.0 * float(np.max(np.abs(u_now))) + abs(m) + 0.5
+    dt_out = t_final / nt
+    substeps = max(1, int(np.ceil(dt_out / (cfl * (period / n) / speed))))
+    dt = dt_out / substeps
+    h_rows = np.empty((nt + 1, n))
+    h_rows[0] = h_now
+    for row in range(1, nt + 1):
+        for _ in range(substeps):
+            k1 = rhs(h_now)
+            k2 = rhs(h_now + 0.5 * dt * k1)
+            k3 = rhs(h_now + 0.5 * dt * k2)
+            k4 = rhs(h_now + dt * k3)
+            h_now = h_now + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        h_rows[row] = h_now
+    u_hat = np.fft.rfft(h_rows - 0.5 * m, axis=1) / helmholtz
+    return [
+        np.fft.irfft(u_hat, n, axis=1),
+        np.fft.irfft(1j * k * u_hat, n, axis=1),
+        np.fft.irfft(-(k**2) * u_hat, n, axis=1),
+    ]
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5])
+def test_evolve_is_bitwise_the_allocating_loop(m):
+    def profile(x):
+        return 0.3 + 0.2 * np.cos(2 * np.pi * x / 6.0) - 0.1 * np.sin(4 * np.pi * x / 6.0)
+
+    state = ch_evolve(profile, m=m, period=6.0, t_final=0.5, nx=32, nt=4)
+    expected = _reference_evolve(profile, m, 6.0, 0.5, 32, 4)
+    for got, rows in zip((state.u, state.u_x, state.u_xx), expected):
+        assert np.array_equal(got.values[:-1], rows.T)
+        assert np.array_equal(got.values[-1], rows[:, 0])
+
+
 def test_evolve_chart_layout_and_periodic_seam():
     state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=1.0, nx=64, nt=16)
     assert state.chart.counts == (65, 17)

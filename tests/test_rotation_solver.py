@@ -17,7 +17,16 @@ from pssframe import (
 )
 from pssframe.errors import StructureGateError
 from pssframe.models import igsge_explicit_solution, igsge_forms
-from pssframe.rotation_solver import sweep_linear, sweep_scalar
+from pssframe.grid import midpoints
+from pssframe.rotation_solver import (
+    additive_kernels,
+    affine_fill,
+    affine_step_maps,
+    rkmk4_fill,
+    rkmk4_step,
+    sweep_linear,
+    sweep_scalar,
+)
 
 from conftest import (
     cosh_metric_frame,
@@ -92,6 +101,63 @@ def test_affine_sweep_matches_the_stepwise_sweep(axes_order):
     affine = sweep_linear(chart, base, axes_order, 0.7, slopes, sources)
     assert np.max(np.abs(affine - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
     assert affine[base] == 0.7
+
+
+def _reference_rkmk4_fill(kernels, h, blk, b, node, mid):
+    # the fill as it stepped every block, lines of one node included:
+    # one rkmk4_step per line, on (1-element) arrays
+    for i in range(b, blk.shape[0] - 1):
+        lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
+        blk[i + 1] = rkmk4_step(h, blk[i], lo, md, hi, kernels)
+    for i in range(b, 0, -1):
+        lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
+        blk[i - 1] = rkmk4_step(-h, blk[i], lo, md, hi, kernels)
+
+
+def _reference_affine_fill(h, blk, b, node, mid):
+    # the affine fill as it ran every block: A * previous + B into a new array
+    A, B = affine_step_maps(
+        h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
+    )
+    for i in range(b, blk.shape[0] - 1):
+        blk[i + 1] = A[i - b] * blk[i] + B[i - b]
+    A, B = affine_step_maps(
+        -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
+    )
+    for i in range(b, 0, -1):
+        blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
+
+
+def _fill_blocks(rng, fields, width, base):
+    node = [np.ascontiguousarray(rng.uniform(-1.5, 1.5, (23, width))) for _ in range(fields)]
+    mid = [midpoints(f, 0) for f in node]
+    blk = np.empty((23, width))
+    blk[base] = rng.uniform(-1.0, 1.0, width)
+    return node, mid, blk
+
+
+def _angle_field(s, y):
+    return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
+
+
+@pytest.mark.parametrize("base", [0, 9, 22])
+def test_one_node_rkmk4_fill_is_bitwise_the_array_loop(rng, base):
+    node, mid, blk = _fill_blocks(rng, 3, 1, base)
+    expected = blk.copy()
+    kernels = additive_kernels(_angle_field)
+    rkmk4_fill(kernels)(0.07, blk, base, node, mid)
+    _reference_rkmk4_fill(kernels, 0.07, expected, base, node, mid)
+    assert np.array_equal(blk, expected)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("base", [0, 9, 22])
+def test_affine_fill_is_bitwise_the_array_loop(rng, base, width):
+    node, mid, blk = _fill_blocks(rng, 2, width, base)
+    expected = blk.copy()
+    affine_fill(0.07, blk, base, node, mid)
+    _reference_affine_fill(0.07, expected, base, node, mid)
+    assert np.array_equal(blk, expected)
 
 
 def test_solve_is_exact_when_frame_is_already_special():
