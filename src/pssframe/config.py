@@ -111,6 +111,14 @@ def _floats(text):
     return tuple(float(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _finite(text, positive=False):
+    value = float(text)
+    if not np.isfinite(value) or (positive and not value > 0):
+        need = "finite and positive" if positive else "finite"
+        raise ValueError("must be %s, got %r" % (need, value))
+    return value
+
+
 def _ints(text):
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
@@ -246,20 +254,16 @@ def parse_config(path):
         return value - 1
 
     take("conservation", "time_axis", parse_time_axis)
-    take("conservation", "drift_tol", float)
+    take("conservation", "drift_tol", _finite)
     take("conservation", "svg", lambda t: _bool(t, "[conservation] svg"))
 
     take("convergence", "scales", _ints)
     if len(cfg.scales) < 2:
         raise ConfigError("[convergence] scales needs at least two entries")
-    take("convergence", "order_floor", float)
+    take("convergence", "order_floor", _finite)
 
-    take("tolerances", "gate_factor", float)
-    take("tolerances", "orth_tol", float)
-    take("tolerances", "det_rtol", float)
     for name in ("gate_factor", "orth_tol", "det_rtol"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError("[tolerances] %s must be positive" % name)
+        take("tolerances", name, lambda text: _finite(text, positive=True))
 
     take("output", "directory", str.strip, "out_dir")
 

@@ -179,9 +179,11 @@ def wedge(alpha: OneFormField, beta: OneFormField) -> TwoFormField:
     # one pair at a time into a preallocated block: fancy-indexing all pairs
     # at once would copy both operands
     out = np.empty((len(pairs),) + chart.counts)
-    for p, (k, l) in enumerate(pairs):
-        np.multiply(a[k], b[l], out=out[p])
-        out[p] -= a[l] * b[k]
+    # NaN and +-Inf coefficients pass on to the structure gate, which fails them
+    with np.errstate(invalid="ignore"):
+        for p, (k, l) in enumerate(pairs):
+            np.multiply(a[k], b[l], out=out[p])
+            out[p] -= a[l] * b[k]
     return TwoFormField(chart, out)
 
 

@@ -78,7 +78,7 @@ class FrameRotationField:
         return cls(chart, mat)
 
     def orthogonality_error(self):
-        gram = np.matmul(self.matrix, np.swapaxes(self.matrix, -1, -2))
+        gram = np.matmul(self.matrix, np.ascontiguousarray(np.swapaxes(self.matrix, -1, -2)))
         gram -= np.eye(self.chart.dim)
         return float(np.max(np.abs(gram, out=gram)))
 

@@ -19,7 +19,10 @@ round-off by construction; on 2D charts all commutators vanish and the two
 solvers coincide algebraically.  For n = 3 the Lie-algebra elements are
 carried as axial 3-vectors (skew matrix <-> axial vector, commutator <->
 cross product, exp <-> Rodrigues); every other n uses skew matrices.  The
-two forms are algebraically identical and differ only in round-off.
+two forms are algebraically identical and differ only in round-off.  The
+n = 3 kernels run component-major: each matrix entry and vector component
+of a whole line of nodes is one contiguous row, so a stage is a few dozen
+row operations instead of stacked 3 x 3 products.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  One block walker, `_sweep`, serves every sweep, with
@@ -58,13 +61,13 @@ GATE_FACTOR_DEFAULT = 10.0
 # vectorized exponentials of skew matrices
 
 def _rodrigues(w):
-    """exp(hat(w)) for a stack of axial vectors w (..., 3), hat(w) x = w x x.
+    """exp(hat(w)) component-major: w (3, ...) -> R (3, 3, ...), hat(w) x = w x x.
 
     Rodrigues' formula I + s hat(w) + c hat(w)^2 with s = sin(t)/t and
     c = (1 - cos t)/t^2, t = |w|, written out entry by entry through
     hat(w)^2 = w w^T - t^2 I.
     """
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    w1, w2, w3 = w
     t2 = w1 * w1 + w2 * w2 + w3 * w3
     t = np.sqrt(t2)
     # sin(t)/t and (1-cos t)/t^2 with series fallbacks near 0
@@ -72,25 +75,25 @@ def _rodrigues(w):
     tt = np.where(small, 1.0, t)
     s = np.sin(t) / tt
     c = (1.0 - np.cos(t)) / (tt * tt)
-    if np.any(small):
+    if small.any():
         s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s)
         c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, c)
-    out = np.empty(w.shape + (3,))
+    out = np.empty((3,) + w.shape)
     d = 1.0 - c * t2
     cw1, cw2 = c * w1, c * w2
     sw1, sw2, sw3 = s * w1, s * w2, s * w3
-    out[..., 0, 0] = cw1 * w1 + d
-    out[..., 1, 1] = cw2 * w2 + d
-    out[..., 2, 2] = c * w3 * w3 + d
+    out[0, 0] = cw1 * w1 + d
+    out[1, 1] = cw2 * w2 + d
+    out[2, 2] = c * w3 * w3 + d
     x = cw1 * w2
-    out[..., 0, 1] = x - sw3
-    out[..., 1, 0] = x + sw3
+    out[0, 1] = x - sw3
+    out[1, 0] = x + sw3
     x = cw1 * w3
-    out[..., 0, 2] = x + sw2
-    out[..., 2, 0] = x - sw2
+    out[0, 2] = x + sw2
+    out[2, 0] = x - sw2
     x = cw2 * w3
-    out[..., 1, 2] = x - sw1
-    out[..., 2, 1] = x + sw1
+    out[1, 2] = x - sw1
+    out[2, 1] = x + sw1
     return out
 
 
@@ -112,7 +115,8 @@ def expm_skew(a):
         out[..., 1, 1] = c
         return out
     if n == 3:
-        return _rodrigues(np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1))
+        w = np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]])
+        return np.moveaxis(_rodrigues(w), (0, 1), (-2, -1))
     # general n: scaling and squaring, Taylor kernel of order 18
     # (truncation ~0.5^19/19! at the scaled norm: below round-off)
     norm = np.max(np.abs(a))
@@ -141,10 +145,12 @@ def _dexpinv(u, k):
 
 
 def _cross(a, b):
-    """Cross product over the last axis of two stacks of 3-vectors."""
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
+    """Cross product of two component-major 3-vectors a, b (3, ...)."""
+    out = np.empty(a.shape)
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
+    return out
 
 
 def _dexpinv_axial(u, k):
@@ -232,7 +238,9 @@ def rkmk4_fill(kernels):
     """Block fill of `_sweep`: one `rkmk4_step` per line and interval.
 
     A block that is one line of single nodes, shape (m, 1), is stepped on
-    Python floats by `integrate_line`; wider blocks step whole lines.
+    Python floats by `integrate_line`; wider blocks step whole lines, each
+    from the state the step before returned, so the block is read only at
+    its base line and may be a strided view.
     """
 
     def fill(h, blk, b, node, mid):
@@ -247,12 +255,14 @@ def rkmk4_fill(kernels):
                 )
             )
             return
+        y = blk[b]
         for i in range(b, blk.shape[0] - 1):
             lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
-            blk[i + 1] = rkmk4_step(h, blk[i], lo, md, hi, kernels)
+            y = blk[i + 1] = rkmk4_step(h, y, lo, md, hi, kernels)
+        y = blk[b]
         for i in range(b, 0, -1):
             lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
-            blk[i - 1] = rkmk4_step(-h, blk[i], lo, md, hi, kernels)
+            y = blk[i - 1] = rkmk4_step(-h, y, lo, md, hi, kernels)
 
     return fill
 
@@ -505,32 +515,44 @@ def _axial_system(fd: FrameData, sigma):
     form is hat(alpha) with alpha = e_1 x (L om) - sigma L w, where w is the
     axial vector of W and sigma = det(L): L hat(w) L^T = det(L) hat(L w).
     Every exp update keeps det(L) = det(L0), so sigma is fixed per solve.
-    The coefficients are stacked as P = [om | -sigma w] (..., 3, 2), so
-    each stage takes one stacked product L P.
+    The kernels run component-major on whole lines: L (3, 3, ...), the
+    coefficients P = [om | -sigma w] (3, 2, ...), algebra elements (3, ...).
+    P is built in that layout; the fill sees the state block through a
+    component-major view, so each line is converted once, when written.
     """
     conn = fd.connection.values  # pairs (1, 2), (1, 3), (2, 3)
 
     def algebra_element(samples, L):
         (p,) = samples
-        lp = np.matmul(L, p)
-        a = lp[..., 1].copy()
-        a[..., 1] -= lp[..., 2, 0]
-        a[..., 2] += lp[..., 1, 0]
+        # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
+        a = L[:, 0] * p[0, 1] + L[:, 1] * p[1, 1] + L[:, 2] * p[2, 1]
+        lom = L[1:, 0] * p[0, 0] + L[1:, 1] * p[1, 0] + L[1:, 2] * p[2, 0]
+        a[1] -= lom[1]
+        a[2] += lom[0]
         return a
 
     def exp_mul(u, y):
-        return np.matmul(_rodrigues(u), y)
+        r = _rodrigues(u)
+        out = np.empty(y.shape)
+        for j in range(3):
+            out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
+        return out
+
+    steps = rkmk4_fill((algebra_element, _dexpinv_axial, exp_mul))
+
+    def fill(h, blk, b, node, mid):
+        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node, mid)
 
     def system(axis, take):
-        om = [take(fd.omega[k].values[axis]) for k in range(3)]
-        p = np.empty(om[0].shape + (3, 2))
+        shape = take(conn[0, axis]).shape
+        p = np.empty(shape[:1] + (3, 2) + shape[1:])
         for k in range(3):
-            p[..., k, 0] = om[k]
+            p[:, k, 0] = take(fd.omega[k].values[axis])
         # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w
-        p[..., 0, 1] = sigma * take(conn[2, axis])
-        p[..., 1, 1] = -sigma * take(conn[1, axis])
-        p[..., 2, 1] = sigma * take(conn[0, axis])
-        return [p], rkmk4_fill((algebra_element, _dexpinv_axial, exp_mul))
+        np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
+        np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
+        np.multiply(sigma, take(conn[0, axis]), out=p[:, 2, 1])
+        return [p], fill
 
     return system
 

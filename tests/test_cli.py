@@ -361,6 +361,26 @@ def test_cli_exit_code_2_on_config_problems(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("tolerances", "gate_factor"),
+        ("tolerances", "orth_tol"),
+        ("tolerances", "det_rtol"),
+        ("conservation", "drift_tol"),
+        ("convergence", "order_floor"),
+    ],
+    ids=["gate_factor", "orth_tol", "det_rtol", "drift_tol", "order_floor"],
+)
+def test_non_finite_tolerances_are_config_errors(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, SG_CONFIG + "\n[%s]\n%s = %s\n" % (section, key, value))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [%s] %s: must be finite" % (section, key))
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "base_config, l0, reason",
     [

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from pssframe import (
+    ConnectionField,
     FrameData,
     FrameRotationField,
     GridChart,
+    OneFormField,
     expm_skew,
     frame_change,
     solve_L_nd,
@@ -352,6 +354,45 @@ def test_solve_L_nd_recovers_constant_rotation_of_half_space(n, m, proper):
     for a in range(n):
         want = 1.0 if a == 0 else 0.0
         assert np.max(np.abs(rep.theta1.coefficient(a).values - want)) <= 1e-13
+
+
+def varying_rotation_frame(m):
+    """half_space_frame(3, m) rotated by R(x) = exp(f(x) K), and R.
+
+    K is the hat matrix of a fixed unit axis, so R = I + sin(f) K +
+    (1 - cos f) K^2 and dR R^T = df K exactly.  The rotated bundle is then
+    analytic at every node: theta = R omega and Theta_a = (d_a f) K +
+    R W_a R^T.  A solve started from R(base)^T must return L = R^T.
+    """
+    fd = half_space_frame(3, m)
+    chart = fd.chart
+    x1, x2, x3 = chart.meshgrid()
+    phase = 2.0 * x1 + 1.5 * x2 - x3
+    f, df = np.sin(phase), [2.0 * np.cos(phase), 1.5 * np.cos(phase), -np.cos(phase)]
+    k1, k2, k3 = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    K = np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
+    R = np.eye(3) + np.sin(f)[..., None, None] * K + (1.0 - np.cos(f))[..., None, None] * (K @ K)
+    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(3)) for i in range(3)]
+    rows, cols = np.triu_indices(3, 1)
+    upper = np.empty((3, 3) + chart.counts)
+    for a in range(3):
+        big_theta = df[a][..., None, None] * K
+        big_theta += R @ fd.connection.coefficient_matrix(a) @ np.swapaxes(R, -1, -2)
+        upper[:, a] = np.moveaxis(big_theta[..., rows, cols], -1, 0)
+    omega = tuple(OneFormField(chart, t) for t in theta)
+    return FrameData(chart, omega, ConnectionField(chart, upper)), R
+
+
+def test_three_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
+    errors, spacings = [], []
+    for m in (9, 17, 33):
+        fd, R = varying_rotation_frame(m)
+        base = fd.chart.base_index("center")
+        rep = solve_L_nd(fd, R[base].T)
+        errors.append(np.max(np.abs(rep.rotation.matrix - np.swapaxes(R, -1, -2))))
+        spacings.append(fd.chart.spacing[0])
+    order = np.polyfit(np.log(spacings), np.log(errors), 1)[0]
+    assert order >= 3.5, (errors, order)
 
 
 def test_initial_rotation_must_be_orthogonal():
