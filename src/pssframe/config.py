@@ -119,8 +119,19 @@ def _finite(text, positive=False):
     return value
 
 
+def _finites(text, positive=False):
+    return tuple(_finite(part, positive) for part in text.split(",") if part.strip())
+
+
 def _ints(text):
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _counts(text):
+    counts = _ints(text)
+    if any(c < 3 for c in counts):
+        raise ValueError("need at least 3 nodes per axis, got %s" % list(counts))
+    return counts
 
 
 def _bool(text, where):
@@ -151,17 +162,17 @@ def parse_config(path):
 
     cfg = RunConfig()
 
-    def take(section, key, convert, attr=None, where=None):
+    def value(section, key, convert):
+        try:
+            return convert(parser.get(section, key))
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise ConfigError("[%s] %s: %s" % (section, key, exc)) from exc
+
+    def take(section, key, convert, attr=None):
         if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            where = where or "[%s] %s" % (section, key)
-            try:
-                value = convert(raw)
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError("%s: %s" % (where, exc)) from exc
-            setattr(cfg, attr or key, value)
+            setattr(cfg, attr or key, value(section, key, convert))
 
     take("model", "kind", str.strip, "model_kind")
     if cfg.model_kind not in MODEL_KINDS:
@@ -181,9 +192,9 @@ def parse_config(path):
     take("model", "c", _floats)
     take("model", "field_file", str.strip)
 
-    take("chart", "origin", _floats)
-    take("chart", "spacing", _floats)
-    take("chart", "counts", _ints)
+    take("chart", "origin", _finites)
+    take("chart", "spacing", lambda text: _finites(text, positive=True))
+    take("chart", "counts", _counts)
     take(
         "chart",
         "axis_names",
@@ -192,14 +203,14 @@ def parse_config(path):
     if parser.has_option("chart", "extent"):
         if cfg.spacing:
             raise ConfigError("[chart]: give either spacing or extent, not both")
-        extent = _floats(parser.get("chart", "extent"))
+        extent = value("chart", "extent", lambda text: _finites(text, positive=True))
         if not cfg.counts:
             raise ConfigError("[chart] extent needs counts in the same section")
         if len(extent) != len(cfg.counts):
             raise ConfigError("[chart] extent and counts lengths differ")
-        cfg.spacing = tuple(
-            e / (c - 1) for e, c in zip(extent, cfg.counts)
-        )
+        cfg.spacing = tuple(e / (c - 1) for e, c in zip(extent, cfg.counts))
+        if 0.0 in cfg.spacing:
+            raise ConfigError("[chart] extent: too small for counts, the spacing is 0")
 
     take("solver", "phi0", float)
 
@@ -284,6 +295,11 @@ def _validate_model(cfg):
         dims = {len(cfg.counts), len(cfg.spacing), len(cfg.origin)}
         if len(dims) != 1:
             raise ConfigError("[chart] origin/spacing/counts lengths differ")
+        if cfg.axis_names and len(cfg.axis_names) != len(cfg.counts):
+            raise ConfigError(
+                "[chart] axis_names: need %d names, got %d"
+                % (len(cfg.counts), len(cfg.axis_names))
+            )
         if cfg.model_kind == "sine_gordon" and len(cfg.counts) != 2:
             raise ConfigError("[chart] the kink model needs a 2D chart")
         if cfg.model_kind == "igsge":

@@ -218,12 +218,14 @@ def midpoints(values, axis):
     out_shape[axis] = n - 1
     out = np.empty(out_shape)
 
-    out[sl(slice(1, -1))] = (
-        -f[sl(slice(0, -3))]
-        + 9.0 * f[sl(slice(1, -2))]
-        + 9.0 * f[sl(slice(2, -1))]
-        - f[sl(slice(3, None))]
-    ) / 16.0
+    # (-f0 + 9 f1 + 9 f2 - f3) / 16 in place, with one temporary: 9 f1 - f0
+    # is the same double as -f0 + 9 f1
+    inner = out[sl(slice(1, -1))]
+    np.multiply(f[sl(slice(1, -2))], 9.0, out=inner)
+    inner -= f[sl(slice(0, -3))]
+    inner += 9.0 * f[sl(slice(2, -1))]
+    inner -= f[sl(slice(3, None))]
+    inner /= 16.0
     out[sl(0)] = (
         5.0 * f[sl(0)] + 15.0 * f[sl(1)] - 5.0 * f[sl(2)] + f[sl(3)]
     ) / 16.0

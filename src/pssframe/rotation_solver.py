@@ -25,16 +25,21 @@ of a whole line of nodes is one contiguous row, so a stage is a few dozen
 row operations instead of stacked 3 x 3 products.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
-on the additive group.  One block walker, `_sweep`, serves every sweep, with
-two block fills: `rkmk4_fill` steps each line from the one before, and
-`affine_fill` serves linear equations y' = a y + b, whose RK4 steps are
-affine maps y -> A y + B: the maps of a whole block come from two
-vectorized steps, and each line is then one multiply-add, in place.  One
-line engine, `integrate_line` (with `affine_line` for the affine maps),
-steps a single line of nodes on Python floats: both fills use it when the
-block is one line of single nodes, shape (m, 1), and the hierarchy's
-periodic starts use it for their return maps.  The block shape alone picks
-the path, and both paths do the same operations in the same order.
+on the additive group.  One block walker, `_sweep`, serves every sweep and
+fills each block in place, with two block fills: `rkmk4_fill` steps each
+line from the one before, and `affine_fill` serves linear equations
+y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of a
+whole block come from two vectorized steps, and each line is then one
+multiply-add, in place.  `rkmk4_fill` marches up and down from the base
+line as one row: the lines b + j and b - j are folded onto a direction axis
+of length 2 and take one step together with h carried as [h, -h], so a
+centred block costs half as many steps, and every element still goes
+through the same operations as in separate steps.  One line engine,
+`integrate_line` (with `affine_line` for the affine maps), steps a single
+line of nodes on Python floats: both fills use it when the block is one
+line of single nodes, shape (m, 1), and the hierarchy's periodic starts use
+it for their return maps.  The block shape alone picks the path, and every
+path does the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -191,9 +196,10 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
     full-grid array f (any trailing component shape) with the swept axis
     first, and system(axis, take) returns (arrays, fill): the blocks of the
     coefficient arrays the equation along that axis consumes and the block
-    fill (`rkmk4_fill` or `affine_fill`).  The blocks are made contiguous,
-    midpoints are taken on them only, fill(h, blk, b, node, mid) fills the
-    block of y from its base line b, and the block is written back once.
+    fill (`rkmk4_fill` or `affine_fill`).  The coefficient blocks are made
+    contiguous and their midpoints taken; fill(h, blk, b, node, mid) then
+    fills blk = take(y), a view of y because the block index holds only
+    slices, from its base line b.
     """
     filled = set()
     for axis in axes_order:
@@ -208,12 +214,7 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
         arrays, fill = system(axis, take)
         node = [np.ascontiguousarray(f) for f in arrays]
         mid = [midpoints(f, 0) for f in node]
-        b = base[axis]
-        # only the base line of the block is known before the sweep fills it
-        blk = np.empty(take(y).shape)
-        blk[b] = take(y)[b]
-        fill(chart.spacing[axis], blk, b, node, mid)
-        y[idx] = np.moveaxis(blk, 0, axis)
+        fill(chart.spacing[axis], take(y), base[axis], node, mid)
         filled.add(axis)
     return y
 
@@ -234,16 +235,32 @@ def integrate_line(h, y, node_fields, mid_fields, kernels):
         yield y
 
 
-def rkmk4_fill(kernels):
+def rkmk4_fill(kernels, fold_axis=0):
     """Block fill of `_sweep`: one `rkmk4_step` per line and interval.
 
     A block that is one line of single nodes, shape (m, 1), is stepped on
-    Python floats by `integrate_line`; wider blocks step whole lines, each
-    from the state the step before returned, so the block is read only at
-    its base line and may be a strided view.
+    Python floats by `integrate_line`.  Wider blocks march up and down from
+    the base line b as one row: for j < k = min(b, m - 1 - b) the steps
+    b + j -> b + j + 1 and b - j -> b - j - 1 are one `rkmk4_step` on lines
+    folded onto a direction axis of length 2 at position fold_axis of a line
+    (where its node axes begin), with h carried as [h, -h]; each half is
+    written straight into its line.  The longer half's remaining steps run
+    alone.  Every element goes through the same operations as in separate
+    steps.  A folded coefficient line is a strided view of the two lines
+    (one slice whose step spans them), so no block is copied, and the block
+    is read only at its base line, so it may be a strided view too.
     """
 
+    def fold(up, down):
+        return np.stack((up, down), axis=fold_axis)
+
+    def pair(f, i, j):
+        # lines i > j of f as one folded line, a view
+        v = f[i : j - 1 if j else None : j - i]
+        return np.moveaxis(v, 0, fold_axis) if fold_axis else v
+
     def fill(h, blk, b, node, mid):
+        m = blk.shape[0]
         if blk.shape[1:] == (1,):
             y = blk[b, 0].item()
             blk[b:, 0] = list(
@@ -255,12 +272,24 @@ def rkmk4_fill(kernels):
                 )
             )
             return
-        y = blk[b]
-        for i in range(b, blk.shape[0] - 1):
+        k = min(b, m - 1 - b)
+        up = down = blk[b].copy()
+        if k:
+            y = fold(up, up)
+            hh = np.reshape((h, -h), (2,) + (1,) * (y.ndim - fold_axis - 1))
+            lo = [fold(f[b], f[b]) for f in node]
+            for j in range(k):
+                md = [pair(f, b + j, b - j - 1) for f in mid]
+                hi = [pair(f, b + j + 1, b - j - 1) for f in node]
+                y = rkmk4_step(hh, y, lo, md, hi, kernels)
+                up, down = blk[b + j + 1], blk[b - j - 1] = np.moveaxis(y, fold_axis, 0)
+                lo = hi
+        y = up
+        for i in range(b + k, m - 1):
             lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
             y = blk[i + 1] = rkmk4_step(h, y, lo, md, hi, kernels)
-        y = blk[b]
-        for i in range(b, 0, -1):
+        y = down
+        for i in range(b - k, 0, -1):
             lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
             y = blk[i - 1] = rkmk4_step(-h, y, lo, md, hi, kernels)
 
@@ -480,32 +509,72 @@ def solve_phi_2d(
 # ---------------------------------------------------------------------------
 # general-dimension orthogonal solver
 
+def _matrix_element(samples, L):
+    """Algebra element -L W L^T + (L om) e_1^T - e_1 (L om)^T, samples (om, W)."""
+    om, w = samples
+    m = np.matmul(np.matmul(L, w), np.swapaxes(L, -1, -2))
+    th = np.einsum("...ik,...k->...i", L, om)
+    a = np.empty_like(m)
+    a[..., 1:, 1:] = -m[..., 1:, 1:]
+    a[..., 0, 1:] = -(m[..., 0, 1:] + th[..., 1:])
+    a[..., 1:, 0] = -a[..., 0, 1:]
+    idx = np.arange(L.shape[-1])
+    a[..., idx, idx] = 0.0
+    return a
+
+
+def _matrix_exp_mul(u, y):
+    n = u.shape[-1]
+    if n > 3 and u.ndim > n + 1:
+        # a line of an n-dimensional block has n + 1 axes, a folded line one
+        # more: each direction keeps the scaling its own step would choose
+        return np.matmul(np.stack([expm_skew(v) for v in u]), y)
+    return np.matmul(expm_skew(u), y)
+
+
+MATRIX_KERNELS = (_matrix_element, _dexpinv, _matrix_exp_mul)
+_matrix_fill = rkmk4_fill(MATRIX_KERNELS)
+
+
 def _matrix_system(fd: FrameData):
     """RKMK4 system of the n x n orthogonal field with skew-matrix kernels."""
     n = fd.dim
-
-    def algebra_element(samples, L):
-        om, w = samples
-        m = np.matmul(np.matmul(L, w), np.swapaxes(L, -1, -2))
-        th = np.einsum("...ik,...k->...i", L, om)
-        a = np.empty_like(m)
-        a[..., 1:, 1:] = -m[..., 1:, 1:]
-        a[..., 0, 1:] = -(m[..., 0, 1:] + th[..., 1:])
-        a[..., 1:, 0] = -a[..., 0, 1:]
-        idx = np.arange(n)
-        a[..., idx, idx] = 0.0
-        return a
-
-    def exp_mul(u, y):
-        return np.matmul(expm_skew(u), y)
 
     def system(axis, take):
         # om[..., k] = coefficient of dx_axis in omega_k
         om = np.stack([take(fd.omega[k].values[axis]) for k in range(n)], axis=-1)
         w = take(fd.connection.coefficient_matrix(axis))
-        return [om, w], rkmk4_fill((algebra_element, _dexpinv, exp_mul))
+        return [om, w], _matrix_fill
 
     return system
+
+
+def _axial_element(samples, L):
+    """alpha = e_1 x (L om) - sigma L w from L (3, 3, ...) and P (3, 2, ...)."""
+    (p,) = samples
+    # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
+    a = L[:, 0] * p[0, 1] + L[:, 1] * p[1, 1] + L[:, 2] * p[2, 1]
+    lom = L[1:, 0] * p[0, 0] + L[1:, 1] * p[1, 0] + L[1:, 2] * p[2, 0]
+    a[1] -= lom[1]
+    a[2] += lom[0]
+    return a
+
+
+def _axial_exp_mul(u, y):
+    r = _rodrigues(u)
+    out = np.empty(y.shape)
+    for j in range(3):
+        out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
+    return out
+
+
+AXIAL_KERNELS = (_axial_element, _dexpinv_axial, _axial_exp_mul)
+# component-major lines begin their node axes after the two component axes
+_axial_steps = rkmk4_fill(AXIAL_KERNELS, fold_axis=2)
+
+
+def _axial_fill(h, blk, b, node, mid):
+    _axial_steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node, mid)
 
 
 def _axial_system(fd: FrameData, sigma):
@@ -522,27 +591,6 @@ def _axial_system(fd: FrameData, sigma):
     """
     conn = fd.connection.values  # pairs (1, 2), (1, 3), (2, 3)
 
-    def algebra_element(samples, L):
-        (p,) = samples
-        # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
-        a = L[:, 0] * p[0, 1] + L[:, 1] * p[1, 1] + L[:, 2] * p[2, 1]
-        lom = L[1:, 0] * p[0, 0] + L[1:, 1] * p[1, 0] + L[1:, 2] * p[2, 0]
-        a[1] -= lom[1]
-        a[2] += lom[0]
-        return a
-
-    def exp_mul(u, y):
-        r = _rodrigues(u)
-        out = np.empty(y.shape)
-        for j in range(3):
-            out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
-        return out
-
-    steps = rkmk4_fill((algebra_element, _dexpinv_axial, exp_mul))
-
-    def fill(h, blk, b, node, mid):
-        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node, mid)
-
     def system(axis, take):
         shape = take(conn[0, axis]).shape
         p = np.empty(shape[:1] + (3, 2) + shape[1:])
@@ -552,7 +600,7 @@ def _axial_system(fd: FrameData, sigma):
         np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
         np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
         np.multiply(sigma, take(conn[0, axis]), out=p[:, 2, 1])
-        return [p], fill
+        return [p], _axial_fill
 
     return system
 

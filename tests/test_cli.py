@@ -382,6 +382,47 @@ def test_non_finite_tolerances_are_config_errors(tmp_path, capsys, section, key,
 
 
 @pytest.mark.parametrize(
+    "key, chart",
+    [
+        ("counts", "origin = -4, -4\nextent = 8, 8\ncounts = 1, 5"),
+        ("counts", "origin = -4, -4\nextent = 8, 8\ncounts = 2, 5"),
+        ("counts", "origin = -4, -4\nextent = 8, 8\ncounts = 0, 5"),
+        ("extent", "origin = -4, -4\nextent = 0, 4\ncounts = 9, 9"),
+        ("extent", "origin = -4, -4\nextent = -1, 4\ncounts = 9, 9"),
+        ("extent", "origin = -4, -4\nextent = nan, 4\ncounts = 9, 9"),
+        ("spacing", "origin = -4, -4\nspacing = 0, 0.5\ncounts = 9, 9"),
+        ("spacing", "origin = -4, -4\nspacing = inf, 0.5\ncounts = 9, 9"),
+        ("origin", "origin = inf, 0\nextent = 8, 8\ncounts = 9, 9"),
+        ("axis_names", "origin = -4, -4\nextent = 8, 8\ncounts = 9, 9\naxis_names = x"),
+    ],
+    ids=[
+        "counts-1",
+        "counts-2",
+        "counts-0",
+        "extent-0",
+        "extent-negative",
+        "extent-nan",
+        "spacing-0",
+        "spacing-inf",
+        "origin-inf",
+        "axis-names-1-of-2",
+    ],
+)
+def test_bad_chart_geometry_is_a_config_error(tmp_path, capsys, key, chart):
+    cfg = write_config(tmp_path, "[model]\nkind = sine_gordon\n\n[chart]\n%s\n" % chart)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [chart] %s: " % key)
+    assert not (tmp_path / "o").exists()
+
+
+def test_extent_too_small_for_its_counts_is_a_config_error(tmp_path, capsys):
+    chart = "origin = -4, -4\nextent = 5e-324, 8\ncounts = 3, 9"
+    cfg = write_config(tmp_path, "[model]\nkind = sine_gordon\n\n[chart]\n%s\n" % chart)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "the spacing is 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "base_config, l0, reason",
     [
         (IGSGE3D_CONFIG, "1, 0, 0, 1", "must be 3 x 3"),

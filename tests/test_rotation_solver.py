@@ -1,6 +1,7 @@
 """Frame-rotation solves: exactness, convergence, equivariance, gates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ from pssframe.errors import StructureGateError
 from pssframe.models import igsge_explicit_solution, igsge_forms
 from pssframe.grid import midpoints
 from pssframe.rotation_solver import (
+    AXIAL_KERNELS,
+    MATRIX_KERNELS,
+    _axial_fill,
+    _matrix_fill,
     additive_kernels,
     affine_fill,
     affine_step_maps,
@@ -149,6 +154,53 @@ def test_one_node_rkmk4_fill_is_bitwise_the_array_loop(rng, base):
     kernels = additive_kernels(_angle_field)
     rkmk4_fill(kernels)(0.07, blk, base, node, mid)
     _reference_rkmk4_fill(kernels, 0.07, expected, base, node, mid)
+    assert np.array_equal(blk, expected)
+
+
+def _wide_block(rng, layout, m):
+    """Block fill, its kernels, the view of a state block the kernels see,
+    coefficient blocks and a base line of one row layout, m lines long."""
+    if layout == "scalar":
+        kernels = additive_kernels(_angle_field)
+        node = [rng.uniform(-1.5, 1.5, (m, 5)) for _ in range(3)]
+        line = rng.uniform(-1.0, 1.0, 5)
+        return rkmk4_fill(kernels), kernels, _same, node, line
+    # lines of a 3D block (3 x 2 nodes) and of a 4D block (2 x 1 x 3 nodes);
+    # the coefficients grow along the block, so that some n = 4 steps need
+    # squarings in expm_skew and others do not
+    nodes, n = ((3, 2), 3) if layout == "axial" else ((2, 1, 3), 4)
+    grow = np.linspace(1.0, 12.0, m).reshape((m,) + (1,) * (len(nodes) + 2))
+    line = np.linalg.qr(rng.normal(size=nodes + (n, n)))[0]
+    if layout == "axial":
+        node = [rng.uniform(-1.5, 1.5, (m, 3, 2) + nodes) * grow]
+        return _axial_fill, AXIAL_KERNELS, _component_major, node, line
+    w = rng.uniform(-1.5, 1.5, (m,) + nodes + (n, n)) * grow
+    om = rng.uniform(-1.5, 1.5, (m,) + nodes + (n,)) * grow[..., 0]
+    node = [om, w - np.swapaxes(w, -1, -2)]
+    return _matrix_fill, MATRIX_KERNELS, _same, node, line
+
+
+def _same(blk):
+    return blk
+
+
+def _component_major(blk):
+    return np.moveaxis(blk, (-2, -1), (1, 2))
+
+
+@pytest.mark.parametrize("where", ["first", "low", "centre", "high", "last"])
+@pytest.mark.parametrize("m", [9, 10])
+@pytest.mark.parametrize("layout", ["scalar", "axial", "matrix"])
+def test_folded_rkmk4_fill_is_bitwise_the_unfolded_march(rng, layout, m, where):
+    b = {"first": 0, "low": 2, "centre": (m - 1) // 2, "high": m - 3, "last": m - 1}[where]
+    fill, kernels, view, node, line = _wide_block(rng, layout, m)
+    mid = [midpoints(f, 0) for f in node]
+    # a strided block, as `_sweep` hands the fill for every axis but the first
+    blk = np.swapaxes(np.empty(line.shape[:1] + (m,) + line.shape[1:]), 0, 1)
+    blk[b] = line
+    expected = np.ascontiguousarray(blk)
+    fill(0.07, blk, b, node, mid)
+    _reference_rkmk4_fill(kernels, 0.07, view(expected), b, node, mid)
     assert np.array_equal(blk, expected)
 
 
@@ -325,6 +377,23 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
         assert np.max(np.abs(rep.rotation.matrix[corner] - np.array(want))) <= 1e-13
 
 
+# tracemalloc peak in bytes of solve_L_nd(igsge_frame(25), rotated_l0(3))
+# when every sweep still filled a scratch copy of its block and wrote it back
+IGSGE25_SOLVE_PEAK = 5_160_470
+
+
+def test_three_dimensional_solve_holds_no_block_twice():
+    fd = igsge_frame(25)
+    solve_L_nd(igsge_frame(5), rotated_l0(3))  # first-call allocations
+    tracemalloc.start()
+    try:
+        solve_L_nd(fd, rotated_l0(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= IGSGE25_SOLVE_PEAK
+
+
 def test_three_dimensional_solve_is_reflection_equivariant():
     # D = diag(1, 1, -1) fixes e_1, so D L solves the equation whenever L
     # does, with the same first row; an improper start must keep det = -1
@@ -356,42 +425,57 @@ def test_solve_L_nd_recovers_constant_rotation_of_half_space(n, m, proper):
         assert np.max(np.abs(rep.theta1.coefficient(a).values - want)) <= 1e-13
 
 
-def varying_rotation_frame(m):
-    """half_space_frame(3, m) rotated by R(x) = exp(f(x) K), and R.
+def varying_rotation_frame(m, K, weights):
+    """half_space_frame(n, m) rotated by R(x) = exp(f(x) K), and R.
 
-    K is the hat matrix of a fixed unit axis, so R = I + sin(f) K +
+    f = sin(weights . x) and K is skew with K^3 = -K, so R = I + sin(f) K +
     (1 - cos f) K^2 and dR R^T = df K exactly.  The rotated bundle is then
     analytic at every node: theta = R omega and Theta_a = (d_a f) K +
     R W_a R^T.  A solve started from R(base)^T must return L = R^T.
     """
-    fd = half_space_frame(3, m)
+    n = len(weights)
+    fd = half_space_frame(n, m)
     chart = fd.chart
-    x1, x2, x3 = chart.meshgrid()
-    phase = 2.0 * x1 + 1.5 * x2 - x3
-    f, df = np.sin(phase), [2.0 * np.cos(phase), 1.5 * np.cos(phase), -np.cos(phase)]
-    k1, k2, k3 = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
-    K = np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
-    R = np.eye(3) + np.sin(f)[..., None, None] * K + (1.0 - np.cos(f))[..., None, None] * (K @ K)
-    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(3)) for i in range(3)]
-    rows, cols = np.triu_indices(3, 1)
-    upper = np.empty((3, 3) + chart.counts)
-    for a in range(3):
-        big_theta = df[a][..., None, None] * K
+    phase = sum(c * x for c, x in zip(weights, chart.meshgrid()))
+    f = np.sin(phase)
+    s, c = np.sin(f)[..., None, None], np.cos(f)[..., None, None]
+    R = np.eye(n) + s * K + (1.0 - c) * (K @ K)
+    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(n)) for i in range(n)]
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.empty((len(rows), n) + chart.counts)
+    for a in range(n):
+        big_theta = (weights[a] * np.cos(phase))[..., None, None] * K
         big_theta += R @ fd.connection.coefficient_matrix(a) @ np.swapaxes(R, -1, -2)
         upper[:, a] = np.moveaxis(big_theta[..., rows, cols], -1, 0)
     omega = tuple(OneFormField(chart, t) for t in theta)
     return FrameData(chart, omega, ConnectionField(chart, upper)), R
 
 
-def test_three_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
+def varying_rotation_order(K, weights, sizes):
+    """Observed order of max |L - R^T| of `varying_rotation_frame` solves."""
     errors, spacings = [], []
-    for m in (9, 17, 33):
-        fd, R = varying_rotation_frame(m)
+    for m in sizes:
+        fd, R = varying_rotation_frame(m, K, weights)
         base = fd.chart.base_index("center")
         rep = solve_L_nd(fd, R[base].T)
         errors.append(np.max(np.abs(rep.rotation.matrix - np.swapaxes(R, -1, -2))))
         spacings.append(fd.chart.spacing[0])
-    order = np.polyfit(np.log(spacings), np.log(errors), 1)[0]
+    return np.polyfit(np.log(spacings), np.log(errors), 1)[0], errors
+
+
+def test_three_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
+    # K is the hat matrix of a fixed unit axis
+    k1, k2, k3 = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    K = np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
+    order, errors = varying_rotation_order(K, (2.0, 1.5, -1.0), (9, 17, 33))
+    assert order >= 3.5, (errors, order)
+
+
+def test_four_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
+    # K = Q (E_21 - E_12) Q^T turns the plane of Q's first two columns
+    Q = rotated_l0(4)
+    K = Q[:, 1:2] @ Q[:, :1].T - Q[:, :1] @ Q[:, 1:2].T
+    order, errors = varying_rotation_order(K, (1.0, 0.75, -0.5, 0.25), (7, 9, 13))
     assert order >= 3.5, (errors, order)
 
 
