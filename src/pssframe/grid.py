@@ -17,6 +17,7 @@ one-step accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,10 @@ class GridChart:
             raise ValueError("origin/spacing/counts lengths differ")
         if len(counts) < 1:
             raise ValueError("chart needs at least one axis")
-        if any(s <= 0.0 for s in spacing):
-            raise ValueError("spacing must be positive")
+        if not all(math.isfinite(v) for v in origin):
+            raise ValueError("origin must be finite, got %s" % (origin,))
+        if not all(math.isfinite(s) and s > 0.0 for s in spacing):
+            raise ValueError("spacing must be finite and positive, got %s" % (spacing,))
         if any(c < 3 for c in counts):
             raise ValueError("need at least 3 nodes per axis")
         names = tuple(self.axis_names) or tuple(

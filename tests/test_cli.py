@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import flat_frame, non_finite_frame
+from conftest import exp_metric_frame, flat_frame, non_finite_frame
 from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
@@ -286,6 +286,54 @@ def test_external_truncated_field_file_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: %s: " % field)
     assert "body has shape (1, 6), expected (9, 6)" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("origin", "inf,-1", "origin must be finite"),
+        ("spacing", "nan,0.25", "spacing must be finite and positive"),
+    ],
+    ids=["origin-inf", "spacing-nan"],
+)
+def test_external_non_finite_chart_geometry_is_config_error(
+    tmp_path, capsys, key, value, reason
+):
+    field = tmp_path / "frame.pssfield"
+    save_frame_data(field, exp_metric_frame(9))
+    header, body = field.read_text().split("\n", 1)
+    parts = [
+        "%s=%s" % (key, value) if part.startswith(key + "=") else part
+        for part in header.split("; ")
+    ]
+    field.write_text("; ".join(parts) + "\n" + body)
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: %s" % (field, reason))
+
+
+def test_external_field_file_without_body_is_one_config_error_line(tmp_path):
+    field = tmp_path / "empty.pssfield"
+    save_frame_data(field, flat_frame(3))
+    field.write_text(field.read_text().splitlines(True)[0])
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pssframe", "verify", "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "config error: %s: pssfield body is empty, expected (9, 6)" % field
+    ]
 
 
 @pytest.mark.parametrize(

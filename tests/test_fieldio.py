@@ -1,5 +1,7 @@
 """pssfield v1 text round trips and header validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,115 @@ def test_write_matches_reference_for_integer_components(tmp_path):
     write_field(path, chart, comps)
     stack = np.stack([np.asarray(c, dtype=float) for c in comps])
     assert path.read_bytes() == _reference_bytes(chart, stack)
+
+
+def _ties(rng, count):
+    """Doubles m * 2^-j (m odd) whose exact decimal has 18 significant digits
+    ending in 5: `%.17g` must round them half to even."""
+    ties = [2.0**-25]
+    for j in range(2, 26):
+        lo = max(1, -(-(10**17) // 5**j))
+        hi = min(2**53, 10**18 // 5**j)
+        for m in rng.integers(lo, hi, count // 24).tolist():
+            ties.append((m | 1) * 2.0**-j)
+    return np.array(ties)
+
+
+def _near_ties():
+    """Doubles x = m * 2^-(L+k) with x * 10^k = odd/2 +- 2^-L and 17 integer
+    digits: closer to a tie than the kernel's error bound, so they need the
+    fallback when 10^k is not a double (k > 22)."""
+    out = []
+    for k in range(1, 60):
+        for L in range(40, 80):
+            inverse = pow(5**k, -1, 2**L)
+            for r in (2 ** (L - 1) - 1, 2 ** (L - 1) + 1):
+                m = r * inverse % 2**L
+                if m < 2**52:
+                    m += -(-(2**52 - m) // 2**L) * 2**L
+                if m < 2**53 and 10**16 <= m * 5**k >> L < 10**17:
+                    out.append(math.ldexp(m, -L - k))
+    return np.array(out)
+
+
+def _dense_values(rng):
+    """About 1.0e6 doubles covering every path of the `%.17g` kernel."""
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 2**52, 4_000, dtype=np.uint64)
+    ties = _ties(rng, 8_000)
+    tens = np.array([float("1e%d" % k) for k in range(-320, 309)])
+    # the fixed/scientific switches of %g, and carries: float("1e-14") lies
+    # below 10^-14 and its 17-digit rounding carries into the next decade
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 1.0, 0.99999999999999999])
+    # each of them and its three neighbours on either side
+    near = np.concatenate([tens, switches]).view(np.int64)[:, None] + np.arange(-3, 4)
+    walks = (switches[:4, None] * (1.0 + np.arange(-40, 41) * 2.0**-52)).ravel()
+    big_ints = rng.integers(2**53, 2**62, 10_000).astype(float)
+    structured = np.concatenate(
+        [
+            ties,
+            _near_ties(),
+            np.nextafter(ties, 0.0),
+            np.nextafter(ties, 1.0),
+            near.ravel().view(np.float64),
+            walks,
+            big_ints,
+            [2.0**53, 2.0**53 + 2, 2.0**60, 1e18, 9007199254740993.0],
+            [0.0, np.inf, np.nan],
+        ]
+    )
+    bulk = rng.standard_normal(870_000)
+    return np.concatenate(
+        [bits.view(np.float64), subnormal.view(np.float64), structured, -structured, bulk]
+    )
+
+
+def test_g17_kernel_matches_format_on_dense_values(rng):
+    values = _dense_values(rng)
+    assert values.size >= 10**6
+    chunk = 6 * fieldio._BLOCK_NODES
+    newline = np.full(chunk, ord("\n"), np.uint8)
+    for start in range(0, values.size, chunk):
+        block = values[start : start + chunk]
+        expected = ("{:.17g}\n" * block.size).format(*block.tolist()).encode()
+        assert fieldio._format_g17(block, newline[: block.size]) == expected
+
+
+def test_g17_kernel_formats_only_fallback_cells_per_value(monkeypatch, rng):
+    values = rng.standard_normal(fieldio._BLOCK_NODES * 3)
+    fallback = [np.nan, -np.inf, 5e-324, 2.0**-25, 1e250]
+    at = rng.choice(values.size, len(fallback), replace=False)
+    values[at] = fallback
+    seps = np.tile(np.array([ord(" "), ord(" "), ord("\n")], np.uint8), fieldio._BLOCK_NODES)
+    expected = "".join(
+        format(x, ".17g") + chr(s) for x, s in zip(values.tolist(), seps.tolist())
+    ).encode()
+    calls = []
+
+    def counting_format(x, spec):
+        calls.append(x)
+        return format(x, spec)
+
+    monkeypatch.setattr(fieldio, "format", counting_format, raising=False)
+    assert fieldio._format_g17(values, seps) == expected
+    assert len(calls) == len(fallback)
+
+
+def test_read_reports_the_exact_expected_node_count(tmp_path):
+    path = tmp_path / "huge.pssfield"
+    path.write_text(
+        "pssfield v1; dim=2; counts=100000000000,100000000000; origin=0,0; "
+        "spacing=1,1; components=6\n" + "0 0 0 0 0 0\n"
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"body has shape \(1, 6\), expected \(10000000000000000000000, 6\)$",
+    ):
+        read_field(path)
+
+
+def test_read_refuses_an_empty_body_without_a_warning(tmp_path):
+    path = tmp_path / "empty.pssfield"
+    path.write_text("pssfield v1; dim=1; counts=4; origin=0; spacing=1; components=2\n")
+    with pytest.raises(ValueError, match=r"body is empty, expected \(4, 2\)"):
+        read_field(path)
