@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, on_chart, parse_config, run_labels
 from .conservation import analyze, write_csv, write_q_svg
 from .errors import (
     ConfigError,
@@ -44,8 +44,6 @@ from .models import (
     sg_solution,
 )
 from .rotation_solver import (
-    initial_rotation,
-    scaling_constants,
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
@@ -56,8 +54,17 @@ from .rotation_solver import (
 def _scaled_chart(cfg: RunConfig, scale):
     counts = tuple((c - 1) * scale + 1 for c in cfg.counts)
     spacing = tuple(s / scale for s in cfg.spacing)
-    return GridChart(
-        origin=cfg.origin, spacing=spacing, counts=counts, axis_names=cfg.axis_names
+    return GridChart(origin=cfg.origin, spacing=spacing, counts=counts)
+
+
+def _ch_state(cfg: RunConfig, scale):
+    """The configured Camassa-Holm evolution at a grid scale."""
+
+    def profile(x):
+        return cfg.u0_offset + cfg.u0_amplitude * np.cos(2.0 * np.pi * x / cfg.period)
+
+    return ch_evolve(
+        profile, cfg.m, cfg.period, cfg.t_final, nx=cfg.nx * scale, nt=cfg.nt * scale, cfl=cfg.cfl
     )
 
 
@@ -70,20 +77,7 @@ def _build_model(cfg: RunConfig, scale):
     """
     kind = cfg.model_kind
     if kind == "camassa_holm":
-        def profile(x):
-            return cfg.u0_offset + cfg.u0_amplitude * np.cos(
-                2.0 * np.pi * x / cfg.period
-            )
-
-        state = ch_evolve(
-            profile,
-            cfg.m,
-            cfg.period,
-            cfg.t_final,
-            nx=cfg.nx * scale,
-            nt=cfg.nt * scale,
-            cfl=cfg.cfl,
-        )
+        state = _ch_state(cfg, scale)
         fd = ch_forms(state, 0.0)
         lines = [
             "model: camassa_holm pde_residual=%.3e integral_drift=%.3e"
@@ -135,50 +129,17 @@ def _structure_lines(fd, cfg):
     return (res1, res2), threshold, ok, line
 
 
-def _base_index(chart, cfg):
-    """`[solver] base` resolved on chart, the center when unset.
-
-    A base off the chart is a config error.
-    """
-    try:
-        return chart.base_index("center" if cfg.base is None else cfg.base)
-    except ValueError as exc:
-        raise ConfigError("[solver] base: %s" % exc) from exc
-
-
-def _check_coordinate_keys(cfg, command):
-    """The coordinate check runs in solve-frame only; elsewhere its keys are refused."""
-    if cfg.coordinates_check and command != "solve-frame":
-        raise ConfigError(
-            "[solver] coordinates_check: only solve-frame runs the coordinate check"
-        )
-    if cfg.coordinate_constants and not cfg.coordinates_check:
-        raise ConfigError(
-            "[solver] coordinate_constants: applies only with coordinates_check = true "
-            "(solve-frame)"
-        )
-
-
-def _solve(fd, cfg):
+def _solve(fd, cfg, keys):
     """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
 
-    2D charts start from `phi0`, higher dimensions from `l0`; an `l0` or a
-    `base` that does not fit the chart is a config error.
+    2D charts start from `phi0`, higher dimensions from `l0`; keys holds
+    the chart-dependent keys resolved by `on_chart`.
     """
-    base = _base_index(fd.chart, cfg)
     if fd.dim == 2:
-        if cfg.l0 is not None:
-            raise ConfigError(
-                "[solver] l0: applies to charts of dimension >= 3; 2D charts start from phi0"
-            )
         phi0 = 0.0 if cfg.phi0 is None else cfg.phi0
-        report = solve_phi_2d(fd, phi0, base, gate_factor=cfg.gate_factor)
+        report = solve_phi_2d(fd, phi0, keys["base"], gate_factor=cfg.gate_factor)
     else:
-        try:
-            l0 = initial_rotation(cfg.l0, fd.dim)
-        except ValueError as exc:
-            raise ConfigError("[solver] l0: %s" % exc) from exc
-        report = solve_L_nd(fd, l0, base, gate_factor=cfg.gate_factor)
+        report = solve_L_nd(fd, keys["l0"], keys["base"], gate_factor=cfg.gate_factor)
     if not report.orth_residual <= cfg.orth_tol:
         raise OrthogonalityError(
             "orthogonality residual %.3e exceeds orth_tol %.3e"
@@ -264,12 +225,8 @@ def cmd_verify(cfg, cfg_path, out_dir, scale):
 
 def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     fd, _, _ = _build_model(cfg, scale)
-    if cfg.coordinates_check:
-        try:
-            constants = scaling_constants(cfg.coordinate_constants or None, fd.dim)
-        except ValueError as exc:
-            raise ConfigError("[solver] coordinate_constants: %s" % exc) from exc
-    report = _solve(fd, cfg)
+    keys = on_chart(cfg, fd.chart, "solve-frame")
+    report = _solve(fd, cfg, keys)
     _write_report_fields(out_dir, report)
     print(report.summary())
     results = {
@@ -281,7 +238,7 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     }
     if cfg.coordinates_check:
         check = special_coordinates_check(
-            fd, report, constants, _base_index(fd.chart, cfg), cfg.det_rtol
+            fd, report, keys["coordinate_constants"], keys["base"], cfg.det_rtol
         )
         write_field(
             os.path.join(out_dir, "potential.pssfield"),
@@ -299,62 +256,26 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     return 0
 
 
-def _run_hierarchy(cfg, scale):
-    if cfg.model_kind != "camassa_holm":
-        raise ConfigError(
-            "the expansion commands need the camassa_holm model (parameter family)"
-        )
-    for key, value in (("l0", cfg.l0), ("phi0", cfg.phi0)):
-        if value is not None:
-            raise ConfigError(
-                "[solver] %s: the expansion commands start each order from "
-                "[hierarchy] start_values (or periodic_axis)" % key
-            )
-    if cfg.start_values and cfg.periodic_axis == 0:
-        raise ConfigError(
-            "[hierarchy] start_values: periodic_axis = 1 chooses the start of every "
-            "order itself"
-        )
-    if len(cfg.start_values) > cfg.order + 1:
-        raise ConfigError(
-            "[hierarchy] start_values: %d entries, but order %d starts only orders "
-            "0..%d" % (len(cfg.start_values), cfg.order, cfg.order)
-        )
-
-    def profile(x):
-        return cfg.u0_offset + cfg.u0_amplitude * np.cos(2.0 * np.pi * x / cfg.period)
-
-    state = ch_evolve(
-        profile,
-        cfg.m,
-        cfg.period,
-        cfg.t_final,
-        nx=cfg.nx * scale,
-        nt=cfg.nt * scale,
-        cfl=cfg.cfl,
-    )
-    base = _base_index(state.chart, cfg)
-    if cfg.periodic_axis == 0 and cfg.base is not None and base[0] != 0:
-        raise ConfigError(
-            "[solver] base: periodic_axis = 1 starts every order on the first-axis "
-            "index 0, got base %s" % (base,)
-        )
+def _run_hierarchy(cfg, scale, command):
+    """The evolved state, the solved hierarchy and the chart-dependent keys."""
+    state = _ch_state(cfg, scale)
+    keys = on_chart(cfg, state.chart, command)
     table = ch_series_table(state, cfg.order)
     start = dict(enumerate(cfg.start_values)) if cfg.start_values else None
     result = solve_hierarchy(
         state.chart,
         table,
         cfg.order,
-        base=base,
+        base=keys["base"],
         start_values=start,
         periodic_axis=cfg.periodic_axis,
         gate_factor=cfg.gate_factor,
     )
-    return state, result
+    return state, result, keys
 
 
 def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
-    state, result = _run_hierarchy(cfg, scale)
+    state, result, _ = _run_hierarchy(cfg, scale, "hierarchy")
     chart = state.chart
     per_order = {}
     for item in result.orders:
@@ -380,20 +301,20 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
 
 
 def cmd_conserve(cfg, cfg_path, out_dir, scale):
-    time_axis = cfg.resolved_time_axis()
     results = {}
     if cfg.model_kind == "camassa_holm":
-        state, hier = _run_hierarchy(cfg, scale)
+        state, hier, keys = _run_hierarchy(cfg, scale, "conserve")
         orders = [item.order for item in hier.orders]
-        reports = [analyze(item.form, time_axis) for item in hier.orders]
+        reports = [analyze(item.form, keys["time_axis"]) for item in hier.orders]
         drift_u = ch_integral_drift(state)
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u
     else:
         fd, _, _ = _build_model(cfg, scale)
-        report = _solve(fd, cfg)
+        keys = on_chart(cfg, fd.chart, "conserve")
+        report = _solve(fd, cfg, keys)
         print(report.summary())
-        reports = [analyze(report.theta1, time_axis)]
+        reports = [analyze(report.theta1, keys["time_axis"])]
         orders = [0]
 
     worst_rel = 0.0
@@ -426,11 +347,10 @@ def _fit_order(h_values, errors):
 
 
 def cmd_converge(cfg, cfg_path, out_dir, scale):
-    scales = sorted(set(int(s) * scale for s in cfg.scales))
     rows = []
-    for k in scales:
+    for k in sorted(s * scale for s in cfg.scales):
         fd, _, _ = _build_model(cfg, k)
-        report = _solve(fd, cfg)
+        report = _solve(fd, cfg, on_chart(cfg, fd.chart, "converge"))
         h_max = max(fd.chart.spacing)
         rows.append(
             {
@@ -522,11 +442,11 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        if args.grid_scale < 1:
+            raise ConfigError("--grid-scale must be >= 1")
+        run_labels(cfg, args.command)  # refuses the set keys this run does not read
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.grid_scale < 1:
-        print("config error: --grid-scale must be >= 1", file=sys.stderr)
         return 2
 
     out_dir = args.out or cfg.out_dir
@@ -541,7 +461,6 @@ def main(argv=None):
         return 2
 
     try:
-        _check_coordinate_keys(cfg, args.command)
         return _COMMANDS[args.command](cfg, args.config, out_dir, args.grid_scale)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -20,6 +20,7 @@ available from one state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,9 @@ def _wavenumbers(n, period):
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
 
 
+# a diverging state overflows to Inf or NaN; the checks below raise
+# EvolutionError for it, so numpy's own warnings stay quiet
+@np.errstate(over="ignore", invalid="ignore")
 def ch_evolve(
     u0,
     m,
@@ -103,7 +107,8 @@ def ch_evolve(
     x_j = j * period / nx.  The returned state lives on the closed chart
     [0, period] x [0, t_final] with nx + 1 by nt + 1 nodes (the last column
     duplicates x = 0).  Substeps per output interval are fixed from the
-    initial data, so repeated runs are bit-identical.
+    initial data, so repeated runs are bit-identical.  The first substep
+    whose input is not finite raises EvolutionError.
     """
     n = int(nx)
     if n < 16 or n % 2:
@@ -156,6 +161,9 @@ def ch_evolve(
     speed = 2.0 * float(np.max(np.abs(u_now))) + abs(m) + 0.5
     dt_target = cfl * (period / n) / speed
     dt_out = t_final / nt
+    # a bound that underflows to 0, or a step count past the largest float
+    if not (dt_target > 0 and math.isfinite(dt_out / dt_target)):
+        raise EvolutionError("step bound %.3e admits no finite substep count" % dt_target)
     substeps = max(1, int(np.ceil(dt_out / dt_target)))
     dt = dt_out / substeps
 
@@ -168,6 +176,8 @@ def ch_evolve(
         for _ in range(substeps):
             # h + (dt/6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order
             rhs(h_now, k1)
+            if not math.isfinite(h_spec[0].real):  # the sum of h
+                raise EvolutionError("momentum density blew up at output row %d" % row)
             np.multiply(k1, half, out=stage)
             stage += h_now
             rhs(stage, k2)

@@ -84,7 +84,8 @@ def igsge_explicit_solution(chart: GridChart, c):
         raise ValueError("the explicit solution needs x_1 > 0 on the chart")
 
     x1 = chart.meshgrid()[0]
-    sech = 1.0 / np.cosh(x1)
+    with np.errstate(over="ignore"):  # cosh overflows to Inf where sech is 0
+        sech = 1.0 / np.cosh(x1)
     V = [ScalarField(chart, np.tanh(x1))]
     for j in range(1, n):
         V.append(ScalarField(chart, c[j - 1] * sech))

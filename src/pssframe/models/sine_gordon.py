@@ -60,8 +60,11 @@ def sg_solution(chart: GridChart, kind="static_kink", velocity=0.0):
     gamma = 1.0 / np.sqrt(1.0 - v * v)
     x1, x2 = chart.meshgrid()
     xi = gamma * (x1 - v * x2)
-    u = 4.0 * np.arctan(np.exp(xi))
-    sech = 1.0 / np.cosh(xi)
+    # far out on the tails exp and cosh overflow to Inf, where arctan and
+    # 1 / cosh take their exact limits
+    with np.errstate(over="ignore"):
+        u = 4.0 * np.arctan(np.exp(xi))
+        sech = 1.0 / np.cosh(xi)
     return SineGordonSolution(
         u=ScalarField(chart, u),
         u_x1=ScalarField(chart, 2.0 * gamma * sech),

@@ -629,7 +629,8 @@ def initial_rotation(L0, n):
         raise ValueError(
             "L0 must be %d x %d on a %dD chart, got shape %s" % (n, n, n, L0.shape)
         )
-    err = np.max(np.abs(L0 @ L0.T - np.eye(n)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err fails below
+        err = np.max(np.abs(L0 @ L0.T - np.eye(n)))
     if not err <= 1e-10:
         raise ValueError("L0 must be orthogonal: max |L0 L0^T - I| = %.3e" % err)
     return L0
