@@ -336,6 +336,58 @@ def test_external_field_file_without_body_is_one_config_error_line(tmp_path):
     ]
 
 
+def _damage_fifth_line(body, cut, insert):
+    """The body cut `cut` bytes into the fourth token of its fifth line, the
+    file ending there when `insert` is empty; otherwise `insert` takes the
+    place of that byte and the rest of the body stays."""
+    lines = body.split(b"\n")
+    fifth = lines[4]
+    at = len(b" ".join(fifth.split(b" ")[:3])) + 1 + cut
+    head = b"\n".join(lines[:4] + [fifth[:at]])
+    if not insert:
+        return head
+    return b"\n".join([head + insert + fifth[at + 1 :]] + lines[5:])
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-frame"])
+@pytest.mark.parametrize(
+    "cut, insert",
+    [(-1, b""), (5, b""), (5, b"x"), (5, b"\xc3\xa9")],
+    ids=["cut-mid-line", "cut-mid-token", "garbled-token", "non-ascii"],
+)
+def test_external_damaged_field_file_is_one_config_error_line(
+    tmp_path, capsys, command, cut, insert
+):
+    field = tmp_path / "frame.pssfield"
+    save_frame_data(field, exp_metric_frame(9))
+    header, body = field.read_bytes().split(b"\n", 1)
+    field.write_bytes(header + b"\n" + _damage_fifth_line(body, cut, insert))
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: %s: " % field)
+
+
+@pytest.mark.parametrize("components", [0, -1])
+def test_external_field_file_without_components_is_config_error(
+    tmp_path, capsys, components
+):
+    field = tmp_path / "frame.pssfield"
+    save_frame_data(field, flat_frame(3))
+    text = field.read_text()
+    field.write_text(text.replace("components=6", "components=%d" % components, 1))
+    cfg = write_config(
+        tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: %s: malformed pssfield header: components must be >= 1" % field
+    ]
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [

@@ -273,3 +273,130 @@ def test_read_refuses_an_empty_body_without_a_warning(tmp_path):
     path.write_text("pssfield v1; dim=1; counts=4; origin=0; spacing=1; components=2\n")
     with pytest.raises(ValueError, match=r"body is empty, expected \(4, 2\)"):
         read_field(path)
+
+
+def _refuse_loadtxt(path):
+    raise AssertionError("the fast reader declined %s" % path)
+
+
+def test_fast_reader_matches_loadtxt_bit_for_bit(tmp_path, rng, monkeypatch):
+    values = _dense_values(rng)
+    values = values[np.isfinite(values)]
+    stack = values[: values.size // 6 * 6].reshape(-1, 6).T
+    chart = GridChart((0.0,), (1.0,), (stack.shape[1],))
+    path = tmp_path / "dense.pssfield"
+    write_field(path, chart, stack)
+    body = path.read_bytes()
+    assert b"e-" in body and b"e+" in body
+    tiny = (np.abs(stack) < np.finfo(float).tiny) & (stack != 0)
+    assert tiny.any() and np.signbit(stack[stack == 0]).any()
+    assert np.abs(stack).max() > 1e308 and np.abs(stack[stack != 0]).min() < 1e-320
+    _, expected = fieldio._read_loadtxt(path)
+    monkeypatch.setattr(fieldio, "_read_loadtxt", _refuse_loadtxt)
+    _, back = read_field(path)
+    assert back.flags.c_contiguous
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(back.view(np.int64), stack.view(np.int64))
+
+
+def _decimal_ties():
+    """Tokens of exact ties and of decimals D * 10^-k within 1 / (2 * 5^k) ulp
+    of a midpoint between two doubles (D * 2^(s+1) = odd * 5^k +- 1 with odd
+    of 54 bits), in fixed and exponent form and with both signs."""
+    tokens = ["9007199254740993", "-9007199254740995", "9.007199254740993e+15"]
+    for k, s in ((14, 27), (17, 33), (20, 42), (22, 47)):
+        for delta in (1, -1):
+            step = 2 ** (s + 1)
+            odd = -delta * pow(5**k, -1, step) % step
+            odd += -(-(2**53 - odd) // step) * step
+            D = str((odd * 5**k + delta) // step)
+            fixed = D[:-k] + "." + D[-k:] if len(D) > k else "0." + D.zfill(k)
+            tokens += [fixed, "-%se-%d" % (D, k)]
+    return tokens
+
+
+def test_fast_reader_rounds_only_near_ties_by_float(tmp_path, monkeypatch):
+    ties = _decimal_ties()
+    tokens = [t for tie in ties for t in (tie, "0.25")]
+    path = tmp_path / "ties.pssfield"
+    path.write_text(
+        "pssfield v1; dim=1; counts=%d; origin=0; spacing=1; components=2\n"
+        % len(ties)
+        + "".join("%s %s\n" % pair for pair in zip(tokens[::2], tokens[1::2]))
+    )
+    _, expected = fieldio._read_loadtxt(path)
+    calls = []
+
+    def counting_float(x):
+        if isinstance(x, bytes):
+            calls.append(x)
+        return float(x)
+
+    monkeypatch.setattr(fieldio, "float", counting_float, raising=False)
+    monkeypatch.setattr(fieldio, "_read_loadtxt", _refuse_loadtxt)
+    _, back = read_field(path)
+    assert sorted(calls) == sorted(t.encode() for t in ties)
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    reference = np.array([float(t) for t in tokens]).reshape(-1, 2).T
+    assert np.array_equal(back.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"1 2\n# note\n3 4\n5 6\n",
+        b"1\t2\n3 4\n5 6\n",
+        b"1 2\r\n3 4\r\n5 6\r\n",
+        b"+3 2\n3 4\n5 6\n",
+        b".5 2\n3 4\n5 6\n",
+        b"5. 2\n3 4\n5 6\n",
+        b"1E5 2\n1e5 4\n5 6\n",
+        b"1234567890123456789012345 2\n0.1234567890123456789012345 4\n5 6\n",
+        b"1 1e+99999999999999999999\n3 4\n5 6\n",
+        b"nan 2\n-inf 4\ninf 6\n",
+        b"1 2 3\n3 4\n5 6\n",
+        b"1.2.3 2\n3 4\n5 6\n",
+        b"1  2\n3 4\n5 6\n",
+        b"1 2\n\n3 4\n5 6\n",
+        b"1 2\n3 4\n5 6",
+        b"1 2\n3 4\n",
+        b"1 2\n3 4\n5 6\n7 8\n",
+        b"1 2\n3 \xc3\xa9\n5 6\n",
+    ],
+    ids=[
+        "comment",
+        "tab",
+        "crlf",
+        "plus",
+        "leading-point",
+        "trailing-point",
+        "unsigned-exponent",
+        "25-digits",
+        "saturated-exponent",
+        "nan-inf",
+        "ragged",
+        "two-points",
+        "double-space",
+        "blank-line",
+        "no-final-newline",
+        "short",
+        "long",
+        "non-ascii",
+    ],
+)
+def test_bodies_outside_the_fast_grammar_read_as_loadtxt_reads_them(tmp_path, body):
+    path = tmp_path / "other.pssfield"
+    path.write_bytes(
+        b"pssfield v1; dim=1; counts=3; origin=0; spacing=1; components=2\n" + body
+    )
+    with open(path, "rb") as fh:
+        assert fieldio._read_fast(fh) is None
+    try:
+        _, expected = fieldio._read_loadtxt(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            read_field(path)
+        assert str(info.value) == str(exc)
+    else:
+        _, back = read_field(path)
+        assert np.array_equal(back.view(np.int64), expected.view(np.int64))
