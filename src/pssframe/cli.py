@@ -71,38 +71,19 @@ def _ch_state(cfg: RunConfig, scale):
 def _build_model(cfg: RunConfig, scale):
     """Instantiate the configured model at a grid scale.
 
-    Returns (frame_data, model_lines, state) where model_lines are
-    human-readable residual lines for the verify report and state is the
-    model object (None for external frame files).
+    Returns (frame_data, state) where state is the model object (None for
+    external frame files).
     """
     kind = cfg.model_kind
     if kind == "camassa_holm":
         state = _ch_state(cfg, scale)
-        fd = ch_forms(state, 0.0)
-        lines = [
-            "model: camassa_holm pde_residual=%.3e integral_drift=%.3e"
-            % (ch_pde_residual(state), ch_integral_drift(state))
-        ]
-        return fd, lines, state
+        return ch_forms(state, 0.0), state
     if kind == "sine_gordon":
-        chart = _scaled_chart(cfg, scale)
-        sol = sg_solution(chart, cfg.kink, cfg.velocity)
-        fd = sg_forms(sol)
-        lines = [
-            "model: sine_gordon pde_residual=%.3e"
-            % sg_pde_residual(chart, sol.u.values)
-        ]
-        return fd, lines, sol
+        sol = sg_solution(_scaled_chart(cfg, scale), cfg.kink, cfg.velocity)
+        return sg_forms(sol), sol
     if kind == "igsge":
-        chart = _scaled_chart(cfg, scale)
-        state = igsge_explicit_solution(chart, cfg.c)
-        fd = igsge_forms(state)
-        res = igsge_residual(state)
-        lines = [
-            "model: igsge unit=%.3e gradient=%.3e coupling=%.3e mixed=%.3e"
-            % (res.unit, res.gradient, res.coupling, res.mixed)
-        ]
-        return fd, lines, state
+        state = igsge_explicit_solution(_scaled_chart(cfg, scale), cfg.c)
+        return igsge_forms(state), state
     if kind == "external":
         if scale != 1:
             raise ConfigError("--grid-scale is not applicable to external fields")
@@ -114,8 +95,23 @@ def _build_model(cfg: RunConfig, scale):
             ) from exc
         except ValueError as exc:
             raise ConfigError("%s: %s" % (cfg.field_file, exc)) from exc
-        return fd, ["model: external file=%s" % cfg.field_file], None
+        return fd, None
     raise ConfigError("unsupported model kind %r" % kind)
+
+
+def _model_line(cfg: RunConfig, state):
+    """The model's own residuals, a line of the verify report."""
+    kind = cfg.model_kind
+    if kind == "camassa_holm":
+        values = (ch_pde_residual(state), ch_integral_drift(state))
+        return "model: camassa_holm pde_residual=%.3e integral_drift=%.3e" % values
+    if kind == "sine_gordon":
+        return "model: sine_gordon pde_residual=%.3e" % sg_pde_residual(state.u.chart, state.u.values)
+    if kind == "igsge":
+        res = igsge_residual(state)
+        values = (res.unit, res.gradient, res.coupling, res.mixed)
+        return "model: igsge unit=%.3e gradient=%.3e coupling=%.3e mixed=%.3e" % values
+    return "model: external file=%s" % cfg.field_file
 
 
 def _structure_lines(fd, cfg):
@@ -207,10 +203,9 @@ def _write_report_fields(out_dir, report):
 
 
 def cmd_verify(cfg, cfg_path, out_dir, scale):
-    fd, lines, _ = _build_model(cfg, scale)
+    fd, state = _build_model(cfg, scale)
     (res1, res2), threshold, ok, line = _structure_lines(fd, cfg)
-    for text in lines:
-        print(text)
+    print(_model_line(cfg, state))
     print(line)
     _write_manifest(
         out_dir,
@@ -224,7 +219,7 @@ def cmd_verify(cfg, cfg_path, out_dir, scale):
 
 
 def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
-    fd, _, _ = _build_model(cfg, scale)
+    fd, _ = _build_model(cfg, scale)
     keys = on_chart(cfg, fd.chart, "solve-frame")
     report = _solve(fd, cfg, keys)
     _write_report_fields(out_dir, report)
@@ -240,18 +235,21 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
         check = special_coordinates_check(
             fd, report, keys["coordinate_constants"], keys["base"], cfg.det_rtol
         )
+        coords = {
+            "path_residual": check.path_residual,
+            "max_bracket": check.max_bracket(),
+            "valid_fraction": check.valid_fraction,
+        }
+        line = "path=%.3e bracket=%.3e" % (coords["path_residual"], coords["max_bracket"])
+        if not all(map(math.isfinite, coords.values())):
+            raise PssframeError("coordinate check certificate is not finite: " + line)
         write_field(
             os.path.join(out_dir, "potential.pssfield"),
             fd.chart,
             [check.potential.values],
         )
-        print(
-            "coords: path=%.3e bracket=%.3e valid=%.3f"
-            % (check.path_residual, check.max_bracket(), check.valid_fraction)
-        )
-        results["path_residual"] = check.path_residual
-        results["max_bracket"] = check.max_bracket()
-        results["valid_fraction"] = check.valid_fraction
+        print("coords: %s valid=%.3f" % (line, check.valid_fraction))
+        results.update(coords)
     _write_manifest(out_dir, "solve-frame", cfg_path, scale, cfg, results)
     return 0
 
@@ -310,7 +308,7 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u
     else:
-        fd, _, _ = _build_model(cfg, scale)
+        fd, _ = _build_model(cfg, scale)
         keys = on_chart(cfg, fd.chart, "conserve")
         report = _solve(fd, cfg, keys)
         print(report.summary())
@@ -349,7 +347,7 @@ def _fit_order(h_values, errors):
 def cmd_converge(cfg, cfg_path, out_dir, scale):
     rows = []
     for k in sorted(s * scale for s in cfg.scales):
-        fd, _, _ = _build_model(cfg, k)
+        fd, _ = _build_model(cfg, k)
         report = _solve(fd, cfg, on_chart(cfg, fd.chart, "converge"))
         h_max = max(fd.chart.spacing)
         rows.append(

@@ -179,7 +179,7 @@ def wedge(alpha: OneFormField, beta: OneFormField) -> TwoFormField:
     # one pair at a time into a preallocated block: fancy-indexing all pairs
     # at once would copy both operands
     out = np.empty((len(pairs),) + chart.counts)
-    # NaN and +-Inf coefficients pass on to the structure gate, which fails them
+    # NaN and +-Inf coefficients pass on without a warning
     with np.errstate(invalid="ignore"):
         for p, (k, l) in enumerate(pairs):
             np.multiply(a[k], b[l], out=out[p])

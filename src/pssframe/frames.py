@@ -13,12 +13,13 @@ distinguished frame whose first dual form is closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
-from .forms import ConnectionField, OneFormField, d_oneform, wedge
+from .forms import ConnectionField, OneFormField
 from .grid import GridChart, ScalarField, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
@@ -129,28 +130,55 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     res1: d(omega_i) - sum_{j != i} omega_j ^ omega_{ji}
     res2: d(omega_ij) - sum_{k != i, j} omega_ik ^ omega_kj + K omega_i ^ omega_j
 
-    A NaN anywhere in a residual makes that max-norm NaN.
+    Formed on the strictly interior nodes only, one dx_k ^ dx_l coefficient
+    at a time: central differences (v[i+1] - v[i-1]) / 2h, wedges of interior
+    views, and omega_ij for i > j as the stored omega_ji with its term's sign
+    flipped (x - (-w) is x + w bit for bit), so each node gets the doubles of
+    the full-grid `d_oneform` and `wedge`.  A NaN makes its max-norm NaN.
     """
     n = fd.dim
-    conn = fd.connection
-    res1 = []
-    for i in range(n):
-        resid = d_oneform(fd.omega[i])
-        for j in range(n):
-            if j != i:
-                resid.values -= wedge(fd.omega[j], conn.entry(j, i)).values
-        res1.append(resid.interior_max_abs())
+    pairs = list(combinations(range(n), 2))
+    core = fd.chart.interior()
+    omega = [w.values for w in fd.omega]
 
-    res2 = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            resid = d_oneform(conn.entry(i, j))
-            for k in range(n):
-                if k == i or k == j:  # omega_ii = omega_jj = 0: a zero wedge
-                    continue
-                resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
-            resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
-            res2.append(resid.interior_max_abs())
+    def entry(i, j):  # omega_ij as (sign, stored upper entry)
+        return (1 if i < j else -1), fd.connection.values[pairs.index((min(i, j), max(i, j)))]
+
+    def d(form, k, l):
+        return central(form[l], k) - central(form[k], l)
+
+    def central(v, axis):  # (v[i+1] - v[i-1]) / 2h along axis
+        hi = core[:axis] + (slice(2, None),) + core[axis + 1 :]
+        lo = core[:axis] + (slice(None, -2),) + core[axis + 1 :]
+        return (v[hi] - v[lo]) / (2.0 * fd.chart.spacing[axis])
+
+    def wedge(a, b, k, l):
+        w = a[k][core] * b[l][core]
+        w -= a[l][core] * b[k][core]
+        return w
+
+    def subtract(r, sign, w):  # r - sign w, in place
+        (np.subtract if sign > 0 else np.add)(r, w, out=r)
+
+    res1, res2 = [], []
+    # NaN and +-Inf coefficients pass on to the structure gate, which fails them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k, l in pairs:
+            for i in range(n):
+                r = d(omega[i], k, l)
+                for j in range(n):
+                    if j != i:
+                        sign, w = entry(j, i)
+                        subtract(r, sign, wedge(omega[j], w, k, l))
+                res1.append(np.max(np.abs(r)))
+            for i, j in pairs:
+                r = d(entry(i, j)[1], k, l)
+                for m in range(n):
+                    if m != i and m != j:  # omega_ii = omega_jj = 0: a zero wedge
+                        (s1, a), (s2, b) = entry(i, m), entry(m, j)
+                        subtract(r, s1 * s2, wedge(a, b, k, l))
+                r += wedge(omega[i], omega[j], k, l) * float(curvature)
+                res2.append(np.max(np.abs(r)))
     return float(np.max(res1)), float(np.max(res2))
 
 

@@ -22,7 +22,10 @@ cross product, exp <-> Rodrigues); every other n uses skew matrices.  The
 two forms are algebraically identical and differ only in round-off.  The
 n = 3 kernels run component-major: each matrix entry and vector component
 of a whole line of nodes is one contiguous row, so a stage is a few dozen
-row operations instead of stacked 3 x 3 products.
+row operations instead of stacked 3 x 3 products.  Each 3 x 3 contraction
+(L p in the algebra element, R L in the exp update) is one two-operand
+`np.einsum`, which sums k = 0, 1, 2 in the order of the written-out row
+sums; no `optimize=`, which may hand the sum to BLAS in another order.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  One block walker, `_sweep`, serves every sweep and
@@ -553,19 +556,15 @@ def _axial_element(samples, L):
     """alpha = e_1 x (L om) - sigma L w from L (3, 3, ...) and P (3, 2, ...)."""
     (p,) = samples
     # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
-    a = L[:, 0] * p[0, 1] + L[:, 1] * p[1, 1] + L[:, 2] * p[2, 1]
-    lom = L[1:, 0] * p[0, 0] + L[1:, 1] * p[1, 0] + L[1:, 2] * p[2, 0]
+    a = np.einsum("ik...,k...->i...", L, p[:, 1])
+    lom = np.einsum("ik...,k...->i...", L[1:], p[:, 0])
     a[1] -= lom[1]
     a[2] += lom[0]
     return a
 
 
 def _axial_exp_mul(u, y):
-    r = _rodrigues(u)
-    out = np.empty(y.shape)
-    for j in range(3):
-        out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
-    return out
+    return np.einsum("jk...,k...->j...", _rodrigues(u), y)
 
 
 AXIAL_KERNELS = (_axial_element, _dexpinv_axial, _axial_exp_mul)
@@ -708,10 +707,8 @@ class CoordinateCheck:
     valid_fraction: float
 
     def max_bracket(self):
-        worst = float(np.max(self.first_brackets)) if self.first_brackets.size else 0.0
-        if self.pair_brackets:
-            worst = max(worst, max(self.pair_brackets.values()))
-        return worst
+        """The largest bracket residual; NaN when any of them is NaN."""
+        return float(np.max([*self.first_brackets, *self.pair_brackets.values()]))
 
 
 def scaling_constants(constants, n):
@@ -731,6 +728,8 @@ def scaling_constants(constants, n):
     return constants
 
 
+# a constant that overflows gives a non-finite certificate, reported, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def special_coordinates_check(
     fd: FrameData,
     report: SolveReport,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pssframe import ConnectionField, FrameData, GridChart, OneFormField, ScalarField
+from pssframe.models import igsge_explicit_solution, igsge_forms
 
 
 def square_chart(n, lo=-1.0, hi=1.0):
@@ -71,6 +72,42 @@ def half_space_frame(n, m):
         for j in range(i + 1, n)
     }
     return FrameData(chart, tuple(omega), ConnectionField(chart, upper))
+
+
+def varying_rotation_frame(m, K, weights):
+    """half_space_frame(n, m) rotated by R(x) = exp(f(x) K), and R.
+
+    f = sin(weights . x) and K is skew with K^3 = -K, so R = I + sin(f) K +
+    (1 - cos f) K^2 and dR R^T = df K exactly.  The rotated bundle is then
+    analytic at every node: theta = R omega and Theta_a = (d_a f) K +
+    R W_a R^T.  A solve started from R(base)^T must return L = R^T.
+    """
+    n = len(weights)
+    fd = half_space_frame(n, m)
+    chart = fd.chart
+    phase = sum(c * x for c, x in zip(weights, chart.meshgrid()))
+    f = np.sin(phase)
+    s, c = np.sin(f)[..., None, None], np.cos(f)[..., None, None]
+    R = np.eye(n) + s * K + (1.0 - c) * (K @ K)
+    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(n)) for i in range(n)]
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.empty((len(rows), n) + chart.counts)
+    for a in range(n):
+        big_theta = (weights[a] * np.cos(phase))[..., None, None] * K
+        big_theta += R @ fd.connection.coefficient_matrix(a) @ np.swapaxes(R, -1, -2)
+        upper[:, a] = np.moveaxis(big_theta[..., rows, cols], -1, 0)
+    omega = tuple(OneFormField(chart, t) for t in theta)
+    return FrameData(chart, omega, ConnectionField(chart, upper)), R
+
+
+def igsge_frame(n):
+    """The acceptance igsge chart [0.5, 6] x [-4, 4]^2 with n^3 nodes, c = (0.6, 0.8)."""
+    chart = GridChart(
+        (0.5, -4.0, -4.0),
+        (5.5 / (n - 1), 8.0 / (n - 1), 8.0 / (n - 1)),
+        (n, n, n),
+    )
+    return igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
 
 
 def rotated_l0(n, seed=20260817):

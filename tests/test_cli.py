@@ -14,6 +14,8 @@ from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
 from pssframe.frames import FrameRotationField, save_frame_data
+from pssframe.grid import GridChart
+from pssframe.models import igsge_explicit_solution, igsge_forms
 
 SG_CONFIG = """
 [model]
@@ -174,6 +176,57 @@ coordinates_check = true
     results = read_manifest(out)["results"]
     assert results["path_residual"] < 1e-8
     assert results["valid_fraction"] > 0.8  # interior nodes of a 26x21 chart
+
+
+def test_solve_frame_fails_a_non_finite_coordinate_certificate(tmp_path, capsys):
+    # exp(-G) times 1e308 overflows: the certificate is NaN, not a pass
+    cfg = write_config(
+        tmp_path,
+        SG_CONFIG.replace("33, 33", "9, 9")
+        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e308\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: coordinate check certificate is not finite: ")
+    assert not (out / "manifest.json").exists()
+
+
+def gate_failing_frame():
+    """An igsge frame on a fine 9^3 chart with omega_2 doubled: it fails the
+    structure gate by a factor of ten."""
+    chart = GridChart((0.5, -0.2, -0.2), (0.05,) * 3, (9, 9, 9))
+    fd = igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
+    fd.omega[1].values[:] *= 2.0
+    return fd
+
+
+@pytest.mark.parametrize("frame", ["perturbed", "nan"])
+@pytest.mark.parametrize("command", ["verify", "solve-frame", "converge", "conserve"])
+def test_structure_gate_failure_exits_one_without_a_pass(
+    tmp_path, capsys, monkeypatch, command, frame
+):
+    if frame == "perturbed":
+        field = tmp_path / "frame.pssfield"
+        save_frame_data(field, gate_failing_frame())
+    else:  # the file reader refuses NaN, so it reaches the gate from memory
+        field = "unused"
+        fd = non_finite_frame(3, "omega", np.nan)
+        monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    if command == "verify":
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith("FAIL")
+        assert read_manifest(out)["results"]["pass"] is False
+    else:
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gate failure: structure residuals")
+        assert not (out / "manifest.json").exists()
 
 
 def test_hierarchy_writes_per_order_outputs(tmp_path, capsys):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from pssframe import (
+    ConnectionField,
     FrameData,
     FrameRotationField,
+    GridChart,
+    OneFormField,
     ScalarField,
     frame_change,
     frame_vector_fields,
@@ -15,6 +18,7 @@ from pssframe import (
     read_field,
     special_frame_residual,
     structure_residuals,
+    wedge,
 )
 from pssframe.errors import (
     DegenerateFrameError,
@@ -23,6 +27,8 @@ from pssframe.errors import (
     StructureGateError,
 )
 
+from pssframe.forms import d_oneform
+from pssframe.models import ch_evolve, ch_forms, sg_forms, sg_solution
 from pssframe.rotation_solver import expm_skew, solve_L_nd, solve_phi_2d
 
 from conftest import (
@@ -30,8 +36,10 @@ from conftest import (
     exp_metric_frame,
     flat_frame,
     half_space_frame,
+    igsge_frame,
     non_finite_frame,
     square_chart,
+    varying_rotation_frame,
 )
 
 
@@ -54,6 +62,99 @@ def test_structure_residuals_second_order_on_cosh_metric():
     errs = np.array(errs)
     orders = np.log2(errs[:-1] / errs[1:])
     assert np.all(orders > 1.9)
+
+
+def full_grid_structure_residuals(fd, curvature=-1.0):
+    """`structure_residuals` as the full-grid forms spell it: d and wedge at
+    every node, negated copies of the entries below the diagonal, and only
+    then the interior read off."""
+    n = fd.dim
+    conn = fd.connection
+    res1 = []
+    for i in range(n):
+        resid = d_oneform(fd.omega[i])
+        for j in range(n):
+            if j != i:
+                resid.values -= wedge(fd.omega[j], conn.entry(j, i)).values
+        res1.append(resid.interior_max_abs())
+    res2 = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            resid = d_oneform(conn.entry(i, j))
+            for k in range(n):
+                if k != i and k != j:
+                    resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
+            resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
+            res2.append(resid.interior_max_abs())
+    return float(np.max(res1)), float(np.max(res2))
+
+
+def _ch_order_zero_frame():
+    state = ch_evolve(
+        lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
+        m=0.5,
+        period=6.0,
+        t_final=0.5,
+        nx=64,
+        nt=8,
+    )
+    return ch_forms(state, 0.0)
+
+
+def _four_dimensional_varying_rotation_frame():
+    K = np.zeros((4, 4))
+    K[0, 1], K[2, 3] = -1.0, -1.0
+    return varying_rotation_frame(7, K - K.T, (1.0, -0.5, 0.7, 0.3))[0]
+
+
+def _kink_frame():
+    return sg_forms(sg_solution(square_chart(33, -4.0, 4.0), "moving_kink", 0.3))
+
+
+def _random_frame(dim, m, seed):
+    # every coefficient nonzero, so every term moves the last bits of the max
+    rng = np.random.default_rng(seed)
+    chart = GridChart((0.0,) * dim, (0.1,) * dim, (m,) * dim)
+    omega = tuple(OneFormField(chart, rng.uniform(-1, 1, (dim,) + chart.counts)) for _ in range(dim))
+    upper = rng.uniform(-1, 1, (dim * (dim - 1) // 2, dim) + chart.counts)
+    return FrameData(chart, omega, ConnectionField(chart, upper))
+
+
+def _nan_frame():
+    fd = igsge_frame(13)
+    fd.connection.values[2, 1, 6, 4, 7] = np.nan
+    return fd
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: igsge_frame(13),
+        lambda: igsge_frame(17),
+        _kink_frame,
+        _ch_order_zero_frame,
+        _four_dimensional_varying_rotation_frame,
+        _nan_frame,
+        lambda: non_finite_frame(2, "omega", np.inf),
+    ],
+    ids=["igsge13", "igsge17", "kink", "ch-order-0", "varying-4d", "nan", "inf-2d"],
+)
+@pytest.mark.parametrize("curvature", [-1.0, 0.5])
+def test_structure_residuals_are_bitwise_the_full_grid_forms(make, curvature):
+    fd = make()
+    got = structure_residuals(fd, curvature)
+    want = full_grid_structure_residuals(fd, curvature)
+    # max-norms are never -0.0, so equal doubles are equal bits
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("dim, m", [(3, 7), (4, 5)])
+def test_structure_residuals_are_bitwise_the_full_grid_forms_on_random_frames(dim, m):
+    # a reordered sum moves the last bits of a few nodes only, so many
+    # frames give the max-norm many chances to land on one of them
+    for seed in range(24):
+        fd = _random_frame(dim, m, seed)
+        assert structure_residuals(fd) == full_grid_structure_residuals(fd)
 
 
 def test_flat_frame_violates_curvature_equation():

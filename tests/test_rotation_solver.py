@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from pssframe import (
-    ConnectionField,
-    FrameData,
     FrameRotationField,
     GridChart,
-    OneFormField,
     expm_skew,
     frame_change,
     solve_L_nd,
@@ -19,13 +16,15 @@ from pssframe import (
     special_coordinates_check,
 )
 from pssframe.errors import StructureGateError
-from pssframe.models import igsge_explicit_solution, igsge_forms
 from pssframe.grid import midpoints
 from pssframe.rotation_solver import (
     AXIAL_KERNELS,
     MATRIX_KERNELS,
+    CoordinateCheck,
     _axial_fill,
+    _dexpinv_axial,
     _matrix_fill,
+    _rodrigues,
     additive_kernels,
     affine_fill,
     affine_step_maps,
@@ -40,7 +39,9 @@ from conftest import (
     exp_metric_frame,
     flat_frame,
     half_space_frame,
+    igsge_frame,
     rotated_l0,
+    varying_rotation_frame,
 )
 
 
@@ -204,6 +205,53 @@ def test_folded_rkmk4_fill_is_bitwise_the_unfolded_march(rng, layout, m, where):
     assert np.array_equal(blk, expected)
 
 
+def _written_out_axial_element(samples, L):
+    # the n = 3 algebra element with every 3 x 3 product written out
+    (p,) = samples
+    a = L[:, 0] * p[0, 1] + L[:, 1] * p[1, 1] + L[:, 2] * p[2, 1]
+    lom = L[1:, 0] * p[0, 0] + L[1:, 1] * p[1, 0] + L[1:, 2] * p[2, 0]
+    a[1] -= lom[1]
+    a[2] += lom[0]
+    return a
+
+
+def _written_out_axial_exp_mul(u, y):
+    r = _rodrigues(u)
+    out = np.empty(y.shape)
+    for j in range(3):
+        out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
+    return out
+
+
+WRITTEN_OUT_KERNELS = (_written_out_axial_element, _dexpinv_axial, _written_out_axial_exp_mul)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6], ids=["large", "small-angle"])
+@pytest.mark.parametrize("det", [1.0, -1.0])
+@pytest.mark.parametrize("nodes", [1, 2, 98])
+def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale):
+    # a block of lines of `nodes` nodes; base line 3 of 10 takes three
+    # folded steps, then the upper half steps alone
+    m, b = 10, 3
+    line = np.linalg.qr(rng.normal(size=(nodes, 3, 3)))[0]
+    line *= (det * np.sign(np.linalg.det(line)))[:, None, None]
+    node = [rng.uniform(-1.5, 1.5, (m, 3, 2, nodes)) * scale]
+    mid = [midpoints(f, 0) for f in node]
+    blk = np.empty((m, nodes, 3, 3))
+    blk[b] = line
+    expected = blk.copy()
+    _axial_fill(0.07, blk, b, node, mid)
+    written_out = rkmk4_fill(WRITTEN_OUT_KERNELS, fold_axis=2)
+    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, node, mid)
+    assert np.array_equal(blk, expected)
+    # and each kernel on a folded line, a strided view as the fill sees it
+    L = np.moveaxis(blk[b - 1 : b + 2 : 2], (0, -2, -1), (2, 0, 1))
+    u = rng.uniform(-1.0, 1.0, (3, 2, nodes)) * scale
+    p = np.moveaxis(node[0][b - 1 : b + 2 : 2], 0, 2)
+    assert np.array_equal(AXIAL_KERNELS[0]([p], L), _written_out_axial_element([p], L))
+    assert np.array_equal(AXIAL_KERNELS[2](u, L), _written_out_axial_exp_mul(u, L))
+
+
 @pytest.mark.parametrize("width", [1, 4])
 @pytest.mark.parametrize("base", [0, 9, 22])
 def test_affine_fill_is_bitwise_the_array_loop(rng, base, width):
@@ -311,16 +359,6 @@ def test_gate_reports_pass_threshold_on_good_frames():
     assert max(rep.structure) <= rep.gate_threshold
 
 
-def igsge_frame(n):
-    """The acceptance igsge chart [0.5, 6] x [-4, 4]^2 with n^3 nodes, c = (0.6, 0.8)."""
-    chart = GridChart(
-        (0.5, -4.0, -4.0),
-        (5.5 / (n - 1), 8.0 / (n - 1), 8.0 / (n - 1)),
-        (n, n, n),
-    )
-    return igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
-
-
 # igsge 17^3 from rotated_l0(3), solved with the skew-matrix RKMK4 kernels
 # that n = 3 used before it moved to axial vectors
 IGSGE17_COMPAT = 4.577953499766696e-05
@@ -425,32 +463,6 @@ def test_solve_L_nd_recovers_constant_rotation_of_half_space(n, m, proper):
         assert np.max(np.abs(rep.theta1.coefficient(a).values - want)) <= 1e-13
 
 
-def varying_rotation_frame(m, K, weights):
-    """half_space_frame(n, m) rotated by R(x) = exp(f(x) K), and R.
-
-    f = sin(weights . x) and K is skew with K^3 = -K, so R = I + sin(f) K +
-    (1 - cos f) K^2 and dR R^T = df K exactly.  The rotated bundle is then
-    analytic at every node: theta = R omega and Theta_a = (d_a f) K +
-    R W_a R^T.  A solve started from R(base)^T must return L = R^T.
-    """
-    n = len(weights)
-    fd = half_space_frame(n, m)
-    chart = fd.chart
-    phase = sum(c * x for c, x in zip(weights, chart.meshgrid()))
-    f = np.sin(phase)
-    s, c = np.sin(f)[..., None, None], np.cos(f)[..., None, None]
-    R = np.eye(n) + s * K + (1.0 - c) * (K @ K)
-    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(n)) for i in range(n)]
-    rows, cols = np.triu_indices(n, 1)
-    upper = np.empty((len(rows), n) + chart.counts)
-    for a in range(n):
-        big_theta = (weights[a] * np.cos(phase))[..., None, None] * K
-        big_theta += R @ fd.connection.coefficient_matrix(a) @ np.swapaxes(R, -1, -2)
-        upper[:, a] = np.moveaxis(big_theta[..., rows, cols], -1, 0)
-    omega = tuple(OneFormField(chart, t) for t in theta)
-    return FrameData(chart, omega, ConnectionField(chart, upper)), R
-
-
 def varying_rotation_order(K, weights, sizes):
     """Observed order of max |L - R^T| of `varying_rotation_frame` solves."""
     errors, spacings = [], []
@@ -499,6 +511,13 @@ def test_special_coordinates_on_exp_metric_are_exact():
     base = fd.chart.base_index("center")
     assert np.max(np.abs(check.potential.values - (x - x[base]))) < 1e-12
     assert np.max(np.abs(check.scalings[0].values - np.exp(-(x - x[base])))) < 1e-12
+
+
+def test_max_bracket_is_nan_when_a_pair_bracket_is_nan():
+    check = CoordinateCheck(None, 0.0, [], np.array([1e-3, 2e-3]), {(2, 3): np.nan}, 1.0)
+    assert math.isnan(check.max_bracket())
+    check.pair_brackets[(2, 3)] = 3e-3
+    assert check.max_bracket() == 3e-3
 
 
 def test_special_coordinates_scaling_constants():
