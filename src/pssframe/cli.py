@@ -222,7 +222,6 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     fd, _ = _build_model(cfg, scale)
     keys = on_chart(cfg, fd.chart, "solve-frame")
     report = _solve(fd, cfg, keys)
-    _write_report_fields(out_dir, report)
     print(report.summary())
     results = {
         "compat_residual": report.compat_residual,
@@ -243,13 +242,16 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
         line = "path=%.3e bracket=%.3e" % (coords["path_residual"], coords["max_bracket"])
         if not all(map(math.isfinite, coords.values())):
             raise PssframeError("coordinate check certificate is not finite: " + line)
+        print("coords: %s valid=%.3f" % (line, check.valid_fraction))
+        results.update(coords)
+    # a run that fails the check leaves no field behind
+    _write_report_fields(out_dir, report)
+    if cfg.coordinates_check:
         write_field(
             os.path.join(out_dir, "potential.pssfield"),
             fd.chart,
             [check.potential.values],
         )
-        print("coords: %s valid=%.3f" % (line, check.valid_fraction))
-        results.update(coords)
     _write_manifest(out_dir, "solve-frame", cfg_path, scale, cfg, results)
     return 0
 

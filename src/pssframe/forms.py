@@ -187,9 +187,28 @@ def wedge(alpha: OneFormField, beta: OneFormField) -> TwoFormField:
     return TwoFormField(chart, out)
 
 
+def interior_d(values, k, l, spacing):
+    """The dx_k ^ dx_l coefficient of d(theta) on the strictly interior nodes.
+
+    values is theta's (n, *counts) array.  Every axis loses its two end
+    nodes, and the central differences (v[i+1] - v[i-1]) / 2h give each
+    node the double of the full-grid `d_oneform`.
+    """
+    core = [slice(1, -1)] * (values.ndim - 1)
+
+    def central(v, axis):
+        hi = tuple(core[:axis] + [slice(2, None)] + core[axis + 1 :])
+        lo = tuple(core[:axis] + [slice(None, -2)] + core[axis + 1 :])
+        return (v[hi] - v[lo]) / (2.0 * spacing[axis])
+
+    return central(values[l], k) - central(values[k], l)
+
+
 def closedness_residual(theta: OneFormField) -> float:
-    """Max-norm of d(theta) over interior nodes."""
-    return d_oneform(theta).interior_max_abs()
+    """Max-norm of d(theta) over interior nodes; NaN when any of them is NaN."""
+    v, h = theta.values, theta.chart.spacing
+    worst = [np.max(np.abs(interior_d(v, k, l, h))) for k, l in _pairs(theta.chart.dim)]
+    return float(np.max(worst))
 
 
 def _cumulative_line_integral(values, axis, base_index, spacing):

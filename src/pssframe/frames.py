@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
-from .forms import ConnectionField, OneFormField
+from .forms import ConnectionField, OneFormField, interior_d
 from .grid import GridChart, ScalarField, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
@@ -131,26 +131,18 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     res2: d(omega_ij) - sum_{k != i, j} omega_ik ^ omega_kj + K omega_i ^ omega_j
 
     Formed on the strictly interior nodes only, one dx_k ^ dx_l coefficient
-    at a time: central differences (v[i+1] - v[i-1]) / 2h, wedges of interior
+    at a time: d of a one-form by `interior_d`, wedges of interior
     views, and omega_ij for i > j as the stored omega_ji with its term's sign
     flipped (x - (-w) is x + w bit for bit), so each node gets the doubles of
     the full-grid `d_oneform` and `wedge`.  A NaN makes its max-norm NaN.
     """
     n = fd.dim
     pairs = list(combinations(range(n), 2))
-    core = fd.chart.interior()
+    core, h = fd.chart.interior(), fd.chart.spacing
     omega = [w.values for w in fd.omega]
 
     def entry(i, j):  # omega_ij as (sign, stored upper entry)
         return (1 if i < j else -1), fd.connection.values[pairs.index((min(i, j), max(i, j)))]
-
-    def d(form, k, l):
-        return central(form[l], k) - central(form[k], l)
-
-    def central(v, axis):  # (v[i+1] - v[i-1]) / 2h along axis
-        hi = core[:axis] + (slice(2, None),) + core[axis + 1 :]
-        lo = core[:axis] + (slice(None, -2),) + core[axis + 1 :]
-        return (v[hi] - v[lo]) / (2.0 * fd.chart.spacing[axis])
 
     def wedge(a, b, k, l):
         w = a[k][core] * b[l][core]
@@ -165,14 +157,14 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     with np.errstate(invalid="ignore", over="ignore"):
         for k, l in pairs:
             for i in range(n):
-                r = d(omega[i], k, l)
+                r = interior_d(omega[i], k, l, h)
                 for j in range(n):
                     if j != i:
                         sign, w = entry(j, i)
                         subtract(r, sign, wedge(omega[j], w, k, l))
                 res1.append(np.max(np.abs(r)))
             for i, j in pairs:
-                r = d(entry(i, j)[1], k, l)
+                r = interior_d(entry(i, j)[1], k, l, h)
                 for m in range(n):
                     if m != i and m != j:  # omega_ii = omega_jj = 0: a zero wedge
                         (s1, a), (s2, b) = entry(i, m), entry(m, j)

@@ -24,14 +24,19 @@ forms come from the same s and c.
 coefficients, and `solve_hierarchy` runs the order-by-order integration with
 the same staircase sweeps and exchanged-order compatibility certificate used
 by the plain solver.  Order zero is stepped line by line (`sweep_scalar`);
-every later order is linear, so its RK4 steps are affine maps
-y -> A y + B built with the same tableau (`sweep_linear`, `affine_fill`).
+every later order is linear, y' = alpha y + beta, so its RK4 steps are
+affine maps y -> A y + B built with the same tableau (`sweep_linear`,
+`affine_fill`).  The slopes alpha are order zero's, so the slope blocks,
+their midpoints and the gains A of both axis orders are built once
+(`linear_fills`) and shared by every order; each order forms only its
+source blocks, their midpoints, the shifts B and the line recurrence.
 Periodic starting values come from return maps along the first-axis line
-through the base: safeguarded Newton (with the variational equation
-integrated alongside) for the nonlinear order zero, and for every later
-order the composition of the line's affine step maps.  Both run on the
-solver's one line engine (`integrate_line`, `affine_line`), which also
-steps every sweep block that is a single line of nodes, on Python floats.
+through the base: safeguarded Newton for the nonlinear order zero, with
+the variational equation integrated alongside on Python floats, and for
+every later order the composition of the line's affine step maps, whose
+gain is again formed once.  Both run on the solver's one line engine
+(`line_steps`, `integrate_line`, `affine_line`), which also steps every
+sweep block that is a single line of nodes, on Python floats.
 """
 
 from __future__ import annotations
@@ -49,13 +54,18 @@ from .grid import GridChart, ScalarField, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
     SolveReport,
+    _structure_gate,
     additive_kernels,
+    affine_gains,
     affine_line,
-    affine_step_maps,
+    affine_shifts,
     integrate_line,
+    line_steps,
+    linear_fills,
     solve_phi_2d,
     sweep_linear,
 )
+from .rotation_solver import angle_rhs as _angle_rhs
 
 
 class EtaSeries:
@@ -251,22 +261,31 @@ def _integrate_line(y0, h, node_fields, mid_fields, rhs):
     return deque(states, maxlen=1).pop()
 
 
-def _angle_rhs(s, y):
-    """The angle equation along the line: y' = s2 + sin(y) s0 + cos(y) s1."""
-    return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
+def _angle_return(h, steps, y):
+    """R(y) and R'(y) of the angle equation's line, on Python floats.
 
-
-def _angle_rhs_variational(s, yv):
-    """The angle equation stacked with its variational equation.
-
-    yv = (y, v): v' = (cos(y) s0 - sin(y) s1) v, so v = dR/dy at the end of
-    the line when v starts at 1.
+    steps are the `line_steps` samples (s0, s1, s2) of `_angle_rhs`.  The
+    angle is stepped together with its variational equation
+    v' = (cos(y) s0 - sin(y) s1) v from v = 1, in the operation order of
+    `rkmk4_step` on the additive group: u = (h/2) k, y + u, and at the end
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), one float per entry of the stacked
+    state.
     """
-    y, v = yv
-    sin_y, cos_y = np.sin(y), np.cos(y)
-    return np.array(
-        [s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v]
-    )
+
+    def rhs(s, y, v):
+        sin_y, cos_y = math.sin(y), math.cos(y)
+        return s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v
+
+    half, sixth = 0.5 * h, h / 6.0
+    v = 1.0
+    for lo, md, hi in steps:
+        k1, l1 = rhs(lo, y, v)
+        k2, l2 = rhs(md, y + half * k1, v + half * l1)
+        k3, l3 = rhs(md, y + half * k2, v + half * l2)
+        k4, l4 = rhs(hi, y + h * k3, v + h * l3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = v + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return y, v
 
 
 def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
@@ -277,12 +296,14 @@ def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
     coarse scan brackets a fixed point of the return map on the circle when
     one exists.  Inside the first bracket, safeguarded Newton solves
     R(y) - y = 2*pi*k with R'(y) from the variational equation carried in
-    the same line integration; a step that leaves the bracket or does not
-    halve the previous one is replaced by bisection.
+    the same line integration (`_angle_return`, on Python floats); a step
+    that leaves the bracket or does not halve the previous one is replaced
+    by bisection.
     """
     mids = [midpoints(f, 0) for f in node_fields]
     grid = np.linspace(-np.pi, np.pi, samples + 1)
     disp = _integrate_line(grid, h, node_fields, mids, _angle_rhs) - grid
+    steps = line_steps(node_fields, mids)
 
     for a, b, da, db in zip(grid[:-1], grid[1:], disp[:-1], disp[1:]):
         lo_k = int(np.ceil(min(da, db) / (2.0 * np.pi)))
@@ -302,9 +323,7 @@ def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
             step_old = right - left
             # bisection alone gets from 2*pi/samples to tol in < 50 steps
             for _ in range(100):
-                r, dr = _integrate_line(
-                    np.array([y, 1.0]), h, node_fields, mids, _angle_rhs_variational
-                )
+                r, dr = _angle_return(h, steps, y)
                 f = r - y - target
                 if f == 0.0:
                     break
@@ -328,24 +347,30 @@ def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
     )
 
 
-def _periodic_linear_start(h, node_fields):
-    """Fixed point of the affine return map of a linear transport line.
+def _periodic_linear_start(h, slope):
+    """Fixed points of the affine return maps of linear transport lines.
 
-    node_fields are the (slope, source) samples of y' = slope y + source.
-    The return map is the composition of the RK4 step maps y -> A y + B of
-    `affine_step_maps`: its gain is the product of the A and its shift the
-    recurrence from 0 (`affine_line`).
+    The lines are y' = slope y + source over the samples of one line.  The
+    return map is the composition of the RK4 step maps y -> A y + B: its
+    gain, the product of the A (`affine_gains`), depends on the slope
+    alone and is formed here once.  Returns start(source), which forms the
+    B (`affine_shifts`) and the shift, the recurrence from 0
+    (`affine_line`), and returns the fixed point shift / (1 - gain).
     """
-    mids = [midpoints(f, 0) for f in node_fields]
-    A, B = affine_step_maps(
-        h, [f[:-1] for f in node_fields], mids, [f[1:] for f in node_fields]
-    )
-    gain = math.prod(A.tolist())
-    shift = deque(affine_line(A, B, 0.0), maxlen=1).pop()
-    denom = 1.0 - gain
-    if abs(denom) < 1e-12 * (1.0 + abs(shift)):
-        raise PssframeError("periodic linear order is resonant (unit return gain)")
-    return float(shift / denom)
+    mid = midpoints(slope, 0)
+    A = affine_gains(h, slope[:-1], mid, slope[1:])
+    denom = 1.0 - math.prod(A.tolist())
+
+    def start(source):
+        B = affine_shifts(
+            h, (slope[:-1], source[:-1]), (mid, midpoints(source, 0)), (slope[1:], source[1:])
+        )
+        shift = deque(affine_line(A, B, 0.0), maxlen=1).pop()
+        if abs(denom) < 1e-12 * (1.0 + abs(shift)):
+            raise PssframeError("periodic linear order is resonant (unit return gain)")
+        return float(shift / denom)
+
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +463,10 @@ def solve_hierarchy(
             f21_0[:, t_line],
             table[2][0].coefficient(0)[:, t_line],
         ]
+        if not all(np.isfinite(f).all() for f in line_fields):
+            # no return map to scan: a non-finite coefficient fails the gate
+            _structure_gate(fd0, gate_factor)
+            raise PssframeError("the periodic start line holds a non-finite coefficient")
         phi0_start = _periodic_angle_start(chart.spacing[0], line_fields)
     else:
         phi0_start = float(start_values.get(0, 0.0))
@@ -461,9 +490,14 @@ def solve_hierarchy(
     c = np.empty_like(phi)
     s[0] = np.sin(phi[0])
     c[0] = np.cos(phi[0])
-    alpha_x = f11_0 * c[0] - f21_0 * s[0]
-    alpha_t = f12_0 * c[0] - f22_0 * s[0]
+    slopes = (f11_0 * c[0] - f21_0 * s[0], f12_0 * c[0] - f22_0 * s[0])
     (f11, f12), (f21, f22) = [[_sparse(e) for e in row] for row in table[:2]]
+    # the slopes are order zero's: every order shares the slope blocks,
+    # their midpoints and the step gains of both axis orders
+    fills = [linear_fills(chart, base_idx, axes, slopes) for axes in ((0, 1), (1, 0))]
+    line_start = None
+    if periodic_axis == 0:
+        line_start = _periodic_linear_start(chart.spacing[0], slopes[0][:, t_line])
 
     for j in range(1, order + 1):
         # source term: order j of the expansion without the phi_j terms, so
@@ -472,16 +506,12 @@ def solve_hierarchy(
         beta_x = _table_product(j, ((s, f11), (c, f21)), table[2][0].coeffs[j].copy())
         beta_t = _table_product(j, ((s, f12), (c, f22)), table[2][1].coeffs[j].copy())
 
-        if periodic_axis == 0:
-            start = _periodic_linear_start(
-                chart.spacing[0], [alpha_x[:, t_line], beta_x[:, t_line]]
-            )
+        if line_start:
+            start = line_start(beta_x[:, t_line])
         else:
             start = float(start_values.get(j, 0.0))
 
-        slopes, sources = (alpha_x, alpha_t), (beta_x, beta_t)
-        sol = sweep_linear(chart, base_idx, (0, 1), start, slopes, sources)
-        sol_ex = sweep_linear(chart, base_idx, (1, 0), start, slopes, sources)
+        sol, sol_ex = (sweep_linear(chart, base_idx, f, start, (beta_x, beta_t)) for f in fills)
         phi[j] = sol
         s[j] += sol * c[0]
         c[j] -= sol * s[0]
@@ -497,11 +527,12 @@ def solve_hierarchy(
             )
         )
 
-    neg_s = -s
+    del fills, slopes, line_start
+    np.negative(s, out=s)  # the forms take -s; negation is exact
     for j, item in enumerate(results):
         form = np.zeros((2,) + counts)
-        _table_product(j, ((c, f11), (neg_s, f21)), form[0])
-        _table_product(j, ((c, f12), (neg_s, f22)), form[1])
+        _table_product(j, ((c, f11), (s, f21)), form[0])
+        _table_product(j, ((c, f12), (s, f22)), form[1])
         item.form = OneFormField(chart, form)
         item.closed_residual = closedness_residual(item.form)
 

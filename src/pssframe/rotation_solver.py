@@ -33,16 +33,22 @@ fills each block in place, with two block fills: `rkmk4_fill` steps each
 line from the one before, and `affine_fill` serves linear equations
 y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of a
 whole block come from two vectorized steps, and each line is then one
-multiply-add, in place.  `rkmk4_fill` marches up and down from the base
-line as one row: the lines b + j and b - j are folded onto a direction axis
-of length 2 and take one step together with h carried as [h, -h], so a
-centred block costs half as many steps, and every element still goes
-through the same operations as in separate steps.  One line engine,
-`integrate_line` (with `affine_line` for the affine maps), steps a single
-line of nodes on Python floats: both fills use it when the block is one
-line of single nodes, shape (m, 1), and the hierarchy's periodic starts use
-it for their return maps.  The block shape alone picks the path, and every
-path does the same operations in the same order.
+multiply-add, in place.  The gains A depend on the slope alone, so
+`linear_fills` forms them once per axis order, with the slope blocks and
+their midpoints, and `sweep_linear` reuses them for every source; a sweep
+then forms only the source blocks, their midpoints and the shifts B.
+`sweep_scalar` takes its fields per axis, so each block copies and
+interpolates only the fields its own axis reads.  `rkmk4_fill` marches up
+and down from the base line as one row: the lines b + j and b - j are
+folded onto a direction axis of length 2 and take one step together with h
+carried as [h, -h], so a centred block costs half as many steps, and every
+element still goes through the same operations as in separate steps.  One
+line engine, `integrate_line` (with `affine_line` for the affine maps),
+steps a single line of nodes on Python floats sampled by `line_steps`:
+both fills use it when the block is one line of single nodes, shape
+(m, 1), and the hierarchy's periodic starts use it for their return maps.
+The block shape alone picks the path, and every path does the same
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -191,18 +197,13 @@ def rkmk4_step(h, y0, lo, mid, hi, kernels):
     return exp_mul((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y0)
 
 
-def _sweep(chart: GridChart, base, axes_order, y, system):
-    """Fill y (*counts, ...) from its value at the base node by line sweeps.
+def _blocks(chart: GridChart, base, axes_order):
+    """The blocks of a staircase sweep, one per swept axis: (axis, take).
 
     Each swept axis fills one block: that axis and the axes swept before it
     in full, the others pinned at the base.  take(f) is the block of a
     full-grid array f (any trailing component shape) with the swept axis
-    first, and system(axis, take) returns (arrays, fill): the blocks of the
-    coefficient arrays the equation along that axis consumes and the block
-    fill (`rkmk4_fill` or `affine_fill`).  The coefficient blocks are made
-    contiguous and their midpoints taken; fill(h, blk, b, node, mid) then
-    fills blk = take(y), a view of y because the block index holds only
-    slices, from its base line b.
+    first; it is a view, since the block index holds only slices.
     """
     filled = set()
     for axis in axes_order:
@@ -211,29 +212,51 @@ def _sweep(chart: GridChart, base, axes_order, y, system):
             for k in range(chart.dim)
         )
 
-        def take(f):
+        def take(f, idx=idx, axis=axis):
             return np.moveaxis(f[idx], axis, 0)
 
+        yield axis, take
+        filled.add(axis)
+
+
+def _sweep(chart: GridChart, base, axes_order, y, system):
+    """Fill y (*counts, ...) from its value at the base node by line sweeps.
+
+    system(axis, take) returns (arrays, fill) for each block of `_blocks`:
+    the blocks of the coefficient arrays the equation along that axis
+    consumes and the block fill (`rkmk4_fill` or `affine_fill`).  The
+    coefficient blocks are made contiguous and their midpoints taken;
+    fill(h, blk, b, node, mid) then fills blk = take(y), a view of y, from
+    its base line b.
+    """
+    for axis, take in _blocks(chart, base, axes_order):
         arrays, fill = system(axis, take)
         node = [np.ascontiguousarray(f) for f in arrays]
         mid = [midpoints(f, 0) for f in node]
         fill(chart.spacing[axis], take(y), base[axis], node, mid)
-        filled.add(axis)
     return y
+
+
+def line_steps(node_fields, mid_fields):
+    """The (lo, mid, hi) samples of each interval of a line of nodes.
+
+    node_fields and mid_fields are the coefficient samples of the line at
+    its nodes and interval midpoints.  Each sample is a tuple of Python
+    floats, one per field: on scalar and two-entry states numpy scalars or
+    1-element arrays would cost more than the step.
+    """
+    nodes = list(zip(*(f.ravel().tolist() for f in node_fields)))
+    mids = zip(*(f.ravel().tolist() for f in mid_fields))
+    return list(zip(nodes[:-1], mids, nodes[1:]))
 
 
 def integrate_line(h, y, node_fields, mid_fields, kernels):
     """`rkmk4_step` along one line of nodes from y; yields y, y_1, y_2, ...
 
-    node_fields and mid_fields are the coefficient samples of the line at
-    its nodes and interval midpoints.  They are handed to the kernels as
-    tuples of Python floats, one per field: on scalar and two-entry states
-    numpy scalars or 1-element arrays would cost more than the step.
+    The kernels get the samples of `line_steps`, tuples of Python floats.
     """
-    nodes = list(zip(*(f.ravel().tolist() for f in node_fields)))
-    mids = list(zip(*(f.ravel().tolist() for f in mid_fields)))
     yield y
-    for lo, md, hi in zip(nodes[:-1], mids, nodes[1:]):
+    for lo, md, hi in line_steps(node_fields, mid_fields):
         y = rkmk4_step(h, y, lo, md, hi, kernels)
         yield y
 
@@ -307,17 +330,23 @@ def _affine_field(s, y):
     return s[0] * y + s[1]
 
 
-def affine_step_maps(h, lo, mid, hi):
-    """The RK4 steps of y' = a y + b as affine maps y -> A y + B.
+def affine_gains(h, lo, mid, hi):
+    """The gains A of the RK4 steps of y' = a y + b as affine maps y -> A y + B.
 
-    lo, mid and hi are the (a, b) samples of a stack of intervals, as in
+    lo, mid and hi are the a samples of a stack of intervals, as in
     `rkmk4_step`.  The step is affine in y, so A is one step from 1 on
-    y' = a y and B one step from 0 on the full equation: two vectorized
-    steps cover every interval of the stack.
+    y' = a y: one vectorized step covers every interval of the stack.  A
+    depends on the slope alone, so every source shares it.
     """
-    A = rkmk4_step(h, 1.0, lo[:1], mid[:1], hi[:1], additive_kernels(_linear_field))
-    B = rkmk4_step(h, 0.0, lo, mid, hi, additive_kernels(_affine_field))
-    return A, B
+    return rkmk4_step(h, 1.0, (lo,), (mid,), (hi,), additive_kernels(_linear_field))
+
+
+def affine_shifts(h, lo, mid, hi):
+    """The shifts B of the same maps: one step from 0 on the full equation.
+
+    lo, mid and hi are the (a, b) samples of the stack of intervals.
+    """
+    return rkmk4_step(h, 0.0, lo, mid, hi, additive_kernels(_affine_field))
 
 
 def affine_line(A, B, y):
@@ -338,29 +367,41 @@ def _affine_rows(A, B, rows):
         row += b
 
 
-def affine_fill(h, blk, b, node, mid):
-    """Block fill of `_sweep` for y' = a y + b, node = (a, b) blocks.
+def affine_fill(h, b, a):
+    """Block fill of `_sweep` for y' = a y + source, the slope block a fixed.
 
-    The step maps of every interval above the base line come from one
-    `affine_step_maps` call, those below it from one call with -h and lo
-    and hi swapped; each line is then A * previous + B, on Python floats
-    for a block of single nodes, shape (m, 1), and in place otherwise.
+    a is the contiguous slope block with the swept axis first and b its
+    base line.  The slope's midpoints and the gains of every interval above
+    the base line (`affine_gains`) and below it (-h, lo and hi swapped) are
+    formed here, once for every source the fill is then called with.  A
+    call fill(h, blk, b, node, mid), with the same h and b and node, mid the
+    source block and its midpoints, forms the shifts (`affine_shifts`) and
+    fills each line as A * previous + B, on Python floats for a block of
+    single nodes, shape (m, 1), and in place otherwise.
     """
-    up = affine_step_maps(
-        h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
-    )
-    A, B = affine_step_maps(
-        -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
-    )
-    down = A[::-1], B[::-1]
-    if blk.shape[1:] == (1,):
-        y = blk[b, 0].item()
-        blk[b:, 0] = list(affine_line(*up, y))
-        blk[b::-1, 0] = list(affine_line(*down, y))
-    else:
-        rows = list(blk)
-        _affine_rows(*up, rows[b:])
-        _affine_rows(*down, rows[b::-1])
+    a_mid = midpoints(a, 0)
+    gain_up = affine_gains(h, a[b:-1], a_mid[b:], a[b + 1 :])
+    gain_down = affine_gains(-h, a[1 : b + 1], a_mid[:b], a[:b])[::-1]
+
+    def fill(h, blk, b, node, mid):
+        (s,), (s_mid,) = node, mid
+        up = gain_up, affine_shifts(
+            h, (a[b:-1], s[b:-1]), (a_mid[b:], s_mid[b:]), (a[b + 1 :], s[b + 1 :])
+        )
+        shifts = affine_shifts(
+            -h, (a[1 : b + 1], s[1 : b + 1]), (a_mid[:b], s_mid[:b]), (a[:b], s[:b])
+        )
+        down = gain_down, shifts[::-1]
+        if blk.shape[1:] == (1,):
+            y = blk[b, 0].item()
+            blk[b:, 0] = list(affine_line(*up, y))
+            blk[b::-1, 0] = list(affine_line(*down, y))
+        else:
+            rows = list(blk)
+            _affine_rows(*up, rows[b:])
+            _affine_rows(*down, rows[b::-1])
+
+    return fill
 
 
 def _add(u, y):
@@ -379,34 +420,50 @@ def additive_kernels(field):
 def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
     """Integrate a scalar ODE field along staircase sweeps (RK4).
 
-    node_fields: list of full-grid arrays the right-hand side consumes.
-    rhs(axis, samples, y): samples is a list of arrays (one per field,
-    sampled at the stage position).  Returns the filled grid array.
+    node_fields[axis]: the full-grid arrays the right-hand side consumes
+    along that axis, so each block takes only its own axis's fields.
+    rhs(samples, y): samples holds one array per field of the swept axis,
+    sampled at the stage position.  Returns the filled grid array.
+    """
+    y = np.zeros(chart.counts)
+    y[tuple(base)] = init_value
+    fill = rkmk4_fill(additive_kernels(rhs))
+
+    def system(axis, take):
+        return [take(f) for f in node_fields[axis]], fill
+
+    return _sweep(chart, base, axes_order, y, system)
+
+
+def linear_fills(chart, base, axes_order, slopes):
+    """The half of a linear sweep that every source shares, built once.
+
+    slopes[axis] is the slope of y' = slope y + source along that axis.
+    Returns one `affine_fill` per block of the sweep, keyed by axis in sweep
+    order: the contiguous slope block, its midpoints and its gains.
+    """
+    fills = {}
+    for axis, take in _blocks(chart, base, axes_order):
+        a = np.ascontiguousarray(take(slopes[axis]))
+        fills[axis] = affine_fill(chart.spacing[axis], base[axis], a)
+    return fills
+
+
+def sweep_linear(chart, base, fills, init_value, sources):
+    """`sweep_scalar` for y' = slope y + sources[axis] along each axis.
+
+    fills comes from `linear_fills` and fixes the slopes and the axis
+    order.  The RK4 steps of a linear equation are affine maps, so a block
+    costs its source block, the source midpoints, one vectorized step for
+    the shifts and one multiply-add per line.
     """
     y = np.zeros(chart.counts)
     y[tuple(base)] = init_value
 
     def system(axis, take):
-        fill = rkmk4_fill(additive_kernels(lambda s, v: rhs(axis, s, v)))
-        return [take(f) for f in node_fields], fill
+        return [take(sources[axis])], fills[axis]
 
-    return _sweep(chart, base, axes_order, y, system)
-
-
-def sweep_linear(chart, base, axes_order, init_value, slopes, sources):
-    """`sweep_scalar` for y' = slopes[axis] y + sources[axis] along each axis.
-
-    The RK4 steps of a linear equation are affine maps, so every block is
-    filled by `affine_fill`: two vectorized steps and one multiply-add per
-    line.
-    """
-    y = np.zeros(chart.counts)
-    y[tuple(base)] = init_value
-
-    def system(axis, take):
-        return [take(slopes[axis]), take(sources[axis])], affine_fill
-
-    return _sweep(chart, base, axes_order, y, system)
+    return _sweep(chart, base, tuple(fills), y, system)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +522,14 @@ def _structure_gate(fd: FrameData, gate_factor):
 # ---------------------------------------------------------------------------
 # 2D angle solver
 
+def angle_rhs(s, y):
+    """The angle equation along an axis: y' = s2 + sin(y) s0 + cos(y) s1.
+
+    s holds the axis's coefficients of omega_1, omega_2 and omega_12.
+    """
+    return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
+
+
 def solve_phi_2d(
     fd: FrameData,
     phi0=0.0,
@@ -484,15 +549,11 @@ def solve_phi_2d(
     structure, threshold = _structure_gate(fd, gate_factor)
 
     om1, om2, om12 = fd.omega[0].values, fd.omega[1].values, fd.connection.values[0]
-    # the dx_1 coefficients of omega_1, omega_2, omega_12, then the dx_2 ones
-    fields = [om1[0], om2[0], om12[0], om1[1], om2[1], om12[1]]
+    # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
+    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
 
-    def rhs(axis, s, y):
-        w1, w2, w12 = s[3 * axis : 3 * axis + 3]
-        return w12 + np.sin(y) * w1 + np.cos(y) * w2
-
-    phi = sweep_scalar(chart, base_idx, (0, 1), float(phi0), fields, rhs)
-    phi_ex = sweep_scalar(chart, base_idx, (1, 0), float(phi0), fields, rhs)
+    phi = sweep_scalar(chart, base_idx, (0, 1), float(phi0), fields, angle_rhs)
+    phi_ex = sweep_scalar(chart, base_idx, (1, 0), float(phi0), fields, angle_rhs)
     compat = float(np.max(np.abs(phi - phi_ex)))
 
     angle = ScalarField(chart, phi)

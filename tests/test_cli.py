@@ -15,7 +15,7 @@ from pssframe.cli import main
 from pssframe.config import parse_config
 from pssframe.frames import FrameRotationField, save_frame_data
 from pssframe.grid import GridChart
-from pssframe.models import igsge_explicit_solution, igsge_forms
+from pssframe.models import ch_from_arrays, igsge_explicit_solution, igsge_forms
 
 SG_CONFIG = """
 [model]
@@ -193,6 +193,20 @@ def test_solve_frame_fails_a_non_finite_coordinate_certificate(tmp_path, capsys)
     assert not (out / "manifest.json").exists()
 
 
+def test_failed_coordinate_check_leaves_no_field(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        SG_CONFIG.replace("33, 33", "9, 9")
+        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e308\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 def gate_failing_frame():
     """An igsge frame on a fine 9^3 chart with omega_2 doubled: it fails the
     structure gate by a factor of ten."""
@@ -227,6 +241,33 @@ def test_structure_gate_failure_exits_one_without_a_pass(
         assert len(err) == 1
         assert err[0].startswith("gate failure: structure residuals")
         assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("state", ["perturbed", "nan-line"])
+@pytest.mark.parametrize("command", ["hierarchy", "conserve"])
+def test_camassa_holm_gate_failure_exits_one_without_a_pass(
+    tmp_path, capsys, monkeypatch, command, state
+):
+    evolve = cli._ch_state
+
+    def bad_state(cfg, scale):
+        good = evolve(cfg, scale)
+        u, u_x = good.u.values.copy(), good.u_x.values.copy()
+        if state == "perturbed":
+            u_x *= 3.0
+        else:  # a whole line of x nodes, the periodic start's line included
+            u[5, :] = np.nan
+        return ch_from_arrays(good.chart, good.m, u, u_x, good.u_xx.values)
+
+    monkeypatch.setattr(cli, "_ch_state", bad_state)
+    cfg = write_config(tmp_path, CH_CONFIG)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("gate failure: structure residuals")
+    assert "Traceback" not in err[0]
+    assert not (out / "manifest.json").exists()
 
 
 def test_hierarchy_writes_per_order_outputs(tmp_path, capsys):

@@ -13,6 +13,8 @@ from pssframe import (
     wedge,
 )
 
+from pssframe.grid import GridChart
+
 from conftest import square_chart
 
 
@@ -129,3 +131,33 @@ def test_d_oneform_three_axes():
     assert np.max(np.abs(dtheta.coefficient(0, 1).values + z)) < 1e-12
     assert np.max(np.abs(dtheta.coefficient(0, 2).values - (1 - y))) < 1e-12
     assert np.max(np.abs(dtheta.coefficient(1, 2).values)) < 1e-12
+
+
+def _full_grid_closedness(theta):
+    # the residual as it was formed: the full-grid d(theta), one-sided
+    # boundary rows included, then its interior max
+    return d_oneform(theta).interior_max_abs()
+
+
+@pytest.mark.parametrize("counts", [(17, 13), (9, 11, 7), (5, 6, 4, 7)])
+def test_interior_closedness_is_the_full_grid_residual_bit_for_bit(rng, counts):
+    dim = len(counts)
+    chart = GridChart((0.1,) * dim, tuple(0.05 + 0.03 * k for k in range(dim)), counts)
+    for _ in range(8):
+        theta = OneFormField(chart, rng.standard_normal((dim,) + counts))
+        assert closedness_residual(theta) == _full_grid_closedness(theta)
+    coords = chart.meshgrid()
+    smooth = OneFormField(chart, [np.sin(coords[k] * coords[-1 - k]) for k in range(dim)])
+    assert closedness_residual(smooth) == _full_grid_closedness(smooth)
+
+
+@pytest.mark.parametrize("node", [(1, 3, 3, 2), (1, 0, 3, 2)], ids=["interior", "boundary"])
+def test_interior_closedness_of_a_nan_form_is_nan(rng, node):
+    # a boundary NaN of theta_2 reaches d(theta) at the interior node next
+    # to it through the central difference along the first axis
+    chart = GridChart((0.0, 0.0, 0.0), (0.1, 0.2, 0.1), (6, 7, 5))
+    values = rng.standard_normal((3,) + chart.counts)
+    values[node] = np.nan
+    theta = OneFormField(chart, values)
+    assert np.isnan(closedness_residual(theta))
+    assert np.isnan(_full_grid_closedness(theta))

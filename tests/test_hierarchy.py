@@ -1,21 +1,24 @@
 """Truncated parameter series and the order-by-order angle hierarchy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pssframe import EtaSeries, solve_hierarchy, solve_phi_2d
-from pssframe.errors import PssframeError
+from pssframe import EtaSeries, hierarchy, solve_hierarchy, solve_phi_2d
+from pssframe.errors import PssframeError, StructureGateError
 from pssframe.grid import midpoints
 from pssframe.hierarchy import (
     _angle_rhs,
-    _angle_rhs_variational,
+    _angle_return,
     _integrate_line,
     _periodic_angle_start,
     _periodic_linear_start,
     closed_form_series,
     expand_phi_system,
 )
-from pssframe.models import ch_evolve, ch_forms, ch_series_table
+from pssframe.models import ch_evolve, ch_forms, ch_from_arrays, ch_series_table
+from pssframe.rotation_solver import additive_kernels, line_steps, rkmk4_step
 
 
 def random_series(rng, order, shape=()):
@@ -254,7 +257,7 @@ def test_variational_equation_gives_the_return_map_slope():
     h = x[1] - x[0]
     mids = [midpoints(f, 0) for f in fields]
     y, eps = 0.4, 1e-6
-    _, slope = _integrate_line(np.array([y, 1.0]), h, fields, mids, _angle_rhs_variational)
+    _, slope = _angle_return(h, line_steps(fields, mids), y)
     up, down = (_integrate_line(y + d, h, fields, mids, _angle_rhs) for d in (eps, -eps))
     assert abs(slope - (up - down) / (2 * eps)) < 1e-8
 
@@ -271,7 +274,7 @@ def test_periodic_linear_start_closes_its_line():
     x = np.linspace(0.0, 2 * np.pi, 65)
     fields = [0.3 + 0.2 * np.cos(x), 0.5 + np.sin(x)]
     h = x[1] - x[0]
-    y = _periodic_linear_start(h, fields)
+    y = _periodic_linear_start(h, fields[0])(fields[1])
     mids = [midpoints(f, 0) for f in fields]
     end = _integrate_line(y, h, fields, mids, lambda s, v: s[0] * v + s[1])
     assert abs(end - y) <= 1e-12
@@ -280,4 +283,75 @@ def test_periodic_linear_start_closes_its_line():
 def test_periodic_linear_start_with_unit_gain_is_resonant():
     # y' = 1: the return map y -> y + 1 has gain one and no fixed point
     with pytest.raises(PssframeError, match="resonant"):
-        _periodic_linear_start(1.0 / 32, [_line(0.0), _line(1.0)])
+        _periodic_linear_start(1.0 / 32, _line(0.0))(_line(1.0))
+
+
+def _angle_rhs_variational(s, yv):
+    # the angle equation stacked with its variational equation on a
+    # two-entry array, as the Newton line stepped it before it ran on floats
+    y, v = yv
+    sin_y, cos_y = np.sin(y), np.cos(y)
+    return np.array(
+        [s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v]
+    )
+
+
+def _array_angle_return(h, steps, y):
+    yv = np.array([y, 1.0])
+    for lo, md, hi in steps:
+        yv = rkmk4_step(h, yv, lo, md, hi, additive_kernels(_angle_rhs_variational))
+    return tuple(yv.tolist())
+
+
+def _ch_base_line():
+    state = _periodic_ch_state()
+    table = ch_series_table(state, 0)
+    t_line = state.chart.counts[1] // 2
+    fields = [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
+    return state.chart.spacing[0], fields
+
+
+def test_float_newton_line_is_the_array_line_bit_for_bit(monkeypatch):
+    # math.sin / math.cos and np.sin / np.cos must agree on every sample, or
+    # this fails on the platform where they do not
+    h, fields = _ch_base_line()
+    steps = line_steps(fields, [midpoints(f, 0) for f in fields])
+    for y in np.linspace(-np.pi, np.pi, 13).tolist() + [0.123456789, 2.5e-9]:
+        assert _angle_return(h, steps, y) == _array_angle_return(h, steps, y)
+    start = _periodic_angle_start(h, fields)
+    monkeypatch.setattr(hierarchy, "_angle_return", _array_angle_return)
+    assert _periodic_angle_start(h, fields) == start
+
+
+# tracemalloc peak in bytes of solve_hierarchy on the 64 x 16 periodic CH
+# state to order 4 when every order formed its own slope maps
+CH64_HIERARCHY_PEAK = 560_658
+
+
+def test_hierarchy_holds_no_more_memory_than_per_order_maps():
+    small = _periodic_ch_state(nt=4)
+    solve_hierarchy(small.chart, ch_series_table(small, 4), 4, periodic_axis=0)
+    state = _periodic_ch_state()
+    table = ch_series_table(state, 4)
+    tracemalloc.start()
+    try:
+        solve_hierarchy(state.chart, table, 4, periodic_axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CH64_HIERARCHY_PEAK
+
+
+@pytest.mark.parametrize("periodic_axis", [0, None])
+def test_non_finite_state_on_the_start_line_fails_the_gate(periodic_axis):
+    # NaN on the periodic start line reaches the gate, not the return map scan
+    state = _periodic_ch_state()
+    u = state.u.values.copy()
+    u[5, :] = np.nan
+    bad = ch_from_arrays(state.chart, state.m, u, state.u_x.values, state.u_xx.values)
+    table = ch_series_table(bad, 2)
+    with pytest.raises(StructureGateError, match="non-finite"):
+        solve_hierarchy(bad.chart, table, 2, periodic_axis=periodic_axis)
+    if periodic_axis == 0:  # and without a gate, the start refuses the line
+        with pytest.raises(PssframeError, match="start line holds a non-finite"):
+            solve_hierarchy(bad.chart, table, 2, periodic_axis=0, gate_factor=None)

@@ -24,10 +24,14 @@ from pssframe.rotation_solver import (
     _axial_fill,
     _dexpinv_axial,
     _matrix_fill,
+    _affine_rows,
     _rodrigues,
+    _sweep,
     additive_kernels,
     affine_fill,
-    affine_step_maps,
+    affine_line,
+    angle_rhs,
+    linear_fills,
     rkmk4_fill,
     rkmk4_step,
     sweep_linear,
@@ -102,13 +106,44 @@ def test_affine_sweep_matches_the_stepwise_sweep(axes_order):
     sources = (np.sin(2.0 * x) * t, np.exp(-x) + t**2)
     base = (13, 9)
 
-    def rhs(axis, s, y):
-        return s[axis] * y + s[2 + axis]
+    def rhs(s, y):
+        return s[0] * y + s[1]
 
-    stepwise = sweep_scalar(chart, base, axes_order, 0.7, slopes + sources, rhs)
-    affine = sweep_linear(chart, base, axes_order, 0.7, slopes, sources)
+    fields = [[slopes[axis], sources[axis]] for axis in (0, 1)]
+    stepwise = sweep_scalar(chart, base, axes_order, 0.7, fields, rhs)
+    fills = linear_fills(chart, base, axes_order, slopes)
+    affine = sweep_linear(chart, base, fills, 0.7, sources)
     assert np.max(np.abs(affine - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
     assert affine[base] == 0.7
+
+
+def _flat_sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
+    # sweep_scalar as it handed every block the fields of all axes, with
+    # rhs(axis, samples, y) picking its own
+    y = np.zeros(chart.counts)
+    y[tuple(base)] = init_value
+
+    def system(axis, take):
+        fill = rkmk4_fill(additive_kernels(lambda s, v: rhs(axis, s, v)))
+        return [take(f) for f in node_fields], fill
+
+    return _sweep(chart, base, axes_order, y, system)
+
+
+@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("base", [(8, 8), (0, 5), (16, 0)])
+def test_per_axis_fields_sweep_as_the_flat_fields(axes_order, base):
+    fd = cosh_metric_frame(17)
+    om1, om2, om12 = fd.omega[0].values, fd.omega[1].values, fd.connection.values[0]
+    flat = [om1[0], om2[0], om12[0], om1[1], om2[1], om12[1]]
+
+    def rhs(axis, s, y):
+        w1, w2, w12 = s[3 * axis : 3 * axis + 3]
+        return w12 + np.sin(y) * w1 + np.cos(y) * w2
+
+    want = _flat_sweep_scalar(fd.chart, base, axes_order, 0.4, flat, rhs)
+    got = sweep_scalar(fd.chart, base, axes_order, 0.4, [flat[:3], flat[3:]], angle_rhs)
+    assert np.array_equal(got, want)
 
 
 def _reference_rkmk4_fill(kernels, h, blk, b, node, mid):
@@ -122,18 +157,57 @@ def _reference_rkmk4_fill(kernels, h, blk, b, node, mid):
         blk[i - 1] = rkmk4_step(-h, blk[i], lo, md, hi, kernels)
 
 
+def _affine_step_maps(h, lo, mid, hi):
+    # the affine step maps as one function of the (a, b) samples: A one step
+    # from 1 on y' = a y, B one step from 0 on y' = a y + b
+    A = rkmk4_step(h, 1.0, lo[:1], mid[:1], hi[:1], additive_kernels(lambda s, y: s[0] * y))
+    B = rkmk4_step(h, 0.0, lo, mid, hi, additive_kernels(lambda s, y: s[0] * y + s[1]))
+    return A, B
+
+
 def _reference_affine_fill(h, blk, b, node, mid):
     # the affine fill as it ran every block: A * previous + B into a new array
-    A, B = affine_step_maps(
+    A, B = _affine_step_maps(
         h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
     )
     for i in range(b, blk.shape[0] - 1):
         blk[i + 1] = A[i - b] * blk[i] + B[i - b]
-    A, B = affine_step_maps(
+    A, B = _affine_step_maps(
         -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
     )
     for i in range(b, 0, -1):
         blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
+
+
+def _per_order_affine_fill(h, blk, b, node, mid):
+    # the in-place affine fill as it ran per order, node = (slope, source)
+    # blocks: every call formed the slope's maps again
+    up = _affine_step_maps(
+        h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
+    )
+    A, B = _affine_step_maps(
+        -h, [f[1 : b + 1] for f in node], [f[:b] for f in mid], [f[:b] for f in node]
+    )
+    down = A[::-1], B[::-1]
+    if blk.shape[1:] == (1,):
+        y = blk[b, 0].item()
+        blk[b:, 0] = list(affine_line(*up, y))
+        blk[b::-1, 0] = list(affine_line(*down, y))
+    else:
+        rows = list(blk)
+        _affine_rows(*up, rows[b:])
+        _affine_rows(*down, rows[b::-1])
+
+
+def _per_order_sweep_linear(chart, base, axes_order, init_value, slopes, sources):
+    # the linear sweep as each order ran it, slope blocks and gains included
+    y = np.zeros(chart.counts)
+    y[tuple(base)] = init_value
+
+    def system(axis, take):
+        return [take(slopes[axis]), take(sources[axis])], _per_order_affine_fill
+
+    return _sweep(chart, base, axes_order, y, system)
 
 
 def _fill_blocks(rng, fields, width, base):
@@ -257,9 +331,26 @@ def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale):
 def test_affine_fill_is_bitwise_the_array_loop(rng, base, width):
     node, mid, blk = _fill_blocks(rng, 2, width, base)
     expected = blk.copy()
-    affine_fill(0.07, blk, base, node, mid)
+    affine_fill(0.07, base, node[0])(0.07, blk, base, node[1:], mid[1:])
     _reference_affine_fill(0.07, expected, base, node, mid)
     assert np.array_equal(blk, expected)
+
+
+@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("base", [(13, 9), (0, 9), (13, 0), (0, 0)])
+def test_shared_fills_sweep_every_source_as_the_per_order_sweep(rng, axes_order, base):
+    # one linear_fills serves several sources, as the hierarchy's orders
+    # share order zero's slopes; every source gives the per-order sweep's bits
+    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
+    x, t = chart.meshgrid()
+    slopes = (np.cos(x + t), 0.5 - x * t)
+    fills = linear_fills(chart, base, axes_order, slopes)
+    for k in range(3):
+        sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
+        start = rng.uniform(-1.0, 1.0)
+        got = sweep_linear(chart, base, fills, start, sources)
+        want = _per_order_sweep_linear(chart, base, axes_order, start, slopes, sources)
+        assert np.array_equal(got, want)
 
 
 def test_solve_is_exact_when_frame_is_already_special():
