@@ -26,9 +26,7 @@ from .errors import (
 )
 from .fieldio import read_field, read_scalar, write_field, write_scalar
 from .forms import (
-    ConnectionField,
     OneFormField,
-    TwoFormField,
     closedness_residual,
     d_oneform,
     d_scalar,
@@ -38,6 +36,7 @@ from .forms import (
 from .frames import (
     FrameData,
     FrameRotationField,
+    connection_matrix,
     frame_change,
     frame_vector_fields,
     lie_bracket,
@@ -83,9 +82,7 @@ __all__ = [
     "read_scalar",
     "write_field",
     "write_scalar",
-    "ConnectionField",
     "OneFormField",
-    "TwoFormField",
     "closedness_residual",
     "d_oneform",
     "d_scalar",
@@ -93,6 +90,7 @@ __all__ = [
     "wedge",
     "FrameData",
     "FrameRotationField",
+    "connection_matrix",
     "frame_change",
     "frame_vector_fields",
     "lie_bracket",

@@ -1,8 +1,11 @@
 """Orthonormal coframes, connection forms, and frame rotations.
 
-`FrameData` bundles the dual coframe (one-forms omega_1..omega_n, each an
-(n, *counts) array, see `forms`) with the skew connection matrix (omega_ij,
-one (pairs, n, *counts) array of its upper triangle).
+`FrameData` bundles the dual coframe with the skew connection matrix as two
+dense arrays: omega (n, n, *counts), where omega[i, k] is the dx_k
+coefficient of omega_i, and connection (pairs, n, *counts), the one-forms
+omega_ij of the pairs i < j in row-major order.  Only the upper triangle is
+stored, so omega_ji = -omega_ij holds by construction; `connection_matrix`
+expands it to the full skew matrix of one coefficient.
 `structure_residuals` measures how well the bundle satisfies the first and
 second structure equations at constant sectional curvature K;
 `frame_change` rotates the bundle by a pointwise orthogonal matrix field;
@@ -19,8 +22,8 @@ import numpy as np
 
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
-from .forms import ConnectionField, OneFormField, interior_d
-from .grid import GridChart, ScalarField, partial_derivative
+from .forms import interior_d
+from .grid import GridChart, ScalarField, dense, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
@@ -89,39 +92,47 @@ class FrameRotationField:
 
 @dataclass
 class FrameData:
-    """Dual coframe + connection on a chart."""
+    """Dual coframe omega (n, n, *counts) + connection (pairs, n, *counts)."""
 
     chart: GridChart
-    omega: tuple  # n OneFormFields
-    connection: ConnectionField
+    omega: np.ndarray
+    connection: np.ndarray
 
     def __post_init__(self):
-        n = self.chart.dim
+        n, counts = self.chart.dim, self.chart.counts
         if n < 2:
             raise ValueError("frame data needs a chart of dimension >= 2")
-        omega = tuple(self.omega)
-        if len(omega) != n:
-            raise ValueError("need one dual form per dimension")
-        for w in omega:
-            self.chart.require_same(w.chart)
-        self.chart.require_same(self.connection.chart)
-        self.omega = omega
+        self.omega = dense(self.omega, (n, n) + counts, "coframe omega")
+        pairs = (n * (n - 1) // 2, n)
+        self.connection = dense(self.connection, pairs + counts, "connection")
 
     @property
     def dim(self):
         return self.chart.dim
 
     def coefficient_matrix(self):
-        """F of shape (*counts, n, n) with F[..., i, k] = (omega_i)_k."""
-        n = self.dim
-        out = np.empty(self.chart.counts + (n, n))
-        for i in range(n):
-            out[..., i, :] = np.moveaxis(self.omega[i].values, 0, -1)
-        return out
+        """F of shape (*counts, n, n) with F[..., i, k] = (omega_i)_k, a view."""
+        return np.moveaxis(self.omega, (0, 1), (-2, -1))
 
     def max_abs(self):
         """Max |coefficient| over the bundle; NaN when any coefficient is NaN."""
-        return float(np.max([w.max_abs() for w in self.omega] + [self.connection.max_abs()]))
+        # one form at a time: |omega| of the whole coframe would be one more
+        # full-size temporary
+        worst = [np.max(np.abs(w)) for w in self.omega]
+        return float(np.max(worst + [np.max(np.abs(self.connection))]))
+
+
+def connection_matrix(upper, axis):
+    """W (*counts, n, n) with W[..., i, j] the dx_axis coefficient of omega_ij.
+
+    upper is a (pairs, n, *counts) connection; W is skew by construction.
+    """
+    n = upper.shape[1]
+    out = np.zeros(upper.shape[2:] + (n, n))
+    for (i, j), w in zip(combinations(range(n), 2), upper):
+        out[..., i, j] = w[axis]
+        out[..., j, i] = -w[axis]
+    return out
 
 
 def structure_residuals(fd: FrameData, curvature=-1.0):
@@ -139,10 +150,10 @@ def structure_residuals(fd: FrameData, curvature=-1.0):
     n = fd.dim
     pairs = list(combinations(range(n), 2))
     core, h = fd.chart.interior(), fd.chart.spacing
-    omega = [w.values for w in fd.omega]
+    omega = fd.omega
 
     def entry(i, j):  # omega_ij as (sign, stored upper entry)
-        return (1 if i < j else -1), fd.connection.values[pairs.index((min(i, j), max(i, j)))]
+        return (1 if i < j else -1), fd.connection[pairs.index((min(i, j), max(i, j)))]
 
     def wedge(a, b, k, l):
         w = a[k][core] * b[l][core]
@@ -181,10 +192,10 @@ def special_frame_residual(fd: FrameData):
     theta_ij = 0 (2 <= i < j).  Algebraic, so no interior restriction.
     """
     n = fd.dim
-    upper = fd.connection.values  # pairs (1, 2), ..., (1, n) come first
+    upper = fd.connection  # pairs (1, 2), ..., (1, n) come first
     worst = 0.0
     for i in range(1, n):
-        worst = max(worst, float(np.max(np.abs(upper[i - 1] + fd.omega[i].values))))
+        worst = max(worst, float(np.max(np.abs(upper[i - 1] + fd.omega[i]))))
     if n > 2:
         worst = max(worst, float(np.max(np.abs(upper[n - 1 :]))))
     return worst
@@ -194,8 +205,8 @@ def frame_change(fd: FrameData, rot: FrameRotationField) -> FrameData:
     """Rotate the bundle: theta_i = L_ij omega_j, Theta = dL L^T + L W L^T.
 
     The rotated connection is skew-symmetrized (its analytic skewness holds
-    only to stencil order for non-constant L), which keeps the
-    ConnectionField invariant exact.
+    only to stencil order for non-constant L) before its upper triangle is
+    stored.
     """
     fd.chart.require_same(rot.chart)
     chart = fd.chart
@@ -206,20 +217,19 @@ def frame_change(fd: FrameData, rot: FrameRotationField) -> FrameData:
     # theta[i, k] = sum_j L_ij omega_j,k, summed over j in order
     theta = np.zeros((n, n) + chart.counts)
     for j in range(n):
-        theta += L_ij[:, j, None] * fd.omega[j].values
+        theta += L_ij[:, j, None] * fd.omega[j]
 
     rows, cols = np.triu_indices(n, 1)
     upper = np.empty((len(rows), n) + chart.counts)
     for a in range(n):
         dL = partial_derivative(L, a, chart.spacing[a])
-        w_a = fd.connection.coefficient_matrix(a)
+        w_a = connection_matrix(fd.connection, a)
         total = np.einsum("...ik,...jk->...ij", dL, L)
         total += np.matmul(np.matmul(L, w_a), np.swapaxes(L, -1, -2))
         skew = 0.5 * (total - np.swapaxes(total, -1, -2))
         upper[:, a] = np.moveaxis(skew[..., rows, cols], -1, 0)
 
-    omega = tuple(OneFormField(chart, t) for t in theta)
-    return FrameData(chart, omega, ConnectionField(chart, upper))
+    return FrameData(chart, theta, upper)
 
 
 def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
@@ -269,12 +279,12 @@ def save_frame_data(path, fd: FrameData):
     each form contributing its n coefficients in axis order.
     """
     counts = fd.chart.counts
-    comps = [w.values for w in fd.omega] + [fd.connection.values.reshape((-1,) + counts)]
+    comps = [fd.omega.reshape((-1,) + counts), fd.connection.reshape((-1,) + counts)]
     fieldio.write_field(path, fd.chart, np.concatenate(comps))
 
 
 def load_frame_data(path):
-    """Read a file written by `save_frame_data`; the forms are views of one block.
+    """Read a file written by `save_frame_data`; both arrays are views of one block.
 
     A NaN or infinite coefficient is refused with a ValueError naming it.
     """
@@ -290,6 +300,6 @@ def load_frame_data(path):
     n_pairs = n * (n - 1) // 2
     if stack.shape[0] != n * n + n_pairs * n:
         raise ValueError("component count does not match frame data layout")
-    omega = tuple(OneFormField(chart, stack[i * n : (i + 1) * n]) for i in range(n))
+    omega = stack[: n * n].reshape((n, n) + chart.counts)
     upper = stack[n * n :].reshape((n_pairs, n) + chart.counts)
-    return FrameData(chart, omega, ConnectionField(chart, upper))
+    return FrameData(chart, omega, upper)

@@ -170,6 +170,36 @@ class ScalarField:
         return float(np.max(np.abs(self.values)))
 
 
+def dense(values, shape, what):
+    """values as a float array of the given shape, or ValueError naming both."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError("%s needs shape %s, got %s" % (what, shape, values.shape))
+    return values
+
+
+def staircase_blocks(chart: GridChart, base, axes_order):
+    """The blocks of a staircase sweep, one per swept axis: (axis, take).
+
+    Each swept axis fills one block: that axis and the axes swept before it
+    in full, the others pinned at the base.  take(f) is the block of a
+    full-grid array f (any trailing component shape) with the swept axis
+    first; it is a view, since the block index holds only slices.
+    """
+    filled = set()
+    for axis in axes_order:
+        idx = tuple(
+            slice(None) if k == axis or k in filled else slice(base[k], base[k] + 1)
+            for k in range(chart.dim)
+        )
+
+        def take(f, idx=idx, axis=axis):
+            return np.moveaxis(f[idx], axis, 0)
+
+        yield axis, take
+        filled.add(axis)
+
+
 def partial_derivative(values, axis, spacing):
     """Second-order partial derivative along `axis` of a node array."""
     values = np.asarray(values, dtype=float)

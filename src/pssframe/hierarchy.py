@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PssframeError
-from .forms import ConnectionField, OneFormField, closedness_residual
+from .forms import OneFormField, closedness_residual
 from .frames import FrameData
 from .grid import GridChart, ScalarField, midpoints
 from .rotation_solver import (
@@ -248,8 +248,7 @@ def closed_form_series(table, phi):
 def _order_zero_frame(chart, table):
     # rows: two dual forms and the connection form; columns: dx and dt
     block = np.array([[entry.coefficient(0) for entry in row] for row in table])
-    forms = (OneFormField(chart, block[0]), OneFormField(chart, block[1]))
-    return FrameData(chart, forms, ConnectionField(chart, block[2:]))
+    return FrameData(chart, block[:2], block[2:])
 
 
 # ---------------------------------------------------------------------------

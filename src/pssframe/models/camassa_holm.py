@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EvolutionError
-from ..forms import ConnectionField, OneFormField
 from ..frames import FrameData
 from ..grid import GridChart, ScalarField, partial_derivative
 from ..hierarchy import EtaSeries
@@ -308,5 +307,4 @@ def ch_forms(state: CamassaHolmState, eta):
     chart = state.chart
     # rows: two dual forms and the connection form; columns: dx and dt
     block = np.array([[entry.evaluate(eta) for entry in row] for row in ch_series_table(state, 2)])
-    forms = (OneFormField(chart, block[0]), OneFormField(chart, block[1]))
-    return FrameData(chart, forms, ConnectionField(chart, block[2:]))
+    return FrameData(chart, block[:2], block[2:])

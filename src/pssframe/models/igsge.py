@@ -1,7 +1,9 @@
 """Intrinsic generalized sine-Gordon system in n dimensions.
 
-State is a pair {V, h}: a unit vector field V and an off-diagonal matrix h
-of coefficient fields on an nD chart, subject to the first-order system
+State is a pair {V, h} of dense arrays on an nD chart: a unit vector field
+V (n, *counts) and an off-diagonal matrix h (n, n, *counts) of coefficient
+fields, h[i, j] = h_ij (the diagonal is not read), subject to the
+first-order system
 
     sum_i V_i^2 = 1
     dV_i/dx_j = V_j h_ji                       (i != j)
@@ -23,40 +25,24 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import DegenerateFrameError
-from ..forms import ConnectionField, OneFormField
 from ..frames import FrameData
-from ..grid import GridChart, ScalarField, partial_derivative
+from ..grid import GridChart, dense, partial_derivative
 
 V_THRESHOLD_DEFAULT = 1e-8
 
 
 @dataclass
 class IGSGEState:
-    """Unit vector field V plus off-diagonal coefficient fields h."""
+    """Unit vector field V (n, *counts) plus coefficient fields h (n, n, *counts)."""
 
     chart: GridChart
-    V: tuple  # n ScalarFields
-    h: dict  # {(i, j): ScalarField}, i != j, zero-based
+    V: np.ndarray
+    h: np.ndarray
 
     def __post_init__(self):
-        n = self.chart.dim
-        self.V = tuple(self.V)
-        if len(self.V) != n:
-            raise ValueError("V needs one component per axis")
-        for f in self.V:
-            f.chart.require_same(self.chart)
-        full = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                entry = self.h.get((i, j))
-                if entry is None:
-                    entry = ScalarField.zeros(self.chart)
-                else:
-                    entry.chart.require_same(self.chart)
-                full[(i, j)] = entry
-        self.h = full
+        n, counts = self.chart.dim, self.chart.counts
+        self.V = dense(self.V, (n,) + counts, "V")
+        self.h = dense(self.h, (n, n) + counts, "h")
 
     @property
     def dim(self):
@@ -64,8 +50,8 @@ class IGSGEState:
 
     def unit_residual(self):
         total = np.zeros(self.chart.counts)
-        for f in self.V:
-            total += f.values**2
+        for v in self.V:
+            total += v**2
         return float(np.max(np.abs(total - 1.0)))
 
 
@@ -86,13 +72,15 @@ def igsge_explicit_solution(chart: GridChart, c):
     x1 = chart.meshgrid()[0]
     with np.errstate(over="ignore"):  # cosh overflows to Inf where sech is 0
         sech = 1.0 / np.cosh(x1)
-    V = [ScalarField(chart, np.tanh(x1))]
+    V = np.empty((n,) + chart.counts)
+    np.tanh(x1, out=V[0])
+    # entries that stay zero are not written: the untouched zero pages of
+    # an np.zeros array cost no memory
+    h = np.zeros((n, n) + chart.counts)
     for j in range(1, n):
-        V.append(ScalarField(chart, c[j - 1] * sech))
-    h = {}
-    for j in range(1, n):
-        h[(0, j)] = ScalarField(chart, -c[j - 1] * sech)
-    return IGSGEState(chart=chart, V=tuple(V), h=h)
+        np.multiply(c[j - 1], sech, out=V[j])
+        np.multiply(-c[j - 1], sech, out=h[0, j])
+    return IGSGEState(chart=chart, V=V, h=h)
 
 
 @dataclass
@@ -124,18 +112,18 @@ def igsge_residual(state: IGSGEState):
         for j in range(n):
             if i == j:
                 continue
-            res = d(state.V[i].values, j) - state.V[j].values * state.h[(j, i)].values
+            res = d(state.V[i], j) - state.V[j] * state.h[j, i]
             gradient = max(gradient, float(np.max(np.abs(res[inner]))))
 
     coupling = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            res = d(state.h[(i, j)].values, i) + d(state.h[(j, i)].values, j)
+            res = d(state.h[i, j], i) + d(state.h[j, i], j)
             for s in range(n):
                 if s in (i, j):
                     continue
-                res = res + state.h[(s, i)].values * state.h[(s, j)].values
-            res = res - state.V[i].values * state.V[j].values
+                res = res + state.h[s, i] * state.h[s, j]
+            res = res - state.V[i] * state.V[j]
             coupling = max(coupling, float(np.max(np.abs(res[inner]))))
 
     mixed = 0.0
@@ -146,40 +134,35 @@ def igsge_residual(state: IGSGEState):
             for s in range(n):
                 if s in (i, j):
                     continue
-                res = d(state.h[(i, j)].values, s) - (
-                    state.h[(i, s)].values * state.h[(s, j)].values
-                )
+                res = d(state.h[i, j], s) - (state.h[i, s] * state.h[s, j])
                 mixed = max(mixed, float(np.max(np.abs(res[inner]))))
 
     return IGSGEResiduals(unit=unit, gradient=gradient, coupling=coupling, mixed=mixed)
 
 
-def igsge_h_from_V(V, threshold=V_THRESHOLD_DEFAULT):
-    """Recover h from V by h_ji = (dV_i/dx_j) / V_j where V_j is usable.
+def igsge_h_from_V(chart: GridChart, V, threshold=V_THRESHOLD_DEFAULT):
+    """Recover h from V (n, *counts) by h_ji = (dV_i/dx_j) / V_j where V_j is usable.
 
-    Returns (h, valid) where valid[(j, i)] marks nodes with |V_j| above the
-    threshold; masked nodes hold zero.  Raises when a divisor component is
-    below threshold everywhere.
+    Returns (h, valid): h is (n, n, *counts) with a zero diagonal, and
+    valid (n, *counts) marks in valid[j] the nodes with |V_j| above the
+    threshold, which row j of h is taken on; masked nodes hold zero.
+    Raises when a divisor component is below threshold everywhere.
     """
-    V = tuple(V)
-    chart = V[0].chart
     n = chart.dim
-    h = {}
-    valid = {}
+    V = dense(V, (n,) + chart.counts, "V")
+    h = np.zeros((n, n) + chart.counts)
+    valid = np.abs(V) > threshold
     for j in range(n):
-        vj = V[j].values
-        ok = np.abs(vj) > threshold
+        ok = valid[j]
         if not ok.any():
             raise DegenerateFrameError(
                 "component %d is below threshold on the whole chart" % (j + 1)
             )
-        safe = np.where(ok, vj, 1.0)
+        safe = np.where(ok, V[j], 1.0)
         for i in range(n):
-            if i == j:
-                continue
-            dvi = partial_derivative(V[i].values, j, chart.spacing[j])
-            h[(j, i)] = ScalarField(chart, np.where(ok, dvi / safe, 0.0))
-            valid[(j, i)] = ok
+            if i != j:
+                dvi = partial_derivative(V[i], j, chart.spacing[j])
+                h[j, i] = np.where(ok, dvi / safe, 0.0)
     return h, valid
 
 
@@ -189,13 +172,13 @@ def igsge_forms(state: IGSGEState):
     n = chart.dim
     # entries that are identically zero are not written: the zero pages of
     # np.zeros arrays that stay untouched cost no memory
-    omega = tuple(OneFormField.zeros(chart) for _ in range(n))
+    omega = np.zeros((n, n) + chart.counts)
     for i in range(n):
-        omega[i].values[i] = state.V[i].values
+        omega[i, i] = state.V[i]
     upper = np.zeros((n * (n - 1) // 2, n) + chart.counts)
     for p, (i, j) in enumerate(combinations(range(n), 2)):
-        if np.any(state.h[(i, j)].values):
-            upper[p, j] = state.h[(i, j)].values
-        if np.any(state.h[(j, i)].values):
-            np.negative(state.h[(j, i)].values, out=upper[p, i])
-    return FrameData(chart, omega, ConnectionField(chart, upper))
+        if np.any(state.h[i, j]):
+            upper[p, j] = state.h[i, j]
+        if np.any(state.h[j, i]):
+            np.negative(state.h[j, i], out=upper[p, i])
+    return FrameData(chart, omega, upper)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..forms import ConnectionField, OneFormField, closedness_residual
+from ..forms import OneFormField, closedness_residual
 from ..frames import FrameData
 from ..grid import GridChart, ScalarField, partial_derivative
 
@@ -118,8 +118,7 @@ def sg_forms(u, u_x1=None, u_x2=None):
     upper = np.empty((1, 2) + chart.counts)
     np.multiply(0.5, sol.u_x2.values, out=upper[0, 0])
     np.multiply(0.5, sol.u_x1.values, out=upper[0, 1])
-    forms = (OneFormField(chart, omega[0]), OneFormField(chart, omega[1]))
-    return FrameData(chart, forms, ConnectionField(chart, upper))
+    return FrameData(chart, omega, upper)
 
 
 @dataclass

@@ -62,11 +62,12 @@ from .forms import OneFormField, closedness_residual, potential
 from .frames import (
     FrameData,
     FrameRotationField,
+    connection_matrix,
     frame_vector_fields,
     lie_bracket,
     structure_residuals,
 )
-from .grid import GridChart, ScalarField, midpoints
+from .grid import GridChart, ScalarField, midpoints, staircase_blocks
 
 GATE_FACTOR_DEFAULT = 10.0
 
@@ -197,39 +198,17 @@ def rkmk4_step(h, y0, lo, mid, hi, kernels):
     return exp_mul((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y0)
 
 
-def _blocks(chart: GridChart, base, axes_order):
-    """The blocks of a staircase sweep, one per swept axis: (axis, take).
-
-    Each swept axis fills one block: that axis and the axes swept before it
-    in full, the others pinned at the base.  take(f) is the block of a
-    full-grid array f (any trailing component shape) with the swept axis
-    first; it is a view, since the block index holds only slices.
-    """
-    filled = set()
-    for axis in axes_order:
-        idx = tuple(
-            slice(None) if k == axis or k in filled else slice(base[k], base[k] + 1)
-            for k in range(chart.dim)
-        )
-
-        def take(f, idx=idx, axis=axis):
-            return np.moveaxis(f[idx], axis, 0)
-
-        yield axis, take
-        filled.add(axis)
-
-
 def _sweep(chart: GridChart, base, axes_order, y, system):
     """Fill y (*counts, ...) from its value at the base node by line sweeps.
 
-    system(axis, take) returns (arrays, fill) for each block of `_blocks`:
-    the blocks of the coefficient arrays the equation along that axis
-    consumes and the block fill (`rkmk4_fill` or `affine_fill`).  The
-    coefficient blocks are made contiguous and their midpoints taken;
-    fill(h, blk, b, node, mid) then fills blk = take(y), a view of y, from
-    its base line b.
+    system(axis, take) returns (arrays, fill) for each block of
+    `staircase_blocks`: the blocks of the coefficient arrays the equation
+    along that axis consumes and the block fill (`rkmk4_fill` or
+    `affine_fill`).  The coefficient blocks are made contiguous and their
+    midpoints taken; fill(h, blk, b, node, mid) then fills blk = take(y), a
+    view of y, from its base line b.
     """
-    for axis, take in _blocks(chart, base, axes_order):
+    for axis, take in staircase_blocks(chart, base, axes_order):
         arrays, fill = system(axis, take)
         node = [np.ascontiguousarray(f) for f in arrays]
         mid = [midpoints(f, 0) for f in node]
@@ -443,7 +422,7 @@ def linear_fills(chart, base, axes_order, slopes):
     order: the contiguous slope block, its midpoints and its gains.
     """
     fills = {}
-    for axis, take in _blocks(chart, base, axes_order):
+    for axis, take in staircase_blocks(chart, base, axes_order):
         a = np.ascontiguousarray(take(slopes[axis]))
         fills[axis] = affine_fill(chart.spacing[axis], base[axis], a)
     return fills
@@ -548,7 +527,7 @@ def solve_phi_2d(
     base_idx = chart.base_index(base)
     structure, threshold = _structure_gate(fd, gate_factor)
 
-    om1, om2, om12 = fd.omega[0].values, fd.omega[1].values, fd.connection.values[0]
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
     # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
     fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
 
@@ -602,12 +581,11 @@ _matrix_fill = rkmk4_fill(MATRIX_KERNELS)
 
 def _matrix_system(fd: FrameData):
     """RKMK4 system of the n x n orthogonal field with skew-matrix kernels."""
-    n = fd.dim
 
     def system(axis, take):
         # om[..., k] = coefficient of dx_axis in omega_k
-        om = np.stack([take(fd.omega[k].values[axis]) for k in range(n)], axis=-1)
-        w = take(fd.connection.coefficient_matrix(axis))
+        om = take(np.moveaxis(fd.omega[:, axis], 0, -1))
+        w = take(connection_matrix(fd.connection, axis))
         return [om, w], _matrix_fill
 
     return system
@@ -649,13 +627,13 @@ def _axial_system(fd: FrameData, sigma):
     P is built in that layout; the fill sees the state block through a
     component-major view, so each line is converted once, when written.
     """
-    conn = fd.connection.values  # pairs (1, 2), (1, 3), (2, 3)
+    conn = fd.connection  # pairs (1, 2), (1, 3), (2, 3)
 
     def system(axis, take):
         shape = take(conn[0, axis]).shape
         p = np.empty(shape[:1] + (3, 2) + shape[1:])
         for k in range(3):
-            p[:, k, 0] = take(fd.omega[k].values[axis])
+            p[:, k, 0] = take(fd.omega[k, axis])
         # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w
         np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
         np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
@@ -722,7 +700,7 @@ def solve_L_nd(
     rotation = FrameRotationField(chart, L)
     th = np.zeros((n,) + chart.counts)
     for k in range(n):
-        th += L[..., 0, k] * fd.omega[k].values
+        th += L[..., 0, k] * fd.omega[k]
     theta1 = OneFormField(chart, th)
 
     return SolveReport(

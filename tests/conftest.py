@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pssframe import ConnectionField, FrameData, GridChart, OneFormField, ScalarField
+from pssframe import FrameData, GridChart, ScalarField, connection_matrix
 from pssframe.models import igsge_explicit_solution, igsge_forms
 
 
@@ -24,11 +24,8 @@ def exp_metric_frame(n, lo=-1.0, hi=1.0):
     x, _ = chart.meshgrid()
     zero = np.zeros(chart.shape)
     ex = np.exp(-x)
-    omega1 = OneFormField.from_arrays(chart, [np.ones(chart.shape), zero])
-    omega2 = OneFormField.from_arrays(chart, [zero, ex])
-    omega12 = OneFormField.from_arrays(chart, [zero, -ex])
-    conn = ConnectionField(chart, {(0, 1): omega12})
-    return FrameData(chart, (omega1, omega2), conn)
+    omega = [[np.ones(chart.shape), zero], [zero, ex]]
+    return FrameData(chart, omega, [[zero, -ex]])
 
 
 def cosh_metric_frame(n, lo=-1.0, hi=1.0):
@@ -40,11 +37,8 @@ def cosh_metric_frame(n, lo=-1.0, hi=1.0):
     chart = square_chart(n, lo, hi)
     x, _ = chart.meshgrid()
     zero = np.zeros(chart.shape)
-    omega1 = OneFormField.from_arrays(chart, [np.ones(chart.shape), zero])
-    omega2 = OneFormField.from_arrays(chart, [zero, np.cosh(x)])
-    omega12 = OneFormField.from_arrays(chart, [zero, np.sinh(x)])
-    conn = ConnectionField(chart, {(0, 1): omega12})
-    return FrameData(chart, (omega1, omega2), conn)
+    omega = [[np.ones(chart.shape), zero], [zero, np.cosh(x)]]
+    return FrameData(chart, omega, [[zero, np.sinh(x)]])
 
 
 def half_space_frame(n, m):
@@ -57,21 +51,14 @@ def half_space_frame(n, m):
     """
     chart = GridChart((0.0,) * n, (1.0 / (m - 1),) * n, (m,) * n)
     x1 = chart.meshgrid()[0]
-    zero = np.zeros(chart.shape)
     decay = np.exp(-x1)
-
-    def form(k, values):
-        coeffs = [zero] * n
-        coeffs[k] = values
-        return OneFormField.from_arrays(chart, coeffs)
-
-    omega = [form(0, np.ones(chart.shape))] + [form(i, decay) for i in range(1, n)]
-    upper = {
-        (i, j): form(j, -decay) if i == 0 else OneFormField.zeros(chart)
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return FrameData(chart, tuple(omega), ConnectionField(chart, upper))
+    omega = np.zeros((n, n) + chart.counts)
+    omega[0, 0] = 1.0
+    upper = np.zeros((n * (n - 1) // 2, n) + chart.counts)
+    for i in range(1, n):
+        omega[i, i] = decay
+        upper[i - 1, i] = -decay  # pairs (0, 1), ..., (0, n - 1) come first
+    return FrameData(chart, omega, upper)
 
 
 def varying_rotation_frame(m, K, weights):
@@ -89,15 +76,14 @@ def varying_rotation_frame(m, K, weights):
     f = np.sin(phase)
     s, c = np.sin(f)[..., None, None], np.cos(f)[..., None, None]
     R = np.eye(n) + s * K + (1.0 - c) * (K @ K)
-    theta = [sum(R[..., i, j] * fd.omega[j].values for j in range(n)) for i in range(n)]
+    theta = [sum(R[..., i, j] * fd.omega[j] for j in range(n)) for i in range(n)]
     rows, cols = np.triu_indices(n, 1)
     upper = np.empty((len(rows), n) + chart.counts)
     for a in range(n):
         big_theta = (weights[a] * np.cos(phase))[..., None, None] * K
-        big_theta += R @ fd.connection.coefficient_matrix(a) @ np.swapaxes(R, -1, -2)
+        big_theta += R @ connection_matrix(fd.connection, a) @ np.swapaxes(R, -1, -2)
         upper[:, a] = np.moveaxis(big_theta[..., rows, cols], -1, 0)
-    omega = tuple(OneFormField(chart, t) for t in theta)
-    return FrameData(chart, omega, ConnectionField(chart, upper)), R
+    return FrameData(chart, theta, upper), R
 
 
 def igsge_frame(n):
@@ -134,12 +120,9 @@ def rotated_l0(n, seed=20260817):
 def flat_frame(n):
     """Coframe of the flat plane: fails every curvature -1 check."""
     chart = square_chart(n)
-    zero = np.zeros(chart.shape)
-    one = np.ones(chart.shape)
-    omega1 = OneFormField.from_arrays(chart, [one, zero])
-    omega2 = OneFormField.from_arrays(chart, [zero, one])
-    conn = ConnectionField(chart, {(0, 1): OneFormField.zeros(chart)})
-    return FrameData(chart, (omega1, omega2), conn)
+    omega = np.zeros((2, 2) + chart.counts)
+    omega[0, 0] = omega[1, 1] = 1.0
+    return FrameData(chart, omega, np.zeros((1, 2) + chart.counts))
 
 
 def scalar_from(chart, fn):
@@ -174,6 +157,6 @@ def non_finite_frame(dim, component, value, node="center"):
     """
     fd = exp_metric_frame(9) if dim == 2 else half_space_frame(3, 7)
     where = tuple(c // 2 if node == "center" else 0 for c in fd.chart.counts)
-    target = fd.omega[1].values[1] if component == "omega" else fd.connection.values[0, 1]
+    target = fd.omega[1, 1] if component == "omega" else fd.connection[0, 1]
     target[where] = value
     return fd

@@ -212,7 +212,7 @@ def gate_failing_frame():
     structure gate by a factor of ten."""
     chart = GridChart((0.5, -0.2, -0.2), (0.05,) * 3, (9, 9, 9))
     fd = igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
-    fd.omega[1].values[:] *= 2.0
+    fd.omega[1] *= 2.0
     return fd
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from pssframe import GridChart, OneFormField, ScalarField
 from pssframe.conservation import analyze, write_csv, write_q_svg
+from pssframe.grid import partial_derivative
 
 
 def xt_chart(nx=33, nt=9, x_hi=np.pi, t_hi=1.0):
@@ -147,3 +148,52 @@ def test_svg_smoke_and_empty_error(tmp_path):
     assert "order 0, axis 1" in text
     with pytest.raises(ValueError, match="nothing to plot"):
         write_q_svg(tmp_path / "empty.svg", [])
+
+
+def _full_grid_residuals(theta, time_axis):
+    """The flux and cross residuals as they were formed: full-grid partial
+    derivatives, one-sided boundary rows included, then the interior read off."""
+    chart = theta.chart
+    f, h = theta.values, chart.spacing
+    inner = tuple(slice(1, -1) for _ in range(chart.dim))
+
+    def d(values, axis):
+        return partial_derivative(values, axis, h[axis])
+
+    def interior_max(res):
+        return float(np.max(np.abs(res[inner])))
+
+    spatial = [j for j in range(chart.dim) if j != time_axis]
+    flux = [interior_max(d(f[time_axis], j) - d(f[j], time_axis)) for j in spatial]
+    cross = {
+        (i, j): interior_max(d(f[j], i) - d(f[i], j))
+        for i in spatial
+        for j in spatial
+        if i < j
+    }
+    return flux, cross
+
+
+@pytest.mark.parametrize("counts", [(17, 9), (9, 7, 6)], ids=["2d", "3d"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+def test_residuals_are_the_full_grid_residuals_bit_for_bit(rng, counts, nan):
+    dim = len(counts)
+    chart = GridChart((0.2,) * dim, tuple(0.07 + 0.02 * k for k in range(dim)), counts)
+    coords = chart.meshgrid()
+    forms = [rng.standard_normal((dim,) + counts) for _ in range(4)]
+    forms.append([np.sin(coords[k] * coords[-1 - k]) for k in range(dim)])
+    for values in forms:
+        values = np.array(values)
+        if nan:
+            values[(1,) + tuple(c // 2 for c in counts)] = np.nan
+        theta = OneFormField(chart, values)
+        for time_axis in range(dim):
+            report = analyze(theta, time_axis)
+            flux, cross = _full_grid_residuals(theta, time_axis)
+            got = [a.flux_residual for a in report.axes]
+            assert np.array_equal(got, flux, equal_nan=True)
+            assert sorted(report.cross_residuals) == sorted(cross)
+            for key, value in cross.items():
+                assert np.array_equal(report.cross_residuals[key], value, equal_nan=True)
+            if nan:
+                assert np.isnan(got).any()

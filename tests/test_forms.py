@@ -13,7 +13,7 @@ from pssframe import (
     wedge,
 )
 
-from pssframe.grid import GridChart
+from pssframe.grid import GridChart, interior_max_abs
 
 from conftest import square_chart
 
@@ -43,7 +43,8 @@ def test_d_oneform_orientation():
     x, y = chart.meshgrid()
     theta = OneFormField.from_arrays(chart, [-y, np.zeros(chart.shape)])
     dtheta = d_oneform(theta)
-    assert np.max(np.abs(dtheta.coefficient(0, 1).values - 1.0)) < 1e-12
+    assert dtheta.shape == (1,) + chart.counts
+    assert np.max(np.abs(dtheta[0] - 1.0)) < 1e-12
     assert closedness_residual(theta) == pytest.approx(1.0)
 
 
@@ -56,14 +57,14 @@ def test_wedge_antisymmetry_and_bilinearity(rng):
     a, b, c = rand_form(), rand_form(), rand_form()
     ab = wedge(a, b)
     ba = wedge(b, a)
-    assert np.max(np.abs(ab.coefficient(0, 1).values + ba.coefficient(0, 1).values)) < 1e-14
-    assert wedge(a, a).max_abs() < 1e-14
-    lhs = wedge(a, b.scaled(2.0)).coefficient(0, 1).values + wedge(a, c).coefficient(0, 1).values
+    assert np.max(np.abs(ab + ba)) < 1e-14
+    assert np.max(np.abs(wedge(a, a))) < 1e-14
+    lhs = wedge(a, b.scaled(2.0)) + wedge(a, c)
     combo = OneFormField.from_arrays(
         chart, [2.0 * b.coefficient(0).values + c.coefficient(0).values,
                 2.0 * b.coefficient(1).values + c.coefficient(1).values]
     )
-    rhs = wedge(a, combo).coefficient(0, 1).values
+    rhs = wedge(a, combo)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -73,7 +74,7 @@ def test_wedge_matches_hand_value():
     one = np.ones(chart.shape)
     alpha = OneFormField.from_arrays(chart, [one, 2 * one])          # dx + 2 dy
     beta = OneFormField.from_arrays(chart, [x, y])                   # x dx + y dy
-    got = wedge(alpha, beta).coefficient(0, 1).values
+    got = wedge(alpha, beta)[0]
     assert np.max(np.abs(got - (y - 2 * x))) < 1e-14
 
 
@@ -127,16 +128,17 @@ def test_d_oneform_three_axes():
     x, y, z = chart3.meshgrid()
     theta = OneFormField.from_arrays(chart3, [y * z, np.zeros(chart3.shape), x])
     dtheta = d_oneform(theta)
-    # d(yz dx + 0 dy + x dz) = -z dx^dy + (1 - y) dx^dz + 0 dy^dz
-    assert np.max(np.abs(dtheta.coefficient(0, 1).values + z)) < 1e-12
-    assert np.max(np.abs(dtheta.coefficient(0, 2).values - (1 - y))) < 1e-12
-    assert np.max(np.abs(dtheta.coefficient(1, 2).values)) < 1e-12
+    # d(yz dx + 0 dy + x dz) = -z dx^dy + (1 - y) dx^dz + 0 dy^dz, pairs
+    # in row-major order (0, 1), (0, 2), (1, 2)
+    assert np.max(np.abs(dtheta[0] + z)) < 1e-12
+    assert np.max(np.abs(dtheta[1] - (1 - y))) < 1e-12
+    assert np.max(np.abs(dtheta[2])) < 1e-12
 
 
 def _full_grid_closedness(theta):
     # the residual as it was formed: the full-grid d(theta), one-sided
     # boundary rows included, then its interior max
-    return d_oneform(theta).interior_max_abs()
+    return float(np.max([interior_max_abs(c) for c in d_oneform(theta)]))
 
 
 @pytest.mark.parametrize("counts", [(17, 13), (9, 11, 7), (5, 6, 4, 7)])
@@ -161,3 +163,63 @@ def test_interior_closedness_of_a_nan_form_is_nan(rng, node):
     theta = OneFormField(chart, values)
     assert np.isnan(closedness_residual(theta))
     assert np.isnan(_full_grid_closedness(theta))
+
+
+def _reference_potential(theta, base="center"):
+    """`potential` with its own staircase walker, as it was written before the
+    walker was shared with the sweeps: the region of each axis tracked by the
+    axes still pinned at the base, and a cumulative trapezoid per block."""
+    chart = theta.chart
+    base_idx = chart.base_index(base)
+
+    def line_integral(f, axis, b, spacing):
+        def sl(part):
+            idx = [slice(None)] * f.ndim
+            idx[axis] = part
+            return tuple(idx)
+
+        seg = 0.5 * spacing * (f[sl(slice(None, -1))] + f[sl(slice(1, None))])
+        out = np.zeros_like(f)
+        np.cumsum(seg, axis=axis, out=out[sl(slice(1, None))])
+        out -= out[sl(slice(b, b + 1))]
+        return out
+
+    def staircase(axis_order):
+        g = np.zeros(chart.counts)
+        fixed = {k: base_idx[k] for k in range(chart.dim)}
+        for axis in axis_order:
+            region = tuple(
+                slice(None) if k not in fixed or k == axis else slice(fixed[k], fixed[k] + 1)
+                for k in range(chart.dim)
+            )
+            incr = line_integral(
+                theta.values[axis][region], axis, base_idx[axis], chart.spacing[axis]
+            )
+            prev_region = tuple(
+                slice(base_idx[axis], base_idx[axis] + 1) if k == axis else region[k]
+                for k in range(chart.dim)
+            )
+            g[region] = g[prev_region] + incr
+            del fixed[axis]
+        return g
+
+    order = list(range(chart.dim))
+    g_fwd = staircase(order)
+    return g_fwd, float(np.max(np.abs(g_fwd - staircase(order[::-1]))))
+
+
+@pytest.mark.parametrize("counts", [(17, 13), (9, 11, 7), (5, 6, 4, 7)])
+@pytest.mark.parametrize("base", ["center", "origin", "off-centre"])
+def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(rng, counts, base):
+    dim = len(counts)
+    chart = GridChart((0.3,) * dim, tuple(0.04 + 0.03 * k for k in range(dim)), counts)
+    if base == "off-centre":
+        base = tuple(c // 3 + k % 2 for k, c in enumerate(counts))
+    coords = chart.meshgrid()
+    smooth = [np.cos(coords[k]) * np.exp(coords[-1 - k]) for k in range(dim)]
+    for values in [rng.standard_normal((dim,) + counts) for _ in range(3)] + [smooth]:
+        theta = OneFormField(chart, values)
+        G, path_residual = potential(theta, base)
+        want_G, want_path = _reference_potential(theta, base)
+        assert np.array_equal(G.values, want_G)
+        assert path_residual == want_path

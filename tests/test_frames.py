@@ -1,10 +1,12 @@
 """Frame bundles: structure equations, rotations, dual vectors, persistence."""
 
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from pssframe import (
-    ConnectionField,
     FrameData,
     FrameRotationField,
     GridChart,
@@ -28,6 +30,7 @@ from pssframe.errors import (
 )
 
 from pssframe.forms import d_oneform
+from pssframe.grid import interior_max_abs
 from pssframe.models import ch_evolve, ch_forms, sg_forms, sg_solution
 from pssframe.rotation_solver import expm_skew, solve_L_nd, solve_phi_2d
 
@@ -64,28 +67,41 @@ def test_structure_residuals_second_order_on_cosh_metric():
     assert np.all(orders > 1.9)
 
 
+def connection_entry(fd, i, j):
+    """omega_ij as a one-form: the stored upper entry, or a negated copy of it."""
+    upper = fd.connection[list(combinations(range(fd.dim), 2)).index((min(i, j), max(i, j)))]
+    return OneFormField(fd.chart, upper if i < j else -upper)
+
+
+def omega_form(fd, i):
+    return OneFormField(fd.chart, fd.omega[i])
+
+
 def full_grid_structure_residuals(fd, curvature=-1.0):
     """`structure_residuals` as the full-grid forms spell it: d and wedge at
     every node, negated copies of the entries below the diagonal, and only
     then the interior read off."""
     n = fd.dim
-    conn = fd.connection
+
+    def interior(two_form):
+        return float(np.max([interior_max_abs(c) for c in two_form]))
+
     res1 = []
     for i in range(n):
-        resid = d_oneform(fd.omega[i])
+        resid = d_oneform(omega_form(fd, i))
         for j in range(n):
             if j != i:
-                resid.values -= wedge(fd.omega[j], conn.entry(j, i)).values
-        res1.append(resid.interior_max_abs())
+                resid -= wedge(omega_form(fd, j), connection_entry(fd, j, i))
+        res1.append(interior(resid))
     res2 = []
     for i in range(n):
         for j in range(i + 1, n):
-            resid = d_oneform(conn.entry(i, j))
+            resid = d_oneform(connection_entry(fd, i, j))
             for k in range(n):
                 if k != i and k != j:
-                    resid.values -= wedge(conn.entry(i, k), conn.entry(k, j)).values
-            resid.values += wedge(fd.omega[i], fd.omega[j]).values * float(curvature)
-            res2.append(resid.interior_max_abs())
+                    resid -= wedge(connection_entry(fd, i, k), connection_entry(fd, k, j))
+            resid += wedge(omega_form(fd, i), omega_form(fd, j)) * float(curvature)
+            res2.append(interior(resid))
     return float(np.max(res1)), float(np.max(res2))
 
 
@@ -115,14 +131,14 @@ def _random_frame(dim, m, seed):
     # every coefficient nonzero, so every term moves the last bits of the max
     rng = np.random.default_rng(seed)
     chart = GridChart((0.0,) * dim, (0.1,) * dim, (m,) * dim)
-    omega = tuple(OneFormField(chart, rng.uniform(-1, 1, (dim,) + chart.counts)) for _ in range(dim))
+    omega = np.array([rng.uniform(-1, 1, (dim,) + chart.counts) for _ in range(dim)])
     upper = rng.uniform(-1, 1, (dim * (dim - 1) // 2, dim) + chart.counts)
-    return FrameData(chart, omega, ConnectionField(chart, upper))
+    return FrameData(chart, omega, upper)
 
 
 def _nan_frame():
     fd = igsge_frame(13)
-    fd.connection.values[2, 1, 6, 4, 7] = np.nan
+    fd.connection[2, 1, 6, 4, 7] = np.nan
     return fd
 
 
@@ -176,14 +192,8 @@ def test_special_frame_residual_values():
 def test_frame_change_identity_is_identity():
     fd = cosh_metric_frame(21)
     rotated = frame_change(fd, FrameRotationField.identity(fd.chart))
-    for w0, w1 in zip(fd.omega, rotated.omega):
-        for a in range(2):
-            assert np.array_equal(w0.coefficient(a).values, w1.coefficient(a).values)
-    assert np.allclose(
-        rotated.connection.entry(0, 1).coefficient(1).values,
-        fd.connection.entry(0, 1).coefficient(1).values,
-        atol=1e-15,
-    )
+    assert np.array_equal(rotated.omega, fd.omega)
+    assert np.allclose(rotated.connection[0, 1], fd.connection[0, 1], atol=1e-15)
 
 
 def test_frame_change_round_trip_with_smooth_rotation():
@@ -192,12 +202,9 @@ def test_frame_change_round_trip_with_smooth_rotation():
     rot = FrameRotationField.from_angle(phi)
     inv = FrameRotationField(fd.chart, np.swapaxes(rot.matrix, -1, -2))
     back = frame_change(frame_change(fd, rot), inv)
-    for w0, w1 in zip(fd.omega, back.omega):
-        for a in range(2):
-            assert np.max(np.abs(w0.coefficient(a).values - w1.coefficient(a).values)) < 1e-12
+    assert np.max(np.abs(back.omega - fd.omega)) < 1e-12
     # connection round trip only holds to stencil order (dL terms)
-    diff = back.connection.entry(0, 1) - fd.connection.entry(0, 1)
-    assert diff.max_abs() < 5e-3
+    assert np.max(np.abs(back.connection - fd.connection)) < 5e-3
 
 
 def test_frame_change_by_constant_rotation_preserves_structure():
@@ -239,13 +246,9 @@ def test_frame_vector_fields_of_exp_metric():
 def test_frame_vector_fields_masks_degenerate_nodes():
     fd = exp_metric_frame(31)
     x, _ = fd.chart.meshgrid()
-    scaled = ScalarField(fd.chart, x) * fd.omega[1].coefficient(1)
-    from pssframe import OneFormField
-
-    omega2 = OneFormField.from_arrays(
-        fd.chart, [np.zeros(fd.chart.shape), scaled.values]
-    )
-    fd2 = FrameData(fd.chart, (fd.omega[0], omega2), fd.connection)
+    omega = fd.omega.copy()
+    omega[1, 1] *= x
+    fd2 = FrameData(fd.chart, omega, fd.connection)
     comps, valid = frame_vector_fields(fd2, det_rtol=1e-8)
     assert not valid[15, :].any()  # the x = 0 grid line is singular
     assert valid[0, :].all() and valid[-1, :].all()
@@ -254,10 +257,9 @@ def test_frame_vector_fields_masks_degenerate_nodes():
 
 def test_frame_vector_fields_raises_when_singular_everywhere():
     fd = exp_metric_frame(9)
-    from pssframe import OneFormField
-
-    zero = OneFormField.zeros(fd.chart)
-    fd2 = FrameData(fd.chart, (fd.omega[0], zero), fd.connection)
+    omega = fd.omega.copy()
+    omega[1] = 0.0
+    fd2 = FrameData(fd.chart, omega, fd.connection)
     with pytest.raises(DegenerateFrameError):
         frame_vector_fields(fd2)
 
@@ -279,13 +281,8 @@ def test_save_load_round_trip(tmp_path):
     save_frame_data(path, fd)
     back = load_frame_data(path)
     assert back.chart.counts == fd.chart.counts
-    for w0, w1 in zip(fd.omega, back.omega):
-        for a in range(2):
-            assert np.array_equal(w0.coefficient(a).values, w1.coefficient(a).values)
-    assert np.array_equal(
-        back.connection.entry(0, 1).coefficient(1).values,
-        fd.connection.entry(0, 1).coefficient(1).values,
-    )
+    assert np.array_equal(back.omega, fd.omega)
+    assert np.array_equal(back.connection, fd.connection)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -306,9 +303,9 @@ def test_save_load_round_trip_pins_the_component_order(tmp_path, n):
     # file layout: omega_1..omega_n, then omega_12, omega_13, ..., omega_(n-1)n,
     # each form's n coefficients in axis order
     _, stack = read_field(path)
-    want = [w.coefficient(a).values for w in fd.omega for a in range(n)]
+    want = [fd.omega[i, a] for i in range(n) for a in range(n)]
     want += [
-        fd.connection.entry(i, j).coefficient(a).values
+        connection_entry(fd, i, j).values[a]
         for i in range(n)
         for j in range(i + 1, n)
         for a in range(n)
@@ -318,17 +315,26 @@ def test_save_load_round_trip_pins_the_component_order(tmp_path, n):
     for comp, w in zip(stack, want):
         assert np.array_equal(comp, w)
 
-    for i in range(n):
-        for a in range(n):
-            assert np.array_equal(
-                back.omega[i].coefficient(a).values, fd.omega[i].coefficient(a).values
-            )
-        for j in range(n):
-            for a in range(n):
-                assert np.array_equal(
-                    back.connection.entry(i, j).coefficient(a).values,
-                    fd.connection.entry(i, j).coefficient(a).values,
-                )
+    assert np.array_equal(back.omega, fd.omega)
+    assert np.array_equal(back.connection, fd.connection)
+
+
+@pytest.mark.parametrize(
+    "field, omega_shape, connection_shape",
+    [
+        ("coframe omega", (2, 5, 5), (1, 2, 5, 5)),  # one one-form, no n x n block
+        ("coframe omega", (2, 2, 5, 4), (1, 2, 5, 5)),  # another chart
+        ("connection", (2, 2, 5, 5), (2, 5, 5)),  # no pair axis
+        ("connection", (2, 2, 5, 5), (3, 2, 5, 5)),  # the full matrix's pairs
+    ],
+)
+def test_frame_data_refuses_wrong_shapes(field, omega_shape, connection_shape):
+    chart = square_chart(5)
+    got = {"coframe omega": omega_shape, "connection": connection_shape}[field]
+    right = {"coframe omega": (2, 2, 5, 5), "connection": (1, 2, 5, 5)}[field]
+    message = "%s needs shape %s, got %s" % (field, right, got)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FrameData(chart, np.zeros(omega_shape), np.zeros(connection_shape))
 
 
 def test_load_rejects_wrong_component_count(tmp_path):

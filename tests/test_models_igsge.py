@@ -1,9 +1,11 @@
 """The n-dimensional first-order system and its explicit solution family."""
 
+import re
+
 import numpy as np
 import pytest
 
-from pssframe import DegenerateFrameError, GridChart, ScalarField, solve_L_nd
+from pssframe import DegenerateFrameError, GridChart, solve_L_nd
 from pssframe.models import (
     IGSGEState,
     igsge_explicit_solution,
@@ -54,19 +56,28 @@ def test_explicit_solution_argument_validation():
         igsge_explicit_solution(bad, C3)
 
 
-def test_state_fills_missing_coefficients_with_zeros():
+@pytest.mark.parametrize(
+    "field, V_shape, h_shape",
+    [
+        ("V", (2, 5, 5, 5), (3, 3, 5, 5, 5)),  # one component short
+        ("V", (3, 5, 5, 4), (3, 3, 5, 5, 5)),  # another chart
+        ("h", (3, 5, 5, 5), (6, 5, 5, 5)),  # the off-diagonal entries, flat
+        ("h", (3, 5, 5, 5), (3, 3, 5, 5)),  # another chart
+    ],
+)
+def test_state_refuses_wrong_shapes(field, V_shape, h_shape):
     chart = box_chart(5)
-    state = igsge_explicit_solution(chart, C3)
-    assert set(state.h) == {(i, j) for i in range(3) for j in range(3) if i != j}
-    assert np.all(state.h[(1, 2)].values == 0.0)
-    with pytest.raises(ValueError, match="one component per axis"):
-        IGSGEState(chart, V=state.V[:2], h={})
+    got = {"V": V_shape, "h": h_shape}[field]
+    right = {"V": (3, 5, 5, 5), "h": (3, 3, 5, 5, 5)}[field]
+    message = "%s needs shape %s, got %s" % (field, right, got)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IGSGEState(chart, V=np.zeros(V_shape), h=np.zeros(h_shape))
 
 
 def test_unit_residual_flags_non_unit_fields():
     chart = box_chart(5)
-    V = tuple(ScalarField(chart, np.full(chart.counts, 0.8)) for _ in range(3))
-    state = IGSGEState(chart, V=V, h={})
+    V = np.full((3,) + chart.counts, 0.8)
+    state = IGSGEState(chart, V=V, h=np.zeros((3, 3) + chart.counts))
     assert state.unit_residual() == pytest.approx(3 * 0.64 - 1.0)
 
 
@@ -75,14 +86,10 @@ def test_h_recovery_matches_analytic_coefficients():
     for n in (17, 33):
         chart = box_chart(n)
         state = igsge_explicit_solution(chart, C3)
-        h, valid = igsge_h_from_V(state.V)
-        worst = 0.0
-        for key, field in h.items():
-            assert valid[key].all()  # tanh and sech never vanish on x_1 > 0
-            worst = max(
-                worst, float(np.max(np.abs(field.values - state.h[key].values)))
-            )
-        errs.append(worst)
+        h, valid = igsge_h_from_V(chart, state.V)
+        assert valid.all()  # tanh and sech never vanish on x_1 > 0
+        assert not h[[0, 1, 2], [0, 1, 2]].any()
+        errs.append(float(np.max(np.abs(h - state.h))))
     assert errs[0] == pytest.approx(8.34e-2, rel=0.05)
     assert np.log2(errs[0] / errs[1]) > 1.5
 
@@ -90,17 +97,18 @@ def test_h_recovery_matches_analytic_coefficients():
 def test_h_recovery_masks_nodes_below_threshold():
     chart = box_chart(17)
     state = igsge_explicit_solution(chart, C3)
-    h, valid = igsge_h_from_V(state.V, threshold=0.05)
-    mask = valid[(1, 0)]  # divisor 0.6 sech(x_1) falls below 0.05 for large x_1
+    h, valid = igsge_h_from_V(chart, state.V, threshold=0.05)
+    mask = valid[1]  # divisor 0.6 sech(x_1) falls below 0.05 for large x_1
     assert mask.any() and not mask.all()
-    assert np.all(h[(1, 0)].values[~mask] == 0.0)
+    assert np.all(h[1, 0][~mask] == 0.0)
+    assert np.all(h[1, 2][~mask] == 0.0)
 
 
 def test_h_recovery_rejects_vanishing_component():
     chart = box_chart(9)
     state = igsge_explicit_solution(chart, (1.0, 0.0))
     with pytest.raises(DegenerateFrameError, match="component 3"):
-        igsge_h_from_V(state.V)
+        igsge_h_from_V(chart, state.V)
 
 
 def test_forms_layout():
@@ -109,20 +117,15 @@ def test_forms_layout():
     fd = igsge_forms(state)
     for i in range(3):
         for a in range(3):
-            coeff = fd.omega[i].coefficient(a).values
+            coeff = fd.omega[i, a]
             if a == i:
-                assert np.array_equal(coeff, state.V[i].values)
+                assert np.array_equal(coeff, state.V[i])
             else:
                 assert np.all(coeff == 0.0)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            form = fd.connection.entry(i, j)
-            assert np.array_equal(
-                form.coefficient(j).values, state.h[(i, j)].values
-            )
-            assert np.array_equal(
-                form.coefficient(i).values, -state.h[(j, i)].values
-            )
+    for p, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        form = fd.connection[p]
+        assert np.array_equal(form[j], state.h[i, j])
+        assert np.array_equal(form[i], -state.h[j, i])
 
 
 def test_identity_start_solves_exactly_on_explicit_solution():

@@ -86,16 +86,9 @@ def test_forms_accept_scalar_field_with_fd_fallback():
     sol = sg_solution(chart)
     fd_analytic = sg_forms(sol)
     fd_fd = sg_forms(sol.u)
-    diff = (
-        fd_analytic.connection.entry(0, 1).coefficient(1).values
-        - fd_fd.connection.entry(0, 1).coefficient(1).values
-    )
+    diff = fd_analytic.connection[0, 1] - fd_fd.connection[0, 1]
     assert np.max(np.abs(diff)) < 2e-2  # derivative discretization only
-    for a in range(2):
-        assert np.array_equal(
-            fd_analytic.omega[0].coefficient(a).values,
-            fd_fd.omega[0].coefficient(a).values,
-        )
+    assert np.array_equal(fd_analytic.omega[0], fd_fd.omega[0])
 
 
 def test_solved_angle_satisfies_the_printed_first_order_system():
@@ -127,28 +120,10 @@ def test_two_dimensional_reduction_matches_general_system():
     sol = sg_solution(chart, kind="moving_kink", velocity=0.3)
     fd_sg = sg_forms(sol)
     half = 0.5 * sol.u.values
-    from pssframe import ScalarField
-
-    state = IGSGEState(
-        chart,
-        V=(
-            ScalarField(chart, np.cos(half)),
-            ScalarField(chart, np.sin(half)),
-        ),
-        h={
-            (0, 1): ScalarField(chart, 0.5 * sol.u_x1.values),
-            (1, 0): ScalarField(chart, -0.5 * sol.u_x2.values),
-        },
-    )
+    h = np.zeros((2, 2) + chart.counts)
+    h[0, 1] = 0.5 * sol.u_x1.values
+    h[1, 0] = -0.5 * sol.u_x2.values
+    state = IGSGEState(chart, V=[np.cos(half), np.sin(half)], h=h)
     fd_gen = igsge_forms(state)
-    for i in range(2):
-        for a in range(2):
-            assert np.array_equal(
-                fd_sg.omega[i].coefficient(a).values,
-                fd_gen.omega[i].coefficient(a).values,
-            )
-    for a in range(2):
-        assert np.array_equal(
-            fd_sg.connection.entry(0, 1).coefficient(a).values,
-            fd_gen.connection.entry(0, 1).coefficient(a).values,
-        )
+    assert np.array_equal(fd_sg.omega, fd_gen.omega)
+    assert np.array_equal(fd_sg.connection, fd_gen.connection)

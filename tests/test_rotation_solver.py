@@ -134,7 +134,7 @@ def _flat_sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
 @pytest.mark.parametrize("base", [(8, 8), (0, 5), (16, 0)])
 def test_per_axis_fields_sweep_as_the_flat_fields(axes_order, base):
     fd = cosh_metric_frame(17)
-    om1, om2, om12 = fd.omega[0].values, fd.omega[1].values, fd.connection.values[0]
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
     flat = [om1[0], om2[0], om12[0], om1[1], om2[1], om12[1]]
 
     def rhs(axis, s, y):
