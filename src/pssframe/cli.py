@@ -158,6 +158,25 @@ def _json_value(value):
     return value
 
 
+def _write(out_dir, name, writer, *args):
+    """writer(path, *args) for the output file `name` in out_dir.
+
+    An OSError while writing (a directory in the file's place, a full disk)
+    becomes a ConfigError that names the path.
+    """
+    path = os.path.join(out_dir, name)
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise ConfigError("%s: %s" % (path, exc.strerror or exc)) from exc
+
+
+def _write_json(path, value):
+    with open(path, "w") as fh:
+        json.dump(value, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
     with open(cfg_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -174,32 +193,19 @@ def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
         },
         "results": results,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(_json_value(manifest), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write(out_dir, "manifest.json", _write_json, _json_value(manifest))
 
 
 def _write_report_fields(out_dir, report):
     chart = report.theta1.chart
-    write_field(
-        os.path.join(out_dir, "theta1.pssfield"),
-        chart,
-        report.theta1.values,
-    )
+    _write(out_dir, "theta1.pssfield", write_field, chart, report.theta1.values)
     n = chart.dim
     rot = report.rotation.matrix
-    write_field(
-        os.path.join(out_dir, "rotation.pssfield"),
-        chart,
-        [rot[..., i, j] for i in range(n) for j in range(n)],
-    )
+    entries = [rot[..., i, j] for i in range(n) for j in range(n)]
+    _write(out_dir, "rotation.pssfield", write_field, chart, entries)
     if report.rotation.angle is not None:
-        write_field(
-            os.path.join(out_dir, "phi.pssfield"),
-            chart,
-            [report.rotation.angle.values],
-        )
+        angle = [report.rotation.angle.values]
+        _write(out_dir, "phi.pssfield", write_field, chart, angle)
 
 
 def cmd_verify(cfg, cfg_path, out_dir, scale):
@@ -247,11 +253,8 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     # a run that fails the check leaves no field behind
     _write_report_fields(out_dir, report)
     if cfg.coordinates_check:
-        write_field(
-            os.path.join(out_dir, "potential.pssfield"),
-            fd.chart,
-            [check.potential.values],
-        )
+        potential = [check.potential.values]
+        _write(out_dir, "potential.pssfield", write_field, fd.chart, potential)
     _write_manifest(out_dir, "solve-frame", cfg_path, scale, cfg, results)
     return 0
 
@@ -279,16 +282,8 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
     chart = state.chart
     per_order = {}
     for item in result.orders:
-        write_field(
-            os.path.join(out_dir, "phi_%d.pssfield" % item.order),
-            chart,
-            [item.phi.values],
-        )
-        write_field(
-            os.path.join(out_dir, "theta_%d.pssfield" % item.order),
-            chart,
-            item.form.values,
-        )
+        _write(out_dir, "phi_%d.pssfield" % item.order, write_field, chart, [item.phi.values])
+        _write(out_dir, "theta_%d.pssfield" % item.order, write_field, chart, item.form.values)
         per_order[str(item.order)] = {
             "compat_residual": item.compat_residual,
             "closed_residual": item.closed_residual,
@@ -327,9 +322,9 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
             "drift": rep.max_drift(),
             "relative_drift": rep.max_relative_drift(),
         }
-    write_csv(os.path.join(out_dir, "conservation.csv"), reports, orders)
+    _write(out_dir, "conservation.csv", write_csv, reports, orders)
     if cfg.svg:
-        write_q_svg(os.path.join(out_dir, "q.svg"), reports, orders)
+        _write(out_dir, "q.svg", write_q_svg, reports, orders)
 
     results["orders"] = per_order
     ok = cfg.drift_tol is None or worst_rel <= cfg.drift_tol
@@ -381,20 +376,7 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
         % (closed_order, ",".join("%.3f" % o for o in pair_orders), cfg.order_floor)
     )
 
-    csv_path = os.path.join(out_dir, "converge.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("scale,h_max,res1,res2,compat,closed,orth\n")
-        for row in rows:
-            fh.write(
-                "%d,%s\n"
-                % (
-                    row["scale"],
-                    ",".join(
-                        "%.17g" % row[key]
-                        for key in ("h_max", "res1", "res2", "compat", "closed", "orth")
-                    ),
-                )
-            )
+    _write(out_dir, "converge.csv", _write_converge_csv, rows)
 
     ok = closed_order >= cfg.order_floor
     _write_manifest(
@@ -411,6 +393,14 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
         },
     )
     return 0 if ok else 1
+
+
+def _write_converge_csv(path, rows):
+    keys = ("h_max", "res1", "res2", "compat", "closed", "orth")
+    with open(path, "w", newline="") as fh:
+        fh.write("scale,%s\n" % ",".join(keys))
+        for row in rows:
+            fh.write("%d,%s\n" % (row["scale"], ",".join("%.17g" % row[key] for key in keys)))
 
 
 _COMMANDS = {

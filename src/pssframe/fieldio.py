@@ -84,10 +84,12 @@ from .grid import GridChart, ScalarField
 
 _MAGIC = "pssfield v1"
 
-# Nodes formatted per kernel call in `write_field`.  Each call costs about
-# 100 numpy calls whatever its size, and its work arrays take about 120 bytes
-# per value, a few megabytes for six components.
-_BLOCK_NODES = 4096
+# Values formatted per kernel call in `write_field`, rounded down to whole
+# nodes.  Each call costs about 100 numpy calls whatever its size, and its
+# work arrays take about 120 bytes per value, about 1 MB per call.  Larger
+# calls run slower per value (cache), smaller ones pay the fixed cost more
+# often.
+_BLOCK_VALUES = 8192
 
 # |x| range of the fast path; outside it x * 10^k or the Veltkamp split of x
 # or of 10^k could overflow or underflow.
@@ -285,6 +287,11 @@ def _fmt_tuple(values):
     return _format_g17(v, np.full(v.size, ord(","), _U8))[:-1].decode("ascii")
 
 
+def _block_nodes(m):
+    """Nodes per kernel call of `write_field` for m components per node."""
+    return max(1, _BLOCK_VALUES // m)
+
+
 def write_field(path, chart, components):
     """Write one or more component fields sharing a chart.
 
@@ -314,13 +321,14 @@ def write_field(path, chart, components):
         f"components={m}"
     )
     flat = stack.reshape(m, -1)
+    nodes = _block_nodes(m)
     sep = np.full(m, ord(" "), _U8)
     sep[-1] = ord("\n")
-    seps = np.tile(sep, min(flat.shape[1], _BLOCK_NODES))
+    seps = np.tile(sep, min(flat.shape[1], nodes))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for start in range(0, flat.shape[1], _BLOCK_NODES):
-            block = flat[:, start : start + _BLOCK_NODES].T.ravel()
+        for start in range(0, flat.shape[1], nodes):
+            block = flat[:, start : start + nodes].T.ravel()
             fh.write(_format_g17(block, seps[: block.size]))
 
 

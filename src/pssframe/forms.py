@@ -44,23 +44,8 @@ class OneFormField:
     def from_arrays(cls, chart, arrays):
         return cls(chart, np.array(arrays, dtype=float))
 
-    @classmethod
-    def zeros(cls, chart):
-        return cls(chart, np.zeros((chart.dim,) + chart.counts))
-
     def coefficient(self, axis):
         return ScalarField(self.chart, self.values[axis])
-
-    def __sub__(self, other):
-        self.chart.require_same(other.chart)
-        return OneFormField(self.chart, self.values - other.values)
-
-    def scaled(self, factor):
-        """Pointwise scaling by a scalar or ScalarField."""
-        if isinstance(factor, ScalarField):
-            self.chart.require_same(factor.chart)
-            factor = factor.values
-        return OneFormField(self.chart, self.values * factor)
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))

@@ -82,9 +82,20 @@ class FrameRotationField:
         return cls(chart, mat)
 
     def orthogonality_error(self):
-        gram = np.matmul(self.matrix, np.ascontiguousarray(np.swapaxes(self.matrix, -1, -2)))
-        gram -= np.eye(self.chart.dim)
-        return float(np.max(np.abs(gram, out=gram)))
+        """max |L L^T - I| over the nodes; NaN when any entry is NaN.
+
+        n = 2 forms the Gram entries L_i0 L_j0 + L_i1 L_j1 from the component
+        views.  n >= 3 keeps the stacked matmul: its BLAS sums use fused
+        multiply-adds, which written-out sums would not match bit for bit.
+        """
+        L = self.matrix
+        if self.chart.dim > 2:
+            gram = np.matmul(L, np.ascontiguousarray(np.swapaxes(L, -1, -2)))
+            gram -= np.eye(self.chart.dim)
+            return float(np.max(np.abs(gram, out=gram)))
+        (a, b), (c, d) = np.moveaxis(L, (-2, -1), (0, 1))
+        grams = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
+        return float(np.max([np.max(np.abs(g, out=g)) for g in grams]))
 
     def entry(self, i, j):
         return ScalarField(self.chart, self.matrix[..., i, j].copy())
@@ -237,7 +248,10 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
 
     Returns (components, valid) where components[..., i, k] is the k-th
     coordinate component of e_i (so omega_j(e_i) = delta_ij) and valid marks
-    nodes whose coefficient matrix passed the relative determinant test.
+    nodes whose coefficient matrix passed the relative determinant test
+    |det| > det_rtol * scale**n, scale the max |coefficient|; the other nodes
+    hold zeros.  n = 2 takes the closed form of `_duals_2d`, n >= 3
+    `np.linalg.det` and `np.linalg.inv`.
     Raises DegenerateFrameError when no node is invertible.
     """
     F = fd.coefficient_matrix()
@@ -245,16 +259,98 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     scale = float(np.max(np.abs(F)))
     if scale == 0.0:
         raise DegenerateFrameError("coefficient matrix vanishes identically")
-    det = np.linalg.det(F)
-    valid = np.abs(det) > det_rtol * scale**n
+    threshold = det_rtol * scale**n
+    if n == 2:
+        comps, valid = _duals_2d(fd.omega, threshold)
+    else:
+        valid = np.abs(np.linalg.det(F)) > threshold
     if not valid.any():
         raise DegenerateFrameError("coefficient matrix is singular everywhere")
-
-    comps = np.zeros_like(F)
-    safe = F[valid]
-    inv = np.linalg.inv(safe)
-    comps[valid] = np.swapaxes(inv, -1, -2)
+    if n > 2:
+        comps = np.zeros_like(F)
+        comps[valid] = np.swapaxes(np.linalg.inv(F[valid]), -1, -2)
     return comps, valid
+
+
+# Nodes per pass of `_duals_2d`: its two dozen temporaries stay in cache and
+# below glibc's 128 KB mmap threshold, so none of them faults in fresh pages.
+_DUAL_BLOCK = 8192
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
+
+
+def _halves(x):
+    """x = hi + lo with 26-bit hi and lo, so products of halves are exact."""
+    hi = x * _SPLIT
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _product_error(xs, ys, xy):
+    """x * y - xy exactly for xy = fl(x * y), from halves (Dekker's TwoProduct)."""
+    (xh, xl), (yh, yl) = xs, ys
+    e = xh * yh
+    e -= xy
+    e += xh * yl
+    e += xl * yh
+    e += xl * yl
+    return e
+
+
+def _duals_2d(omega, threshold):
+    """(comps, valid) of `frame_vector_fields` for a 2 x 2 coframe, closed form.
+
+    For F = [[a, b], [c, d]], comps is F^-T = [[d, -c], [-b, a]] / det as
+    the LU factors with partial pivoting give it: the pivot p is whichever
+    of a, c is larger in magnitude (a on a tie), g the other, and q, s their
+    row partners.  The Schur complement u = s - (g / p) q is accurate to a
+    few ulps at any conditioning, since the roundings of l = g / p and of
+    l q are recovered exactly by TwoProduct.  Each component is then its
+    cofactor divided by u and by +-p, and the pivot's own component is
+    1 / u: a diagonal F gets 1 / a and 1 / d correctly rounded.  A node is
+    valid where |det| = |p u| exceeds the threshold.
+    """
+    counts = omega.shape[2:]
+    flat = omega.reshape(2, 2, -1)
+    comps = np.empty(flat.shape)
+    valid = np.empty(flat.shape[2], bool)
+    for start in range(0, valid.size, _DUAL_BLOCK):
+        blk = slice(start, start + _DUAL_BLOCK)
+        valid[blk] = _duals_block(flat[..., blk], comps[..., blk], threshold)
+    comps = comps.reshape((2, 2) + counts)
+    return np.moveaxis(comps, (0, 1), (-2, -1)), valid.reshape(counts)
+
+
+# singular, NaN and +-Inf nodes give NaN or Inf here; they are invalid
+@np.errstate(all="ignore")
+def _duals_block(omega, comps, threshold):
+    """Fill comps (2, 2, nodes) from omega (2, 2, nodes); see `_duals_2d`."""
+    (a, b), (c, d) = omega
+    swap = np.abs(c) > np.abs(a)
+    p, g = np.where(swap, c, a), np.where(swap, a, c)
+    q, s = np.where(swap, d, b), np.where(swap, b, d)
+    l = g / p
+    lh = _halves(l)
+    lp, lq = l * p, l * q
+    rho = g - lp  # exact (Sterbenz): l p lies within a few ulps of g
+    rho -= _product_error(lh, _halves(p), lp)  # rho = g - l p
+    u = s - lq
+    u -= _product_error(lh, _halves(q), lq)  # u = s - l q
+    rho /= p
+    rho *= q
+    u -= rho
+    np.negative(p, out=p, where=swap)  # det = p u, with its sign
+
+    for out, cof in zip((comps[0, 0], comps[0, 1], comps[1, 0], comps[1, 1]), (d, c, b, a)):
+        np.divide(cof, u, out=out)
+        out /= p
+    np.negative(comps[0, 1], out=comps[0, 1])
+    np.negative(comps[1, 0], out=comps[1, 0])
+    np.divide(1.0, u, out=comps[1, 1], where=~swap)
+    np.divide(1.0, u, out=comps[0, 1], where=swap)
+    u *= p
+    valid = np.abs(u, out=u) > threshold
+    comps[:, :, ~valid] = 0.0
+    return valid
 
 
 def lie_bracket(chart: GridChart, x_comp, y_comp):

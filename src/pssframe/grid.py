@@ -266,12 +266,3 @@ def midpoints(values, axis):
         5.0 * f[sl(-1)] + 15.0 * f[sl(-2)] - 5.0 * f[sl(-3)] + f[sl(-4)]
     ) / 16.0
     return out
-
-
-def interior_max_abs(values):
-    """Max |values| over nodes with every index strictly interior."""
-    arr = np.asarray(values)
-    core = arr[tuple(slice(1, -1) for _ in range(arr.ndim))]
-    if core.size == 0:
-        return 0.0
-    return float(np.max(np.abs(core)))

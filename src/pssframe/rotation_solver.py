@@ -537,7 +537,9 @@ def solve_phi_2d(
 
     angle = ScalarField(chart, phi)
     rotation = FrameRotationField.from_angle(angle)
-    theta1 = OneFormField(chart, np.cos(phi) * om1 - np.sin(phi) * om2)
+    # theta_1 = cos(phi) omega_1 - sin(phi) omega_2 from the rotation's first row
+    row = rotation.matrix[..., 0, :]
+    theta1 = OneFormField(chart, row[..., 0] * om1 + row[..., 1] * om2)
     return SolveReport(
         rotation=rotation,
         theta1=theta1,
@@ -792,7 +794,16 @@ def special_coordinates_check(
     scalings = [ScalarField(chart, constants[i] * decay) for i in range(n - 1)]
 
     frame_comp, valid = frame_vector_fields(fd, det_rtol)
-    v_comp = np.matmul(report.rotation.matrix, frame_comp)
+    # v_i = sum_j L_ij e_j, one coordinate component at a time: v[i, k] is
+    # the dx_k component of v_i
+    L = np.moveaxis(report.rotation.matrix, (-2, -1), (0, 1))
+    e = np.moveaxis(frame_comp, (-2, -1), (0, 1))
+    v = np.empty(e.shape)
+    for i in range(n):
+        for k in range(n):
+            np.multiply(L[i, 0], e[0, k], out=v[i, k])
+            for j in range(1, n):
+                v[i, k] += L[i, j] * e[j, k]
 
     core = _erode(valid)
     interior_mask = np.zeros_like(core)
@@ -800,9 +811,9 @@ def special_coordinates_check(
     core &= interior_mask
     valid_fraction = float(np.count_nonzero(core)) / core.size
 
-    fields = [v_comp[..., 0, :]]
-    for i in range(1, n):
-        fields.append(scalings[i - 1].values[..., None] * v_comp[..., i, :])
+    # lie_bracket takes (*counts, n) components
+    fields = [v[0]] + [scalings[i - 1].values * v[i] for i in range(1, n)]
+    fields = [np.moveaxis(f, 0, -1) for f in fields]
 
     def bracket_residual(x, y):
         b = lie_bracket(chart, x, y)

@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
-from pssframe import FrameData, GridChart, ScalarField, connection_matrix
+from pssframe import FrameData, GridChart, OneFormField, ScalarField, connection_matrix
 from pssframe.models import igsge_explicit_solution, igsge_forms
+
+
+def interior_max_abs(values):
+    """Max |values| over nodes with every index strictly interior."""
+    arr = np.asarray(values)
+    core = arr[tuple(slice(1, -1) for _ in range(arr.ndim))]
+    if core.size == 0:
+        return 0.0
+    return float(np.max(np.abs(core)))
+
+
+def scaled(form, factor):
+    """The one-form factor * form."""
+    return OneFormField(form.chart, form.values * factor)
 
 
 def square_chart(n, lo=-1.0, hi=1.0):

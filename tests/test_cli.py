@@ -1,5 +1,6 @@
 """Command line: config parsing, subcommands, manifests, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -673,6 +674,43 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: --out %s: " % target)
     assert _one_config_error_line(err)
+
+
+# an output file of each command, and the manifest that every command writes
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("verify", "manifest.json"),
+        ("solve-frame", "theta1.pssfield"),
+        ("solve-frame", "manifest.json"),
+        ("hierarchy", "phi_0.pssfield"),
+        ("hierarchy", "manifest.json"),
+        ("conserve", "conservation.csv"),
+        ("conserve", "manifest.json"),
+        ("converge", "converge.csv"),
+        ("converge", "manifest.json"),
+    ],
+)
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command, name):
+    cfg = write_config(tmp_path, COMMAND_CONFIGS[command])
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % (out / name))
+    assert _one_config_error_line(err)
+
+
+def test_full_disk_while_writing_a_field_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def full_disk(path, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(cli, "write_field", full_disk)
+    cfg = write_config(tmp_path, SG_CONFIG)
+    out = tmp_path / "o"
+    assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: %s: No space left on device\n" % (out / "theta1.pssfield")
 
 
 @pytest.mark.parametrize(

@@ -130,25 +130,27 @@ _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e22, 3.0, -7.0,
 @pytest.mark.parametrize("m", [1, 2, 6])
 def test_write_matches_per_value_reference_across_blocks(tmp_path, rng, m):
     # 2.5 blocks and a bit: two block boundaries and a partial last block
-    counts = (fieldio._BLOCK_NODES // 2 + 1, 5)
+    nodes = fieldio._block_nodes(m)
+    counts = (nodes // 2 + 1, 5)
     chart = GridChart((-0.3, 1.0 / 3.0), (0.1, 1e-7), counts)
     stack = rng.standard_normal((m,) + chart.shape) * 10.0 ** rng.integers(
         -300, 300, (m,) + chart.shape
     )
     flat = stack.reshape(m, -1)
     flat[:, : len(_SPECIAL)] = _SPECIAL
-    flat[:, fieldio._BLOCK_NODES - 1 : fieldio._BLOCK_NODES + 1] = [-0.0, np.nan]
+    flat[:, nodes - 1 : nodes + 1] = [-0.0, np.nan]
     path = tmp_path / "g.pssfield"
     write_field(path, chart, stack)
     assert path.read_bytes() == _reference_bytes(chart, stack)
 
 
 def test_write_matches_reference_for_non_contiguous_stack(tmp_path, rng):
-    chart = GridChart((0.0, 0.0), (0.5, 0.25), (fieldio._BLOCK_NODES // 16, 20))
+    chart = GridChart((0.0, 0.0), (0.5, 0.25), (256, 20))
     base = rng.standard_normal((20, chart.counts[0], 3 * len(_SPECIAL)))
     base[..., : len(_SPECIAL)] = _SPECIAL
     stack = np.transpose(base, (2, 1, 0))[::3, :, ::-1]  # (m, counts) view
     assert stack.shape[1:] == chart.shape and not stack.flags.c_contiguous
+    assert stack[0].size > 2 * fieldio._block_nodes(stack.shape[0])
     path = tmp_path / "nc.pssfield"
     write_field(path, chart, stack)
     assert path.read_bytes() == _reference_bytes(chart, stack)
@@ -227,7 +229,7 @@ def _dense_values(rng):
 def test_g17_kernel_matches_format_on_dense_values(rng):
     values = _dense_values(rng)
     assert values.size >= 10**6
-    chunk = 6 * fieldio._BLOCK_NODES
+    chunk = 3 * fieldio._BLOCK_VALUES
     newline = np.full(chunk, ord("\n"), np.uint8)
     for start in range(0, values.size, chunk):
         block = values[start : start + chunk]
@@ -236,11 +238,11 @@ def test_g17_kernel_matches_format_on_dense_values(rng):
 
 
 def test_g17_kernel_formats_only_fallback_cells_per_value(monkeypatch, rng):
-    values = rng.standard_normal(fieldio._BLOCK_NODES * 3)
+    values = rng.standard_normal(3 * 4096)
     fallback = [np.nan, -np.inf, 5e-324, 2.0**-25, 1e250]
     at = rng.choice(values.size, len(fallback), replace=False)
     values[at] = fallback
-    seps = np.tile(np.array([ord(" "), ord(" "), ord("\n")], np.uint8), fieldio._BLOCK_NODES)
+    seps = np.tile(np.array([ord(" "), ord(" "), ord("\n")], np.uint8), 4096)
     expected = "".join(
         format(x, ".17g") + chr(s) for x, s in zip(values.tolist(), seps.tolist())
     ).encode()

@@ -13,9 +13,9 @@ from pssframe import (
     wedge,
 )
 
-from pssframe.grid import GridChart, interior_max_abs
+from pssframe.grid import GridChart
 
-from conftest import square_chart
+from conftest import interior_max_abs, scaled, square_chart
 
 
 def test_d_scalar_exact_on_quadratics():
@@ -59,7 +59,7 @@ def test_wedge_antisymmetry_and_bilinearity(rng):
     ba = wedge(b, a)
     assert np.max(np.abs(ab + ba)) < 1e-14
     assert np.max(np.abs(wedge(a, a))) < 1e-14
-    lhs = wedge(a, b.scaled(2.0)) + wedge(a, c)
+    lhs = wedge(a, scaled(b, 2.0)) + wedge(a, c)
     combo = OneFormField.from_arrays(
         chart, [2.0 * b.coefficient(0).values + c.coefficient(0).values,
                 2.0 * b.coefficient(1).values + c.coefficient(1).values]

@@ -1,6 +1,7 @@
 """Frame bundles: structure equations, rotations, dual vectors, persistence."""
 
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -30,9 +31,14 @@ from pssframe.errors import (
 )
 
 from pssframe.forms import d_oneform
-from pssframe.grid import interior_max_abs
 from pssframe.models import ch_evolve, ch_forms, sg_forms, sg_solution
-from pssframe.rotation_solver import expm_skew, solve_L_nd, solve_phi_2d
+from pssframe import frames
+from pssframe.rotation_solver import (
+    expm_skew,
+    solve_L_nd,
+    solve_phi_2d,
+    special_coordinates_check,
+)
 
 from conftest import (
     cosh_metric_frame,
@@ -40,6 +46,7 @@ from conftest import (
     flat_frame,
     half_space_frame,
     igsge_frame,
+    interior_max_abs,
     non_finite_frame,
     square_chart,
     varying_rotation_frame,
@@ -262,6 +269,150 @@ def test_frame_vector_fields_raises_when_singular_everywhere():
     fd2 = FrameData(fd.chart, omega, fd.connection)
     with pytest.raises(DegenerateFrameError):
         frame_vector_fields(fd2)
+
+
+def _stack_frame(matrices):
+    """A 2D FrameData whose coefficient matrices are the (nodes, 2, 2) stack."""
+    nodes = len(matrices)
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (nodes // 100, 100))
+    omega = np.moveaxis(matrices, (1, 2), (0, 1)).reshape((2, 2) + chart.counts)
+    return FrameData(chart, omega, np.zeros((1, 2) + chart.counts))
+
+
+def _conditioned_stack(rng, nodes, log10_cond):
+    """Rotation x diag(s, s / cond) x rotation, s over six decades."""
+
+    def rotations(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (1, 2))
+
+    s = 10.0 ** rng.uniform(-3.0, 3.0, nodes)
+    diag = np.zeros((nodes, 2, 2))
+    diag[:, 0, 0] = s
+    diag[:, 1, 1] = s / 10.0 ** rng.uniform(*log10_cond, nodes)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (2, nodes))
+    return rotations(angles[0]) @ diag @ rotations(angles[1])
+
+
+def _max_ulps(comps, ref):
+    """Max |comps - ref| in ulps of the double nearest ref."""
+    ulp = np.spacing(np.abs(ref.astype(float)))
+    return float(np.max(np.abs(comps.astype(np.longdouble) - ref) / ulp))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="the reference needs an extended-precision long double",
+)
+@pytest.mark.parametrize("family", ["kink", "well-conditioned", "ill-conditioned"])
+def test_two_dimensional_duals_are_as_accurate_as_lapack(rng, family):
+    if family == "kink":
+        chart = GridChart((0.5, -2.0), (3.5 / 256, 4.0 / 256), (257, 257))
+        fd = sg_forms(sg_solution(chart, "moving_kink", 0.3))
+    else:
+        log10_cond = (0.0, 1.0) if family == "well-conditioned" else (6.0, 12.0)
+        fd = _stack_frame(_conditioned_stack(rng, 20000, log10_cond))
+    comps, valid = frame_vector_fields(fd, det_rtol=0.0)
+    assert valid.all()
+    F = fd.coefficient_matrix()
+    # F^-T = [[d, -c], [-b, a]] / det in long double
+    a, b, c, d = (F[..., i, k].astype(np.longdouble) for i, k in np.ndindex(2, 2))
+    det = a * d - b * c
+    ref = np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], -2) / det[..., None, None]
+    lapack = np.swapaxes(np.linalg.inv(F), -1, -2)
+    assert _max_ulps(comps, ref) <= _max_ulps(lapack, ref)
+    if family == "kink":  # a diagonal coframe: 1 / a and 1 / d correctly rounded
+        assert np.array_equal(comps, lapack)
+
+
+def test_two_dimensional_duals_are_within_a_few_ulps_at_any_conditioning(rng):
+    # condition numbers up to 1e14, against the exact adjugate: LAPACK is off
+    # by about 1e13 ulps here, and so is the closed form without its
+    # TwoProduct-compensated Schur complement
+    stack = _conditioned_stack(rng, 1000, (0.0, 14.0))
+    comps, valid = frame_vector_fields(_stack_frame(stack), det_rtol=0.0)
+    assert valid.all()
+    exact = np.empty_like(stack)
+    for node, matrix in enumerate(stack):
+        a, b, c, d = map(Fraction, matrix.ravel().tolist())
+        det = a * d - b * c
+        exact[node] = [[float(d / det), float(-c / det)], [float(-b / det), float(a / det)]]
+    ulps = np.abs(comps.reshape(stack.shape) - exact) / np.spacing(np.abs(exact))
+    assert np.max(ulps) <= 4.0
+
+
+def test_two_dimensional_duals_mask_nan_and_singular_nodes_quietly():
+    fd = exp_metric_frame(9)
+    omega = fd.omega.copy()
+    omega[0, 0, 2, 3] = np.nan
+    omega[1, :, 5, 5] = np.inf
+    omega[:, 0, 6, 1] = 0.0  # the first column vanishes: no pivot
+    comps, valid = frames._duals_2d(omega, 1e-8)
+    assert np.count_nonzero(~valid) == 3
+    assert not valid[2, 3] and not valid[5, 5] and not valid[6, 1]
+    assert np.all(comps[~valid] == 0.0)
+    assert np.all(np.isfinite(comps))
+    # a NaN in the frame makes the scale NaN: no node passes, as before
+    fd.omega[0, 0, 2, 3] = np.nan
+    with pytest.raises(DegenerateFrameError):
+        frame_vector_fields(fd)
+
+
+def test_higher_dimensional_duals_are_lapack_bits():
+    fd = igsge_frame(9)
+    comps, valid = frame_vector_fields(fd)
+    F = fd.coefficient_matrix()
+    assert valid.all()
+    assert np.array_equal(comps, np.swapaxes(np.linalg.inv(F), -1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("perturbation", ["none", "random", "off-diagonal"])
+def test_orthogonality_error_matches_the_matmul_gram(rng, n, perturbation):
+    chart = GridChart((0.0,) * n, (1.0,) * n, (6,) * (n - 1) + (40,))
+    q, _ = np.linalg.qr(rng.standard_normal(chart.counts + (n, n)))
+    if perturbation == "random":
+        L = q + 1e-13 * rng.standard_normal(q.shape)
+    elif perturbation == "off-diagonal":
+        # L = (I + e K) q with K symmetric and zero on its diagonal: the
+        # Gram error 2 e K lies off the diagonal
+        K = rng.standard_normal(q.shape)
+        K += np.swapaxes(K, -1, -2)
+        K *= 1.0 - np.eye(n)
+        L = q + 1e-13 * (K @ q)
+    else:
+        L = q
+    gram = np.matmul(L, np.swapaxes(L, -1, -2)) - np.eye(n)
+    expected = float(np.max(np.abs(gram)))
+    err = FrameRotationField(chart, L, orth_tol=1e-9).orth_residual
+    if n == 2:  # written-out sums; BLAS may fuse its multiply-adds
+        assert abs(err - expected) <= 2.0 * np.finfo(float).eps
+    else:
+        assert err == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orthogonality_error_is_nan_for_a_nan_entry(n):
+    chart = GridChart((0.0,) * n, (1.0,) * n, (4,) * n)
+    L = np.broadcast_to(np.eye(n), chart.counts + (n, n)).copy()
+    L[(1,) * n + (n - 1, 0)] = np.nan
+    with pytest.raises(OrthogonalityError, match="nan"):
+        FrameRotationField(chart, L)
+
+
+def test_two_dimensional_duals_and_coordinate_check_need_no_lapack_or_matmul(monkeypatch):
+    fd = cosh_metric_frame(21)
+    rep = solve_phi_2d(fd)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node LAPACK or BLAS call on a 2D chart")
+
+    for module, name in [(np.linalg, "det"), (np.linalg, "inv"), (np, "matmul")]:
+        monkeypatch.setattr(module, name, refuse)
+    comps, valid = frame_vector_fields(fd)
+    assert valid.all()
+    check = special_coordinates_check(fd, rep)
+    assert np.isfinite(check.max_bracket())
 
 
 def test_lie_bracket_of_exp_metric_frame_vectors():

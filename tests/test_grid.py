@@ -5,9 +5,8 @@ import pytest
 
 from pssframe import GridChart, ScalarField, midpoints, partial_derivative
 from pssframe.errors import ChartMismatchError
-from pssframe.grid import interior_max_abs
 
-from conftest import square_chart
+from conftest import interior_max_abs, square_chart
 
 
 def test_chart_coordinates_round_trip():
