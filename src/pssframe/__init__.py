@@ -24,9 +24,8 @@ from .errors import (
     PssframeError,
     StructureGateError,
 )
-from .fieldio import read_field, read_scalar, write_field, write_scalar
+from .fieldio import read_field, write_field
 from .forms import (
-    OneFormField,
     closedness_residual,
     d_oneform,
     d_scalar,
@@ -35,17 +34,18 @@ from .forms import (
 )
 from .frames import (
     FrameData,
-    FrameRotationField,
     connection_matrix,
     frame_change,
     frame_vector_fields,
     lie_bracket,
     load_frame_data,
+    orthogonality_error,
+    require_orthogonal,
     save_frame_data,
     special_frame_residual,
     structure_residuals,
 )
-from .grid import GridChart, ScalarField, midpoints, partial_derivative
+from .grid import GridChart, midpoints, partial_derivative
 from .hierarchy import (
     EtaSeries,
     HierarchyResult,
@@ -79,27 +79,24 @@ __all__ = [
     "PssframeError",
     "StructureGateError",
     "read_field",
-    "read_scalar",
     "write_field",
-    "write_scalar",
-    "OneFormField",
     "closedness_residual",
     "d_oneform",
     "d_scalar",
     "potential",
     "wedge",
     "FrameData",
-    "FrameRotationField",
     "connection_matrix",
     "frame_change",
     "frame_vector_fields",
     "lie_bracket",
     "load_frame_data",
+    "orthogonality_error",
+    "require_orthogonal",
     "save_frame_data",
     "special_frame_residual",
     "structure_residuals",
     "GridChart",
-    "ScalarField",
     "midpoints",
     "partial_derivative",
     "EtaSeries",

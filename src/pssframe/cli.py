@@ -106,7 +106,7 @@ def _model_line(cfg: RunConfig, state):
         values = (ch_pde_residual(state), ch_integral_drift(state))
         return "model: camassa_holm pde_residual=%.3e integral_drift=%.3e" % values
     if kind == "sine_gordon":
-        return "model: sine_gordon pde_residual=%.3e" % sg_pde_residual(state.u.chart, state.u.values)
+        return "model: sine_gordon pde_residual=%.3e" % sg_pde_residual(state.chart, state.u)
     if kind == "igsge":
         res = igsge_residual(state)
         values = (res.unit, res.gradient, res.coupling, res.mixed)
@@ -196,16 +196,14 @@ def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
     _write(out_dir, "manifest.json", _write_json, _json_value(manifest))
 
 
-def _write_report_fields(out_dir, report):
-    chart = report.theta1.chart
-    _write(out_dir, "theta1.pssfield", write_field, chart, report.theta1.values)
+def _write_report_fields(out_dir, chart, report):
+    _write(out_dir, "theta1.pssfield", write_field, chart, report.theta1)
     n = chart.dim
-    rot = report.rotation.matrix
+    rot = report.rotation
     entries = [rot[..., i, j] for i in range(n) for j in range(n)]
     _write(out_dir, "rotation.pssfield", write_field, chart, entries)
-    if report.rotation.angle is not None:
-        angle = [report.rotation.angle.values]
-        _write(out_dir, "phi.pssfield", write_field, chart, angle)
+    if report.angle is not None:
+        _write(out_dir, "phi.pssfield", write_field, chart, [report.angle])
 
 
 def cmd_verify(cfg, cfg_path, out_dir, scale):
@@ -251,10 +249,9 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
         print("coords: %s valid=%.3f" % (line, check.valid_fraction))
         results.update(coords)
     # a run that fails the check leaves no field behind
-    _write_report_fields(out_dir, report)
+    _write_report_fields(out_dir, fd.chart, report)
     if cfg.coordinates_check:
-        potential = [check.potential.values]
-        _write(out_dir, "potential.pssfield", write_field, fd.chart, potential)
+        _write(out_dir, "potential.pssfield", write_field, fd.chart, [check.potential])
     _write_manifest(out_dir, "solve-frame", cfg_path, scale, cfg, results)
     return 0
 
@@ -282,8 +279,8 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
     chart = state.chart
     per_order = {}
     for item in result.orders:
-        _write(out_dir, "phi_%d.pssfield" % item.order, write_field, chart, [item.phi.values])
-        _write(out_dir, "theta_%d.pssfield" % item.order, write_field, chart, item.form.values)
+        _write(out_dir, "phi_%d.pssfield" % item.order, write_field, chart, [item.phi])
+        _write(out_dir, "theta_%d.pssfield" % item.order, write_field, chart, item.form)
         per_order[str(item.order)] = {
             "compat_residual": item.compat_residual,
             "closed_residual": item.closed_residual,
@@ -300,7 +297,7 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
     if cfg.model_kind == "camassa_holm":
         state, hier, keys = _run_hierarchy(cfg, scale, "conserve")
         orders = [item.order for item in hier.orders]
-        reports = [analyze(item.form, keys["time_axis"]) for item in hier.orders]
+        reports = [analyze(state.chart, item.form, keys["time_axis"]) for item in hier.orders]
         drift_u = ch_integral_drift(state)
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u
@@ -309,7 +306,7 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
         keys = on_chart(cfg, fd.chart, "conserve")
         report = _solve(fd, cfg, keys)
         print(report.summary())
-        reports = [analyze(report.theta1, keys["time_axis"])]
+        reports = [analyze(fd.chart, report.theta1, keys["time_axis"])]
         orders = [0]
 
     worst_rel = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import OneFormField, interior_d
+from .forms import interior_d, oneform
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -89,28 +89,28 @@ class ConservationReport:
         )
 
 
-def analyze(theta: OneFormField, time_axis):
-    """Conservation report of a (presumed closed) 1-form.
+def analyze(chart, theta, time_axis):
+    """Conservation report of a (presumed closed) (n, *counts) 1-form on chart.
 
     time_axis is the zero-based chart axis playing the role of time; every
     other axis contributes one conserved quantity.  Q integrals use the
     composite trapezoid rule with one step of Richardson refinement;
     residuals are interior max-norms of central differences.
     """
-    chart = theta.chart
+    theta = oneform(chart, theta)
     n = chart.dim
     if not 0 <= time_axis < n:
         raise ValueError("time_axis out of range")
-    f_time = theta.values[time_axis]
+    f_time = theta[time_axis]
     times = chart.axis_coordinates(time_axis)
 
     axes = []
     for j in range(n):
         if j == time_axis:
             continue
-        f_j = theta.values[j]
+        f_j = theta[j]
         # d(f_time)/dx_j - d(f_j)/dt, the dx_j ^ dt coefficient of d(theta)
-        flux = interior_d(theta.values, j, time_axis, chart.spacing)
+        flux = interior_d(theta, j, time_axis, chart.spacing)
         flux_residual = float(np.max(np.abs(flux)))
 
         q = _trapezoid_with_refinement(f_j, j, chart.spacing[j])
@@ -153,7 +153,7 @@ def analyze(theta: OneFormField, time_axis):
         for j in range(i + 1, n):
             if time_axis in (i, j):
                 continue
-            res = interior_d(theta.values, i, j, chart.spacing)
+            res = interior_d(theta, i, j, chart.spacing)
             cross[(i, j)] = float(np.max(np.abs(res)))
 
     return ConservationReport(time_axis=time_axis, axes=axes, cross_residuals=cross)

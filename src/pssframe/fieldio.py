@@ -80,7 +80,7 @@ import warnings
 
 import numpy as np
 
-from .grid import GridChart, ScalarField
+from .grid import GridChart
 
 _MAGIC = "pssfield v1"
 
@@ -295,20 +295,13 @@ def _block_nodes(m):
 def write_field(path, chart, components):
     """Write one or more component fields sharing a chart.
 
-    `components` may be ScalarFields, node arrays of the chart shape, or a
+    `components` is a sequence of node arrays of the chart shape, or a
     single stacked array of shape (m, *counts).
     """
     if isinstance(components, np.ndarray) and components.ndim == chart.dim + 1:
         stack = np.asarray(components, dtype=float)
     else:
-        cols = []
-        for comp in components:
-            if isinstance(comp, ScalarField):
-                chart.require_same(comp.chart)
-                cols.append(comp.values)
-            else:
-                cols.append(np.asarray(comp, dtype=float))
-        stack = np.stack(cols, axis=0)
+        stack = np.stack([np.asarray(comp, dtype=float) for comp in components])
     m = stack.shape[0]
     if stack.shape[1:] != tuple(chart.counts):
         raise ValueError("component shape does not match the chart")
@@ -535,13 +528,3 @@ def read_field(path):
     chart, data = fast or _read_loadtxt(path)
     return chart, data.reshape((data.shape[0],) + chart.counts)
 
-
-def write_scalar(path, field: ScalarField):
-    write_field(path, field.chart, [field])
-
-
-def read_scalar(path):
-    chart, stack = read_field(path)
-    if stack.shape[0] != 1:
-        raise ValueError("expected a single-component field")
-    return ScalarField(chart, stack[0])

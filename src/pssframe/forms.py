@@ -1,11 +1,11 @@
 """Discrete differential forms on grid charts.
 
-Every form is one float array with the form index first:
+Every form is one bare float array with the form index first, passed next
+to its chart:
 
-- a one-form, `OneFormField.values`, has shape (n, *counts): values[k] is
-  the coefficient of dx_k;
-- a two-form is a bare (pairs, *counts) array: one row per axis pair
-  (k, l) with k < l, in row-major order (0, 1), (0, 2), ..., (1, 2), ...
+- a one-form has shape (n, *counts): theta[k] is the coefficient of dx_k;
+- a two-form has shape (pairs, *counts): one row per axis pair (k, l) with
+  k < l, in row-major order (0, 1), (0, 2), ..., (1, 2), ...
 
 Frame bundles store their n coframe one-forms and their connection the same
 way, as dense arrays (see `frames`).  The exterior derivative uses the
@@ -17,73 +17,55 @@ discrepancy against the reversed axis order as a self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .grid import GridChart, ScalarField, dense, partial_derivative, staircase_blocks
+from .grid import GridChart, dense, partial_derivative, staircase_blocks
 
 
 def _pairs(n):
     return list(combinations(range(n), 2))
 
 
-@dataclass
-class OneFormField:
-    """theta = sum_k values[k] dx_k."""
-
-    chart: GridChart
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.chart.dim,) + self.chart.counts
-        self.values = dense(self.values, shape, "one-form (one coefficient per axis)")
-
-    @classmethod
-    def from_arrays(cls, chart, arrays):
-        return cls(chart, np.array(arrays, dtype=float))
-
-    def coefficient(self, axis):
-        return ScalarField(self.chart, self.values[axis])
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+def oneform(chart: GridChart, theta):
+    """theta as a float (n, *counts) array, or ValueError naming its shape."""
+    return dense(theta, (chart.dim,) + chart.counts, "one-form (one coefficient per axis)")
 
 
-def d_scalar(f: ScalarField) -> OneFormField:
-    """Exterior derivative of a scalar field (its gradient one-form)."""
-    chart = f.chart
+def d_scalar(chart: GridChart, f):
+    """Exterior derivative of a scalar field (*counts): its gradient one-form."""
+    f = dense(f, chart.counts, "scalar field")
     out = np.empty((chart.dim,) + chart.counts)
     for k in range(chart.dim):
-        out[k] = partial_derivative(f.values, k, chart.spacing[k])
-    return OneFormField(chart, out)
+        out[k] = partial_derivative(f, k, chart.spacing[k])
+    return out
 
 
-def d_oneform(theta: OneFormField):
+def d_oneform(chart: GridChart, theta):
     """Exterior derivative as a (pairs, *counts) two-form array.
 
     The coefficient of dx_k^dx_l is d_k theta_l - d_l theta_k.
     """
-    chart = theta.chart
+    theta = oneform(chart, theta)
     pairs = _pairs(chart.dim)
     out = np.empty((len(pairs),) + chart.counts)
     for p, (k, l) in enumerate(pairs):
-        dk = partial_derivative(theta.values[l], k, chart.spacing[k])
-        dl = partial_derivative(theta.values[k], l, chart.spacing[l])
+        dk = partial_derivative(theta[l], k, chart.spacing[k])
+        dl = partial_derivative(theta[k], l, chart.spacing[l])
         np.subtract(dk, dl, out=out[p])
     return out
 
 
-def wedge(alpha: OneFormField, beta: OneFormField):
-    """Wedge product of two one-forms as a (pairs, *counts) two-form array."""
-    alpha.chart.require_same(beta.chart)
-    chart = alpha.chart
-    a, b = alpha.values, beta.values
-    pairs = _pairs(chart.dim)
+def wedge(a, b):
+    """Wedge product of two (n, *counts) one-forms as a (pairs, *counts) array."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("one-forms of shapes %s and %s" % (a.shape, b.shape))
+    pairs = _pairs(a.shape[0])
     # one pair at a time into a preallocated block: fancy-indexing all pairs
     # at once would copy both operands
-    out = np.empty((len(pairs),) + chart.counts)
+    out = np.empty((len(pairs),) + a.shape[1:])
     # NaN and +-Inf coefficients pass on without a warning
     with np.errstate(invalid="ignore"):
         for p, (k, l) in enumerate(pairs):
@@ -109,29 +91,30 @@ def interior_d(values, k, l, spacing):
     return central(values[l], k) - central(values[k], l)
 
 
-def closedness_residual(theta: OneFormField) -> float:
+def closedness_residual(chart: GridChart, theta) -> float:
     """Max-norm of d(theta) over interior nodes; NaN when any of them is NaN."""
-    v, h = theta.values, theta.chart.spacing
-    worst = [np.max(np.abs(interior_d(v, k, l, h))) for k, l in _pairs(theta.chart.dim)]
+    v, h = oneform(chart, theta), chart.spacing
+    worst = [np.max(np.abs(interior_d(v, k, l, h))) for k, l in _pairs(chart.dim)]
     return float(np.max(worst))
 
 
-def potential(theta: OneFormField, base="center"):
+def potential(chart: GridChart, theta, base="center"):
     """Primitive G of a (numerically) closed one-form, G(base) = 0.
 
     Integrates along the staircase path that follows the chart axes in
     order, then repeats with the axes reversed; the max discrepancy between
-    the two primitives is returned as `path_residual`.  Callers decide what
-    residual is tolerable for their data.
+    the two primitives is returned as `path_residual`.  Returns (G, path_residual)
+    with G a (*counts) array.  Callers decide what residual is tolerable for
+    their data.
     """
-    chart = theta.chart
+    theta = oneform(chart, theta)
     base_idx = chart.base_index(base)
 
     def staircase(axis_order):
         g = np.zeros(chart.counts)
         for axis, take in staircase_blocks(chart, base_idx, axis_order):
             # composite trapezoid from the base node along the block's lines
-            f, b = take(theta.values[axis]), base_idx[axis]
+            f, b = take(theta[axis]), base_idx[axis]
             incr = np.zeros_like(f)
             np.cumsum(0.5 * chart.spacing[axis] * (f[:-1] + f[1:]), axis=0, out=incr[1:])
             incr -= incr[b : b + 1]
@@ -143,4 +126,4 @@ def potential(theta: OneFormField, base="center"):
     g_fwd = staircase(order)
     g_rev = staircase(order[::-1])
     path_residual = float(np.max(np.abs(g_fwd - g_rev)))
-    return ScalarField(chart, g_fwd), path_residual
+    return g_fwd, path_residual

@@ -8,14 +8,16 @@ stored, so omega_ji = -omega_ij holds by construction; `connection_matrix`
 expands it to the full skew matrix of one coefficient.
 `structure_residuals` measures how well the bundle satisfies the first and
 second structure equations at constant sectional curvature K;
-`frame_change` rotates the bundle by a pointwise orthogonal matrix field;
+`frame_change` rotates the bundle by a pointwise orthogonal matrix field L,
+a bare (*counts, n, n) array whose `orthogonality_error` must be at most
+`ORTH_TOL_DEFAULT`;
 `special_frame_residual` measures the defining conditions of the
 distinguished frame whose first dual form is closed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -23,82 +25,10 @@ import numpy as np
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
 from .forms import interior_d
-from .grid import GridChart, ScalarField, dense, partial_derivative
+from .grid import GridChart, dense, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
-
-
-@dataclass
-class FrameRotationField:
-    """Pointwise orthogonal matrix field L (shape (*counts, n, n)).
-
-    For n = 2 rotations built from an angle field, `angle` keeps the
-    (unwrapped) angle so cos/sin relations stay available to callers.
-    `orth_residual` is `orthogonality_error()` of the matrix as constructed.
-    """
-
-    chart: GridChart
-    matrix: np.ndarray
-    angle: ScalarField = None
-    orth_tol: float = ORTH_TOL_DEFAULT
-    orth_residual: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.chart.dim
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != tuple(self.chart.counts) + (n, n):
-            raise ValueError("rotation matrix field has wrong shape")
-        err = self.orth_residual = self.orthogonality_error()
-        if not np.isfinite(err) or err > self.orth_tol:
-            raise OrthogonalityError(
-                "matrix field is not orthogonal: max |LL^T - I| = %.3e" % err
-            )
-
-    @classmethod
-    def identity(cls, chart):
-        n = chart.dim
-        mat = np.broadcast_to(np.eye(n), chart.counts + (n, n)).copy()
-        return cls(chart, mat)
-
-    @classmethod
-    def from_angle(cls, phi: ScalarField):
-        """SO(2) rotation field [[cos, -sin], [sin, cos]] from an angle field."""
-        if phi.chart.dim != 2:
-            raise ValueError("angle rotations are for 2D charts")
-        c, s = np.cos(phi.values), np.sin(phi.values)
-        mat = np.empty(phi.chart.counts + (2, 2))
-        mat[..., 0, 0] = c
-        mat[..., 0, 1] = -s
-        mat[..., 1, 0] = s
-        mat[..., 1, 1] = c
-        return cls(phi.chart, mat, angle=phi.copy())
-
-    @classmethod
-    def constant(cls, chart, matrix):
-        mat = np.broadcast_to(
-            np.asarray(matrix, dtype=float), chart.counts + np.shape(matrix)
-        ).copy()
-        return cls(chart, mat)
-
-    def orthogonality_error(self):
-        """max |L L^T - I| over the nodes; NaN when any entry is NaN.
-
-        n = 2 forms the Gram entries L_i0 L_j0 + L_i1 L_j1 from the component
-        views.  n >= 3 keeps the stacked matmul: its BLAS sums use fused
-        multiply-adds, which written-out sums would not match bit for bit.
-        """
-        L = self.matrix
-        if self.chart.dim > 2:
-            gram = np.matmul(L, np.ascontiguousarray(np.swapaxes(L, -1, -2)))
-            gram -= np.eye(self.chart.dim)
-            return float(np.max(np.abs(gram, out=gram)))
-        (a, b), (c, d) = np.moveaxis(L, (-2, -1), (0, 1))
-        grams = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
-        return float(np.max([np.max(np.abs(g, out=g)) for g in grams]))
-
-    def entry(self, i, j):
-        return ScalarField(self.chart, self.matrix[..., i, j].copy())
 
 
 @dataclass
@@ -212,17 +142,45 @@ def special_frame_residual(fd: FrameData):
     return worst
 
 
-def frame_change(fd: FrameData, rot: FrameRotationField) -> FrameData:
+def orthogonality_error(L):
+    """max |L L^T - I| over the nodes of a (*counts, n, n) field; NaN when any
+    entry is NaN.
+
+    n = 2 forms the Gram entries L_i0 L_j0 + L_i1 L_j1 from the component
+    views.  n >= 3 keeps the stacked matmul: its BLAS sums use fused
+    multiply-adds, which written-out sums would not match bit for bit.
+    """
+    n = L.shape[-1]
+    if n > 2:
+        gram = np.matmul(L, np.ascontiguousarray(np.swapaxes(L, -1, -2)))
+        gram -= np.eye(n)
+        return float(np.max(np.abs(gram, out=gram)))
+    (a, b), (c, d) = np.moveaxis(L, (-2, -1), (0, 1))
+    grams = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
+    return float(np.max([np.max(np.abs(g, out=g)) for g in grams]))
+
+
+def require_orthogonal(L):
+    """`orthogonality_error(L)`, or OrthogonalityError when it is not finite or
+    exceeds ORTH_TOL_DEFAULT."""
+    err = orthogonality_error(L)
+    if not np.isfinite(err) or err > ORTH_TOL_DEFAULT:
+        raise OrthogonalityError("matrix field is not orthogonal: max |LL^T - I| = %.3e" % err)
+    return err
+
+
+def frame_change(fd: FrameData, L) -> FrameData:
     """Rotate the bundle: theta_i = L_ij omega_j, Theta = dL L^T + L W L^T.
 
-    The rotated connection is skew-symmetrized (its analytic skewness holds
-    only to stencil order for non-constant L) before its upper triangle is
-    stored.
+    L is a (*counts, n, n) orthogonal field on the bundle's chart
+    (`require_orthogonal`).  The rotated connection is skew-symmetrized (its
+    analytic skewness holds only to stencil order for non-constant L)
+    before its upper triangle is stored.
     """
-    fd.chart.require_same(rot.chart)
     chart = fd.chart
     n = fd.dim
-    L = rot.matrix
+    L = dense(L, chart.counts + (n, n), "rotation")
+    require_orthogonal(L)
     L_ij = np.moveaxis(L, (-2, -1), (0, 1))  # L_ij[i, j] = L[..., i, j]
 
     # theta[i, k] = sum_j L_ij omega_j,k, summed over j in order
@@ -244,13 +202,14 @@ def frame_change(fd: FrameData, rot: FrameRotationField) -> FrameData:
 
 
 def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
-    """Coordinate components of the frame vectors dual to the coframe.
+    """Coordinate components of the frame vectors dual to the coefficient matrix.
 
     Returns (components, valid) where components[..., i, k] is the k-th
     coordinate component of e_i (so omega_j(e_i) = delta_ij) and valid marks
-    nodes whose coefficient matrix passed the relative determinant test
-    |det| > det_rtol * scale**n, scale the max |coefficient|; the other nodes
-    hold zeros.  n = 2 takes the closed form of `_duals_2d`, n >= 3
+    nodes whose coefficient matrix F passed the relative determinant test
+    |det(F / scale)| > det_rtol, scale the max |coefficient|; the other
+    nodes hold zeros.  Scaling first keeps the test free of overflow at any
+    coefficient size.  n = 2 takes the closed form of `_duals_2d`, n >= 3
     `np.linalg.det` and `np.linalg.inv`.
     Raises DegenerateFrameError when no node is invertible.
     """
@@ -259,13 +218,18 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     scale = float(np.max(np.abs(F)))
     if scale == 0.0:
         raise DegenerateFrameError("coefficient matrix vanishes identically")
-    threshold = det_rtol * scale**n
     if n == 2:
-        comps, valid = _duals_2d(fd.omega, threshold)
+        comps, valid = _duals_2d(fd.omega, scale, det_rtol)
     else:
-        valid = np.abs(np.linalg.det(F)) > threshold
+        # NaN and +-Inf coefficients give NaN here; they are invalid
+        with np.errstate(invalid="ignore"):
+            valid = np.abs(np.linalg.det(F / scale)) > det_rtol
     if not valid.any():
-        raise DegenerateFrameError("coefficient matrix is singular everywhere")
+        raise DegenerateFrameError(
+            "degenerate frame: coefficient matrix is singular everywhere"
+            " (|det| <= %g max|coefficient|^%d)"
+            % (det_rtol, n)
+        )
     if n > 2:
         comps = np.zeros_like(F)
         comps[valid] = np.swapaxes(np.linalg.inv(F[valid]), -1, -2)
@@ -296,7 +260,7 @@ def _product_error(xs, ys, xy):
     return e
 
 
-def _duals_2d(omega, threshold):
+def _duals_2d(omega, scale, det_rtol):
     """(comps, valid) of `frame_vector_fields` for a 2 x 2 coframe, closed form.
 
     For F = [[a, b], [c, d]], comps is F^-T = [[d, -c], [-b, a]] / det as
@@ -307,7 +271,7 @@ def _duals_2d(omega, threshold):
     l q are recovered exactly by TwoProduct.  Each component is then its
     cofactor divided by u and by +-p, and the pivot's own component is
     1 / u: a diagonal F gets 1 / a and 1 / d correctly rounded.  A node is
-    valid where |det| = |p u| exceeds the threshold.
+    valid where |det| / scale^2 = |(p / scale) (u / scale)| exceeds det_rtol.
     """
     counts = omega.shape[2:]
     flat = omega.reshape(2, 2, -1)
@@ -315,14 +279,14 @@ def _duals_2d(omega, threshold):
     valid = np.empty(flat.shape[2], bool)
     for start in range(0, valid.size, _DUAL_BLOCK):
         blk = slice(start, start + _DUAL_BLOCK)
-        valid[blk] = _duals_block(flat[..., blk], comps[..., blk], threshold)
+        valid[blk] = _duals_block(flat[..., blk], comps[..., blk], scale, det_rtol)
     comps = comps.reshape((2, 2) + counts)
     return np.moveaxis(comps, (0, 1), (-2, -1)), valid.reshape(counts)
 
 
 # singular, NaN and +-Inf nodes give NaN or Inf here; they are invalid
 @np.errstate(all="ignore")
-def _duals_block(omega, comps, threshold):
+def _duals_block(omega, comps, scale, det_rtol):
     """Fill comps (2, 2, nodes) from omega (2, 2, nodes); see `_duals_2d`."""
     (a, b), (c, d) = omega
     swap = np.abs(c) > np.abs(a)
@@ -347,8 +311,10 @@ def _duals_block(omega, comps, threshold):
     np.negative(comps[1, 0], out=comps[1, 0])
     np.divide(1.0, u, out=comps[1, 1], where=~swap)
     np.divide(1.0, u, out=comps[0, 1], where=swap)
+    u /= scale
+    p /= scale
     u *= p
-    valid = np.abs(u, out=u) > threshold
+    valid = np.abs(u, out=u) > det_rtol
     comps[:, :, ~valid] = 0.0
     return valid
 

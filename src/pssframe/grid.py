@@ -1,8 +1,9 @@
-"""Rectangular grid charts, scalar fields, and difference stencils.
+"""Rectangular grid charts and difference stencils.
 
-All fields in this package live on a `GridChart`: an axis-aligned box sampled
-on a uniform tensor grid.  Values are stored C-ordered (last axis fastest),
-which is also the node order of the text exchange format in `fieldio`.
+Every field in this package is a bare float array on a `GridChart`, an
+axis-aligned box sampled on a uniform tensor grid, and the chart is passed
+next to it.  Node axes are stored C-ordered (last axis fastest), which is
+also the node order of the text exchange format in `fieldio`.
 
 Derivatives use the second-order stencils
 
@@ -109,65 +110,6 @@ class GridChart:
                     "base index %s out of range for node counts %s" % (base, self.counts)
                 )
         return base
-
-
-@dataclass
-class ScalarField:
-    """Scalar samples on a chart (values.shape == chart.counts)."""
-
-    chart: GridChart
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != tuple(self.chart.counts):
-            raise ValueError(
-                "values shape %s != chart counts %s"
-                % (self.values.shape, self.chart.counts)
-            )
-
-    @classmethod
-    def from_function(cls, chart, fn):
-        return cls(chart, fn(*chart.meshgrid()))
-
-    @classmethod
-    def zeros(cls, chart):
-        return cls(chart, np.zeros(chart.counts))
-
-    @classmethod
-    def constant(cls, chart, value):
-        return cls(chart, np.full(chart.counts, float(value)))
-
-    def copy(self):
-        return ScalarField(self.chart, self.values.copy())
-
-    def _coerce(self, other):
-        if isinstance(other, ScalarField):
-            self.chart.require_same(other.chart)
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return ScalarField(self.chart, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ScalarField(self.chart, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return ScalarField(self.chart, self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return ScalarField(self.chart, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.chart, -self.values)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def dense(values, shape, what):

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PssframeError
-from .forms import OneFormField, closedness_residual
+from .forms import closedness_residual
 from .frames import FrameData
-from .grid import GridChart, ScalarField, midpoints
+from .grid import GridChart, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
     SolveReport,
@@ -377,11 +377,12 @@ def _periodic_linear_start(h, slope):
 
 @dataclass
 class OrderResult:
-    """One order of the expansion: angle coefficient and its closed form."""
+    """One order of the expansion: angle coefficient phi (*counts) and its
+    closed form (2, *counts)."""
 
     order: int
-    phi: ScalarField
-    form: OneFormField
+    phi: np.ndarray
+    form: np.ndarray
     closed_residual: float
     compat_residual: float
     start_value: float
@@ -472,11 +473,11 @@ def solve_hierarchy(
 
     report0 = solve_phi_2d(fd0, phi0_start, base_idx, gate_factor=gate_factor)
     phi = np.zeros((order + 1,) + counts)
-    phi[0] = report0.rotation.angle.values
+    phi[0] = report0.angle
     results = [
         OrderResult(
             order=0,
-            phi=ScalarField(chart, phi[0].copy()),
+            phi=phi[0].copy(),
             form=None,  # every form is built from the full s and c below
             closed_residual=0.0,
             compat_residual=report0.compat_residual,
@@ -518,7 +519,7 @@ def solve_hierarchy(
         results.append(
             OrderResult(
                 order=j,
-                phi=ScalarField(chart, sol),
+                phi=sol,
                 form=None,
                 closed_residual=0.0,
                 compat_residual=float(np.max(np.abs(sol - sol_ex))),
@@ -532,8 +533,8 @@ def solve_hierarchy(
         form = np.zeros((2,) + counts)
         _table_product(j, ((c, f11), (s, f21)), form[0])
         _table_product(j, ((c, f12), (s, f22)), form[1])
-        item.form = OneFormField(chart, form)
-        item.closed_residual = closedness_residual(item.form)
+        item.form = form
+        item.closed_residual = closedness_residual(chart, form)
 
     return HierarchyResult(
         orders=results,

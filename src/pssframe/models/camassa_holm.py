@@ -27,13 +27,13 @@ import numpy as np
 
 from ..errors import EvolutionError
 from ..frames import FrameData
-from ..grid import GridChart, ScalarField, partial_derivative
+from ..grid import GridChart, dense, partial_derivative
 from ..hierarchy import EtaSeries
 
 
 @dataclass
 class CamassaHolmState:
-    """A velocity profile with its derivatives on an (x, t) chart.
+    """A velocity profile with its derivatives, each (*counts), on an (x, t) chart.
 
     u_x and u_xx must be consistent with u; the constructors below produce
     them spectrally (periodic charts) or by finite differences.
@@ -41,33 +41,25 @@ class CamassaHolmState:
 
     chart: GridChart
     m: float
-    u: ScalarField
-    u_x: ScalarField
-    u_xx: ScalarField
+    u: np.ndarray
+    u_x: np.ndarray
+    u_xx: np.ndarray
 
     def __post_init__(self):
         if self.chart.dim != 2:
             raise ValueError("state lives on a 2D (x, t) chart")
-        for f in (self.u, self.u_x, self.u_xx):
-            f.chart.require_same(self.chart)
+        for name in ("u", "u_x", "u_xx"):
+            setattr(self, name, dense(getattr(self, name), self.chart.counts, name))
 
     @property
     def momentum(self):
         """h = u - u_xx + m/2."""
-        return ScalarField(
-            self.chart, self.u.values - self.u_xx.values + 0.5 * self.m
-        )
+        return self.u - self.u_xx + 0.5 * self.m
 
 
 def ch_from_arrays(chart, m, u, u_x, u_xx):
     """State from explicitly supplied derivative arrays (analytic profiles)."""
-    return CamassaHolmState(
-        chart=chart,
-        m=float(m),
-        u=ScalarField(chart, np.asarray(u, dtype=float)),
-        u_x=ScalarField(chart, np.asarray(u_x, dtype=float)),
-        u_xx=ScalarField(chart, np.asarray(u_xx, dtype=float)),
-    )
+    return CamassaHolmState(chart, float(m), u, u_x, u_xx)
 
 
 def ch_from_values(chart, m, u_values):
@@ -230,7 +222,7 @@ def ch_integral_drift(state: CamassaHolmState):
     Assumes the chart closes up in x (first and last columns identical), so
     the integral is the left-rule sum over one period.
     """
-    u = state.u.values
+    u = state.u
     dx = state.chart.spacing[0]
     integrals = np.sum(u[:-1], axis=0) * dx
     ref = integrals[0]
@@ -249,7 +241,7 @@ def ch_pde_residual(state: CamassaHolmState):
     off the t edges).  Useful both as a convergence check on evolved states
     and as a gate against profiles that do not solve the equation.
     """
-    u = state.u.values
+    u = state.u
     m = state.m
     hx, ht = state.chart.spacing
     u_t = partial_derivative(u, 1, ht)
@@ -283,9 +275,9 @@ def ch_series_table(state: CamassaHolmState, order):
         raise ValueError("order must be nonnegative")
     chart = state.chart
     shape = chart.counts
-    u = state.u.values
-    u_x = state.u_x.values
-    h = state.momentum.values
+    u = state.u
+    u_x = state.u_x
+    h = state.momentum
     m = state.m
     one = np.ones(shape)
 

@@ -2,7 +2,8 @@
 
 u_{x1x1} - u_{x2x2} = sin u.  Kink solutions are sampled with analytic
 derivatives so that only the operators under test contribute discretization
-error; user-supplied fields fall back to finite differences.
+error; user-supplied fields fall back to finite differences
+(`sg_from_values`).
 
 The coframe attached to a solution is
 
@@ -23,22 +24,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..forms import OneFormField, closedness_residual
+from ..forms import closedness_residual
 from ..frames import FrameData
-from ..grid import GridChart, ScalarField, partial_derivative
+from ..grid import GridChart, dense, partial_derivative
 
 
 @dataclass
 class SineGordonSolution:
-    """A field with consistent first derivatives on a 2D chart."""
+    """A field u with consistent first derivatives, each (*counts), on a 2D chart."""
 
-    u: ScalarField
-    u_x1: ScalarField
-    u_x2: ScalarField
+    chart: GridChart
+    u: np.ndarray
+    u_x1: np.ndarray
+    u_x2: np.ndarray
 
-    @property
-    def chart(self):
-        return self.u.chart
+    def __post_init__(self):
+        for name in ("u", "u_x1", "u_x2"):
+            setattr(self, name, dense(getattr(self, name), self.chart.counts, name))
 
 
 def sg_solution(chart: GridChart, kind="static_kink", velocity=0.0):
@@ -65,20 +67,17 @@ def sg_solution(chart: GridChart, kind="static_kink", velocity=0.0):
     with np.errstate(over="ignore"):
         u = 4.0 * np.arctan(np.exp(xi))
         sech = 1.0 / np.cosh(xi)
-    return SineGordonSolution(
-        u=ScalarField(chart, u),
-        u_x1=ScalarField(chart, 2.0 * gamma * sech),
-        u_x2=ScalarField(chart, -2.0 * gamma * v * sech),
-    )
+    return SineGordonSolution(chart, u, 2.0 * gamma * sech, -2.0 * gamma * v * sech)
 
 
 def sg_from_values(chart: GridChart, u_values):
     """Wrap a user-supplied sample with finite-difference derivatives."""
-    u = np.asarray(u_values, dtype=float)
+    u = dense(u_values, chart.counts, "u")
     return SineGordonSolution(
-        u=ScalarField(chart, u),
-        u_x1=ScalarField(chart, partial_derivative(u, 0, chart.spacing[0])),
-        u_x2=ScalarField(chart, partial_derivative(u, 1, chart.spacing[1])),
+        chart,
+        u,
+        partial_derivative(u, 0, chart.spacing[0]),
+        partial_derivative(u, 1, chart.spacing[1]),
     )
 
 
@@ -94,48 +93,34 @@ def sg_pde_residual(chart: GridChart, u_values):
     return float(np.max(np.abs(res)))
 
 
-def sg_forms(u, u_x1=None, u_x2=None):
-    """FrameData of a solution; see the module docstring for the forms.
-
-    u may be a SineGordonSolution (analytic derivatives) or a ScalarField,
-    in which case missing derivatives are taken by finite differences.
-    """
-    if isinstance(u, SineGordonSolution):
-        sol = u
-    else:
-        chart = u.chart
-        if u_x1 is None:
-            u_x1 = ScalarField(chart, partial_derivative(u.values, 0, chart.spacing[0]))
-        if u_x2 is None:
-            u_x2 = ScalarField(chart, partial_derivative(u.values, 1, chart.spacing[1]))
-        sol = SineGordonSolution(u=u, u_x1=u_x1, u_x2=u_x2)
-
+def sg_forms(sol: SineGordonSolution):
+    """FrameData of a solution; see the module docstring for the forms."""
     chart = sol.chart
-    half = 0.5 * sol.u.values
+    half = 0.5 * sol.u
     omega = np.zeros((2, 2) + chart.counts)
     np.cos(half, out=omega[0, 0])
     np.sin(half, out=omega[1, 1])
     upper = np.empty((1, 2) + chart.counts)
-    np.multiply(0.5, sol.u_x2.values, out=upper[0, 0])
-    np.multiply(0.5, sol.u_x1.values, out=upper[0, 1])
+    np.multiply(0.5, sol.u_x2, out=upper[0, 0])
+    np.multiply(0.5, sol.u_x1, out=upper[0, 1])
     return FrameData(chart, omega, upper)
 
 
 @dataclass
 class SGPhiCheck:
-    """Residuals of the angle system plus the rotated form it produces."""
+    """Residuals of the angle system plus the rotated form (2, *counts) it produces."""
 
     residual_x1: float
     residual_x2: float
-    theta: OneFormField
+    theta: np.ndarray
     closed_residual: float
 
     def max_residual(self):
         return max(self.residual_x1, self.residual_x2)
 
 
-def sg_phi_system_check(u, phi, u_x1=None, u_x2=None):
-    """Check an angle field against the model's first-order system.
+def sg_phi_system_check(sol: SineGordonSolution, phi):
+    """Check an angle field phi (*counts) against the model's first-order system.
 
         phi_x1 = u_x2 / 2 + sin(phi) cos(u/2)
         phi_x2 = u_x1 / 2 + cos(phi) sin(u/2)
@@ -145,32 +130,19 @@ def sg_phi_system_check(u, phi, u_x1=None, u_x2=None):
     theta = cos(phi) cos(u/2) dx1 - sin(phi) sin(u/2) dx2 and its
     closedness residual.
     """
-    if isinstance(u, SineGordonSolution):
-        sol = u
-    else:
-        sol = sg_from_values(u.chart, u.values)
-        if u_x1 is not None:
-            sol = SineGordonSolution(u=sol.u, u_x1=u_x1, u_x2=sol.u_x2)
-        if u_x2 is not None:
-            sol = SineGordonSolution(u=sol.u, u_x1=sol.u_x1, u_x2=u_x2)
-
     chart = sol.chart
-    phi.chart.require_same(chart)
-    half = 0.5 * sol.u.values
-    p = phi.values
+    half = 0.5 * sol.u
+    p = dense(phi, chart.counts, "phi")
     p_x1 = partial_derivative(p, 0, chart.spacing[0])
     p_x2 = partial_derivative(p, 1, chart.spacing[1])
-    r1 = p_x1 - (0.5 * sol.u_x2.values + np.sin(p) * np.cos(half))
-    r2 = p_x2 - (0.5 * sol.u_x1.values + np.cos(p) * np.sin(half))
+    r1 = p_x1 - (0.5 * sol.u_x2 + np.sin(p) * np.cos(half))
+    r2 = p_x2 - (0.5 * sol.u_x1 + np.cos(p) * np.sin(half))
 
-    theta = OneFormField.from_arrays(
-        chart,
-        [np.cos(p) * np.cos(half), -np.sin(p) * np.sin(half)],
-    )
+    theta = np.array([np.cos(p) * np.cos(half), -np.sin(p) * np.sin(half)])
     inner = (slice(1, -1), slice(1, -1))
     return SGPhiCheck(
         residual_x1=float(np.max(np.abs(r1[inner]))),
         residual_x2=float(np.max(np.abs(r2[inner]))),
         theta=theta,
-        closed_residual=closedness_residual(theta),
+        closed_residual=closedness_residual(chart, theta),
     )

@@ -58,16 +58,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructureGateError
-from .forms import OneFormField, closedness_residual, potential
+from .forms import closedness_residual, potential
 from .frames import (
     FrameData,
-    FrameRotationField,
     connection_matrix,
     frame_vector_fields,
     lie_bracket,
+    require_orthogonal,
     structure_residuals,
 )
-from .grid import GridChart, ScalarField, midpoints, staircase_blocks
+from .grid import GridChart, midpoints, staircase_blocks
 
 GATE_FACTOR_DEFAULT = 10.0
 
@@ -450,15 +450,21 @@ def sweep_linear(chart, base, fills, init_value, sources):
 
 @dataclass
 class SolveReport:
-    """Result bundle of a frame-rotation solve."""
+    """Result bundle of a frame-rotation solve.
 
-    rotation: FrameRotationField
-    theta1: OneFormField
+    rotation is the orthogonal field L (*counts, n, n), theta1 its first
+    row applied to the coframe (n, *counts), and angle the unwrapped 2D
+    angle (*counts), None for n >= 3.
+    """
+
+    rotation: np.ndarray
+    theta1: np.ndarray
     compat_residual: float
     closed_residual: float
     orth_residual: float
     structure: tuple = (0.0, 0.0)
     gate_threshold: float = float("inf")
+    angle: np.ndarray = None
 
     def summary(self):
         return "solve: compat=%.3e closed=%.3e orth=%.3e" % (
@@ -518,8 +524,8 @@ def solve_phi_2d(
 ):
     """Solve the angle equation on a 2D chart; see module docstring.
 
-    phi0 is the angle at the base node.  Returns a SolveReport whose
-    rotation carries the unwrapped angle field.
+    phi0 is the angle at the base node.  Returns a SolveReport that also
+    carries the unwrapped angle field.
     """
     if fd.dim != 2:
         raise ValueError("solve_phi_2d needs a 2D chart")
@@ -535,19 +541,26 @@ def solve_phi_2d(
     phi_ex = sweep_scalar(chart, base_idx, (1, 0), float(phi0), fields, angle_rhs)
     compat = float(np.max(np.abs(phi - phi_ex)))
 
-    angle = ScalarField(chart, phi)
-    rotation = FrameRotationField.from_angle(angle)
+    # the SO(2) field [[cos, -sin], [sin, cos]] of the angle
+    c, s = np.cos(phi), np.sin(phi)
+    rotation = np.empty(chart.counts + (2, 2))
+    rotation[..., 0, 0] = c
+    rotation[..., 0, 1] = -s
+    rotation[..., 1, 0] = s
+    rotation[..., 1, 1] = c
+    orth = require_orthogonal(rotation)
     # theta_1 = cos(phi) omega_1 - sin(phi) omega_2 from the rotation's first row
-    row = rotation.matrix[..., 0, :]
-    theta1 = OneFormField(chart, row[..., 0] * om1 + row[..., 1] * om2)
+    row = rotation[..., 0, :]
+    theta1 = row[..., 0] * om1 + row[..., 1] * om2
     return SolveReport(
         rotation=rotation,
         theta1=theta1,
         compat_residual=compat,
-        closed_residual=closedness_residual(theta1),
-        orth_residual=rotation.orth_residual,
+        closed_residual=closedness_residual(chart, theta1),
+        orth_residual=orth,
         structure=structure,
         gate_threshold=threshold,
+        angle=phi,
     )
 
 
@@ -699,18 +712,17 @@ def solve_L_nd(
     L_ex = _solve_L_once(fd, L0, base_idx, order[::-1])
     compat = float(np.max(np.abs(L - L_ex)))
 
-    rotation = FrameRotationField(chart, L)
-    th = np.zeros((n,) + chart.counts)
+    orth = require_orthogonal(L)
+    theta1 = np.zeros((n,) + chart.counts)
     for k in range(n):
-        th += L[..., 0, k] * fd.omega[k]
-    theta1 = OneFormField(chart, th)
+        theta1 += L[..., 0, k] * fd.omega[k]
 
     return SolveReport(
-        rotation=rotation,
+        rotation=L,
         theta1=theta1,
         compat_residual=compat,
-        closed_residual=closedness_residual(theta1),
-        orth_residual=rotation.orth_residual,
+        closed_residual=closedness_residual(chart, theta1),
+        orth_residual=orth,
         structure=structure,
         gate_threshold=threshold,
     )
@@ -738,11 +750,14 @@ def _erode(mask):
 
 @dataclass
 class CoordinateCheck:
-    """Finite-difference certificate that the scaled frame fields commute."""
+    """Finite-difference certificate that the scaled frame fields commute.
 
-    potential: ScalarField
+    potential is G (*counts) and scalings the factors r_2..r_n (n - 1, *counts).
+    """
+
+    potential: np.ndarray
     path_residual: float
-    scalings: list
+    scalings: np.ndarray
     first_brackets: np.ndarray  # [v_1, r_i v_i], i = 2..n
     pair_brackets: dict  # {(i, j): residual} for 2 <= i < j
     valid_fraction: float
@@ -789,14 +804,13 @@ def special_coordinates_check(
     n = fd.dim
     constants = scaling_constants(constants, n)
 
-    g, path_residual = potential(report.theta1, base)
-    decay = np.exp(-g.values)
-    scalings = [ScalarField(chart, constants[i] * decay) for i in range(n - 1)]
+    g, path_residual = potential(chart, report.theta1, base)
+    scalings = constants.reshape((n - 1,) + (1,) * n) * np.exp(-g)
 
     frame_comp, valid = frame_vector_fields(fd, det_rtol)
     # v_i = sum_j L_ij e_j, one coordinate component at a time: v[i, k] is
     # the dx_k component of v_i
-    L = np.moveaxis(report.rotation.matrix, (-2, -1), (0, 1))
+    L = np.moveaxis(report.rotation, (-2, -1), (0, 1))
     e = np.moveaxis(frame_comp, (-2, -1), (0, 1))
     v = np.empty(e.shape)
     for i in range(n):
@@ -812,7 +826,7 @@ def special_coordinates_check(
     valid_fraction = float(np.count_nonzero(core)) / core.size
 
     # lie_bracket takes (*counts, n) components
-    fields = [v[0]] + [scalings[i - 1].values * v[i] for i in range(1, n)]
+    fields = [v[0]] + [scalings[i - 1] * v[i] for i in range(1, n)]
     fields = [np.moveaxis(f, 0, -1) for f in fields]
 
     def bracket_residual(x, y):

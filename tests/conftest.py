@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pssframe import FrameData, GridChart, OneFormField, ScalarField, connection_matrix
+from pssframe import FrameData, GridChart, connection_matrix
 from pssframe.models import igsge_explicit_solution, igsge_forms
 
 
@@ -14,11 +14,6 @@ def interior_max_abs(values):
     if core.size == 0:
         return 0.0
     return float(np.max(np.abs(core)))
-
-
-def scaled(form, factor):
-    """The one-form factor * form."""
-    return OneFormField(form.chart, form.values * factor)
 
 
 def square_chart(n, lo=-1.0, hi=1.0):
@@ -137,10 +132,6 @@ def flat_frame(n):
     omega = np.zeros((2, 2) + chart.counts)
     omega[0, 0] = omega[1, 1] = 1.0
     return FrameData(chart, omega, np.zeros((1, 2) + chart.counts))
-
-
-def scalar_from(chart, fn):
-    return ScalarField.from_function(chart, fn)
 
 
 @pytest.fixture

@@ -75,7 +75,7 @@ def igsge_ladder():
             (n, n, n),
         )
         fd = igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
-        rows.append({"n": n, "report": solve_L_nd(fd, L0)})
+        rows.append({"n": n, "chart": chart, "report": solve_L_nd(fd, L0)})
     return {"rows": rows, "runtime": time.perf_counter() - start}
 
 
@@ -92,7 +92,7 @@ def ch_run():
     )
     table = ch_series_table(state, 1)
     result = solve_hierarchy(state.chart, table, 1, periodic_axis=0)
-    reports = [analyze(item.form, time_axis=1) for item in result.orders]
+    reports = [analyze(state.chart, item.form, time_axis=1) for item in result.orders]
     return {"state": state, "result": result, "reports": reports}
 
 
@@ -137,8 +137,8 @@ def test_criterion_2_orthogonality_invariant(capsys, sg_ladder, igsge_ladder):
 def test_criterion_3_solver_cross_check(capsys, sg_ladder):
     finest = sg_ladder["rows"][-1]
     rep_phi = solve_phi_2d(finest["fd"])
-    L11 = finest["report"].rotation.matrix[..., 0, 0]
-    diff = float(np.max(np.abs(L11 - np.cos(rep_phi.rotation.angle.values))))
+    L11 = finest["report"].rotation[..., 0, 0]
+    diff = float(np.max(np.abs(L11 - np.cos(rep_phi.angle))))
     _report(capsys, 3, diff <= 1e-6, "max |L_11 - cos(phi)| = %.2e (tol 1e-6)" % diff)
 
 
@@ -232,7 +232,7 @@ def test_criterion_5_conserved_quantities(capsys, ch_run, igsge_ladder):
     flux_orders = []
     for axis in (0, 1):
         flux = [
-            analyze(row["report"].theta1, 0).axes[axis].flux_residual
+            analyze(row["chart"], row["report"].theta1, 0).axes[axis].flux_residual
             for row in igsge_ladder["rows"]
         ]
         flux_orders.append(_pair_orders(flux))

@@ -14,7 +14,7 @@ from conftest import exp_metric_frame, flat_frame, non_finite_frame
 from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
-from pssframe.frames import FrameRotationField, save_frame_data
+from pssframe.frames import require_orthogonal, save_frame_data
 from pssframe.grid import GridChart
 from pssframe.models import ch_from_arrays, igsge_explicit_solution, igsge_forms
 
@@ -208,6 +208,27 @@ def test_failed_coordinate_check_leaves_no_field(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == []
 
 
+def test_ill_conditioned_frame_fails_the_coordinate_check_with_one_line(tmp_path, capsys):
+    # condition e^400: the frame passes the structure gate and the solve,
+    # and the relative determinant test refuses every node; its threshold
+    # det_rtol * max|coefficient|^2 used to overflow a Python float
+    field = tmp_path / "steep.pssfield"
+    save_frame_data(field, exp_metric_frame(33, -400.0, -399.0))
+    cfg = write_config(
+        tmp_path,
+        "[model]\nkind = external\nfield_file = %s\n"
+        "[solver]\ncoordinates_check = true\n" % field,
+    )
+    out = tmp_path / "out"
+    assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("solve: ")
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: degenerate frame: coefficient matrix is singular everywhere")
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 def gate_failing_frame():
     """An igsge frame on a fine 9^3 chart with omega_2 doubled: it fails the
     structure gate by a factor of ten."""
@@ -253,12 +274,12 @@ def test_camassa_holm_gate_failure_exits_one_without_a_pass(
 
     def bad_state(cfg, scale):
         good = evolve(cfg, scale)
-        u, u_x = good.u.values.copy(), good.u_x.values.copy()
+        u, u_x = good.u.copy(), good.u_x.copy()
         if state == "perturbed":
             u_x *= 3.0
         else:  # a whole line of x nodes, the periodic start's line included
             u[5, :] = np.nan
-        return ch_from_arrays(good.chart, good.m, u, u_x, good.u_xx.values)
+        return ch_from_arrays(good.chart, good.m, u, u_x, good.u_xx)
 
     monkeypatch.setattr(cli, "_ch_state", bad_state)
     cfg = write_config(tmp_path, CH_CONFIG)
@@ -501,7 +522,7 @@ def test_orth_tol_is_enforced(tmp_path, capsys, command, extra):
 def test_non_orthogonal_rotation_exits_1(tmp_path, capsys, monkeypatch):
     def skewed_solve(fd, *args, **kwargs):
         bad = np.broadcast_to([[1.0, 0.5], [0.0, 1.0]], fd.chart.counts + (2, 2))
-        return FrameRotationField(fd.chart, bad.copy())
+        return require_orthogonal(bad)
 
     monkeypatch.setattr(cli, "solve_phi_2d", skewed_solve)
     cfg = write_config(tmp_path, SG_CONFIG)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pssframe import GridChart, OneFormField, ScalarField
+from pssframe import GridChart
 from pssframe.conservation import analyze, write_csv, write_q_svg
 from pssframe.grid import partial_derivative
 
@@ -15,14 +15,13 @@ def xt_chart(nx=33, nt=9, x_hi=np.pi, t_hi=1.0):
 
 
 def form_from(chart, fns):
-    coeffs = [ScalarField.from_function(chart, fn).values for fn in fns]
-    return OneFormField.from_arrays(chart, coeffs)
+    return np.array([fn(*chart.meshgrid()) for fn in fns])
 
 
 def test_exactly_conserved_form_has_zero_drift():
     chart = xt_chart()
     theta = form_from(chart, [lambda x, t: np.sin(x), lambda x, t: t**3])
-    report = analyze(theta, time_axis=1)
+    report = analyze(chart, theta, time_axis=1)
     assert len(report.axes) == 1
     ax = report.axes[0]
     assert ax.axis == 0
@@ -36,7 +35,7 @@ def test_exactly_conserved_form_has_zero_drift():
 def test_q_integral_uses_richardson_refinement():
     chart = xt_chart(nx=33)
     theta = form_from(chart, [lambda x, t: np.sin(x), lambda x, t: 0.0 * x])
-    report = analyze(theta, time_axis=1)
+    report = analyze(chart, theta, time_axis=1)
     q = report.axes[0].q_values
     # integral of sin over [0, pi] is 2; the plain trapezoid rule at this
     # spacing is off by ~1.6e-3, the refined value by ~1e-6
@@ -49,7 +48,7 @@ def test_drift_and_relative_drift_track_the_integrand():
         chart,
         [lambda x, t: np.sin(x) * (1.0 + 0.1 * t), lambda x, t: 0.0 * x],
     )
-    report = analyze(theta, time_axis=1)
+    report = analyze(chart, theta, time_axis=1)
     ax = report.axes[0]
     assert ax.drift == pytest.approx(0.2, rel=1e-4)
     assert ax.q_scale == pytest.approx(2.2, rel=1e-3)  # largest L1 slice, t=1
@@ -64,11 +63,10 @@ def test_drift_scans_every_transverse_slice():
     # report must see it
     chart = GridChart((0.0, -1.0, 0.0), (np.pi / 32, 0.25, 0.125), (33, 9, 9))
     x0, x1, t = chart.meshgrid()
-    theta = OneFormField.from_arrays(
-        chart,
-        [np.sin(x0) * (1.0 + 0.3 * x1 * t), np.zeros(chart.counts), np.zeros(chart.counts)],
+    theta = np.array(
+        [np.sin(x0) * (1.0 + 0.3 * x1 * t), np.zeros(chart.counts), np.zeros(chart.counts)]
     )
-    report = analyze(theta, time_axis=2)
+    report = analyze(chart, theta, time_axis=2)
     ax0 = report.axes[0]
     assert np.max(np.abs(ax0.q_values - 2.0)) < 5e-6  # center slice: x1 = 0
     assert ax0.drift == pytest.approx(2.0 * 0.3, rel=1e-3)  # corner slice
@@ -77,7 +75,7 @@ def test_drift_scans_every_transverse_slice():
 def test_boundary_diagnostics():
     chart = xt_chart(x_hi=1.0)
     theta = form_from(chart, [lambda x, t: 0.0 * x, lambda x, t: x])
-    ax = analyze(theta, time_axis=1).axes[0]
+    ax = analyze(chart, theta, time_axis=1).axes[0]
     assert ax.boundary_values == pytest.approx((0.0, 1.0))
     assert ax.boundary_gap == pytest.approx(1.0)
 
@@ -85,17 +83,15 @@ def test_boundary_diagnostics():
 def test_flux_residual_flags_non_closed_forms():
     chart = xt_chart()
     theta = form_from(chart, [lambda x, t: t, lambda x, t: 0.0 * x])
-    ax = analyze(theta, time_axis=1).axes[0]
+    ax = analyze(chart, theta, time_axis=1).axes[0]
     assert ax.flux_residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_residuals_cover_spatial_pairs_only():
     chart = GridChart((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (9, 9, 9))
     x0, x1, x2 = chart.meshgrid()
-    theta = OneFormField.from_arrays(
-        chart, [np.zeros(chart.counts), x2**2, np.zeros(chart.counts)]
-    )
-    report = analyze(theta, time_axis=0)
+    theta = np.array([np.zeros(chart.counts), x2**2, np.zeros(chart.counts)])
+    report = analyze(chart, theta, time_axis=0)
     assert set(report.cross_residuals) == {(1, 2)}
     interior_max = 2.0 * 0.7  # d/dx2 of x2^2 at the largest interior node
     assert report.cross_residuals[(1, 2)] == pytest.approx(interior_max)
@@ -105,15 +101,15 @@ def test_time_axis_validation():
     chart = xt_chart()
     theta = form_from(chart, [lambda x, t: x, lambda x, t: t])
     with pytest.raises(ValueError, match="time_axis"):
-        analyze(theta, time_axis=2)
+        analyze(chart, theta, time_axis=2)
     with pytest.raises(ValueError, match="time_axis"):
-        analyze(theta, time_axis=-1)
+        analyze(chart, theta, time_axis=-1)
 
 
 def test_csv_layout_and_determinism(tmp_path):
     chart = xt_chart(nx=17, nt=5)
     theta = form_from(chart, [lambda x, t: np.sin(x), lambda x, t: 0.0 * x])
-    reports = [analyze(theta, time_axis=1)]
+    reports = [analyze(chart, theta, time_axis=1)]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     write_csv(a, reports, orders=[0])
@@ -132,7 +128,7 @@ def test_csv_default_orders_enumerate_reports(tmp_path):
     chart = xt_chart(nx=9, nt=3)
     theta = form_from(chart, [lambda x, t: x, lambda x, t: 0.0 * x])
     path = tmp_path / "two.csv"
-    write_csv(path, [analyze(theta, 1), analyze(theta, 1)])
+    write_csv(path, [analyze(chart, theta, 1), analyze(chart, theta, 1)])
     orders = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
     assert orders == {"0", "1"}
 
@@ -141,7 +137,7 @@ def test_svg_smoke_and_empty_error(tmp_path):
     chart = xt_chart(nx=9, nt=5)
     theta = form_from(chart, [lambda x, t: np.sin(x) + 0.1 * t, lambda x, t: 0.0 * x])
     path = tmp_path / "q.svg"
-    write_q_svg(path, [analyze(theta, 1)])
+    write_q_svg(path, [analyze(chart, theta, 1)])
     text = path.read_text()
     assert text.startswith("<svg")
     assert "<polyline" in text
@@ -150,11 +146,10 @@ def test_svg_smoke_and_empty_error(tmp_path):
         write_q_svg(tmp_path / "empty.svg", [])
 
 
-def _full_grid_residuals(theta, time_axis):
+def _full_grid_residuals(chart, f, time_axis):
     """The flux and cross residuals as they were formed: full-grid partial
     derivatives, one-sided boundary rows included, then the interior read off."""
-    chart = theta.chart
-    f, h = theta.values, chart.spacing
+    h = chart.spacing
     inner = tuple(slice(1, -1) for _ in range(chart.dim))
 
     def d(values, axis):
@@ -186,10 +181,9 @@ def test_residuals_are_the_full_grid_residuals_bit_for_bit(rng, counts, nan):
         values = np.array(values)
         if nan:
             values[(1,) + tuple(c // 2 for c in counts)] = np.nan
-        theta = OneFormField(chart, values)
         for time_axis in range(dim):
-            report = analyze(theta, time_axis)
-            flux, cross = _full_grid_residuals(theta, time_axis)
+            report = analyze(chart, values, time_axis)
+            flux, cross = _full_grid_residuals(chart, values, time_axis)
             got = [a.flux_residual for a in report.axes]
             assert np.array_equal(got, flux, equal_nan=True)
             assert sorted(report.cross_residuals) == sorted(cross)

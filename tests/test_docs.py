@@ -1,5 +1,6 @@
 """The documented API: README's Python quickstart runs, every exported name resolves."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -25,3 +26,58 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _section(title, end):
+    text = README.read_text()
+    start = text.index(title)
+    return text[start : text.index(end, start)]
+
+
+def _names(text):
+    """Backticked identifiers and dotted names in text; shapes and formats are skipped."""
+    return re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", text)
+
+
+def _resolve(owner, dotted):
+    """True when every part of dotted resolves from owner (an attribute or a
+    dataclass field)."""
+    for part in dotted.split("."):
+        if hasattr(owner, part):
+            owner = getattr(owner, part)
+        elif part in getattr(owner, "__dataclass_fields__", {}):
+            owner = None
+        else:
+            return False
+    return True
+
+
+def _tour_rows():
+    """(module, contract text) per row of the README Library tour table."""
+    rows = []
+    for line in _section("## Library tour", "### Python quickstart").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip())[1:-1]]
+        if len(cells) == 2 and cells[0].startswith("`pssframe"):
+            rows.append((importlib.import_module(cells[0].strip("`")), cells[1]))
+    return rows
+
+
+def test_library_tour_names_resolve_in_their_row_module():
+    rows = _tour_rows()
+    assert len(rows) >= 9
+    unresolved = []
+    for module, contract in rows:
+        for name in _names(contract):
+            # a dotted name may also be module.name of another pssframe module
+            if not (_resolve(module, name) or "." in name and _resolve(pssframe, name)):
+                unresolved.append((module.__name__, name))
+    assert unresolved == []
+
+
+def test_removed_names_are_gone():
+    removed = _section("Removed from the API", "### Python quickstart")
+    dotted = [name for name in _names(removed) if "." in name]
+    assert "frames.FrameRotationField" in dotted
+    for name in dotted:
+        assert not _resolve(pssframe, name), name
+        assert not _resolve(importlib.import_module("pssframe.models"), name), name

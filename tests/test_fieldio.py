@@ -5,27 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from pssframe import (
-    GridChart,
-    ScalarField,
-    read_field,
-    read_scalar,
-    write_field,
-    write_scalar,
-)
+from pssframe import GridChart, read_field, write_field
 from pssframe import fieldio
 
 
 def test_scalar_round_trip_is_bit_exact(tmp_path, rng):
     chart = GridChart((-0.3, 1.0 / 3.0), (0.1, 0.25), (7, 5), ("x", "t"))
-    f = ScalarField(chart, rng.standard_normal(chart.shape) * 1e3)
+    f = rng.standard_normal(chart.shape) * 1e3
     path = tmp_path / "f.pssfield"
-    write_scalar(path, f)
-    g = read_scalar(path)
-    assert g.chart.counts == chart.counts
-    assert np.array_equal(g.values, f.values)
-    assert g.chart.origin == pytest.approx(chart.origin, abs=0.0)
-    assert g.chart.spacing == pytest.approx(chart.spacing, abs=0.0)
+    write_field(path, chart, [f])
+    chart2, back = read_field(path)
+    assert chart2.counts == chart.counts
+    assert back.shape == (1,) + chart.shape
+    assert np.array_equal(back[0], f)
+    assert chart2.origin == pytest.approx(chart.origin, abs=0.0)
+    assert chart2.spacing == pytest.approx(chart.spacing, abs=0.0)
 
 
 def test_multi_component_round_trip(tmp_path, rng):
@@ -41,8 +35,7 @@ def test_multi_component_round_trip(tmp_path, rng):
 
 def test_write_accepts_mixed_component_types(tmp_path):
     chart = GridChart((0.0,), (1.0,), (6,))
-    f = ScalarField.constant(chart, 2.5)
-    write_field(tmp_path / "m.pssfield", chart, [f, np.arange(6.0)])
+    write_field(tmp_path / "m.pssfield", chart, [[2.5] * 6, np.arange(6)])
     _, back = read_field(tmp_path / "m.pssfield")
     assert np.array_equal(back[0], np.full(6, 2.5))
     assert np.array_equal(back[1], np.arange(6.0))
@@ -87,18 +80,11 @@ def test_read_rejects_truncated_body(tmp_path):
         read_field(path)
 
 
-def test_read_scalar_requires_single_component(tmp_path):
-    chart = GridChart((0.0,), (1.0,), (3,))
-    write_field(tmp_path / "two.pssfield", chart, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="single-component"):
-        read_scalar(tmp_path / "two.pssfield")
-
-
 def test_identical_fields_produce_identical_bytes(tmp_path):
     chart = GridChart((0.0, 0.0), (0.1, 0.2), (4, 4))
-    f = ScalarField.from_function(chart, lambda x, t: np.sin(x + t))
-    write_scalar(tmp_path / "a.pssfield", f)
-    write_scalar(tmp_path / "b.pssfield", f)
+    x, t = chart.meshgrid()
+    write_field(tmp_path / "a.pssfield", chart, [np.sin(x + t)])
+    write_field(tmp_path / "b.pssfield", chart, [np.sin(x + t)])
     assert (tmp_path / "a.pssfield").read_bytes() == (tmp_path / "b.pssfield").read_bytes()
 
 

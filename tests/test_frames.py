@@ -1,5 +1,6 @@
 """Frame bundles: structure equations, rotations, dual vectors, persistence."""
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -9,14 +10,13 @@ import pytest
 
 from pssframe import (
     FrameData,
-    FrameRotationField,
     GridChart,
-    OneFormField,
-    ScalarField,
     frame_change,
     frame_vector_fields,
     lie_bracket,
     load_frame_data,
+    orthogonality_error,
+    require_orthogonal,
     save_frame_data,
     read_field,
     special_frame_residual,
@@ -77,11 +77,7 @@ def test_structure_residuals_second_order_on_cosh_metric():
 def connection_entry(fd, i, j):
     """omega_ij as a one-form: the stored upper entry, or a negated copy of it."""
     upper = fd.connection[list(combinations(range(fd.dim), 2)).index((min(i, j), max(i, j)))]
-    return OneFormField(fd.chart, upper if i < j else -upper)
-
-
-def omega_form(fd, i):
-    return OneFormField(fd.chart, fd.omega[i])
+    return upper if i < j else -upper
 
 
 def full_grid_structure_residuals(fd, curvature=-1.0):
@@ -95,19 +91,19 @@ def full_grid_structure_residuals(fd, curvature=-1.0):
 
     res1 = []
     for i in range(n):
-        resid = d_oneform(omega_form(fd, i))
+        resid = d_oneform(fd.chart, fd.omega[i])
         for j in range(n):
             if j != i:
-                resid -= wedge(omega_form(fd, j), connection_entry(fd, j, i))
+                resid -= wedge(fd.omega[j], connection_entry(fd, j, i))
         res1.append(interior(resid))
     res2 = []
     for i in range(n):
         for j in range(i + 1, n):
-            resid = d_oneform(connection_entry(fd, i, j))
+            resid = d_oneform(fd.chart, connection_entry(fd, i, j))
             for k in range(n):
                 if k != i and k != j:
                     resid -= wedge(connection_entry(fd, i, k), connection_entry(fd, k, j))
-            resid += wedge(omega_form(fd, i), omega_form(fd, j)) * float(curvature)
+            resid += wedge(fd.omega[i], fd.omega[j]) * float(curvature)
             res2.append(interior(resid))
     return float(np.max(res1)), float(np.max(res2))
 
@@ -198,16 +194,18 @@ def test_special_frame_residual_values():
 
 def test_frame_change_identity_is_identity():
     fd = cosh_metric_frame(21)
-    rotated = frame_change(fd, FrameRotationField.identity(fd.chart))
+    rotated = frame_change(fd, np.broadcast_to(np.eye(2), fd.chart.counts + (2, 2)))
     assert np.array_equal(rotated.omega, fd.omega)
     assert np.allclose(rotated.connection[0, 1], fd.connection[0, 1], atol=1e-15)
 
 
 def test_frame_change_round_trip_with_smooth_rotation():
     fd = cosh_metric_frame(33)
-    phi = ScalarField.from_function(fd.chart, lambda x, y: 0.3 * x + 0.1 * y * y)
-    rot = FrameRotationField.from_angle(phi)
-    inv = FrameRotationField(fd.chart, np.swapaxes(rot.matrix, -1, -2))
+    x, y = fd.chart.meshgrid()
+    phi = 0.3 * x + 0.1 * y * y
+    c, s = np.cos(phi), np.sin(phi)
+    rot = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
+    inv = np.swapaxes(rot, -1, -2)
     back = frame_change(frame_change(fd, rot), inv)
     assert np.max(np.abs(back.omega - fd.omega)) < 1e-12
     # connection round trip only holds to stencil order (dL terms)
@@ -218,25 +216,28 @@ def test_frame_change_by_constant_rotation_preserves_structure():
     fd = cosh_metric_frame(41)
     base = structure_residuals(fd)
     c, s = np.cos(0.7), np.sin(0.7)
-    rot = FrameRotationField.constant(fd.chart, np.array([[c, -s], [s, c]]))
+    rot = np.broadcast_to(np.array([[c, -s], [s, c]]), fd.chart.counts + (2, 2))
     rotated = frame_change(fd, rot)
     res = structure_residuals(rotated)
     assert max(res) <= 2.0 * max(base) + 1e-12
 
 
 def test_rotation_field_rejects_non_orthogonal_matrix():
-    chart = square_chart(5)
-    bad = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]), chart.counts + (2, 2))
+    fd = exp_metric_frame(5)
+    bad = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]), fd.chart.counts + (2, 2))
     with pytest.raises(ValueError, match="not orthogonal"):
-        FrameRotationField(chart, bad.copy())
+        frame_change(fd, bad)
+    with pytest.raises(ValueError, match="rotation needs shape"):
+        frame_change(fd, np.eye(2))
 
 
 def test_non_orthogonal_rotation_raises_package_error():
     chart = square_chart(5)
     bad = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]), chart.counts + (2, 2))
     with pytest.raises(OrthogonalityError) as info:
-        FrameRotationField(chart, bad.copy())
+        require_orthogonal(bad)
     assert isinstance(info.value, PssframeError)
+    assert str(info.value) == "matrix field is not orthogonal: max |LL^T - I| = 5.000e-01"
 
 
 def test_frame_vector_fields_of_exp_metric():
@@ -269,6 +270,37 @@ def test_frame_vector_fields_raises_when_singular_everywhere():
     fd2 = FrameData(fd.chart, omega, fd.connection)
     with pytest.raises(DegenerateFrameError):
         frame_vector_fields(fd2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relative_determinant_test_cannot_overflow(n):
+    # diag(1, e^400, ...): |det| / max|F|^n = e^-400 at every node, where
+    # det_rtol * max|F|^n used to overflow a Python float
+    chart = GridChart((0.0,) * n, (1.0,) * n, (5,) * n)
+    omega = np.zeros((n, n) + chart.counts)
+    omega[0, 0] = 1.0
+    for i in range(1, n):
+        omega[i, i] = math.exp(400.0)
+    fd = FrameData(chart, omega, np.zeros((n * (n - 1) // 2, n) + chart.counts))
+    with pytest.raises(DegenerateFrameError, match="singular everywhere"):
+        frame_vector_fields(fd)
+    with pytest.raises(DegenerateFrameError, match="singular everywhere"):
+        frame_vector_fields(exp_metric_frame(33, -400.0, -399.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_well_conditioned_coframe_near_e400_stays_valid(rng, n):
+    # F = e^400 (I + ones) (1 + noise): every entry near e^400, condition
+    # about n + 1, |det| far past the largest double
+    chart = GridChart((0.0,) * n, (1.0,) * n, (5,) * n)
+    M = np.eye(n) + np.ones((n, n))
+    F = M * (1.0 + 1e-3 * rng.standard_normal(chart.counts + (n, n)))
+    omega = np.moveaxis(F * math.exp(400.0), (-2, -1), (0, 1))
+    fd = FrameData(chart, omega, np.zeros((n * (n - 1) // 2, n) + chart.counts))
+    comps, valid = frame_vector_fields(fd)
+    assert valid.all()
+    want = np.swapaxes(np.linalg.inv(F), -1, -2) * math.exp(-400.0)
+    assert np.max(np.abs(comps - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _stack_frame(matrices):
@@ -347,7 +379,7 @@ def test_two_dimensional_duals_mask_nan_and_singular_nodes_quietly():
     omega[0, 0, 2, 3] = np.nan
     omega[1, :, 5, 5] = np.inf
     omega[:, 0, 6, 1] = 0.0  # the first column vanishes: no pivot
-    comps, valid = frames._duals_2d(omega, 1e-8)
+    comps, valid = frames._duals_2d(omega, 1.0, 1e-8)
     assert np.count_nonzero(~valid) == 3
     assert not valid[2, 3] and not valid[5, 5] and not valid[6, 1]
     assert np.all(comps[~valid] == 0.0)
@@ -384,7 +416,7 @@ def test_orthogonality_error_matches_the_matmul_gram(rng, n, perturbation):
         L = q
     gram = np.matmul(L, np.swapaxes(L, -1, -2)) - np.eye(n)
     expected = float(np.max(np.abs(gram)))
-    err = FrameRotationField(chart, L, orth_tol=1e-9).orth_residual
+    err = orthogonality_error(L)
     if n == 2:  # written-out sums; BLAS may fuse its multiply-adds
         assert abs(err - expected) <= 2.0 * np.finfo(float).eps
     else:
@@ -396,8 +428,9 @@ def test_orthogonality_error_is_nan_for_a_nan_entry(n):
     chart = GridChart((0.0,) * n, (1.0,) * n, (4,) * n)
     L = np.broadcast_to(np.eye(n), chart.counts + (n, n)).copy()
     L[(1,) * n + (n - 1, 0)] = np.nan
+    assert np.isnan(orthogonality_error(L))
     with pytest.raises(OrthogonalityError, match="nan"):
-        FrameRotationField(chart, L)
+        require_orthogonal(L)
 
 
 def test_two_dimensional_duals_and_coordinate_check_need_no_lapack_or_matmul(monkeypatch):
@@ -446,7 +479,7 @@ def test_save_load_round_trip_pins_the_component_order(tmp_path, n):
         for j in range(i + 1, n):
             skew[..., i, j] = 0.2 * (i + 1) * x[0] + 0.1 * (j + 1) * x[-1] + 0.05 * j
             skew[..., j, i] = -skew[..., i, j]
-    fd = frame_change(fd, FrameRotationField(fd.chart, expm_skew(skew)))
+    fd = frame_change(fd, expm_skew(skew))
     path = tmp_path / "frame.pssfield"
     save_frame_data(path, fd)
     back = load_frame_data(path)
@@ -456,7 +489,7 @@ def test_save_load_round_trip_pins_the_component_order(tmp_path, n):
     _, stack = read_field(path)
     want = [fd.omega[i, a] for i in range(n) for a in range(n)]
     want += [
-        connection_entry(fd, i, j).values[a]
+        connection_entry(fd, i, j)[a]
         for i in range(n)
         for j in range(i + 1, n)
         for a in range(n)

@@ -122,9 +122,9 @@ def test_hierarchy_order_zero_agrees_with_scalar_solve():
     fd0 = ch_forms(state, 0.0)
     rep = solve_phi_2d(fd0)
     zero = result.orders[0]
-    assert np.max(np.abs(zero.phi.values - rep.rotation.angle.values)) < 1e-12
+    assert np.max(np.abs(zero.phi - rep.angle)) < 1e-12
     for a in range(2):
-        diff = zero.form.coefficient(a).values - rep.theta1.coefficient(a).values
+        diff = zero.form[a] - rep.theta1[a]
         assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_hierarchy_series_is_taylor_expansion_of_nonlinear_solve():
         fd = ch_forms(state, eta)
         rep = solve_phi_2d(fd)
         series_phi = result.phi_series.evaluate(eta)
-        errs.append(float(np.max(np.abs(series_phi - rep.rotation.angle.values))))
+        errs.append(float(np.max(np.abs(series_phi - rep.angle))))
     assert errs[0] < 2e-2
     assert errs[1] / errs[0] < 0.25  # at least O(eta^3) shrinkage: 8x per halving
     assert errs[1] / errs[0] > 0.05  # and not accidentally exact
@@ -149,8 +149,8 @@ def test_hierarchy_start_values_are_respected():
     state, table = _small_ch_table(1)
     result = solve_hierarchy(state.chart, table, 1, start_values={0: 0.3, 1: -0.2})
     base = result.base_index
-    assert result.orders[0].phi.values[base] == pytest.approx(0.3)
-    assert result.orders[1].phi.values[base] == pytest.approx(-0.2)
+    assert result.orders[0].phi[base] == pytest.approx(0.3)
+    assert result.orders[1].phi[base] == pytest.approx(-0.2)
     assert result.orders[0].start_value == pytest.approx(0.3)
     assert result.orders[1].start_value == pytest.approx(-0.2)
 
@@ -160,10 +160,10 @@ def test_hierarchy_periodic_mode_closes_the_angle_in_x():
     result = solve_hierarchy(state.chart, table, 1, periodic_axis=0)
     # base moves to the x = 0 column and the solved angle is x-periodic
     assert result.base_index[0] == 0
-    phi0 = result.orders[0].phi.values
+    phi0 = result.orders[0].phi
     gap = np.abs(phi0[-1, :] - phi0[0, :] - 2 * np.pi * np.round((phi0[-1, :] - phi0[0, :]) / (2 * np.pi)))
     assert np.max(gap) < 1e-6
-    phi1 = result.orders[1].phi.values
+    phi1 = result.orders[1].phi
     assert np.max(np.abs(phi1[-1, :] - phi1[0, :])) < 1e-6
 
 
@@ -228,7 +228,7 @@ def test_periodic_order_8_matches_frozen_reference():
     result = solve_hierarchy(state.chart, ch_series_table(state, 8), 8, periodic_axis=0)
     assert len(result.orders) == len(FROZEN_PERIODIC_ORDER_8)
     for item, (start, compat, corners) in zip(result.orders, FROZEN_PERIODIC_ORDER_8):
-        phi = item.phi.values
+        phi = item.phi
         got = [phi[0, 0], phi[0, -1], phi[-1, 0], phi[-1, -1]]
         assert abs(item.start_value - start) <= 1e-12
         assert abs(item.compat_residual - compat) <= 1e-12
@@ -346,9 +346,9 @@ def test_hierarchy_holds_no_more_memory_than_per_order_maps():
 def test_non_finite_state_on_the_start_line_fails_the_gate(periodic_axis):
     # NaN on the periodic start line reaches the gate, not the return map scan
     state = _periodic_ch_state()
-    u = state.u.values.copy()
+    u = state.u.copy()
     u[5, :] = np.nan
-    bad = ch_from_arrays(state.chart, state.m, u, state.u_x.values, state.u_xx.values)
+    bad = ch_from_arrays(state.chart, state.m, u, state.u_x, state.u_xx)
     table = ch_series_table(bad, 2)
     with pytest.raises(StructureGateError, match="non-finite"):
         solve_hierarchy(bad.chart, table, 2, periodic_axis=periodic_axis)

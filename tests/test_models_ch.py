@@ -104,8 +104,8 @@ def test_evolve_is_bitwise_the_allocating_loop(m):
     state = ch_evolve(profile, m=m, period=6.0, t_final=0.5, nx=32, nt=4)
     expected = _reference_evolve(profile, m, 6.0, 0.5, 32, 4)
     for got, rows in zip((state.u, state.u_x, state.u_xx), expected):
-        assert np.array_equal(got.values[:-1], rows.T)
-        assert np.array_equal(got.values[-1], rows[:, 0])
+        assert np.array_equal(got[:-1], rows.T)
+        assert np.array_equal(got[-1], rows[:, 0])
 
 
 def test_evolve_chart_layout_and_periodic_seam():
@@ -115,9 +115,9 @@ def test_evolve_chart_layout_and_periodic_seam():
     assert state.chart.spacing[0] == pytest.approx(6.0 / 64)
     assert state.chart.spacing[1] == pytest.approx(1.0 / 16)
     # the closing column duplicates x = 0
-    assert np.array_equal(state.u.values[0], state.u.values[-1])
-    assert np.array_equal(state.u_x.values[0], state.u_x.values[-1])
-    assert state.u.values[:, 0] == pytest.approx(cosine_profile(
+    assert np.array_equal(state.u[0], state.u[-1])
+    assert np.array_equal(state.u_x[0], state.u_x[-1])
+    assert state.u[:, 0] == pytest.approx(cosine_profile(
         state.chart.axis_coordinates(0)), abs=1e-13)
 
 
@@ -129,7 +129,7 @@ def test_evolve_conserves_mean_to_round_off():
 def test_evolve_accepts_array_initial_data():
     x = np.arange(64) * (6.0 / 64)
     state = ch_evolve(cosine_profile(x), m=0.5, period=6.0, t_final=0.5, nx=64, nt=8)
-    assert state.u.values[:, 0] == pytest.approx(cosine_profile(
+    assert state.u[:, 0] == pytest.approx(cosine_profile(
         state.chart.axis_coordinates(0)), abs=1e-13)
     with pytest.raises(ValueError, match="nx samples"):
         ch_evolve(np.zeros(63), m=0.0, period=6.0, t_final=0.5, nx=64, nt=8)
@@ -159,7 +159,7 @@ def test_evolve_time_step_convergence():
     for cfl in (0.8, 0.4, 0.2):
         state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=1.0,
                           nx=64, nt=4, cfl=cfl)
-        errs.append(np.max(np.abs(state.u.values[:, -1] - ref.u.values[:, -1])))
+        errs.append(np.max(np.abs(state.u[:, -1] - ref.u[:, -1])))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     # ceil-quantized substep counts blur the exact halving slightly
     assert np.all(orders > 3.2)

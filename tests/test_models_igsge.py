@@ -138,6 +138,6 @@ def test_identity_start_solves_exactly_on_explicit_solution():
     assert rep.closed_residual == 0.0
     assert rep.orth_residual == 0.0
     x1 = chart.meshgrid()[0]
-    assert np.max(np.abs(rep.theta1.coefficient(0).values - np.tanh(x1))) == 0.0
+    assert np.max(np.abs(rep.theta1[0] - np.tanh(x1))) == 0.0
     for a in (1, 2):
-        assert np.all(rep.theta1.coefficient(a).values == 0.0)
+        assert np.all(rep.theta1[a] == 0.0)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pssframe import (
-    FrameRotationField,
     GridChart,
     expm_skew,
     frame_change,
@@ -361,9 +360,9 @@ def test_solve_is_exact_when_frame_is_already_special():
     assert rep.closed_residual == 0.0
     assert rep.compat_residual == 0.0
     assert rep.orth_residual == 0.0
-    assert np.max(np.abs(rep.rotation.angle.values)) == 0.0
-    assert np.max(np.abs(rep.theta1.coefficient(0).values - 1.0)) == 0.0
-    assert np.max(np.abs(rep.theta1.coefficient(1).values)) == 0.0
+    assert np.max(np.abs(rep.angle)) == 0.0
+    assert np.max(np.abs(rep.theta1[0] - 1.0)) == 0.0
+    assert np.max(np.abs(rep.theta1[1])) == 0.0
     assert rep.summary() == "solve: compat=0.000e+00 closed=0.000e+00 orth=0.000e+00"
 
 
@@ -388,13 +387,13 @@ def test_matrix_and_angle_solvers_agree_in_two_dimensions():
     fd = cosh_metric_frame(81)
     rep_phi = solve_phi_2d(fd)
     rep_mat = solve_L_nd(fd)
-    l11 = rep_mat.rotation.matrix[..., 0, 0]
-    l21 = rep_mat.rotation.matrix[..., 1, 0]
-    assert np.max(np.abs(l11 - np.cos(rep_phi.rotation.angle.values))) < 1e-12
-    assert np.max(np.abs(l21 - np.sin(rep_phi.rotation.angle.values))) < 1e-12
+    l11 = rep_mat.rotation[..., 0, 0]
+    l21 = rep_mat.rotation[..., 1, 0]
+    assert np.max(np.abs(l11 - np.cos(rep_phi.angle))) < 1e-12
+    assert np.max(np.abs(l21 - np.sin(rep_phi.angle))) < 1e-12
     assert rep_mat.orth_residual < 1e-13
     for a in range(2):
-        diff = rep_mat.theta1.coefficient(a).values - rep_phi.theta1.coefficient(a).values
+        diff = rep_mat.theta1[a] - rep_phi.theta1[a]
         assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -406,14 +405,14 @@ def test_solve_equivariance_under_constant_frame_rotation():
     fd = cosh_metric_frame(41)
     alpha = 0.35
     c, s = math.cos(alpha), math.sin(alpha)
-    rot = FrameRotationField.constant(fd.chart, np.array([[c, -s], [s, c]]))
+    rot = np.broadcast_to(np.array([[c, -s], [s, c]]), fd.chart.counts + (2, 2))
     rotated = frame_change(fd, rot)
 
     rep = solve_phi_2d(fd, phi0=0.25)
     rep_rot = solve_phi_2d(rotated, phi0=0.25 - alpha)
-    assert np.max(np.abs((rep.rotation.angle.values - alpha) - rep_rot.rotation.angle.values)) < 1e-12
+    assert np.max(np.abs((rep.angle - alpha) - rep_rot.angle)) < 1e-12
     for a in range(2):
-        diff = rep.theta1.coefficient(a).values - rep_rot.theta1.coefficient(a).values
+        diff = rep.theta1[a] - rep_rot.theta1[a]
         assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -422,8 +421,37 @@ def test_solve_base_origin_variant():
     rep = solve_phi_2d(fd, base="origin")
     assert rep.closed_residual < 2e-2
     assert rep.compat_residual < 1e-5
-    base_angle = rep.rotation.angle.values[0, 0]
+    base_angle = rep.angle[0, 0]
     assert base_angle == 0.0
+
+
+def _kink_frame_65():
+    from pssframe.models import sg_forms, sg_solution
+
+    return sg_forms(sg_solution(GridChart((-8.0, -8.0), (0.25, 0.25), (65, 65))))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param((_kink_frame_65, solve_phi_2d, 0.0), id="kink-65^2"),
+        pytest.param((lambda: igsge_frame(17), solve_L_nd, rotated_l0(3)), id="igsge-17^3"),
+    ],
+)
+def test_theta1_does_not_depend_on_the_base_node(case):
+    # a solve from base b, then solves from random bases b' started from the
+    # first solve's rotation at b': both closed forms are the same up to the
+    # two solves' own integrability certificates
+    make_frame, solve, start = case
+    fd = make_frame()
+    rep = solve(fd, start)
+    rotation_at = rep.angle if fd.dim == 2 else rep.rotation
+    rng = np.random.default_rng(20260817)
+    for _ in range(13):
+        base = tuple(int(i) for i in rng.integers(0, fd.chart.counts))
+        other = solve(fd, rotation_at[base], base)
+        gap = np.max(np.abs(rep.theta1 - other.theta1))
+        assert gap <= rep.compat_residual + other.compat_residual, base
 
 
 def test_gate_blocks_flat_frame():
@@ -503,7 +531,7 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
     assert abs(rep.compat_residual - IGSGE17_COMPAT) <= 1e-13
     assert abs(rep.closed_residual - IGSGE17_CLOSED) <= 1e-13
     for corner, want in IGSGE17_CORNERS.items():
-        assert np.max(np.abs(rep.rotation.matrix[corner] - np.array(want))) <= 1e-13
+        assert np.max(np.abs(rep.rotation[corner] - np.array(want))) <= 1e-13
 
 
 # tracemalloc peak in bytes of solve_L_nd(igsge_frame(25), rotated_l0(3))
@@ -531,9 +559,9 @@ def test_three_dimensional_solve_is_reflection_equivariant():
     L0 = rotated_l0(3)
     rep = solve_L_nd(fd, L0)
     rep_d = solve_L_nd(fd, reflect @ L0)
-    assert np.max(np.abs(reflect @ rep.rotation.matrix - rep_d.rotation.matrix)) <= 1e-13
+    assert np.max(np.abs(reflect @ rep.rotation - rep_d.rotation)) <= 1e-13
     for a in range(3):
-        diff = rep.theta1.coefficient(a).values - rep_d.theta1.coefficient(a).values
+        diff = rep.theta1[a] - rep_d.theta1[a]
         assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -546,12 +574,12 @@ def test_solve_L_nd_recovers_constant_rotation_of_half_space(n, m, proper):
     R = rotated_l0(n, seed=7)
     if not proper:
         R = np.diag([1.0] * (n - 1) + [-1.0]) @ R
-    rotated = frame_change(fd, FrameRotationField.constant(fd.chart, R))
+    rotated = frame_change(fd, np.broadcast_to(R, fd.chart.counts + (n, n)))
     rep = solve_L_nd(rotated, R.T)
-    assert np.max(np.abs(rep.rotation.matrix - R.T)) <= 1e-13
+    assert np.max(np.abs(rep.rotation - R.T)) <= 1e-13
     for a in range(n):
         want = 1.0 if a == 0 else 0.0
-        assert np.max(np.abs(rep.theta1.coefficient(a).values - want)) <= 1e-13
+        assert np.max(np.abs(rep.theta1[a] - want)) <= 1e-13
 
 
 def varying_rotation_order(K, weights, sizes):
@@ -561,7 +589,7 @@ def varying_rotation_order(K, weights, sizes):
         fd, R = varying_rotation_frame(m, K, weights)
         base = fd.chart.base_index("center")
         rep = solve_L_nd(fd, R[base].T)
-        errors.append(np.max(np.abs(rep.rotation.matrix - np.swapaxes(R, -1, -2))))
+        errors.append(np.max(np.abs(rep.rotation - np.swapaxes(R, -1, -2))))
         spacings.append(fd.chart.spacing[0])
     return np.polyfit(np.log(spacings), np.log(errors), 1)[0], errors
 
@@ -600,8 +628,8 @@ def test_special_coordinates_on_exp_metric_are_exact():
     assert check.valid_fraction > 0.85
     x, _ = fd.chart.meshgrid()
     base = fd.chart.base_index("center")
-    assert np.max(np.abs(check.potential.values - (x - x[base]))) < 1e-12
-    assert np.max(np.abs(check.scalings[0].values - np.exp(-(x - x[base])))) < 1e-12
+    assert np.max(np.abs(check.potential - (x - x[base]))) < 1e-12
+    assert np.max(np.abs(check.scalings[0] - np.exp(-(x - x[base])))) < 1e-12
 
 
 def test_max_bracket_is_nan_when_a_pair_bracket_is_nan():
@@ -615,7 +643,7 @@ def test_special_coordinates_scaling_constants():
     fd = exp_metric_frame(31)
     rep = solve_phi_2d(fd)
     check = special_coordinates_check(fd, rep, constants=[2.0])
-    assert np.max(np.abs(check.scalings[0].values)) == pytest.approx(
+    assert np.max(np.abs(check.scalings[0])) == pytest.approx(
         2.0 * np.exp(1.0 - 0.0), rel=1e-12
     )
     with pytest.raises(ValueError):
