@@ -16,7 +16,6 @@ from .conservation import (
     write_q_svg,
 )
 from .errors import (
-    ChartMismatchError,
     ConfigError,
     DegenerateFrameError,
     EvolutionError,
@@ -71,7 +70,6 @@ __all__ = [
     "analyze",
     "write_csv",
     "write_q_svg",
-    "ChartMismatchError",
     "ConfigError",
     "DegenerateFrameError",
     "EvolutionError",

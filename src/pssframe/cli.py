@@ -10,6 +10,7 @@ flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -57,15 +58,47 @@ def _scaled_chart(cfg: RunConfig, scale):
     return GridChart(origin=cfg.origin, spacing=spacing, counts=counts)
 
 
+def _host_bytes():
+    """The host's physical memory in bytes, or None where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+@contextlib.contextmanager
+def _allocatable(counts, scale):
+    """Refuse a chart whose arrays numpy cannot allocate, as a ConfigError.
+
+    An (n, n, *counts) array past the address space would fail with a
+    ValueError anywhere in the run, and one past the host's memory could
+    not be held, so either is refused before any array is made (the 1D
+    arrays of such a chart can be large enough to hurt on their own);
+    numpy's MemoryError while the model is built is caught.  The error
+    names the counts, the scale and --grid-scale.
+    """
+    nbytes = 8 * len(counts) ** 2 * math.prod(counts)
+    error = ConfigError(
+        "chart counts %s at grid scale %d cannot be allocated (%.3g bytes per "
+        "(n, n, *counts) array); lower --grid-scale" % (counts, scale, nbytes)
+    )
+    if nbytes > min(np.iinfo(np.intp).max, _host_bytes() or np.inf):
+        raise error
+    try:
+        yield
+    except MemoryError as exc:
+        raise error from exc
+
+
 def _ch_state(cfg: RunConfig, scale):
     """The configured Camassa-Holm evolution at a grid scale."""
 
     def profile(x):
         return cfg.u0_offset + cfg.u0_amplitude * np.cos(2.0 * np.pi * x / cfg.period)
 
-    return ch_evolve(
-        profile, cfg.m, cfg.period, cfg.t_final, nx=cfg.nx * scale, nt=cfg.nt * scale, cfl=cfg.cfl
-    )
+    nx, nt = cfg.nx * scale, cfg.nt * scale
+    with _allocatable((nx + 1, nt + 1), scale):
+        return ch_evolve(profile, cfg.m, cfg.period, cfg.t_final, nx=nx, nt=nt, cfl=cfg.cfl)
 
 
 def _build_model(cfg: RunConfig, scale):
@@ -79,11 +112,15 @@ def _build_model(cfg: RunConfig, scale):
         state = _ch_state(cfg, scale)
         return ch_forms(state, 0.0), state
     if kind == "sine_gordon":
-        sol = sg_solution(_scaled_chart(cfg, scale), cfg.kink, cfg.velocity)
-        return sg_forms(sol), sol
+        chart = _scaled_chart(cfg, scale)
+        with _allocatable(chart.counts, scale):
+            sol = sg_solution(chart, cfg.kink, cfg.velocity)
+            return sg_forms(sol), sol
     if kind == "igsge":
-        state = igsge_explicit_solution(_scaled_chart(cfg, scale), cfg.c)
-        return igsge_forms(state), state
+        chart = _scaled_chart(cfg, scale)
+        with _allocatable(chart.counts, scale):
+            state = igsge_explicit_solution(chart, cfg.c)
+            return igsge_forms(state), state
     if kind == "external":
         if scale != 1:
             raise ConfigError("--grid-scale is not applicable to external fields")

@@ -7,10 +7,6 @@ class PssframeError(Exception):
     """Base class for package errors."""
 
 
-class ChartMismatchError(PssframeError):
-    """Fields living on different charts were combined."""
-
-
 class StructureGateError(PssframeError):
     """Input frame data failed the structure-equation gate."""
 

@@ -29,6 +29,8 @@ from .grid import GridChart, dense, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
+# nodes per Gram block of `orthogonality_error` for n >= 3
+_GRAM_NODES = 8192
 
 
 @dataclass
@@ -57,10 +59,10 @@ class FrameData:
 
     def max_abs(self):
         """Max |coefficient| over the bundle; NaN when any coefficient is NaN."""
-        # one form at a time: |omega| of the whole coframe would be one more
-        # full-size temporary
-        worst = [np.max(np.abs(w)) for w in self.omega]
-        return float(np.max(worst + [np.max(np.abs(self.connection))]))
+        # one form at a time: |omega| of the whole coframe or connection
+        # would be one more full-size temporary
+        worst = [np.max(np.abs(w)) for w in (*self.omega, *self.connection)]
+        return float(np.max(worst))
 
 
 def connection_matrix(upper, axis):
@@ -148,13 +150,21 @@ def orthogonality_error(L):
 
     n = 2 forms the Gram entries L_i0 L_j0 + L_i1 L_j1 from the component
     views.  n >= 3 keeps the stacked matmul: its BLAS sums use fused
-    multiply-adds, which written-out sums would not match bit for bit.
+    multiply-adds, which written-out sums would not match bit for bit.  It
+    runs over blocks of _GRAM_NODES nodes, each matrix as in one whole call.
     """
     n = L.shape[-1]
     if n > 2:
-        gram = np.matmul(L, np.ascontiguousarray(np.swapaxes(L, -1, -2)))
-        gram -= np.eye(n)
-        return float(np.max(np.abs(gram, out=gram)))
+        # blocks of nodes: no temporary the size of the field; the block
+        # maxima go through np.max, so a NaN anywhere still gives NaN
+        nodes = L.reshape((-1, n, n))
+        worst = []
+        for start in range(0, len(nodes), _GRAM_NODES):
+            blk = nodes[start : start + _GRAM_NODES]
+            gram = np.matmul(blk, np.ascontiguousarray(np.swapaxes(blk, -1, -2)))
+            gram -= np.eye(n)
+            worst.append(np.max(np.abs(gram, out=gram)))
+        return float(np.max(worst))
     (a, b), (c, d) = np.moveaxis(L, (-2, -1), (0, 1))
     grams = (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0)
     return float(np.max([np.max(np.abs(g, out=g)) for g in grams]))

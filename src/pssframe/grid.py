@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartMismatchError
-
 
 @dataclass(frozen=True)
 class GridChart:
@@ -84,14 +82,6 @@ class GridChart:
     def interior(self):
         """Slicer selecting nodes with all indices strictly inside."""
         return tuple(slice(1, -1) for _ in self.counts)
-
-    def require_same(self, other):
-        if not isinstance(other, GridChart) or (
-            self.counts != other.counts
-            or any(abs(a - b) > 1e-12 for a, b in zip(self.origin, other.origin))
-            or any(abs(a - b) > 1e-12 for a, b in zip(self.spacing, other.spacing))
-        ):
-            raise ChartMismatchError("fields live on different charts")
 
     def base_index(self, selector="center"):
         """Resolve a base-node selector: 'center', 'origin', or an index tuple."""
@@ -165,6 +155,10 @@ def partial_derivative(values, axis, spacing):
     return out
 
 
+# bytes of the one temporary `midpoints` forms at a time
+_MID_TEMP_BYTES = 1 << 18
+
+
 def midpoints(values, axis):
     """Interval midpoints along `axis` via cubic 4-point interpolation.
 
@@ -193,12 +187,15 @@ def midpoints(values, axis):
     out_shape[axis] = n - 1
     out = np.empty(out_shape)
 
-    # (-f0 + 9 f1 + 9 f2 - f3) / 16 in place, with one temporary: 9 f1 - f0
-    # is the same double as -f0 + 9 f1
+    # (-f0 + 9 f1 + 9 f2 - f3) / 16 in place: 9 f1 - f0 is the same double
+    # as -f0 + 9 f1, and the 9 f2 term is formed _MID_TEMP_BYTES at a time
     inner = out[sl(slice(1, -1))]
     np.multiply(f[sl(slice(1, -2))], 9.0, out=inner)
     inner -= f[sl(slice(0, -3))]
-    inner += 9.0 * f[sl(slice(2, -1))]
+    rows = max(1, _MID_TEMP_BYTES * n // max(f.nbytes, 1))
+    for i in range(0, n - 3, rows):
+        j = min(i + rows, n - 3)
+        out[sl(slice(1 + i, 1 + j))] += 9.0 * f[sl(slice(2 + i, 2 + j))]
     inner -= f[sl(slice(3, None))]
     inner /= 16.0
     out[sl(0)] = (

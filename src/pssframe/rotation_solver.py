@@ -5,7 +5,10 @@ axis 1 through the base node, then fanning out along each remaining axis line
 by line, so the whole chart is reached by a staircase of 1D problems.  The
 same solve is repeated with the axis order reversed and the max discrepancy
 is reported as `compat_residual` — a direct certificate of the integrability
-of the input data.
+of the input data.  The reverse sweep is streamed: its first blocks fill
+only its base hyperplane (the last swept axis pinned at the base), and its
+last block is filled slab by slab into one reused buffer, each slab folded
+into the max and then overwritten, so the reverse state is never whole.
 
 2D charts integrate the angle equation
 
@@ -29,7 +32,13 @@ sums; no `optimize=`, which may hand the sum to BLAS in another order.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  One block walker, `_sweep`, serves every sweep and
-fills each block in place, with two block fills: `rkmk4_fill` steps each
+fills each block in place.  A block whose state passes the byte budget
+`_SLAB_BYTES` (`_slabs`) is filled in slabs across its first transverse
+axis, with the coefficient block, its midpoints and the stage temporaries
+built per slab; the lines of a block are independent across transverse
+nodes, so every node gets the bits of the whole-block fill, except that
+n >= 4 `expm_skew` picks its scaling per stack.  There are two block
+fills: `rkmk4_fill` steps each
 line from the one before, and `affine_fill` serves linear equations
 y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of a
 whole block come from two vectorized steps, and each line is then one
@@ -53,6 +62,7 @@ operations in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,35 +90,42 @@ def _rodrigues(w):
 
     Rodrigues' formula I + s hat(w) + c hat(w)^2 with s = sin(t)/t and
     c = (1 - cos t)/t^2, t = |w|, written out entry by entry through
-    hat(w)^2 = w w^T - t^2 I.
+    hat(w)^2 = w w^T - t^2 I.  Every entry is written straight into out,
+    whole components at a time where the formula allows it, and each
+    element goes through the operations of the written-out formula:
+    R_ii = (c w_i) w_i + d, R_01 = c w1 w2 - s w3, and so on.  (An einsum
+    for t^2 would not do: with the component axis innermost it sums in
+    another order.)
     """
     w1, w2, w3 = w
-    t2 = w1 * w1 + w2 * w2 + w3 * w3
+    ww = w * w
+    t2 = ww[0] + ww[1] + ww[2]
     t = np.sqrt(t2)
     # sin(t)/t and (1-cos t)/t^2 with series fallbacks near 0
     small = t < 1e-4
-    tt = np.where(small, 1.0, t)
+    any_small = small.any()
+    tt = np.where(small, 1.0, t) if any_small else t
     s = np.sin(t) / tt
     c = (1.0 - np.cos(t)) / (tt * tt)
-    if small.any():
+    if any_small:
         s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s)
         c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, c)
     out = np.empty((3,) + w.shape)
     d = 1.0 - c * t2
-    cw1, cw2 = c * w1, c * w2
-    sw1, sw2, sw3 = s * w1, s * w2, s * w3
-    out[0, 0] = cw1 * w1 + d
-    out[1, 1] = cw2 * w2 + d
-    out[2, 2] = c * w3 * w3 + d
+    cw1, cw2, _ = cw = c * w
+    sw1, sw2, sw3 = s * w
+    diagonal = out.reshape((9,) + w.shape[1:])[::4]
+    np.multiply(cw, w, out=diagonal)
+    diagonal += d
     x = cw1 * w2
-    out[0, 1] = x - sw3
-    out[1, 0] = x + sw3
+    np.subtract(x, sw3, out=out[0, 1, ...])
+    np.add(x, sw3, out=out[1, 0, ...])
     x = cw1 * w3
-    out[0, 2] = x + sw2
-    out[2, 0] = x - sw2
+    np.add(x, sw2, out=out[0, 2, ...])
+    np.subtract(x, sw2, out=out[2, 0, ...])
     x = cw2 * w3
-    out[1, 2] = x - sw1
-    out[2, 1] = x + sw1
+    np.subtract(x, sw1, out=out[1, 2, ...])
+    np.add(x, sw1, out=out[2, 1, ...])
     return out
 
 
@@ -159,19 +176,26 @@ def _dexpinv(u, k):
     return k - 0.5 * c1 + _commutator(u, c1) / 12.0
 
 
-def _cross(a, b):
-    """Cross product of two component-major 3-vectors a, b (3, ...)."""
-    out = np.empty(a.shape)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
+# the component rows of a 3-vector shifted cyclically by one and by two
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _dexpinv_axial(u, k):
-    """_dexpinv in so(3) axial form, where [hat(u), hat(k)] = hat(u x k)."""
-    c1 = _cross(u, k)
-    return k - 0.5 * c1 + _cross(u, c1) / 12.0
+    """_dexpinv in so(3) axial form, where [hat(u), hat(k)] = hat(u x k).
+
+    The cross products of component-major 3-vectors (3, ...) are formed
+    all rows at once, (u x v)_i = u_j v_l - u_l v_j for the cyclic
+    (i, j, l), from the rows shifted cyclically; u's shifts serve both.
+    """
+    u_next, u_prev = u.take(_NEXT, 0), u.take(_PREV, 0)
+
+    def cross(v):
+        out = u_next * v.take(_PREV, 0)
+        out -= u_prev * v.take(_NEXT, 0)
+        return out
+
+    c1 = cross(k)
+    return k - 0.5 * c1 + cross(c1) / 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +222,98 @@ def rkmk4_step(h, y0, lo, mid, hi, kernels):
     return exp_mul((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y0)
 
 
-def _sweep(chart: GridChart, base, axes_order, y, system):
-    """Fill y (*counts, ...) from its value at the base node by line sweeps.
+# state bytes of a block above which `_sweep` fills it in transverse slabs.
+# A streamed block's state counts twice, since its slabs are filled into a
+# buffer allocated next to the coefficient slab, where other blocks write
+# into a state that is whole anyway.  At 49^3 (8.5 MB of n = 3 state) the
+# forward sweep then takes 2 slabs and the streamed one 3, and every array
+# a slab allocates stays below numpy's 4 MiB huge-page threshold; each
+# slab costs its own line steps, whose fixed Python cost a third slab in
+# the forward sweep would show
+_SLAB_BYTES = 6 << 20
 
-    system(axis, take) returns (arrays, fill) for each block of
+
+def _slabs(dim, shape, itemsize, buffered=False):
+    """The slabs of a block of `_sweep`, as index tuples into the block.
+
+    shape is (m, *transverse node counts, *component shape) with dim node
+    axes.  A block whose state (twice that when buffered) exceeds
+    _SLAB_BYTES is cut along its first transverse axis of more than one
+    node into as few slabs as keep each under the budget, each at least two
+    nodes wide, so that no slab becomes an (m, 1) block; any other block is
+    one slab, the whole block.
+    """
+    nbytes = itemsize * math.prod(shape) * (2 if buffered else 1)
+    axis = next((k for k in range(1, dim) if shape[k] > 1), None)
+    k = 1 if axis is None else min(-(-nbytes // _SLAB_BYTES), shape[axis] // 2)
+    if k <= 1:
+        return [()]
+    q, r = divmod(shape[axis], k)
+    edges = np.cumsum([0] + [q + 1] * r + [q] * (k - r)).tolist()
+    return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
+
+
+def _sweep(chart: GridChart, base, axes_order, start, system, sink=None):
+    """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
+
+    system(axis, take) returns (arrays, fill) for each slab of each block of
     `staircase_blocks`: the blocks of the coefficient arrays the equation
     along that axis consumes and the block fill (`rkmk4_fill` or
-    `affine_fill`).  The coefficient blocks are made contiguous and their
-    midpoints taken; fill(h, blk, b, node, mid) then fills blk = take(y), a
-    view of y, from its base line b.
+    `affine_fill`).  take(f) is the slab of a full-grid array f, a view with
+    the swept axis first (`_slabs`), so the coefficient blocks are built per
+    slab; they are made contiguous and their midpoints taken, and
+    fill(h, blk, b, node, mid) then fills blk = take(state) from its base
+    line b.  The lines of a block are independent across its transverse
+    nodes, so a slab gets the bits the whole block would.  Returns the state.
+
+    With a sink the state is never whole: it holds only the base hyperplane
+    of the last swept axis, which the earlier blocks fill, and each slab of
+    the last block is filled into one reused buffer and handed to
+    sink(take, slab) instead.  Returns None then.
     """
-    for axis, take in staircase_blocks(chart, base, axes_order):
-        arrays, fill = system(axis, take)
-        node = [np.ascontiguousarray(f) for f in arrays]
-        mid = [midpoints(f, 0) for f in node]
-        fill(chart.spacing[axis], take(y), base[axis], node, mid)
-    return y
+    base = tuple(base)
+    last = axes_order[-1]
+    counts = list(chart.counts)
+    state_base = base
+    if sink is not None:
+        counts[last] = 1
+        state_base = base[:last] + (0,) + base[last + 1 :]
+    state = np.zeros(tuple(counts) + np.shape(start))
+    state[state_base] = start
+    buf = None
+    blocks = zip(
+        staircase_blocks(chart, base, axes_order),
+        staircase_blocks(chart, state_base, axes_order),
+    )
+    for (axis, take), (_, take_state) in blocks:
+        blk = take_state(state)
+        stream = sink is not None and axis == last
+        shape = (chart.counts[axis],) + blk.shape[1:]
+        b = base[axis]
+        for slab in _slabs(chart.dim, shape, state.itemsize, stream):
+
+            def take_slab(f, take=take, slab=slab):
+                return take(f)[slab]
+
+            if not stream:
+                _fill_slab(chart.spacing[axis], b, system(axis, take_slab), blk[slab])
+                continue
+            line = blk[0][slab[1:]]
+            if buf is None:  # the first slab is the widest
+                buf = np.empty(shape[:1] + line.shape)
+            out = buf[(slice(None),) + tuple(slice(0, w) for w in line.shape)]
+            out[b] = line
+            _fill_slab(chart.spacing[axis], b, system(axis, take_slab), out)
+            sink(take_slab, out)
+    return None if sink is not None else state
+
+
+def _fill_slab(h, b, system_slab, blk):
+    # the coefficient slab and its midpoints die here, before the next
+    # slab's are built
+    arrays, fill = system_slab
+    node = [np.ascontiguousarray(f) for f in arrays]
+    fill(h, blk, b, node, [midpoints(f, 0) for f in node])
 
 
 def line_steps(node_fields, mid_fields):
@@ -262,7 +362,12 @@ def rkmk4_fill(kernels, fold_axis=0):
     def pair(f, i, j):
         # lines i > j of f as one folded line, a view
         v = f[i : j - 1 if j else None : j - i]
-        return np.moveaxis(v, 0, fold_axis) if fold_axis else v
+        return v.transpose(to_fold + tuple(range(fold_axis + 1, v.ndim)))
+
+    # np.moveaxis(v, 0, fold_axis) and its inverse as plain transposes:
+    # moveaxis costs more than the view it makes, once per step
+    to_fold = tuple(range(1, fold_axis + 1)) + (0,)
+    from_fold = (fold_axis,) + tuple(range(fold_axis))
 
     def fill(h, blk, b, node, mid):
         m = blk.shape[0]
@@ -287,7 +392,9 @@ def rkmk4_fill(kernels, fold_axis=0):
                 md = [pair(f, b + j, b - j - 1) for f in mid]
                 hi = [pair(f, b + j + 1, b - j - 1) for f in node]
                 y = rkmk4_step(hh, y, lo, md, hi, kernels)
-                up, down = blk[b + j + 1], blk[b - j - 1] = np.moveaxis(y, fold_axis, 0)
+                up, down = blk[b + j + 1], blk[b - j - 1] = y.transpose(
+                    from_fold + tuple(range(fold_axis + 1, y.ndim))
+                )
                 lo = hi
         y = up
         for i in range(b + k, m - 1):
@@ -396,35 +503,36 @@ def additive_kernels(field):
     return field, _identity, _add
 
 
-def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
+def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=None):
     """Integrate a scalar ODE field along staircase sweeps (RK4).
 
     node_fields[axis]: the full-grid arrays the right-hand side consumes
     along that axis, so each block takes only its own axis's fields.
     rhs(samples, y): samples holds one array per field of the swept axis,
-    sampled at the stage position.  Returns the filled grid array.
+    sampled at the stage position.  Returns the filled grid array, or
+    streams its last block to sink (`_sweep`).
     """
-    y = np.zeros(chart.counts)
-    y[tuple(base)] = init_value
     fill = rkmk4_fill(additive_kernels(rhs))
 
     def system(axis, take):
         return [take(f) for f in node_fields[axis]], fill
 
-    return _sweep(chart, base, axes_order, y, system)
+    return _sweep(chart, base, axes_order, float(init_value), system, sink)
 
 
 def linear_fills(chart, base, axes_order, slopes):
     """The half of a linear sweep that every source shares, built once.
 
     slopes[axis] is the slope of y' = slope y + source along that axis.
-    Returns one `affine_fill` per block of the sweep, keyed by axis in sweep
-    order: the contiguous slope block, its midpoints and its gains.
+    Returns one (axis, `affine_fill`) per slab of the sweep (`_slabs`), in
+    sweep order: the contiguous slope slab, its midpoints and its gains.
     """
-    fills = {}
+    fills = []
     for axis, take in staircase_blocks(chart, base, axes_order):
-        a = np.ascontiguousarray(take(slopes[axis]))
-        fills[axis] = affine_fill(chart.spacing[axis], base[axis], a)
+        blk = take(slopes[axis])
+        for slab in _slabs(chart.dim, blk.shape, blk.itemsize):
+            a = np.ascontiguousarray(blk[slab])
+            fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
     return fills
 
 
@@ -436,13 +544,13 @@ def sweep_linear(chart, base, fills, init_value, sources):
     costs its source block, the source midpoints, one vectorized step for
     the shifts and one multiply-add per line.
     """
-    y = np.zeros(chart.counts)
-    y[tuple(base)] = init_value
+    axes_order = tuple(dict.fromkeys(axis for axis, _ in fills))
+    slabs = iter(fills)  # one per slab, in the order `_sweep` visits them
 
     def system(axis, take):
-        return [take(sources[axis])], fills[axis]
+        return [take(sources[axis])], next(slabs)[1]
 
-    return _sweep(chart, base, tuple(fills), y, system)
+    return _sweep(chart, base, axes_order, float(init_value), system)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +645,10 @@ def solve_phi_2d(
     # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
     fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
 
-    phi = sweep_scalar(chart, base_idx, (0, 1), float(phi0), fields, angle_rhs)
-    phi_ex = sweep_scalar(chart, base_idx, (1, 0), float(phi0), fields, angle_rhs)
-    compat = float(np.max(np.abs(phi - phi_ex)))
+    phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, angle_rhs)
+    compat = _streamed_compat(
+        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, angle_rhs, sink)
+    )
 
     # the SO(2) field [[cos, -sin], [sin, cos]] of the angle
     c, s = np.cos(phi), np.sin(phi)
@@ -598,9 +707,11 @@ def _matrix_system(fd: FrameData):
     """RKMK4 system of the n x n orthogonal field with skew-matrix kernels."""
 
     def system(axis, take):
-        # om[..., k] = coefficient of dx_axis in omega_k
+        # om[..., k] = coefficient of dx_axis in omega_k; W from the slab of
+        # the connection only
         om = take(np.moveaxis(fd.omega[:, axis], 0, -1))
-        w = take(connection_matrix(fd.connection, axis))
+        upper = take(np.moveaxis(fd.connection, (0, 1), (-2, -1)))
+        w = connection_matrix(np.moveaxis(upper, (-2, -1), (0, 1)), axis)
         return [om, w], _matrix_fill
 
     return system
@@ -658,15 +769,30 @@ def _axial_system(fd: FrameData, sigma):
     return system
 
 
-def _solve_L_once(fd: FrameData, L0, base_idx, axes_order):
-    n = fd.dim
-    state = np.zeros(fd.chart.counts + (n, n))
-    state[tuple(base_idx)] = L0
-    if n == 3:
+def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, sink=None):
+    if fd.dim == 3:
         system = _axial_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0)
     else:
         system = _matrix_system(fd)
-    return _sweep(fd.chart, base_idx, axes_order, state, system)
+    return _sweep(fd.chart, base_idx, axes_order, L0, system, sink)
+
+
+def _streamed_compat(state, reverse_sweep):
+    """max |state - reverse| over the nodes, the reverse-order sweep streamed.
+
+    reverse_sweep(sink) runs the reverse-order sweep of the same equation
+    with a `_sweep` sink; each slab of its last block is folded into the max
+    and then overwritten, so the reverse state is never whole.  The slab
+    maxima go through `np.max`, so a NaN anywhere gives NaN.
+    """
+    worst = []
+
+    def fold(take, slab):
+        np.subtract(take(state), slab, out=slab)
+        worst.append(np.max(np.abs(slab, out=slab)))
+
+    reverse_sweep(fold)
+    return float(np.max(worst))
 
 
 def initial_rotation(L0, n):
@@ -709,13 +835,14 @@ def solve_L_nd(
 
     order = tuple(range(n))
     L = _solve_L_once(fd, L0, base_idx, order)
-    L_ex = _solve_L_once(fd, L0, base_idx, order[::-1])
-    compat = float(np.max(np.abs(L - L_ex)))
+    compat = _streamed_compat(L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], sink))
 
     orth = require_orthogonal(L)
     theta1 = np.zeros((n,) + chart.counts)
+    term = np.empty_like(theta1)  # one buffer for the n products
     for k in range(n):
-        theta1 += L[..., 0, k] * fd.omega[k]
+        theta1 += np.multiply(L[..., 0, k], fd.omega[k], out=term)
+    del term
 
     return SolveReport(
         rotation=L,

@@ -722,6 +722,44 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command, nam
     assert _one_config_error_line(err)
 
 
+# charts refused before any array is made: the 9^3 igsge chart's (n, n,
+# *counts) arrays pass the host's memory at grid scale 20000 and the address
+# space at 100000 and 1000000, and so do the Camassa-Holm chart's at 10^8
+@pytest.mark.parametrize(
+    "command, scale, counts",
+    [
+        (command, scale, "(%d, %d, %d)" % ((8 * scale + 1,) * 3))
+        for command in ("verify", "solve-frame", "conserve", "converge")
+        for scale in (20000, 100000, 1000000)
+    ]
+    + [("hierarchy", 10**8, "(%d, %d)" % (64 * 10**8 + 1, 8 * 10**8 + 1))],
+)
+def test_unallocatable_chart_is_a_config_error(tmp_path, capsys, command, scale, counts):
+    text = CH_CONFIG if command == "hierarchy" else IGSGE3D_CONFIG
+    cfg = write_config(tmp_path, text)
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--grid-scale", str(scale)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: chart counts %s at grid scale %d " % (counts, scale))
+    assert "--grid-scale" in err
+    assert _one_config_error_line(err)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-frame", "conserve", "converge"])
+def test_memory_error_while_building_the_model_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    # with the host-memory check out of the way, numpy refuses the 3.3e16
+    # bytes of one full-grid array of the 9^3 chart at grid scale 20000 at once
+    monkeypatch.setattr(cli, "_host_bytes", lambda: None)
+    cfg = write_config(tmp_path, IGSGE3D_CONFIG)
+    args = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--grid-scale", "20000"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: chart counts (160001, 160001, 160001) at grid scale 20000 ")
+    assert _one_config_error_line(err)
+
+
 def test_full_disk_while_writing_a_field_is_a_config_error(tmp_path, capsys, monkeypatch):
     def full_disk(path, *args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)

@@ -423,6 +423,26 @@ def test_orthogonality_error_matches_the_matmul_gram(rng, n, perturbation):
         assert err == expected
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_orthogonality_error_is_the_whole_gram(rng, monkeypatch, n):
+    # blocks of 7 nodes, the last one shorter, give the whole matmul's max
+    chart = GridChart((0.0,) * n, (1.0,) * n, (5,) * (n - 1) + (9,))
+    q, _ = np.linalg.qr(rng.standard_normal(chart.counts + (n, n)))
+    L = q + 1e-13 * rng.standard_normal(q.shape)
+    gram = np.matmul(L, np.swapaxes(L, -1, -2)) - np.eye(n)
+    monkeypatch.setattr(frames, "_GRAM_NODES", 7)
+    assert orthogonality_error(L) == float(np.max(np.abs(gram)))
+
+
+@pytest.mark.parametrize("node", [0, 30, 224], ids=["first-block", "middle-block", "last-block"])
+def test_blocked_orthogonality_error_is_nan_for_a_nan_entry_in_any_block(monkeypatch, node):
+    L = np.broadcast_to(np.eye(3), (5, 5, 9, 3, 3)).copy()
+    L[..., 1, 1] += 1e-3  # a finite error in every block
+    L.reshape(-1, 3, 3)[node, 2, 0] = np.nan
+    monkeypatch.setattr(frames, "_GRAM_NODES", 7)
+    assert np.isnan(orthogonality_error(L))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_orthogonality_error_is_nan_for_a_nan_entry(n):
     chart = GridChart((0.0,) * n, (1.0,) * n, (4,) * n)

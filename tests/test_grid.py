@@ -1,10 +1,11 @@
 """Chart bookkeeping and stencil primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pssframe import GridChart, midpoints, partial_derivative
-from pssframe.errors import ChartMismatchError
+from pssframe import GridChart, grid, midpoints, partial_derivative
 
 from conftest import interior_max_abs, square_chart
 
@@ -31,15 +32,6 @@ def test_base_index_specs():
         chart.base_index((1, 0))
     with pytest.raises(ValueError):
         chart.base_index((1, 0, 7))
-
-
-def test_chart_mismatch_is_detected():
-    a = square_chart(11)
-    with pytest.raises(ChartMismatchError):
-        a.require_same(square_chart(13))
-    with pytest.raises(ChartMismatchError):
-        a.require_same(square_chart(11, -1.0, 1.5))
-    a.require_same(square_chart(11))  # identical chart passes
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -88,6 +80,43 @@ def test_midpoints_fourth_order():
         errs.append(np.max(np.abs(got - want)))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 3.7)
+
+
+def _one_temporary_midpoints(f, axis):
+    # the interior rule as it was formed, with one full-size 9 f2 temporary
+    g = np.moveaxis(f, axis, 0)
+    out = np.empty((g.shape[0] - 1,) + g.shape[1:])
+    out[1:-1] = 9.0 * g[1:-2]
+    out[1:-1] -= g[:-3]
+    out[1:-1] += 9.0 * g[2:-1]
+    out[1:-1] -= g[3:]
+    out[1:-1] /= 16.0
+    out[0] = (5.0 * g[0] + 15.0 * g[1] - 5.0 * g[2] + g[3]) / 16.0
+    out[-1] = (5.0 * g[-1] + 15.0 * g[-2] - 5.0 * g[-3] + g[-4]) / 16.0
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("temp_bytes", [1 << 18, 400, 8])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_midpoints_in_chunks_are_the_one_temporary_bits(rng, monkeypatch, axis, temp_bytes):
+    f = rng.uniform(-3.0, 3.0, (17, 6, 11))
+    monkeypatch.setattr(grid, "_MID_TEMP_BYTES", temp_bytes)
+    assert np.array_equal(midpoints(f, axis), _one_temporary_midpoints(f, axis))
+
+
+def test_midpoints_hold_no_full_size_temporary():
+    f = np.ones((64, 128, 64))  # 4 MiB
+    midpoints(f, 0)
+    tracemalloc.start()
+    try:
+        midpoints(f, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one temporary of at most _MID_TEMP_BYTES, and the few
+    # rows of the boundary rule
+    row = f.nbytes // 64
+    assert peak <= 63 * row + grid._MID_TEMP_BYTES + 4 * row
 
 
 def test_interior_max_abs_ignores_boundary():

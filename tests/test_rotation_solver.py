@@ -14,6 +14,7 @@ from pssframe import (
     solve_phi_2d,
     special_coordinates_check,
 )
+from pssframe import rotation_solver
 from pssframe.errors import StructureGateError
 from pssframe.grid import midpoints
 from pssframe.rotation_solver import (
@@ -25,6 +26,7 @@ from pssframe.rotation_solver import (
     _matrix_fill,
     _affine_rows,
     _rodrigues,
+    _solve_L_once,
     _sweep,
     additive_kernels,
     affine_fill,
@@ -119,14 +121,12 @@ def test_affine_sweep_matches_the_stepwise_sweep(axes_order):
 def _flat_sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
     # sweep_scalar as it handed every block the fields of all axes, with
     # rhs(axis, samples, y) picking its own
-    y = np.zeros(chart.counts)
-    y[tuple(base)] = init_value
 
     def system(axis, take):
         fill = rkmk4_fill(additive_kernels(lambda s, v: rhs(axis, s, v)))
         return [take(f) for f in node_fields], fill
 
-    return _sweep(chart, base, axes_order, y, system)
+    return _sweep(chart, base, axes_order, init_value, system)
 
 
 @pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
@@ -200,13 +200,11 @@ def _per_order_affine_fill(h, blk, b, node, mid):
 
 def _per_order_sweep_linear(chart, base, axes_order, init_value, slopes, sources):
     # the linear sweep as each order ran it, slope blocks and gains included
-    y = np.zeros(chart.counts)
-    y[tuple(base)] = init_value
 
     def system(axis, take):
         return [take(slopes[axis]), take(sources[axis])], _per_order_affine_fill
 
-    return _sweep(chart, base, axes_order, y, system)
+    return _sweep(chart, base, axes_order, init_value, system)
 
 
 def _fill_blocks(rng, fields, width, base):
@@ -288,15 +286,69 @@ def _written_out_axial_element(samples, L):
     return a
 
 
+def _written_out_rodrigues(w):
+    # Rodrigues' formula entry by entry, as R[i, j] = (...) row expressions
+    w1, w2, w3 = w
+    t2 = w1 * w1 + w2 * w2 + w3 * w3
+    t = np.sqrt(t2)
+    small = t < 1e-4
+    tt = np.where(small, 1.0, t)
+    s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(t) / tt)
+    c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(t)) / (tt * tt))
+    d = 1.0 - c * t2
+    return np.array(
+        [
+            [c * w1 * w1 + d, c * w1 * w2 - s * w3, c * w1 * w3 + s * w2],
+            [c * w1 * w2 + s * w3, c * w2 * w2 + d, c * w2 * w3 - s * w1],
+            [c * w1 * w3 - s * w2, c * w2 * w3 + s * w1, c * w3 * w3 + d],
+        ]
+    )
+
+
+def _written_out_cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def _written_out_dexpinv_axial(u, k):
+    c1 = _written_out_cross(u, k)
+    return k - 0.5 * c1 + _written_out_cross(u, c1) / 12.0
+
+
+def _axial_layouts(rng):
+    # component-major vectors (3, ...) as the kernels meet them: contiguous,
+    # with the component axis innermost, and as strided folded lines; small
+    # angles take the series branch, and a NaN must stay where it is
+    w = rng.uniform(-1.5, 1.5, (3, 2, 5, 7))
+    w[:, 0, 1] *= 1e-6
+    w[1, 1, 2, 3] = np.nan
+    inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(w, 0, -1)), -1, 0)
+    return [w, inner, w[:, :, ::2], w[:, 0]]
+
+
+def test_rodrigues_is_bitwise_the_written_out_formula(rng):
+    for w in _axial_layouts(rng):
+        assert np.array_equal(_rodrigues(w), _written_out_rodrigues(w), equal_nan=True)
+
+
+def test_axial_dexpinv_is_bitwise_the_written_out_cross_products(rng):
+    for u, k in zip(_axial_layouts(rng), _axial_layouts(rng)):
+        got = _dexpinv_axial(0.1 * u, k)
+        assert np.array_equal(got, _written_out_dexpinv_axial(0.1 * u, k), equal_nan=True)
+
+
 def _written_out_axial_exp_mul(u, y):
-    r = _rodrigues(u)
+    r = _written_out_rodrigues(u)
     out = np.empty(y.shape)
     for j in range(3):
         out[j] = r[j, 0] * y[0] + r[j, 1] * y[1] + r[j, 2] * y[2]
     return out
 
 
-WRITTEN_OUT_KERNELS = (_written_out_axial_element, _dexpinv_axial, _written_out_axial_exp_mul)
+WRITTEN_OUT_KERNELS = (
+    _written_out_axial_element,
+    _written_out_dexpinv_axial,
+    _written_out_axial_exp_mul,
+)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6], ids=["large", "small-angle"])
@@ -534,21 +586,145 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
         assert np.max(np.abs(rep.rotation[corner] - np.array(want))) <= 1e-13
 
 
-# tracemalloc peak in bytes of solve_L_nd(igsge_frame(25), rotated_l0(3))
-# when every sweep still filled a scratch copy of its block and wrote it back
-IGSGE25_SOLVE_PEAK = 5_160_470
+# tracemalloc peaks in bytes of solve_L_nd(igsge_frame(m), rotated_l0(3))
+# with the reverse-order certificate streamed: at 25^3 every block is whole,
+# at 49^3 (33.9 MB while the solve held the reverse state whole) the
+# full-volume blocks are filled in slabs and L is the one full-grid state
+IGSGE25_SOLVE_PEAK = 4_480_000
+IGSGE49_SOLVE_PEAK = 16_800_000
 
 
-def test_three_dimensional_solve_holds_no_block_twice():
-    fd = igsge_frame(25)
+def _traced_solve_peak(fd):
     solve_L_nd(igsge_frame(5), rotated_l0(3))  # first-call allocations
     tracemalloc.start()
     try:
         solve_L_nd(fd, rotated_l0(3))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= IGSGE25_SOLVE_PEAK
+
+
+def test_three_dimensional_solve_holds_no_block_twice():
+    assert _traced_solve_peak(igsge_frame(25)) <= IGSGE25_SOLVE_PEAK
+
+
+def test_three_dimensional_solve_holds_one_full_grid_state():
+    assert _traced_solve_peak(igsge_frame(49)) <= IGSGE49_SOLVE_PEAK
+
+
+def _whole_sweeps_compat(fd, L0):
+    # the certificate as it was formed: both sweeps whole, then max |L - L_ex|
+    base, order = fd.chart.base_index("center"), tuple(range(fd.dim))
+    L = _solve_L_once(fd, L0, base, order)
+    L_ex = _solve_L_once(fd, L0, base, order[::-1])
+    return float(np.max(np.abs(L - L_ex)))
+
+
+def _varying4(m):
+    Q = rotated_l0(4)
+    K = Q[:, 1:2] @ Q[:, :1].T - Q[:, :1] @ Q[:, 1:2].T
+    fd, R = varying_rotation_frame(m, K, (1.0, 0.75, -0.5, 0.25))
+    return fd, R[fd.chart.base_index("center")].T
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        pytest.param(lambda: (cosh_metric_frame(33), rotated_l0(2)), id="n2"),
+        pytest.param(lambda: (igsge_frame(17), rotated_l0(3)), id="n3"),
+        pytest.param(lambda: _varying4(9), id="n4"),
+    ],
+)
+def test_streamed_certificate_is_the_whole_sweeps_max(monkeypatch, frame):
+    fd, L0 = frame()
+    got = solve_L_nd(fd, L0).compat_residual
+    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 1 << 62)
+    assert got == _whole_sweeps_compat(fd, L0)
+
+
+def test_streamed_angle_certificate_is_the_whole_sweeps_max():
+    fd = cosh_metric_frame(33)
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
+    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
+    base = fd.chart.base_index("center")
+    phi = sweep_scalar(fd.chart, base, (0, 1), 0.3, fields, angle_rhs)
+    phi_ex = sweep_scalar(fd.chart, base, (1, 0), 0.3, fields, angle_rhs)
+    assert solve_phi_2d(fd, 0.3).compat_residual == float(np.max(np.abs(phi - phi_ex)))
+
+
+def _report_arrays(rep):
+    residuals = (rep.compat_residual, rep.closed_residual, rep.orth_residual)
+    return [rep.rotation, rep.theta1, np.array(residuals)] + (
+        [] if rep.angle is None else [rep.angle]
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, exact",
+    [
+        pytest.param(lambda: solve_phi_2d(cosh_metric_frame(33), 0.3), True, id="angle-2d"),
+        pytest.param(lambda: solve_L_nd(cosh_metric_frame(33), rotated_l0(2)), True, id="n2"),
+        pytest.param(lambda: solve_L_nd(igsge_frame(13), rotated_l0(3)), True, id="n3"),
+        pytest.param(lambda: solve_L_nd(*_varying4(9)), False, id="n4"),
+    ],
+)
+def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve, exact):
+    whole = _report_arrays(solve())
+    widths = []
+
+    def recorded(*args):
+        slabs = rotation_solver_slabs(*args)
+        widths.extend(s[-1].stop - s[-1].start for s in slabs if s)
+        return slabs
+
+    rotation_solver_slabs = rotation_solver._slabs
+    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 2048)
+    monkeypatch.setattr(rotation_solver, "_slabs", recorded)
+    slabbed = _report_arrays(solve())
+    assert len(widths) > 4 and min(widths) >= 2  # slabbed, and never one node wide
+    for got, want in zip(slabbed, whole):
+        if exact:
+            assert np.array_equal(got, want)
+        else:  # n >= 4: expm_skew scales by the max norm of the stack it is given
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
+def test_slabbed_linear_sweep_gives_the_whole_block_fill(monkeypatch, rng, axes_order):
+    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
+    x, t = chart.meshgrid()
+    slopes = (np.cos(x + t), 0.5 - x * t)
+    sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
+    base = (13, 9)
+    whole = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
+    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 1024)
+    fills = linear_fills(chart, base, axes_order, slopes)
+    assert len(fills) > 2
+    assert np.array_equal(sweep_linear(chart, base, fills, 0.4, sources), whole)
+
+
+@pytest.mark.parametrize("slab_bytes", [4 << 20, 2048], ids=["whole", "slabbed"])
+@pytest.mark.parametrize(
+    "solve, node",
+    [
+        pytest.param(lambda fd: solve_phi_2d(fd, 0.3, gate_factor=None), (0, 0), id="angle-2d"),
+        pytest.param(
+            lambda fd: solve_L_nd(fd, rotated_l0(2), gate_factor=None), (32, 32), id="n2"
+        ),
+        pytest.param(
+            lambda fd: solve_L_nd(fd, rotated_l0(3), gate_factor=None), (0, 12, 12), id="n3"
+        ),
+    ],
+)
+def test_non_finite_value_in_the_reverse_sweep_gives_nan_compat(monkeypatch, slab_bytes, solve, node):
+    # a dx_1 coefficient off the forward sweep's first line: only the reverse
+    # sweep's last block reads it, so L stays finite and L_ex does not
+    fd = cosh_metric_frame(33) if len(node) == 2 else igsge_frame(13)
+    fd.omega[0, 0][node] = np.nan
+    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", slab_bytes)
+    rep = solve(fd)
+    assert np.isnan(rep.compat_residual)
+    assert np.isfinite(rep.closed_residual) and np.isfinite(rep.orth_residual)
 
 
 def test_three_dimensional_solve_is_reflection_equivariant():
@@ -600,6 +776,99 @@ def test_three_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
     K = np.array([[0.0, -k3, k2], [k3, 0.0, -k1], [-k2, k1, 0.0]])
     order, errors = varying_rotation_order(K, (2.0, 1.5, -1.0), (9, 17, 33))
     assert order >= 3.5, (errors, order)
+
+
+# 4D solves as the whole-block sweep engine gave them: residuals (compat,
+# closed, orth) and the rotation at four corners of the chart
+FOUR_D_CORNERS = ((0, 0, 0, 0), (-1, -1, -1, -1), (0, -1, 0, -1), (-1, 0, -1, 0))
+HALF_SPACE4_REFERENCE = (
+    (2.220446049250313e-16, 6.661338147750939e-16, 2.220446049250313e-16),
+    [
+        [
+            [0.15752701399924127, 0.18393626784814684, 0.48476059975528074, 0.8404521700581647],
+            [-0.9281662914280584, 0.05028983860693661, -0.22456517151912636, 0.2924871814800748],
+            [0.2027092472979649, -0.7517621649380026, -0.4804487256596945, 0.40364790404459644],
+            [0.26944672270610387, 0.6312622504717913, -0.6955189908819612, 0.2125082776617608],
+        ],
+        [
+            [0.1575270139992412, 0.18393626784814676, 0.48476059975528074, 0.8404521700581647],
+            [-0.9281662914280584, 0.05028983860693661, -0.22456517151912636, 0.2924871814800748],
+            [0.2027092472979648, -0.7517621649380026, -0.4804487256596945, 0.40364790404459633],
+            [0.26944672270610387, 0.6312622504717913, -0.6955189908819612, 0.21250827766176075],
+        ],
+        [
+            [0.1575270139992413, 0.18393626784814698, 0.48476059975528074, 0.8404521700581647],
+            [-0.9281662914280584, 0.05028983860693657, -0.22456517151912636, 0.2924871814800748],
+            [0.20270924729796488, -0.7517621649380026, -0.48044872565969443, 0.4036479040445965],
+            [0.26944672270610387, 0.6312622504717913, -0.6955189908819612, 0.2125082776617606],
+        ],
+        [
+            [0.15752701399924124, 0.18393626784814676, 0.48476059975528074, 0.8404521700581647],
+            [-0.9281662914280584, 0.05028983860693661, -0.22456517151912636, 0.2924871814800748],
+            [0.2027092472979648, -0.7517621649380026, -0.4804487256596945, 0.40364790404459633],
+            [0.26944672270610387, 0.6312622504717913, -0.6955189908819612, 0.21250827766176075],
+        ],
+    ],
+)
+VARYING4_REFERENCE = (
+    (8.855104376981338e-07, 1.2766093212546181e-06, 2.886579864025407e-15),
+    [
+        [
+            [0.9999999999999104, 2.078936609724757e-07, -1.0378577097159237e-07, -3.5449071806951954e-07],
+            [-2.0789358457412774e-07, 0.9999999999999573, 8.824006586844337e-08, 1.900880609671408e-07],
+            [1.0378583238803085e-07, -8.82400673598648e-08, 0.9999999999999827, 1.2132345732162749e-07],
+            [3.5449074478160896e-07, -1.9008797651741597e-07, -1.2132351089687163e-07, 0.9999999999999116],
+        ],
+        [
+            [0.6494670784893715, 0.3687118838088131, 0.19709150668439632, 0.6351369920651065],
+            [-0.0034798787890202975, 0.8755525938906528, -0.1734943148203649, -0.4508827658050106],
+            [-0.31264641322408315, 0.15340966110197746, 0.935499291568921, -0.059655441099194406],
+            [-0.6931324726920612, 0.2718909302460878, -0.23642279118548182, 0.6242971737544337],
+        ],
+        [
+            [0.7444244038248159, 0.298311026293898, 0.18407694646698844, 0.5682943923363469],
+            [-0.03201793860533983, 0.9092646045665551, -0.1523898885060504, -0.3859922957404775],
+            [-0.2683287754566587, 0.13774621824833358, 0.9529720817676745, -0.029493371994352334],
+            [-0.610579091403777, 0.2554885317038511, -0.18637921298226293, 0.7260727045389189],
+        ],
+        [
+            [0.9136366339563966, 0.14716941790414567, 0.12570224714688122, 0.3575027392745459],
+            [-0.05718456895828507, 0.9693390080751227, -0.09221845101495345, -0.22047124481300545],
+            [-0.1541723833645168, 0.08727006697244691, 0.98410848396671, 0.012054186122378427],
+            [-0.3717914770050337, 0.17637172468487639, -0.08500114198862782, 0.9074353520878087],
+        ],
+    ],
+)
+
+
+def _half_space4_solve():
+    fd = half_space_frame(4, 9)
+    R = rotated_l0(4, seed=7)
+    rotated = frame_change(fd, np.broadcast_to(R, fd.chart.counts + (4, 4)))
+    return solve_L_nd(rotated, R.T)
+
+
+def _varying4_solve():
+    Q = rotated_l0(4)
+    K = Q[:, 1:2] @ Q[:, :1].T - Q[:, :1] @ Q[:, 1:2].T
+    fd, R = varying_rotation_frame(13, K, (1.0, 0.75, -0.5, 0.25))
+    return solve_L_nd(fd, R[fd.chart.base_index("center")].T)
+
+
+@pytest.mark.parametrize(
+    "solve, reference",
+    [
+        pytest.param(_half_space4_solve, HALF_SPACE4_REFERENCE, id="half-space-9^4"),
+        pytest.param(_varying4_solve, VARYING4_REFERENCE, id="varying-rotation-13^4"),
+    ],
+)
+def test_four_dimensional_solve_matches_the_frozen_reference(solve, reference):
+    rep = solve()
+    residuals, corners = reference
+    got = (rep.compat_residual, rep.closed_residual, rep.orth_residual)
+    assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-13
+    for corner, want in zip(FOUR_D_CORNERS, corners):
+        assert np.max(np.abs(rep.rotation[corner] - np.array(want))) <= 1e-13
 
 
 def test_four_dimensional_solve_recovers_a_varying_rotation_at_fourth_order():
