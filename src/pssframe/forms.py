@@ -106,24 +106,43 @@ def potential(chart: GridChart, theta, base="center"):
     the two primitives is returned as `path_residual`.  Returns (G, path_residual)
     with G a (*counts) array.  Callers decide what residual is tolerable for
     their data.
+
+    The reversed primitive is never whole: its first blocks fill only the
+    base hyperplane of its last axis, and its last block, which spans the
+    chart, is formed in the block's increments and folded into the max
+    through `np.max`, so a NaN gives a NaN residual.
     """
     theta = oneform(chart, theta)
     base_idx = chart.base_index(base)
 
-    def staircase(axis_order):
-        g = np.zeros(chart.counts)
-        for axis, take in staircase_blocks(chart, base_idx, axis_order):
-            # composite trapezoid from the base node along the block's lines
-            f, b = take(theta[axis]), base_idx[axis]
-            incr = np.zeros_like(f)
-            np.cumsum(0.5 * chart.spacing[axis] * (f[:-1] + f[1:]), axis=0, out=incr[1:])
-            incr -= incr[b : b + 1]
-            blk = take(g)
-            blk[...] = blk[b : b + 1] + incr
-        return g
+    def increments(axis, take):
+        # composite trapezoid from the base node along the block's lines
+        f, b = take(theta[axis]), base_idx[axis]
+        incr = np.zeros_like(f)
+        np.cumsum(0.5 * chart.spacing[axis] * (f[:-1] + f[1:]), axis=0, out=incr[1:])
+        incr -= incr[b : b + 1]
+        return incr
 
     order = list(range(chart.dim))
-    g_fwd = staircase(order)
-    g_rev = staircase(order[::-1])
-    path_residual = float(np.max(np.abs(g_fwd - g_rev)))
-    return g_fwd, path_residual
+    g = np.zeros(chart.counts)
+    for axis, take in staircase_blocks(chart, base_idx, order):
+        blk, b = take(g), base_idx[axis]
+        blk[...] = blk[b : b + 1] + increments(axis, take)
+
+    last = order[0]  # the reversed order's last axis
+    plane = np.zeros(chart.counts[:last] + (1,) + chart.counts[last + 1 :])
+    plane_base = base_idx[:last] + (0,) + base_idx[last + 1 :]
+    blocks = zip(
+        staircase_blocks(chart, base_idx, order[::-1]),
+        staircase_blocks(chart, plane_base, order[::-1]),
+    )
+    for (axis, take), (_, take_plane) in blocks:
+        blk, incr = take_plane(plane), increments(axis, take)
+        if axis == last:
+            # the reversed primitive's last block spans the chart: it is
+            # formed in incr from its base line and folded into the max
+            incr += blk
+            np.subtract(take(g), incr, out=incr)
+            return g, float(np.max(np.abs(incr, out=incr)))
+        b = plane_base[axis]
+        blk[...] = blk[b : b + 1] + incr

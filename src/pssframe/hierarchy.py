@@ -21,9 +21,17 @@ solved its terms phi_j c_0 and -phi_j s_0 complete order j.  The closed
 forms come from the same s and c.
 
 `EtaSeries` is a minimal truncated-series arithmetic over ndarray
-coefficients, and `solve_hierarchy` runs the order-by-order integration with
-the same staircase sweeps and exchanged-order compatibility certificate used
-by the plain solver.  Order zero is stepped line by line (`sweep_scalar`);
+coefficients, stored to the series' degree: a polynomial table expanded to
+order K holds its degree's powers, not K + 1.  `solve_hierarchy` runs the
+order-by-order integration with the same staircase sweeps and
+exchanged-order compatibility certificate used by the plain solver, and
+holds each full-grid array once: every order is swept straight into its
+row of the phi stack (each `OrderResult.phi` is a view of it), and every
+exchanged-order sweep streams its last block into the certificate
+(`_streamed_compat`), so it is never whole.  Order zero runs the core of
+`solve_phi_2d` (`angle_sweeps`: gate, angle sweep, streamed certificate)
+and keeps only the angle and its certificate; its coframe is dropped once
+the sweeps are done.  Order zero is stepped line by line (`sweep_scalar`);
 every later order is linear, y' = alpha y + beta, so its RK4 steps are
 affine maps y -> A y + B built with the same tableau (`sweep_linear`,
 `affine_fill`).  The slopes alpha are order zero's, so the slope blocks,
@@ -53,16 +61,16 @@ from .frames import FrameData
 from .grid import GridChart, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
-    SolveReport,
+    _streamed_compat,
     _structure_gate,
     additive_kernels,
     affine_gains,
     affine_line,
     affine_shifts,
+    angle_sweeps,
     integrate_line,
     line_steps,
     linear_fills,
-    solve_phi_2d,
     sweep_linear,
 )
 from .rotation_solver import angle_rhs as _angle_rhs
@@ -73,39 +81,54 @@ class EtaSeries:
 
     Coefficients live in `coeffs`, an ndarray whose leading axis indexes the
     power; the remaining axes (possibly none) are broadcast pointwise, so the
-    same arithmetic serves scalars and whole grids of series.
+    same arithmetic serves scalars and whole grids of series.  `coeffs`
+    holds the powers up to the series' degree; the powers above it, up to
+    the truncation `order`, are zero and not stored, so a polynomial table
+    costs its degree, not the order it is expanded to.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, order=None):
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim < 1:
             raise ValueError("series needs a leading power axis")
+        self.order = self.degree if order is None else int(order)
+        if self.order < self.degree:
+            raise ValueError("series stores powers above its truncation order")
 
     @classmethod
     def from_terms(cls, terms, order, shape=()):
-        """Build a series from a {power: coefficient} mapping."""
-        coeffs = np.zeros((order + 1,) + tuple(shape))
-        for power, value in terms.items():
+        """Build a series from a {power: coefficient} mapping, stored to its degree."""
+        for power in terms:
             if not 0 <= power <= order:
                 raise ValueError("power %d outside truncation order %d" % (power, order))
+        coeffs = np.zeros((max(terms, default=0) + 1,) + tuple(shape))
+        for power, value in terms.items():
             coeffs[power] = value
-        return cls(coeffs)
+        return cls(coeffs, order)
 
     @classmethod
     def constant(cls, value, order):
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((order + 1,) + value.shape)
-        coeffs[0] = value
-        return cls(coeffs)
+        return cls(np.array(value, dtype=float)[np.newaxis], order)
 
     @property
-    def order(self):
+    def degree(self):
+        """The highest stored power."""
         return self.coeffs.shape[0] - 1
 
     def coefficient(self, j):
+        if self.degree < j <= self.order:
+            return np.zeros(self.coeffs.shape[1:])
         return self.coeffs[j]
+
+    def dense(self):
+        """The coefficients of every power up to the order, zeros filled in."""
+        if self.degree == self.order:
+            return self.coeffs
+        out = np.zeros((self.order + 1,) + self.coeffs.shape[1:])
+        out[: self.degree + 1] = self.coeffs
+        return out
 
     def _match(self, other):
         if not isinstance(other, EtaSeries):
@@ -116,56 +139,58 @@ class EtaSeries:
 
     def __add__(self, other):
         other = self._match(other)
-        return EtaSeries(self.coeffs + other.coeffs)
+        return EtaSeries(self.dense() + other.dense())
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._match(other)
-        return EtaSeries(self.coeffs - other.coeffs)
+        return EtaSeries(self.dense() - other.dense())
 
     def __rsub__(self, other):
         other = self._match(other)
-        return EtaSeries(other.coeffs - self.coeffs)
+        return EtaSeries(other.dense() - self.dense())
 
     def __neg__(self):
-        return EtaSeries(-self.coeffs)
+        return EtaSeries(-self.coeffs, self.order)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return EtaSeries(self.coeffs * other)
+            return EtaSeries(self.coeffs * other, self.order)
         other = self._match(other)
         k = self.order
         shape = np.broadcast_shapes(self.coeffs.shape[1:], other.coeffs.shape[1:])
-        out = np.zeros((k + 1,) + shape)
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
+        out = np.zeros((min(k, self.degree + other.degree) + 1,) + shape)
+        for i in range(self.degree + 1):
+            for j in range(min(other.degree, k - i) + 1):
                 out[i + j] += self.coeffs[i] * other.coeffs[j]
-        return EtaSeries(out)
+        return EtaSeries(out, k)
 
     __rmul__ = __mul__
 
     def shifted(self, power):
         """Multiply by the parameter raised to `power` (truncated)."""
-        out = np.zeros_like(self.coeffs)
+        coeffs = self.dense()
+        out = np.zeros_like(coeffs)
         if power <= self.order:
-            out[power:] = self.coeffs[: self.order + 1 - power]
+            out[power:] = coeffs[: self.order + 1 - power]
         return EtaSeries(out)
 
     def sin_cos(self):
         """Return (sin(series), cos(series)) as truncated series."""
-        s = np.empty_like(self.coeffs)
-        c = np.empty_like(self.coeffs)
-        s[0] = np.sin(self.coeffs[0])
-        c[0] = np.cos(self.coeffs[0])
+        phi = self.dense()
+        s = np.empty_like(phi)
+        c = np.empty_like(phi)
+        s[0] = np.sin(phi[0])
+        c[0] = np.cos(phi[0])
         for j in range(1, self.order + 1):
-            _sin_cos_fill(self.coeffs, s, c, j, j)
+            _sin_cos_fill(phi, s, c, j, j)
         return EtaSeries(s), EtaSeries(c)
 
     def evaluate(self, eta):
         """Evaluate the truncated polynomial at a parameter value."""
         out = np.zeros_like(self.coeffs[0])
-        for j in range(self.order, -1, -1):
+        for j in range(self.degree, -1, -1):
             out = out * eta + self.coeffs[j]
         return out
 
@@ -390,10 +415,12 @@ class OrderResult:
 
 @dataclass
 class HierarchyResult:
+    """The orders of a solved expansion; phi_series holds every phi_j, and
+    each `OrderResult.phi` is a view of it."""
+
     orders: list
     phi_series: EtaSeries
     base_index: tuple
-    base_report: SolveReport
 
     def summary_lines(self):
         lines = []
@@ -434,7 +461,7 @@ def solve_hierarchy(
     def cut(series):
         if series.order < order:
             raise ValueError("table series truncated below the requested order")
-        return EtaSeries(series.coeffs[: order + 1])
+        return EtaSeries(series.coeffs[: order + 1], order)
 
     table = [[cut(entry) for entry in row] for row in table]
     counts = chart.counts
@@ -471,16 +498,17 @@ def solve_hierarchy(
     else:
         phi0_start = float(start_values.get(0, 0.0))
 
-    report0 = solve_phi_2d(fd0, phi0_start, base_idx, gate_factor=gate_factor)
+    # every order is swept straight into its row of the stack
     phi = np.zeros((order + 1,) + counts)
-    phi[0] = report0.angle
+    _, compat0, _, _ = angle_sweeps(fd0, phi0_start, base_idx, gate_factor, out=phi[0])
+    del fd0
     results = [
         OrderResult(
             order=0,
-            phi=phi[0].copy(),
+            phi=phi[0],
             form=None,  # every form is built from the full s and c below
             closed_residual=0.0,
-            compat_residual=report0.compat_residual,
+            compat_residual=compat0,
             start_value=phi0_start,
         )
     ]
@@ -493,8 +521,10 @@ def solve_hierarchy(
     slopes = (f11_0 * c[0] - f21_0 * s[0], f12_0 * c[0] - f22_0 * s[0])
     (f11, f12), (f21, f22) = [[_sparse(e) for e in row] for row in table[:2]]
     # the slopes are order zero's: every order shares the slope blocks,
-    # their midpoints and the step gains of both axis orders
-    fills = [linear_fills(chart, base_idx, axes, slopes) for axes in ((0, 1), (1, 0))]
+    # their midpoints and the step gains of both axis orders; the
+    # exchanged-order sweep streams its last block into the certificate
+    fills = linear_fills(chart, base_idx, (0, 1), slopes)
+    fills_ex = linear_fills(chart, base_idx, (1, 0), slopes, streamed=True)
     line_start = None
     if periodic_axis == 0:
         line_start = _periodic_linear_start(chart.spacing[0], slopes[0][:, t_line])
@@ -503,16 +533,21 @@ def solve_hierarchy(
         # source term: order j of the expansion without the phi_j terms, so
         # what is left of the j-th power is the linear alpha * phi_j part
         _sin_cos_fill(phi, s, c, j, j - 1)
-        beta_x = _table_product(j, ((s, f11), (c, f21)), table[2][0].coeffs[j].copy())
-        beta_t = _table_product(j, ((s, f12), (c, f22)), table[2][1].coeffs[j].copy())
+        sources = (
+            _table_product(j, ((s, f11), (c, f21)), table[2][0].coefficient(j).copy()),
+            _table_product(j, ((s, f12), (c, f22)), table[2][1].coefficient(j).copy()),
+        )
 
         if line_start:
-            start = line_start(beta_x[:, t_line])
+            start = line_start(sources[0][:, t_line])
         else:
             start = float(start_values.get(j, 0.0))
 
-        sol, sol_ex = (sweep_linear(chart, base_idx, f, start, (beta_x, beta_t)) for f in fills)
-        phi[j] = sol
+        sol = sweep_linear(chart, base_idx, fills, start, sources, out=phi[j])
+        compat = _streamed_compat(
+            sol, lambda sink: sweep_linear(chart, base_idx, fills_ex, start, sources, sink)
+        )
+        del sources
         s[j] += sol * c[0]
         c[j] -= sol * s[0]
 
@@ -522,12 +557,12 @@ def solve_hierarchy(
                 phi=sol,
                 form=None,
                 closed_residual=0.0,
-                compat_residual=float(np.max(np.abs(sol - sol_ex))),
+                compat_residual=compat,
                 start_value=start,
             )
         )
 
-    del fills, slopes, line_start
+    del fills, fills_ex, slopes, line_start
     np.negative(s, out=s)  # the forms take -s; negation is exact
     for j, item in enumerate(results):
         form = np.zeros((2,) + counts)
@@ -536,9 +571,4 @@ def solve_hierarchy(
         item.form = form
         item.closed_residual = closedness_residual(chart, form)
 
-    return HierarchyResult(
-        orders=results,
-        phi_series=EtaSeries(phi),
-        base_index=base_idx,
-        base_report=report0,
-    )
+    return HierarchyResult(orders=results, phi_series=EtaSeries(phi), base_index=base_idx)

@@ -15,7 +15,8 @@ is recovered from h by inverting 1 - d^2/dx^2 in Fourier space.
 
 The coframe table attached to a solution is polynomial (degree two) in a
 spectral parameter, so the whole conserved-form family of `hierarchy` is
-available from one state.
+available from one state; the table is stored to that degree whatever the
+order it is expanded to.
 """
 
 from __future__ import annotations
@@ -268,7 +269,9 @@ def ch_series_table(state: CamassaHolmState, order):
     """Coframe table as truncated series in the spectral parameter.
 
     Rows are (first dual form, second dual form, connection form); columns
-    their dx and dt coefficients.  Feed to `hierarchy.solve_hierarchy` or
+    their dx and dt coefficients.  Each entry is truncated at `order` and
+    stored only to its degree, at most two: its higher powers are zero and
+    take no memory.  Feed to `hierarchy.solve_hierarchy` or
     `hierarchy.expand_phi_system`.
     """
     if order < 0:

@@ -9,6 +9,10 @@ of the input data.  The reverse sweep is streamed: its first blocks fill
 only its base hyperplane (the last swept axis pinned at the base), and its
 last block is filled slab by slab into one reused buffer, each slab folded
 into the max and then overwritten, so the reverse state is never whole.
+`sweep_linear` streams the same way for the linear orders of the
+parameter hierarchy, and every sweep fills a caller's array when given
+one (`out`).  `angle_sweeps` is the gate, sweep and certificate core of
+`solve_phi_2d`, for callers that need only the angle.
 
 2D charts integrate the angle equation
 
@@ -253,7 +257,7 @@ def _slabs(dim, shape, itemsize, buffered=False):
     return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
 
 
-def _sweep(chart: GridChart, base, axes_order, start, system, sink=None):
+def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=None):
     """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
 
     system(axis, take) returns (arrays, fill) for each slab of each block of
@@ -264,7 +268,8 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None):
     slab; they are made contiguous and their midpoints taken, and
     fill(h, blk, b, node, mid) then fills blk = take(state) from its base
     line b.  The lines of a block are independent across its transverse
-    nodes, so a slab gets the bits the whole block would.  Returns the state.
+    nodes, so a slab gets the bits the whole block would.  Returns the state,
+    filled into out when one is given (every node of it is written).
 
     With a sink the state is never whole: it holds only the base hyperplane
     of the last swept axis, which the earlier blocks fill, and each slab of
@@ -278,7 +283,7 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None):
     if sink is not None:
         counts[last] = 1
         state_base = base[:last] + (0,) + base[last + 1 :]
-    state = np.zeros(tuple(counts) + np.shape(start))
+    state = np.zeros(tuple(counts) + np.shape(start)) if out is None else out
     state[state_base] = start
     buf = None
     blocks = zip(
@@ -503,46 +508,50 @@ def additive_kernels(field):
     return field, _identity, _add
 
 
-def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=None):
+def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=None, out=None):
     """Integrate a scalar ODE field along staircase sweeps (RK4).
 
     node_fields[axis]: the full-grid arrays the right-hand side consumes
     along that axis, so each block takes only its own axis's fields.
     rhs(samples, y): samples holds one array per field of the swept axis,
-    sampled at the stage position.  Returns the filled grid array, or
-    streams its last block to sink (`_sweep`).
+    sampled at the stage position.  Returns the filled grid array (out,
+    when given), or streams its last block to sink (`_sweep`).
     """
     fill = rkmk4_fill(additive_kernels(rhs))
 
     def system(axis, take):
         return [take(f) for f in node_fields[axis]], fill
 
-    return _sweep(chart, base, axes_order, float(init_value), system, sink)
+    return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
 
 
-def linear_fills(chart, base, axes_order, slopes):
+def linear_fills(chart, base, axes_order, slopes, streamed=False):
     """The half of a linear sweep that every source shares, built once.
 
     slopes[axis] is the slope of y' = slope y + source along that axis.
     Returns one (axis, `affine_fill`) per slab of the sweep (`_slabs`), in
     sweep order: the contiguous slope slab, its midpoints and its gains.
+    streamed=True cuts the slabs for sweeps whose last block goes to a
+    sink, which counts that block's state twice (`_sweep`).
     """
     fills = []
     for axis, take in staircase_blocks(chart, base, axes_order):
         blk = take(slopes[axis])
-        for slab in _slabs(chart.dim, blk.shape, blk.itemsize):
+        buffered = streamed and axis == axes_order[-1]
+        for slab in _slabs(chart.dim, blk.shape, blk.itemsize, buffered):
             a = np.ascontiguousarray(blk[slab])
             fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
     return fills
 
 
-def sweep_linear(chart, base, fills, init_value, sources):
+def sweep_linear(chart, base, fills, init_value, sources, sink=None, out=None):
     """`sweep_scalar` for y' = slope y + sources[axis] along each axis.
 
     fills comes from `linear_fills` and fixes the slopes and the axis
-    order.  The RK4 steps of a linear equation are affine maps, so a block
-    costs its source block, the source midpoints, one vectorized step for
-    the shifts and one multiply-add per line.
+    order; a sweep with a sink takes fills built with streamed=True.  The
+    RK4 steps of a linear equation are affine maps, so a block costs its
+    source block, the source midpoints, one vectorized step for the shifts
+    and one multiply-add per line.
     """
     axes_order = tuple(dict.fromkeys(axis for axis, _ in fills))
     slabs = iter(fills)  # one per slab, in the order `_sweep` visits them
@@ -550,7 +559,7 @@ def sweep_linear(chart, base, fills, init_value, sources):
     def system(axis, take):
         return [take(sources[axis])], next(slabs)[1]
 
-    return _sweep(chart, base, axes_order, float(init_value), system)
+    return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +632,28 @@ def angle_rhs(s, y):
     return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
 
 
+def angle_sweeps(fd: FrameData, phi0, base_idx, gate_factor, out=None):
+    """The structure gate, the angle sweep and its streamed certificate.
+
+    The core of `solve_phi_2d`, for callers that need only the angle.
+    Returns (phi, compat, structure, threshold): the angle field, filled
+    into out when given, the compat residual against the exchanged axis
+    order, the structure residuals and the gate threshold.
+    """
+    chart = fd.chart
+    structure, threshold = _structure_gate(fd, gate_factor)
+
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
+    # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
+    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
+
+    phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, angle_rhs, out=out)
+    compat = _streamed_compat(
+        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, angle_rhs, sink)
+    )
+    return phi, compat, structure, threshold
+
+
 def solve_phi_2d(
     fd: FrameData,
     phi0=0.0,
@@ -638,17 +669,10 @@ def solve_phi_2d(
     if fd.dim != 2:
         raise ValueError("solve_phi_2d needs a 2D chart")
     chart = fd.chart
-    base_idx = chart.base_index(base)
-    structure, threshold = _structure_gate(fd, gate_factor)
-
-    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
-    # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
-    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
-
-    phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, angle_rhs)
-    compat = _streamed_compat(
-        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, angle_rhs, sink)
+    phi, compat, structure, threshold = angle_sweeps(
+        fd, phi0, chart.base_index(base), gate_factor
     )
+    om1, om2 = fd.omega[0], fd.omega[1]
 
     # the SO(2) field [[cos, -sin], [sin, cos]] of the angle
     c, s = np.cos(phi), np.sin(phi)

@@ -209,3 +209,16 @@ def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(rng, counts
         want_G, want_path = _reference_potential(chart, values, base)
         assert np.array_equal(G, want_G)
         assert path_residual == want_path
+
+
+@pytest.mark.parametrize("counts, node", [((17, 13), (4, 2)), ((9, 11, 7), (2, 9, 1))])
+def test_nan_read_only_by_the_reversed_staircase_gives_nan_path_residual(rng, counts, node):
+    # a dx_0 coefficient off the base line of axis 0: the forward staircase
+    # never reads it, the reversed one's last block does
+    dim = len(counts)
+    chart = GridChart((0.0,) * dim, (0.1,) * dim, counts)
+    values = rng.standard_normal((dim,) + counts)
+    values[(0,) + node] = np.nan
+    G, path_residual = potential(chart, values)
+    assert np.isfinite(G).all()
+    assert np.isnan(path_residual)

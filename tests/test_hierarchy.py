@@ -18,7 +18,13 @@ from pssframe.hierarchy import (
     expand_phi_system,
 )
 from pssframe.models import ch_evolve, ch_forms, ch_from_arrays, ch_series_table
-from pssframe.rotation_solver import additive_kernels, line_steps, rkmk4_step
+from pssframe.rotation_solver import (
+    additive_kernels,
+    line_steps,
+    linear_fills,
+    rkmk4_step,
+    sweep_linear,
+)
 
 
 def random_series(rng, order, shape=()):
@@ -324,8 +330,15 @@ def test_float_newton_line_is_the_array_line_bit_for_bit(monkeypatch):
 
 
 # tracemalloc peak in bytes of solve_hierarchy on the 64 x 16 periodic CH
-# state to order 4 when every order formed its own slope maps
-CH64_HIERARCHY_PEAK = 560_658
+# state to order 4: 560,658 when every order formed its own slope maps,
+# 517,175 with shared maps and each exchanged-order sweep held whole, about
+# 348,500 with the certificates streamed and phi_j swept into its stack
+CH64_HIERARCHY_PEAK = 360_000
+# tracemalloc peak in bytes of building the order-8 table and solving the
+# hierarchy on the 513 x 129 periodic CH state of the benchmark: 66.9 MB
+# with the table stored to order 8 and the whole exchanged-order sweeps,
+# about 33.6 MB with the table at its degree and the certificates streamed
+CH513_HIERARCHY_PEAK = 35_000_000
 
 
 def test_hierarchy_holds_no_more_memory_than_per_order_maps():
@@ -340,6 +353,112 @@ def test_hierarchy_holds_no_more_memory_than_per_order_maps():
     finally:
         tracemalloc.stop()
     assert peak <= CH64_HIERARCHY_PEAK
+
+
+def test_table_and_hierarchy_hold_each_full_grid_array_once():
+    state = ch_evolve(
+        lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
+        m=0.5,
+        period=6.0,
+        t_final=2.0,
+        nx=512,
+        nt=128,
+    )
+    tracemalloc.start()
+    try:
+        solve_hierarchy(state.chart, ch_series_table(state, 8), 8, periodic_axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CH513_HIERARCHY_PEAK
+
+
+def _whole_linear_sweeps(monkeypatch):
+    """Record every order's exchanged-order sweep and redo both sweeps whole.
+
+    Returns a list that fills, per order >= 1 in solve order, with
+    (sol, sol_ex): two whole `sweep_linear` runs from that order's start
+    and sources, in the forward and the exchanged axis order.
+    """
+    slopes, whole = [], []
+
+    def fills(chart, base, axes_order, order_slopes, streamed=False):
+        slopes.append(order_slopes)
+        return linear_fills(chart, base, axes_order, order_slopes, streamed)
+
+    def sweep(chart, base, order_fills, start, sources, sink=None, out=None):
+        if sink is not None:
+            sol, sol_ex = (
+                sweep_linear(chart, base, linear_fills(chart, base, axes, slopes[-1]), start, sources)
+                for axes in ((0, 1), (1, 0))
+            )
+            whole.append((sol, sol_ex))
+        return sweep_linear(chart, base, order_fills, start, sources, sink, out)
+
+    monkeypatch.setattr(hierarchy, "linear_fills", fills)
+    monkeypatch.setattr(hierarchy, "sweep_linear", sweep)
+    return whole
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"periodic_axis": 0}, {"start_values": {0: 0.3, 1: -0.2, 3: 0.05}}],
+    ids=["periodic", "pinned"],
+)
+def test_streamed_order_certificate_is_the_whole_sweeps_max(monkeypatch, options):
+    state = _periodic_ch_state()
+    whole = _whole_linear_sweeps(monkeypatch)
+    result = solve_hierarchy(state.chart, ch_series_table(state, 4), 4, **options)
+    assert len(whole) == 4
+    for item, (sol, sol_ex) in zip(result.orders[1:], whole):
+        assert np.array_equal(item.phi, sol)
+        assert item.compat_residual == float(np.max(np.abs(sol - sol_ex)))
+
+
+def test_non_finite_source_gives_nan_order_compat():
+    # a dx source coefficient of order 2 off the base t line: only the
+    # exchanged-order sweep reads it, so phi_2 stays finite and the
+    # certificate does not
+    state, table = _small_ch_table(2)
+    t_line = state.chart.base_index("center")[1]
+    table[2][0].coeffs[2][3, t_line - 2] = np.nan
+    result = solve_hierarchy(state.chart, table, 2)
+    assert np.isnan(result.orders[2].compat_residual)
+    assert np.isfinite(result.orders[2].phi).all()
+    assert all(np.isfinite(item.compat_residual) for item in result.orders[:2])
+
+
+def _hierarchy_arrays(result):
+    arrays = [result.phi_series.coeffs]
+    for item in result.orders:
+        values = (item.compat_residual, item.closed_residual, item.start_value)
+        arrays += [item.form, np.array(values)]
+    return arrays
+
+
+def test_table_at_its_degree_solves_as_the_table_stored_to_the_order():
+    state = _periodic_ch_state()
+    table = ch_series_table(state, 8)
+    assert all(entry.order == 8 and entry.degree <= 2 for row in table for entry in row)
+    full = [[EtaSeries(entry.dense()) for entry in row] for row in table]
+    assert all(entry.degree == 8 for row in full for entry in row)
+    got = solve_hierarchy(state.chart, table, 8, periodic_axis=0)
+    want = solve_hierarchy(state.chart, full, 8, periodic_axis=0)
+    for a, b in zip(_hierarchy_arrays(got), _hierarchy_arrays(want)):
+        assert np.array_equal(a, b)
+    phi = got.phi_series
+    for a, b in zip(expand_phi_system(table, phi), expand_phi_system(full, phi)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    for a, b in zip(closed_form_series(table, phi), closed_form_series(full, phi)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_order_results_are_views_of_the_phi_stack():
+    state, table = _small_ch_table(2)
+    result = solve_hierarchy(state.chart, table, 2)
+    for j, item in enumerate(result.orders):
+        assert item.phi.base is result.phi_series.coeffs
+        assert np.shares_memory(item.phi, result.phi_series.coeffs[j])
 
 
 @pytest.mark.parametrize("periodic_axis", [0, None])

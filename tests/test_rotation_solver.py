@@ -27,6 +27,7 @@ from pssframe.rotation_solver import (
     _affine_rows,
     _rodrigues,
     _solve_L_once,
+    _streamed_compat,
     _sweep,
     additive_kernels,
     affine_fill,
@@ -701,6 +702,27 @@ def test_slabbed_linear_sweep_gives_the_whole_block_fill(monkeypatch, rng, axes_
     fills = linear_fills(chart, base, axes_order, slopes)
     assert len(fills) > 2
     assert np.array_equal(sweep_linear(chart, base, fills, 0.4, sources), whole)
+
+
+@pytest.mark.parametrize("slab_bytes", [4 << 20, 1024], ids=["whole", "slabbed"])
+@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
+def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, slab_bytes, axes_order):
+    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
+    x, t = chart.meshgrid()
+    slopes = (np.cos(x + t), 0.5 - x * t)
+    sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
+    base = (13, 9)
+    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", slab_bytes)
+    exchanged = axes_order[::-1]
+    sol = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
+    sol_ex = sweep_linear(chart, base, linear_fills(chart, base, exchanged, slopes), 0.4, sources)
+    fills = linear_fills(chart, base, exchanged, slopes, streamed=True)
+    got = _streamed_compat(sol, lambda sink: sweep_linear(chart, base, fills, 0.4, sources, sink))
+    assert got == float(np.max(np.abs(sol - sol_ex)))
+    out = np.full(chart.counts, np.nan)
+    fills = linear_fills(chart, base, axes_order, slopes)
+    assert sweep_linear(chart, base, fills, 0.4, sources, out=out) is out
+    assert np.array_equal(out, sol)
 
 
 @pytest.mark.parametrize("slab_bytes", [4 << 20, 2048], ids=["whole", "slabbed"])
