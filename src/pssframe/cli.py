@@ -495,6 +495,10 @@ def main(argv=None):
     except PssframeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:  # after the model is built (see _allocatable)
+        reason = str(exc) or "an array could not be allocated"
+        print("error: out of memory: %s" % reason, file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -21,23 +21,20 @@ import numpy as np
 
 from .forms import interior_d, oneform
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 def _trapezoid_with_refinement(values, axis, spacing):
     """Composite trapezoid plus a coarse-grid Richardson partner.
 
     Returns the extrapolated value (4 T(h) - T(2h)) / 3 when the axis has an
     even number of intervals, the plain trapezoid otherwise.
     """
-    fine = _trapezoid(values, dx=spacing, axis=axis)
+    fine = np.trapezoid(values, dx=spacing, axis=axis)
     count = values.shape[axis]
     if (count - 1) % 2 == 0 and count >= 3:
         idx = tuple(
             slice(None, None, 2) if k == axis else slice(None)
             for k in range(values.ndim)
         )
-        coarse = _trapezoid(values[idx], dx=2.0 * spacing, axis=axis)
+        coarse = np.trapezoid(values[idx], dx=2.0 * spacing, axis=axis)
         return (4.0 * fine - coarse) / 3.0
     return fine
 
@@ -118,7 +115,7 @@ def analyze(chart, theta, time_axis):
         t_pos = time_axis if time_axis < j else time_axis - 1
         q = np.moveaxis(q, t_pos, 0)
         drift = float(np.max(np.abs(q - q[:1])))
-        q_scale = float(np.max(_trapezoid(np.abs(f_j), axis=j, dx=chart.spacing[j])))
+        q_scale = float(np.max(np.trapezoid(np.abs(f_j), axis=j, dx=chart.spacing[j])))
 
         base = chart.base_index("center")
         slice_idx = []

@@ -10,8 +10,8 @@ to its chart:
 Frame bundles store their n coframe one-forms and their connection the same
 way, as dense arrays (see `frames`).  The exterior derivative uses the
 chart's second-order stencils; `potential` recovers a primitive of a closed
-one-form by staircase line integration (composite trapezoid, axes in chart
-order, over the blocks of `grid.staircase_blocks`) and reports the
+one-form by staircase line integration (a composite trapezoid block fill,
+axes in chart order, run by the walker `grid._sweep`) and reports the
 discrepancy against the reversed axis order as a self-check.
 """
 
@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import GridChart, dense, partial_derivative, staircase_blocks
+from .grid import GridChart, _streamed_compat, _sweep, dense, partial_derivative
 
 
 def _pairs(n):
@@ -98,6 +98,20 @@ def closedness_residual(chart: GridChart, theta) -> float:
     return float(np.max(worst))
 
 
+def _trapezoid_fill(h, blk, b, node):
+    """Block fill of `grid._sweep` for y' = f: the composite trapezoid from line b.
+
+    The cumulative sums are written into the block in place and shifted to
+    vanish at the base line, whose value is then added back.
+    """
+    (f,) = node
+    line = blk[b].copy()
+    np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0, out=blk[1:])
+    blk[0] = 0.0
+    blk -= blk[b : b + 1]
+    blk += line
+
+
 def potential(chart: GridChart, theta, base="center"):
     """Primitive G of a (numerically) closed one-form, G(base) = 0.
 
@@ -105,44 +119,16 @@ def potential(chart: GridChart, theta, base="center"):
     order, then repeats with the axes reversed; the max discrepancy between
     the two primitives is returned as `path_residual`.  Returns (G, path_residual)
     with G a (*counts) array.  Callers decide what residual is tolerable for
-    their data.
-
-    The reversed primitive is never whole: its first blocks fill only the
-    base hyperplane of its last axis, and its last block, which spans the
-    chart, is formed in the block's increments and folded into the max
-    through `np.max`, so a NaN gives a NaN residual.
+    their data.  The reversed sweep is streamed (`grid._streamed_compat`), so
+    the reversed primitive is never whole and a NaN gives a NaN residual.
     """
     theta = oneform(chart, theta)
     base_idx = chart.base_index(base)
 
-    def increments(axis, take):
-        # composite trapezoid from the base node along the block's lines
-        f, b = take(theta[axis]), base_idx[axis]
-        incr = np.zeros_like(f)
-        np.cumsum(0.5 * chart.spacing[axis] * (f[:-1] + f[1:]), axis=0, out=incr[1:])
-        incr -= incr[b : b + 1]
-        return incr
+    def system(axis, take):
+        return [take(theta[axis])], _trapezoid_fill
 
-    order = list(range(chart.dim))
-    g = np.zeros(chart.counts)
-    for axis, take in staircase_blocks(chart, base_idx, order):
-        blk, b = take(g), base_idx[axis]
-        blk[...] = blk[b : b + 1] + increments(axis, take)
-
-    last = order[0]  # the reversed order's last axis
-    plane = np.zeros(chart.counts[:last] + (1,) + chart.counts[last + 1 :])
-    plane_base = base_idx[:last] + (0,) + base_idx[last + 1 :]
-    blocks = zip(
-        staircase_blocks(chart, base_idx, order[::-1]),
-        staircase_blocks(chart, plane_base, order[::-1]),
-    )
-    for (axis, take), (_, take_plane) in blocks:
-        blk, incr = take_plane(plane), increments(axis, take)
-        if axis == last:
-            # the reversed primitive's last block spans the chart: it is
-            # formed in incr from its base line and folded into the max
-            incr += blk
-            np.subtract(take(g), incr, out=incr)
-            return g, float(np.max(np.abs(incr, out=incr)))
-        b = plane_base[axis]
-        blk[...] = blk[b : b + 1] + incr
+    order = tuple(range(chart.dim))
+    g = _sweep(chart, base_idx, order, 0.0, system)
+    reverse = order[::-1]
+    return g, _streamed_compat(g, lambda sink: _sweep(chart, base_idx, reverse, 0.0, system, sink))

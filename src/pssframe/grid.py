@@ -14,12 +14,22 @@ so a derivative is second-order accurate on the whole chart, boundary
 included.  `midpoints` provides the cubic (4-point) interval-midpoint
 interpolation the sweep integrators use to keep their classic fourth-order
 one-step accuracy.
+
+Every line integration in the package (the rotation solves, the linear
+orders of the parameter hierarchy and `forms.potential`) runs through one
+staircase walker, `_sweep`: from the base node it fills the blocks of
+`staircase_blocks`, one per swept axis, each line from the block's base
+line by a caller's block fill, and a block past the byte budget
+`_SLAB_BYTES` in transverse slabs (`_sweep_slabs`), each with the bits the
+whole block would get.  `_streamed_compat` certifies a sweep against the
+exchanged axis order, whose sweep is streamed slab by slab into the max and
+never held whole.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +39,12 @@ class GridChart:
     """Uniformly sampled axis-aligned box.
 
     origin[k] is the coordinate of node index 0 on axis k, spacing[k] > 0 the
-    node distance, counts[k] >= 3 the number of nodes.  axis_names defaults
-    to ("x1", ..., "xn").
+    node distance, counts[k] >= 3 the number of nodes.
     """
 
     origin: tuple
     spacing: tuple
     counts: tuple
-    axis_names: tuple = field(default=())
 
     def __post_init__(self):
         origin = tuple(float(v) for v in self.origin)
@@ -52,15 +60,9 @@ class GridChart:
             raise ValueError("spacing must be finite and positive, got %s" % (spacing,))
         if any(c < 3 for c in counts):
             raise ValueError("need at least 3 nodes per axis")
-        names = tuple(self.axis_names) or tuple(
-            "x%d" % (k + 1) for k in range(len(counts))
-        )
-        if len(names) != len(counts):
-            raise ValueError("axis_names length mismatch")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "axis_names", names)
 
     @property
     def dim(self):
@@ -130,6 +132,124 @@ def staircase_blocks(chart: GridChart, base, axes_order):
 
         yield axis, take
         filled.add(axis)
+
+
+# state bytes of a block above which `_sweep` fills it in transverse slabs.
+# A streamed block's state counts twice, since its slabs are filled into a
+# buffer allocated next to the coefficient slab, where other blocks write
+# into a state that is whole anyway.  At 49^3 (8.5 MB of n = 3 state) the
+# forward sweep then takes 2 slabs and the streamed one 3, and every array
+# a slab allocates stays below numpy's 4 MiB huge-page threshold; each
+# slab costs its own line steps, whose fixed Python cost a third slab in
+# the forward sweep would show
+_SLAB_BYTES = 6 << 20
+
+
+def _slabs(dim, shape, buffered=False):
+    """The slabs of a block of `_sweep`, as index tuples into the block.
+
+    shape is (m, *transverse node counts, *component shape) with dim node
+    axes, of a float state.  A block whose state (twice that when buffered)
+    exceeds _SLAB_BYTES is cut along its first transverse axis of more than
+    one node into as few slabs as keep each under the budget, each at least
+    two nodes wide, so that no slab becomes an (m, 1) block; any other block
+    is one slab, the whole block.
+    """
+    nbytes = 8 * math.prod(shape) * (2 if buffered else 1)
+    axis = next((k for k in range(1, dim) if shape[k] > 1), None)
+    k = 1 if axis is None else min(-(-nbytes // _SLAB_BYTES), shape[axis] // 2)
+    if k <= 1:
+        return [()]
+    q, r = divmod(shape[axis], k)
+    edges = np.cumsum([0] + [q + 1] * r + [q] * (k - r)).tolist()
+    return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
+
+
+def _sweep_slabs(chart: GridChart, base, axes_order, item_shape=(), streamed=False):
+    """The slabs `_sweep` fills, in sweep order: (axis, slab, take) per slab.
+
+    slab is the slab's index tuple into its block of `staircase_blocks`
+    (`_slabs`), and take(f) the slab of a full-grid array f, a view with the
+    swept axis first.  item_shape is the state's shape per node, and
+    streamed cuts the last block as a sweep with a sink does.
+    """
+    nodes = np.broadcast_to(0.0, chart.counts + tuple(item_shape))  # for block shapes
+    for axis, take in staircase_blocks(chart, base, axes_order):
+        buffered = streamed and axis == axes_order[-1]
+        for slab in _slabs(chart.dim, take(nodes).shape, buffered):
+
+            def take_slab(f, take=take, slab=slab):
+                return take(f)[slab]
+
+            yield axis, slab, take_slab
+
+
+def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=None):
+    """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
+
+    system(axis, take) returns (arrays, fill) for each slab of `_sweep_slabs`:
+    the slabs of the coefficient arrays the equation along that axis
+    consumes, take(f) being the slab of a full-grid array f, and the block
+    fill.  The coefficient slabs are made contiguous, and
+    fill(h, blk, b, node) then fills the slab blk of the state from its base
+    line b, node being the coefficient slabs.  The lines of a block are
+    independent across its transverse nodes, so a slab gets the bits the
+    whole block would.  Returns the state, filled into out when one is given
+    (every node of it is written).
+
+    With a sink the state is never whole: it holds only the base hyperplane
+    of the last swept axis, which the earlier blocks fill, and each slab of
+    the last block is filled into one reused buffer and handed to
+    sink(take, slab) instead.  Returns None then.
+    """
+    base = tuple(base)
+    last = axes_order[-1]
+    counts = list(chart.counts)
+    state_base = base
+    if sink is not None:
+        counts[last] = 1
+        state_base = base[:last] + (0,) + base[last + 1 :]
+    state = np.zeros(tuple(counts) + np.shape(start)) if out is None else out
+    state[state_base] = start
+    state_blocks = dict(staircase_blocks(chart, state_base, axes_order))
+    buf = None
+    slabs = _sweep_slabs(chart, base, axes_order, np.shape(start), sink is not None)
+    for axis, slab, take in slabs:
+        blk, b = state_blocks[axis](state)[slab], base[axis]
+        stream = sink is not None and axis == last
+        if stream:
+            if buf is None:  # the first slab is the widest
+                buf = np.empty((chart.counts[axis],) + blk.shape[1:])
+            line, blk = blk[0], buf[(slice(None),) + tuple(slice(0, w) for w in blk.shape[1:])]
+            blk[b] = line
+        _fill_slab(chart.spacing[axis], b, system(axis, take), blk)
+        if stream:
+            sink(take, blk)
+    return None if sink is not None else state
+
+
+def _fill_slab(h, b, system_slab, blk):
+    # the coefficient slab dies here, before the next slab's is built
+    arrays, fill = system_slab
+    fill(h, blk, b, [np.ascontiguousarray(f) for f in arrays])
+
+
+def _streamed_compat(state, reverse_sweep):
+    """max |state - reverse| over the nodes, the reverse-order sweep streamed.
+
+    reverse_sweep(sink) runs the reverse-order sweep of the same equation
+    with a `_sweep` sink; each slab of its last block is folded into the max
+    and then overwritten, so the reverse state is never whole.  The slab
+    maxima go through `np.max`, so a NaN anywhere gives NaN.
+    """
+    worst = []
+
+    def fold(take, slab):
+        np.subtract(take(state), slab, out=slab)
+        worst.append(np.max(np.abs(slab, out=slab)))
+
+    reverse_sweep(fold)
+    return float(np.max(worst))
 
 
 def partial_derivative(values, axis, spacing):

@@ -28,7 +28,7 @@ exchanged-order compatibility certificate used by the plain solver, and
 holds each full-grid array once: every order is swept straight into its
 row of the phi stack (each `OrderResult.phi` is a view of it), and every
 exchanged-order sweep streams its last block into the certificate
-(`_streamed_compat`), so it is never whole.  Order zero runs the core of
+(`grid._streamed_compat`), so it is never whole.  Order zero runs the core of
 `solve_phi_2d` (`angle_sweeps`: gate, angle sweep, streamed certificate)
 and keeps only the angle and its certificate; its coframe is dropped once
 the sweeps are done.  Order zero is stepped line by line (`sweep_scalar`);
@@ -58,10 +58,9 @@ import numpy as np
 from .errors import PssframeError
 from .forms import closedness_residual
 from .frames import FrameData
-from .grid import GridChart, midpoints
+from .grid import GridChart, _streamed_compat, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
-    _streamed_compat,
     _structure_gate,
     additive_kernels,
     affine_gains,

@@ -203,7 +203,6 @@ def ch_evolve(
         origin=(0.0, 0.0),
         spacing=(period / n, dt_out),
         counts=(n + 1, nt + 1),
-        axis_names=("x", "t"),
     )
 
     def close_up(rows):
@@ -271,29 +270,28 @@ def ch_series_table(state: CamassaHolmState, order):
     Rows are (first dual form, second dual form, connection form); columns
     their dx and dt coefficients.  Each entry is truncated at `order` and
     stored only to its degree, at most two: its higher powers are zero and
-    take no memory.  Feed to `hierarchy.solve_hierarchy` or
-    `hierarchy.expand_phi_system`.
+    take no memory, and are never computed.  Feed to
+    `hierarchy.solve_hierarchy` or `hierarchy.expand_phi_system`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    chart = state.chart
-    shape = chart.counts
+    shape = state.chart.counts
     u = state.u
     u_x = state.u_x
     h = state.momentum
     m = state.m
-    one = np.ones(shape)
 
     def series(terms):
-        kept = {p: v for p, v in terms.items() if p <= order}
+        # terms[p]() is the coefficient of power p, or a constant filling it
+        kept = {p: term() for p, term in terms.items() if p <= order}
         return EtaSeries.from_terms(kept, order, shape)
 
-    f11 = series({0: h - 1.0, 2: 0.5 * one})
-    f12 = series({0: -u * h - 0.5 * m + 1.0, 1: u_x, 2: -0.5 * (u + 1.0)})
-    f21 = series({1: one})
-    f22 = series({0: u_x, 1: -(u + 1.0)})
-    f31 = series({0: h, 2: 0.5 * one})
-    f32 = series({0: -u * h - u - 0.5 * m, 1: u_x, 2: -0.5 * (u + 1.0)})
+    f11 = series({0: lambda: h - 1.0, 2: lambda: 0.5})
+    f12 = series({0: lambda: -u * h - 0.5 * m + 1.0, 1: lambda: u_x, 2: lambda: -0.5 * (u + 1.0)})
+    f21 = series({1: lambda: 1.0})
+    f22 = series({0: lambda: u_x, 1: lambda: -(u + 1.0)})
+    f31 = series({0: lambda: h, 2: lambda: 0.5})
+    f32 = series({0: lambda: -u * h - u - 0.5 * m, 1: lambda: u_x, 2: lambda: -0.5 * (u + 1.0)})
     return [[f11, f12], [f21, f22], [f31, f32]]
 
 

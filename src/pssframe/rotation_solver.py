@@ -1,18 +1,15 @@
 """Solvers for the frame rotation that produces a closed first dual form.
 
-Both solvers integrate exact one-step updates along grid lines: first along
-axis 1 through the base node, then fanning out along each remaining axis line
-by line, so the whole chart is reached by a staircase of 1D problems.  The
-same solve is repeated with the axis order reversed and the max discrepancy
-is reported as `compat_residual` — a direct certificate of the integrability
-of the input data.  The reverse sweep is streamed: its first blocks fill
-only its base hyperplane (the last swept axis pinned at the base), and its
-last block is filled slab by slab into one reused buffer, each slab folded
-into the max and then overwritten, so the reverse state is never whole.
-`sweep_linear` streams the same way for the linear orders of the
-parameter hierarchy, and every sweep fills a caller's array when given
-one (`out`).  `angle_sweeps` is the gate, sweep and certificate core of
-`solve_phi_2d`, for callers that need only the angle.
+Both solvers integrate exact one-step updates along grid lines, run by the
+staircase walker of `grid` (`grid._sweep`): first along axis 1 through the
+base node, then fanning out along each remaining axis line by line, so the
+whole chart is reached by a staircase of 1D problems.  The same solve is
+repeated with the axis order reversed, streamed by the walker, and the max
+discrepancy is reported as `compat_residual` (`grid._streamed_compat`) — a
+direct certificate of the integrability of the input data.  This module
+holds what the walker runs: the step engines, the block fills and the
+kernels of each equation.  `angle_sweeps` is the gate, sweep and
+certificate core of `solve_phi_2d`, for callers that need only the angle.
 
 2D charts integrate the angle equation
 
@@ -35,38 +32,32 @@ row operations instead of stacked 3 x 3 products.  Each 3 x 3 contraction
 sums; no `optimize=`, which may hand the sum to BLAS in another order.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
-on the additive group.  One block walker, `_sweep`, serves every sweep and
-fills each block in place.  A block whose state passes the byte budget
-`_SLAB_BYTES` (`_slabs`) is filled in slabs across its first transverse
-axis, with the coefficient block, its midpoints and the stage temporaries
-built per slab; the lines of a block are independent across transverse
-nodes, so every node gets the bits of the whole-block fill, except that
-n >= 4 `expm_skew` picks its scaling per stack.  There are two block
-fills: `rkmk4_fill` steps each
-line from the one before, and `affine_fill` serves linear equations
+on the additive group.  There are two block fills, each of which samples
+its coefficient slab at the interval midpoints itself: `rkmk4_fill` steps
+each line from the one before, and `affine_fill` serves linear equations
 y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of a
 whole block come from two vectorized steps, and each line is then one
 multiply-add, in place.  The gains A depend on the slope alone, so
-`linear_fills` forms them once per axis order, with the slope blocks and
-their midpoints, and `sweep_linear` reuses them for every source; a sweep
-then forms only the source blocks, their midpoints and the shifts B.
-`sweep_scalar` takes its fields per axis, so each block copies and
-interpolates only the fields its own axis reads.  `rkmk4_fill` marches up
-and down from the base line as one row: the lines b + j and b - j are
-folded onto a direction axis of length 2 and take one step together with h
-carried as [h, -h], so a centred block costs half as many steps, and every
-element still goes through the same operations as in separate steps.  One
-line engine, `integrate_line` (with `affine_line` for the affine maps),
-steps a single line of nodes on Python floats sampled by `line_steps`:
-both fills use it when the block is one line of single nodes, shape
-(m, 1), and the hierarchy's periodic starts use it for their return maps.
-The block shape alone picks the path, and every path does the same
-operations in the same order.
+`linear_fills` forms them once per axis order, one fill per slab of the
+walker's sweep (`grid._sweep_slabs`), and `sweep_linear` reuses them for
+every source; a sweep then forms only the source slabs, their midpoints
+and the shifts B.  A slab of a block gets the whole block's bits, except
+that n >= 4 `expm_skew` picks its scaling per stack.  `sweep_scalar` takes
+its fields per axis, so each block copies and interpolates only the fields
+its own axis reads.  `rkmk4_fill` marches up and down from the base line as
+one row: the lines b + j and b - j are folded onto a direction axis of
+length 2 and take one step together with h carried as [h, -h], so a
+centred block costs half as many steps, and every element still goes
+through the same operations as in separate steps.  One line engine,
+`integrate_line` (with `affine_line` for the affine maps), steps a single
+line of nodes on Python floats sampled by `line_steps`: both fills use it
+when the block is one line of single nodes, shape (m, 1), and the
+hierarchy's periodic starts use it for their return maps.  The block shape
+alone picks the path, and every path does the same operations in the same
+order.
 """
-
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +72,7 @@ from .frames import (
     require_orthogonal,
     structure_residuals,
 )
-from .grid import GridChart, midpoints, staircase_blocks
+from .grid import _streamed_compat, _sweep, _sweep_slabs, midpoints
 
 GATE_FACTOR_DEFAULT = 10.0
 
@@ -226,101 +217,6 @@ def rkmk4_step(h, y0, lo, mid, hi, kernels):
     return exp_mul((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y0)
 
 
-# state bytes of a block above which `_sweep` fills it in transverse slabs.
-# A streamed block's state counts twice, since its slabs are filled into a
-# buffer allocated next to the coefficient slab, where other blocks write
-# into a state that is whole anyway.  At 49^3 (8.5 MB of n = 3 state) the
-# forward sweep then takes 2 slabs and the streamed one 3, and every array
-# a slab allocates stays below numpy's 4 MiB huge-page threshold; each
-# slab costs its own line steps, whose fixed Python cost a third slab in
-# the forward sweep would show
-_SLAB_BYTES = 6 << 20
-
-
-def _slabs(dim, shape, itemsize, buffered=False):
-    """The slabs of a block of `_sweep`, as index tuples into the block.
-
-    shape is (m, *transverse node counts, *component shape) with dim node
-    axes.  A block whose state (twice that when buffered) exceeds
-    _SLAB_BYTES is cut along its first transverse axis of more than one
-    node into as few slabs as keep each under the budget, each at least two
-    nodes wide, so that no slab becomes an (m, 1) block; any other block is
-    one slab, the whole block.
-    """
-    nbytes = itemsize * math.prod(shape) * (2 if buffered else 1)
-    axis = next((k for k in range(1, dim) if shape[k] > 1), None)
-    k = 1 if axis is None else min(-(-nbytes // _SLAB_BYTES), shape[axis] // 2)
-    if k <= 1:
-        return [()]
-    q, r = divmod(shape[axis], k)
-    edges = np.cumsum([0] + [q + 1] * r + [q] * (k - r)).tolist()
-    return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
-
-
-def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=None):
-    """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
-
-    system(axis, take) returns (arrays, fill) for each slab of each block of
-    `staircase_blocks`: the blocks of the coefficient arrays the equation
-    along that axis consumes and the block fill (`rkmk4_fill` or
-    `affine_fill`).  take(f) is the slab of a full-grid array f, a view with
-    the swept axis first (`_slabs`), so the coefficient blocks are built per
-    slab; they are made contiguous and their midpoints taken, and
-    fill(h, blk, b, node, mid) then fills blk = take(state) from its base
-    line b.  The lines of a block are independent across its transverse
-    nodes, so a slab gets the bits the whole block would.  Returns the state,
-    filled into out when one is given (every node of it is written).
-
-    With a sink the state is never whole: it holds only the base hyperplane
-    of the last swept axis, which the earlier blocks fill, and each slab of
-    the last block is filled into one reused buffer and handed to
-    sink(take, slab) instead.  Returns None then.
-    """
-    base = tuple(base)
-    last = axes_order[-1]
-    counts = list(chart.counts)
-    state_base = base
-    if sink is not None:
-        counts[last] = 1
-        state_base = base[:last] + (0,) + base[last + 1 :]
-    state = np.zeros(tuple(counts) + np.shape(start)) if out is None else out
-    state[state_base] = start
-    buf = None
-    blocks = zip(
-        staircase_blocks(chart, base, axes_order),
-        staircase_blocks(chart, state_base, axes_order),
-    )
-    for (axis, take), (_, take_state) in blocks:
-        blk = take_state(state)
-        stream = sink is not None and axis == last
-        shape = (chart.counts[axis],) + blk.shape[1:]
-        b = base[axis]
-        for slab in _slabs(chart.dim, shape, state.itemsize, stream):
-
-            def take_slab(f, take=take, slab=slab):
-                return take(f)[slab]
-
-            if not stream:
-                _fill_slab(chart.spacing[axis], b, system(axis, take_slab), blk[slab])
-                continue
-            line = blk[0][slab[1:]]
-            if buf is None:  # the first slab is the widest
-                buf = np.empty(shape[:1] + line.shape)
-            out = buf[(slice(None),) + tuple(slice(0, w) for w in line.shape)]
-            out[b] = line
-            _fill_slab(chart.spacing[axis], b, system(axis, take_slab), out)
-            sink(take_slab, out)
-    return None if sink is not None else state
-
-
-def _fill_slab(h, b, system_slab, blk):
-    # the coefficient slab and its midpoints die here, before the next
-    # slab's are built
-    arrays, fill = system_slab
-    node = [np.ascontiguousarray(f) for f in arrays]
-    fill(h, blk, b, node, [midpoints(f, 0) for f in node])
-
-
 def line_steps(node_fields, mid_fields):
     """The (lo, mid, hi) samples of each interval of a line of nodes.
 
@@ -346,16 +242,17 @@ def integrate_line(h, y, node_fields, mid_fields, kernels):
 
 
 def rkmk4_fill(kernels, fold_axis=0):
-    """Block fill of `_sweep`: one `rkmk4_step` per line and interval.
+    """Block fill of `grid._sweep`: one `rkmk4_step` per line and interval.
 
-    A block that is one line of single nodes, shape (m, 1), is stepped on
-    Python floats by `integrate_line`.  Wider blocks march up and down from
-    the base line b as one row: for j < k = min(b, m - 1 - b) the steps
-    b + j -> b + j + 1 and b - j -> b - j - 1 are one `rkmk4_step` on lines
-    folded onto a direction axis of length 2 at position fold_axis of a line
-    (where its node axes begin), with h carried as [h, -h]; each half is
-    written straight into its line.  The longer half's remaining steps run
-    alone.  Every element goes through the same operations as in separate
+    The fill samples its coefficient block at the interval midpoints
+    (`midpoints`).  A block that is one line of single nodes, shape (m, 1),
+    is stepped on Python floats by `integrate_line`.  Wider blocks march up
+    and down from the base line b as one row: for j < k = min(b, m - 1 - b)
+    the steps b + j -> b + j + 1 and b - j -> b - j - 1 are one
+    `rkmk4_step` on lines folded onto a direction axis of length 2 at
+    position fold_axis of a line (where its node axes begin), with h carried
+    as [h, -h]; each half is written straight into its line.  The longer
+    half's remaining steps run alone.  Every element goes through the same operations as in separate
     steps.  A folded coefficient line is a strided view of the two lines
     (one slice whose step spans them), so no block is copied, and the block
     is read only at its base line, so it may be a strided view too.
@@ -374,7 +271,8 @@ def rkmk4_fill(kernels, fold_axis=0):
     to_fold = tuple(range(1, fold_axis + 1)) + (0,)
     from_fold = (fold_axis,) + tuple(range(fold_axis))
 
-    def fill(h, blk, b, node, mid):
+    def fill(h, blk, b, node):
+        mid = [midpoints(f, 0) for f in node]
         m = blk.shape[0]
         if blk.shape[1:] == (1,):
             y = blk[b, 0].item()
@@ -459,14 +357,14 @@ def _affine_rows(A, B, rows):
 
 
 def affine_fill(h, b, a):
-    """Block fill of `_sweep` for y' = a y + source, the slope block a fixed.
+    """Block fill of `grid._sweep` for y' = a y + source, the slope block a fixed.
 
     a is the contiguous slope block with the swept axis first and b its
     base line.  The slope's midpoints and the gains of every interval above
     the base line (`affine_gains`) and below it (-h, lo and hi swapped) are
     formed here, once for every source the fill is then called with.  A
-    call fill(h, blk, b, node, mid), with the same h and b and node, mid the
-    source block and its midpoints, forms the shifts (`affine_shifts`) and
+    call fill(h, blk, b, node), with the same h and b and node the source
+    block, forms the source midpoints and the shifts (`affine_shifts`) and
     fills each line as A * previous + B, on Python floats for a block of
     single nodes, shape (m, 1), and in place otherwise.
     """
@@ -474,8 +372,9 @@ def affine_fill(h, b, a):
     gain_up = affine_gains(h, a[b:-1], a_mid[b:], a[b + 1 :])
     gain_down = affine_gains(-h, a[1 : b + 1], a_mid[:b], a[:b])[::-1]
 
-    def fill(h, blk, b, node, mid):
-        (s,), (s_mid,) = node, mid
+    def fill(h, blk, b, node):
+        (s,) = node
+        s_mid = midpoints(s, 0)
         up = gain_up, affine_shifts(
             h, (a[b:-1], s[b:-1]), (a_mid[b:], s_mid[b:]), (a[b + 1 :], s[b + 1 :])
         )
@@ -529,18 +428,15 @@ def linear_fills(chart, base, axes_order, slopes, streamed=False):
     """The half of a linear sweep that every source shares, built once.
 
     slopes[axis] is the slope of y' = slope y + source along that axis.
-    Returns one (axis, `affine_fill`) per slab of the sweep (`_slabs`), in
-    sweep order: the contiguous slope slab, its midpoints and its gains.
-    streamed=True cuts the slabs for sweeps whose last block goes to a
-    sink, which counts that block's state twice (`_sweep`).
+    Returns one (axis, `affine_fill`) per slab of the walker's sweep
+    (`grid._sweep_slabs`), in sweep order: the contiguous slope slab, its
+    midpoints and its gains.  streamed=True cuts the slabs for sweeps whose
+    last block goes to a sink.
     """
     fills = []
-    for axis, take in staircase_blocks(chart, base, axes_order):
-        blk = take(slopes[axis])
-        buffered = streamed and axis == axes_order[-1]
-        for slab in _slabs(chart.dim, blk.shape, blk.itemsize, buffered):
-            a = np.ascontiguousarray(blk[slab])
-            fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
+    for axis, _, take in _sweep_slabs(chart, base, axes_order, streamed=streamed):
+        a = np.ascontiguousarray(take(slopes[axis]))
+        fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
     return fills
 
 
@@ -761,8 +657,8 @@ AXIAL_KERNELS = (_axial_element, _dexpinv_axial, _axial_exp_mul)
 _axial_steps = rkmk4_fill(AXIAL_KERNELS, fold_axis=2)
 
 
-def _axial_fill(h, blk, b, node, mid):
-    _axial_steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node, mid)
+def _axial_fill(h, blk, b, node):
+    _axial_steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
 
 
 def _axial_system(fd: FrameData, sigma):
@@ -799,24 +695,6 @@ def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, sink=None):
     else:
         system = _matrix_system(fd)
     return _sweep(fd.chart, base_idx, axes_order, L0, system, sink)
-
-
-def _streamed_compat(state, reverse_sweep):
-    """max |state - reverse| over the nodes, the reverse-order sweep streamed.
-
-    reverse_sweep(sink) runs the reverse-order sweep of the same equation
-    with a `_sweep` sink; each slab of its last block is folded into the max
-    and then overwritten, so the reverse state is never whole.  The slab
-    maxima go through `np.max`, so a NaN anywhere gives NaN.
-    """
-    worst = []
-
-    def fold(take, slab):
-        np.subtract(take(state), slab, out=slab)
-        worst.append(np.max(np.abs(slab, out=slab)))
-
-    reverse_sweep(fold)
-    return float(np.max(worst))
 
 
 def initial_rotation(L0, n):

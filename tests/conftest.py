@@ -19,7 +19,7 @@ def interior_max_abs(values):
 def square_chart(n, lo=-1.0, hi=1.0):
     """Uniform n x n chart on [lo, hi]^2."""
     h = (hi - lo) / (n - 1)
-    return GridChart((lo, lo), (h, h), (n, n), ("x", "y"))
+    return GridChart((lo, lo), (h, h), (n, n))
 
 
 def exp_metric_frame(n, lo=-1.0, hi=1.0):

@@ -56,7 +56,7 @@ def sg_ladder():
     start = time.perf_counter()
     for n in (129, 257, 513):
         h = 16.0 / (n - 1)
-        chart = GridChart((-8.0, -8.0), (h, h), (n, n), ("x1", "x2"))
+        chart = GridChart((-8.0, -8.0), (h, h), (n, n))
         fd = sg_forms(sg_solution(chart))
         rows.append({"n": n, "fd": fd, "report": solve_L_nd(fd)})
     return {"rows": rows, "runtime": time.perf_counter() - start}
@@ -148,7 +148,7 @@ def test_criterion_4_expansion_matches_written_out_systems(capsys):
     # order-0/1 systems, and the emitted closed forms the hand-derived pair,
     # purely algebraically (no stencils involved)
     rng = np.random.default_rng(11)
-    chart = GridChart((0.0, 0.0), (0.37, 0.23), (17, 5), ("x", "t"))
+    chart = GridChart((0.0, 0.0), (0.37, 0.23), (17, 5))
     x, t = chart.meshgrid()
 
     def smooth():
@@ -262,9 +262,7 @@ def test_criterion_6_commuting_coordinate_fields(capsys, sg_ladder):
 
     errs = []
     for n in (41, 81, 161):
-        chart = GridChart(
-            (0.5, -2.0), (3.5 / (n - 1), 4.0 / (n - 1)), (n, n), ("x1", "x2")
-        )
+        chart = GridChart((0.5, -2.0), (3.5 / (n - 1), 4.0 / (n - 1)), (n, n))
         kink_fd = sg_forms(sg_solution(chart))
         check = special_coordinates_check(kink_fd, solve_phi_2d(kink_fd))
         errs.append(check.max_bracket())
@@ -286,7 +284,7 @@ def test_criterion_7_negative_controls(capsys):
     except StructureGateError:
         gate_hit = True
 
-    chart = GridChart((0.0, 0.0), (2.0 * np.pi / 128, 0.05), (129, 9), ("x", "t"))
+    chart = GridChart((0.0, 0.0), (2.0 * np.pi / 128, 0.05), (129, 9))
     x = chart.meshgrid()[0]
     candidate = ch_from_values(chart, 1.0, np.sin(x))
     residual = ch_pde_residual(candidate)

@@ -760,6 +760,22 @@ def test_memory_error_while_building_the_model_is_a_config_error(
     assert _one_config_error_line(err)
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB for an array"])
+def test_memory_error_after_the_model_is_built_is_one_error_line(
+    tmp_path, capsys, monkeypatch, message
+):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve_phi_2d", out_of_memory)
+    cfg = write_config(tmp_path, SG_CONFIG)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    reason = message or "an array could not be allocated"
+    assert err.splitlines() == ["error: out of memory: %s" % reason]
+    assert "Traceback" not in err
+
+
 def test_full_disk_while_writing_a_field_is_a_config_error(tmp_path, capsys, monkeypatch):
     def full_disk(path, *args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)

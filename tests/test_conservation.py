@@ -9,9 +9,7 @@ from pssframe.grid import partial_derivative
 
 
 def xt_chart(nx=33, nt=9, x_hi=np.pi, t_hi=1.0):
-    return GridChart(
-        (0.0, 0.0), (x_hi / (nx - 1), t_hi / (nt - 1)), (nx, nt), ("x", "t")
-    )
+    return GridChart((0.0, 0.0), (x_hi / (nx - 1), t_hi / (nt - 1)), (nx, nt))
 
 
 def form_from(chart, fns):

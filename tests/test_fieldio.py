@@ -10,7 +10,7 @@ from pssframe import fieldio
 
 
 def test_scalar_round_trip_is_bit_exact(tmp_path, rng):
-    chart = GridChart((-0.3, 1.0 / 3.0), (0.1, 0.25), (7, 5), ("x", "t"))
+    chart = GridChart((-0.3, 1.0 / 3.0), (0.1, 0.25), (7, 5))
     f = rng.standard_normal(chart.shape) * 1e3
     path = tmp_path / "f.pssfield"
     write_field(path, chart, [f])

@@ -1,5 +1,7 @@
 """Exterior calculus on sampled forms: d, wedge, closedness, potentials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pssframe import (
     potential,
     wedge,
 )
-
+from pssframe import grid
 from pssframe.grid import GridChart
 
 from conftest import interior_max_abs, square_chart
@@ -195,9 +197,24 @@ def _reference_potential(chart, theta, base="center"):
     return g_fwd, float(np.max(np.abs(g_fwd - staircase(order[::-1]))))
 
 
-@pytest.mark.parametrize("counts", [(17, 13), (9, 11, 7), (5, 6, 4, 7)])
+def _slab_cases(cases):
+    """Each case whole and filled in slabs of at most 512 bytes (`grid._SLAB_BYTES`)."""
+    return [
+        pytest.param(*values, slab_bytes, id=name + suffix)
+        for suffix, slab_bytes in (("", 1 << 62), ("-slabbed", 512))
+        for name, values in cases
+    ]
+
+
+@pytest.mark.parametrize(
+    "counts, slab_bytes",
+    _slab_cases([("counts0", [(17, 13)]), ("counts1", [(9, 11, 7)]), ("counts2", [(5, 6, 4, 7)])]),
+)
 @pytest.mark.parametrize("base", ["center", "origin", "off-centre"])
-def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(rng, counts, base):
+def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(
+    monkeypatch, rng, counts, base, slab_bytes
+):
+    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
     dim = len(counts)
     chart = GridChart((0.3,) * dim, tuple(0.04 + 0.03 * k for k in range(dim)), counts)
     if base == "off-centre":
@@ -211,10 +228,18 @@ def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(rng, counts
         assert path_residual == want_path
 
 
-@pytest.mark.parametrize("counts, node", [((17, 13), (4, 2)), ((9, 11, 7), (2, 9, 1))])
-def test_nan_read_only_by_the_reversed_staircase_gives_nan_path_residual(rng, counts, node):
+@pytest.mark.parametrize(
+    "counts, node, slab_bytes",
+    _slab_cases(
+        [("counts0-node0", [(17, 13), (4, 2)]), ("counts1-node1", [(9, 11, 7), (2, 9, 1)])]
+    ),
+)
+def test_nan_read_only_by_the_reversed_staircase_gives_nan_path_residual(
+    monkeypatch, rng, counts, node, slab_bytes
+):
     # a dx_0 coefficient off the base line of axis 0: the forward staircase
     # never reads it, the reversed one's last block does
+    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
     dim = len(counts)
     chart = GridChart((0.0,) * dim, (0.1,) * dim, counts)
     values = rng.standard_normal((dim,) + counts)
@@ -222,3 +247,22 @@ def test_nan_read_only_by_the_reversed_staircase_gives_nan_path_residual(rng, co
     G, path_residual = potential(chart, values)
     assert np.isfinite(G).all()
     assert np.isnan(path_residual)
+
+
+# tracemalloc peak in bytes of potential on a 257^2 chart: the primitive,
+# one coefficient block and its trapezoid terms, and the streamed reverse
+# sweep's buffer (1,718,155 while potential walked its own staircases)
+POTENTIAL257_PEAK = 1_718_155
+
+
+def test_potential_holds_one_primitive_and_one_block():
+    chart = GridChart((0.5, -2.0), (3.5 / 256, 4.0 / 256), (257, 257))
+    x, t = chart.meshgrid()
+    theta = np.stack([np.cos(x) * np.exp(0.1 * t), 0.3 * np.sin(t + x)])
+    tracemalloc.start()
+    try:
+        potential(chart, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= POTENTIAL257_PEAK

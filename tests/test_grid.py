@@ -11,7 +11,7 @@ from conftest import interior_max_abs, square_chart
 
 
 def test_chart_coordinates_round_trip():
-    chart = GridChart((-1.0, 2.0), (0.5, 0.25), (5, 9), ("x", "t"))
+    chart = GridChart((-1.0, 2.0), (0.5, 0.25), (5, 9))
     assert chart.dim == 2
     assert chart.shape == (5, 9)
     x = chart.axis_coordinates(0)

@@ -5,6 +5,7 @@ import pytest
 
 from pssframe import solve_phi_2d
 from pssframe.errors import EvolutionError, StructureGateError
+from pssframe.fieldio import read_field, write_field
 from pssframe.grid import GridChart
 from pssframe.models import (
     ch_evolve,
@@ -121,6 +122,13 @@ def test_evolve_chart_layout_and_periodic_seam():
         state.chart.axis_coordinates(0)), abs=1e-13)
 
 
+def test_evolved_chart_equals_the_chart_read_back(tmp_path):
+    state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=1.0, nx=16, nt=4)
+    path = str(tmp_path / "u.pssfield")
+    write_field(path, state.chart, [state.u])
+    assert read_field(path)[0] == state.chart
+
+
 def test_evolve_conserves_mean_to_round_off():
     state = ch_evolve(cosine_profile, m=0.5, period=6.0, t_final=2.0, nx=256, nt=64)
     assert ch_integral_drift(state) < 1e-12
@@ -177,7 +185,7 @@ def test_pde_residual_small_on_evolved_solution():
 
 
 def sine_candidate_state(m):
-    chart = GridChart((0.0, 0.0), (2 * np.pi / 128, 0.05), (129, 9), ("x", "t"))
+    chart = GridChart((0.0, 0.0), (2 * np.pi / 128, 0.05), (129, 9))
     x, _ = chart.meshgrid()
     return ch_from_values(chart, m, np.sin(x))
 
@@ -210,7 +218,7 @@ def test_structure_gate_passes_evolved_solution():
 
 
 def test_series_table_entries_at_zero_velocity():
-    chart = GridChart((0.0, 0.0), (0.1, 0.1), (33, 5), ("x", "t"))
+    chart = GridChart((0.0, 0.0), (0.1, 0.1), (33, 5))
     state = ch_from_values(chart, 0.0, np.zeros(chart.shape))
     table = ch_series_table(state, 2)
     # with u = 0 and m = 0: h = 0, so the classical entries collapse

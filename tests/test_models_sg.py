@@ -17,7 +17,7 @@ from pssframe.models import (
 
 def kink_chart(n, lo=(-8.0, -8.0), hi=(8.0, 8.0)):
     h = ((hi[0] - lo[0]) / (n - 1), (hi[1] - lo[1]) / (n - 1))
-    return GridChart(lo, h, (n, n), ("x1", "x2"))
+    return GridChart(lo, h, (n, n))
 
 
 def test_static_kink_profile_and_derivatives():
@@ -92,7 +92,7 @@ def test_forms_accept_scalar_field_with_fd_fallback():
 
 
 def test_solved_angle_satisfies_the_printed_first_order_system():
-    chart = GridChart((0.5, -2.0), (3.5 / 80, 4.0 / 80), (81, 81), ("x1", "x2"))
+    chart = GridChart((0.5, -2.0), (3.5 / 80, 4.0 / 80), (81, 81))
     sol = sg_solution(chart)
     rep = solve_phi_2d(sg_forms(sol))
     check = sg_phi_system_check(sol, rep.angle)

@@ -14,9 +14,9 @@ from pssframe import (
     solve_phi_2d,
     special_coordinates_check,
 )
-from pssframe import rotation_solver
+from pssframe import grid
 from pssframe.errors import StructureGateError
-from pssframe.grid import midpoints
+from pssframe.grid import _streamed_compat, _sweep, midpoints
 from pssframe.rotation_solver import (
     AXIAL_KERNELS,
     MATRIX_KERNELS,
@@ -27,8 +27,6 @@ from pssframe.rotation_solver import (
     _affine_rows,
     _rodrigues,
     _solve_L_once,
-    _streamed_compat,
-    _sweep,
     additive_kernels,
     affine_fill,
     affine_line,
@@ -179,9 +177,10 @@ def _reference_affine_fill(h, blk, b, node, mid):
         blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
 
 
-def _per_order_affine_fill(h, blk, b, node, mid):
+def _per_order_affine_fill(h, blk, b, node):
     # the in-place affine fill as it ran per order, node = (slope, source)
     # blocks: every call formed the slope's maps again
+    mid = [midpoints(f, 0) for f in node]
     up = _affine_step_maps(
         h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
     )
@@ -225,7 +224,7 @@ def test_one_node_rkmk4_fill_is_bitwise_the_array_loop(rng, base):
     node, mid, blk = _fill_blocks(rng, 3, 1, base)
     expected = blk.copy()
     kernels = additive_kernels(_angle_field)
-    rkmk4_fill(kernels)(0.07, blk, base, node, mid)
+    rkmk4_fill(kernels)(0.07, blk, base, node)
     _reference_rkmk4_fill(kernels, 0.07, expected, base, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -272,7 +271,7 @@ def test_folded_rkmk4_fill_is_bitwise_the_unfolded_march(rng, layout, m, where):
     blk = np.swapaxes(np.empty(line.shape[:1] + (m,) + line.shape[1:]), 0, 1)
     blk[b] = line
     expected = np.ascontiguousarray(blk)
-    fill(0.07, blk, b, node, mid)
+    fill(0.07, blk, b, node)
     _reference_rkmk4_fill(kernels, 0.07, view(expected), b, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -366,9 +365,9 @@ def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale):
     blk = np.empty((m, nodes, 3, 3))
     blk[b] = line
     expected = blk.copy()
-    _axial_fill(0.07, blk, b, node, mid)
+    _axial_fill(0.07, blk, b, node)
     written_out = rkmk4_fill(WRITTEN_OUT_KERNELS, fold_axis=2)
-    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, node, mid)
+    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, node)
     assert np.array_equal(blk, expected)
     # and each kernel on a folded line, a strided view as the fill sees it
     L = np.moveaxis(blk[b - 1 : b + 2 : 2], (0, -2, -1), (2, 0, 1))
@@ -383,7 +382,7 @@ def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale):
 def test_affine_fill_is_bitwise_the_array_loop(rng, base, width):
     node, mid, blk = _fill_blocks(rng, 2, width, base)
     expected = blk.copy()
-    affine_fill(0.07, base, node[0])(0.07, blk, base, node[1:], mid[1:])
+    affine_fill(0.07, base, node[0])(0.07, blk, base, node[1:])
     _reference_affine_fill(0.07, expected, base, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -639,7 +638,7 @@ def _varying4(m):
 def test_streamed_certificate_is_the_whole_sweeps_max(monkeypatch, frame):
     fd, L0 = frame()
     got = solve_L_nd(fd, L0).compat_residual
-    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 1 << 62)
+    monkeypatch.setattr(grid, "_SLAB_BYTES", 1 << 62)
     assert got == _whole_sweeps_compat(fd, L0)
 
 
@@ -674,13 +673,13 @@ def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve, exact):
     widths = []
 
     def recorded(*args):
-        slabs = rotation_solver_slabs(*args)
+        slabs = grid_slabs(*args)
         widths.extend(s[-1].stop - s[-1].start for s in slabs if s)
         return slabs
 
-    rotation_solver_slabs = rotation_solver._slabs
-    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 2048)
-    monkeypatch.setattr(rotation_solver, "_slabs", recorded)
+    grid_slabs = grid._slabs
+    monkeypatch.setattr(grid, "_SLAB_BYTES", 2048)
+    monkeypatch.setattr(grid, "_slabs", recorded)
     slabbed = _report_arrays(solve())
     assert len(widths) > 4 and min(widths) >= 2  # slabbed, and never one node wide
     for got, want in zip(slabbed, whole):
@@ -698,7 +697,7 @@ def test_slabbed_linear_sweep_gives_the_whole_block_fill(monkeypatch, rng, axes_
     sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
     base = (13, 9)
     whole = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
-    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", 1024)
+    monkeypatch.setattr(grid, "_SLAB_BYTES", 1024)
     fills = linear_fills(chart, base, axes_order, slopes)
     assert len(fills) > 2
     assert np.array_equal(sweep_linear(chart, base, fills, 0.4, sources), whole)
@@ -712,7 +711,7 @@ def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, s
     slopes = (np.cos(x + t), 0.5 - x * t)
     sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
     base = (13, 9)
-    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
     exchanged = axes_order[::-1]
     sol = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
     sol_ex = sweep_linear(chart, base, linear_fills(chart, base, exchanged, slopes), 0.4, sources)
@@ -743,7 +742,7 @@ def test_non_finite_value_in_the_reverse_sweep_gives_nan_compat(monkeypatch, sla
     # sweep's last block reads it, so L stays finite and L_ex does not
     fd = cosh_metric_frame(33) if len(node) == 2 else igsge_frame(13)
     fd.omega[0, 0][node] = np.nan
-    monkeypatch.setattr(rotation_solver, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
     rep = solve(fd)
     assert np.isnan(rep.compat_residual)
     assert np.isfinite(rep.closed_residual) and np.isfinite(rep.orth_residual)
