@@ -103,7 +103,7 @@ _X_MIN, _X_MAX = -202, 201
 _K_MIN, _K_MAX = -290, 290
 # table row of 10^(16 - X) is _K_X - X
 _K_X = 16 - _K_MIN
-_SPLIT = 2.0**27 + 1.0
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
 _TIE_TOL = 2.0**-30
 # Byte slots per value: right-aligned sign and "0.000" prefix, 17 digits and
 # a point, "e+dd[d]" padded at the end, and the separator.

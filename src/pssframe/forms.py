@@ -74,21 +74,24 @@ def wedge(a, b):
     return out
 
 
+def interior_central(v, axis, h):
+    """(v[i+1] - v[i-1]) / 2h along one axis of a (*counts) array, on the
+    strictly interior nodes: every axis loses its two end nodes."""
+    core = [slice(1, -1)] * v.ndim
+    hi = tuple(core[:axis] + [slice(2, None)] + core[axis + 1 :])
+    lo = tuple(core[:axis] + [slice(None, -2)] + core[axis + 1 :])
+    out = v[hi] - v[lo]
+    out /= 2.0 * h
+    return out
+
+
 def interior_d(values, k, l, spacing):
     """The dx_k ^ dx_l coefficient of d(theta) on the strictly interior nodes.
 
-    values is theta's (n, *counts) array.  Every axis loses its two end
-    nodes, and the central differences (v[i+1] - v[i-1]) / 2h give each
-    node the double of the full-grid `d_oneform`.
+    values is theta's (n, *counts) array.  The central differences of
+    `interior_central` give each node the double of the full-grid `d_oneform`.
     """
-    core = [slice(1, -1)] * (values.ndim - 1)
-
-    def central(v, axis):
-        hi = tuple(core[:axis] + [slice(2, None)] + core[axis + 1 :])
-        lo = tuple(core[:axis] + [slice(None, -2)] + core[axis + 1 :])
-        return (v[hi] - v[lo]) / (2.0 * spacing[axis])
-
-    return central(values[l], k) - central(values[k], l)
+    return interior_central(values[l], k, spacing[k]) - interior_central(values[k], l, spacing[l])
 
 
 def closedness_residual(chart: GridChart, theta) -> float:

@@ -17,6 +17,7 @@ distinguished frame whose first dual form is closed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,13 +25,16 @@ import numpy as np
 
 from . import fieldio
 from .errors import DegenerateFrameError, OrthogonalityError
-from .forms import interior_d
+from .forms import interior_central
 from .grid import GridChart, dense, partial_derivative
 
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
-# nodes per Gram block of `orthogonality_error` for n >= 3
-_GRAM_NODES = 8192
+# Nodes per pass of the blocked loops (the Gram blocks of
+# `orthogonality_error`, `_duals_2d`, the slabs of `structure_residuals`):
+# one double per node is 64 KB, in cache and below glibc's 128 KB mmap
+# threshold, so such a temporary faults in no fresh pages.
+_BLOCK_NODES = 8192
 
 
 @dataclass
@@ -57,12 +61,13 @@ class FrameData:
         """F of shape (*counts, n, n) with F[..., i, k] = (omega_i)_k, a view."""
         return np.moveaxis(self.omega, (0, 1), (-2, -1))
 
-    def max_abs(self):
-        """Max |coefficient| over the bundle; NaN when any coefficient is NaN."""
-        # one form at a time: |omega| of the whole coframe or connection
-        # would be one more full-size temporary
-        worst = [np.max(np.abs(w)) for w in (*self.omega, *self.connection)]
-        return float(np.max(worst))
+    def row_max_abs(self):
+        """Max |coefficient| of each row: (n + pairs, n), row [f, k] the dx_k
+        coefficient of form f, the coframe forms first, then the stored
+        connection entries.  NaN for a row holding a NaN."""
+        # max and -min of each row: no |row| temporary
+        forms = (*self.omega, *self.connection)
+        return np.array([[np.maximum(np.max(c), -np.min(c)) for c in w] for w in forms])
 
 
 def connection_matrix(upper, axis):
@@ -78,54 +83,119 @@ def connection_matrix(upper, axis):
     return out
 
 
-def structure_residuals(fd: FrameData, curvature=-1.0):
+def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
     """Max-norm interior residuals of the two structure equations.
 
     res1: d(omega_i) - sum_{j != i} omega_j ^ omega_{ji}
     res2: d(omega_ij) - sum_{k != i, j} omega_ik ^ omega_kj + K omega_i ^ omega_j
 
     Formed on the strictly interior nodes only, one dx_k ^ dx_l coefficient
-    at a time: d of a one-form by `interior_d`, wedges of interior
+    at a time: d of a one-form by `interior_central`, wedges of interior
     views, and omega_ij for i > j as the stored omega_ji with its term's sign
     flipped (x - (-w) is x + w bit for bit), so each node gets the doubles of
-    the full-grid `d_oneform` and `wedge`.  A NaN makes its max-norm NaN.
+    the full-grid `d_oneform` and `wedge` up to the sign of a zero, which no
+    max-norm sees.  A NaN makes its max-norm NaN.
+
+    row_max is `FrameData.row_max_abs`, taken here when not given.  When it
+    and K are finite, every product and difference with an identically zero
+    row is left out: it is +-0 at every node, and adding +-0 moves no
+    nonzero double.  With a non-finite coefficient nothing is left out, since
+    0 * inf is NaN.  The residuals are evaluated in slabs of whole planes of
+    the first axis, each with a one-node halo and at most _BLOCK_NODES
+    interior nodes (at least one plane), so no temporary is the size of the
+    grid.
     """
-    n = fd.dim
+    n, counts, h = fd.dim, fd.chart.counts, fd.chart.spacing
     pairs = list(combinations(range(n), 2))
-    core, h = fd.chart.interior(), fd.chart.spacing
-    omega = fd.omega
+    row_max = fd.row_max_abs() if row_max is None else row_max
+    K = float(curvature)
+    # live[f, k]: the dx_k row of form f (omega_f, then the stored connection
+    # entries) is not known to vanish identically
+    live = row_max != 0.0
+    if not (np.isfinite(K) and np.isfinite(row_max).all()):
+        live[:] = True
 
-    def entry(i, j):  # omega_ij as (sign, stored upper entry)
-        return (1 if i < j else -1), fd.connection[pairs.index((min(i, j), max(i, j)))]
+    def entry(i, j):  # omega_ij as (sign, form of the stored upper entry)
+        return (1 if i < j else -1), n + pairs.index((min(i, j), max(i, j)))
 
-    def wedge(a, b, k, l):
-        w = a[k][core] * b[l][core]
-        w -= a[l][core] * b[k][core]
-        return w
+    def plan(k, l, f, wedges):
+        """One coefficient r = d(form f)_kl + sum sign scale (a ^ b)_kl as
+        (k, l, f, d terms, wedge terms), its identically zero terms left out.
 
-    def subtract(r, sign, w):  # r - sign w, in place
-        (np.subtract if sign > 0 else np.add)(r, w, out=r)
+        A d term (row, axis, negate) adds -+ the central difference of row
+        `row` of form f along `axis`; a wedge term (sign, a, b, scale, p1,
+        p2) adds sign scale (a_k b_l - a_l b_k) with only the products that
+        p1 and p2 flag.
+        """
+        d_terms = [(r, ax, neg) for r, ax, neg in ((l, k, False), (k, l, True)) if live[f, r]]
+        w_terms = []
+        for sign, a, b, scale in wedges:
+            p1, p2 = live[a, k] and live[b, l], live[a, l] and live[b, k]
+            if p1 or p2:
+                w_terms.append((sign, a, b, scale, p1, p2))
+        return k, l, f, d_terms, w_terms
 
-    res1, res2 = [], []
+    plans = []  # the res1 coefficients, then the res2 ones
+    for k, l in pairs:
+        for i in range(n):
+            wedges = []
+            for j in range(n):
+                if j != i:
+                    sign, form = entry(j, i)
+                    wedges.append((-sign, j, form, None))
+            plans.append((0, plan(k, l, i, wedges)))
+        for i, j in pairs:
+            wedges = []
+            for m in range(n):
+                if m != i and m != j:  # omega_ii = omega_jj = 0: a zero wedge
+                    (s1, a), (s2, b) = entry(i, m), entry(m, j)
+                    wedges.append((-s1 * s2, a, b, None))
+            wedges.append((1, i, j, K))
+            plans.append((1, plan(k, l, entry(i, j)[1], wedges)))
+
+    forms = [*fd.omega, *fd.connection]
+    step = max(1, _BLOCK_NODES // math.prod(c - 2 for c in counts[1:]))
+    worst = ([], [])
     # NaN and +-Inf coefficients pass on to the structure gate, which fails them
     with np.errstate(invalid="ignore", over="ignore"):
-        for k, l in pairs:
-            for i in range(n):
-                r = interior_d(omega[i], k, l, h)
-                for j in range(n):
-                    if j != i:
-                        sign, w = entry(j, i)
-                        subtract(r, sign, wedge(omega[j], w, k, l))
-                res1.append(np.max(np.abs(r)))
-            for i, j in pairs:
-                r = interior_d(entry(i, j)[1], k, l, h)
-                for m in range(n):
-                    if m != i and m != j:  # omega_ii = omega_jj = 0: a zero wedge
-                        (s1, a), (s2, b) = entry(i, m), entry(m, j)
-                        subtract(r, s1 * s2, wedge(a, b, k, l))
-                r += wedge(omega[i], omega[j], k, l) * float(curvature)
-                res2.append(np.max(np.abs(r)))
-    return float(np.max(res1)), float(np.max(res2))
+        for start in range(1, counts[0] - 1, step):
+            stop = min(start + step, counts[0] - 1)
+            rows = [form[:, start - 1 : stop + 1] for form in forms]  # one-node halo
+            for side, coefficient in plans:
+                r = _coefficient(rows, h, *coefficient)
+                if r is not None:  # else it vanishes identically
+                    worst[side].append(np.max(np.abs(r, out=r)))
+    return tuple(float(np.max(w, initial=0.0)) for w in worst)
+
+
+def _coefficient(rows, h, k, l, f, d_terms, w_terms):
+    """The interior values of one planned coefficient of `structure_residuals`
+    on a slab of rows, or None when every term was left out."""
+    core = (slice(1, -1),) * (rows[0].ndim - 1)
+    r = None
+    for row, axis, neg in d_terms:
+        r = _accumulate(r, interior_central(rows[f][row], axis, h[axis]), neg)
+    for sign, a, b, scale, p1, p2 in w_terms:
+        A, B = rows[a], rows[b]
+        if p1:
+            w = A[k][core] * B[l][core]
+            if p2:
+                w -= A[l][core] * B[k][core]
+        else:  # a_k b_l vanishes: the wedge is -(a_l b_k)
+            w = A[l][core] * B[k][core]
+            sign = -sign
+        if scale is not None:
+            w *= scale
+        r = _accumulate(r, w, sign < 0)
+    return r
+
+
+def _accumulate(r, x, negate):
+    """r -+ x in place, or -+x (x negated in place) when r is None."""
+    if r is None:
+        return np.negative(x, out=x) if negate else x
+    (np.subtract if negate else np.add)(r, x, out=r)
+    return r
 
 
 def special_frame_residual(fd: FrameData):
@@ -151,7 +221,7 @@ def orthogonality_error(L):
     n = 2 forms the Gram entries L_i0 L_j0 + L_i1 L_j1 from the component
     views.  n >= 3 keeps the stacked matmul: its BLAS sums use fused
     multiply-adds, which written-out sums would not match bit for bit.  It
-    runs over blocks of _GRAM_NODES nodes, each matrix as in one whole call.
+    runs over blocks of _BLOCK_NODES nodes, each matrix as in one whole call.
     """
     n = L.shape[-1]
     if n > 2:
@@ -159,8 +229,8 @@ def orthogonality_error(L):
         # maxima go through np.max, so a NaN anywhere still gives NaN
         nodes = L.reshape((-1, n, n))
         worst = []
-        for start in range(0, len(nodes), _GRAM_NODES):
-            blk = nodes[start : start + _GRAM_NODES]
+        for start in range(0, len(nodes), _BLOCK_NODES):
+            blk = nodes[start : start + _BLOCK_NODES]
             gram = np.matmul(blk, np.ascontiguousarray(np.swapaxes(blk, -1, -2)))
             gram -= np.eye(n)
             worst.append(np.max(np.abs(gram, out=gram)))
@@ -246,15 +316,9 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     return comps, valid
 
 
-# Nodes per pass of `_duals_2d`: its two dozen temporaries stay in cache and
-# below glibc's 128 KB mmap threshold, so none of them faults in fresh pages.
-_DUAL_BLOCK = 8192
-_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
-
-
 def _halves(x):
     """x = hi + lo with 26-bit hi and lo, so products of halves are exact."""
-    hi = x * _SPLIT
+    hi = x * fieldio._SPLIT
     hi -= hi - x
     return hi, x - hi
 
@@ -287,8 +351,8 @@ def _duals_2d(omega, scale, det_rtol):
     flat = omega.reshape(2, 2, -1)
     comps = np.empty(flat.shape)
     valid = np.empty(flat.shape[2], bool)
-    for start in range(0, valid.size, _DUAL_BLOCK):
-        blk = slice(start, start + _DUAL_BLOCK)
+    for start in range(0, valid.size, _BLOCK_NODES):
+        blk = slice(start, start + _BLOCK_NODES)
         valid[blk] = _duals_block(flat[..., blk], comps[..., blk], scale, det_rtol)
     comps = comps.reshape((2, 2) + counts)
     return np.moveaxis(comps, (0, 1), (-2, -1)), valid.reshape(counts)

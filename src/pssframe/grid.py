@@ -81,10 +81,6 @@ class GridChart:
         axes = [self.axis_coordinates(k) for k in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def interior(self):
-        """Slicer selecting nodes with all indices strictly inside."""
-        return tuple(slice(1, -1) for _ in self.counts)
-
     def base_index(self, selector="center"):
         """Resolve a base-node selector: 'center', 'origin', or an index tuple."""
         if selector == "center":

@@ -487,34 +487,40 @@ class SolveReport:
         )
 
 
-def structure_threshold(fd: FrameData, gate_factor):
+def structure_threshold(chart, gate_factor, row_max):
     """Structure-gate threshold: gate_factor * h_max^2 * max(1, max |coeff|).
 
-    A NaN coefficient makes it NaN, an infinite one infinite.
+    row_max is the bundle's `FrameData.row_max_abs`.  A NaN coefficient
+    makes the threshold NaN, an infinite one infinite.
     """
-    h_max = max(fd.chart.spacing)
-    return gate_factor * h_max**2 * float(np.maximum(1.0, fd.max_abs()))
+    h_max = max(chart.spacing)
+    return gate_factor * h_max**2 * float(np.maximum(1.0, np.max(row_max)))
 
 
-def structure_gate(fd: FrameData, gate_factor):
+def structure_gate(fd: FrameData, gate_factor, row_max=None):
     """Residuals, threshold and verdict of the structure gate.
 
     Both residuals must be at most a finite threshold, so a frame with a
-    non-finite coefficient never passes.
+    non-finite coefficient never passes.  row_max is `fd.row_max_abs()`,
+    taken here when not given; the residuals and the threshold share it.
     """
-    res1, res2 = structure_residuals(fd, curvature=-1.0)
-    threshold = structure_threshold(fd, gate_factor)
+    row_max = fd.row_max_abs() if row_max is None else row_max
+    res1, res2 = structure_residuals(fd, curvature=-1.0, row_max=row_max)
+    threshold = structure_threshold(fd.chart, gate_factor, row_max)
     ok = bool(np.isfinite(threshold) and res1 <= threshold and res2 <= threshold)
     return (res1, res2), threshold, ok
 
 
 def _structure_gate(fd: FrameData, gate_factor):
+    """(structure, threshold, row_max), or StructureGateError; no verdict
+    and an infinite threshold for gate_factor None."""
+    row_max = fd.row_max_abs()
     if gate_factor is None:
-        return structure_residuals(fd, curvature=-1.0), float("inf")
-    structure, threshold, ok = structure_gate(fd, gate_factor)
+        return structure_residuals(fd, curvature=-1.0, row_max=row_max), float("inf"), row_max
+    structure, threshold, ok = structure_gate(fd, gate_factor, row_max)
     if not ok:
         raise StructureGateError(*structure, threshold)
-    return structure, threshold
+    return structure, threshold, row_max
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +543,7 @@ def angle_sweeps(fd: FrameData, phi0, base_idx, gate_factor, out=None):
     order, the structure residuals and the gate threshold.
     """
     chart = fd.chart
-    structure, threshold = _structure_gate(fd, gate_factor)
+    structure, threshold, _ = _structure_gate(fd, gate_factor)
 
     om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
     # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
@@ -733,17 +739,23 @@ def solve_L_nd(
     n = fd.dim
     base_idx = chart.base_index(base)
     L0 = initial_rotation(L0, n)
-    structure, threshold = _structure_gate(fd, gate_factor)
+    structure, threshold, row_max = _structure_gate(fd, gate_factor)
 
     order = tuple(range(n))
     L = _solve_L_once(fd, L0, base_idx, order)
     compat = _streamed_compat(L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], sink))
 
     orth = require_orthogonal(L)
+    # theta_1 = sum_k L_0k omega_k, each coefficient summed over k from +0.
+    # A row omega_k,i that vanishes identically is left out: L is finite
+    # (require_orthogonal), so its products are +-0, and adding +-0 to a
+    # partial sum that starts at +0 changes no bit, zero signs included.
     theta1 = np.zeros((n,) + chart.counts)
-    term = np.empty_like(theta1)  # one buffer for the n products
-    for k in range(n):
-        theta1 += np.multiply(L[..., 0, k], fd.omega[k], out=term)
+    term = np.empty(chart.counts)  # one buffer for the products
+    for i in range(n):
+        for k in range(n):
+            if row_max[k, i] != 0.0:
+                theta1[i] += np.multiply(L[..., 0, k], fd.omega[k, i], out=term)
     del term
 
     return SolveReport(

@@ -1,0 +1,81 @@
+"""tools/bench_pairs.py: alternating run order and the summary of fixed numbers."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT = [2.00, 2.10, 2.05, 1.95, 2.20]
+CHANGE = [1.80, 1.90, 2.10, 1.85, 1.95]
+
+
+def _runs(parent, change, name="wall_ref"):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change), 1):
+        for side, value in (("parent", p), ("change", c)):
+            metrics = None if value is None else {name: value}
+            runs.append({"pair": pair, "side": side, "metrics": metrics})
+    return runs
+
+
+def test_summary_of_fixed_numbers():
+    got = bench_pairs.summarize(_runs(PARENT, CHANGE), {"wall_ref": "lower"})["wall_ref"]
+    assert got["parent"] == {"median": 2.05, "q1": 2.00, "q3": 2.10}
+    assert got["change"] == pytest.approx({"median": 1.90, "q1": 1.85, "q3": 1.95})
+    # pair 3 is lost (2.10 > 2.05)
+    assert (got["wins"], got["pairs"]) == (4, 5)
+    # 4 of 5 is under nine tenths, although the medians differ by 0.15 > IQR 0.10
+    assert got["gain"] is False
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr():
+    parent = [2.0 + 0.01 * i for i in range(10)]
+    change = [p - 0.2 for p in parent]
+    better = {"wall_ref": "lower"}
+    assert bench_pairs.summarize(_runs(parent, change), better)["wall_ref"]["gain"] is True
+    # every pair won, but by less than the parent's interquartile range
+    close = [p - 0.01 for p in parent]
+    summary = bench_pairs.summarize(_runs(parent, close), better)["wall_ref"]
+    assert summary["wins"] == 10 and summary["gain"] is False
+    # a metric where higher is better counts the other way round
+    higher = bench_pairs.summarize(_runs(parent, change, "rate"), {"rate": "higher"})["rate"]
+    assert higher["wins"] == 0 and higher["gain"] is False
+
+
+def test_ties_count_for_neither_side_and_failed_pairs_are_left_out():
+    summary = bench_pairs.summarize(
+        _runs([2.0, 2.0, 3.0], [2.0, None, 1.0]), {"wall_ref": "lower"}
+    )["wall_ref"]
+    assert (summary["wins"], summary["pairs"]) == (1, 2)
+    assert bench_pairs.summarize(_runs([2.0], [None]), {"wall_ref": "lower"}) == {}
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": "wall_ref", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path / "p" else "change"
+        calls.append((side, seed))
+        value = 2.0 if side == "parent" else 1.5
+        return {"correct": True, "metrics": {"wall_ref": {"value": value, "unit": "x"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path), "--workload", "w",
+            "--pairs", "3", "--seconds", "1", "--seed0", "7", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                     ("parent", 9), ("change", 9)]
+    printed = capsys.readouterr().out.splitlines()
+    assert len([line for line in printed if line.startswith("pair ")]) == 6
+    last = json.loads(printed[-1])
+    assert last == json.loads(out.read_text())
+    assert last["summary"]["wall_ref"]["wins"] == 3 and last["failed"] == 0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,26 +146,88 @@ def _nan_frame():
     return fd
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: igsge_frame(13),
-        lambda: igsge_frame(17),
-        _kink_frame,
-        _ch_order_zero_frame,
-        _four_dimensional_varying_rotation_frame,
-        _nan_frame,
-        lambda: non_finite_frame(2, "omega", np.inf),
-    ],
-    ids=["igsge13", "igsge17", "kink", "ch-order-0", "varying-4d", "nan", "inf-2d"],
-)
-@pytest.mark.parametrize("curvature", [-1.0, 0.5])
+def _inf_beside_zero_row_frame():
+    # omega_12's dx_3 row vanishes identically but for this +inf; its
+    # wedge partner omega_1 has identically zero dx_2 and dx_3 rows, so
+    # only the products that 0 * inf turns into NaN carry it, and the zero
+    # rows must not be skipped
+    fd = igsge_frame(13)
+    assert not fd.omega[0, 1:].any()
+    fd.connection[0, 2, 6, 4, 7] = np.inf
+    return fd
+
+
+_FRAMES = {
+    "igsge13": lambda: igsge_frame(13),
+    "igsge17": lambda: igsge_frame(17),
+    "kink": _kink_frame,
+    "ch-order-0": _ch_order_zero_frame,
+    "varying-4d": _four_dimensional_varying_rotation_frame,
+    "nan": _nan_frame,
+    "inf-2d": lambda: non_finite_frame(2, "omega", np.inf),
+    "inf-beside-zero-row": _inf_beside_zero_row_frame,
+    "flat": lambda: flat_frame(21),
+    "half-space-4d": lambda: half_space_frame(4, 7),
+}
+
+
+@pytest.mark.parametrize("make", list(_FRAMES.values()), ids=list(_FRAMES))
+@pytest.mark.parametrize("curvature", [-1.0, 0.0, 0.5])
 def test_structure_residuals_are_bitwise_the_full_grid_forms(make, curvature):
     fd = make()
     got = structure_residuals(fd, curvature)
-    want = full_grid_structure_residuals(fd, curvature)
+    with np.errstate(invalid="ignore"):  # K = 0 times an infinite wedge
+        want = full_grid_structure_residuals(fd, curvature)
     # max-norms are never -0.0, so equal doubles are equal bits
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 300])
+@pytest.mark.parametrize(
+    "name", ["igsge13", "kink", "varying-4d", "nan", "inf-beside-zero-row", "half-space-4d"]
+)
+def test_structure_residuals_in_small_slabs_are_the_full_grid_forms(monkeypatch, name, block_nodes):
+    # one plane per slab, or a few planes with a shorter last slab
+    fd = _FRAMES[name]()
+    monkeypatch.setattr(frames, "_BLOCK_NODES", block_nodes)
+    got = structure_residuals(fd)
+    assert np.array_equal(got, full_grid_structure_residuals(fd), equal_nan=True)
+
+
+def test_structure_residuals_take_the_given_row_maxima():
+    fd = igsge_frame(13)
+    row_max = fd.row_max_abs()
+    assert row_max.shape == (3 + 3, 3)
+    assert row_max[0, 0] > 0.0 and row_max[0, 1] == row_max[0, 2] == 0.0
+    assert structure_residuals(fd, row_max=row_max) == structure_residuals(fd)
+
+
+def test_row_max_abs_is_the_max_of_each_row_and_nan_for_a_nan_row():
+    fd = _random_frame(3, 5, seed=1)
+    rows = np.concatenate([fd.omega, fd.connection])
+    assert np.array_equal(fd.row_max_abs(), np.max(np.abs(rows), axis=(2, 3, 4)))
+    fd.connection[1, 2, 2, 3, 4] = np.nan
+    got = fd.row_max_abs()
+    assert np.isnan(got[3 + 1, 2]) and np.isfinite(np.delete(got.ravel(), 4 * 3 + 2)).all()
+
+
+# tracemalloc peak in bytes of structure_residuals on a 513^2 moving-kink
+# frame: a few slab temporaries of at most _BLOCK_NODES doubles each
+# (6,401,440 while the residuals were formed on the whole interior)
+STRUCTURE513_PEAK = 335_094
+
+
+def test_structure_residuals_hold_no_full_grid_temporary():
+    structure_residuals(flat_frame(9))  # warm-up
+    chart = GridChart((-4.0, -4.0), (8.0 / 512,) * 2, (513, 513))
+    fd = sg_forms(sg_solution(chart, "moving_kink", 0.3))
+    tracemalloc.start()
+    try:
+        structure_residuals(fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STRUCTURE513_PEAK
 
 
 @pytest.mark.parametrize("dim, m", [(3, 7), (4, 5)])
@@ -430,7 +493,7 @@ def test_blocked_orthogonality_error_is_the_whole_gram(rng, monkeypatch, n):
     q, _ = np.linalg.qr(rng.standard_normal(chart.counts + (n, n)))
     L = q + 1e-13 * rng.standard_normal(q.shape)
     gram = np.matmul(L, np.swapaxes(L, -1, -2)) - np.eye(n)
-    monkeypatch.setattr(frames, "_GRAM_NODES", 7)
+    monkeypatch.setattr(frames, "_BLOCK_NODES", 7)
     assert orthogonality_error(L) == float(np.max(np.abs(gram)))
 
 
@@ -439,7 +502,7 @@ def test_blocked_orthogonality_error_is_nan_for_a_nan_entry_in_any_block(monkeyp
     L = np.broadcast_to(np.eye(3), (5, 5, 9, 3, 3)).copy()
     L[..., 1, 1] += 1e-3  # a finite error in every block
     L.reshape(-1, 3, 3)[node, 2, 0] = np.nan
-    monkeypatch.setattr(frames, "_GRAM_NODES", 7)
+    monkeypatch.setattr(frames, "_BLOCK_NODES", 7)
     assert np.isnan(orthogonality_error(L))
 
 

@@ -612,6 +612,18 @@ def test_three_dimensional_solve_holds_one_full_grid_state():
     assert _traced_solve_peak(igsge_frame(49)) <= IGSGE49_SOLVE_PEAK
 
 
+def test_theta1_skipping_zero_coframe_rows_is_the_dense_sum_bit_for_bit():
+    # igsge coframes are diagonal, so six of the nine rows of omega vanish
+    fd = igsge_frame(17)
+    rep = solve_L_nd(fd, rotated_l0(3))
+    L = rep.rotation
+    want = np.zeros_like(rep.theta1)
+    for k in range(3):
+        want += L[..., 0, k] * fd.omega[k]
+    assert np.array_equal(rep.theta1, want)
+    assert np.array_equal(np.signbit(rep.theta1), np.signbit(want))
+
+
 def _whole_sweeps_compat(fd, L0):
     # the certificate as it was formed: both sweeps whole, then max |L - L_ex|
     base, order = fd.chart.base_index("center"), tuple(range(fd.dim))

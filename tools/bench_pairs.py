@@ -1,0 +1,141 @@
+"""Run the benchmark in alternating pairs on two checkouts and summarise them.
+
+Usage (from any directory):
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+        [--pairs N] [--seconds S] [--seed0 K] [--json PATH]
+
+Pair i (1-based) runs `perfbench/run.py --workload NAME --seed K+i-1
+--seconds S` once in each checkout, parent first on odd pairs and change
+first on even ones, so a drift of the host's speed does not favour one
+side.  One line is printed per run.  Then, for each end-to-end metric in
+the change checkout's BENCHMARK.json, each side's median and quartiles, the
+number of pairs the change wins (ties count for neither), and whether the
+gain rule holds: the change wins at least nine tenths of the pairs and the
+medians differ, in the better direction, by more than the distance between
+the parent's quartiles.  A run that exits non-zero or reports incorrect
+outputs is listed and left out of the summary.  The last line printed is
+one JSON object; --json also writes it to PATH.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result line of one benchmark run, or None when the run failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    return line if line["correct"] else None
+
+
+def quartiles(values):
+    """(q1, median, q3) of values, inclusive quartiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(runs, better):
+    """Per-metric medians, quartiles and wins of the change over its parent.
+
+    runs is a list of {"pair", "side", "metrics"} records, metrics a
+    {name: value} dict or None for a failed run; better maps each metric
+    name to "lower" or "higher".  Only pairs where both sides succeeded
+    count.
+    """
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    pairs = [p for p in sorted(by_pair) if all(by_pair[p].get(s) for s in SIDES)]
+    if not pairs:
+        return {}
+    summary = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        values = {s: [by_pair[p][s][name] for p in pairs] for s in SIDES}
+        stats = {}
+        for side in SIDES:
+            q1, median, q3 = quartiles(values[side])
+            stats[side] = {"median": median, "q1": q1, "q3": q3}
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        summary[name] = {
+            "better": direction,
+            **stats,
+            "wins": wins,
+            "pairs": len(pairs),
+            "gain": wins >= 0.9 * len(pairs) and gap > iqr,
+        }
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed0", type=int, default=20260817)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        seed = args.seed0 + pair - 1
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            line = run_once(checkouts[side], args.workload, seed, args.seconds)
+            metrics = None if line is None else {
+                name: m["value"] for name, m in line["metrics"].items()
+            }
+            runs.append({"pair": pair, "seed": seed, "side": side, "metrics": metrics})
+            shown = "FAILED" if metrics is None else " ".join(
+                "%s=%.6g" % kv for kv in metrics.items()
+            )
+            print("pair %d seed %d %-6s %s" % (pair, seed, side, shown), flush=True)
+
+    summary = summarize(runs, better)
+    for name, s in summary.items():
+        print("%-14s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d%s" % (
+            name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
+            s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
+            s["wins"], s["pairs"], "  gain" if s["gain"] else "",
+        ))
+    result = {
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "seed0": args.seed0,
+        "failed": sum(run["metrics"] is None for run in runs),
+        "runs": runs,
+        "summary": summary,
+    }
+    text = json.dumps(result)
+    if args.json:
+        args.json.write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
