@@ -105,7 +105,8 @@ def _build_model(cfg: RunConfig, scale):
     """Instantiate the configured model at a grid scale.
 
     Returns (frame_data, state) where state is the model object (None for
-    external frame files).
+    external frame files).  The frame data holds no reference to the state,
+    so a caller that needs only the frame drops the state at once.
     """
     kind = cfg.model_kind
     if kind == "camassa_holm":
@@ -260,7 +261,7 @@ def cmd_verify(cfg, cfg_path, out_dir, scale):
 
 
 def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
-    fd, _ = _build_model(cfg, scale)
+    fd = _build_model(cfg, scale)[0]
     keys = on_chart(cfg, fd.chart, "solve-frame")
     report = _solve(fd, cfg, keys)
     print(report.summary())
@@ -294,13 +295,20 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
 
 
 def _run_hierarchy(cfg, scale, command):
-    """The evolved state, the solved hierarchy and the chart-dependent keys."""
+    """The chart, the integral drift, the solved hierarchy and the chart keys.
+
+    The evolved state is dropped once its table and integral drift are
+    taken, so the solve holds only the table (which shares the state's u_x).
+    """
     state = _ch_state(cfg, scale)
-    keys = on_chart(cfg, state.chart, command)
+    chart = state.chart
+    keys = on_chart(cfg, chart, command)
     table = ch_series_table(state, cfg.order)
+    drift = ch_integral_drift(state)
+    del state
     start = dict(enumerate(cfg.start_values)) if cfg.start_values else None
     result = solve_hierarchy(
-        state.chart,
+        chart,
         table,
         cfg.order,
         base=keys["base"],
@@ -308,12 +316,11 @@ def _run_hierarchy(cfg, scale, command):
         periodic_axis=cfg.periodic_axis,
         gate_factor=cfg.gate_factor,
     )
-    return state, result, keys
+    return chart, drift, result, keys
 
 
 def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
-    state, result, _ = _run_hierarchy(cfg, scale, "hierarchy")
-    chart = state.chart
+    chart, _, result, _ = _run_hierarchy(cfg, scale, "hierarchy")
     per_order = {}
     for item in result.orders:
         _write(out_dir, "phi_%d.pssfield" % item.order, write_field, chart, [item.phi])
@@ -332,14 +339,13 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
 def cmd_conserve(cfg, cfg_path, out_dir, scale):
     results = {}
     if cfg.model_kind == "camassa_holm":
-        state, hier, keys = _run_hierarchy(cfg, scale, "conserve")
+        chart, drift_u, hier, keys = _run_hierarchy(cfg, scale, "conserve")
         orders = [item.order for item in hier.orders]
-        reports = [analyze(state.chart, item.form, keys["time_axis"]) for item in hier.orders]
-        drift_u = ch_integral_drift(state)
+        reports = [analyze(chart, item.form, keys["time_axis"]) for item in hier.orders]
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u
     else:
-        fd, _ = _build_model(cfg, scale)
+        fd = _build_model(cfg, scale)[0]
         keys = on_chart(cfg, fd.chart, "conserve")
         report = _solve(fd, cfg, keys)
         print(report.summary())
@@ -378,7 +384,7 @@ def _fit_order(h_values, errors):
 def cmd_converge(cfg, cfg_path, out_dir, scale):
     rows = []
     for k in sorted(s * scale for s in cfg.scales):
-        fd, _ = _build_model(cfg, k)
+        fd = _build_model(cfg, k)[0]
         report = _solve(fd, cfg, on_chart(cfg, fd.chart, "converge"))
         h_max = max(fd.chart.spacing)
         rows.append(
@@ -392,6 +398,7 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
                 "orth": report.orth_residual,
             }
         )
+        del fd, report  # gone before the next scale's model is built
         print(
             "scale %d: h=%.6g closed=%.3e compat=%.3e res1=%.3e res2=%.3e orth=%.3e"
             % (k, h_max, rows[-1]["closed"], rows[-1]["compat"], rows[-1]["res1"], rows[-1]["res2"], rows[-1]["orth"])

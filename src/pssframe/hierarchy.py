@@ -20,14 +20,17 @@ and the table powers that are not identically zero, and once phi_j is
 solved its terms phi_j c_0 and -phi_j s_0 complete order j.  The closed
 forms come from the same s and c.
 
-`EtaSeries` is a minimal truncated-series arithmetic over ndarray
-coefficients, stored to the series' degree: a polynomial table expanded to
-order K holds its degree's powers, not K + 1.  `solve_hierarchy` runs the
+`EtaSeries` is a minimal truncated-series arithmetic with one coefficient
+per power, stored to the series' degree: a polynomial table expanded to
+order K holds its degree's powers, not K + 1, a constant power is a float
+and equal planes are one array.  `solve_hierarchy` runs the
 order-by-order integration with the same staircase sweeps and
 exchanged-order compatibility certificate used by the plain solver, and
 holds each full-grid array once: every order is swept straight into its
-row of the phi stack (each `OrderResult.phi` is a view of it), and every
-exchanged-order sweep streams its last block into the certificate
+row of the phi stack (each `OrderResult.phi` is a view of it), every
+closed form is written over its order's rows of the sin/cos stack once
+the last order is solved (each `OrderResult.form` is a view of it), and
+every exchanged-order sweep streams its last block into the certificate
 (`grid._streamed_compat`), so it is never whole.  Order zero runs the core of
 `solve_phi_2d` (`angle_sweeps`: gate, angle sweep, streamed certificate)
 and keeps only the angle and its certificate; its coframe is dropped once
@@ -36,7 +39,8 @@ every later order is linear, y' = alpha y + beta, so its RK4 steps are
 affine maps y -> A y + B built with the same tableau (`sweep_linear`,
 `affine_fill`).  The slopes alpha are order zero's, so the slope blocks,
 their midpoints and the gains A of both axis orders are built once
-(`linear_fills`) and shared by every order; each order forms only its
+(`linear_fills`) and shared by every order, and the slopes are dropped
+once they and the periodic line start are built; each order forms only its
 source blocks, their midpoints, the shifts B and the line recurrence.
 Periodic starting values come from return maps along the first-axis line
 through the base: safeguarded Newton for the nonlinear order zero, with
@@ -78,34 +82,55 @@ from .rotation_solver import angle_rhs as _angle_rhs
 class EtaSeries:
     """Power series in the parameter, truncated at a fixed order.
 
-    Coefficients live in `coeffs`, an ndarray whose leading axis indexes the
-    power; the remaining axes (possibly none) are broadcast pointwise, so the
-    same arithmetic serves scalars and whole grids of series.  `coeffs`
-    holds the powers up to the series' degree; the powers above it, up to
+    `coeffs` holds one coefficient per power, from power 0 to the series'
+    degree: an ndarray of the series' `shape` (possibly ()), which the
+    arithmetic broadcasts pointwise, or a float for a power that is
+    constant over the grid (0.0 for a zero power).  It is either one
+    ndarray with the power first, as every arithmetic result is, or a
+    tuple of such coefficients, as a table stores them; a tuple holds its
+    arrays as given, so equal planes can be one shared array.  A float
+    times a plane gives the doubles of the plane of that float, so the
+    compact storage moves no result.  The powers above the degree, up to
     the truncation `order`, are zero and not stored, so a polynomial table
     costs its degree, not the order it is expanded to.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs", "order", "shape")
 
-    def __init__(self, coeffs, order=None):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.ndim < 1:
-            raise ValueError("series needs a leading power axis")
+    def __init__(self, coeffs, order=None, shape=None):
+        if isinstance(coeffs, (tuple, list)):
+            coeffs = tuple(
+                np.asarray(c, dtype=float) if np.ndim(c) else float(c) for c in coeffs
+            )
+            planes = [c.shape for c in coeffs if isinstance(c, np.ndarray)]
+            shape = tuple(np.broadcast_shapes(*planes) if shape is None else shape)
+            if not coeffs or any(plane != shape for plane in planes):
+                raise ValueError("series needs one coefficient of shape %s per power" % (shape,))
+        else:
+            coeffs = np.asarray(coeffs, dtype=float)
+            if coeffs.ndim < 1:
+                raise ValueError("series needs a leading power axis")
+            shape = coeffs.shape[1:]
+        self.coeffs = coeffs
+        self.shape = shape
         self.order = self.degree if order is None else int(order)
         if self.order < self.degree:
             raise ValueError("series stores powers above its truncation order")
 
     @classmethod
     def from_terms(cls, terms, order, shape=()):
-        """Build a series from a {power: coefficient} mapping, stored to its degree."""
+        """Build a series from a {power: coefficient} mapping, stored to its degree.
+
+        A coefficient is a float or an array of `shape`, held as given; the
+        powers missing below the degree are 0.0.
+        """
         for power in terms:
             if not 0 <= power <= order:
                 raise ValueError("power %d outside truncation order %d" % (power, order))
-        coeffs = np.zeros((max(terms, default=0) + 1,) + tuple(shape))
+        coeffs = [0.0] * (max(terms, default=0) + 1)
         for power, value in terms.items():
             coeffs[power] = value
-        return cls(coeffs, order)
+        return cls(coeffs, order, shape)
 
     @classmethod
     def constant(cls, value, order):
@@ -114,20 +139,33 @@ class EtaSeries:
     @property
     def degree(self):
         """The highest stored power."""
-        return self.coeffs.shape[0] - 1
+        return len(self.coeffs) - 1
 
     def coefficient(self, j):
-        if self.degree < j <= self.order:
-            return np.zeros(self.coeffs.shape[1:])
-        return self.coeffs[j]
+        """The power-j coefficient over the series' shape.
+
+        A float coefficient, and a power above the degree, come back as a
+        read-only broadcast view of the value.
+        """
+        if j > self.order:
+            raise IndexError("power %d outside truncation order %d" % (j, self.order))
+        c = self.coeffs[j] if j <= self.degree else 0.0
+        return c if np.ndim(c) == len(self.shape) else np.broadcast_to(c, self.shape)
 
     def dense(self):
         """The coefficients of every power up to the order, zeros filled in."""
-        if self.degree == self.order:
+        if isinstance(self.coeffs, np.ndarray) and self.degree == self.order:
             return self.coeffs
-        out = np.zeros((self.order + 1,) + self.coeffs.shape[1:])
-        out[: self.degree + 1] = self.coeffs
+        out = np.zeros((self.order + 1,) + self.shape)
+        for power, c in enumerate(self.coeffs):
+            out[power] = c
         return out
+
+    def _each(self, fn):
+        """The series of fn(coefficient), power by power."""
+        if isinstance(self.coeffs, np.ndarray):
+            return EtaSeries(fn(self.coeffs), self.order)
+        return EtaSeries([fn(c) for c in self.coeffs], self.order, self.shape)
 
     def _match(self, other):
         if not isinstance(other, EtaSeries):
@@ -151,14 +189,14 @@ class EtaSeries:
         return EtaSeries(other.dense() - self.dense())
 
     def __neg__(self):
-        return EtaSeries(-self.coeffs, self.order)
+        return self._each(np.negative)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return EtaSeries(self.coeffs * other, self.order)
+            return self._each(lambda c: c * other)
         other = self._match(other)
         k = self.order
-        shape = np.broadcast_shapes(self.coeffs.shape[1:], other.coeffs.shape[1:])
+        shape = np.broadcast_shapes(self.shape, other.shape)
         out = np.zeros((min(k, self.degree + other.degree) + 1,) + shape)
         for i in range(self.degree + 1):
             for j in range(min(other.degree, k - i) + 1):
@@ -188,7 +226,7 @@ class EtaSeries:
 
     def evaluate(self, eta):
         """Evaluate the truncated polynomial at a parameter value."""
-        out = np.zeros_like(self.coeffs[0])
+        out = np.zeros(self.shape)
         for j in range(self.degree, -1, -1):
             out = out * eta + self.coeffs[j]
         return out
@@ -215,7 +253,7 @@ def _sin_cos_fill(phi, s, c, j, top):
 def _sparse(entry):
     """A table series with the powers whose coefficient is not identically zero."""
     coeffs = entry.coeffs
-    return coeffs, [p for p in range(coeffs.shape[0]) if np.any(coeffs[p])]
+    return coeffs, [p for p in range(len(coeffs)) if np.any(coeffs[p])]
 
 
 def _table_product(j, terms, out):
@@ -223,7 +261,8 @@ def _table_product(j, terms, out):
 
     terms holds (series, entry) pairs: series a coefficient array with the
     power first, entry a `_sparse` table series, whose identically zero
-    powers are skipped (the Camassa-Holm table has degree two, f21 = eta).
+    powers are skipped (the Camassa-Holm table has degree two, f21 = eta);
+    a float coefficient multiplies the whole series plane.
     """
     for series, (coeffs, powers) in terms:
         for p in powers:
@@ -239,7 +278,7 @@ def _table_series(terms):
     order = series_list[0].order
     if any(x.order != order for x in series_list):
         raise ValueError("series truncation orders differ")
-    shape = np.broadcast_shapes(*(x.coeffs.shape[1:] for x in series_list))
+    shape = np.broadcast_shapes(*(x.shape for x in series_list))
     out = np.zeros((order + 1,) + shape)
     sparse = [(series.coeffs, _sparse(entry)) for series, entry in terms]
     for j in range(order + 1):
@@ -402,7 +441,7 @@ def _periodic_linear_start(h, slope):
 @dataclass
 class OrderResult:
     """One order of the expansion: angle coefficient phi (*counts) and its
-    closed form (2, *counts)."""
+    closed form (2, *counts), views of the stacks of every order's."""
 
     order: int
     phi: np.ndarray
@@ -460,7 +499,7 @@ def solve_hierarchy(
     def cut(series):
         if series.order < order:
             raise ValueError("table series truncated below the requested order")
-        return EtaSeries(series.coeffs[: order + 1], order)
+        return EtaSeries(series.coeffs[: order + 1], order, series.shape)
 
     table = [[cut(entry) for entry in row] for row in table]
     counts = chart.counts
@@ -513,8 +552,10 @@ def solve_hierarchy(
     ]
 
     # running sin / cos of the angle series, filled one order at a time
-    s = np.empty_like(phi)
-    c = np.empty_like(phi)
+    # into one stack: sc[j] holds (s_j, c_j), the rows that order j's
+    # closed form takes once the last order is solved
+    sc = np.empty((order + 1, 2) + counts)
+    s, c = sc[:, 0], sc[:, 1]
     s[0] = np.sin(phi[0])
     c[0] = np.cos(phi[0])
     slopes = (f11_0 * c[0] - f21_0 * s[0], f12_0 * c[0] - f22_0 * s[0])
@@ -526,7 +567,8 @@ def solve_hierarchy(
     fills_ex = linear_fills(chart, base_idx, (1, 0), slopes, streamed=True)
     line_start = None
     if periodic_axis == 0:
-        line_start = _periodic_linear_start(chart.spacing[0], slopes[0][:, t_line])
+        line_start = _periodic_linear_start(chart.spacing[0], slopes[0][:, t_line].copy())
+    del slopes
 
     for j in range(1, order + 1):
         # source term: order j of the expansion without the phi_j terms, so
@@ -561,13 +603,18 @@ def solve_hierarchy(
             )
         )
 
-    del fills, fills_ex, slopes, line_start
+    del fills, fills_ex, line_start
     np.negative(s, out=s)  # the forms take -s; negation is exact
-    for j, item in enumerate(results):
-        form = np.zeros((2,) + counts)
+    # order j's form reads s and c up to order j only, so from the highest
+    # order down each form is formed aside and then takes the rows sc[j]
+    form = np.empty((2,) + counts)
+    for item in reversed(results):
+        j = item.order
+        form.fill(0.0)
         _table_product(j, ((c, f11), (s, f21)), form[0])
         _table_product(j, ((c, f12), (s, f22)), form[1])
-        item.form = form
-        item.closed_residual = closedness_residual(chart, form)
+        sc[j] = form
+        item.form = sc[j]
+        item.closed_residual = closedness_residual(chart, item.form)
 
     return HierarchyResult(orders=results, phi_series=EtaSeries(phi), base_index=base_idx)

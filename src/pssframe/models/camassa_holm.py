@@ -270,29 +270,34 @@ def ch_series_table(state: CamassaHolmState, order):
     Rows are (first dual form, second dual form, connection form); columns
     their dx and dt coefficients.  Each entry is truncated at `order` and
     stored only to its degree, at most two: its higher powers are zero and
-    take no memory, and are never computed.  Feed to
-    `hierarchy.solve_hierarchy` or `hierarchy.expand_phi_system`.
+    take no memory, and are never computed.  Each power holds one
+    coefficient (`EtaSeries`): a constant power is a float and a zero one
+    0.0, and the entries share their equal planes, u_x (the state's own)
+    and -(u + 1)/2, so a table of order 2 or more holds 7 distinct planes.
+    Feed to `hierarchy.solve_hierarchy` or `hierarchy.expand_phi_system`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    shape = state.chart.counts
-    u = state.u
-    u_x = state.u_x
+    u, u_x, m = state.u, state.u_x, state.m
     h = state.momentum
-    m = state.m
-
-    def series(terms):
-        # terms[p]() is the coefficient of power p, or a constant filling it
-        kept = {p: term() for p, term in terms.items() if p <= order}
-        return EtaSeries.from_terms(kept, order, shape)
-
-    f11 = series({0: lambda: h - 1.0, 2: lambda: 0.5})
-    f12 = series({0: lambda: -u * h - 0.5 * m + 1.0, 1: lambda: u_x, 2: lambda: -0.5 * (u + 1.0)})
-    f21 = series({1: lambda: 1.0})
-    f22 = series({0: lambda: u_x, 1: lambda: -(u + 1.0)})
-    f31 = series({0: lambda: h, 2: lambda: 0.5})
-    f32 = series({0: lambda: -u * h - u - 0.5 * m, 1: lambda: u_x, 2: lambda: -0.5 * (u + 1.0)})
-    return [[f11, f12], [f21, f22], [f31, f32]]
+    # the powers of each entry from 0 up, cut at the order; the planes of
+    # powers 1 and 2 that the state does not hold are formed only if kept
+    f11 = [h - 1.0, 0.0, 0.5]
+    f12 = [-u * h - 0.5 * m + 1.0, u_x]
+    f21 = [0.0, 1.0]
+    f22 = [u_x]
+    f31 = [h, 0.0, 0.5]
+    f32 = [-u * h - u - 0.5 * m, u_x]
+    if order >= 1:
+        u_1 = u + 1.0
+        f22.append(-u_1)
+        if order >= 2:
+            half = -0.5 * u_1
+            f12.append(half)
+            f32.append(half)
+    rows = [[f11, f12], [f21, f22], [f31, f32]]
+    shape = state.chart.counts
+    return [[EtaSeries(terms[: order + 1], order, shape) for terms in row] for row in rows]
 
 
 def ch_forms(state: CamassaHolmState, eta):

@@ -69,11 +69,13 @@ def igsge_explicit_solution(chart: GridChart, c):
     if chart.origin[0] <= 0.0:
         raise ValueError("the explicit solution needs x_1 > 0 on the chart")
 
-    x1 = chart.meshgrid()[0]
+    # the fields depend on x_1 alone: tanh and sech are taken on the x_1
+    # axis and broadcast along the other axes
+    x1 = chart.axis_coordinates(0).reshape((-1,) + (1,) * (n - 1))
     with np.errstate(over="ignore"):  # cosh overflows to Inf where sech is 0
         sech = 1.0 / np.cosh(x1)
     V = np.empty((n,) + chart.counts)
-    np.tanh(x1, out=V[0])
+    V[0] = np.tanh(x1)
     # entries that stay zero are not written: the untouched zero pages of
     # an np.zeros array cost no memory
     h = np.zeros((n, n) + chart.counts)

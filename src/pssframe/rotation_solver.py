@@ -286,7 +286,7 @@ def rkmk4_fill(kernels, fold_axis=0):
             )
             return
         k = min(b, m - 1 - b)
-        up = down = blk[b].copy()
+        up = down = blk[b]
         if k:
             y = fold(up, up)
             hh = np.reshape((h, -h), (2,) + (1,) * (y.ndim - fold_axis - 1))
@@ -431,11 +431,12 @@ def linear_fills(chart, base, axes_order, slopes, streamed=False):
     Returns one (axis, `affine_fill`) per slab of the walker's sweep
     (`grid._sweep_slabs`), in sweep order: the contiguous slope slab, its
     midpoints and its gains.  streamed=True cuts the slabs for sweeps whose
-    last block goes to a sink.
+    last block goes to a sink.  Each slope slab is a copy, so the fills do
+    not keep the slopes alive: a base line would hold its whole plane.
     """
     fills = []
     for axis, _, take in _sweep_slabs(chart, base, axes_order, streamed=streamed):
-        a = np.ascontiguousarray(take(slopes[axis]))
+        a = take(slopes[axis]).copy()
         fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
     return fills
 
@@ -859,6 +860,7 @@ def special_coordinates_check(
             np.multiply(L[i, 0], e[0, k], out=v[i, k])
             for j in range(1, n):
                 v[i, k] += L[i, j] * e[j, k]
+    del frame_comp, e  # the duals are read only to form v
 
     core = _erode(valid)
     interior_mask = np.zeros_like(core)
@@ -866,9 +868,10 @@ def special_coordinates_check(
     core &= interior_mask
     valid_fraction = float(np.count_nonzero(core)) / core.size
 
-    # lie_bracket takes (*counts, n) components
-    fields = [v[0]] + [scalings[i - 1] * v[i] for i in range(1, n)]
-    fields = [np.moveaxis(f, 0, -1) for f in fields]
+    # lie_bracket takes (*counts, n) components; r_i v_i is scaled in place
+    for i in range(1, n):
+        v[i] *= scalings[i - 1]
+    fields = [np.moveaxis(f, 0, -1) for f in v]
 
     def bracket_residual(x, y):
         b = lie_bracket(chart, x, y)

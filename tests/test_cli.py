@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,75 @@ def test_converge_orders_and_determinism(tmp_path, capsys):
     manifest = read_manifest(out_a)
     assert manifest["results"]["closed_order"] >= 1.7
     assert manifest["results"]["pass"] is True
+
+
+def _watch_models(monkeypatch):
+    """Record weakrefs to the frame data and state of every model the CLI builds."""
+    refs = []
+    build = cli._build_model
+
+    def watched(cfg, scale):
+        fd, state = build(cfg, scale)
+        refs.append((weakref.ref(fd), weakref.ref(state)))
+        return fd, state
+
+    monkeypatch.setattr(cli, "_build_model", watched)
+    return refs
+
+
+def _alive_at_solves(monkeypatch, refs):
+    """Per `_solve` call, which of the watched objects are still alive."""
+    alive = []
+    solve = cli._solve
+
+    def checked(fd, cfg, keys):
+        alive.append([[ref() is not None for ref in pair] for pair in refs])
+        return solve(fd, cfg, keys)
+
+    monkeypatch.setattr(cli, "_solve", checked)
+    return alive
+
+
+def test_solve_frame_drops_the_model_state_before_the_solve(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, SG_CONFIG + "\n[solver]\ncoordinates_check = true\n")
+    refs = _watch_models(monkeypatch)
+    alive = _alive_at_solves(monkeypatch, refs)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # the frame is solved; the sine-Gordon solution it came from is gone
+    assert alive == [[[True, False]]]
+
+
+def test_converge_holds_one_scale_at_a_time(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, IGSGE3D_CONFIG + "\n[convergence]\nscales = 1, 2\n")
+    refs = _watch_models(monkeypatch)
+    alive = _alive_at_solves(monkeypatch, refs)
+    main(["converge", "--config", cfg, "--out", str(tmp_path / "out")])
+    # the igsge state (V, h) is gone at each solve, and so is the frame
+    # data of the previous scale
+    assert alive == [[[True, False]], [[False, False], [True, False]]]
+
+
+def test_conserve_drops_the_evolved_state_before_the_hierarchy(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, CH_CONFIG)
+    refs = []
+    evolve = cli._ch_state
+
+    def watched(cfg, scale):
+        state = evolve(cfg, scale)
+        refs.append(weakref.ref(state))
+        return state
+
+    alive = []
+    solve = cli.solve_hierarchy
+
+    def checked(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_ch_state", watched)
+    monkeypatch.setattr(cli, "solve_hierarchy", checked)
+    assert main(["conserve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[False]]
 
 
 def test_grid_scale_refines_chart(tmp_path):

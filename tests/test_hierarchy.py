@@ -100,8 +100,9 @@ def test_expanded_order_zero_rhs_matches_direct_formula():
     # at order 0, the expanded x and t right-hand sides must coincide with
     # the scalar angle equation evaluated on the parameter-free coefficients
     state, table = _small_ch_table(0)
-    phi = EtaSeries.from_terms({0: 0.3}, 0, state.chart.shape)
-    phi.coeffs[0] = 0.3 + 0.01 * np.arange(phi.coeffs[0].size).reshape(state.chart.shape)
+    shape = state.chart.shape
+    phi0 = 0.3 + 0.01 * np.arange(np.prod(shape)).reshape(shape)
+    phi = EtaSeries.from_terms({0: phi0}, 0, shape)
     rhs_x, rhs_t = expand_phi_system(table, phi)
     c, s = np.cos(phi.coeffs[0]), np.sin(phi.coeffs[0])
     f11, f12 = table[0][0].coefficient(0), table[0][1].coefficient(0)
@@ -332,13 +333,17 @@ def test_float_newton_line_is_the_array_line_bit_for_bit(monkeypatch):
 # tracemalloc peak in bytes of solve_hierarchy on the 64 x 16 periodic CH
 # state to order 4: 560,658 when every order formed its own slope maps,
 # 517,175 with shared maps and each exchanged-order sweep held whole, about
-# 348,500 with the certificates streamed and phi_j swept into its stack
-CH64_HIERARCHY_PEAK = 360_000
+# 351,900 with the certificates streamed and phi_j swept into its stack,
+# 342,400 with the forms in the sin/cos stack and the slopes dropped (run
+# alone; less after other tests, whose freed small objects it reuses)
+CH64_HIERARCHY_PEAK = 346_000
 # tracemalloc peak in bytes of building the order-8 table and solving the
 # hierarchy on the 513 x 129 periodic CH state of the benchmark: 66.9 MB
 # with the table stored to order 8 and the whole exchanged-order sweeps,
-# about 33.6 MB with the table at its degree and the certificates streamed
-CH513_HIERARCHY_PEAK = 35_000_000
+# 33.58 MB with the table at its degree and the certificates streamed,
+# 27.68 MB with one coefficient per power, the forms in the sin/cos stack
+# and the slopes dropped (run alone)
+CH513_HIERARCHY_PEAK = 27_800_000
 
 
 def test_hierarchy_holds_no_more_memory_than_per_order_maps():
@@ -421,7 +426,10 @@ def test_non_finite_source_gives_nan_order_compat():
     # certificate does not
     state, table = _small_ch_table(2)
     t_line = state.chart.base_index("center")[1]
-    table[2][0].coeffs[2][3, t_line - 2] = np.nan
+    f31 = table[2][0]  # its power 2 is the constant 1/2, stored as a float
+    plane = np.full(f31.shape, f31.coeffs[2])
+    plane[3, t_line - 2] = np.nan
+    table[2][0] = EtaSeries(f31.coeffs[:2] + (plane,), f31.order)
     result = solve_hierarchy(state.chart, table, 2)
     assert np.isnan(result.orders[2].compat_residual)
     assert np.isfinite(result.orders[2].phi).all()
@@ -459,6 +467,42 @@ def test_order_results_are_views_of_the_phi_stack():
     for j, item in enumerate(result.orders):
         assert item.phi.base is result.phi_series.coeffs
         assert np.shares_memory(item.phi, result.phi_series.coeffs[j])
+
+
+def test_order_forms_are_views_of_one_stack():
+    state, table = _small_ch_table(3)
+    result = solve_hierarchy(state.chart, table, 3)
+    stack = result.orders[0].form.base
+    assert stack.shape == (4, 2) + state.chart.counts
+    for j, item in enumerate(result.orders):
+        assert item.form.base is stack
+        assert np.shares_memory(item.form, stack[j])
+        assert not np.shares_memory(item.form, result.phi_series.coeffs)
+
+
+def test_table_stores_one_coefficient_per_power():
+    state, table = _small_ch_table(8)
+    (f11, f12), (f21, f22), (f31, f32) = table
+    assert [f11.coeffs[1], f21.coeffs[0], f31.coeffs[1]] == [0.0, 0.0, 0.0]
+    assert [f11.coeffs[2], f21.coeffs[1], f31.coeffs[2]] == [0.5, 1.0, 0.5]
+    assert f12.coeffs[1] is state.u_x and f22.coeffs[0] is state.u_x
+    assert f32.coeffs[1] is state.u_x and f32.coeffs[2] is f12.coeffs[2]
+    planes = {id(c) for row in table for entry in row for c in entry.coeffs if np.ndim(c)}
+    assert len(planes) == 7
+    # every power up to the order is the written-out table's, bit for bit
+    u, u_x, m = state.u, state.u_x, state.m
+    h = state.momentum
+    want = [
+        [[h - 1.0, 0.0, 0.5], [-u * h - 0.5 * m + 1.0, u_x, -0.5 * (u + 1.0)]],
+        [[0.0, 1.0], [u_x, -(u + 1.0)]],
+        [[h, 0.0, 0.5], [-u * h - u - 0.5 * m, u_x, -0.5 * (u + 1.0)]],
+    ]
+    for row, want_row in zip(table, want):
+        for entry, powers in zip(row, want_row):
+            assert entry.dense().shape == (9,) + state.chart.counts
+            for j, plane in enumerate(entry.dense()):
+                value = powers[j] if j < len(powers) else 0.0
+                assert np.array_equal(plane, np.broadcast_to(value, plane.shape))
 
 
 @pytest.mark.parametrize("periodic_axis", [0, None])

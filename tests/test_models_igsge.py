@@ -141,3 +141,25 @@ def test_identity_start_solves_exactly_on_explicit_solution():
     assert np.max(np.abs(rep.theta1[0] - np.tanh(x1))) == 0.0
     for a in (1, 2):
         assert np.all(rep.theta1[a] == 0.0)
+
+
+@pytest.mark.parametrize("dim,c", [(2, (1.0,)), (3, C3), (4, (0.5, 0.5, np.sqrt(0.5)))])
+def test_explicit_solution_is_the_meshgrid_formula_bit_for_bit(dim, c):
+    # tanh and sech are taken on the x_1 axis and broadcast; the full-grid
+    # formula they replace is written out here
+    # cosh overflows past x_1 = 710, where sech is 0 and h_1j is -0.0
+    chart = box_chart(9, dim, lo1=1e-3, hi1=720.0)
+    state = igsge_explicit_solution(chart, c)
+    x1 = chart.meshgrid()[0]
+    with np.errstate(over="ignore"):
+        sech = 1.0 / np.cosh(x1)
+    V = np.empty((dim,) + chart.counts)
+    np.tanh(x1, out=V[0])
+    h = np.zeros((dim, dim) + chart.counts)
+    for j in range(1, dim):
+        np.multiply(c[j - 1], sech, out=V[j])
+        np.multiply(-c[j - 1], sech, out=h[0, j])
+    assert np.signbit(h[0, 1, -1]).all()
+    for got, want in ((state.V, V), (state.h, h)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -2,15 +2,21 @@
 
 Usage (from the repository root):
 
-    python3 tools/output_digests.py [--seed N]
+    python3 tools/output_digests.py [--seed N ...] [--compare DIR]
 
 Each workload's inputs come from `perfbench/workloads.generate`.  Its CLI
 command runs on them in a fresh interpreter, on the package under src/ of
 the checkout this script sits in, inside a temporary directory.  One
 `sha256  path` line is printed per output file, the path being
-`<workload>/<file>`, and one more for the command's stdout.  Diff the
-output on two checkouts to see that a change keeps every output
-byte-identical.  Exits 1 when a command does not exit 0.
+`<workload>/<file>`, and one more for the command's stdout.  --seed may be
+given more than once; with more than one seed each path starts with
+`<seed>/`.  Exits 1 when a command does not exit 0.
+
+--compare DIR runs the same commands on the same inputs, once with the
+package under src/ of this checkout and once with that of the checkout
+DIR, and prints only the paths whose digests differ (or that only one side
+wrote), as `path  this  other`.  It exits 1 on any difference and 0 when
+every output is byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,32 +35,74 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
+MISSING = "-"
 
-def digests(name, seed):
-    """(path, sha256) of each output file of one workload run, and of its stdout."""
+
+def _run(name, inputs, run_dir, src, out):
+    """(path, sha256) of each output file of one command run, and of its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pssframe", *inputs.argv(out)],
+        cwd=run_dir, env=env, capture_output=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit("%s exited %d" % (name, proc.returncode))
+    files = workloads.output_digests(os.path.join(run_dir, out))
+    return list(files.items()) + [("stdout", hashlib.sha256(proc.stdout).hexdigest())]
+
+
+def digests(name, seed, checkouts=(ROOT,)):
+    """Per checkout, the (path, sha256) list of one workload run on one set of inputs."""
     with tempfile.TemporaryDirectory() as run_dir:
         inputs = workloads.generate(name, seed, run_dir)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pssframe", *inputs.argv("out")],
-            cwd=run_dir, env=env, capture_output=True,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
-            raise SystemExit("%s exited %d" % (name, proc.returncode))
-        files = workloads.output_digests(os.path.join(run_dir, "out"))
-        out = [("%s/%s" % (name, file), digest) for file, digest in files.items()]
-        return out + [("%s/stdout" % name, hashlib.sha256(proc.stdout).hexdigest())]
+        sides = []
+        for checkout in checkouts:
+            files = _run(name, inputs, run_dir, Path(checkout) / "src", "out")
+            sides.append([("%s/%s" % (name, file), digest) for file, digest in files])
+            shutil.rmtree(os.path.join(run_dir, "out"))
+        return sides
+
+
+def compare(ours, theirs):
+    """The `path  this  other` lines of the paths whose digests differ.
+
+    ours and theirs are (path, sha256) lists; a path on one side only is
+    compared against "-".  The lines keep the order of ours, then theirs.
+    """
+    mine, other = dict(ours), dict(theirs)
+    paths = list(dict.fromkeys([path for path, _ in ours] + [path for path, _ in theirs]))
+    return [
+        "%s  %s  %s" % (path, mine.get(path, MISSING), other.get(path, MISSING))
+        for path in paths
+        if mine.get(path, MISSING) != other.get(path, MISSING)
+    ]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    parser.add_argument(
+        "--seed", type=int, action="append",
+        help="input seed, may be repeated (default %d)" % workloads.DEFAULT_SEED,
+    )
+    parser.add_argument("--compare", metavar="DIR", help="checkout to compare against")
     args = parser.parse_args(argv)
-    for name in workloads.WORKLOADS:
-        for path, digest in digests(name, args.seed):
-            print("%s  %s" % (digest, path), flush=True)
+    seeds = args.seed or [workloads.DEFAULT_SEED]
+    checkouts = (ROOT,) if args.compare is None else (ROOT, Path(args.compare).resolve())
+    differ = False
+    for seed in seeds:
+        prefix = "%d/" % seed if len(seeds) > 1 else ""
+        for name in workloads.WORKLOADS:
+            sides = [[(prefix + p, d) for p, d in side] for side in digests(name, seed, checkouts)]
+            if args.compare is None:
+                lines = ["%s  %s" % (digest, path) for path, digest in sides[0]]
+            else:
+                lines = compare(*sides)
+                differ = differ or bool(lines)
+            for line in lines:
+                print(line, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
