@@ -152,17 +152,6 @@ def _model_line(cfg: RunConfig, state):
     return "model: external file=%s" % cfg.field_file
 
 
-def _structure_lines(fd, cfg):
-    (res1, res2), threshold, ok = structure_gate(fd, cfg.gate_factor)
-    line = "structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (
-        res1,
-        res2,
-        threshold,
-        "pass" if ok else "FAIL",
-    )
-    return (res1, res2), threshold, ok, line
-
-
 def _solve(fd, cfg, keys):
     """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
 
@@ -246,9 +235,10 @@ def _write_report_fields(out_dir, chart, report):
 
 def cmd_verify(cfg, cfg_path, out_dir, scale):
     fd, state = _build_model(cfg, scale)
-    (res1, res2), threshold, ok, line = _structure_lines(fd, cfg)
+    (res1, res2), threshold, ok = structure_gate(fd, cfg.gate_factor)
     print(_model_line(cfg, state))
-    print(line)
+    verdict = "pass" if ok else "FAIL"
+    print("structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (res1, res2, threshold, verdict))
     _write_manifest(
         out_dir,
         "verify",
@@ -276,16 +266,15 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
         check = special_coordinates_check(
             fd, report, keys["coordinate_constants"], keys["base"], cfg.det_rtol
         )
-        coords = {
-            "path_residual": check.path_residual,
-            "max_bracket": check.max_bracket(),
-            "valid_fraction": check.valid_fraction,
-        }
-        line = "path=%.3e bracket=%.3e" % (coords["path_residual"], coords["max_bracket"])
-        if not all(map(math.isfinite, coords.values())):
+        residuals = check.coordinate_residuals.tolist()
+        line = "path=%.3e coordinates=%s" % (
+            check.path_residual,
+            ",".join("%.3e" % r for r in residuals),
+        )
+        if not all(map(math.isfinite, [check.path_residual, *residuals])):
             raise PssframeError("coordinate check certificate is not finite: " + line)
-        print("coords: %s valid=%.3f" % (line, check.valid_fraction))
-        results.update(coords)
+        print("coords: " + line)
+        results.update(path_residual=check.path_residual, coordinate_residuals=residuals)
     # a run that fails the check leaves no field behind
     _write_report_fields(out_dir, fd.chart, report)
     if cfg.coordinates_check:

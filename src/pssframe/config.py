@@ -17,7 +17,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConfigError
-from .rotation_solver import initial_rotation, scaling_constants
+from .frames import DET_RTOL_DEFAULT, ORTH_TOL_DEFAULT
+from .rotation_solver import GATE_FACTOR_DEFAULT, initial_rotation, scaling_constants
 
 MODEL_KINDS = ("camassa_holm", "sine_gordon", "igsge", "external")
 
@@ -119,6 +120,11 @@ _CUBE = _each(
 )
 # a zero constant scales its frame field away
 _NONZERO = _each(lambda v: math.isfinite(v) and v != 0, "must be finite and nonzero")
+# the solvers refuse a rotation past ORTH_TOL_DEFAULT before a run reads orth_tol
+_ORTH_TOL = _each(
+    lambda v: 0 < v <= ORTH_TOL_DEFAULT,
+    "must be finite, positive and at most %g, the solvers' own bound" % ORTH_TOL_DEFAULT,
+)
 _NX = _each(lambda v: v >= 16 and v % 2 == 0, "must be an even number >= 16")
 _KINKS = _one_of("static_kink", "moving_kink")
 _ONE_BASED = _at_least(1, "is one-based and must be >= 1")
@@ -180,9 +186,9 @@ KEYS = (
     _key("conservation", "svg", False, _bool, None, ("conserve",)),
     _key("convergence", "scales", (1, 2, 4), _list(int), _scales, ("converge",)),
     _key("convergence", "order_floor", 1.7, float, _FINITE, ("converge",)),
-    _key("tolerances", "gate_factor", 10.0, float, _POSITIVE, _EVERY),
-    _key("tolerances", "orth_tol", 1e-12, float, _POSITIVE, _SOLVES),
-    _key("tolerances", "det_rtol", 1e-8, float, _POSITIVE, ("solve-frame",)),
+    _key("tolerances", "gate_factor", GATE_FACTOR_DEFAULT, float, _POSITIVE, _EVERY),
+    _key("tolerances", "orth_tol", ORTH_TOL_DEFAULT, float, _ORTH_TOL, _SOLVES),
+    _key("tolerances", "det_rtol", DET_RTOL_DEFAULT, float, _POSITIVE, ("solve-frame",)),
     _key("output", "directory", "out", str.strip, None, _EVERY, "out_dir"),
 )
 

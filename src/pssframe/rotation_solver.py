@@ -58,17 +58,17 @@ order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructureGateError
 from .forms import closedness_residual, potential
 from .frames import (
+    DET_RTOL_DEFAULT,
     FrameData,
     connection_matrix,
     frame_vector_fields,
-    lie_bracket,
     require_orthogonal,
     structure_residuals,
 )
@@ -488,26 +488,19 @@ class SolveReport:
         )
 
 
-def structure_threshold(chart, gate_factor, row_max):
-    """Structure-gate threshold: gate_factor * h_max^2 * max(1, max |coeff|).
-
-    row_max is the bundle's `FrameData.row_max_abs`.  A NaN coefficient
-    makes the threshold NaN, an infinite one infinite.
-    """
-    h_max = max(chart.spacing)
-    return gate_factor * h_max**2 * float(np.maximum(1.0, np.max(row_max)))
-
-
 def structure_gate(fd: FrameData, gate_factor, row_max=None):
     """Residuals, threshold and verdict of the structure gate.
 
-    Both residuals must be at most a finite threshold, so a frame with a
+    The threshold is gate_factor * h_max^2 * max(1, max |coefficient|), a
+    NaN coefficient making it NaN and an infinite one infinite.  Both
+    residuals must be at most a finite threshold, so a frame with a
     non-finite coefficient never passes.  row_max is `fd.row_max_abs()`,
     taken here when not given; the residuals and the threshold share it.
     """
     row_max = fd.row_max_abs() if row_max is None else row_max
     res1, res2 = structure_residuals(fd, curvature=-1.0, row_max=row_max)
-    threshold = structure_threshold(fd.chart, gate_factor, row_max)
+    h_max = max(fd.chart.spacing)
+    threshold = gate_factor * h_max**2 * float(np.maximum(1.0, np.max(row_max)))
     ok = bool(np.isfinite(threshold) and res1 <= threshold and res2 <= threshold)
     return (res1, res2), threshold, ok
 
@@ -724,6 +717,23 @@ def initial_rotation(L0, n):
     return L0
 
 
+def rotated_form(fd: FrameData, L, i, row_max):
+    """theta_i = sum_k L_ik omega_k (n, *counts) of a (*counts, n, n) field L.
+
+    Each coefficient is summed over k from +0.  A row omega_k,a that
+    vanishes identically (row_max is `fd.row_max_abs()`) is left out: for a
+    finite L its products are +-0, and adding +-0 to a partial sum that
+    starts at +0 changes no bit, zero signs included.
+    """
+    theta = np.zeros((fd.dim,) + fd.chart.counts)
+    term = np.empty(fd.chart.counts)  # one buffer for the products
+    for a in range(fd.dim):
+        for k in range(fd.dim):
+            if row_max[k, a] != 0.0:
+                theta[a] += np.multiply(L[..., i, k], fd.omega[k, a], out=term)
+    return theta
+
+
 def solve_L_nd(
     fd: FrameData,
     L0=None,
@@ -747,18 +757,7 @@ def solve_L_nd(
     compat = _streamed_compat(L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], sink))
 
     orth = require_orthogonal(L)
-    # theta_1 = sum_k L_0k omega_k, each coefficient summed over k from +0.
-    # A row omega_k,i that vanishes identically is left out: L is finite
-    # (require_orthogonal), so its products are +-0, and adding +-0 to a
-    # partial sum that starts at +0 changes no bit, zero signs included.
-    theta1 = np.zeros((n,) + chart.counts)
-    term = np.empty(chart.counts)  # one buffer for the products
-    for i in range(n):
-        for k in range(n):
-            if row_max[k, i] != 0.0:
-                theta1[i] += np.multiply(L[..., 0, k], fd.omega[k, i], out=term)
-    del term
-
+    theta1 = rotated_form(fd, L, 0, row_max)
     return SolveReport(
         rotation=L,
         theta1=theta1,
@@ -771,42 +770,21 @@ def solve_L_nd(
 
 
 # ---------------------------------------------------------------------------
-# commuting coordinate fields
-
-def _erode(mask):
-    """Shrink a boolean mask by one node in every axis direction."""
-    out = mask.copy()
-    for axis in range(mask.ndim):
-        lo = tuple(
-            slice(None, -1) if k == axis else slice(None) for k in range(mask.ndim)
-        )
-        hi = tuple(
-            slice(1, None) if k == axis else slice(None) for k in range(mask.ndim)
-        )
-        shrunk = mask.copy()
-        shrunk[hi] &= mask[lo]
-        shrunk[lo] &= mask[hi]
-        out &= shrunk
-    return out
-
+# special coordinates
 
 @dataclass
 class CoordinateCheck:
-    """Finite-difference certificate that the scaled frame fields commute.
+    """Path certificate of the coordinates tangent to the scaled frame fields.
 
-    potential is G (*counts) and scalings the factors r_2..r_n (n - 1, *counts).
+    potential is G = x_1 (*counts), scalings the factors r_2..r_n
+    (n - 1, *counts), and coordinate_residuals the path residuals of the
+    coordinates y_2..y_n (n - 1,).
     """
 
     potential: np.ndarray
     path_residual: float
     scalings: np.ndarray
-    first_brackets: np.ndarray  # [v_1, r_i v_i], i = 2..n
-    pair_brackets: dict  # {(i, j): residual} for 2 <= i < j
-    valid_fraction: float
-
-    def max_bracket(self):
-        """The largest bracket residual; NaN when any of them is NaN."""
-        return float(np.max([*self.first_brackets, *self.pair_brackets.values()]))
+    coordinate_residuals: np.ndarray
 
 
 def scaling_constants(constants, n):
@@ -833,63 +811,36 @@ def special_coordinates_check(
     report: SolveReport,
     constants=None,
     base="center",
-    det_rtol=1e-8,
+    det_rtol=DET_RTOL_DEFAULT,
 ):
-    """Check that v_1 and the rescaled fields r_i v_i pairwise commute.
+    """Certify the coordinates whose curves are tangent to v_1 and r_i v_i.
 
-    G is recovered from theta_1 by line integration, r_i = c_i exp(-G), and
-    all Lie brackets are formed with the chart stencils.  Residuals are
-    max-norms over interior nodes whose full difference stencil lies in the
-    nondegenerate region of the input coframe.
+    G is recovered from theta_1 by line integration and r_i = c_i exp(-G).
+    The coframe dual to {v_1, r_i v_i} is {theta_1, e^G theta_i / c_i},
+    theta_i = sum_k L_ik omega_k (`rotated_form`), and the fields commute
+    exactly when it is closed.  Its potentials are the coordinates x_1 = G
+    and y_i = int e^G theta_i / c_i; each y_i is recovered like G, and its
+    path residual is the certificate.  A coframe that `frame_vector_fields`
+    finds singular at every node raises DegenerateFrameError.
     """
     chart = fd.chart
     n = fd.dim
     constants = scaling_constants(constants, n)
+    frame_vector_fields(fd, det_rtol)  # only its refusal of a degenerate frame
 
     g, path_residual = potential(chart, report.theta1, base)
     scalings = constants.reshape((n - 1,) + (1,) * n) * np.exp(-g)
-
-    frame_comp, valid = frame_vector_fields(fd, det_rtol)
-    # v_i = sum_j L_ij e_j, one coordinate component at a time: v[i, k] is
-    # the dx_k component of v_i
-    L = np.moveaxis(report.rotation, (-2, -1), (0, 1))
-    e = np.moveaxis(frame_comp, (-2, -1), (0, 1))
-    v = np.empty(e.shape)
-    for i in range(n):
-        for k in range(n):
-            np.multiply(L[i, 0], e[0, k], out=v[i, k])
-            for j in range(1, n):
-                v[i, k] += L[i, j] * e[j, k]
-    del frame_comp, e  # the duals are read only to form v
-
-    core = _erode(valid)
-    interior_mask = np.zeros_like(core)
-    interior_mask[tuple(slice(1, -1) for _ in range(n))] = True
-    core &= interior_mask
-    valid_fraction = float(np.count_nonzero(core)) / core.size
-
-    # lie_bracket takes (*counts, n) components; r_i v_i is scaled in place
+    growth = np.exp(g)
+    row_max = fd.row_max_abs()
+    residuals = []
     for i in range(1, n):
-        v[i] *= scalings[i - 1]
-    fields = [np.moveaxis(f, 0, -1) for f in v]
-
-    def bracket_residual(x, y):
-        b = lie_bracket(chart, x, y)
-        if not core.any():
-            return float("nan")
-        return float(np.max(np.abs(b[core])))
-
-    first = np.array([bracket_residual(fields[0], fields[i]) for i in range(1, n)])
-    pairs = {}
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            pairs[(i + 1, j + 1)] = bracket_residual(fields[i], fields[j])
-
+        form = rotated_form(fd, report.rotation, i, row_max)
+        form *= growth
+        form /= constants[i - 1]
+        residuals.append(potential(chart, form, base)[1])
     return CoordinateCheck(
         potential=g,
         path_residual=path_residual,
         scalings=scalings,
-        first_brackets=first,
-        pair_brackets=pairs,
-        valid_fraction=valid_fraction,
+        coordinate_residuals=np.array(residuals),
     )

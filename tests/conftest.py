@@ -1,9 +1,18 @@
 """Shared fixtures: small analytic frames with known structure behavior."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from pssframe import FrameData, GridChart, connection_matrix
+from pssframe import (
+    FrameData,
+    GridChart,
+    connection_matrix,
+    frame_vector_fields,
+    lie_bracket,
+    special_coordinates_check,
+)
 from pssframe.models import igsge_explicit_solution, igsge_forms
 
 
@@ -165,3 +174,34 @@ def non_finite_frame(dim, component, value, node="center"):
     target = fd.omega[1, 1] if component == "omega" else fd.connection[0, 1]
     target[where] = value
     return fd
+
+
+def max_bracket(fd, report, constants=None, base="center"):
+    """The largest Lie bracket of the scaled special frame: an oracle for
+    `special_coordinates_check`.
+
+    The frame fields are v = L F^-T (`frame_vector_fields`), rescaled to
+    r_i v_i with the check's r_i = c_i exp(-G), and every bracket
+    [v_1, r_i v_i] and [r_i v_i, r_j v_j] is formed with the chart stencils
+    (`lie_bracket`).  Max-norm over the interior nodes whose whole stencil
+    lies in the nondegenerate region; NaN when no node does.
+    """
+    n = fd.dim
+    scalings = special_coordinates_check(fd, report, constants, base).scalings
+    comps, valid = frame_vector_fields(fd)
+    fields = [np.einsum("...j,...jk->...k", report.rotation[..., i, :], comps) for i in range(n)]
+    for i in range(1, n):
+        fields[i] *= scalings[i - 1][..., None]
+    # the valid nodes whose neighbours along every axis are valid, interior
+    core = valid.copy()
+    for axis in range(n):
+        for shift in (1, -1):
+            core &= np.roll(valid, shift, axis)
+    interior = np.zeros_like(core)
+    interior[tuple(slice(1, -1) for _ in range(n))] = True
+    core &= interior
+    if not core.any():
+        return float("nan")
+    pairs = combinations(range(n), 2)
+    brackets = [lie_bracket(fd.chart, fields[i], fields[j])[core] for i, j in pairs]
+    return float(np.max([np.max(np.abs(b)) for b in brackets]))

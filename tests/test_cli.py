@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import exp_metric_frame, flat_frame, non_finite_frame
+from conftest import exp_metric_frame, flat_frame, half_space_frame, non_finite_frame
 from pssframe import cli
 from pssframe.cli import main
 from pssframe.config import parse_config
@@ -177,15 +177,17 @@ coordinates_check = true
     assert (out / "potential.pssfield").exists()
     results = read_manifest(out)["results"]
     assert results["path_residual"] < 1e-8
-    assert results["valid_fraction"] > 0.8  # interior nodes of a 26x21 chart
+    (residual,) = results["coordinate_residuals"]
+    assert residual < 1e-3
+    assert lines[-1] == "coords: path=%.3e coordinates=%.3e" % (results["path_residual"], residual)
 
 
 def test_solve_frame_fails_a_non_finite_coordinate_certificate(tmp_path, capsys):
-    # exp(-G) times 1e308 overflows: the certificate is NaN, not a pass
+    # e^G theta_2 / 1e-320 overflows: the certificate is NaN, not a pass
     cfg = write_config(
         tmp_path,
         SG_CONFIG.replace("33, 33", "9, 9")
-        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e308\n",
+        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e-320\n",
     )
     out = tmp_path / "out"
     assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 1
@@ -199,7 +201,7 @@ def test_failed_coordinate_check_leaves_no_field(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         SG_CONFIG.replace("33, 33", "9, 9")
-        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e308\n",
+        + "\n[solver]\ncoordinates_check = true\ncoordinate_constants = 1e-320\n",
     )
     out = tmp_path / "out"
     assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 1
@@ -207,6 +209,24 @@ def test_failed_coordinate_check_leaves_no_field(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: ")
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_four_dimensional_coordinates_check_reports_three_residuals(tmp_path, capsys):
+    # the half-space frame is special already: every coordinate is exact
+    field = tmp_path / "half_space.pssfield"
+    save_frame_data(field, half_space_frame(4, 5))
+    cfg = write_config(
+        tmp_path,
+        "[model]\nkind = external\nfield_file = %s\n"
+        "[solver]\ncoordinates_check = true\n" % field,
+    )
+    out = tmp_path / "out"
+    assert main(["solve-frame", "--config", cfg, "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("coords: path=") and line.count(",") == 2
+    residuals = read_manifest(out)["results"]["coordinate_residuals"]
+    assert len(residuals) == 3
+    assert max(residuals) < 1e-14
 
 
 def test_ill_conditioned_frame_fails_the_coordinate_check_with_one_line(tmp_path, capsys):

@@ -266,6 +266,8 @@ CH_OPEN = with_keys(CH, hierarchy__periodic_axis=None)
         ("converge", with_keys(SG, convergence__scales="1, 0"), "[convergence] scales"),
         ("converge", with_keys(SG, convergence__scales="1, 1"), "[convergence] scales"),
         ("solve-frame", with_keys(SG, solver__phi0="nan"), "[solver] phi0"),
+        # past the solvers' own bound 1e-12 the key did nothing
+        ("solve-frame", with_keys(SG, tolerances__orth_tol="1e-6"), "[tolerances] orth_tol"),
         (
             "solve-frame",
             with_keys(SG_COORDS, solver__coordinate_constants="nan"),
@@ -275,7 +277,8 @@ CH_OPEN = with_keys(CH, hierarchy__periodic_axis=None)
     ],
     ids=[
         "m-nan", "period-nan", "t_final-inf", "cfl--1", "velocity-1.5", "velocity-nan", "c-nan",
-        "time_axis-5", "scales-1-0", "scales-1-1", "phi0-nan", "coordinate_constants-nan",
+        "time_axis-5", "scales-1-0", "scales-1-1", "phi0-nan", "orth_tol-1e-6",
+        "coordinate_constants-nan",
         "start_values-nan",
     ],
 )
@@ -286,6 +289,13 @@ def test_values_that_crashed_or_ran_exit_2_naming_their_key(
     code, _, err, _ = runner.run(command, runner.write(config))
     assert code == 2
     assert err.startswith("config error: %s: " % key) and err.count("\n") == 1, err
+
+
+def test_orth_tol_names_the_solvers_bound(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[tolerances]\north_tol = 1.5e-12\n")
+    with pytest.raises(ConfigError, match=r"orth_tol: .*at most 1e-12.*got 1\.5e-12"):
+        parse_config(str(path))
 
 
 def test_readme_config_reference_matches_the_table():

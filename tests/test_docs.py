@@ -78,6 +78,11 @@ def test_removed_names_are_gone():
     removed = _section("Removed from the API", "### Python quickstart")
     dotted = [name for name in _names(removed) if "." in name]
     assert "frames.FrameRotationField" in dotted
+    assert {
+        "rotation_solver.CoordinateCheck.max_bracket",
+        "rotation_solver.CoordinateCheck.valid_fraction",
+        "rotation_solver.structure_threshold",
+    } <= set(dotted)
     for name in dotted:
         assert not _resolve(pssframe, name), name
         assert not _resolve(importlib.import_module("pssframe.models"), name), name

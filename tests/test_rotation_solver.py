@@ -15,13 +15,13 @@ from pssframe import (
     solve_phi_2d,
     special_coordinates_check,
 )
-from pssframe import grid
+from pssframe import grid, rotation_solver
 from pssframe.errors import StructureGateError
 from pssframe.grid import _streamed_compat, _sweep, midpoints
+from pssframe.models import sg_forms, sg_solution
 from pssframe.rotation_solver import (
     AXIAL_KERNELS,
     MATRIX_KERNELS,
-    CoordinateCheck,
     _axial_fill,
     _dexpinv_axial,
     _matrix_fill,
@@ -45,6 +45,7 @@ from conftest import (
     flat_frame,
     half_space_frame,
     igsge_frame,
+    max_bracket,
     rotated_l0,
     varying_rotation_frame,
 )
@@ -479,8 +480,6 @@ def test_solve_base_origin_variant():
 
 
 def _kink_frame_65():
-    from pssframe.models import sg_forms, sg_solution
-
     return sg_forms(sg_solution(GridChart((-8.0, -8.0), (0.25, 0.25), (65, 65))))
 
 
@@ -928,25 +927,20 @@ def test_initial_rotation_must_be_orthogonal():
 
 
 def test_special_coordinates_on_exp_metric_are_exact():
-    # theta_1 = dx exactly, so G = x - x_base exactly; the rescaled fields
+    # theta_1 = dx exactly, so G = x - x_base exactly, and the dual form
+    # e^G theta_2 = e^{-x_base} dy of r_2 v_2 is exact; the rescaled fields
     # r_2 v_2 = e^{-x} e^{x} d/dy = d/dy commute with v_1 = d/dx
     fd = exp_metric_frame(41)
     rep = solve_phi_2d(fd)
     check = special_coordinates_check(fd, rep)
     assert check.path_residual < 1e-13
-    assert check.max_bracket() < 1e-10
-    assert check.valid_fraction > 0.85
+    assert check.coordinate_residuals.shape == (1,)
+    assert check.coordinate_residuals[0] < 1e-13
+    assert max_bracket(fd, rep) < 1e-10
     x, _ = fd.chart.meshgrid()
     base = fd.chart.base_index("center")
     assert np.max(np.abs(check.potential - (x - x[base]))) < 1e-12
     assert np.max(np.abs(check.scalings[0] - np.exp(-(x - x[base])))) < 1e-12
-
-
-def test_max_bracket_is_nan_when_a_pair_bracket_is_nan():
-    check = CoordinateCheck(None, 0.0, [], np.array([1e-3, 2e-3]), {(2, 3): np.nan}, 1.0)
-    assert math.isnan(check.max_bracket())
-    check.pair_brackets[(2, 3)] = 3e-3
-    assert check.max_bracket() == 3e-3
 
 
 def test_special_coordinates_scaling_constants():
@@ -960,11 +954,93 @@ def test_special_coordinates_scaling_constants():
         special_coordinates_check(fd, rep, constants=[1.0, 1.0])
 
 
-def test_special_coordinates_bracket_converges_on_cosh_metric():
+def test_special_coordinates_converge_on_cosh_metric():
     errs = []
     for n in (21, 41, 81):
         fd = cosh_metric_frame(n)
         rep = solve_phi_2d(fd)
-        errs.append(special_coordinates_check(fd, rep).max_bracket())
+        errs.append(special_coordinates_check(fd, rep).coordinate_residuals[0])
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 1.5)
+
+
+def kink_ladder():
+    """Kink solves on [0.5, 4] x [-2, 2] at 65^2, 129^2 and 257^2."""
+    for n in (65, 129, 257):
+        chart = GridChart((0.5, -2.0), (3.5 / (n - 1), 4.0 / (n - 1)), (n, n))
+        fd = sg_forms(sg_solution(chart))
+        yield fd, solve_phi_2d(fd)
+
+
+def igsge3d_ladder():
+    """igsge 3D solves on [0.5, 6] x [-4, 4]^2 at 13^3, 25^3 and 49^3, rotated start."""
+    for n in (13, 25, 49):
+        fd = igsge_frame(n)
+        yield fd, solve_L_nd(fd, rotated_l0(3))
+
+
+def _coordinate_orders(ladder):
+    """The order in h of each coordinate residual between neighbouring solves."""
+    h, residuals = [], []
+    for fd, report in ladder:
+        h.append(max(fd.chart.spacing))
+        residuals.append(special_coordinates_check(fd, report).coordinate_residuals)
+    h, residuals = np.array(h)[:, None], np.array(residuals)
+    return np.log(residuals[:-1] / residuals[1:]) / np.log(h[:-1] / h[1:])
+
+
+@pytest.mark.parametrize("ladder", [kink_ladder, igsge3d_ladder], ids=["kink", "igsge3d"])
+def test_coordinate_residuals_converge_at_second_order(ladder):
+    orders = _coordinate_orders(ladder())
+    assert orders.shape[1] == (1 if ladder is kink_ladder else 2)
+    assert np.all(orders >= 1.7), orders
+
+
+def test_coordinate_residuals_converge_in_four_dimensions():
+    Q = rotated_l0(4)
+    K = Q[:, 1:2] @ Q[:, :1].T - Q[:, :1] @ Q[:, 1:2].T
+
+    def ladder():
+        for m in (5, 9, 13):
+            fd, R = varying_rotation_frame(m, K, (1.0, 0.75, -0.5, 0.25))
+            yield fd, solve_L_nd(fd, R[fd.chart.base_index("center")].T)
+
+    orders = _coordinate_orders(ladder())
+    assert orders.shape[1] == 3
+    assert np.all(orders >= 1.7), orders
+
+
+def _flip_g(monkeypatch, solves):
+    """Mutation: G comes back with its sign flipped, so the check forms e^-G theta_i."""
+    potential = rotation_solver.potential
+    firsts = [report.theta1 for _, report in solves]
+
+    def flipped(chart, theta, base="center"):
+        g, residual = potential(chart, theta, base)
+        return (-g if any(theta is t for t in firsts) else g), residual
+
+    monkeypatch.setattr(rotation_solver, "potential", flipped)
+
+
+def _transpose_rows(monkeypatch, solves):
+    """Mutation: theta_i takes row i of L^T, a column of L, for row i of L."""
+    rotated_form = rotation_solver.rotated_form
+    monkeypatch.setattr(
+        rotation_solver,
+        "rotated_form",
+        lambda fd, L, i, row_max: rotated_form(fd, np.swapaxes(L, -1, -2), i, row_max),
+    )
+
+
+@pytest.mark.parametrize("mutate", [_flip_g, _transpose_rows], ids=["exp-minus-G", "wrong-row"])
+@pytest.mark.parametrize("ladder", [kink_ladder, igsge3d_ladder], ids=["kink", "igsge3d"])
+def test_coordinate_certificate_catches_mutations(monkeypatch, ladder, mutate):
+    # the unmutated residuals fall by 4 per halving (at most 1e-2); a mutant
+    # reads above 0.4 at every resolution and does not converge
+    solves = list(ladder())
+    good = [special_coordinates_check(*solve).coordinate_residuals for solve in solves]
+    mutate(monkeypatch, solves)
+    bad = [special_coordinates_check(*solve).coordinate_residuals for solve in solves]
+    assert np.max(good) < 1e-2
+    assert np.min(bad) > 0.4
+    assert np.all(np.array(bad[-1]) > 0.5 * np.array(bad[0]))
