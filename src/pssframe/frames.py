@@ -31,9 +31,9 @@ from .grid import GridChart, dense, partial_derivative
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
 # Nodes per pass of the blocked loops (the Gram blocks of
-# `orthogonality_error`, `_duals_2d`, the slabs of `structure_residuals`):
-# one double per node is 64 KB, in cache and below glibc's 128 KB mmap
-# threshold, so such a temporary faults in no fresh pages.
+# `orthogonality_error`, `_nonsingular_2d` and `_duals_2d`, the slabs of
+# `structure_residuals`): one double per node is 64 KB, in cache and below
+# glibc's 128 KB mmap threshold, so such a temporary faults in no fresh pages.
 _BLOCK_NODES = 8192
 
 
@@ -68,6 +68,19 @@ class FrameData:
         # max and -min of each row: no |row| temporary
         forms = (*self.omega, *self.connection)
         return np.array([[np.maximum(np.max(c), -np.min(c)) for c in w] for w in forms])
+
+
+def live_rows(row_max):
+    """live[f, k]: the dx_k row of form f is not known to vanish identically.
+
+    row_max is `FrameData.row_max_abs`.  A row of zeros contributes only +-0
+    products while every coefficient is finite; with a NaN or an infinite
+    coefficient every row is live, since 0 * inf is NaN.
+    """
+    live = row_max != 0.0
+    if not np.isfinite(row_max).all():
+        live[:] = True
+    return live
 
 
 def connection_matrix(upper, axis):
@@ -109,10 +122,9 @@ def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
     pairs = list(combinations(range(n), 2))
     row_max = fd.row_max_abs() if row_max is None else row_max
     K = float(curvature)
-    # live[f, k]: the dx_k row of form f (omega_f, then the stored connection
-    # entries) is not known to vanish identically
-    live = row_max != 0.0
-    if not (np.isfinite(K) and np.isfinite(row_max).all()):
+    # rows f: omega_f, then the stored connection entries
+    live = live_rows(row_max)
+    if not np.isfinite(K):
         live[:] = True
 
     def entry(i, j):  # omega_ij as (sign, form of the stored upper entry)
@@ -281,38 +293,50 @@ def frame_change(fd: FrameData, L) -> FrameData:
     return FrameData(chart, theta, upper)
 
 
-def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
-    """Coordinate components of the frame vectors dual to the coefficient matrix.
+def nonsingular_nodes(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
+    """The nodes (*counts) whose coefficient matrix F passes the determinant test.
 
-    Returns (components, valid) where components[..., i, k] is the k-th
-    coordinate component of e_i (so omega_j(e_i) = delta_ij) and valid marks
-    nodes whose coefficient matrix F passed the relative determinant test
-    |det(F / scale)| > det_rtol, scale the max |coefficient|; the other
-    nodes hold zeros.  Scaling first keeps the test free of overflow at any
-    coefficient size.  n = 2 takes the closed form of `_duals_2d`, n >= 3
-    `np.linalg.det` and `np.linalg.inv`.
-    Raises DegenerateFrameError when no node is invertible.
+    A node passes when |det(F / scale)| > det_rtol, scale the max
+    |coefficient|; scaling first keeps the test free of overflow at any
+    coefficient size, and a NaN or +-Inf coefficient fails it.  n = 2 takes
+    det = p u from the pivot and Schur complement of `_pivot_schur`, n >= 3
+    `np.linalg.det`; no inverse is formed.  Raises DegenerateFrameError
+    when no node passes.
     """
-    F = fd.coefficient_matrix()
     n = fd.dim
-    scale = float(np.max(np.abs(F)))
+    scale = float(np.max(np.abs(fd.omega)))
     if scale == 0.0:
         raise DegenerateFrameError("coefficient matrix vanishes identically")
     if n == 2:
-        comps, valid = _duals_2d(fd.omega, scale, det_rtol)
+        valid = _nonsingular_2d(fd.omega, scale, det_rtol)
     else:
         # NaN and +-Inf coefficients give NaN here; they are invalid
         with np.errstate(invalid="ignore"):
-            valid = np.abs(np.linalg.det(F / scale)) > det_rtol
+            valid = np.abs(np.linalg.det(fd.coefficient_matrix() / scale)) > det_rtol
     if not valid.any():
         raise DegenerateFrameError(
             "degenerate frame: coefficient matrix is singular everywhere"
             " (|det| <= %g max|coefficient|^%d)"
             % (det_rtol, n)
         )
-    if n > 2:
-        comps = np.zeros_like(F)
-        comps[valid] = np.swapaxes(np.linalg.inv(F[valid]), -1, -2)
+    return valid
+
+
+def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
+    """Coordinate components of the frame vectors dual to the coefficient matrix.
+
+    Returns (components, valid) where components[..., i, k] is the k-th
+    coordinate component of e_i (so omega_j(e_i) = delta_ij) and valid is
+    `nonsingular_nodes`, which raises DegenerateFrameError when no node is
+    invertible; the other nodes hold zeros.  n = 2 takes the closed form of
+    `_duals_2d`, n >= 3 `np.linalg.inv`.
+    """
+    valid = nonsingular_nodes(fd, det_rtol)
+    if fd.dim == 2:
+        return _duals_2d(fd.omega, valid), valid
+    F = fd.coefficient_matrix()
+    comps = np.zeros_like(F)
+    comps[valid] = np.swapaxes(np.linalg.inv(F[valid]), -1, -2)
     return comps, valid
 
 
@@ -334,34 +358,17 @@ def _product_error(xs, ys, xy):
     return e
 
 
-def _duals_2d(omega, scale, det_rtol):
-    """(comps, valid) of `frame_vector_fields` for a 2 x 2 coframe, closed form.
-
-    For F = [[a, b], [c, d]], comps is F^-T = [[d, -c], [-b, a]] / det as
-    the LU factors with partial pivoting give it: the pivot p is whichever
-    of a, c is larger in magnitude (a on a tie), g the other, and q, s their
-    row partners.  The Schur complement u = s - (g / p) q is accurate to a
-    few ulps at any conditioning, since the roundings of l = g / p and of
-    l q are recovered exactly by TwoProduct.  Each component is then its
-    cofactor divided by u and by +-p, and the pivot's own component is
-    1 / u: a diagonal F gets 1 / a and 1 / d correctly rounded.  A node is
-    valid where |det| / scale^2 = |(p / scale) (u / scale)| exceeds det_rtol.
-    """
-    counts = omega.shape[2:]
-    flat = omega.reshape(2, 2, -1)
-    comps = np.empty(flat.shape)
-    valid = np.empty(flat.shape[2], bool)
-    for start in range(0, valid.size, _BLOCK_NODES):
-        blk = slice(start, start + _BLOCK_NODES)
-        valid[blk] = _duals_block(flat[..., blk], comps[..., blk], scale, det_rtol)
-    comps = comps.reshape((2, 2) + counts)
-    return np.moveaxis(comps, (0, 1), (-2, -1)), valid.reshape(counts)
-
-
 # singular, NaN and +-Inf nodes give NaN or Inf here; they are invalid
 @np.errstate(all="ignore")
-def _duals_block(omega, comps, scale, det_rtol):
-    """Fill comps (2, 2, nodes) from omega (2, 2, nodes); see `_duals_2d`."""
+def _pivot_schur(omega):
+    """(swap, p, u) of the LU factors of F = [[a, b], [c, d]] (2, 2, nodes).
+
+    With partial pivoting the pivot p is whichever of a, c is larger in
+    magnitude (a on a tie; swap marks c), g the other, and q, s their row
+    partners.  The Schur complement u = s - (g / p) q is accurate to a few
+    ulps at any conditioning, since the roundings of l = g / p and of l q
+    are recovered exactly by TwoProduct.  det F = +-p u, - where swap.
+    """
     (a, b), (c, d) = omega
     swap = np.abs(c) > np.abs(a)
     p, g = np.where(swap, c, a), np.where(swap, a, c)
@@ -376,8 +383,48 @@ def _duals_block(omega, comps, scale, det_rtol):
     rho /= p
     rho *= q
     u -= rho
-    np.negative(p, out=p, where=swap)  # det = p u, with its sign
+    return swap, p, u
 
+
+def _nonsingular_2d(omega, scale, det_rtol):
+    """The mask of `nonsingular_nodes` for a 2 x 2 coframe (2, 2, *counts):
+    |det| / scale^2 = |(p / scale) (u / scale)| > det_rtol."""
+    flat = omega.reshape(2, 2, -1)
+    valid = np.empty(flat.shape[2], bool)
+    with np.errstate(all="ignore"):
+        for start in range(0, valid.size, _BLOCK_NODES):
+            blk = slice(start, start + _BLOCK_NODES)
+            _, p, u = _pivot_schur(flat[..., blk])
+            valid[blk] = np.abs((u / scale) * (p / scale)) > det_rtol
+    return valid.reshape(omega.shape[2:])
+
+
+def _duals_2d(omega, valid):
+    """The components of `frame_vector_fields` for a 2 x 2 coframe, closed form.
+
+    For F = [[a, b], [c, d]], comps is F^-T = [[d, -c], [-b, a]] / det as
+    the LU factors of `_pivot_schur` give it: each component is its
+    cofactor divided by u and by +-p, and the pivot's own component is
+    1 / u, so a diagonal F gets 1 / a and 1 / d correctly rounded.  Nodes
+    that valid does not mark hold zeros.
+    """
+    counts = omega.shape[2:]
+    flat = omega.reshape(2, 2, -1)
+    comps = np.empty(flat.shape)
+    valid = valid.reshape(-1)
+    for start in range(0, valid.size, _BLOCK_NODES):
+        blk = slice(start, start + _BLOCK_NODES)
+        _duals_block(flat[..., blk], comps[..., blk], valid[blk])
+    comps = comps.reshape((2, 2) + counts)
+    return np.moveaxis(comps, (0, 1), (-2, -1))
+
+
+@np.errstate(all="ignore")
+def _duals_block(omega, comps, valid):
+    """Fill comps (2, 2, nodes) from omega (2, 2, nodes); see `_duals_2d`."""
+    (a, b), (c, d) = omega
+    swap, p, u = _pivot_schur(omega)
+    np.negative(p, out=p, where=swap)  # det = p u, with its sign
     for out, cof in zip((comps[0, 0], comps[0, 1], comps[1, 0], comps[1, 1]), (d, c, b, a)):
         np.divide(cof, u, out=out)
         out /= p
@@ -385,12 +432,7 @@ def _duals_block(omega, comps, scale, det_rtol):
     np.negative(comps[1, 0], out=comps[1, 0])
     np.divide(1.0, u, out=comps[1, 1], where=~swap)
     np.divide(1.0, u, out=comps[0, 1], where=swap)
-    u /= scale
-    p /= scale
-    u *= p
-    valid = np.abs(u, out=u) > det_rtol
     comps[:, :, ~valid] = 0.0
-    return valid
 
 
 def lie_bracket(chart: GridChart, x_comp, y_comp):

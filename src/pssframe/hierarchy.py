@@ -42,9 +42,14 @@ their midpoints and the gains A of both axis orders are built once
 (`linear_fills`) and shared by every order, and the slopes are dropped
 once they and the periodic line start are built; each order forms only its
 source blocks, their midpoints, the shifts B and the line recurrence.
+Order zero's sweeps leave out an omega_1 or omega_2 row that vanishes
+identically along an axis (`angle_system`; at order zero the Camassa-Holm
+omega_2 has no dx term, so the x sweeps take sin(phi) alone).
 Periodic starting values come from return maps along the first-axis line
-through the base: safeguarded Newton for the nonlinear order zero, with
-the variational equation integrated alongside on Python floats, and for
+through the base: a coarse scan of the line's return map, which leaves
+out the same rows where they are zero along the line, then safeguarded
+Newton for the nonlinear order zero, with the variational equation (which
+reads both sin and cos) integrated alongside on Python floats, and for
 every later order the composition of the line's affine step maps, whose
 gain is again formed once.  Both run on the solver's one line engine
 (`line_steps`, `integrate_line`, `affine_line`), which also steps every
@@ -71,12 +76,12 @@ from .rotation_solver import (
     affine_line,
     affine_shifts,
     angle_sweeps,
+    angle_system,
     integrate_line,
     line_steps,
     linear_fills,
     sweep_linear,
 )
-from .rotation_solver import angle_rhs as _angle_rhs
 
 
 class EtaSeries:
@@ -326,7 +331,7 @@ def _integrate_line(y0, h, node_fields, mid_fields, rhs):
 def _angle_return(h, steps, y):
     """R(y) and R'(y) of the angle equation's line, on Python floats.
 
-    steps are the `line_steps` samples (s0, s1, s2) of `_angle_rhs`.  The
+    steps are the `line_steps` samples (s0, s1, s2) of `angle_rhs`.  The
     angle is stepped together with its variational equation
     v' = (cos(y) s0 - sin(y) s1) v from v = 1, in the operation order of
     `rkmk4_step` on the additive group: u = (h/2) k, y + u, and at the end
@@ -353,18 +358,22 @@ def _angle_return(h, steps, y):
 def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
     """Starting angle whose line integration closes up after one period.
 
-    node_fields are the (s0, s1, s2) samples of `_angle_rhs` along the line.
+    node_fields are the (s0, s1, s2) samples of `angle_rhs` along the line.
     The displacement map y -> R(y) - y is continuous and 2*pi periodic, so a
     coarse scan brackets a fixed point of the return map on the circle when
-    one exists.  Inside the first bracket, safeguarded Newton solves
-    R(y) - y = 2*pi*k with R'(y) from the variational equation carried in
-    the same line integration (`_angle_return`, on Python floats); a step
-    that leaves the bracket or does not halve the previous one is replaced
-    by bisection.
+    one exists; the scan leaves out s0 or s1 when it is zero along the
+    whole line (`angle_system`; no scanned angle is -0).  Inside the first
+    bracket, safeguarded Newton solves R(y) - y = 2*pi*k with R'(y) from the
+    variational equation carried in the same line integration
+    (`_angle_return`, on Python floats, which keeps every term: the
+    variational equation reads both sin and cos); a step that leaves the
+    bracket or does not halve the previous one is replaced by bisection.
     """
     mids = [midpoints(f, 0) for f in node_fields]
     grid = np.linspace(-np.pi, np.pi, samples + 1)
-    disp = _integrate_line(grid, h, node_fields, mids, _angle_rhs) - grid
+    # angle_system arranges each field with its midpoints
+    kept, rhs = angle_system(*zip(node_fields, mids), *(np.any(f) for f in node_fields[:2]))
+    disp = _integrate_line(grid, h, *zip(*kept), rhs) - grid
     steps = line_steps(node_fields, mids)
 
     for a, b, da, db in zip(grid[:-1], grid[1:], disp[:-1], disp[1:]):
@@ -538,7 +547,7 @@ def solve_hierarchy(
 
     # every order is swept straight into its row of the stack
     phi = np.zeros((order + 1,) + counts)
-    _, compat0, _, _ = angle_sweeps(fd0, phi0_start, base_idx, gate_factor, out=phi[0])
+    compat0 = angle_sweeps(fd0, phi0_start, base_idx, gate_factor, out=phi[0])[1]
     del fd0
     results = [
         OrderResult(

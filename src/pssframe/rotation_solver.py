@@ -31,6 +31,21 @@ row operations instead of stacked 3 x 3 products.  Each 3 x 3 contraction
 `np.einsum`, which sums k = 0, 1, 2 in the order of the written-out row
 sums; no `optimize=`, which may hand the sum to BLAS in another order.
 
+Both solvers leave out the coefficient rows that vanish identically, as
+the structure gate's `FrameData.row_max_abs` finds them, but only when
+every coefficient is finite (`frames.live_rows`).  Along an axis where
+exactly one of the omega_1 and omega_2 rows vanishes, the angle equation
+takes only sin(phi) or only cos(phi) (`angle_system`).  The n = 3
+coefficient slab P holds only the live rows of om and w, and the algebra
+element contracts L over those rows; on the diagonal igsge coframe that is
+5 of the 18 planes of the three axes.  Every term left out is +-0.  In
+the n = 3 element it would join an `np.einsum` sum, which starts at +0 and
+so is never -0, and there a +-0 term changes no bit.  In the angle
+equation it can change only the sign of a zero slope, which reaches the
+state only through a -0 state; a line holds -0 only from a -0 start, and a
+-0 start keeps every row.  So every output keeps its bits.  The n >= 4
+matrix kernels keep every row.
+
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  There are two block fills, each of which samples
 its coefficient slab at the interval midpoints itself: `rkmk4_fill` steps
@@ -68,7 +83,8 @@ from .frames import (
     DET_RTOL_DEFAULT,
     FrameData,
     connection_matrix,
-    frame_vector_fields,
+    live_rows,
+    nonsingular_nodes,
     require_orthogonal,
     structure_residuals,
 )
@@ -412,14 +428,15 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=Non
 
     node_fields[axis]: the full-grid arrays the right-hand side consumes
     along that axis, so each block takes only its own axis's fields.
-    rhs(samples, y): samples holds one array per field of the swept axis,
-    sampled at the stage position.  Returns the filled grid array (out,
-    when given), or streams its last block to sink (`_sweep`).
+    rhs[axis](samples, y): the right-hand side along that axis, samples
+    holding one array per field of the axis, sampled at the stage position.
+    Returns the filled grid array (out, when given), or streams its last
+    block to sink (`_sweep`).
     """
-    fill = rkmk4_fill(additive_kernels(rhs))
+    fills = [rkmk4_fill(additive_kernels(f)) for f in rhs]
 
     def system(axis, take):
-        return [take(f) for f in node_fields[axis]], fill
+        return [take(f) for f in node_fields[axis]], fills[axis]
 
     return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
 
@@ -528,26 +545,62 @@ def angle_rhs(s, y):
     return s[2] + np.sin(y) * s[0] + np.cos(y) * s[1]
 
 
+def _sin_rhs(s, y):
+    # angle_rhs with omega_2's row left out: s = (omega_1, omega_12)
+    return s[1] + np.sin(y) * s[0]
+
+
+def _cos_rhs(s, y):
+    # angle_rhs with omega_1's row left out: s = (omega_2, omega_12)
+    return s[1] + np.cos(y) * s[0]
+
+
+def angle_system(om1, om2, om12, live1, live2):
+    """(fields, rhs) of the angle equation along one axis.
+
+    om1, om2 and om12 are the axis's coefficients of omega_1, omega_2 and
+    omega_12; live1 and live2 say whether the rows of omega_1 and omega_2
+    may be nonzero.  When exactly one of them vanishes identically, its
+    field and its sin or cos are left out, and the rhs sums the other two
+    terms in `angle_rhs`'s order.  The term left out is +-0 at every stage,
+    so the slope can differ only in the sign of a zero, which no state
+    takes on unless the line started from -0 (module docstring).
+    """
+    if live1 and not live2:
+        return [om1, om12], _sin_rhs
+    if live2 and not live1:
+        return [om2, om12], _cos_rhs
+    return [om1, om2, om12], angle_rhs
+
+
 def angle_sweeps(fd: FrameData, phi0, base_idx, gate_factor, out=None):
     """The structure gate, the angle sweep and its streamed certificate.
 
     The core of `solve_phi_2d`, for callers that need only the angle.
-    Returns (phi, compat, structure, threshold): the angle field, filled
-    into out when given, the compat residual against the exchanged axis
-    order, the structure residuals and the gate threshold.
+    Returns (phi, compat, structure, threshold, row_max): the angle field,
+    filled into out when given, the compat residual against the exchanged
+    axis order, the structure residuals, the gate threshold and the gate's
+    `FrameData.row_max_abs`.  Along each axis the equation leaves out a
+    row of omega_1 or omega_2 that vanishes identically (`angle_system`),
+    unless a coefficient is not finite (`live_rows`) or phi0 is -0.
     """
     chart = fd.chart
-    structure, threshold, _ = _structure_gate(fd, gate_factor)
+    structure, threshold, row_max = _structure_gate(fd, gate_factor)
+    live = live_rows(row_max)
+    if phi0 == 0.0 and np.signbit(phi0):
+        live[:] = True
 
     om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
-    # per axis: the dx_axis coefficients of omega_1, omega_2, omega_12
-    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
-
-    phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, angle_rhs, out=out)
-    compat = _streamed_compat(
-        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, angle_rhs, sink)
+    # per axis: the dx_axis coefficients the equation reads, and its rhs
+    fields, rhs = zip(
+        *(angle_system(om1[a], om2[a], om12[a], live[0, a], live[1, a]) for a in (0, 1))
     )
-    return phi, compat, structure, threshold
+
+    phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, rhs, out=out)
+    compat = _streamed_compat(
+        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, rhs, sink)
+    )
+    return phi, compat, structure, threshold, row_max
 
 
 def solve_phi_2d(
@@ -565,10 +618,9 @@ def solve_phi_2d(
     if fd.dim != 2:
         raise ValueError("solve_phi_2d needs a 2D chart")
     chart = fd.chart
-    phi, compat, structure, threshold = angle_sweeps(
+    phi, compat, structure, threshold, row_max = angle_sweeps(
         fd, phi0, chart.base_index(base), gate_factor
     )
-    om1, om2 = fd.omega[0], fd.omega[1]
 
     # the SO(2) field [[cos, -sin], [sin, cos]] of the angle
     c, s = np.cos(phi), np.sin(phi)
@@ -579,8 +631,7 @@ def solve_phi_2d(
     rotation[..., 1, 1] = c
     orth = require_orthogonal(rotation)
     # theta_1 = cos(phi) omega_1 - sin(phi) omega_2 from the rotation's first row
-    row = rotation[..., 0, :]
-    theta1 = row[..., 0] * om1 + row[..., 1] * om2
+    theta1 = rotated_form(fd, rotation, 0, row_max)
     return SolveReport(
         rotation=rotation,
         theta1=theta1,
@@ -637,61 +688,96 @@ def _matrix_system(fd: FrameData):
     return system
 
 
-def _axial_element(samples, L):
-    """alpha = e_1 x (L om) - sigma L w from L (3, 3, ...) and P (3, 2, ...)."""
-    (p,) = samples
-    # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
-    a = np.einsum("ik...,k...->i...", L, p[:, 1])
-    lom = np.einsum("ik...,k...->i...", L[1:], p[:, 0])
-    a[1] -= lom[1]
-    a[2] += lom[0]
-    return a
+def _axial_kernels(om_rows, w_rows):
+    """`rkmk4_step` kernels of the n = 3 solve whose P holds the rows
+    om_rows of omega and then the rows w_rows of -sigma w (`_axial_system`).
+
+    The algebra element alpha = e_1 x (L om) - sigma L w contracts L over
+    those rows only: a row left out vanishes identically, and each
+    contraction is an `np.einsum` that sums from +0, where a +-0 term
+    changes no bit.  Every subset of range(3) is evenly spaced, so the
+    columns of L it picks are a view.
+    """
+
+    def columns(rows):
+        step = rows[1] - rows[0] if len(rows) > 1 else 1
+        return slice(rows[0], rows[-1] + 1, step) if rows else slice(0, 0)
+
+    om_cols, w_cols, k = columns(om_rows), columns(w_rows), len(om_rows)
+
+    def element(samples, L):
+        p = samples[0][:, 0]
+        # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
+        a = np.einsum("ik...,k...->i...", L[:, w_cols], p[k:])
+        if k:
+            lom = np.einsum("ik...,k...->i...", L[1:, om_cols], p[:k])
+            a[1] -= lom[1]
+            a[2] += lom[0]
+        return a
+
+    return element, _dexpinv_axial, _axial_exp_mul
 
 
 def _axial_exp_mul(u, y):
     return np.einsum("jk...,k...->j...", _rodrigues(u), y)
 
 
-AXIAL_KERNELS = (_axial_element, _dexpinv_axial, _axial_exp_mul)
-# component-major lines begin their node axes after the two component axes
-_axial_steps = rkmk4_fill(AXIAL_KERNELS, fold_axis=2)
+def _axial_fill(om_rows, w_rows):
+    """The block fill of `_axial_kernels`: the state block is seen
+    component-major, each line converted once, when written."""
+    # component-major lines begin their node axes after the two component axes
+    steps = rkmk4_fill(_axial_kernels(om_rows, w_rows), fold_axis=2)
+
+    def fill(h, blk, b, node):
+        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
+
+    return fill
 
 
-def _axial_fill(h, blk, b, node):
-    _axial_steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
-
-
-def _axial_system(fd: FrameData, sigma):
+def _axial_system(fd: FrameData, sigma, live):
     """RKMK4 system of the 3 x 3 orthogonal field in so(3) axial-vector form.
 
     The algebra element -L W L^T + (L om) e_1^T - e_1 (L om)^T of the matrix
     form is hat(alpha) with alpha = e_1 x (L om) - sigma L w, where w is the
     axial vector of W and sigma = det(L): L hat(w) L^T = det(L) hat(L w).
     Every exp update keeps det(L) = det(L0), so sigma is fixed per solve.
-    The kernels run component-major on whole lines: L (3, 3, ...), the
-    coefficients P = [om | -sigma w] (3, 2, ...), algebra elements (3, ...).
-    P is built in that layout; the fill sees the state block through a
-    component-major view, so each line is converted once, when written.
+    The kernels run component-major on whole lines: L (3, 3, ...) and
+    algebra elements (3, ...).  live is `frames.live_rows`: along each axis
+    the coefficient slab P (K, 1, ...) holds the live rows of om, then
+    those of -sigma w, and no row that vanishes identically (on the igsge
+    coframe 1, 2 and 2 of the 6 rows of the three axes); its unit axis
+    gives P's lines two component axes before their node axes, as L's
+    have, where `rkmk4_fill` folds them.  P is built in that layout; the
+    fill sees the state block through a component-major view.
     """
     conn = fd.connection  # pairs (1, 2), (1, 3), (2, 3)
+    # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w: component
+    # k is the connection pair 2 - k times its factor
+    factors = (sigma, -sigma, sigma)
+    per_axis = []
+    for axis in range(3):
+        om = tuple(k for k in range(3) if live[k, axis])
+        w = tuple(k for k in range(3) if live[5 - k, axis])
+        per_axis.append((om, w, _axial_fill(om, w)))
 
     def system(axis, take):
+        om, w, fill = per_axis[axis]
         shape = take(conn[0, axis]).shape
-        p = np.empty(shape[:1] + (3, 2) + shape[1:])
-        for k in range(3):
-            p[:, k, 0] = take(fd.omega[k, axis])
-        # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w
-        np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
-        np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
-        np.multiply(sigma, take(conn[0, axis]), out=p[:, 2, 1])
-        return [p], _axial_fill
+        p = np.empty(shape[:1] + (len(om) + len(w), 1) + shape[1:])
+        for r, k in enumerate(om):
+            p[:, r, 0] = take(fd.omega[k, axis])
+        for r, k in enumerate(w, len(om)):
+            np.multiply(factors[k], take(conn[2 - k, axis]), out=p[:, r, 0])
+        return [p], fill
 
     return system
 
 
-def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, sink=None):
+def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, live, sink=None):
+    """One sweep of `solve_L_nd`; live (`frames.live_rows`) marks the
+    coefficient rows that the n = 3 solve keeps."""
     if fd.dim == 3:
-        system = _axial_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0)
+        system = _axial_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0, live)
     else:
         system = _matrix_system(fd)
     return _sweep(fd.chart, base_idx, axes_order, L0, system, sink)
@@ -753,8 +839,11 @@ def solve_L_nd(
     structure, threshold, row_max = _structure_gate(fd, gate_factor)
 
     order = tuple(range(n))
-    L = _solve_L_once(fd, L0, base_idx, order)
-    compat = _streamed_compat(L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], sink))
+    live = live_rows(row_max)
+    L = _solve_L_once(fd, L0, base_idx, order, live)
+    compat = _streamed_compat(
+        L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], live, sink)
+    )
 
     orth = require_orthogonal(L)
     theta1 = rotated_form(fd, L, 0, row_max)
@@ -820,13 +909,13 @@ def special_coordinates_check(
     theta_i = sum_k L_ik omega_k (`rotated_form`), and the fields commute
     exactly when it is closed.  Its potentials are the coordinates x_1 = G
     and y_i = int e^G theta_i / c_i; each y_i is recovered like G, and its
-    path residual is the certificate.  A coframe that `frame_vector_fields`
+    path residual is the certificate.  A coframe that `nonsingular_nodes`
     finds singular at every node raises DegenerateFrameError.
     """
     chart = fd.chart
     n = fd.dim
     constants = scaling_constants(constants, n)
-    frame_vector_fields(fd, det_rtol)  # only its refusal of a degenerate frame
+    nonsingular_nodes(fd, det_rtol)  # only its refusal of a degenerate frame
 
     g, path_residual = potential(chart, report.theta1, base)
     scalings = constants.reshape((n - 1,) + (1,) * n) * np.exp(-g)

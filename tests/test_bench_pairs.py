@@ -79,3 +79,60 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
     last = json.loads(printed[-1])
     assert last == json.loads(out.read_text())
     assert last["summary"]["wall_ref"]["wins"] == 3 and last["failed"] == 0
+
+
+def _record(checkout, workload, seed, residuals):
+    path = checkout / "perfbench" / "_work" / "results" / ("%s-s%d-t0.json" % (workload, seed))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"record": {"child": {"residuals": residuals}}}))
+    return path
+
+
+def test_residual_differences_compare_the_flattened_residuals_of_each_pair():
+    same = {"closed": 1e-5, "orders": {"0": {"drift": 2e-11}}, "pass": True}
+    moved = {"closed": 1e-5, "orders": {"0": {"drift": 3e-11}}, "pass": True}
+    runs = [
+        {"pair": 1, "seed": 7, "side": "parent", "residuals": same},
+        {"pair": 1, "seed": 7, "side": "change", "residuals": same},
+        {"pair": 2, "seed": 8, "side": "change", "residuals": moved},
+        {"pair": 2, "seed": 8, "side": "parent", "residuals": same},
+        {"pair": 3, "seed": 9, "side": "parent", "residuals": same},
+        {"pair": 3, "seed": 9, "side": "change", "residuals": None},
+        {"pair": 4, "seed": 10, "side": "parent", "residuals": {"a": [1, 2]}},
+        {"pair": 4, "seed": 10, "side": "change", "residuals": {"b": 0.5}},
+    ]
+    assert bench_pairs.flatten(same) == {"closed": 1e-5, "orders.0.drift": 2e-11, "pass": True}
+    assert bench_pairs.residual_differences(runs) == [
+        (2, 8, "orders.0.drift", 2e-11, 3e-11),
+        (4, 10, "a", [1, 2], None),
+        (4, 10, "b", None, 0.5),
+    ]
+
+
+def test_runs_carry_their_record_residuals_read_without_writing(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": "wall_ref", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    parent = tmp_path / "p"
+    records = [
+        _record(parent, "w", 7, {"compat": 1e-6, "closed": 2e-5}),
+        _record(tmp_path, "w", 7, {"compat": 1e-6, "closed": 2e-5}),
+        _record(parent, "w", 8, {"compat": 1e-6}),
+        _record(tmp_path, "w", 8, {"compat": 4e-6}),
+    ]
+    before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in records]
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"correct": True, "metrics": {"wall_ref": {"value": 2.0, "unit": "x"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["--parent", str(parent), "--change", str(tmp_path), "--workload", "w",
+            "--pairs", "3", "--seconds", "1", "--seed0", "7"]
+    assert bench_pairs.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("residual differs")] == [
+        "residual differs: pair 2 seed 8 compat parent 1e-06 change 4e-06"
+    ]
+    runs = json.loads(printed[-1])["runs"]
+    assert runs[0]["residuals"] == {"compat": 1e-6, "closed": 2e-5}
+    assert [run["residuals"] for run in runs[4:]] == [None, None]  # seed 9: no record
+    assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in records] == before

@@ -442,7 +442,8 @@ def test_two_dimensional_duals_mask_nan_and_singular_nodes_quietly():
     omega[0, 0, 2, 3] = np.nan
     omega[1, :, 5, 5] = np.inf
     omega[:, 0, 6, 1] = 0.0  # the first column vanishes: no pivot
-    comps, valid = frames._duals_2d(omega, 1.0, 1e-8)
+    valid = frames._nonsingular_2d(omega, 1.0, 1e-8)
+    comps = frames._duals_2d(omega, valid)
     assert np.count_nonzero(~valid) == 3
     assert not valid[2, 3] and not valid[5, 5] and not valid[6, 1]
     assert np.all(comps[~valid] == 0.0)

@@ -9,7 +9,6 @@ from pssframe import EtaSeries, hierarchy, solve_hierarchy, solve_phi_2d
 from pssframe.errors import PssframeError, StructureGateError
 from pssframe.grid import midpoints
 from pssframe.hierarchy import (
-    _angle_rhs,
     _angle_return,
     _integrate_line,
     _periodic_angle_start,
@@ -20,6 +19,7 @@ from pssframe.hierarchy import (
 from pssframe.models import ch_evolve, ch_forms, ch_from_arrays, ch_series_table
 from pssframe.rotation_solver import (
     additive_kernels,
+    angle_rhs as _angle_rhs,
     line_steps,
     linear_fills,
     rkmk4_step,
@@ -316,6 +316,25 @@ def _ch_base_line():
     t_line = state.chart.counts[1] // 2
     fields = [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
     return state.chart.spacing[0], fields
+
+
+def test_periodic_scan_without_the_zero_row_is_the_all_rows_scan(monkeypatch):
+    # omega_2 has no dx term at order zero: the coarse scan steps sin alone
+    h, fields = _ch_base_line()
+    assert not np.any(fields[1]) and np.all(fields[0])
+    scans = []
+
+    def recorded(*args):
+        scans.append(_integrate_line(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(hierarchy, "_integrate_line", recorded)
+    got = _periodic_angle_start(h, fields)
+    monkeypatch.setattr(hierarchy, "angle_system", lambda *args: (args[:3], _angle_rhs))
+    want = _periodic_angle_start(h, fields)
+    assert got == want
+    assert np.array_equal(scans[0], scans[1])
+    assert np.array_equal(np.signbit(scans[0]), np.signbit(scans[1]))
 
 
 def test_float_newton_line_is_the_array_line_bit_for_bit(monkeypatch):

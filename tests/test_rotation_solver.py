@@ -15,14 +15,15 @@ from pssframe import (
     solve_phi_2d,
     special_coordinates_check,
 )
-from pssframe import grid, rotation_solver
+from pssframe import FrameData, grid, hierarchy, rotation_solver
 from pssframe.errors import StructureGateError
+from pssframe.frames import live_rows
 from pssframe.grid import _streamed_compat, _sweep, midpoints
-from pssframe.models import sg_forms, sg_solution
+from pssframe.models import ch_evolve, ch_series_table, sg_forms, sg_solution
 from pssframe.rotation_solver import (
-    AXIAL_KERNELS,
     MATRIX_KERNELS,
     _axial_fill,
+    _axial_kernels,
     _dexpinv_axial,
     _matrix_fill,
     _affine_rows,
@@ -32,6 +33,7 @@ from pssframe.rotation_solver import (
     affine_fill,
     affine_line,
     angle_rhs,
+    angle_sweeps,
     linear_fills,
     rkmk4_fill,
     rkmk4_step,
@@ -112,7 +114,7 @@ def test_affine_sweep_matches_the_stepwise_sweep(axes_order):
         return s[0] * y + s[1]
 
     fields = [[slopes[axis], sources[axis]] for axis in (0, 1)]
-    stepwise = sweep_scalar(chart, base, axes_order, 0.7, fields, rhs)
+    stepwise = sweep_scalar(chart, base, axes_order, 0.7, fields, [rhs, rhs])
     fills = linear_fills(chart, base, axes_order, slopes)
     affine = sweep_linear(chart, base, fills, 0.7, sources)
     assert np.max(np.abs(affine - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
@@ -142,7 +144,7 @@ def test_per_axis_fields_sweep_as_the_flat_fields(axes_order, base):
         return w12 + np.sin(y) * w1 + np.cos(y) * w2
 
     want = _flat_sweep_scalar(fd.chart, base, axes_order, 0.4, flat, rhs)
-    got = sweep_scalar(fd.chart, base, axes_order, 0.4, [flat[:3], flat[3:]], angle_rhs)
+    got = sweep_scalar(fd.chart, base, axes_order, 0.4, [flat[:3], flat[3:]], [angle_rhs] * 2)
     assert np.array_equal(got, want)
 
 
@@ -246,8 +248,8 @@ def _wide_block(rng, layout, m):
     grow = np.linspace(1.0, 12.0, m).reshape((m,) + (1,) * (len(nodes) + 2))
     line = np.linalg.qr(rng.normal(size=nodes + (n, n)))[0]
     if layout == "axial":
-        node = [rng.uniform(-1.5, 1.5, (m, 3, 2) + nodes) * grow]
-        return _axial_fill, AXIAL_KERNELS, _component_major, node, line
+        node = [rng.uniform(-1.5, 1.5, (m, 6, 1) + nodes) * grow]
+        return _axial_fill(*ALL_ROWS), AXIAL_KERNELS, _component_major, node, line
     w = rng.uniform(-1.5, 1.5, (m,) + nodes + (n, n)) * grow
     om = rng.uniform(-1.5, 1.5, (m,) + nodes + (n,)) * grow[..., 0]
     node = [om, w - np.swapaxes(w, -1, -2)]
@@ -353,29 +355,53 @@ WRITTEN_OUT_KERNELS = (
 )
 
 
+ALL_ROWS = ((0, 1, 2), (0, 1, 2))
+# the kernels of a P that holds all six rows
+AXIAL_KERNELS = _axial_kernels(*ALL_ROWS)
+# (omega rows, w rows) that a P keeps: all, the igsge coframe's along its
+# first axis, evenly spaced gaps, and a kept half that is empty
+KEPT_ROWS = [ALL_ROWS, ((0,), (1, 2)), ((0, 2), (1,)), ((), (0, 2)), ((1,), ())]
+
+
+def _kept_planes(p, om, w):
+    # the P of `_axial_system`, (m, K, 1, ...), from a six-plane P
+    # (m, 3, 2, ...) of the written-out kernels whose other rows are zero
+    return np.concatenate([p[:, list(om), 0], p[:, list(w), 1]], axis=1)[:, :, None]
+
+
+def _zero_rows_left_out(p, om, w):
+    p[:, [k for k in range(3) if k not in om], 0] = 0.0
+    p[:, [k for k in range(3) if k not in w], 1] = 0.0
+    return p
+
+
+@pytest.mark.parametrize("rows", KEPT_ROWS, ids=["all", "igsge", "gaps", "no-omega", "no-w"])
 @pytest.mark.parametrize("scale", [1.0, 1e-6], ids=["large", "small-angle"])
 @pytest.mark.parametrize("det", [1.0, -1.0])
 @pytest.mark.parametrize("nodes", [1, 2, 98])
-def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale):
+def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale, rows):
     # a block of lines of `nodes` nodes; base line 3 of 10 takes three
-    # folded steps, then the upper half steps alone
+    # folded steps, then the upper half steps alone.  The written-out
+    # kernels read all six planes, the rows the fill leaves out being zero
     m, b = 10, 3
     line = np.linalg.qr(rng.normal(size=(nodes, 3, 3)))[0]
     line *= (det * np.sign(np.linalg.det(line)))[:, None, None]
-    node = [rng.uniform(-1.5, 1.5, (m, 3, 2, nodes)) * scale]
-    mid = [midpoints(f, 0) for f in node]
+    six = _zero_rows_left_out(rng.uniform(-1.5, 1.5, (m, 3, 2, nodes)) * scale, *rows)
+    node = [_kept_planes(six, *rows)]
     blk = np.empty((m, nodes, 3, 3))
     blk[b] = line
     expected = blk.copy()
-    _axial_fill(0.07, blk, b, node)
+    _axial_fill(*rows)(0.07, blk, b, node)
     written_out = rkmk4_fill(WRITTEN_OUT_KERNELS, fold_axis=2)
-    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, node)
+    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, [six])
     assert np.array_equal(blk, expected)
     # and each kernel on a folded line, a strided view as the fill sees it
     L = np.moveaxis(blk[b - 1 : b + 2 : 2], (0, -2, -1), (2, 0, 1))
     u = rng.uniform(-1.0, 1.0, (3, 2, nodes)) * scale
     p = np.moveaxis(node[0][b - 1 : b + 2 : 2], 0, 2)
-    assert np.array_equal(AXIAL_KERNELS[0]([p], L), _written_out_axial_element([p], L))
+    p_six = np.moveaxis(six[b - 1 : b + 2 : 2], 0, 2)
+    got = _axial_kernels(*rows)[0]([p], L)
+    assert np.array_equal(got, _written_out_axial_element([p_six], L))
     assert np.array_equal(AXIAL_KERNELS[2](u, L), _written_out_axial_exp_mul(u, L))
 
 
@@ -591,9 +617,12 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
 # at 49^3 (33.9 MB while the solve held the reverse state whole) the
 # full-volume blocks are filled in slabs and L is the one full-grid state.
 # Measured from empty free lists: 4,490,976 and 16,420,742 while each block
-# fill copied its base line, 4,445,976 and 16,360,766 without the copy
-IGSGE25_SOLVE_PEAK = 4_450_000
-IGSGE49_SOLVE_PEAK = 16_400_000
+# fill copied its base line, 4,445,976 and 16,360,766 without the copy, and
+# 3,173,818 and 13,085,286 since the coefficient slabs leave out the rows
+# that vanish identically (5 of 18 planes kept); each guard is the next
+# multiple of 50,000 bytes
+IGSGE25_SOLVE_PEAK = 3_200_000
+IGSGE49_SOLVE_PEAK = 13_100_000
 
 
 def _traced_solve_peak(fd):
@@ -631,11 +660,176 @@ def test_theta1_skipping_zero_coframe_rows_is_the_dense_sum_bit_for_bit():
     assert np.array_equal(np.signbit(rep.theta1), np.signbit(want))
 
 
+def _same_bits(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _six_plane_system(fd, sigma):
+    # the n = 3 system with every coefficient row: P (3, 2, ...) holds all
+    # six planes, and the written-out element reads each of them
+    conn = fd.connection
+    steps = rkmk4_fill((_written_out_axial_element,) + AXIAL_KERNELS[1:], fold_axis=2)
+
+    def fill(h, blk, b, node):
+        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
+
+    def system(axis, take):
+        shape = take(conn[0, axis]).shape
+        p = np.empty(shape[:1] + (3, 2) + shape[1:])
+        for k in range(3):
+            p[:, k, 0] = take(fd.omega[k, axis])
+        np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
+        np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
+        np.multiply(sigma, take(conn[0, axis]), out=p[:, 2, 1])
+        return [p], fill
+
+    return system
+
+
+def _six_plane_sweeps(fd, L0):
+    system = _six_plane_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0)
+    base, order = fd.chart.base_index("center"), (0, 1, 2)
+    return [_sweep(fd.chart, base, axes, L0, system) for axes in (order, order[::-1])]
+
+
+STARTS = {
+    "rotated": lambda: rotated_l0(3),
+    "reflected": lambda: rotated_l0(3) @ np.diag([1.0, 1.0, -1.0]),
+    "identity": lambda: np.eye(3),
+}
+
+
+@pytest.mark.parametrize("start", list(STARTS))
+def test_three_dimensional_solve_without_zero_rows_is_the_six_plane_solve(start):
+    # the igsge coframe is diagonal and only its h_1j connection rows are
+    # nonzero: the solve keeps 5 of the 18 coefficient planes of its axes
+    fd = igsge_frame(13)
+    assert np.count_nonzero(live_rows(fd.row_max_abs())) == 5
+    L0 = STARTS[start]()
+    rep = solve_L_nd(fd, L0)
+    L, L_ex = _six_plane_sweeps(fd, L0)
+    _same_bits(rep.rotation, L)
+    assert rep.compat_residual == float(np.max(np.abs(L - L_ex)))
+    if start == "identity":  # the frame is already special
+        assert rep.compat_residual == 0.0 and rep.closed_residual == 0.0
+
+
+def test_a_row_nonzero_at_one_node_is_kept():
+    fd = igsge_frame(9)
+    fd.omega[1, 0][2, 3, 4] = 0.5
+    live = live_rows(fd.row_max_abs())
+    assert live[1, 0] and np.count_nonzero(live) == 6
+    rep = solve_L_nd(fd, rotated_l0(3), gate_factor=None)
+    _same_bits(rep.rotation, _six_plane_sweeps(fd, rotated_l0(3))[0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_frame_leaves_out_no_row(value):
+    # the non-finite coefficient sits in a row that is otherwise zero
+    fd = igsge_frame(9)
+    fd.connection[2, 0][6, 4, 4] = value  # on the first swept line
+    live = live_rows(fd.row_max_abs())
+    assert live.all()
+    base, L0 = fd.chart.base_index("center"), rotated_l0(3)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN reaches the exp updates
+        got = _solve_L_once(fd, L0, base, (0, 1, 2), live)
+        want = _six_plane_sweeps(fd, L0)[0]
+    assert np.isnan(got).any()
+    _same_bits(got, want)
+
+
+def _all_rows_angle_sweeps(fd, phi0):
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
+    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
+    base = fd.chart.base_index("center")
+    phi = sweep_scalar(fd.chart, base, (0, 1), phi0, fields, [angle_rhs] * 2)
+    phi_ex = sweep_scalar(fd.chart, base, (1, 0), phi0, fields, [angle_rhs] * 2)
+    return phi, float(np.max(np.abs(phi - phi_ex)))
+
+
+def _ch_order_zero_frame():
+    state = ch_evolve(
+        lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
+        m=0.5,
+        period=6.0,
+        t_final=0.5,
+        nx=64,
+        nt=8,
+    )
+    return hierarchy._order_zero_frame(state.chart, ch_series_table(state, 0))
+
+
+def _signed_zero_frames(count=12):
+    # diagonal coframes whose rows hold zeros of both signs and whose
+    # connection is +-0: every axis leaves a row out, and the kept sums
+    # meet -0 partial sums
+    rng = np.random.default_rng(20260817)
+    chart = GridChart((0.0, 0.0), (0.1, 0.1), (9, 9))
+    for _ in range(count):
+        signed_zeros = rng.choice([-0.0, 0.0], (4, 9, 9))
+        omega = np.zeros((2, 2, 9, 9))
+        omega[0, 1], omega[1, 0] = signed_zeros[:2]
+        for i in range(2):
+            omega[i, i] = rng.choice([-1.0, 0.0, 1.0], (9, 9)) * rng.uniform(0.5, 1.0, (9, 9))
+        yield FrameData(chart, omega, signed_zeros[None, 2:])
+
+
+ANGLE_FRAMES = {
+    # (frame, rows of omega_1 and omega_2 that the sweeps keep, per axis)
+    "static-kink": (_kink_frame_65, [[True, False], [False, True]]),
+    "ch-order-0": (_ch_order_zero_frame, [[True, True], [False, True]]),
+}
+
+
+@pytest.mark.parametrize("phi0", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("frame", list(ANGLE_FRAMES))
+def test_angle_sweeps_without_zero_rows_are_the_all_rows_sweeps(frame, phi0):
+    make, kept = ANGLE_FRAMES[frame]
+    fd = make()
+    assert live_rows(fd.row_max_abs())[:2].tolist() == kept
+    phi, compat, *_ = angle_sweeps(fd, phi0, fd.chart.base_index("center"), None)
+    want, want_compat = _all_rows_angle_sweeps(fd, phi0)
+    _same_bits(phi, want)
+    assert compat == want_compat
+
+
+@pytest.mark.parametrize("phi0", [0.0, -0.0, 0.3])
+def test_angle_sweeps_keep_the_bits_of_signed_zero_rows(phi0):
+    # a -0 start keeps every row: a left-out +-0 term can flip the sign of
+    # a zero state there
+    for fd in _signed_zero_frames():
+        phi, compat, *_ = angle_sweeps(fd, phi0, fd.chart.base_index("center"), None)
+        want, want_compat = _all_rows_angle_sweeps(fd, phi0)
+        _same_bits(phi, want)
+        assert compat == want_compat
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_angle_sweeps_of_a_non_finite_frame_leave_out_no_row(value):
+    fd = _kink_frame_65()
+    fd.omega[1, 0][40, 32] = value  # on the first swept line of a zero row
+    assert live_rows(fd.row_max_abs()).all()
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN reaches sin and cos
+        phi, compat, *_ = angle_sweeps(fd, 0.0, fd.chart.base_index("center"), None)
+        want, want_compat = _all_rows_angle_sweeps(fd, 0.0)
+    assert np.isnan(phi).any() and np.isnan(compat) and np.isnan(want_compat)
+    _same_bits(phi, want)
+
+
+def test_theta1_in_two_dimensions_is_the_written_out_first_row():
+    fd = _kink_frame_65()
+    rep = solve_phi_2d(fd)
+    row = rep.rotation[..., 0, :]
+    _same_bits(rep.theta1, row[..., 0] * fd.omega[0] + row[..., 1] * fd.omega[1])
+
+
 def _whole_sweeps_compat(fd, L0):
     # the certificate as it was formed: both sweeps whole, then max |L - L_ex|
     base, order = fd.chart.base_index("center"), tuple(range(fd.dim))
-    L = _solve_L_once(fd, L0, base, order)
-    L_ex = _solve_L_once(fd, L0, base, order[::-1])
+    live = live_rows(fd.row_max_abs())
+    L = _solve_L_once(fd, L0, base, order, live)
+    L_ex = _solve_L_once(fd, L0, base, order[::-1], live)
     return float(np.max(np.abs(L - L_ex)))
 
 
@@ -663,12 +857,7 @@ def test_streamed_certificate_is_the_whole_sweeps_max(monkeypatch, frame):
 
 def test_streamed_angle_certificate_is_the_whole_sweeps_max():
     fd = cosh_metric_frame(33)
-    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
-    fields = [[om1[axis], om2[axis], om12[axis]] for axis in (0, 1)]
-    base = fd.chart.base_index("center")
-    phi = sweep_scalar(fd.chart, base, (0, 1), 0.3, fields, angle_rhs)
-    phi_ex = sweep_scalar(fd.chart, base, (1, 0), 0.3, fields, angle_rhs)
-    assert solve_phi_2d(fd, 0.3).compat_residual == float(np.max(np.abs(phi - phi_ex)))
+    assert solve_phi_2d(fd, 0.3).compat_residual == _all_rows_angle_sweeps(fd, 0.3)[1]
 
 
 def _report_arrays(rep):

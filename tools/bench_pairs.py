@@ -14,8 +14,12 @@ number of pairs the change wins (ties count for neither), and whether the
 gain rule holds: the change wins at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the distance between
 the parent's quartiles.  A run that exits non-zero or reports incorrect
-outputs is listed and left out of the summary.  The last line printed is
-one JSON object; --json also writes it to PATH.
+outputs is listed and left out of the summary.  Each run's manifest
+residuals are read (never written) from the record that perfbench/run.py
+leaves under its checkout's perfbench/_work/results/, and one line is
+printed for each residual that differs between the two sides of a pair.
+The last line printed is one JSON object, every run with its residuals;
+--json also writes it to PATH.
 """
 
 from __future__ import annotations
@@ -42,6 +46,45 @@ def run_once(checkout, workload, seed, seconds):
         return None
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     return line if line["correct"] else None
+
+
+def read_residuals(checkout, workload, seed):
+    """The manifest residuals in the record of the run just made in checkout,
+    or None when there is no readable record."""
+    path = Path(checkout, "perfbench", "_work", "results", "%s-s%d-t0.json" % (workload, seed))
+    try:
+        return json.loads(path.read_text())["record"]["child"]["residuals"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def flatten(tree, prefix=""):
+    """{dotted key: leaf} of nested dicts; a leaf that is not a dict stays whole."""
+    if not isinstance(tree, dict):
+        return {prefix: tree}
+    flat = {}
+    for key, value in tree.items():
+        flat.update(flatten(value, "%s.%s" % (prefix, key) if prefix else str(key)))
+    return flat
+
+
+def residual_differences(runs):
+    """(pair, seed, key, parent value, change value) of every residual that
+    differs between the two sides of a pair; a key only one side reports
+    differs too (its missing value is None).  Pairs where a side has no
+    residuals are skipped."""
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault((run["pair"], run["seed"]), {})[run["side"]] = run["residuals"]
+    found = []
+    for (pair, seed), sides in sorted(by_pair.items()):
+        if any(sides.get(side) is None for side in SIDES):
+            continue
+        parent, change = (flatten(sides[side]) for side in SIDES)
+        for key in sorted(set(parent) | set(change)):
+            if parent.get(key) != change.get(key):
+                found.append((pair, seed, key, parent.get(key), change.get(key)))
+    return found
 
 
 def quartiles(values):
@@ -106,10 +149,12 @@ def main(argv=None):
         seed = args.seed0 + pair - 1
         for side in SIDES if pair % 2 else SIDES[::-1]:
             line = run_once(checkouts[side], args.workload, seed, args.seconds)
-            metrics = None if line is None else {
-                name: m["value"] for name, m in line["metrics"].items()
-            }
-            runs.append({"pair": pair, "seed": seed, "side": side, "metrics": metrics})
+            metrics = residuals = None
+            if line is not None:
+                metrics = {name: m["value"] for name, m in line["metrics"].items()}
+                residuals = read_residuals(checkouts[side], args.workload, seed)
+            runs.append({"pair": pair, "seed": seed, "side": side, "metrics": metrics,
+                         "residuals": residuals})
             shown = "FAILED" if metrics is None else " ".join(
                 "%s=%.6g" % kv for kv in metrics.items()
             )
@@ -122,6 +167,9 @@ def main(argv=None):
             s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
             s["wins"], s["pairs"], "  gain" if s["gain"] else "",
         ))
+    for pair, seed, key, parent, change in residual_differences(runs):
+        print("residual differs: pair %d seed %d %s parent %r change %r"
+              % (pair, seed, key, parent, change))
     result = {
         "workload": args.workload,
         "seconds": args.seconds,
