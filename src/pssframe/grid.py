@@ -28,7 +28,9 @@ never held whole.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +108,41 @@ def dense(values, shape, what):
     if values.shape != shape:
         raise ValueError("%s needs shape %s, got %s" % (what, shape, values.shape))
     return values
+
+
+# numpy advises every array it allocates from this size on for huge pages
+_HUGE_PAGE_ADVICE_BYTES = 4 << 20
+
+
+def lazy_zeros(shape):
+    """A float zero array of the given shape, for an array that stays partly zero.
+
+    Writing a few rows of an array that numpy advised for huge pages faults
+    in whole 2 MB pages.  An array that large is backed here by a private
+    anonymous mapping advised against huge pages: each written 4 KB page is
+    resident, a read of an unwritten one maps the kernel's shared zero page,
+    and the mapping goes with the last view of the array.  A shared mapping
+    would not do: its pages are backed even when only read.  A smaller
+    array is np.zeros, which wastes no huge page and can reuse pages the
+    heap already holds, where a fresh mapping faults in each page it
+    touches.  tracemalloc does not see a mapping, so a traced peak that
+    falls because an array moved into one shows no saving.  A mapping that
+    cannot be made raises MemoryError, as numpy does.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _HUGE_PAGE_ADVICE_BYTES:
+        return np.zeros(shape)
+    try:
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(
+            "Unable to map %d bytes for an array with shape %s" % (nbytes, shape)
+        ) from exc
+    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if advice is not None:
+        with contextlib.suppress(OSError):  # a kernel without huge pages refuses it
+            buf.madvise(advice)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
 
 
 def staircase_blocks(chart: GridChart, base, axes_order):

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import DegenerateFrameError
 from ..frames import FrameData
-from ..grid import GridChart, dense, partial_derivative
+from ..grid import GridChart, dense, lazy_zeros, partial_derivative
 
 V_THRESHOLD_DEFAULT = 1e-8
 
@@ -76,9 +76,9 @@ def igsge_explicit_solution(chart: GridChart, c):
         sech = 1.0 / np.cosh(x1)
     V = np.empty((n,) + chart.counts)
     V[0] = np.tanh(x1)
-    # entries that stay zero are not written: the untouched zero pages of
-    # an np.zeros array cost no memory
-    h = np.zeros((n, n) + chart.counts)
+    # entries that stay zero are not written: only the written pages of a
+    # large lazy_zeros array are resident
+    h = lazy_zeros((n, n) + chart.counts)
     for j in range(1, n):
         np.multiply(c[j - 1], sech, out=V[j])
         np.multiply(-c[j - 1], sech, out=h[0, j])
@@ -152,7 +152,7 @@ def igsge_h_from_V(chart: GridChart, V, threshold=V_THRESHOLD_DEFAULT):
     """
     n = chart.dim
     V = dense(V, (n,) + chart.counts, "V")
-    h = np.zeros((n, n) + chart.counts)
+    h = lazy_zeros((n, n) + chart.counts)  # its diagonal rows stay zero
     valid = np.abs(V) > threshold
     for j in range(n):
         ok = valid[j]
@@ -172,12 +172,12 @@ def igsge_forms(state: IGSGEState):
     """Coframe omega_i = V_i dx_i, connection omega_ij = h_ij dx_j - h_ji dx_i."""
     chart = state.chart
     n = chart.dim
-    # entries that are identically zero are not written: the zero pages of
-    # np.zeros arrays that stay untouched cost no memory
-    omega = np.zeros((n, n) + chart.counts)
+    # entries that are identically zero are not written: only the written
+    # pages of a large lazy_zeros array are resident
+    omega = lazy_zeros((n, n) + chart.counts)
     for i in range(n):
         omega[i, i] = state.V[i]
-    upper = np.zeros((n * (n - 1) // 2, n) + chart.counts)
+    upper = lazy_zeros((n * (n - 1) // 2, n) + chart.counts)
     for p, (i, j) in enumerate(combinations(range(n), 2)):
         if np.any(state.h[i, j]):
             upper[p, j] = state.h[i, j]

@@ -1,5 +1,6 @@
 """Shared fixtures: small analytic frames with known structure behavior."""
 
+import os
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +24,31 @@ def interior_max_abs(values):
     if core.size == 0:
         return 0.0
     return float(np.max(np.abs(core)))
+
+
+SMAPS = "/proc/self/smaps"
+needs_smaps = pytest.mark.skipif(
+    not os.path.exists(SMAPS), reason="needs the per-mapping resident sizes of /proc/self/smaps"
+)
+
+
+def mappings_of(*arrays):
+    """(Rss bytes, size bytes, perms) of each mapping of /proc/self/smaps that
+    holds a byte of one of the arrays.  The kernel merges adjacent mappings
+    of equal flags, so one of them can hold other arrays too."""
+    spans = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays]
+    found, hit = [], False
+    with open(SMAPS) as smaps:
+        for line in smaps:
+            fields = line.split()
+            if "-" in fields[0] and not fields[0].endswith(":"):
+                lo, hi = (int(v, 16) for v in fields[0].split("-"))
+                hit = any(lo < end and start < hi for start, end in spans)
+                if hit:
+                    found.append([0, hi - lo, fields[1]])
+            elif hit and fields[0] == "Rss:":
+                found[-1][0] = int(fields[1]) * 1024
+    return found
 
 
 def square_chart(n, lo=-1.0, hi=1.0):

@@ -78,7 +78,48 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
     assert len([line for line in printed if line.startswith("pair ")]) == 6
     last = json.loads(printed[-1])
     assert last == json.loads(out.read_text())
-    assert last["summary"]["wall_ref"]["wins"] == 3 and last["failed"] == 0
+    (only,) = last["workloads"]
+    assert only["workload"] == "w"
+    assert only["summary"]["wall_ref"]["wins"] == 3 and only["failed"] == 0
+
+
+def test_workloads_run_in_the_order_given_into_one_json(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path / "p" else "change"
+        calls.append((workload, side, seed))
+        if (workload, side, seed) == ("b", "change", 4):
+            return None
+        value = {"a": 60.0, "b": 50.0}[workload] - (side == "change")
+        return {"correct": True, "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path), "--workload", "a",
+            "--workload", "b", "--pairs", "2", "--seconds", "1", "--seed0", "3",
+            "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("a", "parent", 3), ("a", "change", 3), ("a", "change", 4),
+                     ("a", "parent", 4), ("b", "parent", 3), ("b", "change", 3),
+                     ("b", "change", 4), ("b", "parent", 4)]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("workload ")] == [
+        "workload a", "workload b"
+    ]
+    last = json.loads(printed[-1])
+    assert last == json.loads(out.read_text())
+    assert (last["seconds"], last["seed0"]) == (1.0, 3)
+    a, b = last["workloads"]
+    assert [w["workload"] for w in (a, b)] == ["a", "b"]
+    assert len(a["runs"]) == len(b["runs"]) == 4
+    assert (a["failed"], b["failed"]) == (0, 1)
+    assert a["summary"]["peak_rss_mb"]["change"]["median"] == 59.0
+    # the failed run leaves pair 2 of b out of its summary only
+    assert (a["summary"]["peak_rss_mb"]["pairs"], b["summary"]["peak_rss_mb"]["pairs"]) == (2, 1)
+    assert b["summary"]["peak_rss_mb"]["parent"]["median"] == 50.0
 
 
 def _record(checkout, workload, seed, residuals):
@@ -132,7 +173,7 @@ def test_runs_carry_their_record_residuals_read_without_writing(tmp_path, monkey
     assert [line for line in printed if line.startswith("residual differs")] == [
         "residual differs: pair 2 seed 8 compat parent 1e-06 change 4e-06"
     ]
-    runs = json.loads(printed[-1])["runs"]
+    runs = json.loads(printed[-1])["workloads"][0]["runs"]
     assert runs[0]["residuals"] == {"compat": 1e-6, "closed": 2e-5}
     assert [run["residuals"] for run in runs[4:]] == [None, None]  # seed 9: no record
     assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in records] == before

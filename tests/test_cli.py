@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import exp_metric_frame, flat_frame, half_space_frame, non_finite_frame
-from pssframe import cli
+from pssframe import cli, grid
 from pssframe.cli import main
 from pssframe.config import parse_config
 from pssframe.frames import require_orthogonal, save_frame_data
@@ -847,6 +847,26 @@ def test_memory_error_while_building_the_model_is_a_config_error(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: chart counts (160001, 160001, 160001) at grid scale 20000 ")
+    assert _one_config_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "refusal", [OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)), OverflowError("too long")]
+)
+def test_refused_mapping_while_building_the_model_is_a_config_error(
+    tmp_path, capsys, monkeypatch, refusal
+):
+    # numpy allocates V at once, so a chart too large for the host fails
+    # there; here scale 1 runs on numpy arrays alone, and at scale 5 (41^3)
+    # V is made and the first mapping, of the 5 MB h, is refused
+    def refuse(*args, **kwargs):
+        raise refusal
+
+    monkeypatch.setattr(grid.mmap, "mmap", refuse)
+    cfg = write_config(tmp_path, IGSGE3D_CONFIG + "\n[convergence]\nscales = 1, 5\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: chart counts (41, 41, 41) at grid scale 5 ")
     assert _one_config_error_line(err)
 
 

@@ -1,5 +1,7 @@
 """Chart bookkeeping and stencil primitives."""
 
+import gc
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from pssframe import GridChart, grid, midpoints, partial_derivative
 
-from conftest import interior_max_abs, square_chart
+from conftest import interior_max_abs, mappings_of, needs_smaps, square_chart
 
 
 def test_chart_coordinates_round_trip():
@@ -117,6 +119,38 @@ def test_midpoints_hold_no_full_size_temporary():
     # rows of the boundary rule
     row = f.nbytes // 64
     assert peak <= 63 * row + grid._MID_TEMP_BYTES + 4 * row
+
+
+def _rss(*arrays):
+    return sum(rss for rss, _, _ in mappings_of(*arrays))
+
+
+@needs_smaps
+def test_lazy_zeros_reads_cost_no_memory_and_writes_cost_their_rows():
+    gc.collect()  # no other mapping is unmapped while this one is measured
+    rows, row = 16, 8 * 65536  # 8 MiB, past numpy's huge-page threshold
+    a = grid.lazy_zeros((rows, 65536))
+    assert a.shape == (rows, 65536) and a.dtype == np.float64 and a.flags.writeable
+    assert [perms[3] for _, _, perms in mappings_of(a)] == ["p"]  # private
+    # below numpy's huge-page threshold the array is numpy's own
+    assert grid.lazy_zeros((7, 65536)).flags.owndata and not a.flags.owndata
+    before = _rss(a)
+    # a read maps the shared zero page; a shared mapping would back it
+    assert np.max(a) == 0.0 and np.min(a) == 0.0
+    assert _rss(a) == before
+    written = (2, 7, 11)
+    a[list(written)] = 1.5
+    added = _rss(a) - before
+    assert len(written) * row <= added <= len(written) * (row + mmap.PAGESIZE)
+    assert np.count_nonzero(a) == len(written) * 65536
+
+
+@pytest.mark.parametrize("shape", [(1 << 27, 1 << 30), (1 << 40, 1 << 30)])
+def test_lazy_zeros_past_the_address_space_is_a_memory_error(shape):
+    # 2^60 bytes: the kernel refuses the mapping; 2^73 bytes: no length
+    # Python can pass
+    with pytest.raises(MemoryError, match="Unable to map"):
+        grid.lazy_zeros(shape)
 
 
 def test_interior_max_abs_ignores_boundary():

@@ -1,10 +1,13 @@
 """The n-dimensional first-order system and its explicit solution family."""
 
+import gc
+import mmap
 import re
 
 import numpy as np
 import pytest
 
+from conftest import igsge_frame, mappings_of, needs_smaps
 from pssframe import DegenerateFrameError, GridChart, solve_L_nd
 from pssframe.models import (
     IGSGEState,
@@ -163,3 +166,19 @@ def test_explicit_solution_is_the_meshgrid_formula_bit_for_bit(dim, c):
     for got, want in ((state.V, V), (state.h, h)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@needs_smaps
+def test_forms_hold_only_their_written_rows_after_the_row_maxima():
+    # the 49^3 coframe and connection are 8.5 MB each, past numpy's
+    # huge-page threshold; the structure gate's row maxima read every row
+    gc.collect()  # no other mapping is unmapped while these are measured
+    fd = igsge_frame(49)
+    written = np.count_nonzero(fd.row_max_abs())  # 3 diagonal rows, 2 of h_1j
+    assert written == 5
+    found = mappings_of(fd.omega, fd.connection)
+    rss = sum(r for r, _, _ in found)
+    # a merged neighbour mapping holds at most its own size
+    others = sum(size for _, size, _ in found) - fd.omega.nbytes - fd.connection.nbytes
+    row = fd.omega[0, 0].nbytes
+    assert written * row <= rss <= written * (row + mmap.PAGESIZE) + others

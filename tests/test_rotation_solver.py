@@ -620,7 +620,11 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
 # fill copied its base line, 4,445,976 and 16,360,766 without the copy, and
 # 3,173,818 and 13,085,286 since the coefficient slabs leave out the rows
 # that vanish identically (5 of 18 planes kept); each guard is the next
-# multiple of 50,000 bytes
+# multiple of 50,000 bytes.  tracemalloc does not see the mapped arrays of
+# `grid.lazy_zeros` (the 49^3 igsge coframe and connection); the frame is built
+# before the trace starts, so these guards trace only the solve, and no
+# guard may be lowered because an allocation moved out of tracemalloc's
+# sight
 IGSGE25_SOLVE_PEAK = 3_200_000
 IGSGE49_SOLVE_PEAK = 13_100_000
 

@@ -3,23 +3,25 @@
 Usage (from any directory):
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
-        [--pairs N] [--seconds S] [--seed0 K] [--json PATH]
+        [--workload NAME ...] [--pairs N] [--seconds S] [--seed0 K] [--json PATH]
 
-Pair i (1-based) runs `perfbench/run.py --workload NAME --seed K+i-1
---seconds S` once in each checkout, parent first on odd pairs and change
-first on even ones, so a drift of the host's speed does not favour one
-side.  One line is printed per run.  Then, for each end-to-end metric in
-the change checkout's BENCHMARK.json, each side's median and quartiles, the
-number of pairs the change wins (ties count for neither), and whether the
-gain rule holds: the change wins at least nine tenths of the pairs and the
-medians differ, in the better direction, by more than the distance between
-the parent's quartiles.  A run that exits non-zero or reports incorrect
-outputs is listed and left out of the summary.  Each run's manifest
-residuals are read (never written) from the record that perfbench/run.py
-leaves under its checkout's perfbench/_work/results/, and one line is
-printed for each residual that differs between the two sides of a pair.
-The last line printed is one JSON object, every run with its residuals;
---json also writes it to PATH.
+For each workload in the order given, pair i (1-based) runs
+`perfbench/run.py --workload NAME --seed K+i-1 --seconds S` once in each
+checkout, parent first on odd pairs and change first on even ones, so a
+drift of the host's speed does not favour one side.  One line is printed
+per run.  Then, for each end-to-end metric in the change checkout's
+BENCHMARK.json, each side's median and quartiles, the number of pairs the
+change wins (ties count for neither), and whether the gain rule holds: the
+change wins at least nine tenths of the pairs and the medians differ, in
+the better direction, by more than the distance between the parent's
+quartiles.  A run that exits non-zero or reports incorrect outputs is
+listed and left out of the summary.  Each run's manifest residuals are
+read (never written) from the record that perfbench/run.py leaves under
+its checkout's perfbench/_work/results/, and one line is printed for each
+residual that differs between the two sides of a pair.  The last line
+printed is one JSON object, {"seconds", "seed0", "workloads"}, where
+"workloads" lists per workload its name, failed run count, every run with
+its residuals, and its summary; --json also writes it to PATH.
 """
 
 from __future__ import annotations
@@ -130,29 +132,19 @@ def summarize(runs, better):
     return summary
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed0", type=int, default=20260817)
-    parser.add_argument("--json", type=Path)
-    args = parser.parse_args(argv)
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    checkouts = {"parent": args.parent, "change": args.change}
+def run_workload(checkouts, workload, pairs, seconds, seed0, better):
+    """Run the pairs of one workload, print them and their summary, and
+    return the workload's record for the JSON line."""
+    print("workload %s" % workload, flush=True)
     runs = []
-    for pair in range(1, args.pairs + 1):
-        seed = args.seed0 + pair - 1
+    for pair in range(1, pairs + 1):
+        seed = seed0 + pair - 1
         for side in SIDES if pair % 2 else SIDES[::-1]:
-            line = run_once(checkouts[side], args.workload, seed, args.seconds)
+            line = run_once(checkouts[side], workload, seed, seconds)
             metrics = residuals = None
             if line is not None:
                 metrics = {name: m["value"] for name, m in line["metrics"].items()}
-                residuals = read_residuals(checkouts[side], args.workload, seed)
+                residuals = read_residuals(checkouts[side], workload, seed)
             runs.append({"pair": pair, "seed": seed, "side": side, "metrics": metrics,
                          "residuals": residuals})
             shown = "FAILED" if metrics is None else " ".join(
@@ -170,13 +162,35 @@ def main(argv=None):
     for pair, seed, key, parent, change in residual_differences(runs):
         print("residual differs: pair %d seed %d %s parent %r change %r"
               % (pair, seed, key, parent, change))
-    result = {
-        "workload": args.workload,
-        "seconds": args.seconds,
-        "seed0": args.seed0,
+    return {
+        "workload": workload,
         "failed": sum(run["metrics"] is None for run in runs),
         "runs": runs,
         "summary": summary,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True, action="append")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed0", type=int, default=20260817)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent, "change": args.change}
+    result = {
+        "seconds": args.seconds,
+        "seed0": args.seed0,
+        "workloads": [
+            run_workload(checkouts, workload, args.pairs, args.seconds, args.seed0, better)
+            for workload in args.workload
+        ],
     }
     text = json.dumps(result)
     if args.json:
