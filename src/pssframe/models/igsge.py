@@ -152,7 +152,7 @@ def igsge_h_from_V(chart: GridChart, V, threshold=V_THRESHOLD_DEFAULT):
     """
     n = chart.dim
     V = dense(V, (n,) + chart.counts, "V")
-    h = lazy_zeros((n, n) + chart.counts)  # its diagonal rows stay zero
+    h = np.zeros((n, n) + chart.counts)
     valid = np.abs(V) > threshold
     for j in range(n):
         ok = valid[j]

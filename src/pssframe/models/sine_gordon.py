@@ -26,7 +26,7 @@ import numpy as np
 
 from ..forms import closedness_residual
 from ..frames import FrameData
-from ..grid import GridChart, dense, lazy_zeros, partial_derivative
+from ..grid import GridChart, dense, partial_derivative
 
 
 @dataclass
@@ -97,7 +97,7 @@ def sg_forms(sol: SineGordonSolution):
     """FrameData of a solution; see the module docstring for the forms."""
     chart = sol.chart
     half = 0.5 * sol.u
-    omega = lazy_zeros((2, 2) + chart.counts)  # its off-diagonal stays zero
+    omega = np.zeros((2, 2) + chart.counts)
     np.cos(half, out=omega[0, 0])
     np.sin(half, out=omega[1, 1])
     upper = np.empty((1, 2) + chart.counts)

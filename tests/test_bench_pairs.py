@@ -122,10 +122,14 @@ def test_workloads_run_in_the_order_given_into_one_json(tmp_path, monkeypatch, c
     assert b["summary"]["peak_rss_mb"]["parent"]["median"] == 50.0
 
 
-def _record(checkout, workload, seed, residuals):
+def _record(checkout, workload, seed, residuals, wall_s=None, refs=None):
     path = checkout / "perfbench" / "_work" / "results" / ("%s-s%d-t0.json" % (workload, seed))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"record": {"child": {"residuals": residuals}}}))
+    record = {"child": {"residuals": residuals}}
+    if wall_s is not None:
+        record["wall_s"] = wall_s
+        record["child"]["refs"] = refs
+    path.write_text(json.dumps({"record": record}))
     return path
 
 
@@ -155,8 +159,8 @@ def test_runs_carry_their_record_residuals_read_without_writing(tmp_path, monkey
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     parent = tmp_path / "p"
     records = [
-        _record(parent, "w", 7, {"compat": 1e-6, "closed": 2e-5}),
-        _record(tmp_path, "w", 7, {"compat": 1e-6, "closed": 2e-5}),
+        _record(parent, "w", 7, {"compat": 1e-6, "closed": 2e-5}, 0.25, [0.2, 0.1, 0.15]),
+        _record(tmp_path, "w", 7, {"compat": 1e-6, "closed": 2e-5}, 0.24, [0.16, 0.12]),
         _record(parent, "w", 8, {"compat": 1e-6}),
         _record(tmp_path, "w", 8, {"compat": 4e-6}),
     ]
@@ -173,7 +177,18 @@ def test_runs_carry_their_record_residuals_read_without_writing(tmp_path, monkey
     assert [line for line in printed if line.startswith("residual differs")] == [
         "residual differs: pair 2 seed 8 compat parent 1e-06 change 4e-06"
     ]
-    runs = json.loads(printed[-1])["workloads"][0]["runs"]
+    (only,) = json.loads(printed[-1])["workloads"]
+    runs = only["runs"]
     assert runs[0]["residuals"] == {"compat": 1e-6, "closed": 2e-5}
     assert [run["residuals"] for run in runs[4:]] == [None, None]  # seed 9: no record
+    # the raw medians of a record: its wall_s and the median of its refs
+    assert [run["raw"] for run in runs[:2]] == [
+        {"wall_s": 0.25, "ref_s": 0.15}, {"wall_s": 0.24, "ref_s": pytest.approx(0.14)}
+    ]
+    assert [run["raw"] for run in runs[2:]] == [None] * 4
+    assert printed[0] == "workload w"
+    assert printed[1] == "pair 1 seed 7 parent wall_ref=2 wall_s=0.25 ref_s=0.15"
+    # only pair 1 has raw medians on both sides
+    raw = only["raw_summary"]
+    assert (raw["wall_s"]["wins"], raw["wall_s"]["pairs"], raw["ref_s"]["wins"]) == (1, 1, 1)
     assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in records] == before

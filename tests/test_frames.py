@@ -213,9 +213,7 @@ def test_row_max_abs_is_the_max_of_each_row_and_nan_for_a_nan_row():
 
 # tracemalloc peak in bytes of structure_residuals on a 513^2 moving-kink
 # frame: a few slab temporaries of at most _BLOCK_NODES doubles each
-# (6,401,440 while the residuals were formed on the whole interior).  The
-# frame is built before the trace starts: its coframe is a `grid.lazy_zeros`
-# mapping, which tracemalloc does not see
+# (6,401,440 while the residuals were formed on the whole interior)
 STRUCTURE513_PEAK = 335_094
 
 

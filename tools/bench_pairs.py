@@ -15,13 +15,17 @@ change wins (ties count for neither), and whether the gain rule holds: the
 change wins at least nine tenths of the pairs and the medians differ, in
 the better direction, by more than the distance between the parent's
 quartiles.  A run that exits non-zero or reports incorrect outputs is
-listed and left out of the summary.  Each run's manifest residuals are
-read (never written) from the record that perfbench/run.py leaves under
-its checkout's perfbench/_work/results/, and one line is printed for each
-residual that differs between the two sides of a pair.  The last line
+listed and left out of the summary.  Each run's manifest residuals and
+its raw medians, the invocation wall "wall_s" and the reference
+computation's seconds "ref_s" that wall_ref divides by, are read (never
+written) from the record that perfbench/run.py leaves under its checkout's
+perfbench/_work/results/; the raw medians get the same summary as the
+metrics ("raw_summary", both lower is better), and one line is printed for
+each residual that differs between the two sides of a pair.  The last line
 printed is one JSON object, {"seconds", "seed0", "workloads"}, where
 "workloads" lists per workload its name, failed run count, every run with
-its residuals, and its summary; --json also writes it to PATH.
+its residuals and raw medians, its summary and its raw summary; --json
+also writes it to PATH.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RAW = {"wall_s": "lower", "ref_s": "lower"}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -50,14 +55,21 @@ def run_once(checkout, workload, seed, seconds):
     return line if line["correct"] else None
 
 
-def read_residuals(checkout, workload, seed):
-    """The manifest residuals in the record of the run just made in checkout,
-    or None when there is no readable record."""
+def read_record(checkout, workload, seed):
+    """(manifest residuals, {"wall_s", "ref_s"} raw medians) in the record of
+    the run just made in checkout; either is None when the record does not
+    hold it."""
     path = Path(checkout, "perfbench", "_work", "results", "%s-s%d-t0.json" % (workload, seed))
     try:
-        return json.loads(path.read_text())["record"]["child"]["residuals"]
+        record = json.loads(path.read_text())["record"]
+        residuals = record["child"]["residuals"]
     except (OSError, ValueError, KeyError, TypeError):
-        return None
+        return None, None
+    try:
+        raw = {"wall_s": record["wall_s"], "ref_s": statistics.median(record["child"]["refs"])}
+    except (KeyError, TypeError, statistics.StatisticsError):
+        raw = None
+    return residuals, raw
 
 
 def flatten(tree, prefix=""):
@@ -141,19 +153,20 @@ def run_workload(checkouts, workload, pairs, seconds, seed0, better):
         seed = seed0 + pair - 1
         for side in SIDES if pair % 2 else SIDES[::-1]:
             line = run_once(checkouts[side], workload, seed, seconds)
-            metrics = residuals = None
+            metrics = residuals = raw = None
             if line is not None:
                 metrics = {name: m["value"] for name, m in line["metrics"].items()}
-                residuals = read_residuals(checkouts[side], workload, seed)
+                residuals, raw = read_record(checkouts[side], workload, seed)
             runs.append({"pair": pair, "seed": seed, "side": side, "metrics": metrics,
-                         "residuals": residuals})
+                         "residuals": residuals, "raw": raw})
             shown = "FAILED" if metrics is None else " ".join(
-                "%s=%.6g" % kv for kv in metrics.items()
+                "%s=%.6g" % kv for kv in {**metrics, **(raw or {})}.items()
             )
             print("pair %d seed %d %-6s %s" % (pair, seed, side, shown), flush=True)
 
     summary = summarize(runs, better)
-    for name, s in summary.items():
+    raw_summary = summarize([{**run, "metrics": run["raw"]} for run in runs], RAW)
+    for name, s in {**summary, **raw_summary}.items():
         print("%-14s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d%s" % (
             name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
             s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
@@ -167,6 +180,7 @@ def run_workload(checkouts, workload, pairs, seconds, seed0, better):
         "failed": sum(run["metrics"] is None for run in runs),
         "runs": runs,
         "summary": summary,
+        "raw_summary": raw_summary,
     }
 
 
