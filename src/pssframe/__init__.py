@@ -24,13 +24,7 @@ from .errors import (
     StructureGateError,
 )
 from .fieldio import read_field, write_field
-from .forms import (
-    closedness_residual,
-    d_oneform,
-    d_scalar,
-    potential,
-    wedge,
-)
+from .forms import closedness_residual, potential
 from .frames import (
     FrameData,
     connection_matrix,
@@ -79,10 +73,7 @@ __all__ = [
     "read_field",
     "write_field",
     "closedness_residual",
-    "d_oneform",
-    "d_scalar",
     "potential",
-    "wedge",
     "FrameData",
     "connection_matrix",
     "frame_change",

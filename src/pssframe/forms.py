@@ -8,11 +8,12 @@ to its chart:
   k < l, in row-major order (0, 1), (0, 2), ..., (1, 2), ...
 
 Frame bundles store their n coframe one-forms and their connection the same
-way, as dense arrays (see `frames`).  The exterior derivative uses the
-chart's second-order stencils; `potential` recovers a primitive of a closed
-one-form by staircase line integration (a composite trapezoid block fill,
-axes in chart order, run by the walker `grid._sweep`) and reports the
-discrepancy against the reversed axis order as a self-check.
+way, as dense arrays (see `frames`).  `closedness_residual` takes the
+exterior derivative with second-order central differences on the interior
+nodes; `potential` recovers a primitive of a closed one-form by staircase
+line integration (a composite trapezoid block fill, axes in chart order,
+run by the walker `grid._sweep`) and reports the discrepancy against the
+reversed axis order as a self-check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import GridChart, _streamed_compat, _sweep, dense, partial_derivative
+from .grid import GridChart, _streamed_compat, _sweep, dense
 
 
 def _pairs(n):
@@ -31,47 +32,6 @@ def _pairs(n):
 def oneform(chart: GridChart, theta):
     """theta as a float (n, *counts) array, or ValueError naming its shape."""
     return dense(theta, (chart.dim,) + chart.counts, "one-form (one coefficient per axis)")
-
-
-def d_scalar(chart: GridChart, f):
-    """Exterior derivative of a scalar field (*counts): its gradient one-form."""
-    f = dense(f, chart.counts, "scalar field")
-    out = np.empty((chart.dim,) + chart.counts)
-    for k in range(chart.dim):
-        out[k] = partial_derivative(f, k, chart.spacing[k])
-    return out
-
-
-def d_oneform(chart: GridChart, theta):
-    """Exterior derivative as a (pairs, *counts) two-form array.
-
-    The coefficient of dx_k^dx_l is d_k theta_l - d_l theta_k.
-    """
-    theta = oneform(chart, theta)
-    pairs = _pairs(chart.dim)
-    out = np.empty((len(pairs),) + chart.counts)
-    for p, (k, l) in enumerate(pairs):
-        dk = partial_derivative(theta[l], k, chart.spacing[k])
-        dl = partial_derivative(theta[k], l, chart.spacing[l])
-        np.subtract(dk, dl, out=out[p])
-    return out
-
-
-def wedge(a, b):
-    """Wedge product of two (n, *counts) one-forms as a (pairs, *counts) array."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("one-forms of shapes %s and %s" % (a.shape, b.shape))
-    pairs = _pairs(a.shape[0])
-    # one pair at a time into a preallocated block: fancy-indexing all pairs
-    # at once would copy both operands
-    out = np.empty((len(pairs),) + a.shape[1:])
-    # NaN and +-Inf coefficients pass on without a warning
-    with np.errstate(invalid="ignore"):
-        for p, (k, l) in enumerate(pairs):
-            np.multiply(a[k], b[l], out=out[p])
-            out[p] -= a[l] * b[k]
-    return out
 
 
 def interior_central(v, axis, h):
@@ -89,7 +49,8 @@ def interior_d(values, k, l, spacing):
     """The dx_k ^ dx_l coefficient of d(theta) on the strictly interior nodes.
 
     values is theta's (n, *counts) array.  The central differences of
-    `interior_central` give each node the double of the full-grid `d_oneform`.
+    `interior_central` give each node the double of the full-grid
+    `grid.partial_derivative` stencils.
     """
     return interior_central(values[l], k, spacing[k]) - interior_central(values[k], l, spacing[l])
 

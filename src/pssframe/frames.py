@@ -106,8 +106,9 @@ def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
     at a time: d of a one-form by `interior_central`, wedges of interior
     views, and omega_ij for i > j as the stored omega_ji with its term's sign
     flipped (x - (-w) is x + w bit for bit), so each node gets the doubles of
-    the full-grid `d_oneform` and `wedge` up to the sign of a zero, which no
-    max-norm sees.  A NaN makes its max-norm NaN.
+    the full-grid exterior derivative and wedge product (the tests keep them
+    written out as oracles) up to the sign of a zero, which no max-norm
+    sees.  A NaN makes its max-norm NaN.
 
     row_max is `FrameData.row_max_abs`, taken here when not given.  When it
     and K are finite, every product and difference with an identically zero

@@ -45,15 +45,10 @@ source blocks, their midpoints, the shifts B and the line recurrence.
 Order zero's sweeps leave out an omega_1 or omega_2 row that vanishes
 identically along an axis (`angle_system`; at order zero the Camassa-Holm
 omega_2 has no dx term, so the x sweeps take sin(phi) alone).
-Periodic starting values come from return maps along the first-axis line
-through the base: a coarse scan of the line's return map, which leaves
-out the same rows where they are zero along the line, then safeguarded
-Newton for the nonlinear order zero, with the variational equation (which
-reads both sin and cos) integrated alongside on Python floats, and for
-every later order the composition of the line's affine step maps, whose
-gain is again formed once.  Both run on the solver's one line engine
-(`line_steps`, `integrate_line`, `affine_line`), which also steps every
-sweep block that is a single line of nodes, on Python floats.
+Periodic starting values come from the first-axis line through the base:
+order zero's from the monodromy of the line's angle equation lifted to a
+linear so(2,1) system (`_periodic_angle_start`), every later order's from
+the composition of the line's affine step maps, whose gain is formed once.
 """
 
 from __future__ import annotations
@@ -76,10 +71,8 @@ from .rotation_solver import (
     affine_line,
     affine_shifts,
     angle_sweeps,
-    angle_system,
-    integrate_line,
-    line_steps,
     linear_fills,
+    rkmk4_step,
     sweep_linear,
 )
 
@@ -320,102 +313,59 @@ def _order_zero_frame(chart, table):
 
 
 # ---------------------------------------------------------------------------
-# periodic starting values via the circle return map
+# periodic starting values from the monodromy of the start line
 
-def _integrate_line(y0, h, node_fields, mid_fields, rhs):
-    """RK4 along a line of nodes from y0, y' = rhs(samples, y): the end state."""
-    states = integrate_line(h, y0, node_fields, mid_fields, additive_kernels(rhs))
-    return deque(states, maxlen=1).pop()
-
-
-def _angle_return(h, steps, y):
-    """R(y) and R'(y) of the angle equation's line, on Python floats.
-
-    steps are the `line_steps` samples (s0, s1, s2) of `angle_rhs`.  The
-    angle is stepped together with its variational equation
-    v' = (cos(y) s0 - sin(y) s1) v from v = 1, in the operation order of
-    `rkmk4_step` on the additive group: u = (h/2) k, y + u, and at the end
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), one float per entry of the stacked
-    state.
-    """
-
-    def rhs(s, y, v):
-        sin_y, cos_y = math.sin(y), math.cos(y)
-        return s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v
-
-    half, sixth = 0.5 * h, h / 6.0
-    v = 1.0
-    for lo, md, hi in steps:
-        k1, l1 = rhs(lo, y, v)
-        k2, l2 = rhs(md, y + half * k1, v + half * l1)
-        k3, l3 = rhs(md, y + half * k2, v + half * l2)
-        k4, l4 = rhs(hi, y + h * k3, v + h * l3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = v + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return y, v
+def _mul(a, b):
+    # a @ b of 3 x 3 matrices or stacks of them, without BLAS: the first
+    # float64 matmul pages in about 320 kB, and a CH run makes no other
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(-2)
 
 
-def _periodic_angle_start(h, node_fields, samples=96, tol=1e-13):
+def _lifted_field(s, u):
+    """G u, G = [[0, -s2, -s0], [s2, 0, s1], [-s0, s1, 0]], for a stack of samples s."""
+    s0, s1, s2 = (c[:, None] for c in s)
+    u0, u1, u2 = u[..., 0, :], u[..., 1, :], u[..., 2, :]
+    return np.stack([-s2 * u1 - s0 * u2, s2 * u0 + s1 * u2, -s0 * u0 + s1 * u1], -2)
+
+
+# a monodromy that overflows is refused, not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def _periodic_angle_start(h, node_fields):
     """Starting angle whose line integration closes up after one period.
 
     node_fields are the (s0, s1, s2) samples of `angle_rhs` along the line.
-    The displacement map y -> R(y) - y is continuous and 2*pi periodic, so a
-    coarse scan brackets a fixed point of the return map on the circle when
-    one exists; the scan leaves out s0 or s1 when it is zero along the
-    whole line (`angle_system`; no scanned angle is -0).  Inside the first
-    bracket, safeguarded Newton solves R(y) - y = 2*pi*k with R'(y) from the
-    variational equation carried in the same line integration
-    (`_angle_return`, on Python floats, which keeps every term: the
-    variational equation reads both sin and cos); a step that leaves the
-    bracket or does not halve the previous one is replaced by bisection.
+    The angle equation phi' = s2 + s0 sin(phi) + s1 cos(phi) is the Riccati
+    form of the linear so(2,1) system u' = G u on u = l (cos phi, sin phi, 1)
+    (Sasaki 1979), with l'/l = -theta_1 along the line.  The RK4 step
+    matrices of every interval are one vectorized `rkmk4_step` from I, and
+    their product in line order is the monodromy M, whose null
+    eigenvectors are the periodic starts (Magnus & Winkler, ch. 1-2).  A
+    hyperbolic M (tr M > 3) has two, with eigenvalues l and 1/l; the start
+    is the one with l = exp(-oint theta_1) > 1, the dominant eigenvector,
+    which repeated squaring of M finds without LAPACK (`np.linalg.eig` added
+    0.9 MB to the peak memory of the order-8 CH benchmark run).  An elliptic
+    or parabolic M has none on the circle.
     """
-    mids = [midpoints(f, 0) for f in node_fields]
-    grid = np.linspace(-np.pi, np.pi, samples + 1)
-    # angle_system arranges each field with its midpoints
-    kept, rhs = angle_system(*zip(node_fields, mids), *(np.any(f) for f in node_fields[:2]))
-    disp = _integrate_line(grid, h, *zip(*kept), rhs) - grid
-    steps = line_steps(node_fields, mids)
-
-    for a, b, da, db in zip(grid[:-1], grid[1:], disp[:-1], disp[1:]):
-        lo_k = int(np.ceil(min(da, db) / (2.0 * np.pi)))
-        hi_k = int(np.floor(max(da, db) / (2.0 * np.pi)))
-        for k in range(lo_k, hi_k + 1):
-            target = 2.0 * np.pi * k
-            fa = da - target
-            fb = db - target
-            if fa == 0.0:
-                return float(a)
-            if fb == 0.0:
-                return float(b)
-            if fa * fb > 0:
-                continue
-            left, right, f_left = float(a), float(b), fa
-            y = left - fa * (right - left) / (fb - fa)
-            step_old = right - left
-            # bisection alone gets from 2*pi/samples to tol in < 50 steps
-            for _ in range(100):
-                r, dr = _angle_return(h, steps, y)
-                f = r - y - target
-                if f == 0.0:
-                    break
-                if (f < 0.0) == (f_left < 0.0):
-                    left, f_left = y, f
-                else:
-                    right = y
-                df = dr - 1.0
-                newton = f / df if df != 0.0 else np.inf
-                if left < y - newton < right and abs(newton) <= 0.5 * abs(step_old):
-                    step = newton
-                else:
-                    step = y - 0.5 * (left + right)
-                y -= step
-                step_old = step
-                if abs(step) <= tol:
-                    break
-            return float(y)
-    raise PssframeError(
-        "no periodic starting angle: the return map has no fixed point on the circle"
-    )
+    lo, hi = [f[:-1] for f in node_fields], [f[1:] for f in node_fields]
+    mid = [midpoints(f, 0) for f in node_fields]
+    steps = rkmk4_step(h, np.eye(3), lo, mid, hi, additive_kernels(_lifted_field))
+    M = np.eye(3)
+    for step in steps:
+        M = _mul(step, M)
+    if not np.isfinite(M).all():
+        raise PssframeError("no periodic starting angle: the start line's monodromy overflows")
+    if not np.trace(M) > 3.0:
+        raise PssframeError(
+            "no periodic starting angle: the return map has no fixed point on the circle"
+        )
+    # M^(2^64), rescaled, is a multiple of the projector v w^T / w^T v onto
+    # the expanding v = (cos, sin, 1) along w = (cos, sin, -1) of the other
+    # fixed point: its last column is the largest, a multiple of v
+    for _ in range(64):
+        M = _mul(M, M)
+        M /= np.abs(M).max()
+    u = np.copysign(1.0, M[2, 2]) * M[:, 2]  # u[2] > 0 picks (cos, sin) over its negative
+    return math.atan2(u[1], u[0])
 
 
 def _periodic_linear_start(h, slope):
@@ -495,8 +445,8 @@ def solve_hierarchy(
     are cut down).  start_values optionally pins the base value of each
     order's coefficient (default zero).  With periodic_axis=0 the starting
     values are instead chosen so each coefficient closes up over the first
-    axis (the chart should span exactly one period), computed from return
-    maps along the first-axis line through the base.
+    axis (the chart should span exactly one period), computed from the
+    monodromy and return maps of the first-axis line through the base.
     """
     if chart.dim != 2:
         raise ValueError("the expansion solver works on 2D charts")
@@ -538,7 +488,7 @@ def solve_hierarchy(
             table[2][0].coefficient(0)[:, t_line],
         ]
         if not all(np.isfinite(f).all() for f in line_fields):
-            # no return map to scan: a non-finite coefficient fails the gate
+            # no monodromy to form: a non-finite coefficient fails the gate
             _structure_gate(fd0, gate_factor)
             raise PssframeError("the periodic start line holds a non-finite coefficient")
         phi0_start = _periodic_angle_start(chart.spacing[0], line_fields)

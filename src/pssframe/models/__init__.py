@@ -15,16 +15,12 @@ from .igsge import (
     IGSGEState,
     igsge_explicit_solution,
     igsge_forms,
-    igsge_h_from_V,
     igsge_residual,
 )
 from .sine_gordon import (
-    SGPhiCheck,
     SineGordonSolution,
     sg_forms,
-    sg_from_values,
     sg_pde_residual,
-    sg_phi_system_check,
     sg_solution,
 )
 
@@ -41,13 +37,9 @@ __all__ = [
     "IGSGEState",
     "igsge_explicit_solution",
     "igsge_forms",
-    "igsge_h_from_V",
     "igsge_residual",
-    "SGPhiCheck",
     "SineGordonSolution",
     "sg_forms",
-    "sg_from_values",
     "sg_pde_residual",
-    "sg_phi_system_check",
     "sg_solution",
 ]

@@ -24,11 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ..errors import DegenerateFrameError
 from ..frames import FrameData
 from ..grid import GridChart, dense, lazy_zeros, partial_derivative
-
-V_THRESHOLD_DEFAULT = 1e-8
 
 
 @dataclass
@@ -140,32 +137,6 @@ def igsge_residual(state: IGSGEState):
                 mixed = max(mixed, float(np.max(np.abs(res[inner]))))
 
     return IGSGEResiduals(unit=unit, gradient=gradient, coupling=coupling, mixed=mixed)
-
-
-def igsge_h_from_V(chart: GridChart, V, threshold=V_THRESHOLD_DEFAULT):
-    """Recover h from V (n, *counts) by h_ji = (dV_i/dx_j) / V_j where V_j is usable.
-
-    Returns (h, valid): h is (n, n, *counts) with a zero diagonal, and
-    valid (n, *counts) marks in valid[j] the nodes with |V_j| above the
-    threshold, which row j of h is taken on; masked nodes hold zero.
-    Raises when a divisor component is below threshold everywhere.
-    """
-    n = chart.dim
-    V = dense(V, (n,) + chart.counts, "V")
-    h = np.zeros((n, n) + chart.counts)
-    valid = np.abs(V) > threshold
-    for j in range(n):
-        ok = valid[j]
-        if not ok.any():
-            raise DegenerateFrameError(
-                "component %d is below threshold on the whole chart" % (j + 1)
-            )
-        safe = np.where(ok, V[j], 1.0)
-        for i in range(n):
-            if i != j:
-                dvi = partial_derivative(V[i], j, chart.spacing[j])
-                h[j, i] = np.where(ok, dvi / safe, 0.0)
-    return h, valid
 
 
 def igsge_forms(state: IGSGEState):

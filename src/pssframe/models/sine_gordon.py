@@ -2,8 +2,7 @@
 
 u_{x1x1} - u_{x2x2} = sin u.  Kink solutions are sampled with analytic
 derivatives so that only the operators under test contribute discretization
-error; user-supplied fields fall back to finite differences
-(`sg_from_values`).
+error.
 
 The coframe attached to a solution is
 
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..forms import closedness_residual
 from ..frames import FrameData
-from ..grid import GridChart, dense, partial_derivative
+from ..grid import GridChart, dense
 
 
 @dataclass
@@ -70,17 +68,6 @@ def sg_solution(chart: GridChart, kind="static_kink", velocity=0.0):
     return SineGordonSolution(chart, u, 2.0 * gamma * sech, -2.0 * gamma * v * sech)
 
 
-def sg_from_values(chart: GridChart, u_values):
-    """Wrap a user-supplied sample with finite-difference derivatives."""
-    u = dense(u_values, chart.counts, "u")
-    return SineGordonSolution(
-        chart,
-        u,
-        partial_derivative(u, 0, chart.spacing[0]),
-        partial_derivative(u, 1, chart.spacing[1]),
-    )
-
-
 def sg_pde_residual(chart: GridChart, u_values):
     """Interior max of u_{x1x1} - u_{x2x2} - sin u by central differences."""
     u = np.asarray(u_values, dtype=float)
@@ -104,45 +91,3 @@ def sg_forms(sol: SineGordonSolution):
     np.multiply(0.5, sol.u_x2, out=upper[0, 0])
     np.multiply(0.5, sol.u_x1, out=upper[0, 1])
     return FrameData(chart, omega, upper)
-
-
-@dataclass
-class SGPhiCheck:
-    """Residuals of the angle system plus the rotated form (2, *counts) it produces."""
-
-    residual_x1: float
-    residual_x2: float
-    theta: np.ndarray
-    closed_residual: float
-
-    def max_residual(self):
-        return max(self.residual_x1, self.residual_x2)
-
-
-def sg_phi_system_check(sol: SineGordonSolution, phi):
-    """Check an angle field phi (*counts) against the model's first-order system.
-
-        phi_x1 = u_x2 / 2 + sin(phi) cos(u/2)
-        phi_x2 = u_x1 / 2 + cos(phi) sin(u/2)
-
-    Derivatives of phi are finite differences; residuals are interior
-    max-norms.  Also returns the rotated form
-    theta = cos(phi) cos(u/2) dx1 - sin(phi) sin(u/2) dx2 and its
-    closedness residual.
-    """
-    chart = sol.chart
-    half = 0.5 * sol.u
-    p = dense(phi, chart.counts, "phi")
-    p_x1 = partial_derivative(p, 0, chart.spacing[0])
-    p_x2 = partial_derivative(p, 1, chart.spacing[1])
-    r1 = p_x1 - (0.5 * sol.u_x2 + np.sin(p) * np.cos(half))
-    r2 = p_x2 - (0.5 * sol.u_x1 + np.cos(p) * np.sin(half))
-
-    theta = np.array([np.cos(p) * np.cos(half), -np.sin(p) * np.sin(half)])
-    inner = (slice(1, -1), slice(1, -1))
-    return SGPhiCheck(
-        residual_x1=float(np.max(np.abs(r1[inner]))),
-        residual_x2=float(np.max(np.abs(r2[inner]))),
-        theta=theta,
-        closed_residual=closedness_residual(chart, theta),
-    )

@@ -66,10 +66,12 @@ centred block costs half as many steps, and every element still goes
 through the same operations as in separate steps.  One line engine,
 `integrate_line` (with `affine_line` for the affine maps), steps a single
 line of nodes on Python floats sampled by `line_steps`: both fills use it
-when the block is one line of single nodes, shape (m, 1), and the
-hierarchy's periodic starts use it for their return maps.  The block shape
+when the block is one line of single nodes, shape (m, 1).  The block shape
 alone picks the path, and every path does the same operations in the same
-order.
+order.  The hierarchy's periodic starts take no line engine of their own:
+the angle start forms the step matrices of its lifted linear system in one
+vectorized `rkmk4_step`, and the linear orders compose `affine_gains` and
+`affine_shifts` with `affine_line`.
 """
 from __future__ import annotations
 

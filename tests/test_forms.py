@@ -5,17 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pssframe import (
-    closedness_residual,
-    d_oneform,
-    d_scalar,
-    potential,
-    wedge,
-)
+from pssframe import closedness_residual, potential
 from pssframe import grid
 from pssframe.grid import GridChart
 
 from conftest import interior_max_abs, square_chart
+from oracles import d_oneform, d_scalar, wedge
 
 
 def test_d_scalar_exact_on_quadratics():

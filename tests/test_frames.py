@@ -22,7 +22,6 @@ from pssframe import (
     read_field,
     special_frame_residual,
     structure_residuals,
-    wedge,
 )
 from pssframe.errors import (
     DegenerateFrameError,
@@ -31,7 +30,6 @@ from pssframe.errors import (
     StructureGateError,
 )
 
-from pssframe.forms import d_oneform
 from pssframe.models import ch_evolve, ch_forms, sg_forms, sg_solution
 from pssframe import frames
 from pssframe.rotation_solver import (
@@ -52,6 +50,7 @@ from conftest import (
     square_chart,
     varying_rotation_frame,
 )
+from oracles import d_oneform, wedge
 
 
 def test_structure_residuals_second_order_on_exp_metric():

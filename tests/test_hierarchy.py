@@ -9,8 +9,6 @@ from pssframe import EtaSeries, hierarchy, solve_hierarchy, solve_phi_2d
 from pssframe.errors import PssframeError, StructureGateError
 from pssframe.grid import midpoints
 from pssframe.hierarchy import (
-    _angle_return,
-    _integrate_line,
     _periodic_angle_start,
     _periodic_linear_start,
     closed_form_series,
@@ -20,9 +18,8 @@ from pssframe.models import ch_evolve, ch_forms, ch_from_arrays, ch_series_table
 from pssframe.rotation_solver import (
     additive_kernels,
     angle_rhs as _angle_rhs,
-    line_steps,
+    integrate_line,
     linear_fills,
-    rkmk4_step,
     sweep_linear,
 )
 
@@ -195,37 +192,39 @@ def test_hierarchy_rejects_bad_arguments():
 
 # Order-8 periodic hierarchy on a small evolved Camassa-Holm state: per order
 # (start value, compat residual, phi_k at the corners [0,0], [0,-1], [-1,0],
-# [-1,-1]), recorded from the factorial-series sin/cos and bisection start
-# finder that the Taylor-mode recurrences and Newton starts replaced.
+# [-1,-1]).  Recorded from the monodromy start of order zero; against the
+# scan and Newton start it replaced, the order-zero start moved -7.84e-8 (an
+# O(h^4) change of discretization), the later starts at most 1.5e-13 and
+# every compat residual and corner value at most 1.7e-7 relative.
 FROZEN_PERIODIC_ORDER_8 = [
-    (0.9785628119406722, 9.397148763579111e-07,
-     (1.1046759433926794, 0.869912355870919, 1.1046759433926954, 0.8699123558709398)),
-    (1.829695925883224, 1.4977804390081673e-06,
-     (1.8933185360189022, 1.7642724039808884, 1.8933185360189002, 1.76427240398089)),
-    (0.510682100723597, 2.0437769426839836e-06,
-     (0.4254511073751119, 0.5688836616694474, 0.4254511073751108, 0.5688836616694495)),
-    (-0.3679179135172623, 2.798523887403981e-06,
-     (-0.46997096574585, -0.27419721426345744, -0.46997096574584907, -0.2741972142634579)),
-    (-0.38763126290282895, 4.392608493275496e-06,
-     (-0.35979062318795185, -0.3835374129782142, -0.3597906231879503, -0.3835374129782161)),
-    (0.028848951805942442, 4.530785716938546e-06,
-     (0.13758345616111115, -0.05274390440522404, 0.13758345616111098, -0.052743904405224876)),
-    (0.24983645752066744, 7.232037972482175e-06,
-     (0.2785943531419555, 0.19721062210861842, 0.27859435314195385, 0.1972106221086195)),
-    (0.10068678893929911, 6.987856078360943e-06,
-     (0.01428757806492291, 0.14224422776552206, 0.01428757806492228, 0.14224422776552337)),
-    (-0.12224414236337605, 9.372178400302023e-06,
-     (-0.1921832348568382, -0.05021114065617347, -0.19218323485683675, -0.050211140656173534)),
+    (0.9785627335892682, 9.397148521550491e-07,
+     (1.104675874719656, 0.869912264660796, 1.1046759309952159, 0.8699123394048585)),
+    (1.829695925883204, 1.4977804083660118e-06,
+     (1.8933185434899336, 1.7642723960749558, 1.8933185373676245, 1.7642724025536196)),
+    (0.5106821007235872, 2.043777117266554e-06,
+     (0.42545111291735443, 0.5688836535873163, 0.4254511083756406, 0.5688836602103781)),
+    (-0.3679179135172279, 2.7985238399974577e-06,
+     (-0.46997097032752816, -0.27419721250144363, -0.46997096657294846, -0.2741972139453328)),
+    (-0.3876312629028228, 4.392608811742971e-06,
+     (-0.35979063049369076, -0.3835374047123979, -0.3597906245068471, -0.38353741148598725)),
+    (0.028848951805872398, 4.530785927325809e-06,
+     (0.13758345721499338, -0.052743900629048455, 0.13758345635131256, -0.052743903723576915)),
+    (0.24983645752061878, 7.232038440996291e-06,
+     (0.2785943605316232, 0.1972106172522735, 0.278594354475975, 0.19721062123185704)),
+    (0.10068678893940065, 6.987856641937906e-06,
+     (0.014287580388382433, 0.14224422130269546, 0.014287578484459643, 0.14224422659887834)),
+    (-0.1222441423632255, 9.372178462002667e-06,
+     (-0.19218324080807483, -0.05021114053997171, -0.19218323593110714, -0.050211140635050264)),
 ]
 
 
-def _periodic_ch_state(nt=16):
+def _periodic_ch_state(nt=16, nx=64):
     return ch_evolve(
         lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
         m=0.5,
         period=6.0,
         t_final=1.0,
-        nx=64,
+        nx=nx,
         nt=nt,
     )
 
@@ -246,35 +245,116 @@ def _line(values, count=33):
     return np.full(count, float(values))
 
 
-def test_periodic_angle_start_is_a_fixed_point_of_the_return_map():
-    state = _periodic_ch_state()
+def _start_line(state):
+    """h and the (s0, s1, s2) samples of the order-zero angle equation along
+    the first-axis line through the base of a periodic CH state."""
     table = ch_series_table(state, 0)
-    t_line = state.chart.counts[1] // 2
-    fields = [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
-    h = state.chart.spacing[0]
-    y = _periodic_angle_start(h, fields)
+    t_line = state.chart.base_index("center")[1]
+    return state.chart.spacing[0], [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
+
+
+def _lifted_rhs(s, u):
+    # u' = G u, G = [[0, -s2, -s0], [s2, 0, s1], [-s0, s1, 0]], written out
+    s0, s1, s2 = s
+    return np.array([-s2 * u[1] - s0 * u[2], s2 * u[0] + s1 * u[2], -s0 * u[0] + s1 * u[1]])
+
+
+def _line_end(h, y, fields, rhs):
+    """The end state of the RK4 line engine from y along the node fields."""
     mids = [midpoints(f, 0) for f in fields]
-    gap = _integrate_line(y, h, fields, mids, _angle_rhs) - y
-    assert abs(gap - 2 * np.pi * round(gap / (2 * np.pi))) <= 1e-12
+    return list(integrate_line(h, y, fields, mids, additive_kernels(rhs)))[-1]
 
 
-def test_variational_equation_gives_the_return_map_slope():
+def _expanding_eigenvector(h, fields):
+    """(l, v) of the monodromy of the lifted line, formed by the line engine
+    from I: its largest eigenvalue and that eigenvector with v[2] > 0."""
+    values, vectors = np.linalg.eig(_line_end(h, np.eye(3), fields, _lifted_rhs))
+    k = np.argmax(values.real)
+    v = vectors[:, k].real
+    return values[k].real, v if v[2] > 0.0 else -v
+
+
+def _analytic_line():
+    # every field nonzero: the CH line's omega_2 row vanishes at order zero
     x = np.linspace(0.0, 2 * np.pi, 65)
-    fields = [0.3 + 0.1 * np.cos(x), 0.2 * np.sin(x), 0.5 + 0.0 * x]
-    h = x[1] - x[0]
-    mids = [midpoints(f, 0) for f in fields]
-    y, eps = 0.4, 1e-6
-    _, slope = _angle_return(h, line_steps(fields, mids), y)
-    up, down = (_integrate_line(y + d, h, fields, mids, _angle_rhs) for d in (eps, -eps))
-    assert abs(slope - (up - down) / (2 * eps)) < 1e-8
+    return x[1] - x[0], [1.0 + 0.3 * np.cos(x), 0.8 * np.sin(x), 0.4 + 0.0 * x]
+
+
+@pytest.mark.parametrize("line", ["ch", "analytic"])
+def test_periodic_angle_start_is_a_fixed_point_of_the_return_map(line):
+    # on the linear line: the expanding null eigenvector v comes back as l v,
+    # l > 1, and the start is its angle
+    h, fields = _start_line(_periodic_ch_state()) if line == "ch" else _analytic_line()
+    gain, v = _expanding_eigenvector(h, fields)
+    assert gain > 1.0
+    assert np.max(np.abs(_line_end(h, v, fields, _lifted_rhs) - gain * v)) <= 1e-12 * gain
+    assert abs(_periodic_angle_start(h, fields) - np.arctan2(v[1], v[0])) <= 1e-12
+
+
+def test_periodic_angle_start_closes_the_angle_line_at_fourth_order():
+    # the angle line and its lift are two RK4 discretizations of one
+    # equation, so the angle line from the lift's start closes to O(h^4)
+    gaps = []
+    for nx in (64, 128, 256):
+        h, fields = _start_line(_periodic_ch_state(nx=nx))
+        y = _periodic_angle_start(h, fields)
+        gap = _line_end(h, y, fields, _angle_rhs) - y
+        gaps.append(abs(gap - 2 * np.pi * round(gap / (2 * np.pi))))
+    assert min(np.log2(np.divide(gaps[:-1], gaps[1:]))) >= 3.5
+
+
+def test_periodic_start_gain_is_the_exponential_of_minus_the_period_integral():
+    # l = exp(-oint theta_1) over the start line, by the periodic trapezoid sum
+    state = _periodic_ch_state()
+    h, fields = _start_line(state)
+    gain = _expanding_eigenvector(h, fields)[0]
+    result = solve_hierarchy(state.chart, ch_series_table(state, 0), 0, periodic_axis=0)
+    theta1 = result.orders[0].form[0][:, result.base_index[1]]
+    assert gain == pytest.approx(np.exp(-h * np.sum(theta1[:-1])), rel=1e-7)
+
+
+def test_periodic_angle_start_on_the_benchmark_line():
+    # the ch-hierarchy-conserve model; the scan and Newton start that the
+    # monodromy start replaced gave 0.869912116689356
+    state = ch_evolve(
+        lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / 6.0),
+        m=0.5,
+        period=6.0,
+        t_final=2.0,
+        nx=512,
+        nt=128,
+    )
+    assert abs(_periodic_angle_start(*_start_line(state)) - 0.869912116689356) <= 1e-10
 
 
 def test_periodic_angle_start_without_fixed_point_is_refused():
     # y' = 5 + 0.1 sin(y) over unit length: the displacement stays within
-    # [4.9, 5.1], which holds no multiple of 2 pi
+    # [4.9, 5.1], which holds no multiple of 2 pi, and the monodromy is elliptic
     fields = [_line(0.1), _line(0.0), _line(5.0)]
+    assert np.trace(_line_end(1.0 / 32, np.eye(3), fields, _lifted_rhs)) < 3.0
     with pytest.raises(PssframeError, match="no periodic starting angle"):
         _periodic_angle_start(1.0 / 32, fields)
+
+
+@pytest.mark.parametrize("count", [17, 33, 65])
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.0, -1.3])
+def test_parabolic_line_gives_a_finite_start_or_the_refusal(s, count):
+    # y' = s (1 + sin(y)): tr M = 3 to round-off, so round-off decides;
+    # a start it gives is near the one fixed point -pi/2, not its antipode
+    fields = [_line(s, count), _line(0.0, count), _line(s, count)]
+    try:
+        y = _periodic_angle_start(1.0 / (count - 1), fields)
+    except PssframeError as err:
+        assert str(err).startswith("no periodic starting angle")
+    else:
+        assert abs(y + 0.5 * np.pi) < 0.05
+
+
+def test_overflowing_monodromy_is_refused():
+    # y' = 40 sin(y) over length 20: the gain exp(800) overflows
+    fields = [_line(40.0, 401), _line(0.0, 401), _line(0.0, 401)]
+    with pytest.raises(PssframeError, match="monodromy overflows"):
+        _periodic_angle_start(0.05, fields)
 
 
 def test_periodic_linear_start_closes_its_line():
@@ -282,8 +362,7 @@ def test_periodic_linear_start_closes_its_line():
     fields = [0.3 + 0.2 * np.cos(x), 0.5 + np.sin(x)]
     h = x[1] - x[0]
     y = _periodic_linear_start(h, fields[0])(fields[1])
-    mids = [midpoints(f, 0) for f in fields]
-    end = _integrate_line(y, h, fields, mids, lambda s, v: s[0] * v + s[1])
+    end = _line_end(h, y, fields, lambda s, v: s[0] * v + s[1])
     assert abs(end - y) <= 1e-12
 
 
@@ -291,62 +370,6 @@ def test_periodic_linear_start_with_unit_gain_is_resonant():
     # y' = 1: the return map y -> y + 1 has gain one and no fixed point
     with pytest.raises(PssframeError, match="resonant"):
         _periodic_linear_start(1.0 / 32, _line(0.0))(_line(1.0))
-
-
-def _angle_rhs_variational(s, yv):
-    # the angle equation stacked with its variational equation on a
-    # two-entry array, as the Newton line stepped it before it ran on floats
-    y, v = yv
-    sin_y, cos_y = np.sin(y), np.cos(y)
-    return np.array(
-        [s[2] + sin_y * s[0] + cos_y * s[1], (cos_y * s[0] - sin_y * s[1]) * v]
-    )
-
-
-def _array_angle_return(h, steps, y):
-    yv = np.array([y, 1.0])
-    for lo, md, hi in steps:
-        yv = rkmk4_step(h, yv, lo, md, hi, additive_kernels(_angle_rhs_variational))
-    return tuple(yv.tolist())
-
-
-def _ch_base_line():
-    state = _periodic_ch_state()
-    table = ch_series_table(state, 0)
-    t_line = state.chart.counts[1] // 2
-    fields = [table[row][0].coefficient(0)[:, t_line] for row in range(3)]
-    return state.chart.spacing[0], fields
-
-
-def test_periodic_scan_without_the_zero_row_is_the_all_rows_scan(monkeypatch):
-    # omega_2 has no dx term at order zero: the coarse scan steps sin alone
-    h, fields = _ch_base_line()
-    assert not np.any(fields[1]) and np.all(fields[0])
-    scans = []
-
-    def recorded(*args):
-        scans.append(_integrate_line(*args))
-        return scans[-1]
-
-    monkeypatch.setattr(hierarchy, "_integrate_line", recorded)
-    got = _periodic_angle_start(h, fields)
-    monkeypatch.setattr(hierarchy, "angle_system", lambda *args: (args[:3], _angle_rhs))
-    want = _periodic_angle_start(h, fields)
-    assert got == want
-    assert np.array_equal(scans[0], scans[1])
-    assert np.array_equal(np.signbit(scans[0]), np.signbit(scans[1]))
-
-
-def test_float_newton_line_is_the_array_line_bit_for_bit(monkeypatch):
-    # math.sin / math.cos and np.sin / np.cos must agree on every sample, or
-    # this fails on the platform where they do not
-    h, fields = _ch_base_line()
-    steps = line_steps(fields, [midpoints(f, 0) for f in fields])
-    for y in np.linspace(-np.pi, np.pi, 13).tolist() + [0.123456789, 2.5e-9]:
-        assert _angle_return(h, steps, y) == _array_angle_return(h, steps, y)
-    start = _periodic_angle_start(h, fields)
-    monkeypatch.setattr(hierarchy, "_angle_return", _array_angle_return)
-    assert _periodic_angle_start(h, fields) == start
 
 
 # tracemalloc peak in bytes of solve_hierarchy on the 64 x 16 periodic CH
@@ -526,7 +549,7 @@ def test_table_stores_one_coefficient_per_power():
 
 @pytest.mark.parametrize("periodic_axis", [0, None])
 def test_non_finite_state_on_the_start_line_fails_the_gate(periodic_axis):
-    # NaN on the periodic start line reaches the gate, not the return map scan
+    # NaN on the periodic start line reaches the gate, not the monodromy
     state = _periodic_ch_state()
     u = state.u.copy()
     u[5, :] = np.nan

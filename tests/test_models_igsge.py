@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import igsge_frame, mappings_of, needs_smaps
+from oracles import igsge_h_from_V
 from pssframe import DegenerateFrameError, GridChart, solve_L_nd
 from pssframe.models import (
     IGSGEState,
     igsge_explicit_solution,
     igsge_forms,
-    igsge_h_from_V,
     igsge_residual,
 )
 

@@ -8,11 +8,11 @@ from pssframe.models import (
     IGSGEState,
     igsge_forms,
     sg_forms,
-    sg_from_values,
     sg_pde_residual,
-    sg_phi_system_check,
     sg_solution,
 )
+
+from oracles import sg_from_values, sg_phi_system_check
 
 
 def kink_chart(n, lo=(-8.0, -8.0), hi=(8.0, 8.0)):
