@@ -32,8 +32,9 @@ DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
 # Nodes per pass of the blocked loops (the Gram blocks of
 # `orthogonality_error`, `_nonsingular_2d` and `_duals_2d`, the slabs of
-# `structure_residuals`): one double per node is 64 KB, in cache and below
-# glibc's 128 KB mmap threshold, so such a temporary faults in no fresh pages.
+# `structure_residuals`, the chunks of `rotation_solver.affine_fill`): one
+# double per node is 64 KB, in cache and below glibc's 128 KB mmap
+# threshold, so such a temporary faults in no fresh pages.
 _BLOCK_NODES = 8192
 
 

@@ -344,7 +344,10 @@ def _periodic_angle_start(h, node_fields):
     is the one with l = exp(-oint theta_1) > 1, the dominant eigenvector,
     which repeated squaring of M finds without LAPACK (`np.linalg.eig` added
     0.9 MB to the peak memory of the order-8 CH benchmark run).  An elliptic
-    or parabolic M has none on the circle.
+    M (tr M < 3) has none on the circle, and a parabolic one (tr M = 3) one
+    that round-off cannot place.  So tr M - 3 must exceed 3 max|M| times
+    the sum over the steps S of their defect from SO(2,1), max|S^T J S - J|
+    with J = diag(1, 1, -1), and of one rounding per product.
     """
     lo, hi = [f[:-1] for f in node_fields], [f[1:] for f in node_fields]
     mid = [midpoints(f, 0) for f in node_fields]
@@ -354,7 +357,10 @@ def _periodic_angle_start(h, node_fields):
         M = _mul(step, M)
     if not np.isfinite(M).all():
         raise PssframeError("no periodic starting angle: the start line's monodromy overflows")
-    if not np.trace(M) > 3.0:
+    J = np.array([1.0, 1.0, -1.0])
+    defect = np.abs(_mul(np.swapaxes(steps, -1, -2) * J, steps) - np.diag(J)).max((-2, -1))
+    tol = 3.0 * np.abs(M).max() * (defect.sum() + len(steps) * np.finfo(float).eps)
+    if not np.trace(M) - 3.0 > tol:
         raise PssframeError(
             "no periodic starting angle: the return map has no fixed point on the circle"
         )

@@ -50,25 +50,27 @@ One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  There are two block fills, each of which samples
 its coefficient slab at the interval midpoints itself: `rkmk4_fill` steps
 each line from the one before, and `affine_fill` serves linear equations
-y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of a
-whole block come from two vectorized steps, and each line is then one
-multiply-add, in place.  The gains A depend on the slope alone, so
-`linear_fills` forms them once per axis order, one fill per slab of the
-walker's sweep (`grid._sweep_slabs`), and `sweep_linear` reuses them for
-every source; a sweep then forms only the source slabs, their midpoints
-and the shifts B.  A slab of a block gets the whole block's bits, except
-that n >= 4 `expm_skew` picks its scaling per stack.  `sweep_scalar` takes
-its fields per axis, so each block copies and interpolates only the fields
-its own axis reads.  `rkmk4_fill` marches up and down from the base line as
-one row: the lines b + j and b - j are folded onto a direction axis of
-length 2 and take one step together with h carried as [h, -h], so a
-centred block costs half as many steps, and every element still goes
-through the same operations as in separate steps.  One line engine,
-`integrate_line` (with `affine_line` for the affine maps), steps a single
-line of nodes on Python floats sampled by `line_steps`: both fills use it
-when the block is one line of single nodes, shape (m, 1).  The block shape
-alone picks the path, and every path does the same operations in the same
-order.  The hierarchy's periodic starts take no line engine of their own:
+y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of
+each chunk of consecutive intervals, at most 8,192 values
+(`frames._BLOCK_NODES`, 64 KB) per temporary, come from two vectorized
+steps, and each line of the chunk is then one multiply-add, in place.  The
+gains A depend on the slope alone, so `linear_fills` forms them once per
+axis order, one fill per slab of the walker's sweep (`grid._sweep_slabs`),
+and `sweep_linear` reuses them for every source; a sweep then forms only
+the source slabs and, chunk by chunk, their midpoints and the shifts B.
+The steps are elementwise, so a chunk gets the whole block's bits; so
+does a slab of a block, except that n >= 4 `expm_skew` picks its scaling
+per stack.  `sweep_scalar` takes its fields per axis, so each block copies
+and interpolates only the fields its own axis reads.  `rkmk4_fill` marches
+up and down from the base line as one row: the lines b + j and b - j are
+folded onto a direction axis of length 2 and take one step together with h
+carried as [h, -h], so a centred block costs half as many steps, and every
+element still goes through the same operations as in separate steps.  One
+line engine, `integrate_line` (with `affine_line` for the affine maps),
+steps a single line of nodes on Python floats sampled by `line_steps`:
+both fills use it when the block is one line of single nodes, shape
+(m, 1).  The block shape alone picks the path, and every path does the
+same operations in the same order.  The hierarchy's periodic starts take no line engine of their own:
 the angle start forms the step matrices of its lifted linear system in one
 vectorized `rkmk4_step`, and the linear orders compose `affine_gains` and
 `affine_shifts` with `affine_line`.
@@ -82,6 +84,7 @@ import numpy as np
 from .errors import StructureGateError
 from .forms import closedness_residual, potential
 from .frames import (
+    _BLOCK_NODES,
     DET_RTOL_DEFAULT,
     FrameData,
     connection_matrix,
@@ -378,38 +381,48 @@ def affine_fill(h, b, a):
     """Block fill of `grid._sweep` for y' = a y + source, the slope block a fixed.
 
     a is the contiguous slope block with the swept axis first and b its
-    base line.  The slope's midpoints and the gains of every interval above
-    the base line (`affine_gains`) and below it (-h, lo and hi swapped) are
-    formed here, once for every source the fill is then called with.  A
+    base line.  The intervals up from b and down from it are cut into
+    chunks of at most `frames._BLOCK_NODES` values (one interval at least),
+    in the order the march visits them.  The slope's midpoints and each
+    chunk's gains (`affine_gains`; below b with -h and lo and hi swapped)
+    are formed here, once for every source the fill is then called with.  A
     call fill(h, blk, b, node), with the same h and b and node the source
-    block, forms the source midpoints and the shifts (`affine_shifts`) and
-    fills each line as A * previous + B, on Python floats for a block of
-    single nodes, shape (m, 1), and in place otherwise.
+    block, forms per chunk the source midpoints, the shifts
+    (`affine_shifts`) and the lines as A * previous + B: on Python floats
+    for a block of single nodes, shape (m, 1), and in place otherwise.
     """
     a_mid = midpoints(a, 0)
-    gain_up = affine_gains(h, a[b:-1], a_mid[b:], a[b + 1 :])
-    gain_down = affine_gains(-h, a[1 : b + 1], a_mid[:b], a[:b])[::-1]
+    m, step = a.shape[0], max(1, _BLOCK_NODES // a[0].size)
+    # (direction, i, j) of each chunk, the intervals between nodes i..j
+    spans = [(1, i, min(i + step, m - 1)) for i in range(b, m - 1, step)]
+    spans += [(-1, max(i - step, 0), i) for i in range(b, 0, -step)]
+    chunks = [
+        (d, i, j, affine_gains(d * h, *_chunk_samples(d, i, j, a, a_mid[i:j]))[::d])
+        for d, i, j in spans
+    ]
 
     def fill(h, blk, b, node):
         (s,) = node
-        s_mid = midpoints(s, 0)
-        up = gain_up, affine_shifts(
-            h, (a[b:-1], s[b:-1]), (a_mid[b:], s_mid[b:]), (a[b + 1 :], s[b + 1 :])
-        )
-        shifts = affine_shifts(
-            -h, (a[1 : b + 1], s[1 : b + 1]), (a_mid[:b], s_mid[:b]), (a[:b], s[:b])
-        )
-        down = gain_down, shifts[::-1]
-        if blk.shape[1:] == (1,):
-            y = blk[b, 0].item()
-            blk[b:, 0] = list(affine_line(*up, y))
-            blk[b::-1, 0] = list(affine_line(*down, y))
-        else:
-            rows = list(blk)
-            _affine_rows(*up, rows[b:])
-            _affine_rows(*down, rows[b::-1])
+        for d, i, j, A in chunks:
+            k = max(i - 2, 0)  # a halo of two nodes keeps the whole line's rule
+            s_mid = midpoints(s[k : j + 3], 0)[i - k : j - k]
+            lo, mid, hi = zip(
+                _chunk_samples(d, i, j, a, a_mid[i:j]), _chunk_samples(d, i, j, s, s_mid)
+            )
+            B = affine_shifts(d * h, lo, mid, hi)[::d]
+            rows = blk[i : j + 1][::d]
+            if blk.shape[1:] == (1,):
+                rows[:, 0] = list(affine_line(A, B, rows[0, 0].item()))
+            else:
+                _affine_rows(A, B, rows)
 
     return fill
+
+
+def _chunk_samples(d, i, j, f, mid):
+    # (lo, mid, hi) of intervals i..j-1, lo on the side the march comes from
+    o = d < 0
+    return f[i + o : j + o], mid, f[i + 1 - o : j + 1 - o]
 
 
 def _add(u, y):

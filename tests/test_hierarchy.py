@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pssframe import EtaSeries, hierarchy, solve_hierarchy, solve_phi_2d
+from pssframe import EtaSeries, hierarchy, rotation_solver, solve_hierarchy, solve_phi_2d
 from pssframe.errors import PssframeError, StructureGateError
 from pssframe.grid import midpoints
 from pssframe.hierarchy import (
@@ -229,6 +229,25 @@ def _periodic_ch_state(nt=16, nx=64):
     )
 
 
+def _solve_bits(state, order):
+    """The bits of every phi_j, form, compat residual and start value."""
+    result = solve_hierarchy(state.chart, ch_series_table(state, order), order, periodic_axis=0)
+    bits = [result.phi_series.coeffs]
+    for item in result.orders:
+        bits += [item.form, np.array([item.compat_residual, item.start_value])]
+    return [np.asarray(b, dtype=float).view(np.int64) for b in bits]
+
+
+def test_hierarchy_with_one_interval_per_chunk_keeps_every_bit(monkeypatch):
+    # affine_fill marching one interval per chunk against the default chunks
+    state = _periodic_ch_state()
+    want = _solve_bits(state, 4)
+    monkeypatch.setattr(rotation_solver, "_BLOCK_NODES", 1)
+    got = _solve_bits(state, 4)
+    assert len(got) == len(want) == 11
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_periodic_order_8_matches_frozen_reference():
     state = _periodic_ch_state()
     result = solve_hierarchy(state.chart, ch_series_table(state, 8), 8, periodic_axis=0)
@@ -336,18 +355,25 @@ def test_periodic_angle_start_without_fixed_point_is_refused():
         _periodic_angle_start(1.0 / 32, fields)
 
 
-@pytest.mark.parametrize("count", [17, 33, 65])
-@pytest.mark.parametrize("s", [0.3, 0.7, 1.0, -1.3])
+@pytest.mark.parametrize("count", [17, 33, 65, 129])
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.0, -1.3, -0.5, 2.0])
 def test_parabolic_line_gives_a_finite_start_or_the_refusal(s, count):
-    # y' = s (1 + sin(y)): tr M = 3 to round-off, so round-off decides;
-    # a start it gives is near the one fixed point -pi/2, not its antipode
+    # y' = s (1 + sin(y)): tr M = 3 in exact arithmetic, and the computed
+    # tr M - 3 lies within what the step matrices' defect from SO(2,1)
+    # allows, so every node count gets the one decision: the refusal
     fields = [_line(s, count), _line(0.0, count), _line(s, count)]
-    try:
+    with pytest.raises(PssframeError, match="no periodic starting angle: the return map"):
+        _periodic_angle_start(1.0 / (count - 1), fields)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.0, -1.3, -0.5, 2.0])
+def test_hyperbolic_neighbour_of_the_parabolic_line_gives_its_start(s):
+    # y' = s (1 + 1.05 sin(y)) has the fixed points sin(y) = -1 / 1.05; its
+    # coefficients are constant, so the RK4 monodromy keeps them exactly
+    for count in (17, 33, 65, 129):
+        fields = [_line(1.05 * s, count), _line(0.0, count), _line(s, count)]
         y = _periodic_angle_start(1.0 / (count - 1), fields)
-    except PssframeError as err:
-        assert str(err).startswith("no periodic starting angle")
-    else:
-        assert abs(y + 0.5 * np.pi) < 0.05
+        assert abs(np.sin(y) + 1.0 / 1.05) <= 1e-12
 
 
 def test_overflowing_monodromy_is_refused():
@@ -384,8 +410,9 @@ CH64_HIERARCHY_PEAK = 346_000
 # with the table stored to order 8 and the whole exchanged-order sweeps,
 # 33.58 MB with the table at its degree and the certificates streamed,
 # 27.68 MB with one coefficient per power, the forms in the sin/cos stack
-# and the slopes dropped (run alone)
-CH513_HIERARCHY_PEAK = 27_800_000
+# and the slopes dropped, 23.15 MB with the linear orders' gains, shifts and
+# source midpoints formed in chunks of at most 8,192 values (run alone)
+CH513_HIERARCHY_PEAK = 23_350_000
 
 
 def test_hierarchy_holds_no_more_memory_than_per_order_maps():

@@ -432,6 +432,46 @@ def test_shared_fills_sweep_every_source_as_the_per_order_sweep(rng, axes_order,
         assert np.array_equal(got, want)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _forward_and_streamed_sweeps(chart, base, slopes, sources):
+    """The forward sweep filled into out, every slab the exchanged-order
+    sweep streams into `_streamed_compat`, and that certificate."""
+    out = np.empty(chart.counts)
+    sweep_linear(chart, base, linear_fills(chart, base, (0, 1), slopes), 0.7, sources, out=out)
+    fills_ex = linear_fills(chart, base, (1, 0), slopes, streamed=True)
+    slabs = []
+
+    def reverse(sink):
+        def keep(take, slab):
+            slabs.append(slab.copy())
+            sink(take, slab)
+
+        sweep_linear(chart, base, fills_ex, 0.7, sources, keep)
+
+    return out, slabs, _streamed_compat(out, reverse)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 75])
+@pytest.mark.parametrize("base", [(0, 0), (16, 12), (32, 24)])
+def test_affine_fill_chunks_keep_the_bits_of_the_whole_block(monkeypatch, rng, base, block_nodes):
+    # one interval per chunk (block_nodes 1), or three with a shorter last
+    # chunk (75 on the 25-node lines of the axis-0 block), against one chunk
+    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
+    x, t = chart.meshgrid()
+    slopes = (np.cos(x + t), 0.5 - x * t)
+    sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
+    want = _forward_and_streamed_sweeps(chart, base, slopes, sources)
+    monkeypatch.setattr(rotation_solver, "_BLOCK_NODES", block_nodes)
+    got = _forward_and_streamed_sweeps(chart, base, slopes, sources)
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert len(got[1]) == len(want[1])
+    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got[1], want[1]))
+    assert _bits(got[2]) == _bits(want[2])
+
+
 def test_solve_is_exact_when_frame_is_already_special():
     # omega_12 + omega_2 = 0 holds node-by-node, so the update is zero and
     # every reported residual is exactly 0.0
