@@ -363,11 +363,15 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
 
 
 def _fit_order(h_values, errors):
-    """Least-squares slope of log(error) against log(h)."""
-    h = np.asarray(h_values, dtype=float)
-    e = np.maximum(np.asarray(errors, dtype=float), 1e-300)
-    slope = np.polyfit(np.log(h), np.log(e), 1)[0]
-    return float(slope)
+    """Least-squares slope of log(error) against log(h), or None when an
+    error is zero: no order goes through an exact zero."""
+    if 0.0 in errors:
+        return None
+    return float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+
+
+def _order_text(order):
+    return "null" if order is None else "%.3f" % order
 
 
 def cmd_converge(cfg, cfg_path, out_dir, scale):
@@ -394,21 +398,22 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
         )
 
     h_values = [row["h_max"] for row in rows]
-    closed_order = _fit_order(h_values, [row["closed"] for row in rows])
+    closed = [row["closed"] for row in rows]
+    closed_order = _fit_order(h_values, closed)
     pair_orders = [
-        float(np.log(rows[i]["closed"] / rows[i + 1]["closed"]) / np.log(h_values[i] / h_values[i + 1]))
-        if rows[i + 1]["closed"] > 0
-        else float("inf")
-        for i in range(len(rows) - 1)
+        None
+        if 0.0 in (e0, e1)
+        else float(np.log(e0 / e1) / np.log(h_values[i] / h_values[i + 1]))
+        for i, (e0, e1) in enumerate(zip(closed, closed[1:]))
     ]
     print(
-        "orders: closed=%.3f pairs=%s floor=%.2f"
-        % (closed_order, ",".join("%.3f" % o for o in pair_orders), cfg.order_floor)
+        "orders: closed=%s pairs=%s floor=%.2f"
+        % (_order_text(closed_order), ",".join(map(_order_text, pair_orders)), cfg.order_floor)
     )
 
     _write(out_dir, "converge.csv", _write_converge_csv, rows)
 
-    ok = closed_order >= cfg.order_floor
+    ok = closed_order is not None and closed_order >= cfg.order_floor
     _write_manifest(
         out_dir,
         "converge",
@@ -422,6 +427,9 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
             "pass": ok,
         },
     )
+    if closed_order is None:
+        zeros = ", ".join(str(row["scale"]) for row in rows if row["closed"] == 0.0)
+        print("error: closed residual is zero at scales %s: no order to fit" % zeros, file=sys.stderr)
     return 0 if ok else 1
 
 

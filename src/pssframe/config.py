@@ -118,7 +118,8 @@ _CUBE = _each(
     lambda v: v > 0 and 0.0 < v * v * v < math.inf,
     "must be finite and positive, with a finite, nonzero cube",
 )
-# a zero constant scales its frame field away
+# a zero coordinate constant scales its frame field away, and a zero igsge
+# constant makes the coframe singular at every node
 _NONZERO = _each(lambda v: math.isfinite(v) and v != 0, "must be finite and nonzero")
 # the solvers refuse a rotation past ORTH_TOL_DEFAULT before a run reads orth_tol
 _ORTH_TOL = _each(
@@ -164,7 +165,7 @@ KEYS = (
     _key("model", "u0_amplitude", 0.1, float, _FINITE, _CH),
     _key("model", "kink", "static_kink", str.strip, _KINKS, ("sine_gordon",)),
     _key("model", "velocity", 0.0, float, _VELOCITY, ("sine_gordon",)),
-    _key("model", "c", (), _list(float), _FINITE, ("igsge",)),
+    _key("model", "c", (), _list(float), _NONZERO, ("igsge",)),
     _key("model", "field_file", "", str.strip, None, ("external",)),
     _key("chart", "origin", (), _list(float), _FINITE, _CHARTED),
     _key("chart", "spacing", (), _list(float), _SQUARE, _CHARTED),

@@ -31,7 +31,7 @@ from .grid import GridChart, dense, partial_derivative
 DET_RTOL_DEFAULT = 1e-8
 ORTH_TOL_DEFAULT = 1e-12
 # Nodes per pass of the blocked loops (the Gram blocks of
-# `orthogonality_error`, `_nonsingular_2d` and `_duals_2d`, the slabs of
+# `orthogonality_error` and `_nonsingular_2d`, the slabs of
 # `structure_residuals`, the chunks of `rotation_solver.affine_fill`): one
 # double per node is 64 KB, in cache and below glibc's 128 KB mmap
 # threshold, so such a temporary faults in no fresh pages.
@@ -330,12 +330,10 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     Returns (components, valid) where components[..., i, k] is the k-th
     coordinate component of e_i (so omega_j(e_i) = delta_ij) and valid is
     `nonsingular_nodes`, which raises DegenerateFrameError when no node is
-    invertible; the other nodes hold zeros.  n = 2 takes the closed form of
-    `_duals_2d`, n >= 3 `np.linalg.inv`.
+    invertible; the other nodes hold zeros.  The components are
+    `np.linalg.inv` of the valid nodes' matrices, transposed, in every n.
     """
     valid = nonsingular_nodes(fd, det_rtol)
-    if fd.dim == 2:
-        return _duals_2d(fd.omega, valid), valid
     F = fd.coefficient_matrix()
     comps = np.zeros_like(F)
     comps[valid] = np.swapaxes(np.linalg.inv(F[valid]), -1, -2)
@@ -363,13 +361,13 @@ def _product_error(xs, ys, xy):
 # singular, NaN and +-Inf nodes give NaN or Inf here; they are invalid
 @np.errstate(all="ignore")
 def _pivot_schur(omega):
-    """(swap, p, u) of the LU factors of F = [[a, b], [c, d]] (2, 2, nodes).
+    """(p, u) of the LU factors of F = [[a, b], [c, d]] (2, 2, nodes).
 
     With partial pivoting the pivot p is whichever of a, c is larger in
-    magnitude (a on a tie; swap marks c), g the other, and q, s their row
-    partners.  The Schur complement u = s - (g / p) q is accurate to a few
-    ulps at any conditioning, since the roundings of l = g / p and of l q
-    are recovered exactly by TwoProduct.  det F = +-p u, - where swap.
+    magnitude (a on a tie), g the other, and q, s their row partners.  The
+    Schur complement u = s - (g / p) q is accurate to a few ulps at any
+    conditioning, since the roundings of l = g / p and of l q are recovered
+    exactly by TwoProduct.  |det F| = |p u|.
     """
     (a, b), (c, d) = omega
     swap = np.abs(c) > np.abs(a)
@@ -385,7 +383,7 @@ def _pivot_schur(omega):
     rho /= p
     rho *= q
     u -= rho
-    return swap, p, u
+    return p, u
 
 
 def _nonsingular_2d(omega, scale, det_rtol):
@@ -396,45 +394,9 @@ def _nonsingular_2d(omega, scale, det_rtol):
     with np.errstate(all="ignore"):
         for start in range(0, valid.size, _BLOCK_NODES):
             blk = slice(start, start + _BLOCK_NODES)
-            _, p, u = _pivot_schur(flat[..., blk])
+            p, u = _pivot_schur(flat[..., blk])
             valid[blk] = np.abs((u / scale) * (p / scale)) > det_rtol
     return valid.reshape(omega.shape[2:])
-
-
-def _duals_2d(omega, valid):
-    """The components of `frame_vector_fields` for a 2 x 2 coframe, closed form.
-
-    For F = [[a, b], [c, d]], comps is F^-T = [[d, -c], [-b, a]] / det as
-    the LU factors of `_pivot_schur` give it: each component is its
-    cofactor divided by u and by +-p, and the pivot's own component is
-    1 / u, so a diagonal F gets 1 / a and 1 / d correctly rounded.  Nodes
-    that valid does not mark hold zeros.
-    """
-    counts = omega.shape[2:]
-    flat = omega.reshape(2, 2, -1)
-    comps = np.empty(flat.shape)
-    valid = valid.reshape(-1)
-    for start in range(0, valid.size, _BLOCK_NODES):
-        blk = slice(start, start + _BLOCK_NODES)
-        _duals_block(flat[..., blk], comps[..., blk], valid[blk])
-    comps = comps.reshape((2, 2) + counts)
-    return np.moveaxis(comps, (0, 1), (-2, -1))
-
-
-@np.errstate(all="ignore")
-def _duals_block(omega, comps, valid):
-    """Fill comps (2, 2, nodes) from omega (2, 2, nodes); see `_duals_2d`."""
-    (a, b), (c, d) = omega
-    swap, p, u = _pivot_schur(omega)
-    np.negative(p, out=p, where=swap)  # det = p u, with its sign
-    for out, cof in zip((comps[0, 0], comps[0, 1], comps[1, 0], comps[1, 1]), (d, c, b, a)):
-        np.divide(cof, u, out=out)
-        out /= p
-    np.negative(comps[0, 1], out=comps[0, 1])
-    np.negative(comps[1, 0], out=comps[1, 0])
-    np.divide(1.0, u, out=comps[1, 1], where=~swap)
-    np.divide(1.0, u, out=comps[0, 1], where=swap)
-    comps[:, :, ~valid] = 0.0
 
 
 def lie_bracket(chart: GridChart, x_comp, y_comp):

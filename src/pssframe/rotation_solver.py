@@ -59,8 +59,8 @@ axis order, one fill per slab of the walker's sweep (`grid._sweep_slabs`),
 and `sweep_linear` reuses them for every source; a sweep then forms only
 the source slabs and, chunk by chunk, their midpoints and the shifts B.
 The steps are elementwise, so a chunk gets the whole block's bits; so
-does a slab of a block, except that n >= 4 `expm_skew` picks its scaling
-per stack.  `sweep_scalar` takes its fields per axis, so each block copies
+does a slab of a block, in every n (`expm_skew` scales each matrix by its
+own norm).  `sweep_scalar` takes its fields per axis, so each block copies
 and interpolates only the fields its own axis reads.  `rkmk4_fill` marches
 up and down from the base line as one row: the lines b + j and b - j are
 folded onto a direction axis of length 2 and take one step together with h
@@ -146,10 +146,14 @@ def _rodrigues(w):
 
 
 def expm_skew(a):
-    """exp(A) for a stack of skew matrices A (..., n, n), exactly orthogonal.
+    """exp(A) for a stack of skew matrices A (..., n, n), orthogonal to round-off.
 
-    n = 2 and n = 3 use closed forms (plane rotation / Rodrigues); larger n
-    falls back to scaling-and-squaring with a Taylor kernel.
+    n = 2 takes the plane rotation in closed form.  Larger n scale and
+    square with a Taylor kernel of order 18 (Al-Mohy & Higham 2009): each
+    matrix is scaled by the power of two that brings its own max norm to at
+    most 0.5 and is squared back as often, so a matrix gets the same bits in
+    any stack.  A NaN entry takes no squarings and gives NaN; an infinite
+    one gives a NaN matrix.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -162,23 +166,22 @@ def expm_skew(a):
         out[..., 1, 0] = s
         out[..., 1, 1] = c
         return out
-    if n == 3:
-        w = np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]])
-        return np.moveaxis(_rodrigues(w), (0, 1), (-2, -1))
-    # general n: scaling and squaring, Taylor kernel of order 18
-    # (truncation ~0.5^19/19! at the scaled norm: below round-off)
-    norm = np.max(np.abs(a))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
-    out = np.broadcast_to(np.eye(n), b.shape).copy()
-    term = np.broadcast_to(np.eye(n), b.shape).copy()
+    # truncation ~0.5^19/19! at the scaled norm: below round-off
+    squarings = np.zeros(a.shape[:-2], int)
+    if not np.max(np.abs(a)) <= 0.5:  # per-matrix norms only then: they slow a 4D solve
+        norm = np.max(np.abs(a), axis=(-2, -1))
+        big = (norm > 0.5) & (norm < np.inf)
+        squarings[big] = np.ceil(np.log2(norm[big] / 0.5))
+        a = np.ldexp(a, -squarings[..., None, None])  # exact: powers of two
+        a[norm == np.inf] = np.nan
+    out = np.broadcast_to(np.eye(n), a.shape).copy()
+    term = np.broadcast_to(np.eye(n), a.shape).copy()
     for k in range(1, 19):
-        term = np.matmul(term, b) / k
+        term = np.matmul(term, a) / k
         out = out + term
-    for _ in range(squarings):
-        out = np.matmul(out, out)
+    for k in range(squarings.max()):
+        sq = squarings > k
+        out[sq] = np.matmul(out[sq], out[sq])
     return out
 
 
@@ -677,11 +680,6 @@ def _matrix_element(samples, L):
 
 
 def _matrix_exp_mul(u, y):
-    n = u.shape[-1]
-    if n > 3 and u.ndim > n + 1:
-        # a line of an n-dimensional block has n + 1 axes, a folded line one
-        # more: each direction keeps the scaling its own step would choose
-        return np.matmul(np.stack([expm_skew(v) for v in u]), y)
     return np.matmul(expm_skew(u), y)
 
 

@@ -376,6 +376,24 @@ def test_converge_orders_and_determinism(tmp_path, capsys):
     assert manifest["results"]["pass"] is True
 
 
+def test_converge_fits_no_order_through_an_exactly_closed_form(tmp_path, capsys):
+    # igsge 3D from the identity closes theta_1 exactly at every scale
+    cfg = write_config(tmp_path, IGSGE3D_CONFIG + "\n[convergence]\nscales = 1, 2\n")
+    runs = []
+    for name in ("a", "b"):
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / name)]) == 1
+        runs.append(capsys.readouterr())
+    assert "orders: closed=null pairs=null floor=1.70\n" in runs[0].out
+    assert runs[0].err == "error: closed residual is zero at scales 1, 2: no order to fit\n"
+    assert runs[1] == runs[0]
+    for name in ("manifest.json", "converge.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    results = _strict_json((tmp_path / "a" / "manifest.json").read_text())["results"]
+    assert [row["closed"] for row in results["rows"]] == [0.0, 0.0]
+    assert results["closed_order"] is None and results["pair_orders"] == [None]
+    assert results["pass"] is False
+
+
 def _watch_models(monkeypatch):
     """Record weakrefs to the frame data and state of every model the CLI builds."""
     refs = []

@@ -250,6 +250,9 @@ def test_every_value_of_every_key(tmp_path, monkeypatch, capsys, snapshots, row)
 
 
 CH_OPEN = with_keys(CH, hierarchy__periodic_axis=None)
+IGSGE4D = with_keys(
+    IGSGE, chart__origin="0.5, -2, -2, -2", chart__extent="2, 4, 4, 4", chart__counts="5, 5, 5, 5"
+)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +265,8 @@ CH_OPEN = with_keys(CH, hierarchy__periodic_axis=None)
         ("verify", with_keys(SG_MOVING, model__velocity="1.5"), "[model] velocity"),
         ("verify", with_keys(SG_MOVING, model__velocity="nan"), "[model] velocity"),
         ("verify", with_keys(IGSGE, model__c="nan, 0.8"), "[model] c"),
+        # omega_4 vanishes identically: the coframe is singular at every node
+        ("solve-frame", with_keys(IGSGE4D, model__c="0.6, 0.8, 0"), "[model] c"),
         ("conserve", with_keys(SG, conservation__time_axis="5"), "[conservation] time_axis"),
         ("converge", with_keys(SG, convergence__scales="1, 0"), "[convergence] scales"),
         ("converge", with_keys(SG, convergence__scales="1, 1"), "[convergence] scales"),
@@ -277,6 +282,7 @@ CH_OPEN = with_keys(CH, hierarchy__periodic_axis=None)
     ],
     ids=[
         "m-nan", "period-nan", "t_final-inf", "cfl--1", "velocity-1.5", "velocity-nan", "c-nan",
+        "c-zero-4d",
         "time_axis-5", "scales-1-0", "scales-1-1", "phi0-nan", "orth_tol-1e-6",
         "coordinate_constants-nan",
         "start_values-nan",

@@ -91,6 +91,28 @@ def test_expm_skew_two_by_two_closed_form(rng):
     assert np.max(np.abs(got[:, 1, 0] - np.sin(angles))) < 1e-15
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_expm_skew_gives_each_matrix_of_a_stack_its_own_bits(rng, n):
+    # max norms over four decades: from no squarings to about eight
+    a = rng.standard_normal((40, n, n)) * np.geomspace(0.01, 30.0, 40)[:, None, None]
+    a -= np.swapaxes(a, -1, -2)
+    alone = np.stack([expm_skew(x) for x in a])
+    assert np.array_equal(expm_skew(a), alone)
+    shape = (8, 5, n, n)
+    assert np.array_equal(expm_skew(a[::-1].reshape(shape)), alone[::-1].reshape(shape))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_expm_skew_gives_nan_for_non_finite_entries_quietly(rng, n):
+    a = rng.standard_normal((3, n, n)) * 5.0
+    a -= np.swapaxes(a, -1, -2)
+    a[0, 0, 1] = np.nan
+    a[1, 0, 1], a[1, 1, 0] = np.inf, -np.inf
+    got = expm_skew(a)  # a RuntimeWarning fails the test
+    assert np.isnan(got[0]).any() and np.isnan(got[1]).all()
+    assert np.array_equal(got[2], expm_skew(a[2]))
+
+
 def test_expm_skew_small_angle_branch():
     w = np.array([1e-9, -2e-9, 0.5e-9])
     a = np.array(
@@ -912,15 +934,15 @@ def _report_arrays(rep):
 
 
 @pytest.mark.parametrize(
-    "solve, exact",
+    "solve",
     [
-        pytest.param(lambda: solve_phi_2d(cosh_metric_frame(33), 0.3), True, id="angle-2d"),
-        pytest.param(lambda: solve_L_nd(cosh_metric_frame(33), rotated_l0(2)), True, id="n2"),
-        pytest.param(lambda: solve_L_nd(igsge_frame(13), rotated_l0(3)), True, id="n3"),
-        pytest.param(lambda: solve_L_nd(*_varying4(9)), False, id="n4"),
+        pytest.param(lambda: solve_phi_2d(cosh_metric_frame(33), 0.3), id="angle-2d"),
+        pytest.param(lambda: solve_L_nd(cosh_metric_frame(33), rotated_l0(2)), id="n2"),
+        pytest.param(lambda: solve_L_nd(igsge_frame(13), rotated_l0(3)), id="n3"),
+        pytest.param(lambda: solve_L_nd(*_varying4(9)), id="n4"),
     ],
 )
-def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve, exact):
+def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve):
     whole = _report_arrays(solve())
     widths = []
 
@@ -935,10 +957,24 @@ def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve, exact):
     slabbed = _report_arrays(solve())
     assert len(widths) > 4 and min(widths) >= 2  # slabbed, and never one node wide
     for got, want in zip(slabbed, whole):
-        if exact:
-            assert np.array_equal(got, want)
-        else:  # n >= 4: expm_skew scales by the max norm of the stack it is given
-            assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.array_equal(got, want)
+
+
+def test_transverse_halves_of_a_four_dimensional_block_get_the_whole_fill(rng):
+    # the coefficients grow across the block's second axis, so that the
+    # steps of its two halves need different numbers of squarings
+    m, nodes, n, b = 6, (4, 1, 3), 4, 2
+    grow = np.linspace(0.05, 12.0, nodes[0]).reshape((1, nodes[0], 1, 1, 1, 1))
+    w = rng.uniform(-1.5, 1.5, (m,) + nodes + (n, n)) * grow
+    om = rng.uniform(-1.5, 1.5, (m,) + nodes + (n,)) * grow[..., 0]
+    node = [om, w - np.swapaxes(w, -1, -2)]
+    whole = np.empty((m,) + nodes + (n, n))
+    whole[b] = np.linalg.qr(rng.normal(size=nodes + (n, n)))[0]
+    halves = whole.copy()
+    _matrix_fill(0.3, whole, b, node)
+    for half in (slice(0, 2), slice(2, 4)):
+        _matrix_fill(0.3, halves[:, half], b, [f[:, half] for f in node])
+    assert np.array_equal(halves, whole)
 
 
 @pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
