@@ -301,9 +301,8 @@ def nonsingular_nodes(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     A node passes when |det(F / scale)| > det_rtol, scale the max
     |coefficient|; scaling first keeps the test free of overflow at any
     coefficient size, and a NaN or +-Inf coefficient fails it.  n = 2 takes
-    det = p u from the pivot and Schur complement of `_pivot_schur`, n >= 3
-    `np.linalg.det`; no inverse is formed.  Raises DegenerateFrameError
-    when no node passes.
+    det = a d - b c of the scaled entries, n >= 3 `np.linalg.det`; no
+    inverse is formed.  Raises DegenerateFrameError when no node passes.
     """
     n = fd.dim
     scale = float(np.max(np.abs(fd.omega)))
@@ -340,62 +339,25 @@ def frame_vector_fields(fd: FrameData, det_rtol=DET_RTOL_DEFAULT):
     return comps, valid
 
 
-def _halves(x):
-    """x = hi + lo with 26-bit hi and lo, so products of halves are exact."""
-    hi = x * fieldio._SPLIT
-    hi -= hi - x
-    return hi, x - hi
-
-
-def _product_error(xs, ys, xy):
-    """x * y - xy exactly for xy = fl(x * y), from halves (Dekker's TwoProduct)."""
-    (xh, xl), (yh, yl) = xs, ys
-    e = xh * yh
-    e -= xy
-    e += xh * yl
-    e += xl * yh
-    e += xl * yl
-    return e
-
-
-# singular, NaN and +-Inf nodes give NaN or Inf here; they are invalid
-@np.errstate(all="ignore")
-def _pivot_schur(omega):
-    """(p, u) of the LU factors of F = [[a, b], [c, d]] (2, 2, nodes).
-
-    With partial pivoting the pivot p is whichever of a, c is larger in
-    magnitude (a on a tie), g the other, and q, s their row partners.  The
-    Schur complement u = s - (g / p) q is accurate to a few ulps at any
-    conditioning, since the roundings of l = g / p and of l q are recovered
-    exactly by TwoProduct.  |det F| = |p u|.
-    """
-    (a, b), (c, d) = omega
-    swap = np.abs(c) > np.abs(a)
-    p, g = np.where(swap, c, a), np.where(swap, a, c)
-    q, s = np.where(swap, d, b), np.where(swap, b, d)
-    l = g / p
-    lh = _halves(l)
-    lp, lq = l * p, l * q
-    rho = g - lp  # exact (Sterbenz): l p lies within a few ulps of g
-    rho -= _product_error(lh, _halves(p), lp)  # rho = g - l p
-    u = s - lq
-    u -= _product_error(lh, _halves(q), lq)  # u = s - l q
-    rho /= p
-    rho *= q
-    u -= rho
-    return p, u
-
-
 def _nonsingular_2d(omega, scale, det_rtol):
     """The mask of `nonsingular_nodes` for a 2 x 2 coframe (2, 2, *counts):
-    |det| / scale^2 = |(p / scale) (u / scale)| > det_rtol."""
-    flat = omega.reshape(2, 2, -1)
-    valid = np.empty(flat.shape[2], bool)
-    with np.errstate(all="ignore"):
+    |a d - b c| > det_rtol on the entries divided by scale.
+
+    The scaled entries are at most 1 in magnitude, so the products cannot
+    overflow and the determinant is within about 3 * 2^-53 of its exact
+    value: only a node that close to det_rtol can be decided otherwise than
+    in exact arithmetic.  Each temporary holds one component of a block.
+    """
+    flat = omega.reshape(4, -1)
+    valid = np.empty(flat.shape[1], bool)
+    # NaN and +-Inf coefficients give NaN here; they are invalid
+    with np.errstate(invalid="ignore"):
         for start in range(0, valid.size, _BLOCK_NODES):
             blk = slice(start, start + _BLOCK_NODES)
-            p, u = _pivot_schur(flat[..., blk])
-            valid[blk] = np.abs((u / scale) * (p / scale)) > det_rtol
+            a, b, c, d = (x[blk] / scale for x in flat)
+            det = a * d
+            det -= b * c
+            valid[blk] = np.abs(det, out=det) > det_rtol
     return valid.reshape(omega.shape[2:])
 
 

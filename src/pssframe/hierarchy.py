@@ -20,12 +20,12 @@ and the table powers that are not identically zero, and once phi_j is
 solved its terms phi_j c_0 and -phi_j s_0 complete order j.  The closed
 forms come from the same s and c.
 
-`EtaSeries` is a minimal truncated-series arithmetic with one coefficient
-per power, stored to the series' degree: a polynomial table expanded to
-order K holds its degree's powers, not K + 1, a constant power is a float
-and equal planes are one array.  `solve_hierarchy` runs the
-order-by-order integration with the same staircase sweeps and
-exchanged-order compatibility certificate used by the plain solver, and
+`EtaSeries` is a minimal truncated-series arithmetic (a + b, -a, a * b)
+with one coefficient per power, stored to the series' degree: a
+polynomial table expanded to order K holds its degree's powers, not
+K + 1, a constant power is a float and equal planes are one array.
+`solve_hierarchy` runs the order-by-order integration with the same
+staircase sweeps and exchanged-order certificate as the plain solver, and
 holds each full-grid array once: every order is swept straight into its
 row of the phi stack (each `OrderResult.phi` is a view of it), every
 closed form is written over its order's rows of the sin/cos stack once
@@ -81,16 +81,17 @@ class EtaSeries:
     """Power series in the parameter, truncated at a fixed order.
 
     `coeffs` holds one coefficient per power, from power 0 to the series'
-    degree: an ndarray of the series' `shape` (possibly ()), which the
-    arithmetic broadcasts pointwise, or a float for a power that is
-    constant over the grid (0.0 for a zero power).  It is either one
-    ndarray with the power first, as every arithmetic result is, or a
-    tuple of such coefficients, as a table stores them; a tuple holds its
-    arrays as given, so equal planes can be one shared array.  A float
-    times a plane gives the doubles of the plane of that float, so the
-    compact storage moves no result.  The powers above the degree, up to
-    the truncation `order`, are zero and not stored, so a polynomial table
-    costs its degree, not the order it is expanded to.
+    degree: an ndarray of the series' `shape` (possibly ()), or a float
+    for a power that is constant over the grid (0.0 for a zero power).  It
+    is either one ndarray with the power first, as every arithmetic result
+    is, or a tuple of such coefficients, as a table stores them; a tuple
+    holds its arrays as given, so equal planes can be one shared array.  A
+    float times a plane gives the doubles of the plane of that float, so
+    the compact storage moves no result.  The powers above the degree, up
+    to the truncation `order`, are zero and not stored, so a polynomial
+    table costs its degree, not the order it is expanded to.  The
+    arithmetic is a + b, -a and the truncated a * b of series of one
+    order, broadcast pointwise; any other operand is a TypeError.
     """
 
     __slots__ = ("coeffs", "order", "shape")
@@ -130,10 +131,6 @@ class EtaSeries:
             coeffs[power] = value
         return cls(coeffs, order, shape)
 
-    @classmethod
-    def constant(cls, value, order):
-        return cls(np.array(value, dtype=float)[np.newaxis], order)
-
     @property
     def degree(self):
         """The highest stored power."""
@@ -159,15 +156,9 @@ class EtaSeries:
             out[power] = c
         return out
 
-    def _each(self, fn):
-        """The series of fn(coefficient), power by power."""
-        if isinstance(self.coeffs, np.ndarray):
-            return EtaSeries(fn(self.coeffs), self.order)
-        return EtaSeries([fn(c) for c in self.coeffs], self.order, self.shape)
-
     def _match(self, other):
         if not isinstance(other, EtaSeries):
-            other = EtaSeries.constant(other, self.order)
+            raise TypeError("series arithmetic needs a series, not %s" % type(other).__name__)
         if other.order != self.order:
             raise ValueError("series truncation orders differ")
         return other
@@ -176,22 +167,10 @@ class EtaSeries:
         other = self._match(other)
         return EtaSeries(self.dense() + other.dense())
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return EtaSeries(self.dense() - other.dense())
-
-    def __rsub__(self, other):
-        other = self._match(other)
-        return EtaSeries(other.dense() - self.dense())
-
     def __neg__(self):
-        return self._each(np.negative)
+        return EtaSeries(-self.dense())
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return self._each(lambda c: c * other)
         other = self._match(other)
         k = self.order
         shape = np.broadcast_shapes(self.shape, other.shape)
@@ -202,14 +181,6 @@ class EtaSeries:
         return EtaSeries(out, k)
 
     __rmul__ = __mul__
-
-    def shifted(self, power):
-        """Multiply by the parameter raised to `power` (truncated)."""
-        coeffs = self.dense()
-        out = np.zeros_like(coeffs)
-        if power <= self.order:
-            out[power:] = coeffs[: self.order + 1 - power]
-        return EtaSeries(out)
 
     def sin_cos(self):
         """Return (sin(series), cos(series)) as truncated series."""

@@ -246,8 +246,8 @@ def line_steps(node_fields, mid_fields):
 
     node_fields and mid_fields are the coefficient samples of the line at
     its nodes and interval midpoints.  Each sample is a tuple of Python
-    floats, one per field: on scalar and two-entry states numpy scalars or
-    1-element arrays would cost more than the step.
+    floats, one per field: on a scalar state, such as the 2D angle, numpy
+    scalars or 1-element arrays would cost more than the step.
     """
     nodes = list(zip(*(f.ravel().tolist() for f in node_fields)))
     mids = zip(*(f.ravel().tolist() for f in mid_fields))

@@ -677,6 +677,26 @@ def test_non_orthogonal_rotation_exits_1(tmp_path, capsys, monkeypatch):
             "spacing = 1e200, 0.25\ncounts = 33, 33\n",
             "nonzero square",
         ),
+        (
+            "[model]\nkind = sine_gordon\n[chart]\norigin = -4, -4\nextent = 8, 8\n",
+            r"\[chart\] extent needs counts",
+        ),
+        (
+            "[model]\nkind = sine_gordon\n[chart]\norigin = -4, -4\n"
+            "extent = 8, 8\ncounts = 33, 33, 33\n",
+            r"\[chart\] extent and counts lengths differ",
+        ),
+        (
+            "[model]\nkind = sine_gordon\n[chart]\norigin = -4, -4, -4\n"
+            "extent = 8, 8, 8\ncounts = 9, 9, 9\n",
+            "kink model needs a 2D chart",
+        ),
+        (
+            "[model]\nkind = igsge\nc = 0.6, 0.8\n[chart]\norigin = 0.5, 0\n"
+            "spacing = 0.1, 0.1\ncounts = 5, 5\n",
+            r"\[model\] c needs 1 entries for a 2D chart",
+        ),
+        (SG_CONFIG + "\n[solver]\nl0 = 1, 0, 0, 1, 0\n", r"l0: need n\*n comma-separated"),
     ],
 )
 def test_config_errors_have_diagnostics(tmp_path, text, fragment):
@@ -792,6 +812,15 @@ def test_bad_l0_is_a_config_error(tmp_path, capsys, base_config, l0, reason):
     err = capsys.readouterr().err
     assert err.startswith("config error: [solver] l0: ")
     assert reason in err
+
+
+def test_identity_l0_is_the_unset_start(tmp_path):
+    results = []
+    for name, extra in [("unset", ""), ("identity", "\n[solver]\nl0 = identity\n")]:
+        cfg = write_config(tmp_path, IGSGE3D_CONFIG + extra, name=name + ".ini")
+        assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        results.append(read_manifest(tmp_path / name)["results"])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))

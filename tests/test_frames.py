@@ -402,6 +402,24 @@ def test_two_dimensional_duals_mask_nan_and_singular_nodes_quietly():
         frame_vector_fields(fd)
 
 
+def test_two_dimensional_mask_is_the_lapack_determinant_mask(rng):
+    # cond 1 to 1e12 and scales over six decades put |det(F / scale)| on
+    # both sides of det_rtol; 20,000 nodes span three blocks of the loop
+    fd = _stack_frame(_conditioned_stack(rng, 20000, (0.0, 12.0)))
+    scale = np.max(np.abs(fd.omega))
+    want = np.abs(np.linalg.det(fd.coefficient_matrix() / scale)) > 1e-8
+    valid = frames.nonsingular_nodes(fd, 1e-8)
+    assert 0 < np.count_nonzero(want) < want.size
+    assert np.array_equal(valid, want)
+
+
+def test_vanishing_coframe_is_refused_by_name():
+    fd = exp_metric_frame(9)
+    fd.omega[...] = 0.0
+    with pytest.raises(DegenerateFrameError, match="coefficient matrix vanishes identically"):
+        frames.nonsingular_nodes(fd)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_duals_are_lapack_bits(rng, n):
     fd = _stack_frame(_conditioned_stack(rng, 2000, (0.0, 6.0))) if n == 2 else igsge_frame(9)

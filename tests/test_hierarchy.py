@@ -49,14 +49,18 @@ def test_series_truncated_product_drops_high_powers():
     assert np.allclose(cube.coeffs, [0.0, 0.0, 0.0])  # eta^3 is out of window
 
 
-def test_series_shift_and_eval(rng):
+def test_series_eval(rng):
     a = random_series(rng, 3)
-    shifted = a.shifted(2)
-    assert shifted.coefficient(0) == 0.0 and shifted.coefficient(1) == 0.0
-    assert shifted.coefficient(2) == pytest.approx(a.coefficient(0))
     eta = 0.37
     manual = sum(a.coefficient(j) * eta**j for j in range(4))
     assert a.evaluate(eta) == pytest.approx(manual, rel=1e-14)
+
+
+def test_series_arithmetic_refuses_a_non_series_operand(rng):
+    a = random_series(rng, 2)
+    for operation in (lambda: a * 2.0, lambda: 2.0 * a, lambda: a + 1.0, lambda: a * np.ones(3)):
+        with pytest.raises(TypeError, match="series arithmetic needs a series"):
+            operation()
 
 
 def test_series_pythagorean_identity(rng):
