@@ -46,6 +46,7 @@ from conftest import (
     exp_metric_frame,
     flat_frame,
     half_space_frame,
+    igsge4_frame,
     igsge_frame,
     max_bracket,
     rotated_l0,
@@ -689,6 +690,11 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
 # sight
 IGSGE25_SOLVE_PEAK = 3_200_000
 IGSGE49_SOLVE_PEAK = 13_100_000
+# the same of solve_L_nd(igsge4_frame(13), rotated_l0(4)), whose matrix
+# kernels keep every row: 19,964,552 while each block's coefficients and
+# their midpoints were whole and the streamed block was cut by a budget on
+# its whole state
+IGSGE4D_SOLVE_PEAK = 20_000_000
 
 
 def _traced_solve_peak(fd):
@@ -696,11 +702,12 @@ def _traced_solve_peak(fd):
     # allocation, and a full collection empties the interpreter's free
     # lists, whose small objects would otherwise escape the trace in a
     # number that depends on the tests run before
-    solve_L_nd(fd, rotated_l0(3))
+    L0 = rotated_l0(fd.dim)
+    solve_L_nd(fd, L0)
     gc.collect()
     tracemalloc.start()
     try:
-        solve_L_nd(fd, rotated_l0(3))
+        solve_L_nd(fd, L0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -712,6 +719,10 @@ def test_three_dimensional_solve_holds_no_block_twice():
 
 def test_three_dimensional_solve_holds_one_full_grid_state():
     assert _traced_solve_peak(igsge_frame(49)) <= IGSGE49_SOLVE_PEAK
+
+
+def test_four_dimensional_solve_holds_one_full_grid_state():
+    assert _traced_solve_peak(igsge4_frame(13)) <= IGSGE4D_SOLVE_PEAK
 
 
 def test_theta1_skipping_zero_coframe_rows_is_the_dense_sum_bit_for_bit():
