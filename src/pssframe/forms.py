@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import GridChart, _streamed_compat, _sweep, dense
+from .grid import GridChart, _lines, _streamed_compat, _sweep, dense
 
 
 def _pairs(n):
@@ -62,18 +62,20 @@ def closedness_residual(chart: GridChart, theta) -> float:
     return float(np.max(worst))
 
 
-def _trapezoid_fill(h, blk, b, node):
+def _trapezoid_fill(h, blk, sample):
     """Block fill of `grid._sweep` for y' = f: the composite trapezoid from line b.
 
-    The cumulative sums are written into the block in place and shifted to
-    vanish at the base line, whose value is then added back.
+    The cumulative sums are written into one window of the whole block in
+    place and shifted to vanish at the base line, whose value is then
+    added back.
     """
-    (f,) = node
-    line = blk[b].copy()
-    np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0, out=blk[1:])
-    blk[0] = 0.0
-    blk -= blk[b : b + 1]
-    blk += line
+    (f,) = sample(0, blk.m)
+    line = blk.line.copy()
+    with blk.rows(0, blk.m) as rows:
+        np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0, out=rows[1:])
+        rows[0] = 0.0
+        rows -= rows[blk.b : blk.b + 1]
+        rows += line
 
 
 def potential(chart: GridChart, theta, base="center"):
@@ -90,7 +92,7 @@ def potential(chart: GridChart, theta, base="center"):
     base_idx = chart.base_index(base)
 
     def system(axis, take):
-        return [take(theta[axis])], _trapezoid_fill
+        return _lines([take(theta[axis])]), _trapezoid_fill
 
     order = tuple(range(chart.dim))
     g = _sweep(chart, base_idx, order, 0.0, system)

@@ -40,11 +40,20 @@ _BLOCK_NODES = 8192
 
 @dataclass
 class FrameData:
-    """Dual coframe omega (n, n, *counts) + connection (pairs, n, *counts)."""
+    """Dual coframe omega (n, n, *counts) + connection (pairs, n, *counts).
+
+    zero_rows, when given, is a boolean (n + pairs, n) array laid out as
+    `row_max_abs`: True marks a row that the maker of the bundle declares
+    +0 at every node and never writes, such as the rows a model leaves
+    unwritten in an array of zeros.  `row_max_abs` takes such a row as +0
+    without reading it.  A caller that writes into a declared row must drop
+    the declaration (build a new FrameData without it).
+    """
 
     chart: GridChart
     omega: np.ndarray
     connection: np.ndarray
+    zero_rows: np.ndarray = None
 
     def __post_init__(self):
         n, counts = self.chart.dim, self.chart.counts
@@ -53,6 +62,13 @@ class FrameData:
         self.omega = dense(self.omega, (n, n) + counts, "coframe omega")
         pairs = (n * (n - 1) // 2, n)
         self.connection = dense(self.connection, pairs + counts, "connection")
+        if self.zero_rows is not None:
+            zero_rows = np.asarray(self.zero_rows, dtype=bool)
+            if zero_rows.shape != (n + pairs[0], n):
+                raise ValueError(
+                    "zero_rows needs shape %s, got %s" % ((n + pairs[0], n), zero_rows.shape)
+                )
+            self.zero_rows = zero_rows
 
     @property
     def dim(self):
@@ -65,10 +81,17 @@ class FrameData:
     def row_max_abs(self):
         """Max |coefficient| of each row: (n + pairs, n), row [f, k] the dx_k
         coefficient of form f, the coframe forms first, then the stored
-        connection entries.  NaN for a row holding a NaN."""
-        # max and -min of each row: no |row| temporary
+        connection entries.  NaN for a row holding a NaN; +0 for a row
+        declared in zero_rows, which is not read."""
         forms = (*self.omega, *self.connection)
-        return np.array([[np.maximum(np.max(c), -np.min(c)) for c in w] for w in forms])
+        zero = np.zeros((len(forms), self.dim), bool) if self.zero_rows is None else self.zero_rows
+        # max and -min of each row: no |row| temporary
+        return np.array(
+            [
+                [0.0 if z else np.maximum(np.max(c), -np.min(c)) for c, z in zip(w, zs)]
+                for w, zs in zip(forms, zero)
+            ]
+        )
 
 
 def live_rows(row_max):

@@ -19,11 +19,15 @@ Every line integration in the package (the rotation solves, the linear
 orders of the parameter hierarchy and `forms.potential`) runs through one
 staircase walker, `_sweep`: from the base node it fills the blocks of
 `staircase_blocks`, one per swept axis, each line from the block's base
-line by a caller's block fill, and a block past the byte budget
-`_SLAB_BYTES` in transverse slabs (`_sweep_slabs`), each with the bits the
-whole block would get.  `_streamed_compat` certifies a sweep against the
-exchanged axis order, whose sweep is streamed slab by slab into the max and
-never held whole.
+line by a caller's block fill.  A fill samples its coefficient lines a
+chunk of march steps at a time (`_chunk_steps`, by the budget
+`_CHUNK_BYTES`) and writes its lines through windows of the block
+(`_Block`); a block is cut into transverse slabs (`_sweep_slabs`) only
+where one folded line of its state passes that budget, and every chunk
+and slab gets the bits the whole block would.  `_streamed_compat`
+certifies a sweep against the exchanged axis order, whose sweep copies its
+first line from the forward state and hands its last block to the max a
+window of lines at a time, so it is never held whole.
 """
 
 from __future__ import annotations
@@ -167,30 +171,35 @@ def staircase_blocks(chart: GridChart, base, axes_order):
         filled.add(axis)
 
 
-# state bytes of a block above which `_sweep` fills it in transverse slabs.
-# A streamed block's state counts twice, since its slabs are filled into a
-# buffer allocated next to the coefficient slab, where other blocks write
-# into a state that is whole anyway.  At 49^3 (8.5 MB of n = 3 state) the
-# forward sweep then takes 2 slabs and the streamed one 3, and every array
-# a slab allocates stays below numpy's 4 MiB huge-page threshold; each
-# slab costs its own line steps, whose fixed Python cost a third slab in
-# the forward sweep would show
-_SLAB_BYTES = 6 << 20
+# bytes of the state lines that one chunk of a block's march holds: a fill
+# samples its coefficient lines and their midpoints, and the streamed block
+# of a sweep with a sink hands its lines on, a chunk at a time.  At 49^3 a
+# line of n = 3 state is 173 KB, so a chunk serves three folded steps; a
+# block is cut across its lines only when one folded line (two lines of
+# state, the state one step carries) passes the budget, which first happens
+# on the 4D blocks of 17^4 nodes
+_CHUNK_BYTES = 1 << 20
 
 
-def _slabs(dim, shape, buffered=False):
+def _chunk_steps(line_nbytes):
+    """March steps per chunk of a block whose state lines hold line_nbytes:
+    as many folded steps, two lines each, as fit _CHUNK_BYTES, one at least."""
+    return max(1, _CHUNK_BYTES // (2 * line_nbytes))
+
+
+def _slabs(dim, shape):
     """The slabs of a block of `_sweep`, as index tuples into the block.
 
     shape is (m, *transverse node counts, *component shape) with dim node
-    axes, of a float state.  A block whose state (twice that when buffered)
-    exceeds _SLAB_BYTES is cut along its first transverse axis of more than
-    one node into as few slabs as keep each under the budget, each at least
-    two nodes wide, so that no slab becomes an (m, 1) block; any other block
-    is one slab, the whole block.
+    axes, of a float state.  A block one folded line of whose state (two
+    lines) passes _CHUNK_BYTES is cut along its first transverse axis of
+    more than one node into as few slabs as keep a folded line of each
+    within the budget, each at least two nodes wide, so that no slab becomes
+    an (m, 1) block; any other block is one slab, the whole block.
     """
-    nbytes = 8 * math.prod(shape) * (2 if buffered else 1)
+    folded = 16 * math.prod(shape[1:])
     axis = next((k for k in range(1, dim) if shape[k] > 1), None)
-    k = 1 if axis is None else min(-(-nbytes // _SLAB_BYTES), shape[axis] // 2)
+    k = 1 if axis is None else min(-(-folded // _CHUNK_BYTES), shape[axis] // 2)
     if k <= 1:
         return [()]
     q, r = divmod(shape[axis], k)
@@ -198,18 +207,16 @@ def _slabs(dim, shape, buffered=False):
     return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
 
 
-def _sweep_slabs(chart: GridChart, base, axes_order, item_shape=(), streamed=False):
+def _sweep_slabs(chart: GridChart, base, axes_order, item_shape=()):
     """The slabs `_sweep` fills, in sweep order: (axis, slab, take) per slab.
 
     slab is the slab's index tuple into its block of `staircase_blocks`
     (`_slabs`), and take(f) the slab of a full-grid array f, a view with the
-    swept axis first.  item_shape is the state's shape per node, and
-    streamed cuts the last block as a sweep with a sink does.
+    swept axis first.  item_shape is the state's shape per node.
     """
     nodes = np.broadcast_to(0.0, chart.counts + tuple(item_shape))  # for block shapes
     for axis, take in staircase_blocks(chart, base, axes_order):
-        buffered = streamed and axis == axes_order[-1]
-        for slab in _slabs(chart.dim, take(nodes).shape, buffered):
+        for slab in _slabs(chart.dim, take(nodes).shape):
 
             def take_slab(f, take=take, slab=slab):
                 return take(f)[slab]
@@ -217,26 +224,62 @@ def _sweep_slabs(chart: GridChart, base, axes_order, item_shape=(), streamed=Fal
             yield axis, slab, take_slab
 
 
+class _Block:
+    """A slab of `_sweep`'s state as its fill writes it.
+
+    m lines along the swept axis, b the base line and line the state's base
+    line, which the fill reads and never writes.  rows(i, j) is a context
+    manager around a writable array of lines i..j-1.  A slab held in the
+    state, rows (m, ...), gives views of it.  The streamed last block of a
+    sweep with a sink holds only its base line, rows (1, ...): each window
+    is a fresh array, handed to sink(take, window) when it closes, take(f)
+    being the same lines of a full-grid array f.  A fill never reads a
+    closed window back.
+    """
+
+    def __init__(self, rows, b, m=None, take=None, sink=None):
+        self.b, self.m = b, len(rows) if m is None else m
+        self.line = rows[b if sink is None else 0]
+        self._rows, self._take, self._sink = rows, take, sink
+
+    @contextlib.contextmanager
+    def rows(self, i, j):
+        if self._sink is None:
+            yield self._rows[i:j]
+            return
+        window = np.empty((j - i,) + self.line.shape)
+        yield window
+        self._sink(lambda f: self._take(f)[i:j], window)
+
+
+def _lines(arrays):
+    """sample(i, j): lines i..j-1 of each array (swept axis first), contiguous."""
+    return lambda i, j: [np.ascontiguousarray(f[i:j]) for f in arrays]
+
+
 def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=None):
     """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
 
-    system(axis, take) returns (arrays, fill) for each slab of `_sweep_slabs`:
-    the slabs of the coefficient arrays the equation along that axis
-    consumes, take(f) being the slab of a full-grid array f, and the block
-    fill.  The coefficient slabs are made contiguous, and
-    fill(h, blk, b, node) then fills the slab blk of the state from its base
-    line b, node being the coefficient slabs.  The lines of a block are
-    independent across its transverse nodes, so a slab gets the bits the
-    whole block would.  Returns the state, filled into out when one is given
-    (every node of it is written).
+    system(axis, take) returns (sample, fill) for each slab of
+    `_sweep_slabs`, take(f) being the slab of a full-grid array f:
+    sample(i, j) gives the contiguous coefficient arrays of lines i..j-1
+    of the slab that the equation along that axis consumes (`_lines`), and
+    fill(h, blk, sample) fills the slab's `_Block` blk from its base line,
+    sampling the coefficients a chunk of lines at a time.  The lines of a
+    block are independent across its transverse nodes, so a slab gets the
+    bits the whole block would.  Returns the state, filled into out when
+    one is given (every node of it is written).
 
-    With a sink the state is never whole: it holds only the base hyperplane
-    of the last swept axis, which the earlier blocks fill, and each slab of
-    the last block is filled into one reused buffer and handed to
-    sink(take, slab) instead.  Returns None then.
+    A sink is the `_Certificate` of a forward sweep of the same equation
+    from the same start.  The state is then never whole: it holds only the
+    base hyperplane of the last swept axis.  Its first block, the line
+    through the base along the forward sweep's last axis, is copied from
+    the forward state, which holds that line with the bits this sweep would
+    give it; the earlier blocks after it are filled, and the last block is
+    filled a window at a time into the sink (`_Block`).  Returns None then.
     """
     base = tuple(base)
-    last = axes_order[-1]
+    first, last = axes_order[0], axes_order[-1]
     counts = list(chart.counts)
     state_base = base
     if sink is not None:
@@ -245,44 +288,47 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=Non
     state = np.zeros(tuple(counts) + np.shape(start)) if out is None else out
     state[state_base] = start
     state_blocks = dict(staircase_blocks(chart, state_base, axes_order))
-    buf = None
-    slabs = _sweep_slabs(chart, base, axes_order, np.shape(start), sink is not None)
-    for axis, slab, take in slabs:
-        blk, b = state_blocks[axis](state)[slab], base[axis]
-        stream = sink is not None and axis == last
-        if stream:
-            if buf is None:  # the first slab is the widest
-                buf = np.empty((chart.counts[axis],) + blk.shape[1:])
-            line, blk = blk[0], buf[(slice(None),) + tuple(slice(0, w) for w in blk.shape[1:])]
-            blk[b] = line
-        _fill_slab(chart.spacing[axis], b, system(axis, take), blk)
-        if stream:
-            sink(take, blk)
+    for axis, slab, take in _sweep_slabs(chart, base, axes_order, np.shape(start)):
+        rows, b = state_blocks[axis](state)[slab], base[axis]
+        if sink is not None and axis == first != last:
+            rows[...] = take(sink.state)
+            continue
+        sample, fill = system(axis, take)
+        if sink is not None and axis == last:
+            blk = _Block(rows, b, chart.counts[axis], take, sink)
+        else:
+            blk = _Block(rows, b)
+        fill(chart.spacing[axis], blk, sample)
     return None if sink is not None else state
 
 
-def _fill_slab(h, b, system_slab, blk):
-    # the coefficient slab dies here, before the next slab's is built
-    arrays, fill = system_slab
-    fill(h, blk, b, [np.ascontiguousarray(f) for f in arrays])
+class _Certificate:
+    """The sink of `_streamed_compat`: max |state - reverse| a window at a time.
+
+    state is the forward sweep's whole state.  Each window is folded into
+    worst, the window's max through `np.max`, so a NaN anywhere gives NaN,
+    and is then overwritten.
+    """
+
+    def __init__(self, state):
+        self.state, self.worst = state, []
+
+    def __call__(self, take, rows):
+        np.subtract(take(self.state), rows, out=rows)
+        self.worst.append(np.max(np.abs(rows, out=rows)))
 
 
 def _streamed_compat(state, reverse_sweep):
     """max |state - reverse| over the nodes, the reverse-order sweep streamed.
 
     reverse_sweep(sink) runs the reverse-order sweep of the same equation
-    with a `_sweep` sink; each slab of its last block is folded into the max
-    and then overwritten, so the reverse state is never whole.  The slab
-    maxima go through `np.max`, so a NaN anywhere gives NaN.
+    with a `_sweep` sink, a `_Certificate` of state: the reverse sweep's
+    first line is the forward state's, and its last block comes to the max
+    a window of lines at a time, so the reverse state is never whole.
     """
-    worst = []
-
-    def fold(take, slab):
-        np.subtract(take(state), slab, out=slab)
-        worst.append(np.max(np.abs(slab, out=slab)))
-
-    reverse_sweep(fold)
-    return float(np.max(worst))
+    sink = _Certificate(state)
+    reverse_sweep(sink)
+    return float(np.max(sink.worst))
 
 
 def partial_derivative(values, axis, spacing):

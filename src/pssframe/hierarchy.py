@@ -500,7 +500,7 @@ def solve_hierarchy(
     # their midpoints and the step gains of both axis orders; the
     # exchanged-order sweep streams its last block into the certificate
     fills = linear_fills(chart, base_idx, (0, 1), slopes)
-    fills_ex = linear_fills(chart, base_idx, (1, 0), slopes, streamed=True)
+    fills_ex = linear_fills(chart, base_idx, (1, 0), slopes)
     line_start = None
     if periodic_axis == 0:
         line_start = _periodic_linear_start(chart.spacing[0], slopes[0][:, t_line].copy())

@@ -140,18 +140,27 @@ def igsge_residual(state: IGSGEState):
 
 
 def igsge_forms(state: IGSGEState):
-    """Coframe omega_i = V_i dx_i, connection omega_ij = h_ij dx_j - h_ji dx_i."""
+    """Coframe omega_i = V_i dx_i, connection omega_ij = h_ij dx_j - h_ji dx_i.
+
+    The rows left unwritten are declared to the bundle (`FrameData.zero_rows`),
+    so that its row maxima take them as +0 without reading them.
+    """
     chart = state.chart
     n = chart.dim
+    pairs = list(combinations(range(n), 2))
     # entries that are identically zero are not written: only the written
     # pages of a large lazy_zeros array are resident
+    zero_rows = np.ones((n + len(pairs), n), bool)
     omega = lazy_zeros((n, n) + chart.counts)
     for i in range(n):
         omega[i, i] = state.V[i]
-    upper = lazy_zeros((n * (n - 1) // 2, n) + chart.counts)
-    for p, (i, j) in enumerate(combinations(range(n), 2)):
+        zero_rows[i, i] = False
+    upper = lazy_zeros((len(pairs), n) + chart.counts)
+    for p, (i, j) in enumerate(pairs):
         if np.any(state.h[i, j]):
             upper[p, j] = state.h[i, j]
+            zero_rows[n + p, j] = False
         if np.any(state.h[j, i]):
             np.negative(state.h[j, i], out=upper[p, i])
-    return FrameData(chart, omega, upper)
+            zero_rows[n + p, i] = False
+    return FrameData(chart, omega, upper, zero_rows)

@@ -4,9 +4,10 @@ Both solvers integrate exact one-step updates along grid lines, run by the
 staircase walker of `grid` (`grid._sweep`): first along axis 1 through the
 base node, then fanning out along each remaining axis line by line, so the
 whole chart is reached by a staircase of 1D problems.  The same solve is
-repeated with the axis order reversed, streamed by the walker, and the max
-discrepancy is reported as `compat_residual` (`grid._streamed_compat`) — a
-direct certificate of the integrability of the input data.  This module
+repeated with the axis order reversed, streamed by the walker, which takes
+its first line from the forward state, and the max discrepancy is
+reported as `compat_residual` (`grid._streamed_compat`) — a direct
+certificate of the integrability of the input data.  This module
 holds what the walker runs: the step engines, the block fills and the
 kernels of each equation.  `angle_sweeps` is the gate, sweep and
 certificate core of `solve_phi_2d`, for callers that need only the angle.
@@ -28,8 +29,11 @@ n = 3 kernels run component-major: each matrix entry and vector component
 of a whole line of nodes is one contiguous row, so a stage is a few dozen
 row operations instead of stacked 3 x 3 products.  Each 3 x 3 contraction
 (L p in the algebra element, R L in the exp update) is one two-operand
-`np.einsum`, which sums k = 0, 1, 2 in the order of the written-out row
-sums; no `optimize=`, which may hand the sum to BLAS in another order.
+`np.einsum` (`_contract`), which sums k = 0, 1, 2 in the order of the
+written-out row sums on lines of more than one node; on a line of one node
+the products are added one by one, since einsum's loop there is a dot
+product whose grouping follows the data's alignment.  No `optimize=`,
+which may hand the sum to BLAS in another order.
 
 Both solvers leave out the coefficient rows that vanish identically, as
 the structure gate's `FrameData.row_max_abs` finds them, but only when
@@ -48,35 +52,45 @@ matrix kernels keep every row.
 
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  There are two block fills, each of which samples
-its coefficient slab at the interval midpoints itself: `rkmk4_fill` steps
-each line from the one before, and `affine_fill` serves linear equations
-y' = a y + b, whose RK4 steps are affine maps y -> A y + B: the maps of
-each chunk of consecutive intervals, at most 8,192 values
-(`frames._BLOCK_NODES`, 64 KB) per temporary, come from two vectorized
-steps, and each line of the chunk is then one multiply-add, in place.  The
-gains A depend on the slope alone, so `linear_fills` forms them once per
-axis order, one fill per slab of the walker's sweep (`grid._sweep_slabs`),
-and `sweep_linear` reuses them for every source; a sweep then forms only
-the source slabs and, chunk by chunk, their midpoints and the shifts B.
-The steps are elementwise, so a chunk gets the whole block's bits; so
-does a slab of a block, in every n (`expm_skew` scales each matrix by its
-own norm).  `sweep_scalar` takes its fields per axis, so each block copies
-and interpolates only the fields its own axis reads.  `rkmk4_fill` marches
-up and down from the base line as one row: the lines b + j and b - j are
-folded onto a direction axis of length 2 and take one step together with h
-carried as [h, -h], so a centred block costs half as many steps, and every
-element still goes through the same operations as in separate steps.  One
-line engine, `integrate_line` (with `affine_line` for the affine maps),
-steps a single line of nodes on Python floats sampled by `line_steps`:
-both fills use it when the block is one line of single nodes, shape
-(m, 1).  The block shape alone picks the path, and every path does the
-same operations in the same order.  The hierarchy's periodic starts take no line engine of their own:
-the angle start forms the step matrices of its lifted linear system in one
+its coefficient lines, and their interval midpoints, a chunk of lines at a
+time from the sampler the walker hands it (`_samples`: a halo of two nodes
+on each side gives every interval the whole block's midpoint rule and
+bits), and writes its lines through windows of the block (`grid._Block`).
+`rkmk4_fill` marches up and down from the base line as one row: the lines
+b + j and b - j are folded onto a direction axis of length 2 and take one
+step together with h carried as [h, -h], so a centred block costs half as
+many steps, and the longer half's remaining steps run alone.  Its chunks
+hold as many steps as `grid._chunk_steps` allows, each chunk's up and
+down coefficient lines stacked onto the direction axis, so neither a
+block's coefficients nor its midpoints are ever whole, and a block is cut
+across its lines only when one folded line of state passes the chunk
+budget.  `affine_fill` serves linear equations y' = a y + b, whose RK4
+steps are affine maps y -> A y + B: the maps of each chunk of consecutive
+intervals, at most 8,192 values (`frames._BLOCK_NODES`, 64 KB) per
+temporary, come from two vectorized steps, and each line of the chunk is
+then one multiply-add, in place.  The gains A depend on the slope alone,
+so `linear_fills` forms them once per axis order, one fill per slab of the
+walker's sweep (`grid._sweep_slabs`), and `sweep_linear` reuses them for
+every source; a sweep then samples only the source lines and, chunk by
+chunk, their midpoints and the shifts B.  The steps are elementwise, so a
+chunk gets the whole block's bits, and every element goes through the
+same operations as in separate steps; so does a slab of a block, in every
+n (`expm_skew` scales each matrix by its own norm).  `sweep_scalar` takes
+its fields per axis, so each block samples only the fields its own axis
+reads.  One line engine, `integrate_line` (with `affine_line` for the
+affine maps), steps a single line of nodes on Python floats sampled by
+`line_steps`: both fills use it when the block is one line of single
+nodes, shape (m, 1).  The block shape alone picks the path, and every
+path does the same operations in the same order, so the exchanged-order
+certificate can take its first line from the forward state.  The
+hierarchy's periodic starts take no line engine of their own: the angle
+start forms the step matrices of its lifted linear system in one
 vectorized `rkmk4_step`, and the linear orders compose `affine_gains` and
 `affine_shifts` with `affine_line`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +107,7 @@ from .frames import (
     require_orthogonal,
     structure_residuals,
 )
-from .grid import _streamed_compat, _sweep, _sweep_slabs, midpoints
+from .grid import _chunk_steps, _lines, _streamed_compat, _sweep, _sweep_slabs, midpoints
 
 GATE_FACTOR_DEFAULT = 10.0
 
@@ -265,72 +279,105 @@ def integrate_line(h, y, node_fields, mid_fields, kernels):
         yield y
 
 
-def rkmk4_fill(kernels, fold_axis=0):
+def _samples(sample, m, i, j):
+    """The coefficient lines i..j of a block of m lines and the midpoints
+    of the intervals between them, from the block's `grid._sweep` sample.
+
+    The midpoints are taken on lines i - 2..j + 2, clipped to the block: a
+    halo of two nodes gives every interval the rule, and so the bits, of
+    the whole block's `midpoints`.  Both are copies, so the halo dies here.
+    """
+    k = max(i - 2, 0)
+    arrays = sample(k, min(j + 3, m))
+    return (
+        [f[i - k : j - k + 1].copy() for f in arrays],
+        [midpoints(f, 0)[i - k : j - k].copy() for f in arrays],
+    )
+
+
+def rkmk4_fill(kernels, fold_axis=0, view=None):
     """Block fill of `grid._sweep`: one `rkmk4_step` per line and interval.
 
-    The fill samples its coefficient block at the interval midpoints
-    (`midpoints`).  A block that is one line of single nodes, shape (m, 1),
-    is stepped on Python floats by `integrate_line`.  Wider blocks march up
-    and down from the base line b as one row: for j < k = min(b, m - 1 - b)
-    the steps b + j -> b + j + 1 and b - j -> b - j - 1 are one
-    `rkmk4_step` on lines folded onto a direction axis of length 2 at
-    position fold_axis of a line (where its node axes begin), with h carried
-    as [h, -h]; each half is written straight into its line.  The longer
-    half's remaining steps run alone.  Every element goes through the same operations as in separate
-    steps.  A folded coefficient line is a strided view of the two lines
-    (one slice whose step spans them), so no block is copied, and the block
-    is read only at its base line, so it may be a strided view too.
+    A block that is one line of single nodes, shape (m, 1), is stepped on
+    Python floats by `integrate_line`.  Wider blocks march up and down from
+    the base line b as one row: for j < k = min(b, m - 1 - b) the steps
+    b + j -> b + j + 1 and b - j -> b - j - 1 are one `rkmk4_step` on lines
+    folded onto a direction axis of length 2 at position fold_axis of a
+    line (where its node axes begin), with h carried as [h, -h]; the longer
+    half's remaining steps run alone.  Every element goes through the same
+    operations as in separate steps.  The march goes a chunk of
+    `grid._chunk_steps` steps at a time: each chunk samples its coefficient
+    lines and their midpoints (`_samples`), stacks the folded ones onto
+    the direction axis, and writes its lines through one window of the
+    block per direction.  view(rows) is the layout the kernels see of an
+    array of state lines (the identity by default); the march carries its
+    own state, so it never reads a window back.
     """
-
-    def fold(up, down):
-        return np.stack((up, down), axis=fold_axis)
-
-    def pair(f, i, j):
-        # lines i > j of f as one folded line, a view
-        v = f[i : j - 1 if j else None : j - i]
-        return v.transpose(to_fold + tuple(range(fold_axis + 1, v.ndim)))
-
+    view = view or (lambda rows: rows)
     # np.moveaxis(v, 0, fold_axis) and its inverse as plain transposes:
     # moveaxis costs more than the view it makes, once per step
     to_fold = tuple(range(1, fold_axis + 1)) + (0,)
     from_fold = (fold_axis,) + tuple(range(fold_axis))
 
-    def fill(h, blk, b, node):
-        mid = [midpoints(f, 0) for f in node]
-        m = blk.shape[0]
-        if blk.shape[1:] == (1,):
-            y = blk[b, 0].item()
-            blk[b:, 0] = list(
-                integrate_line(h, y, [f[b:] for f in node], [f[b:] for f in mid], kernels)
-            )
-            blk[b::-1, 0] = list(
-                integrate_line(
-                    -h, y, [f[b::-1] for f in node], [f[:b][::-1] for f in mid], kernels
+    def folded(up, down):
+        # up and down lines (lines, ...) as folded lines, a view of one stack
+        f = np.stack((up, down))
+        to = tuple(a + 1 if a else 0 for a in to_fold)
+        return f.transpose((1,) + to + tuple(range(fold_axis + 2, f.ndim)))
+
+    def folded_samples(sample, m, b, j0, j1):
+        # (node, mid) of the up lines b + j0..b + j1 and the down lines
+        # b - j0..b - j1, folded; the unfolded samples die here
+        up, down = _samples(sample, m, b + j0, b + j1), _samples(sample, m, b - j1, b - j0)
+        return [[folded(u, d[::-1]) for u, d in zip(*half)] for half in zip(up, down)]
+
+    def fill(h, blk, sample):
+        b, m = blk.b, blk.m
+        line = view(blk.line[None])[0]
+        if blk.line.shape == (1,):
+            node, mid = _samples(sample, m, 0, m - 1)
+            y = blk.line.item()
+            with blk.rows(0, m) as rows:
+                rows[b:, 0] = list(
+                    integrate_line(h, y, [f[b:] for f in node], [f[b:] for f in mid], kernels)
                 )
-            )
+                rows[b::-1, 0] = list(
+                    integrate_line(
+                        -h, y, [f[b::-1] for f in node], [f[:b][::-1] for f in mid], kernels
+                    )
+                )
             return
-        k = min(b, m - 1 - b)
-        up = down = blk[b]
+        k, steps = min(b, m - 1 - b), _chunk_steps(blk.line.nbytes)
+        up = down = line
         if k:
-            y = fold(up, up)
+            y = np.stack((line, line), axis=fold_axis)
             hh = np.reshape((h, -h), (2,) + (1,) * (y.ndim - fold_axis - 1))
-            lo = [fold(f[b], f[b]) for f in node]
-            for j in range(k):
-                md = [pair(f, b + j, b - j - 1) for f in mid]
-                hi = [pair(f, b + j + 1, b - j - 1) for f in node]
-                y = rkmk4_step(hh, y, lo, md, hi, kernels)
-                up, down = blk[b + j + 1], blk[b - j - 1] = y.transpose(
-                    from_fold + tuple(range(fold_axis + 1, y.ndim))
-                )
-                lo = hi
-        y = up
-        for i in range(b + k, m - 1):
-            lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
-            y = blk[i + 1] = rkmk4_step(h, y, lo, md, hi, kernels)
-        y = down
-        for i in range(b - k, 0, -1):
-            lo, md, hi = [f[i] for f in node], [f[i - 1] for f in mid], [f[i - 1] for f in node]
-            y = blk[i - 1] = rkmk4_step(-h, y, lo, md, hi, kernels)
+        for j0 in range(0, k, steps):
+            j1 = min(j0 + steps, k)
+            node, mid = folded_samples(sample, m, b, j0, j1)
+            with blk.rows(b + j0 + 1, b + j1 + 1) as ups, blk.rows(b - j1, b - j0) as downs:
+                ups, downs = view(ups), view(downs)[::-1]
+                for j in range(j1 - j0):
+                    lo, md, hi = [f[j] for f in node], [f[j] for f in mid], [f[j + 1] for f in node]
+                    y = rkmk4_step(hh, y, lo, md, hi, kernels)
+                    up, down = ups[j], downs[j] = y.transpose(
+                        from_fold + tuple(range(fold_axis + 1, y.ndim))
+                    )
+        # the longer half's remaining steps, if any
+        alone(h, blk, sample, up, b + k, m - 1, steps)
+        alone(h, blk, sample, down, b - k, 0, steps)
+
+    def alone(h, blk, sample, y, start, stop, steps):
+        # the steps from line start to line stop, unfolded, a chunk at a time
+        d = 1 if stop > start else -1
+        for i0 in range(start, stop, d * steps):
+            lo_line, hi_line = sorted((i0, i0 + d * min(steps, abs(stop - i0))))
+            node, mid = _samples(sample, blk.m, lo_line, hi_line)
+            with blk.rows(lo_line + (d > 0), hi_line + (d > 0)) as rows:
+                rows, node, mid = view(rows)[::d], [f[::d] for f in node], [f[::d] for f in mid]
+                for i in range(hi_line - lo_line):
+                    lo, md, hi = [f[i] for f in node], [f[i] for f in mid], [f[i + 1] for f in node]
+                    y = rows[i] = rkmk4_step(d * h, y, lo, md, hi, kernels)
 
     return fill
 
@@ -389,10 +436,12 @@ def affine_fill(h, b, a):
     in the order the march visits them.  The slope's midpoints and each
     chunk's gains (`affine_gains`; below b with -h and lo and hi swapped)
     are formed here, once for every source the fill is then called with.  A
-    call fill(h, blk, b, node), with the same h and b and node the source
-    block, forms per chunk the source midpoints, the shifts
-    (`affine_shifts`) and the lines as A * previous + B: on Python floats
-    for a block of single nodes, shape (m, 1), and in place otherwise.
+    call fill(h, blk, sample), with the same h and b and sample the source's,
+    samples per chunk the source lines and their midpoints (`_samples`) and
+    forms the shifts (`affine_shifts`) and the chunk's lines as
+    A * previous + B, written through one window of the block: on Python
+    floats for a block of single nodes, shape (m, 1), and in place
+    otherwise.  The previous line is carried from chunk to chunk.
     """
     a_mid = midpoints(a, 0)
     m, step = a.shape[0], max(1, _BLOCK_NODES // a[0].size)
@@ -404,20 +453,25 @@ def affine_fill(h, b, a):
         for d, i, j in spans
     ]
 
-    def fill(h, blk, b, node):
-        (s,) = node
+    def fill(h, blk, sample):
+        single = blk.line.shape == (1,)
         for d, i, j, A in chunks:
-            k = max(i - 2, 0)  # a halo of two nodes keeps the whole line's rule
-            s_mid = midpoints(s[k : j + 3], 0)[i - k : j - k]
+            if (i if d > 0 else j) == b:  # a march from the base line
+                prev = blk.line.item() if single else blk.line
+            (s,), (s_mid,) = _samples(sample, m, i, j)
             lo, mid, hi = zip(
-                _chunk_samples(d, i, j, a, a_mid[i:j]), _chunk_samples(d, i, j, s, s_mid)
+                _chunk_samples(d, i, j, a, a_mid[i:j]), _chunk_samples(d, 0, j - i, s, s_mid)
             )
             B = affine_shifts(d * h, lo, mid, hi)[::d]
-            rows = blk[i : j + 1][::d]
-            if blk.shape[1:] == (1,):
-                rows[:, 0] = list(affine_line(A, B, rows[0, 0].item()))
-            else:
-                _affine_rows(A, B, rows)
+            with blk.rows(i + (d > 0), j + (d > 0)) as rows:
+                rows = rows[::d]
+                if single:
+                    values = list(affine_line(A, B, prev))
+                    rows[:, 0] = values[1:]
+                    prev = values[-1]
+                else:
+                    _affine_rows(A, B, [prev, *rows])
+                    prev = rows[-1].copy()
 
     return fill
 
@@ -445,7 +499,7 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=Non
     """Integrate a scalar ODE field along staircase sweeps (RK4).
 
     node_fields[axis]: the full-grid arrays the right-hand side consumes
-    along that axis, so each block takes only its own axis's fields.
+    along that axis, so each block samples only its own axis's fields.
     rhs[axis](samples, y): the right-hand side along that axis, samples
     holding one array per field of the axis, sampled at the stage position.
     Returns the filled grid array (out, when given), or streams its last
@@ -454,23 +508,22 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=Non
     fills = [rkmk4_fill(additive_kernels(f)) for f in rhs]
 
     def system(axis, take):
-        return [take(f) for f in node_fields[axis]], fills[axis]
+        return _lines([take(f) for f in node_fields[axis]]), fills[axis]
 
     return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
 
 
-def linear_fills(chart, base, axes_order, slopes, streamed=False):
+def linear_fills(chart, base, axes_order, slopes):
     """The half of a linear sweep that every source shares, built once.
 
     slopes[axis] is the slope of y' = slope y + source along that axis.
     Returns one (axis, `affine_fill`) per slab of the walker's sweep
     (`grid._sweep_slabs`), in sweep order: the contiguous slope slab, its
-    midpoints and its gains.  streamed=True cuts the slabs for sweeps whose
-    last block goes to a sink.  Each slope slab is a copy, so the fills do
+    midpoints and its gains.  Each slope slab is a copy, so the fills do
     not keep the slopes alive: a base line would hold its whole plane.
     """
     fills = []
-    for axis, _, take in _sweep_slabs(chart, base, axes_order, streamed=streamed):
+    for axis, _, take in _sweep_slabs(chart, base, axes_order):
         a = take(slopes[axis]).copy()
         fills.append((axis, affine_fill(chart.spacing[axis], base[axis], a)))
     return fills
@@ -480,16 +533,17 @@ def sweep_linear(chart, base, fills, init_value, sources, sink=None, out=None):
     """`sweep_scalar` for y' = slope y + sources[axis] along each axis.
 
     fills comes from `linear_fills` and fixes the slopes and the axis
-    order; a sweep with a sink takes fills built with streamed=True.  The
-    RK4 steps of a linear equation are affine maps, so a block costs its
-    source block, the source midpoints, one vectorized step for the shifts
-    and one multiply-add per line.
+    order.  The RK4 steps of a linear equation are affine maps, so a block
+    costs the source lines, their midpoints, one vectorized step for the
+    shifts and one multiply-add per line, a chunk at a time.  A sweep with
+    a sink copies its first block, a line that is one slab, from the
+    forward state (`grid._sweep`), so its first fill goes unused.
     """
     axes_order = tuple(dict.fromkeys(axis for axis, _ in fills))
-    slabs = iter(fills)  # one per slab, in the order `_sweep` visits them
+    slabs = iter(fills[sink is not None :])  # one per slab `_sweep` fills, in order
 
     def system(axis, take):
-        return [take(sources[axis])], next(slabs)[1]
+        return _lines([take(sources[axis])]), next(slabs)[1]
 
     return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
 
@@ -691,12 +745,16 @@ def _matrix_system(fd: FrameData):
     """RKMK4 system of the n x n orthogonal field with skew-matrix kernels."""
 
     def system(axis, take):
-        # om[..., k] = coefficient of dx_axis in omega_k; W from the slab of
-        # the connection only
+        # om[..., k] = coefficient of dx_axis in omega_k; W from the lines
+        # of the connection only
         om = take(np.moveaxis(fd.omega[:, axis], 0, -1))
         upper = take(np.moveaxis(fd.connection, (0, 1), (-2, -1)))
-        w = connection_matrix(np.moveaxis(upper, (-2, -1), (0, 1)), axis)
-        return [om, w], _matrix_fill
+
+        def sample(i, j):
+            w = connection_matrix(np.moveaxis(upper[i:j], (-2, -1), (0, 1)), axis)
+            return [np.ascontiguousarray(om[i:j]), w]
+
+        return sample, _matrix_fill
 
     return system
 
@@ -721,9 +779,9 @@ def _axial_kernels(om_rows, w_rows):
     def element(samples, L):
         p = samples[0][:, 0]
         # -sigma L w, then e_1 x (L om) from rows 2 and 3 of L om
-        a = np.einsum("ik...,k...->i...", L[:, w_cols], p[k:])
+        a = _contract(L[:, w_cols], p[k:])
         if k:
-            lom = np.einsum("ik...,k...->i...", L[1:, om_cols], p[:k])
+            lom = _contract(L[1:, om_cols], p[:k])
             a[1] -= lom[1]
             a[2] += lom[0]
         return a
@@ -732,19 +790,38 @@ def _axial_kernels(om_rows, w_rows):
 
 
 def _axial_exp_mul(u, y):
-    return np.einsum("jk...,k...->j...", _rodrigues(u), y)
+    return _contract(_rodrigues(u), y)
+
+
+def _contract(x, y):
+    """np.einsum("ik...,k...->i...", x, y) of component-major x (i, K, ...)
+    and y (K, ...), the trailing axes broadcast as einsum does.
+
+    Each element is summed from +0 over k = 0, 1, ... in order: by einsum
+    on lines of more than one node, whose innermost loop is then over the
+    nodes.  On a line of one node einsum's innermost loop is the sum
+    itself, a dot product whose grouping follows the alignment of the data,
+    so there the products are added one by one.
+    """
+    if math.prod(x.shape[2:]) > 1:
+        return np.einsum("ik...,k...->i...", x, y)
+    trailing = np.broadcast_shapes(x.shape[2:], y.shape[1:])
+    x = x.reshape(x.shape[:2] + (1,) * (len(trailing) + 2 - x.ndim) + x.shape[2:])
+    out = np.zeros(x.shape[:1] + trailing)
+    for k in range(x.shape[1]):
+        out += x[:, k] * y[k]
+    return out
 
 
 def _axial_fill(om_rows, w_rows):
-    """The block fill of `_axial_kernels`: the state block is seen
-    component-major, each line converted once, when written."""
-    # component-major lines begin their node axes after the two component axes
-    steps = rkmk4_fill(_axial_kernels(om_rows, w_rows), fold_axis=2)
-
-    def fill(h, blk, b, node):
-        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
-
-    return fill
+    """The block fill of `_axial_kernels`: the state lines are seen
+    component-major, their node axes after the two component axes, where
+    the fill folds them."""
+    return rkmk4_fill(
+        _axial_kernels(om_rows, w_rows),
+        fold_axis=2,
+        view=lambda rows: np.moveaxis(rows, (-2, -1), (1, 2)),
+    )
 
 
 def _axial_system(fd: FrameData, sigma, live):
@@ -756,12 +833,12 @@ def _axial_system(fd: FrameData, sigma, live):
     Every exp update keeps det(L) = det(L0), so sigma is fixed per solve.
     The kernels run component-major on whole lines: L (3, 3, ...) and
     algebra elements (3, ...).  live is `frames.live_rows`: along each axis
-    the coefficient slab P (K, 1, ...) holds the live rows of om, then
-    those of -sigma w, and no row that vanishes identically (on the igsge
-    coframe 1, 2 and 2 of the 6 rows of the three axes); its unit axis
-    gives P's lines two component axes before their node axes, as L's
-    have, where `rkmk4_fill` folds them.  P is built in that layout; the
-    fill sees the state block through a component-major view.
+    the coefficient lines P (lines, K, 1, ...) hold the live rows of om,
+    then those of -sigma w, and no row that vanishes identically (on the
+    igsge coframe 1, 2 and 2 of the 6 rows of the three axes); its unit
+    axis gives P's lines two component axes before their node axes, as L's
+    have, where `rkmk4_fill` folds them.  P is sampled in that layout a
+    chunk of lines at a time.
     """
     conn = fd.connection  # pairs (1, 2), (1, 3), (2, 3)
     # w = (-w_23, w_13, -w_12) (one-based), stored as -sigma w: component
@@ -775,13 +852,19 @@ def _axial_system(fd: FrameData, sigma, live):
 
     def system(axis, take):
         om, w, fill = per_axis[axis]
-        shape = take(conn[0, axis]).shape
-        p = np.empty(shape[:1] + (len(om) + len(w), 1) + shape[1:])
-        for r, k in enumerate(om):
-            p[:, r, 0] = take(fd.omega[k, axis])
-        for r, k in enumerate(w, len(om)):
-            np.multiply(factors[k], take(conn[2 - k, axis]), out=p[:, r, 0])
-        return [p], fill
+        om_rows = [take(fd.omega[k, axis]) for k in om]
+        w_rows = [(factors[k], take(conn[2 - k, axis])) for k in w]
+        transverse = take(conn[0, axis]).shape[1:]
+
+        def sample(i, j):
+            p = np.empty((j - i, len(om) + len(w), 1) + transverse)
+            for r, row in enumerate(om_rows):
+                p[:, r, 0] = row[i:j]
+            for r, (factor, row) in enumerate(w_rows, len(om)):
+                np.multiply(factor, row[i:j], out=p[:, r, 0])
+            return [p]
+
+        return sample, fill
 
     return system
 

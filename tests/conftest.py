@@ -140,6 +140,12 @@ def igsge_frame(n):
     return igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
 
 
+def undeclared(fd):
+    """fd without its declared zero rows (`FrameData.zero_rows`), for a
+    test that writes into a row the model never writes."""
+    return FrameData(fd.chart, fd.omega, fd.connection)
+
+
 def igsge4_frame(m):
     """The igsge chart [0.5, 6] x [-4, 4]^3 with m^4 nodes, c = (0.48, 0.6, 0.64)."""
     chart = GridChart((0.5, -4.0, -4.0, -4.0), (5.5 / (m - 1),) + (8.0 / (m - 1),) * 3, (m,) * 4)

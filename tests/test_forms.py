@@ -193,23 +193,25 @@ def _reference_potential(chart, theta, base="center"):
 
 
 def _slab_cases(cases):
-    """Each case whole and filled in slabs of at most 512 bytes (`grid._SLAB_BYTES`)."""
+    """Each case whole and at the narrowest transverse cut (`grid._CHUNK_BYTES`
+    of 1 byte: every block of more than one transverse node in slabs two or
+    three nodes wide)."""
     return [
-        pytest.param(*values, slab_bytes, id=name + suffix)
-        for suffix, slab_bytes in (("", 1 << 62), ("-slabbed", 512))
+        pytest.param(*values, chunk_bytes, id=name + suffix)
+        for suffix, chunk_bytes in (("", 1 << 62), ("-slabbed", 1))
         for name, values in cases
     ]
 
 
 @pytest.mark.parametrize(
-    "counts, slab_bytes",
+    "counts, chunk_bytes",
     _slab_cases([("counts0", [(17, 13)]), ("counts1", [(9, 11, 7)]), ("counts2", [(5, 6, 4, 7)])]),
 )
 @pytest.mark.parametrize("base", ["center", "origin", "off-centre"])
 def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(
-    monkeypatch, rng, counts, base, slab_bytes
+    monkeypatch, rng, counts, base, chunk_bytes
 ):
-    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(grid, "_CHUNK_BYTES", chunk_bytes)
     dim = len(counts)
     chart = GridChart((0.3,) * dim, tuple(0.04 + 0.03 * k for k in range(dim)), counts)
     if base == "off-centre":
@@ -224,17 +226,17 @@ def test_potential_walks_the_staircase_of_the_old_walker_bit_for_bit(
 
 
 @pytest.mark.parametrize(
-    "counts, node, slab_bytes",
+    "counts, node, chunk_bytes",
     _slab_cases(
         [("counts0-node0", [(17, 13), (4, 2)]), ("counts1-node1", [(9, 11, 7), (2, 9, 1)])]
     ),
 )
 def test_nan_read_only_by_the_reversed_staircase_gives_nan_path_residual(
-    monkeypatch, rng, counts, node, slab_bytes
+    monkeypatch, rng, counts, node, chunk_bytes
 ):
     # a dx_0 coefficient off the base line of axis 0: the forward staircase
     # never reads it, the reversed one's last block does
-    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(grid, "_CHUNK_BYTES", chunk_bytes)
     dim = len(counts)
     chart = GridChart((0.0,) * dim, (0.1,) * dim, counts)
     values = rng.standard_normal((dim,) + counts)

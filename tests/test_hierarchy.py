@@ -455,14 +455,15 @@ def _whole_linear_sweeps(monkeypatch):
     """Record every order's exchanged-order sweep and redo both sweeps whole.
 
     Returns a list that fills, per order >= 1 in solve order, with
-    (sol, sol_ex): two whole `sweep_linear` runs from that order's start
-    and sources, in the forward and the exchanged axis order.
+    (sol, sol_ex, base): two whole `sweep_linear` runs from that order's
+    start and sources, in the forward and the exchanged axis order, and
+    their base node.
     """
     slopes, whole = [], []
 
-    def fills(chart, base, axes_order, order_slopes, streamed=False):
+    def fills(chart, base, axes_order, order_slopes):
         slopes.append(order_slopes)
-        return linear_fills(chart, base, axes_order, order_slopes, streamed)
+        return linear_fills(chart, base, axes_order, order_slopes)
 
     def sweep(chart, base, order_fills, start, sources, sink=None, out=None):
         if sink is not None:
@@ -470,7 +471,7 @@ def _whole_linear_sweeps(monkeypatch):
                 sweep_linear(chart, base, linear_fills(chart, base, axes, slopes[-1]), start, sources)
                 for axes in ((0, 1), (1, 0))
             )
-            whole.append((sol, sol_ex))
+            whole.append((sol, sol_ex, base))
         return sweep_linear(chart, base, order_fills, start, sources, sink, out)
 
     monkeypatch.setattr(hierarchy, "linear_fills", fills)
@@ -488,9 +489,21 @@ def test_streamed_order_certificate_is_the_whole_sweeps_max(monkeypatch, options
     whole = _whole_linear_sweeps(monkeypatch)
     result = solve_hierarchy(state.chart, ch_series_table(state, 4), 4, **options)
     assert len(whole) == 4
-    for item, (sol, sol_ex) in zip(result.orders[1:], whole):
+    for item, (sol, sol_ex, _) in zip(result.orders[1:], whole):
         assert np.array_equal(item.phi, sol)
         assert item.compat_residual == float(np.max(np.abs(sol - sol_ex)))
+
+
+def test_exchanged_order_first_line_of_a_linear_order_is_the_forward_line(monkeypatch):
+    # the t line through the base: the exchanged order steps it alone on
+    # Python floats, the forward order's last block with every x line; a
+    # streamed certificate copies it from the forward sweep
+    state = _periodic_ch_state()
+    whole = _whole_linear_sweeps(monkeypatch)
+    solve_hierarchy(state.chart, ch_series_table(state, 1), 1, periodic_axis=0)
+    ((sol, sol_ex, base),) = whole
+    bits = [np.asarray(line).view(np.int64) for line in (sol[base[0]], sol_ex[base[0]])]
+    assert np.array_equal(*bits)
 
 
 def test_non_finite_source_gives_nan_order_compat():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import igsge_frame, mappings_of, needs_smaps
 from oracles import igsge_h_from_V
-from pssframe import DegenerateFrameError, GridChart, solve_L_nd
+from pssframe import DegenerateFrameError, FrameData, GridChart, solve_L_nd
 from pssframe.models import (
     IGSGEState,
     igsge_explicit_solution,
@@ -182,3 +182,28 @@ def test_forms_hold_only_their_written_rows_after_the_row_maxima():
     others = sum(size for _, size, _ in found) - fd.omega.nbytes - fd.connection.nbytes
     row = fd.omega[0, 0].nbytes
     assert written * row <= rss <= written * (row + mmap.PAGESIZE) + others
+
+
+@pytest.mark.parametrize(
+    "dim, c", [(2, (1.0,)), (3, C3), (4, (0.48, 0.6, 0.64))], ids=["2d", "3d", "4d"]
+)
+def test_declared_zero_rows_give_the_row_maxima_read_from_the_rows(dim, c):
+    fd = igsge_forms(igsge_explicit_solution(box_chart(9, dim), c))
+    rows = np.concatenate([fd.omega, fd.connection])
+    # the coframe off the diagonal and every connection row but h_1j dx_j
+    pairs = dim * (dim - 1) // 2
+    assert np.count_nonzero(fd.zero_rows) == dim * (dim - 1) + pairs * dim - (dim - 1)
+    assert not rows[fd.zero_rows].any()
+    read = FrameData(fd.chart, fd.omega, fd.connection).row_max_abs()
+    got = fd.row_max_abs()
+    assert np.array_equal(got, read)
+    # a declared row is +0; read, the max of +0 and -(+0) may be -0, and
+    # live_rows takes both as a row that vanishes
+    assert not np.signbit(got[fd.zero_rows]).any()
+    assert np.array_equal(got[~fd.zero_rows].view(np.int64), read[~fd.zero_rows].view(np.int64))
+
+
+def test_zero_rows_of_the_wrong_shape_are_refused():
+    fd = igsge_frame(5)
+    with pytest.raises(ValueError, match=r"zero_rows needs shape \(6, 3\)"):
+        FrameData(fd.chart, fd.omega, fd.connection, np.zeros((3, 3), bool))

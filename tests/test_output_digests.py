@@ -60,5 +60,6 @@ def test_one_seed_prints_every_digest_without_a_seed_prefix(monkeypatch, capsys)
     monkeypatch.setattr(output_digests, "digests", _fake_digests())
     assert output_digests.main(["--seed", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    names = output_digests.workloads.WORKLOADS
+    names = list(output_digests.workloads.WORKLOADS) + list(output_digests.CASES)
+    assert output_digests.NAMES == names
     assert lines == ["%s-5  %s/out" % (name, name) for name in names]

@@ -18,7 +18,7 @@ from pssframe import (
 from pssframe import FrameData, grid, hierarchy, rotation_solver
 from pssframe.errors import StructureGateError
 from pssframe.frames import live_rows
-from pssframe.grid import _streamed_compat, _sweep, midpoints
+from pssframe.grid import _Block, _lines, _streamed_compat, _sweep, midpoints
 from pssframe.models import ch_evolve, ch_series_table, sg_forms, sg_solution
 from pssframe.rotation_solver import (
     MATRIX_KERNELS,
@@ -34,6 +34,7 @@ from pssframe.rotation_solver import (
     affine_line,
     angle_rhs,
     angle_sweeps,
+    angle_system,
     linear_fills,
     rkmk4_fill,
     rkmk4_step,
@@ -50,6 +51,7 @@ from conftest import (
     igsge_frame,
     max_bracket,
     rotated_l0,
+    undeclared,
     varying_rotation_frame,
 )
 
@@ -150,7 +152,7 @@ def _flat_sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs):
 
     def system(axis, take):
         fill = rkmk4_fill(additive_kernels(lambda s, v: rhs(axis, s, v)))
-        return [take(f) for f in node_fields], fill
+        return _lines([take(f) for f in node_fields]), fill
 
     return _sweep(chart, base, axes_order, init_value, system)
 
@@ -204,9 +206,15 @@ def _reference_affine_fill(h, blk, b, node, mid):
         blk[i - 1] = A[i - 1] * blk[i] + B[i - 1]
 
 
-def _per_order_affine_fill(h, blk, b, node):
+def _per_order_affine_fill(h, blk, sample):
     # the in-place affine fill as it ran per order, node = (slope, source)
     # blocks: every call formed the slope's maps again
+    b, node = blk.b, sample(0, blk.m)
+    with blk.rows(0, blk.m) as rows:
+        _per_order_affine_rows(h, rows, b, node)
+
+
+def _per_order_affine_rows(h, blk, b, node):
     mid = [midpoints(f, 0) for f in node]
     up = _affine_step_maps(
         h, [f[b:-1] for f in node], [f[b:] for f in mid], [f[b + 1 :] for f in node]
@@ -229,7 +237,7 @@ def _per_order_sweep_linear(chart, base, axes_order, init_value, slopes, sources
     # the linear sweep as each order ran it, slope blocks and gains included
 
     def system(axis, take):
-        return [take(slopes[axis]), take(sources[axis])], _per_order_affine_fill
+        return _lines([take(slopes[axis]), take(sources[axis])]), _per_order_affine_fill
 
     return _sweep(chart, base, axes_order, init_value, system)
 
@@ -251,7 +259,7 @@ def test_one_node_rkmk4_fill_is_bitwise_the_array_loop(rng, base):
     node, mid, blk = _fill_blocks(rng, 3, 1, base)
     expected = blk.copy()
     kernels = additive_kernels(_angle_field)
-    rkmk4_fill(kernels)(0.07, blk, base, node)
+    rkmk4_fill(kernels)(0.07, _Block(blk, base), _lines(node))
     _reference_rkmk4_fill(kernels, 0.07, expected, base, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -298,7 +306,7 @@ def test_folded_rkmk4_fill_is_bitwise_the_unfolded_march(rng, layout, m, where):
     blk = np.swapaxes(np.empty(line.shape[:1] + (m,) + line.shape[1:]), 0, 1)
     blk[b] = line
     expected = np.ascontiguousarray(blk)
-    fill(0.07, blk, b, node)
+    fill(0.07, _Block(blk, b), _lines(node))
     _reference_rkmk4_fill(kernels, 0.07, view(expected), b, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -414,9 +422,9 @@ def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale, 
     blk = np.empty((m, nodes, 3, 3))
     blk[b] = line
     expected = blk.copy()
-    _axial_fill(*rows)(0.07, blk, b, node)
+    _axial_fill(*rows)(0.07, _Block(blk, b), _lines(node))
     written_out = rkmk4_fill(WRITTEN_OUT_KERNELS, fold_axis=2)
-    written_out(0.07, np.moveaxis(expected, (-2, -1), (1, 2)), b, [six])
+    written_out(0.07, _Block(np.moveaxis(expected, (-2, -1), (1, 2)), b), _lines([six]))
     assert np.array_equal(blk, expected)
     # and each kernel on a folded line, a strided view as the fill sees it
     L = np.moveaxis(blk[b - 1 : b + 2 : 2], (0, -2, -1), (2, 0, 1))
@@ -433,7 +441,7 @@ def test_axial_kernels_are_bitwise_the_written_out_sums(rng, nodes, det, scale, 
 def test_affine_fill_is_bitwise_the_array_loop(rng, base, width):
     node, mid, blk = _fill_blocks(rng, 2, width, base)
     expected = blk.copy()
-    affine_fill(0.07, base, node[0])(0.07, blk, base, node[1:])
+    affine_fill(0.07, base, node[0])(0.07, _Block(blk, base), _lines(node[1:]))
     _reference_affine_fill(0.07, expected, base, node, mid)
     assert np.array_equal(blk, expected)
 
@@ -459,22 +467,30 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _kept_windows(sink, kept):
+    """sink, that first writes each window into its lines of the full-grid
+    array kept: the lines the streamed sweep hands on, NaN elsewhere."""
+
+    def keep(take, rows):
+        take(kept)[...] = rows
+        sink(take, rows)
+
+    keep.state = sink.state
+    return keep
+
+
 def _forward_and_streamed_sweeps(chart, base, slopes, sources):
-    """The forward sweep filled into out, every slab the exchanged-order
+    """The forward sweep filled into out, every line the exchanged-order
     sweep streams into `_streamed_compat`, and that certificate."""
     out = np.empty(chart.counts)
     sweep_linear(chart, base, linear_fills(chart, base, (0, 1), slopes), 0.7, sources, out=out)
-    fills_ex = linear_fills(chart, base, (1, 0), slopes, streamed=True)
-    slabs = []
+    fills_ex = linear_fills(chart, base, (1, 0), slopes)
+    kept = np.full(chart.counts, np.nan)
 
     def reverse(sink):
-        def keep(take, slab):
-            slabs.append(slab.copy())
-            sink(take, slab)
+        sweep_linear(chart, base, fills_ex, 0.7, sources, _kept_windows(sink, kept))
 
-        sweep_linear(chart, base, fills_ex, 0.7, sources, keep)
-
-    return out, slabs, _streamed_compat(out, reverse)
+    return out, kept, _streamed_compat(out, reverse)
 
 
 @pytest.mark.parametrize("block_nodes", [1, 75])
@@ -490,8 +506,7 @@ def test_affine_fill_chunks_keep_the_bits_of_the_whole_block(monkeypatch, rng, b
     monkeypatch.setattr(rotation_solver, "_BLOCK_NODES", block_nodes)
     got = _forward_and_streamed_sweeps(chart, base, slopes, sources)
     assert np.array_equal(_bits(got[0]), _bits(want[0]))
-    assert len(got[1]) == len(want[1])
-    assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got[1], want[1]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
     assert _bits(got[2]) == _bits(want[2])
 
 
@@ -676,25 +691,27 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
 
 
 # tracemalloc peaks in bytes of solve_L_nd(igsge_frame(m), rotated_l0(3))
-# with the reverse-order certificate streamed: at 25^3 every block is whole,
-# at 49^3 (33.9 MB while the solve held the reverse state whole) the
-# full-volume blocks are filled in slabs and L is the one full-grid state.
-# Measured from empty free lists: 4,490,976 and 16,420,742 while each block
-# fill copied its base line, 4,445,976 and 16,360,766 without the copy, and
-# 3,173,818 and 13,085,286 since the coefficient slabs leave out the rows
-# that vanish identically (5 of 18 planes kept); each guard is the next
-# multiple of 50,000 bytes.  tracemalloc does not see the mapped arrays of
-# `grid.lazy_zeros` (the 49^3 igsge coframe and connection); the frame is built
-# before the trace starts, so these guards trace only the solve, and no
-# guard may be lowered because an allocation moved out of tracemalloc's
-# sight
-IGSGE25_SOLVE_PEAK = 3_200_000
+# with the reverse-order certificate streamed: L is the one full-grid
+# state.  Measured from empty free lists: 4,490,976 and 16,420,742 while
+# each block fill copied its base line, 4,445,976 and 16,360,766 without
+# the copy, 3,173,818 and 13,085,286 since the coefficient slabs leave out
+# the rows that vanish identically (5 of 18 planes kept), and 3,018,682 and
+# 13,091,136 since the fills sample their coefficients a chunk of lines at
+# a time and the streamed block hands on windows of lines in place of a
+# slab buffer (at 49^3 the peak is then closedness_residual's, after the
+# sweeps; 33.9 MB while the solve held the reverse state whole); each
+# guard is the next multiple of 50,000 bytes.  tracemalloc does not see
+# the mapped arrays of `grid.lazy_zeros` (the 49^3 igsge coframe and
+# connection); the frame is built before the trace starts, so these guards
+# trace only the solve, and no guard may be lowered because an allocation
+# moved out of tracemalloc's sight
+IGSGE25_SOLVE_PEAK = 3_050_000
 IGSGE49_SOLVE_PEAK = 13_100_000
 # the same of solve_L_nd(igsge4_frame(13), rotated_l0(4)), whose matrix
 # kernels keep every row: 19,964,552 while each block's coefficients and
 # their midpoints were whole and the streamed block was cut by a budget on
-# its whole state
-IGSGE4D_SOLVE_PEAK = 20_000_000
+# its whole state, 13,442,504 since they are sampled a chunk at a time
+IGSGE4D_SOLVE_PEAK = 13_450_000
 
 
 def _traced_solve_peak(fd):
@@ -746,10 +763,11 @@ def _six_plane_system(fd, sigma):
     # the n = 3 system with every coefficient row: P (3, 2, ...) holds all
     # six planes, and the written-out element reads each of them
     conn = fd.connection
-    steps = rkmk4_fill((_written_out_axial_element,) + AXIAL_KERNELS[1:], fold_axis=2)
-
-    def fill(h, blk, b, node):
-        steps(h, np.moveaxis(blk, (-2, -1), (1, 2)), b, node)
+    fill = rkmk4_fill(
+        (_written_out_axial_element,) + AXIAL_KERNELS[1:],
+        fold_axis=2,
+        view=lambda rows: np.moveaxis(rows, (-2, -1), (1, 2)),
+    )
 
     def system(axis, take):
         shape = take(conn[0, axis]).shape
@@ -759,7 +777,7 @@ def _six_plane_system(fd, sigma):
         np.multiply(sigma, take(conn[2, axis]), out=p[:, 0, 1])
         np.multiply(-sigma, take(conn[1, axis]), out=p[:, 1, 1])
         np.multiply(sigma, take(conn[0, axis]), out=p[:, 2, 1])
-        return [p], fill
+        return _lines([p]), fill
 
     return system
 
@@ -793,7 +811,7 @@ def test_three_dimensional_solve_without_zero_rows_is_the_six_plane_solve(start)
 
 
 def test_a_row_nonzero_at_one_node_is_kept():
-    fd = igsge_frame(9)
+    fd = undeclared(igsge_frame(9))
     fd.omega[1, 0][2, 3, 4] = 0.5
     live = live_rows(fd.row_max_abs())
     assert live[1, 0] and np.count_nonzero(live) == 6
@@ -804,7 +822,7 @@ def test_a_row_nonzero_at_one_node_is_kept():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_non_finite_frame_leaves_out_no_row(value):
     # the non-finite coefficient sits in a row that is otherwise zero
-    fd = igsge_frame(9)
+    fd = undeclared(igsge_frame(9))
     fd.connection[2, 0][6, 4, 4] = value  # on the first swept line
     live = live_rows(fd.row_max_abs())
     assert live.all()
@@ -917,6 +935,26 @@ def _varying4(m):
     return fd, R[fd.chart.base_index("center")].T
 
 
+def _chunk_per_interval(monkeypatch):
+    # every chunk of a march holds one step, one interval per direction
+    monkeypatch.setattr(rotation_solver, "_chunk_steps", lambda line_nbytes: 1)
+    monkeypatch.setattr(rotation_solver, "_BLOCK_NODES", 1)
+
+
+def _narrowest_cut(monkeypatch):
+    # every block of more than one transverse node is cut into slabs two
+    # or three nodes wide, each marched one step per chunk
+    monkeypatch.setattr(grid, "_CHUNK_BYTES", 1)
+
+
+SETTINGS = {
+    "default": lambda monkeypatch: None,
+    "chunk-per-interval": _chunk_per_interval,
+    "narrowest-cut": _narrowest_cut,
+}
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
 @pytest.mark.parametrize(
     "frame",
     [
@@ -925,11 +963,11 @@ def _varying4(m):
         pytest.param(lambda: _varying4(9), id="n4"),
     ],
 )
-def test_streamed_certificate_is_the_whole_sweeps_max(monkeypatch, frame):
+def test_streamed_certificate_is_the_whole_sweeps_max(monkeypatch, frame, setting):
     fd, L0 = frame()
-    got = solve_L_nd(fd, L0).compat_residual
-    monkeypatch.setattr(grid, "_SLAB_BYTES", 1 << 62)
-    assert got == _whole_sweeps_compat(fd, L0)
+    want = _whole_sweeps_compat(fd, L0)
+    SETTINGS[setting](monkeypatch)
+    assert solve_L_nd(fd, L0).compat_residual == want
 
 
 def test_streamed_angle_certificate_is_the_whole_sweeps_max():
@@ -944,6 +982,7 @@ def _report_arrays(rep):
     )
 
 
+@pytest.mark.parametrize("setting", ["chunk-per-interval", "narrowest-cut"])
 @pytest.mark.parametrize(
     "solve",
     [
@@ -953,22 +992,33 @@ def _report_arrays(rep):
         pytest.param(lambda: solve_L_nd(*_varying4(9)), id="n4"),
     ],
 )
-def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve):
+def test_slabbed_sweeps_give_the_whole_block_fill(monkeypatch, solve, setting):
     whole = _report_arrays(solve())
-    widths = []
+    widths, steps = [], []
 
-    def recorded(*args):
+    def recorded_slabs(*args):
         slabs = grid_slabs(*args)
         widths.extend(s[-1].stop - s[-1].start for s in slabs if s)
         return slabs
 
+    def recorded_steps(*args):
+        steps.append(chunk_steps(*args))
+        return steps[-1]
+
     grid_slabs = grid._slabs
-    monkeypatch.setattr(grid, "_SLAB_BYTES", 2048)
-    monkeypatch.setattr(grid, "_slabs", recorded)
-    slabbed = _report_arrays(solve())
-    assert len(widths) > 4 and min(widths) >= 2  # slabbed, and never one node wide
-    for got, want in zip(slabbed, whole):
-        assert np.array_equal(got, want)
+    SETTINGS[setting](monkeypatch)
+    chunk_steps = rotation_solver._chunk_steps
+    monkeypatch.setattr(grid, "_slabs", recorded_slabs)
+    monkeypatch.setattr(rotation_solver, "_chunk_steps", recorded_steps, raising=True)
+    got = _report_arrays(solve())
+    assert steps and set(steps) == {1}  # a chunk per march step
+    if setting == "narrowest-cut":
+        # slabbed, never one node wide and never wider than three
+        assert len(widths) > 4 and set(widths) <= {2, 3}
+    else:
+        assert not widths
+    for g, w in zip(got, whole):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 def test_transverse_halves_of_a_four_dimensional_block_get_the_whole_fill(rng):
@@ -982,39 +1032,57 @@ def test_transverse_halves_of_a_four_dimensional_block_get_the_whole_fill(rng):
     whole = np.empty((m,) + nodes + (n, n))
     whole[b] = np.linalg.qr(rng.normal(size=nodes + (n, n)))[0]
     halves = whole.copy()
-    _matrix_fill(0.3, whole, b, node)
+    _matrix_fill(0.3, _Block(whole, b), _lines(node))
     for half in (slice(0, 2), slice(2, 4)):
-        _matrix_fill(0.3, halves[:, half], b, [f[:, half] for f in node])
+        _matrix_fill(0.3, _Block(halves[:, half], b), _lines([f[:, half] for f in node]))
     assert np.array_equal(halves, whole)
 
 
-@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
-def test_slabbed_linear_sweep_gives_the_whole_block_fill(monkeypatch, rng, axes_order):
-    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
-    x, t = chart.meshgrid()
-    slopes = (np.cos(x + t), 0.5 - x * t)
-    sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
-    base = (13, 9)
-    whole = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
-    monkeypatch.setattr(grid, "_SLAB_BYTES", 1024)
-    fills = linear_fills(chart, base, axes_order, slopes)
-    assert len(fills) > 2
-    assert np.array_equal(sweep_linear(chart, base, fills, 0.4, sources), whole)
+def _linear_problem(rng, counts):
+    # a chart of the given counts, smooth slopes and random sources per axis
+    # and an off-centre base
+    dim = len(counts)
+    chart = GridChart((0.0,) * dim, tuple(0.6 / (c - 1) for c in counts), counts)
+    coords = chart.meshgrid()
+    slopes = tuple(np.cos(coords[k] + coords[-1 - k]) for k in range(dim))
+    sources = tuple(rng.uniform(-2.0, 2.0, counts) for _ in range(dim))
+    return chart, tuple(c // 3 + k % 2 for k, c in enumerate(counts)), slopes, sources
 
 
-@pytest.mark.parametrize("slab_bytes", [4 << 20, 1024], ids=["whole", "slabbed"])
-@pytest.mark.parametrize("axes_order", [(0, 1), (1, 0)])
-def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, slab_bytes, axes_order):
-    chart = GridChart((0.0, -1.0), (1.0 / 32, 1.0 / 12), (33, 25))
-    x, t = chart.meshgrid()
-    slopes = (np.cos(x + t), 0.5 - x * t)
-    sources = tuple(rng.uniform(-2.0, 2.0, chart.counts) for _ in range(2))
-    base = (13, 9)
-    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
+LINEAR_COUNTS = [
+    pytest.param((33, 25), id="n2"),
+    pytest.param((9, 11, 7), id="n3"),
+    pytest.param((5, 6, 4, 7), id="n4"),
+]
+
+
+@pytest.mark.parametrize("setting", ["chunk-per-interval", "narrowest-cut"])
+@pytest.mark.parametrize("counts", LINEAR_COUNTS)
+def test_slabbed_linear_sweep_gives_the_whole_block_fill(monkeypatch, rng, counts, setting):
+    chart, base, slopes, sources = _linear_problem(rng, counts)
+    orders = [tuple(range(len(counts))), tuple(range(len(counts)))[::-1]]
+    whole = [
+        sweep_linear(chart, base, linear_fills(chart, base, o, slopes), 0.4, sources)
+        for o in orders
+    ]
+    SETTINGS[setting](monkeypatch)
+    for axes_order, want in zip(orders, whole):
+        fills = linear_fills(chart, base, axes_order, slopes)
+        assert (len(fills) > len(counts)) == (setting == "narrowest-cut")
+        got = sweep_linear(chart, base, fills, 0.4, sources)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+@pytest.mark.parametrize("counts", LINEAR_COUNTS)
+def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, counts, setting):
+    chart, base, slopes, sources = _linear_problem(rng, counts)
+    axes_order = tuple(range(len(counts)))
     exchanged = axes_order[::-1]
     sol = sweep_linear(chart, base, linear_fills(chart, base, axes_order, slopes), 0.4, sources)
     sol_ex = sweep_linear(chart, base, linear_fills(chart, base, exchanged, slopes), 0.4, sources)
-    fills = linear_fills(chart, base, exchanged, slopes, streamed=True)
+    SETTINGS[setting](monkeypatch)
+    fills = linear_fills(chart, base, exchanged, slopes)
     got = _streamed_compat(sol, lambda sink: sweep_linear(chart, base, fills, 0.4, sources, sink))
     assert got == float(np.max(np.abs(sol - sol_ex)))
     out = np.full(chart.counts, np.nan)
@@ -1023,7 +1091,7 @@ def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, s
     assert np.array_equal(out, sol)
 
 
-@pytest.mark.parametrize("slab_bytes", [4 << 20, 2048], ids=["whole", "slabbed"])
+@pytest.mark.parametrize("setting", ["default", "narrowest-cut"])
 @pytest.mark.parametrize(
     "solve, node",
     [
@@ -1036,15 +1104,71 @@ def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, s
         ),
     ],
 )
-def test_non_finite_value_in_the_reverse_sweep_gives_nan_compat(monkeypatch, slab_bytes, solve, node):
+def test_non_finite_value_in_the_reverse_sweep_gives_nan_compat(monkeypatch, setting, solve, node):
     # a dx_1 coefficient off the forward sweep's first line: only the reverse
     # sweep's last block reads it, so L stays finite and L_ex does not
     fd = cosh_metric_frame(33) if len(node) == 2 else igsge_frame(13)
     fd.omega[0, 0][node] = np.nan
-    monkeypatch.setattr(grid, "_SLAB_BYTES", slab_bytes)
+    SETTINGS[setting](monkeypatch)
     rep = solve(fd)
     assert np.isnan(rep.compat_residual)
     assert np.isfinite(rep.closed_residual) and np.isfinite(rep.orth_residual)
+
+
+def _rotation_sweeps(fd, L0):
+    # the forward sweep of solve_L_nd and its exchanged-order sweep, whole
+    base, order = fd.chart.base_index("center"), tuple(range(fd.dim))
+    live = live_rows(fd.row_max_abs())
+    return [_solve_L_once(fd, L0, base, o, live) for o in (order, order[::-1])], base
+
+
+def _angle_sweeps_whole(fd, phi0=0.3):
+    # the sweeps of angle_sweeps, the exchanged order whole
+    live = live_rows(fd.row_max_abs())
+    om1, om2, om12 = fd.omega[0], fd.omega[1], fd.connection[0]
+    fields, rhs = zip(
+        *(angle_system(om1[a], om2[a], om12[a], live[0, a], live[1, a]) for a in (0, 1))
+    )
+    base = fd.chart.base_index("center")
+    return [sweep_scalar(fd.chart, base, o, phi0, fields, rhs) for o in ((0, 1), (1, 0))], base
+
+
+FIRST_LINE_CASES = {
+    "igsge-25^3": lambda: _rotation_sweeps(igsge_frame(25), rotated_l0(3)),
+    # the exchanged order's first block is (65, 1): stepped on Python floats
+    "kink-65^2": lambda: _angle_sweeps_whole(_kink_frame_65()),
+    "ch-order-0": lambda: _angle_sweeps_whole(_ch_order_zero_frame()),
+    "igsge-9^4": lambda: _rotation_sweeps(igsge4_frame(9), rotated_l0(4)),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_LINE_CASES))
+def test_exchanged_order_first_line_is_the_forward_states_line(case):
+    # the line through the base along the forward order's last axis, which
+    # a streamed certificate copies from the forward state
+    (state, state_ex), base = FIRST_LINE_CASES[case]()
+    line = base[:-1]
+    assert np.array_equal(_bits(state_ex[line]), _bits(state[line]))
+
+
+def _counted_steps(monkeypatch, fd):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    step = rotation_solver.rkmk4_step
+    monkeypatch.setattr(rotation_solver, "rkmk4_step", counted)
+    solve_L_nd(fd, rotated_l0(3))
+    return len(calls)
+
+
+@pytest.mark.parametrize("m, steps", [(25, 60), (49, 120)])
+def test_igsge_solve_takes_one_folded_step_per_interval_pair(monkeypatch, m, steps):
+    # forward: 3 blocks of (m - 1) / 2 folded steps, no block cut; the
+    # certificate copies its first line and steps the other two blocks
+    assert _counted_steps(monkeypatch, igsge_frame(m)) == steps
 
 
 def test_three_dimensional_solve_is_reflection_equivariant():
