@@ -261,7 +261,7 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=Non
     """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
 
     system(axis, take) returns (sample, fill) for each slab of
-    `_sweep_slabs`, take(f) being the slab of a full-grid array f:
+    `_sweep_slabs`, in order, take(f) being the slab of a full-grid array f:
     sample(i, j) gives the contiguous coefficient arrays of lines i..j-1
     of the slab that the equation along that axis consumes (`_lines`), and
     fill(h, blk, sample) fills the slab's `_Block` blk from its base line,
@@ -290,15 +290,13 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=Non
     state_blocks = dict(staircase_blocks(chart, state_base, axes_order))
     for axis, slab, take in _sweep_slabs(chart, base, axes_order, np.shape(start)):
         rows, b = state_blocks[axis](state)[slab], base[axis]
+        sample, fill = system(axis, take)
         if sink is not None and axis == first != last:
             rows[...] = take(sink.state)
-            continue
-        sample, fill = system(axis, take)
-        if sink is not None and axis == last:
-            blk = _Block(rows, b, chart.counts[axis], take, sink)
+        elif sink is not None and axis == last:
+            fill(chart.spacing[axis], _Block(rows, b, chart.counts[axis], take, sink), sample)
         else:
-            blk = _Block(rows, b)
-        fill(chart.spacing[axis], blk, sample)
+            fill(chart.spacing[axis], _Block(rows, b), sample)
     return None if sink is not None else state
 
 

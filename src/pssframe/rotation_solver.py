@@ -53,9 +53,10 @@ matrix kernels keep every row.
 One step engine serves both solvers: the scalar scheme is the same tableau
 on the additive group.  There are two block fills, each of which samples
 its coefficient lines, and their interval midpoints, a chunk of lines at a
-time from the sampler the walker hands it (`_samples`: a halo of two nodes
-on each side gives every interval the whole block's midpoint rule and
-bits), and writes its lines through windows of the block (`grid._Block`).
+time from the sampler the walker hands it (`_lines_and_midpoints`: a halo
+of two nodes on each side gives every interval the whole block's midpoint
+rule and bits), and writes its lines through windows of the block
+(`grid._Block`).
 `rkmk4_fill` marches up and down from the base line as one row: the lines
 b + j and b - j are folded onto a direction axis of length 2 and take one
 step together with h carried as [h, -h], so a centred block costs half as
@@ -279,7 +280,7 @@ def integrate_line(h, y, node_fields, mid_fields, kernels):
         yield y
 
 
-def _samples(sample, m, i, j):
+def _lines_and_midpoints(sample, m, i, j):
     """The coefficient lines i..j of a block of m lines and the midpoints
     of the intervals between them, from the block's `grid._sweep` sample.
 
@@ -307,9 +308,9 @@ def rkmk4_fill(kernels, fold_axis=0, view=None):
     half's remaining steps run alone.  Every element goes through the same
     operations as in separate steps.  The march goes a chunk of
     `grid._chunk_steps` steps at a time: each chunk samples its coefficient
-    lines and their midpoints (`_samples`), stacks the folded ones onto
-    the direction axis, and writes its lines through one window of the
-    block per direction.  view(rows) is the layout the kernels see of an
+    lines and their midpoints (`_lines_and_midpoints`), stacks the folded
+    ones onto the direction axis, and writes its lines through one window
+    of the block per direction.  view(rows) is the layout the kernels see of an
     array of state lines (the identity by default); the march carries its
     own state, so it never reads a window back.
     """
@@ -318,24 +319,26 @@ def rkmk4_fill(kernels, fold_axis=0, view=None):
     # moveaxis costs more than the view it makes, once per step
     to_fold = tuple(range(1, fold_axis + 1)) + (0,)
     from_fold = (fold_axis,) + tuple(range(fold_axis))
+    # the same on a stack (2, lines, ...), the direction axis first
+    stack_to_fold = (1,) + tuple(a + 1 if a else 0 for a in to_fold)
 
     def folded(up, down):
         # up and down lines (lines, ...) as folded lines, a view of one stack
         f = np.stack((up, down))
-        to = tuple(a + 1 if a else 0 for a in to_fold)
-        return f.transpose((1,) + to + tuple(range(fold_axis + 2, f.ndim)))
+        return f.transpose(stack_to_fold + tuple(range(fold_axis + 2, f.ndim)))
 
     def folded_samples(sample, m, b, j0, j1):
         # (node, mid) of the up lines b + j0..b + j1 and the down lines
         # b - j0..b - j1, folded; the unfolded samples die here
-        up, down = _samples(sample, m, b + j0, b + j1), _samples(sample, m, b - j1, b - j0)
+        up = _lines_and_midpoints(sample, m, b + j0, b + j1)
+        down = _lines_and_midpoints(sample, m, b - j1, b - j0)
         return [[folded(u, d[::-1]) for u, d in zip(*half)] for half in zip(up, down)]
 
     def fill(h, blk, sample):
         b, m = blk.b, blk.m
         line = view(blk.line[None])[0]
         if blk.line.shape == (1,):
-            node, mid = _samples(sample, m, 0, m - 1)
+            node, mid = _lines_and_midpoints(sample, m, 0, m - 1)
             y = blk.line.item()
             with blk.rows(0, m) as rows:
                 rows[b:, 0] = list(
@@ -372,7 +375,7 @@ def rkmk4_fill(kernels, fold_axis=0, view=None):
         d = 1 if stop > start else -1
         for i0 in range(start, stop, d * steps):
             lo_line, hi_line = sorted((i0, i0 + d * min(steps, abs(stop - i0))))
-            node, mid = _samples(sample, blk.m, lo_line, hi_line)
+            node, mid = _lines_and_midpoints(sample, blk.m, lo_line, hi_line)
             with blk.rows(lo_line + (d > 0), hi_line + (d > 0)) as rows:
                 rows, node, mid = view(rows)[::d], [f[::d] for f in node], [f[::d] for f in mid]
                 for i in range(hi_line - lo_line):
@@ -436,12 +439,12 @@ def affine_fill(h, b, a):
     in the order the march visits them.  The slope's midpoints and each
     chunk's gains (`affine_gains`; below b with -h and lo and hi swapped)
     are formed here, once for every source the fill is then called with.  A
-    call fill(h, blk, sample), with the same h and b and sample the source's,
-    samples per chunk the source lines and their midpoints (`_samples`) and
-    forms the shifts (`affine_shifts`) and the chunk's lines as
-    A * previous + B, written through one window of the block: on Python
-    floats for a block of single nodes, shape (m, 1), and in place
-    otherwise.  The previous line is carried from chunk to chunk.
+    call fill(h, blk, sample), with the same h and b and sample the
+    source's, samples per chunk the source lines and their midpoints
+    (`_lines_and_midpoints`) and forms the shifts (`affine_shifts`) and the
+    chunk's lines as A * previous + B, written through one window of the
+    block: on Python floats for a block of single nodes, shape (m, 1), and
+    in place otherwise.  The previous line is carried from chunk to chunk.
     """
     a_mid = midpoints(a, 0)
     m, step = a.shape[0], max(1, _BLOCK_NODES // a[0].size)
@@ -458,7 +461,7 @@ def affine_fill(h, b, a):
         for d, i, j, A in chunks:
             if (i if d > 0 else j) == b:  # a march from the base line
                 prev = blk.line.item() if single else blk.line
-            (s,), (s_mid,) = _samples(sample, m, i, j)
+            (s,), (s_mid,) = _lines_and_midpoints(sample, m, i, j)
             lo, mid, hi = zip(
                 _chunk_samples(d, i, j, a, a_mid[i:j]), _chunk_samples(d, 0, j - i, s, s_mid)
             )
@@ -535,12 +538,10 @@ def sweep_linear(chart, base, fills, init_value, sources, sink=None, out=None):
     fills comes from `linear_fills` and fixes the slopes and the axis
     order.  The RK4 steps of a linear equation are affine maps, so a block
     costs the source lines, their midpoints, one vectorized step for the
-    shifts and one multiply-add per line, a chunk at a time.  A sweep with
-    a sink copies its first block, a line that is one slab, from the
-    forward state (`grid._sweep`), so its first fill goes unused.
+    shifts and one multiply-add per line, a chunk at a time.
     """
     axes_order = tuple(dict.fromkeys(axis for axis, _ in fills))
-    slabs = iter(fills[sink is not None :])  # one per slab `_sweep` fills, in order
+    slabs = iter(fills)  # one per slab, in the order `_sweep` visits them
 
     def system(axis, take):
         return _lines([take(sources[axis])]), next(slabs)[1]
