@@ -286,13 +286,14 @@ def _lines_and_midpoints(sample, m, i, j):
 
     The midpoints are taken on lines i - 2..j + 2, clipped to the block: a
     halo of two nodes gives every interval the rule, and so the bits, of
-    the whole block's `midpoints`.  Both are copies, so the halo dies here.
+    the whole block's `midpoints`.  Both are views of arrays that hold the
+    halo.
     """
     k = max(i - 2, 0)
     arrays = sample(k, min(j + 3, m))
     return (
-        [f[i - k : j - k + 1].copy() for f in arrays],
-        [midpoints(f, 0)[i - k : j - k].copy() for f in arrays],
+        [f[i - k : j - k + 1] for f in arrays],
+        [midpoints(f, 0)[i - k : j - k] for f in arrays],
     )
 
 
@@ -310,9 +311,9 @@ def rkmk4_fill(kernels, fold_axis=0, view=None):
     `grid._chunk_steps` steps at a time: each chunk samples its coefficient
     lines and their midpoints (`_lines_and_midpoints`), stacks the folded
     ones onto the direction axis, and writes its lines through one window
-    of the block per direction.  view(rows) is the layout the kernels see of an
-    array of state lines (the identity by default); the march carries its
-    own state, so it never reads a window back.
+    of the block per direction.  view(rows) is the layout the kernels see
+    of an array of state lines (the identity by default); the march
+    carries its own state, so it never reads a window back.
     """
     view = view or (lambda rows: rows)
     # np.moveaxis(v, 0, fold_axis) and its inverse as plain transposes:
@@ -322,17 +323,21 @@ def rkmk4_fill(kernels, fold_axis=0, view=None):
     # the same on a stack (2, lines, ...), the direction axis first
     stack_to_fold = (1,) + tuple(a + 1 if a else 0 for a in to_fold)
 
-    def folded(up, down):
-        # up and down lines (lines, ...) as folded lines, a view of one stack
-        f = np.stack((up, down))
-        return f.transpose(stack_to_fold + tuple(range(fold_axis + 2, f.ndim)))
-
     def folded_samples(sample, m, b, j0, j1):
         # (node, mid) of the up lines b + j0..b + j1 and the down lines
-        # b - j0..b - j1, folded; the unfolded samples die here
-        up = _lines_and_midpoints(sample, m, b + j0, b + j1)
-        down = _lines_and_midpoints(sample, m, b - j1, b - j0)
-        return [[folded(u, d[::-1]) for u, d in zip(*half)] for half in zip(up, down)]
+        # b - j0..b - j1 as folded lines, views of stacks (2, lines, ...):
+        # each half is copied into its side as it is sampled, so the
+        # samples of one half at most are held besides the stacks
+        stacks = []
+        for side, (i, j) in enumerate(((b + j0, b + j1), (b - j1, b - j0))):
+            node, mid = _lines_and_midpoints(sample, m, i, j)
+            for n, f in enumerate(node + mid):
+                if not side:
+                    stacks.append(np.empty((2,) + f.shape))
+                stacks[n][side] = f[:: 1 - 2 * side]  # the down half from b outwards
+            del node, mid, f
+        folded = [s.transpose(stack_to_fold + tuple(range(fold_axis + 2, s.ndim))) for s in stacks]
+        return folded[: len(folded) // 2], folded[len(folded) // 2 :]
 
     def fill(h, blk, sample):
         b, m = blk.b, blk.m

