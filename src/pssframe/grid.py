@@ -176,8 +176,8 @@ def staircase_blocks(chart: GridChart, base, axes_order):
 # of a sweep with a sink hands its lines on, a chunk at a time.  At 49^3 a
 # line of n = 3 state is 173 KB, so a chunk serves three folded steps; a
 # block is cut across its lines only when one folded line (two lines of
-# state, the state one step carries) passes the budget, which first happens
-# on the 4D blocks of 17^4 nodes
+# state, the state one step carries) passes the budget: not at 49^3 (346 KB),
+# but the 17^4 blocks of n = 4 state (1.26 MB)
 _CHUNK_BYTES = 1 << 20
 
 
