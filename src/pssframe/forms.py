@@ -97,4 +97,4 @@ def potential(chart: GridChart, theta, base="center"):
     order = tuple(range(chart.dim))
     g = _sweep(chart, base_idx, order, 0.0, system)
     reverse = order[::-1]
-    return g, _streamed_compat(g, lambda sink: _sweep(chart, base_idx, reverse, 0.0, system, sink))
+    return g, _streamed_compat(g, lambda cert: _sweep(chart, base_idx, reverse, 0.0, system, cert))

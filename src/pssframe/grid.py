@@ -26,8 +26,9 @@ chunk of march steps at a time (`_chunk_steps`, by the budget
 where one folded line of its state passes that budget, and every chunk
 and slab gets the bits the whole block would.  `_streamed_compat`
 certifies a sweep against the exchanged axis order, whose sweep copies its
-first line from the forward state and hands its last block to the max a
-window of lines at a time, so it is never held whole.
+first line from the forward state and hands its last block to the max, its
+base hyperplane and then a window of lines at a time, so it is never held
+whole.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def staircase_blocks(chart: GridChart, base, axes_order):
 
 # bytes of the state lines that one chunk of a block's march holds: a fill
 # samples its coefficient lines and their midpoints, and the streamed block
-# of a sweep with a sink hands its lines on, a chunk at a time.  At 49^3 a
+# of a certified sweep hands its lines on, a chunk at a time.  At 49^3 a
 # line of n = 3 state is 173 KB, so a chunk serves three folded steps; a
 # block is cut across its lines only when one folded line (two lines of
 # state, the state one step carries) passes the budget: not at 49^3 (346 KB),
@@ -231,25 +232,25 @@ class _Block:
     line, which the fill reads and never writes.  rows(i, j) is a context
     manager around a writable array of lines i..j-1.  A slab held in the
     state, rows (m, ...), gives views of it.  The streamed last block of a
-    sweep with a sink holds only its base line, rows (1, ...): each window
-    is a fresh array, handed to sink(take, window) when it closes, take(f)
+    certified sweep holds only its base line, rows (1, ...): each window
+    is a fresh array, handed to fold(take, window) when it closes, take(f)
     being the same lines of a full-grid array f.  A fill never reads a
     closed window back.
     """
 
-    def __init__(self, rows, b, m=None, take=None, sink=None):
+    def __init__(self, rows, b, m=None, take=None, fold=None):
         self.b, self.m = b, len(rows) if m is None else m
-        self.line = rows[b if sink is None else 0]
-        self._rows, self._take, self._sink = rows, take, sink
+        self.line = rows[b if fold is None else 0]
+        self._rows, self._take, self._fold = rows, take, fold
 
     @contextlib.contextmanager
     def rows(self, i, j):
-        if self._sink is None:
+        if self._fold is None:
             yield self._rows[i:j]
             return
         window = np.empty((j - i,) + self.line.shape)
         yield window
-        self._sink(lambda f: self._take(f)[i:j], window)
+        self._fold(lambda f: self._take(f)[i:j], window)
 
 
 def _lines(arrays):
@@ -257,32 +258,35 @@ def _lines(arrays):
     return lambda i, j: [np.ascontiguousarray(f[i:j]) for f in arrays]
 
 
-def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=None):
+def _sweep(chart: GridChart, base, axes_order, start, system, certificate=None, out=None):
     """Fill a state (*counts, *shape(start)) from start at the base node by line sweeps.
 
     system(axis, take) returns (sample, fill) for each slab of
-    `_sweep_slabs`, in order, take(f) being the slab of a full-grid array f:
-    sample(i, j) gives the contiguous coefficient arrays of lines i..j-1
-    of the slab that the equation along that axis consumes (`_lines`), and
-    fill(h, blk, sample) fills the slab's `_Block` blk from its base line,
-    sampling the coefficients a chunk of lines at a time.  The lines of a
-    block are independent across its transverse nodes, so a slab gets the
-    bits the whole block would.  Returns the state, filled into out when
-    one is given (every node of it is written).
+    `_sweep_slabs` that is filled, in order, take(f) being the slab of a
+    full-grid array f: sample(i, j) gives the contiguous coefficient arrays
+    of lines i..j-1 of the slab that the equation along that axis consumes
+    (`_lines`), and fill(h, blk, sample) fills the slab's `_Block` blk from
+    its base line, sampling the coefficients a chunk of lines at a time.
+    The lines of a block are independent across its transverse nodes, so a
+    slab gets the bits the whole block would.  Returns the state, filled
+    into out when one is given (every node of it is written).
 
-    A sink is the `_Certificate` of a forward sweep of the same equation
-    from the same start.  The state is then never whole: it holds only the
-    base hyperplane of the last swept axis.  Its first block, the line
-    through the base along the forward sweep's last axis, is copied from
-    the forward state, which holds that line with the bits this sweep would
-    give it; the earlier blocks after it are filled, and the last block is
-    filled a window at a time into the sink (`_Block`).  Returns None then.
+    certificate is (forward, fold): forward the whole state of a sweep of
+    the same equation from the same start whose last axis is this sweep's
+    first, fold(take, lines) as for `_Block`.  The state is then never
+    whole: it holds only the base hyperplane of the last swept axis.  Its
+    first block, the line through the base along that axis, is copied from
+    forward, which holds it with the bits this sweep would give it, and no
+    system is asked for it; the blocks after it are filled, and the last
+    block goes to fold, its base line (the hyperplane) first and then a
+    window of lines at a time (`_Block`).  Returns None then.
     """
     base = tuple(base)
     first, last = axes_order[0], axes_order[-1]
     counts = list(chart.counts)
     state_base = base
-    if sink is not None:
+    if certificate is not None:
+        forward, fold = certificate
         counts[last] = 1
         state_base = base[:last] + (0,) + base[last + 1 :]
     state = np.zeros(tuple(counts) + np.shape(start)) if out is None else out
@@ -290,43 +294,37 @@ def _sweep(chart: GridChart, base, axes_order, start, system, sink=None, out=Non
     state_blocks = dict(staircase_blocks(chart, state_base, axes_order))
     for axis, slab, take in _sweep_slabs(chart, base, axes_order, np.shape(start)):
         rows, b = state_blocks[axis](state)[slab], base[axis]
-        sample, fill = system(axis, take)
-        if sink is not None and axis == first != last:
-            rows[...] = take(sink.state)
-        elif sink is not None and axis == last:
-            fill(chart.spacing[axis], _Block(rows, b, chart.counts[axis], take, sink), sample)
+        if certificate is not None and axis == first != last:
+            rows[...] = take(forward)
+            continue
+        if certificate is not None and axis == last:
+            fold(lambda f: take(f)[b : b + 1], rows.copy())
+            blk = _Block(rows, b, chart.counts[axis], take, fold)
         else:
-            fill(chart.spacing[axis], _Block(rows, b), sample)
-    return None if sink is not None else state
-
-
-class _Certificate:
-    """The sink of `_streamed_compat`: max |state - reverse| a window at a time.
-
-    state is the forward sweep's whole state.  Each window is folded into
-    worst, the window's max through `np.max`, so a NaN anywhere gives NaN,
-    and is then overwritten.
-    """
-
-    def __init__(self, state):
-        self.state, self.worst = state, []
-
-    def __call__(self, take, rows):
-        np.subtract(take(self.state), rows, out=rows)
-        self.worst.append(np.max(np.abs(rows, out=rows)))
+            blk = _Block(rows, b)
+        sample, fill = system(axis, take)
+        fill(chart.spacing[axis], blk, sample)
+    return None if certificate is not None else state
 
 
 def _streamed_compat(state, reverse_sweep):
     """max |state - reverse| over the nodes, the reverse-order sweep streamed.
 
-    reverse_sweep(sink) runs the reverse-order sweep of the same equation
-    with a `_sweep` sink, a `_Certificate` of state: the reverse sweep's
-    first line is the forward state's, and its last block comes to the max
-    a window of lines at a time, so the reverse state is never whole.
+    reverse_sweep(certificate) runs the reverse-order sweep of the same
+    equation as `_sweep` runs it with a certificate (state, fold): its
+    first line is the forward state's, and its last block comes to fold,
+    its base hyperplane and then a window of lines at a time, so the reverse
+    state is never whole.  Each window is folded into the max through
+    `np.max`, so a NaN anywhere gives NaN, and is then overwritten.
     """
-    sink = _Certificate(state)
-    reverse_sweep(sink)
-    return float(np.max(sink.worst))
+    worst = []
+
+    def fold(take, lines):
+        np.subtract(take(state), lines, out=lines)
+        worst.append(np.max(np.abs(lines, out=lines)))
+
+    reverse_sweep((state, fold))
+    return float(np.max(worst))
 
 
 def partial_derivative(values, axis, spacing):

@@ -522,7 +522,7 @@ def solve_hierarchy(
 
         sol = sweep_linear(chart, base_idx, fills, start, sources, out=phi[j])
         compat = _streamed_compat(
-            sol, lambda sink: sweep_linear(chart, base_idx, fills_ex, start, sources, sink)
+            sol, lambda cert: sweep_linear(chart, base_idx, fills_ex, start, sources, cert)
         )
         del sources
         s[j] += sol * c[0]

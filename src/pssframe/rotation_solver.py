@@ -70,9 +70,10 @@ steps are affine maps y -> A y + B: the maps of each chunk of consecutive
 intervals, at most 8,192 values (`frames._BLOCK_NODES`, 64 KB) per
 temporary, come from two vectorized steps, and each line of the chunk is
 then one multiply-add, in place.  The gains A depend on the slope alone,
-so `linear_fills` forms them once per axis order, one fill per slab of the
-walker's sweep (`grid._sweep_slabs`), and `sweep_linear` reuses them for
-every source; a sweep then samples only the source lines and, chunk by
+so `linear_fills` builds one fill per slab of the walker's sweep
+(`grid._sweep_slabs`) per axis order, each fill forms its gains on its
+first call, and `sweep_linear` reuses them for every source; a sweep
+then samples only the source lines and, chunk by
 chunk, their midpoints and the shifts B.  The steps are elementwise, so a
 chunk gets the whole block's bits, and every element goes through the
 same operations as in separate steps; so does a slab of a block, in every
@@ -91,6 +92,7 @@ vectorized `rkmk4_step`, and the linear orders compose `affine_gains` and
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -443,26 +445,33 @@ def affine_fill(h, b, a):
     chunks of at most `frames._BLOCK_NODES` values (one interval at least),
     in the order the march visits them.  The slope's midpoints and each
     chunk's gains (`affine_gains`; below b with -h and lo and hi swapped)
-    are formed here, once for every source the fill is then called with.  A
-    call fill(h, blk, sample), with the same h and b and sample the
-    source's, samples per chunk the source lines and their midpoints
-    (`_lines_and_midpoints`) and forms the shifts (`affine_shifts`) and the
-    chunk's lines as A * previous + B, written through one window of the
-    block: on Python floats for a block of single nodes, shape (m, 1), and
-    in place otherwise.  The previous line is carried from chunk to chunk.
+    are formed on the first call, once for every source the fill is called
+    with, so a fill that is never called (the block that a certified
+    `grid._sweep` copies) forms none.  A call fill(h, blk, sample), with
+    the same h and b and sample the source's, samples per chunk the source
+    lines and their midpoints (`_lines_and_midpoints`) and forms the shifts
+    (`affine_shifts`) and the chunk's lines as A * previous + B, written
+    through one window of the block: on Python floats for a block of single
+    nodes, shape (m, 1), and in place otherwise.  The previous line is
+    carried from chunk to chunk.
     """
-    a_mid = midpoints(a, 0)
     m, step = a.shape[0], max(1, _BLOCK_NODES // a[0].size)
     # (direction, i, j) of each chunk, the intervals between nodes i..j
     spans = [(1, i, min(i + step, m - 1)) for i in range(b, m - 1, step)]
     spans += [(-1, max(i - step, 0), i) for i in range(b, 0, -step)]
-    chunks = [
-        (d, i, j, affine_gains(d * h, *_chunk_samples(d, i, j, a, a_mid[i:j]))[::d])
-        for d, i, j in spans
-    ]
+
+    @functools.cache
+    def gains():
+        a_mid = midpoints(a, 0)
+        chunks = [
+            (d, i, j, affine_gains(d * h, *_chunk_samples(d, i, j, a, a_mid[i:j]))[::d])
+            for d, i, j in spans
+        ]
+        return a_mid, chunks
 
     def fill(h, blk, sample):
         single = blk.line.shape == (1,)
+        a_mid, chunks = gains()
         for d, i, j, A in chunks:
             if (i if d > 0 else j) == b:  # a march from the base line
                 prev = blk.line.item() if single else blk.line
@@ -503,7 +512,9 @@ def additive_kernels(field):
     return field, _identity, _add
 
 
-def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=None, out=None):
+def sweep_scalar(
+    chart, base, axes_order, init_value, node_fields, rhs, certificate=None, out=None
+):
     """Integrate a scalar ODE field along staircase sweeps (RK4).
 
     node_fields[axis]: the full-grid arrays the right-hand side consumes
@@ -511,14 +522,14 @@ def sweep_scalar(chart, base, axes_order, init_value, node_fields, rhs, sink=Non
     rhs[axis](samples, y): the right-hand side along that axis, samples
     holding one array per field of the axis, sampled at the stage position.
     Returns the filled grid array (out, when given), or streams its last
-    block to sink (`_sweep`).
+    block to a certificate (`_sweep`).
     """
     fills = [rkmk4_fill(additive_kernels(f)) for f in rhs]
 
     def system(axis, take):
         return _lines([take(f) for f in node_fields[axis]]), fills[axis]
 
-    return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
+    return _sweep(chart, base, axes_order, float(init_value), system, certificate, out)
 
 
 def linear_fills(chart, base, axes_order, slopes):
@@ -526,9 +537,10 @@ def linear_fills(chart, base, axes_order, slopes):
 
     slopes[axis] is the slope of y' = slope y + source along that axis.
     Returns one (axis, `affine_fill`) per slab of the walker's sweep
-    (`grid._sweep_slabs`), in sweep order: the contiguous slope slab, its
-    midpoints and its gains.  Each slope slab is a copy, so the fills do
-    not keep the slopes alive: a base line would hold its whole plane.
+    (`grid._sweep_slabs`), in sweep order, each holding its contiguous
+    slope slab, from which it forms its midpoints and gains when first
+    called.  Each slope slab is a copy, so the fills do not keep the slopes
+    alive: a base line would hold its whole plane.
     """
     fills = []
     for axis, _, take in _sweep_slabs(chart, base, axes_order):
@@ -537,7 +549,7 @@ def linear_fills(chart, base, axes_order, slopes):
     return fills
 
 
-def sweep_linear(chart, base, fills, init_value, sources, sink=None, out=None):
+def sweep_linear(chart, base, fills, init_value, sources, certificate=None, out=None):
     """`sweep_scalar` for y' = slope y + sources[axis] along each axis.
 
     fills comes from `linear_fills` and fixes the slopes and the axis
@@ -546,12 +558,14 @@ def sweep_linear(chart, base, fills, init_value, sources, sink=None, out=None):
     shifts and one multiply-add per line, a chunk at a time.
     """
     axes_order = tuple(dict.fromkeys(axis for axis, _ in fills))
-    slabs = iter(fills)  # one per slab, in the order `_sweep` visits them
+    # each axis's fills, one per slab of its block, in the order `_sweep`
+    # visits them; a block that a certificate copies is never visited
+    slabs = {axis: iter([f for a, f in fills if a == axis]) for axis in axes_order}
 
     def system(axis, take):
-        return _lines([take(sources[axis])]), next(slabs)[1]
+        return _lines([take(sources[axis])]), next(slabs[axis])
 
-    return _sweep(chart, base, axes_order, float(init_value), system, sink, out)
+    return _sweep(chart, base, axes_order, float(init_value), system, certificate, out)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +690,7 @@ def angle_sweeps(fd: FrameData, phi0, base_idx, gate_factor, out=None):
 
     phi = sweep_scalar(chart, base_idx, (0, 1), phi0, fields, rhs, out=out)
     compat = _streamed_compat(
-        phi, lambda sink: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, rhs, sink)
+        phi, lambda cert: sweep_scalar(chart, base_idx, (1, 0), phi0, fields, rhs, cert)
     )
     return phi, compat, structure, threshold, row_max
 
@@ -809,6 +823,7 @@ def _contract(x, y):
     itself, a dot product whose grouping follows the alignment of the data,
     so there the products are added one by one.
     """
+    # einsum pays: the loop on every line makes the 49^3 solve_L_nd ~13 % slower
     if math.prod(x.shape[2:]) > 1:
         return np.einsum("ik...,k...->i...", x, y)
     trailing = np.broadcast_shapes(x.shape[2:], y.shape[1:])
@@ -875,14 +890,14 @@ def _axial_system(fd: FrameData, sigma, live):
     return system
 
 
-def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, live, sink=None):
+def _solve_L_once(fd: FrameData, L0, base_idx, axes_order, live, certificate=None):
     """One sweep of `solve_L_nd`; live (`frames.live_rows`) marks the
     coefficient rows that the n = 3 solve keeps."""
     if fd.dim == 3:
         system = _axial_system(fd, 1.0 if np.linalg.det(L0) > 0 else -1.0, live)
     else:
         system = _matrix_system(fd)
-    return _sweep(fd.chart, base_idx, axes_order, L0, system, sink)
+    return _sweep(fd.chart, base_idx, axes_order, L0, system, certificate)
 
 
 def initial_rotation(L0, n):
@@ -944,7 +959,7 @@ def solve_L_nd(
     live = live_rows(row_max)
     L = _solve_L_once(fd, L0, base_idx, order, live)
     compat = _streamed_compat(
-        L, lambda sink: _solve_L_once(fd, L0, base_idx, order[::-1], live, sink)
+        L, lambda cert: _solve_L_once(fd, L0, base_idx, order[::-1], live, cert)
     )
 
     orth = require_orthogonal(L)

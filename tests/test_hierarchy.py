@@ -465,14 +465,14 @@ def _whole_linear_sweeps(monkeypatch):
         slopes.append(order_slopes)
         return linear_fills(chart, base, axes_order, order_slopes)
 
-    def sweep(chart, base, order_fills, start, sources, sink=None, out=None):
-        if sink is not None:
+    def sweep(chart, base, order_fills, start, sources, certificate=None, out=None):
+        if certificate is not None:
             sol, sol_ex = (
                 sweep_linear(chart, base, linear_fills(chart, base, axes, slopes[-1]), start, sources)
                 for axes in ((0, 1), (1, 0))
             )
             whole.append((sol, sol_ex, base))
-        return sweep_linear(chart, base, order_fills, start, sources, sink, out)
+        return sweep_linear(chart, base, order_fills, start, sources, certificate, out)
 
     monkeypatch.setattr(hierarchy, "linear_fills", fills)
     monkeypatch.setattr(hierarchy, "sweep_linear", sweep)

@@ -51,8 +51,8 @@ from conftest import (
     igsge_frame,
     max_bracket,
     rotated_l0,
-    undeclared,
     varying_rotation_frame,
+    writable_copy,
 )
 
 
@@ -467,16 +467,17 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def _kept_windows(sink, kept):
-    """sink, that first writes each window into its lines of the full-grid
-    array kept: the lines the streamed sweep hands on, NaN elsewhere."""
+def _kept_windows(certificate, kept):
+    """certificate, whose fold first writes each window into its lines of
+    the full-grid array kept: the lines the streamed sweep hands on, NaN
+    elsewhere."""
+    forward, fold = certificate
 
     def keep(take, rows):
         take(kept)[...] = rows
-        sink(take, rows)
+        fold(take, rows)
 
-    keep.state = sink.state
-    return keep
+    return forward, keep
 
 
 def _forward_and_streamed_sweeps(chart, base, slopes, sources):
@@ -487,8 +488,8 @@ def _forward_and_streamed_sweeps(chart, base, slopes, sources):
     fills_ex = linear_fills(chart, base, (1, 0), slopes)
     kept = np.full(chart.counts, np.nan)
 
-    def reverse(sink):
-        sweep_linear(chart, base, fills_ex, 0.7, sources, _kept_windows(sink, kept))
+    def reverse(cert):
+        sweep_linear(chart, base, fills_ex, 0.7, sources, _kept_windows(cert, kept))
 
     return out, kept, _streamed_compat(out, reverse)
 
@@ -811,7 +812,7 @@ def test_three_dimensional_solve_without_zero_rows_is_the_six_plane_solve(start)
 
 
 def test_a_row_nonzero_at_one_node_is_kept():
-    fd = undeclared(igsge_frame(9))
+    fd = writable_copy(igsge_frame(9))
     fd.omega[1, 0][2, 3, 4] = 0.5
     live = live_rows(fd.row_max_abs())
     assert live[1, 0] and np.count_nonzero(live) == 6
@@ -822,7 +823,7 @@ def test_a_row_nonzero_at_one_node_is_kept():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_non_finite_frame_leaves_out_no_row(value):
     # the non-finite coefficient sits in a row that is otherwise zero
-    fd = undeclared(igsge_frame(9))
+    fd = writable_copy(igsge_frame(9))
     fd.connection[2, 0][6, 4, 4] = value  # on the first swept line
     live = live_rows(fd.row_max_abs())
     assert live.all()
@@ -1083,12 +1084,41 @@ def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, c
     sol_ex = sweep_linear(chart, base, linear_fills(chart, base, exchanged, slopes), 0.4, sources)
     SETTINGS[setting](monkeypatch)
     fills = linear_fills(chart, base, exchanged, slopes)
-    got = _streamed_compat(sol, lambda sink: sweep_linear(chart, base, fills, 0.4, sources, sink))
+    got = _streamed_compat(sol, lambda cert: sweep_linear(chart, base, fills, 0.4, sources, cert))
     assert got == float(np.max(np.abs(sol - sol_ex)))
     out = np.full(chart.counts, np.nan)
     fills = linear_fills(chart, base, axes_order, slopes)
     assert sweep_linear(chart, base, fills, 0.4, sources, out=out) is out
     assert np.array_equal(out, sol)
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_streamed_certificate_covers_the_base_hyperplane_of_the_last_block(
+    monkeypatch, rng, setting
+):
+    # y' = -4 y along axis 0 without source, and sources E(x0) g(x1, x2)
+    # along axes 1 and 2, E = exp(-4 x0): the sweeps differ by about
+    # E(x0) times their difference on the plane x0 = 0, which holds the base
+    # and which the two orders fill along axes 1, 2 and 2, 1.  So the max
+    # lies on that plane only, the last block's base line in the exchanged
+    # order.
+    chart = GridChart((0.0,) * 3, (0.075,) * 3, (9, 11, 7))
+    base = (0, 4, 3)
+    x0 = chart.meshgrid()[0]
+    slopes = (np.full(chart.counts, -4.0), np.zeros(chart.counts), np.zeros(chart.counts))
+    sources = (np.zeros(chart.counts),) + tuple(
+        np.exp(-4.0 * x0) * rng.uniform(-2.0, 2.0, chart.counts[1:]) for _ in range(2)
+    )
+    sol, sol_ex = (
+        sweep_linear(chart, base, linear_fills(chart, base, axes, slopes), 0.4, sources)
+        for axes in ((0, 1, 2), (2, 1, 0))
+    )
+    gap = np.abs(sol - sol_ex)
+    assert np.max(gap[0]) > np.max(gap[1:])
+    SETTINGS[setting](monkeypatch)
+    fills = linear_fills(chart, base, (2, 1, 0), slopes)
+    got = _streamed_compat(sol, lambda cert: sweep_linear(chart, base, fills, 0.4, sources, cert))
+    assert got == float(np.max(gap))
 
 
 @pytest.mark.parametrize("setting", ["default", "narrowest-cut"])
@@ -1107,7 +1137,7 @@ def test_streamed_linear_certificate_is_the_whole_sweeps_max(monkeypatch, rng, c
 def test_non_finite_value_in_the_reverse_sweep_gives_nan_compat(monkeypatch, setting, solve, node):
     # a dx_1 coefficient off the forward sweep's first line: only the reverse
     # sweep's last block reads it, so L stays finite and L_ex does not
-    fd = cosh_metric_frame(33) if len(node) == 2 else igsge_frame(13)
+    fd = cosh_metric_frame(33) if len(node) == 2 else writable_copy(igsge_frame(13))
     fd.omega[0, 0][node] = np.nan
     SETTINGS[setting](monkeypatch)
     rep = solve(fd)
