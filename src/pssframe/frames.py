@@ -46,8 +46,9 @@ class FrameData:
     `row_max_abs`: True marks a row that the maker of the bundle declares
     +0 at every node and never writes, such as the rows a model leaves
     unwritten in an array of zeros.  `row_max_abs` takes such a row as +0
-    without reading it.  A caller that writes into a declared row must drop
-    the declaration (build a new FrameData without it).
+    without reading it.  The bundle then holds omega and connection as
+    read-only views, so a write into it raises ValueError; a caller that
+    needs to write builds a new FrameData of copies without the declaration.
     """
 
     chart: GridChart
@@ -69,6 +70,7 @@ class FrameData:
                     "zero_rows needs shape %s, got %s" % ((n + pairs[0], n), zero_rows.shape)
                 )
             self.zero_rows = zero_rows
+            self.omega, self.connection = _read_only(self.omega), _read_only(self.connection)
 
     @property
     def dim(self):
@@ -92,6 +94,13 @@ class FrameData:
                 for w, zs in zip(forms, zero)
             ]
         )
+
+
+def _read_only(a):
+    """A view of a that refuses writes."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def live_rows(row_max):

@@ -143,7 +143,8 @@ def igsge_forms(state: IGSGEState):
     """Coframe omega_i = V_i dx_i, connection omega_ij = h_ij dx_j - h_ji dx_i.
 
     The rows left unwritten are declared to the bundle (`FrameData.zero_rows`),
-    so that its row maxima take them as +0 without reading them.
+    so that its row maxima take them as +0 without reading them; the
+    bundle's arrays are then read-only.
     """
     chart = state.chart
     n = chart.dim

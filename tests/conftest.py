@@ -140,10 +140,11 @@ def igsge_frame(n):
     return igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
 
 
-def undeclared(fd):
-    """fd without its declared zero rows (`FrameData.zero_rows`), for a
-    test that writes into a row the model never writes."""
-    return FrameData(fd.chart, fd.omega, fd.connection)
+def writable_copy(fd):
+    """A bundle of copies of fd's arrays, without its declared zero rows
+    (`FrameData.zero_rows`): a declared bundle refuses writes, so a test
+    that writes into a model's frame writes into this copy of it."""
+    return FrameData(fd.chart, fd.omega.copy(), fd.connection.copy())
 
 
 def igsge4_frame(m):

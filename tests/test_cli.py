@@ -11,7 +11,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import exp_metric_frame, flat_frame, half_space_frame, non_finite_frame
+from conftest import (
+    exp_metric_frame,
+    flat_frame,
+    half_space_frame,
+    non_finite_frame,
+    writable_copy,
+)
 from pssframe import cli, grid
 from pssframe.cli import main
 from pssframe.config import parse_config
@@ -254,7 +260,7 @@ def gate_failing_frame():
     """An igsge frame on a fine 9^3 chart with omega_2 doubled: it fails the
     structure gate by a factor of ten."""
     chart = GridChart((0.5, -0.2, -0.2), (0.05,) * 3, (9, 9, 9))
-    fd = igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8)))
+    fd = writable_copy(igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8))))
     fd.omega[1] *= 2.0
     return fd
 

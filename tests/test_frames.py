@@ -47,8 +47,8 @@ from conftest import (
     interior_max_abs,
     non_finite_frame,
     square_chart,
-    undeclared,
     varying_rotation_frame,
+    writable_copy,
 )
 from oracles import d_oneform, wedge
 
@@ -140,7 +140,7 @@ def _random_frame(dim, m, seed):
 
 
 def _nan_frame():
-    fd = undeclared(igsge_frame(13))
+    fd = writable_copy(igsge_frame(13))
     fd.connection[2, 1, 6, 4, 7] = np.nan
     return fd
 
@@ -150,7 +150,7 @@ def _inf_beside_zero_row_frame():
     # wedge partner omega_1 has identically zero dx_2 and dx_3 rows, so
     # only the products that 0 * inf turns into NaN carry it, and the zero
     # rows must not be skipped
-    fd = undeclared(igsge_frame(13))
+    fd = writable_copy(igsge_frame(13))
     assert not fd.omega[0, 1:].any()
     fd.connection[0, 2, 6, 4, 7] = np.inf
     return fd

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import igsge_frame, mappings_of, needs_smaps
+from conftest import igsge_frame, mappings_of, needs_smaps, writable_copy
 from oracles import igsge_h_from_V
 from pssframe import DegenerateFrameError, FrameData, GridChart, solve_L_nd
 from pssframe.models import (
@@ -16,6 +16,7 @@ from pssframe.models import (
     igsge_forms,
     igsge_residual,
 )
+from pssframe.rotation_solver import structure_gate
 
 
 def box_chart(n, dim=3, lo1=0.5, hi1=6.0, half=4.0):
@@ -207,3 +208,20 @@ def test_zero_rows_of_the_wrong_shape_are_refused():
     fd = igsge_frame(5)
     with pytest.raises(ValueError, match=r"zero_rows needs shape \(6, 3\)"):
         FrameData(fd.chart, fd.omega, fd.connection, np.zeros((3, 3), bool))
+
+
+@pytest.mark.parametrize("form, row", [("omega", 2), ("connection", 5)])
+def test_a_declared_frame_refuses_writes(form, row):
+    # row_max_abs never reads a declared row, so a value written there
+    # would pass the structure gate unseen: the bundle refuses the write,
+    # and a writable copy drops the declaration
+    fd = igsge_frame(13)
+    assert fd.zero_rows[row, 0]  # the dx_1 row of omega_3 or of omega_23
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(fd, form)[2, 0, 6, 4, 7] = np.inf
+    copy = writable_copy(fd)
+    assert copy.zero_rows is None
+    getattr(copy, form)[2, 0, 6, 4, 7] = np.inf
+    assert copy.row_max_abs()[row, 0] == np.inf
+    _, threshold, ok = structure_gate(copy, 10.0)
+    assert threshold == np.inf and not ok
