@@ -4,7 +4,9 @@ Commands: verify, solve-frame, hierarchy, conserve, converge.  Every run
 reads one INI config (see `config`), writes its outputs plus a manifest
 into the output directory, and exits 0 on success, 1 when a gate fails,
 2 on configuration problems.  Runs are deterministic: the same config and
-flags produce byte-identical files.
+flags produce byte-identical files.  Each `cmd_*` returns its exit code and
+results, and `main` writes the manifest from them; a command that raises
+writes none.
 """
 
 from __future__ import annotations
@@ -233,24 +235,16 @@ def _write_report_fields(out_dir, chart, report):
         _write(out_dir, "phi.pssfield", write_field, chart, [report.angle])
 
 
-def cmd_verify(cfg, cfg_path, out_dir, scale):
+def cmd_verify(cfg, out_dir, scale):
     fd, state = _build_model(cfg, scale)
     (res1, res2), threshold, ok = structure_gate(fd, cfg.gate_factor)
     print(_model_line(cfg, state))
     verdict = "pass" if ok else "FAIL"
     print("structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (res1, res2, threshold, verdict))
-    _write_manifest(
-        out_dir,
-        "verify",
-        cfg_path,
-        scale,
-        cfg,
-        {"res1": res1, "res2": res2, "threshold": threshold, "pass": ok},
-    )
-    return 0 if ok else 1
+    return (0 if ok else 1), {"res1": res1, "res2": res2, "threshold": threshold, "pass": ok}
 
 
-def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
+def cmd_solve_frame(cfg, out_dir, scale):
     fd = _build_model(cfg, scale)[0]
     keys = on_chart(cfg, fd.chart, "solve-frame")
     report = _solve(fd, cfg, keys)
@@ -279,8 +273,7 @@ def cmd_solve_frame(cfg, cfg_path, out_dir, scale):
     _write_report_fields(out_dir, fd.chart, report)
     if cfg.coordinates_check:
         _write(out_dir, "potential.pssfield", write_field, fd.chart, [check.potential])
-    _write_manifest(out_dir, "solve-frame", cfg_path, scale, cfg, results)
-    return 0
+    return 0, results
 
 
 def _run_hierarchy(cfg, scale, command):
@@ -308,7 +301,7 @@ def _run_hierarchy(cfg, scale, command):
     return chart, drift, result, keys
 
 
-def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
+def cmd_hierarchy(cfg, out_dir, scale):
     chart, _, result, _ = _run_hierarchy(cfg, scale, "hierarchy")
     per_order = {}
     for item in result.orders:
@@ -321,11 +314,10 @@ def cmd_hierarchy(cfg, cfg_path, out_dir, scale):
         }
     for text in result.summary_lines():
         print(text)
-    _write_manifest(out_dir, "hierarchy", cfg_path, scale, cfg, {"orders": per_order})
-    return 0
+    return 0, {"orders": per_order}
 
 
-def cmd_conserve(cfg, cfg_path, out_dir, scale):
+def cmd_conserve(cfg, out_dir, scale):
     results = {}
     if cfg.model_kind == "camassa_holm":
         chart, drift_u, hier, keys = _run_hierarchy(cfg, scale, "conserve")
@@ -358,8 +350,7 @@ def cmd_conserve(cfg, cfg_path, out_dir, scale):
     results["orders"] = per_order
     ok = cfg.drift_tol is None or worst_rel <= cfg.drift_tol
     results["pass"] = ok
-    _write_manifest(out_dir, "conserve", cfg_path, scale, cfg, results)
-    return 0 if ok else 1
+    return (0 if ok else 1), results
 
 
 def _fit_order(h_values, errors):
@@ -374,7 +365,7 @@ def _order_text(order):
     return "null" if order is None else "%.3f" % order
 
 
-def cmd_converge(cfg, cfg_path, out_dir, scale):
+def cmd_converge(cfg, out_dir, scale):
     rows = []
     for k in sorted(s * scale for s in cfg.scales):
         fd = _build_model(cfg, k)[0]
@@ -414,23 +405,11 @@ def cmd_converge(cfg, cfg_path, out_dir, scale):
     _write(out_dir, "converge.csv", _write_converge_csv, rows)
 
     ok = closed_order is not None and closed_order >= cfg.order_floor
-    _write_manifest(
-        out_dir,
-        "converge",
-        cfg_path,
-        scale,
-        cfg,
-        {
-            "rows": rows,
-            "closed_order": closed_order,
-            "pair_orders": pair_orders,
-            "pass": ok,
-        },
-    )
     if closed_order is None:
         zeros = ", ".join(str(row["scale"]) for row in rows if row["closed"] == 0.0)
         print("error: closed residual is zero at scales %s: no order to fit" % zeros, file=sys.stderr)
-    return 0 if ok else 1
+    results = {"rows": rows, "closed_order": closed_order, "pair_orders": pair_orders, "pass": ok}
+    return (0 if ok else 1), results
 
 
 def _write_converge_csv(path, rows):
@@ -489,7 +468,9 @@ def main(argv=None):
         return 2
 
     try:
-        return _COMMANDS[args.command](cfg, args.config, out_dir, args.grid_scale)
+        code, results = _COMMANDS[args.command](cfg, out_dir, args.grid_scale)
+        _write_manifest(out_dir, args.command, args.config, args.grid_scale, cfg, results)
+        return code
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -474,18 +474,11 @@ def solve_hierarchy(
 
     # every order is swept straight into its row of the stack
     phi = np.zeros((order + 1,) + counts)
-    compat0 = angle_sweeps(fd0, phi0_start, base_idx, gate_factor, out=phi[0])[1]
+    # each order's start value and compat residual; its OrderResult is
+    # built once its form is, from the full s and c below
+    starts = [phi0_start]
+    compats = [angle_sweeps(fd0, phi0_start, base_idx, gate_factor, out=phi[0])[1]]
     del fd0
-    results = [
-        OrderResult(
-            order=0,
-            phi=phi[0],
-            form=None,  # every form is built from the full s and c below
-            closed_residual=0.0,
-            compat_residual=compat0,
-            start_value=phi0_start,
-        )
-    ]
 
     # running sin / cos of the angle series, filled one order at a time
     # into one stack: sc[j] holds (s_j, c_j), the rows that order j's
@@ -527,30 +520,22 @@ def solve_hierarchy(
         del sources
         s[j] += sol * c[0]
         c[j] -= sol * s[0]
-
-        results.append(
-            OrderResult(
-                order=j,
-                phi=sol,
-                form=None,
-                closed_residual=0.0,
-                compat_residual=compat,
-                start_value=start,
-            )
-        )
+        starts.append(start)
+        compats.append(compat)
 
     del fills, fills_ex, line_start
     np.negative(s, out=s)  # the forms take -s; negation is exact
     # order j's form reads s and c up to order j only, so from the highest
     # order down each form is formed aside and then takes the rows sc[j]
     form = np.empty((2,) + counts)
-    for item in reversed(results):
-        j = item.order
+    results = []
+    for j in range(order, -1, -1):
         form.fill(0.0)
         _table_product(j, ((c, f11), (s, f21)), form[0])
         _table_product(j, ((c, f12), (s, f22)), form[1])
         sc[j] = form
-        item.form = sc[j]
-        item.closed_residual = closedness_residual(chart, item.form)
+        results.append(
+            OrderResult(j, phi[j], sc[j], closedness_residual(chart, sc[j]), compats[j], starts[j])
+        )
 
-    return HierarchyResult(orders=results, phi_series=EtaSeries(phi), base_index=base_idx)
+    return HierarchyResult(orders=results[::-1], phi_series=EtaSeries(phi), base_index=base_idx)

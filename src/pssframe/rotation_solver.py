@@ -165,24 +165,14 @@ def _rodrigues(w):
 def expm_skew(a):
     """exp(A) for a stack of skew matrices A (..., n, n), orthogonal to round-off.
 
-    n = 2 takes the plane rotation in closed form.  Larger n scale and
-    square with a Taylor kernel of order 18 (Al-Mohy & Higham 2009): each
-    matrix is scaled by the power of two that brings its own max norm to at
-    most 0.5 and is squared back as often, so a matrix gets the same bits in
-    any stack.  A NaN entry takes no squarings and gives NaN; an infinite
+    Every n scales and squares with a Taylor kernel of order 18 (Al-Mohy &
+    Higham 2009): each matrix is scaled by the power of two that brings its
+    own max norm to at most 0.5 and is squared back as often, so a matrix
+    gets the same bits in any stack.  A NaN entry takes no squarings and gives NaN; an infinite
     one gives a NaN matrix.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
-    if n == 2:
-        t = a[..., 1, 0]
-        c, s = np.cos(t), np.sin(t)
-        out = np.empty_like(a)
-        out[..., 0, 0] = c
-        out[..., 0, 1] = -s
-        out[..., 1, 0] = s
-        out[..., 1, 1] = c
-        return out
     # truncation ~0.5^19/19! at the scaled norm: below round-off
     squarings = np.zeros(a.shape[:-2], int)
     if not np.max(np.abs(a)) <= 0.5:  # per-matrix norms only then: they slow a 4D solve
@@ -626,6 +616,24 @@ def _structure_gate(fd: FrameData, gate_factor):
     return structure, threshold, row_max
 
 
+def _report(fd: FrameData, rotation, compat, structure, threshold, row_max, angle=None):
+    """The SolveReport of a solved rotation field, the epilogue of both
+    solvers: orthogonality is required before theta_1 is formed, so the
+    Gram blocks of `require_orthogonal` never coexist with theta_1."""
+    orth = require_orthogonal(rotation)
+    theta1 = rotated_form(fd, rotation, 0, row_max)
+    return SolveReport(
+        rotation=rotation,
+        theta1=theta1,
+        compat_residual=compat,
+        closed_residual=closedness_residual(fd.chart, theta1),
+        orth_residual=orth,
+        structure=structure,
+        gate_threshold=threshold,
+        angle=angle,
+    )
+
+
 # ---------------------------------------------------------------------------
 # 2D angle solver
 
@@ -721,19 +729,8 @@ def solve_phi_2d(
     rotation[..., 0, 1] = -s
     rotation[..., 1, 0] = s
     rotation[..., 1, 1] = c
-    orth = require_orthogonal(rotation)
     # theta_1 = cos(phi) omega_1 - sin(phi) omega_2 from the rotation's first row
-    theta1 = rotated_form(fd, rotation, 0, row_max)
-    return SolveReport(
-        rotation=rotation,
-        theta1=theta1,
-        compat_residual=compat,
-        closed_residual=closedness_residual(chart, theta1),
-        orth_residual=orth,
-        structure=structure,
-        gate_threshold=threshold,
-        angle=phi,
-    )
+    return _report(fd, rotation, compat, structure, threshold, row_max, angle=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -949,9 +946,8 @@ def solve_L_nd(
     L0 is the (orthogonal) initial matrix at the base node; defaults to the
     identity.  The first row of the solved field yields theta_1.
     """
-    chart = fd.chart
     n = fd.dim
-    base_idx = chart.base_index(base)
+    base_idx = fd.chart.base_index(base)
     L0 = initial_rotation(L0, n)
     structure, threshold, row_max = _structure_gate(fd, gate_factor)
 
@@ -961,18 +957,7 @@ def solve_L_nd(
     compat = _streamed_compat(
         L, lambda cert: _solve_L_once(fd, L0, base_idx, order[::-1], live, cert)
     )
-
-    orth = require_orthogonal(L)
-    theta1 = rotated_form(fd, L, 0, row_max)
-    return SolveReport(
-        rotation=L,
-        theta1=theta1,
-        compat_residual=compat,
-        closed_residual=closedness_residual(chart, theta1),
-        orth_residual=orth,
-        structure=structure,
-        gate_threshold=threshold,
-    )
+    return _report(fd, L, compat, structure, threshold, row_max)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,30 @@ def half_space_frame(n, m):
     return FrameData(chart, omega, upper)
 
 
+def busemann_theta1(chart, L0, base):
+    """The closed form theta_1 (n, *counts) of a solve from L0 at base on
+    the chart of `half_space_frame`: an oracle written from the half-space
+    model, not from solver code.
+
+    With Y = e^{x_1} and X = (x_2, ..., x_n) the metric is the upper
+    half-space's (|dX|^2 + dY^2) / Y^2.  The geodesic field whose covector
+    at the base node is the first row of L0 runs to the ideal point
+    xi = X_0 + Y_0 (1 + L0[0, 0]) / |a| * a / |a|, a = L0[0, 1:], and its
+    dual is theta_1 = -dB_xi, B_xi = log((|X - xi|^2 + Y^2) / Y) (Bridson &
+    Haefliger, ch. II.8).  In components, with D = |X - xi|^2 + Y^2:
+    theta_1[0] = 1 - 2 Y^2 / D and theta_1[i] = -2 (X_i - xi_i) / D.  Needs
+    a != 0, so that xi is finite.
+    """
+    x = chart.meshgrid()
+    y, X = np.exp(x[0]), x[1:]
+    y0, X0 = y[base], [xi[base] for xi in X]
+    a = np.asarray(L0)[0, 1:]
+    norm = np.linalg.norm(a)
+    xi = [p + y0 * (1.0 + L0[0, 0]) / norm * ai / norm for p, ai in zip(X0, a)]
+    d = sum((Xi - c) ** 2 for Xi, c in zip(X, xi)) + y**2
+    return np.array([1.0 - 2.0 * y**2 / d] + [-2.0 * (Xi - c) / d for Xi, c in zip(X, xi)])
+
+
 def varying_rotation_frame(m, K, weights):
     """half_space_frame(n, m) rotated by R(x) = exp(f(x) K), and R.
 

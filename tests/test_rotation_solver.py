@@ -43,6 +43,7 @@ from pssframe.rotation_solver import (
 )
 
 from conftest import (
+    busemann_theta1,
     cosh_metric_frame,
     exp_metric_frame,
     flat_frame,
@@ -84,17 +85,7 @@ def test_expm_skew_is_orthogonal_for_large_angles(n, rng):
     assert np.allclose(np.linalg.det(q), 1.0, atol=1e-13)
 
 
-def test_expm_skew_two_by_two_closed_form(rng):
-    angles = rng.uniform(-10, 10, size=25)
-    a = np.zeros((25, 2, 2))
-    a[:, 1, 0] = angles
-    a[:, 0, 1] = -angles
-    got = expm_skew(a)
-    assert np.max(np.abs(got[:, 0, 0] - np.cos(angles))) < 1e-15
-    assert np.max(np.abs(got[:, 1, 0] - np.sin(angles))) < 1e-15
-
-
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 4, 5])
 def test_expm_skew_gives_each_matrix_of_a_stack_its_own_bits(rng, n):
     # max norms over four decades: from no squarings to about eight
     a = rng.standard_normal((40, n, n)) * np.geomspace(0.01, 30.0, 40)[:, None, None]
@@ -105,7 +96,7 @@ def test_expm_skew_gives_each_matrix_of_a_stack_its_own_bits(rng, n):
     assert np.array_equal(expm_skew(a[::-1].reshape(shape)), alone[::-1].reshape(shape))
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 4, 5])
 def test_expm_skew_gives_nan_for_non_finite_entries_quietly(rng, n):
     a = rng.standard_normal((3, n, n)) * 5.0
     a -= np.swapaxes(a, -1, -2)
@@ -554,6 +545,38 @@ def test_matrix_and_angle_solvers_agree_in_two_dimensions():
     for a in range(2):
         diff = rep_mat.theta1[a] - rep_phi.theta1[a]
         assert np.max(np.abs(diff)) < 1e-12
+
+
+def _phi_solve(fd, L0, base):
+    # the angle whose rotation has L0's first row
+    return solve_phi_2d(fd, math.atan2(-L0[0, 1], L0[0, 0]), base)
+
+
+def _busemann_pair_orders(solve, n, seed, sizes):
+    # orders of the max theta_1 error against the Busemann truth on
+    # half_space_frame(n, m), the spacing halving from size to size
+    L0 = rotated_l0(n, seed)
+    errors = []
+    for m in sizes:
+        fd = half_space_frame(n, m)
+        base = (m // 3,) * n
+        want = busemann_theta1(fd.chart, L0, base)
+        errors.append(np.max(np.abs(solve(fd, L0, base).theta1 - want)))
+    errors = np.array(errors)
+    return np.log2(errors[:-1] / errors[1:])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("solve", [solve_L_nd, _phi_solve], ids=["matrix", "angle"])
+def test_theta1_converges_to_the_busemann_form_in_two_dimensions(solve, seed):
+    orders = _busemann_pair_orders(solve, 2, seed, (9, 17, 33, 65))
+    assert np.all(orders > 3.5), orders
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theta1_converges_to_the_busemann_form_in_three_dimensions(seed):
+    orders = _busemann_pair_orders(solve_L_nd, 3, seed, (9, 17, 33))
+    assert np.all(orders > 3.5), orders
 
 
 def test_solve_equivariance_under_constant_frame_rotation():
