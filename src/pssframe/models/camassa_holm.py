@@ -124,20 +124,27 @@ def ch_evolve(
     # rfft(h - m/2) differs from rfft(h) only in the k = 0 bin (the sum)
     mean_shift = 0.5 * m * n
 
+    # the gufuncs that np.fft.rfft and np.fft.irfft wrap, called with the
+    # factors np.fft passes for norm=None (1 forward, 1/n inverse): the same
+    # bits without the wrappers' argument handling, which costs more than
+    # a transform of 512 points.  Imported here so that importing the
+    # package still loads no numpy.fft
+    from numpy.fft._pocketfft_umath import irfft, rfft_n_even
+
     # the right-hand side writes into these buffers and the RK4 steps into
     # the stage arrays below, so the substeps allocate no arrays
-    h_spec = np.empty(k.shape, dtype=complex)
-    spectra = np.empty((3,) + k.shape, dtype=complex)
+    spec = np.empty((4,) + k.shape, dtype=complex)  # h^, u^, (h_x)^, (u_x)^
     fields = np.empty((3, n))
+    inverse = 1.0 / n
 
     def rhs(h, out):
-        # one forward transform of h, one stacked inverse for u, u_x and h_x
-        np.fft.rfft(h, out=h_spec)
-        np.divide(h_spec, helmholtz, out=spectra[0])
-        spectra[0, 0] -= mean_shift  # helmholtz[0] == 1
-        np.multiply(ik, spectra[0], out=spectra[1])
-        np.multiply(ik, h_spec, out=spectra[2])
-        u, u_x, h_x = np.fft.irfft(spectra, n, out=fields)
+        # one forward transform of h into row 0, one multiply for both
+        # derivative rows and one stacked inverse for u, h_x and u_x
+        rfft_n_even(h, 1.0, out=spec[0])
+        np.divide(spec[0], helmholtz, out=spec[1])
+        spec[1, 0] -= mean_shift  # helmholtz[0] == 1
+        np.multiply(ik, spec[:2], out=spec[2:])
+        u, h_x, u_x = irfft(spec[1:], inverse, out=fields)
         # -(u h_x + 2 u_x h), written as (-2 u_x) h - u h_x: negation is
         # exact, so both give the same double
         np.multiply(u_x, -2.0, out=out)
@@ -168,7 +175,7 @@ def ch_evolve(
         for _ in range(substeps):
             # h + (dt/6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order
             rhs(h_now, k1)
-            if not math.isfinite(h_spec[0].real):  # the sum of h
+            if not math.isfinite(spec[0, 0].real):  # the sum of h
                 raise EvolutionError("momentum density blew up at output row %d" % row)
             np.multiply(k1, half, out=stage)
             stage += h_now

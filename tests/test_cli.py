@@ -984,6 +984,21 @@ def test_python_dash_m_runs_the_command_line():
     assert "solve-frame" in proc.stdout
 
 
+def test_importing_the_command_line_loads_no_numpy_fft():
+    # ch_evolve imports numpy's FFT kernels when it runs, so a command that
+    # evolves nothing does not pay for loading numpy.fft
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pssframe.cli; print('numpy.fft' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_defaults_round_trip_through_parser(tmp_path):
     cfg = parse_config(write_config(tmp_path, CH_CONFIG))
     assert cfg.model_kind == "camassa_holm"

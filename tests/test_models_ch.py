@@ -97,13 +97,17 @@ def _reference_evolve(u0, m, period, t_final, nx, nt, cfl=0.3):
     ]
 
 
+@pytest.mark.parametrize("nx", [16, 32, 512])
 @pytest.mark.parametrize("m", [0.0, 0.5])
-def test_evolve_is_bitwise_the_allocating_loop(m):
+def test_evolve_is_bitwise_the_allocating_loop(m, nx):
+    # ch_evolve calls numpy's pocketfft kernels directly; this oracle goes
+    # through the public np.fft calls, so a numpy whose kernels no longer
+    # give the wrappers' bits fails here, also at the benchmark's 512 points
     def profile(x):
         return 0.3 + 0.2 * np.cos(2 * np.pi * x / 6.0) - 0.1 * np.sin(4 * np.pi * x / 6.0)
 
-    state = ch_evolve(profile, m=m, period=6.0, t_final=0.5, nx=32, nt=4)
-    expected = _reference_evolve(profile, m, 6.0, 0.5, 32, 4)
+    state = ch_evolve(profile, m=m, period=6.0, t_final=0.5, nx=nx, nt=4)
+    expected = _reference_evolve(profile, m, 6.0, 0.5, nx, 4)
     for got, rows in zip((state.u, state.u_x, state.u_xx), expected):
         assert np.array_equal(got[:-1], rows.T)
         assert np.array_equal(got[-1], rows[:, 0])

@@ -736,22 +736,31 @@ IGSGE49_SOLVE_PEAK = 13_100_000
 # their midpoints were whole and the streamed block was cut by a budget on
 # its whole state, 13,753,912 since they are sampled a chunk at a time
 IGSGE4D_SOLVE_PEAK = 13_800_000
+# the same of solve_phi_2d on the 257^2 moving kink (velocity 0.5, phi0 0.3)
+# on the kink workload's chart: 5,962,856 while cos(phi) and sin(phi) lived
+# through the epilogue, 4,905,816 since they are dropped once the rotation
+# holds them
+KINK257_SOLVE_PEAK = 4_950_000
 
 
-def _traced_solve_peak(fd):
-    # an untraced solve of the same frame makes every first-call
-    # allocation, and a full collection empties the interpreter's free
-    # lists, whose small objects would otherwise escape the trace in a
-    # number that depends on the tests run before
-    L0 = rotated_l0(fd.dim)
-    solve_L_nd(fd, L0)
+def _traced_peak(solve):
+    # an untraced solve makes every first-call allocation, and a full
+    # collection empties the interpreter's free lists, whose small objects
+    # would otherwise escape the trace in a number that depends on the
+    # tests run before
+    solve()
     gc.collect()
     tracemalloc.start()
     try:
-        solve_L_nd(fd, L0)
+        solve()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _traced_solve_peak(fd):
+    L0 = rotated_l0(fd.dim)
+    return _traced_peak(lambda: solve_L_nd(fd, L0))
 
 
 def test_three_dimensional_solve_holds_no_block_twice():
@@ -764,6 +773,12 @@ def test_three_dimensional_solve_holds_one_full_grid_state():
 
 def test_four_dimensional_solve_holds_one_full_grid_state():
     assert _traced_solve_peak(igsge4_frame(13)) <= IGSGE4D_SOLVE_PEAK
+
+
+def test_angle_solve_drops_cos_and_sin_before_the_epilogue():
+    chart = GridChart((0.5, -2.0), (3.5 / 256, 4.0 / 256), (257, 257))
+    fd = sg_forms(sg_solution(chart, "moving_kink", 0.5))
+    assert _traced_peak(lambda: solve_phi_2d(fd, 0.3)) <= KINK257_SOLVE_PEAK
 
 
 def test_theta1_skipping_zero_coframe_rows_is_the_dense_sum_bit_for_bit():
