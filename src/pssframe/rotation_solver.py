@@ -729,7 +729,7 @@ def solve_phi_2d(
     rotation[..., 0, 1] = -s
     rotation[..., 1, 0] = s
     rotation[..., 1, 1] = c
-    del c, s  # the rotation holds them; the epilogue's peak should not
+    del c, s  # the rotation holds their values; free them before the epilogue
     # theta_1 = cos(phi) omega_1 - sin(phi) omega_2 from the rotation's first row
     return _report(fd, rotation, compat, structure, threshold, row_max, angle=phi)
 
