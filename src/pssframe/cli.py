@@ -154,12 +154,16 @@ def _model_line(cfg: RunConfig, state):
     return "model: external file=%s" % cfg.field_file
 
 
-def _solve(fd, cfg, keys):
-    """Solve for the rotation and enforce `[tolerances] orth_tol` on it.
+def _solve(cfg, scale, command):
+    """(frame data, chart keys, report) of the configured model's rotation.
 
-    2D charts start from `phi0`, higher dimensions from `l0`; keys holds
-    the chart-dependent keys resolved by `on_chart`.
+    The model is built at the grid scale and its state dropped before the
+    solve; keys holds the chart-dependent keys `on_chart` resolves for the
+    command.  2D charts start from `phi0`, higher dimensions from `l0`, and
+    `[tolerances] orth_tol` is enforced on the rotation.
     """
+    fd = _build_model(cfg, scale)[0]
+    keys = on_chart(cfg, fd.chart, command)
     if fd.dim == 2:
         phi0 = 0.0 if cfg.phi0 is None else cfg.phi0
         report = solve_phi_2d(fd, phi0, keys["base"], gate_factor=cfg.gate_factor)
@@ -170,7 +174,7 @@ def _solve(fd, cfg, keys):
             "orthogonality residual %.3e exceeds orth_tol %.3e"
             % (report.orth_residual, cfg.orth_tol)
         )
-    return report
+    return fd, keys, report
 
 
 def _json_value(value):
@@ -237,7 +241,11 @@ def _write_report_fields(out_dir, chart, report):
 
 def cmd_verify(cfg, out_dir, scale):
     fd, state = _build_model(cfg, scale)
-    (res1, res2), threshold, ok = structure_gate(fd, cfg.gate_factor)
+    try:
+        (res1, res2), threshold, _ = structure_gate(fd, cfg.gate_factor)
+        ok = True
+    except StructureGateError as exc:
+        res1, res2, threshold, ok = exc.res1, exc.res2, exc.threshold, False
     print(_model_line(cfg, state))
     verdict = "pass" if ok else "FAIL"
     print("structure: res1=%.3e res2=%.3e threshold=%.3e %s" % (res1, res2, threshold, verdict))
@@ -245,9 +253,7 @@ def cmd_verify(cfg, out_dir, scale):
 
 
 def cmd_solve_frame(cfg, out_dir, scale):
-    fd = _build_model(cfg, scale)[0]
-    keys = on_chart(cfg, fd.chart, "solve-frame")
-    report = _solve(fd, cfg, keys)
+    fd, keys, report = _solve(cfg, scale, "solve-frame")
     print(report.summary())
     results = {
         "compat_residual": report.compat_residual,
@@ -326,9 +332,7 @@ def cmd_conserve(cfg, out_dir, scale):
         print("model: camassa_holm integral_drift=%.3e" % drift_u)
         results["integral_drift"] = drift_u
     else:
-        fd = _build_model(cfg, scale)[0]
-        keys = on_chart(cfg, fd.chart, "conserve")
-        report = _solve(fd, cfg, keys)
+        fd, keys, report = _solve(cfg, scale, "conserve")
         print(report.summary())
         reports = [analyze(fd.chart, report.theta1, keys["time_axis"])]
         orders = [0]
@@ -353,12 +357,16 @@ def cmd_conserve(cfg, out_dir, scale):
     return (0 if ok else 1), results
 
 
-def _fit_order(h_values, errors):
-    """Least-squares slope of log(error) against log(h), or None when an
-    error is zero: no order goes through an exact zero."""
-    if 0.0 in errors:
-        return None
-    return float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+def _orders(h, errors):
+    """(fit, pairs): the least-squares slope of log(error) against log(h),
+    and the log ratio of each consecutive pair.  An order whose errors hold
+    an exact zero is None: no order goes through one."""
+    fit = None if 0.0 in errors else float(np.polyfit(np.log(h), np.log(errors), 1)[0])
+    pairs = [
+        None if 0.0 in (e0, e1) else float(np.log(e0 / e1) / np.log(h0 / h1))
+        for h0, h1, e0, e1 in zip(h, h[1:], errors, errors[1:])
+    ]
+    return fit, pairs
 
 
 def _order_text(order):
@@ -366,15 +374,13 @@ def _order_text(order):
 
 
 def cmd_converge(cfg, out_dir, scale):
-    rows = []
+    rows = []  # one dict per scale, in converge.csv's column order
     for k in sorted(s * scale for s in cfg.scales):
-        fd = _build_model(cfg, k)[0]
-        report = _solve(fd, cfg, on_chart(cfg, fd.chart, "converge"))
-        h_max = max(fd.chart.spacing)
+        fd, _, report = _solve(cfg, k, "converge")
         rows.append(
             {
                 "scale": k,
-                "h_max": h_max,
+                "h_max": max(fd.chart.spacing),
                 "res1": report.structure[0],
                 "res2": report.structure[1],
                 "compat": report.compat_residual,
@@ -384,19 +390,12 @@ def cmd_converge(cfg, out_dir, scale):
         )
         del fd, report  # gone before the next scale's model is built
         print(
-            "scale %d: h=%.6g closed=%.3e compat=%.3e res1=%.3e res2=%.3e orth=%.3e"
-            % (k, h_max, rows[-1]["closed"], rows[-1]["compat"], rows[-1]["res1"], rows[-1]["res2"], rows[-1]["orth"])
+            "scale %(scale)d: h=%(h_max).6g closed=%(closed).3e compat=%(compat).3e "
+            "res1=%(res1).3e res2=%(res2).3e orth=%(orth).3e" % rows[-1]
         )
 
-    h_values = [row["h_max"] for row in rows]
     closed = [row["closed"] for row in rows]
-    closed_order = _fit_order(h_values, closed)
-    pair_orders = [
-        None
-        if 0.0 in (e0, e1)
-        else float(np.log(e0 / e1) / np.log(h_values[i] / h_values[i + 1]))
-        for i, (e0, e1) in enumerate(zip(closed, closed[1:]))
-    ]
+    closed_order, pair_orders = _orders([row["h_max"] for row in rows], closed)
     print(
         "orders: closed=%s pairs=%s floor=%.2f"
         % (_order_text(closed_order), ",".join(map(_order_text, pair_orders)), cfg.order_floor)
@@ -413,11 +412,11 @@ def cmd_converge(cfg, out_dir, scale):
 
 
 def _write_converge_csv(path, rows):
-    keys = ("h_max", "res1", "res2", "compat", "closed", "orth")
     with open(path, "w", newline="") as fh:
-        fh.write("scale,%s\n" % ",".join(keys))
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write("%d,%s\n" % (row["scale"], ",".join("%.17g" % row[key] for key in keys)))
+            scale, *values = row.values()
+            fh.write("%d,%s\n" % (scale, ",".join("%.17g" % value for value in values)))
 
 
 _COMMANDS = {

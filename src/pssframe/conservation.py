@@ -183,7 +183,11 @@ def write_csv(path, reports, orders=None):
                     )
 
 
-def write_q_svg(path, reports, orders=None, width=640, height=360):
+# the q.svg canvas, in pixels
+_SVG_WIDTH, _SVG_HEIGHT = 640, 360
+
+
+def write_q_svg(path, reports, orders=None):
     """Minimal static SVG of the Q(t) curves (one polyline per order/axis)."""
     if orders is None:
         orders = list(range(len(reports)))
@@ -205,15 +209,15 @@ def write_q_svg(path, reports, orders=None, width=640, height=360):
     pad = 40.0
 
     def sx(t):
-        return pad + (t - t_min) / (t_max - t_min) * (width - 2 * pad)
+        return pad + (t - t_min) / (t_max - t_min) * (_SVG_WIDTH - 2 * pad)
 
     def sy(q):
-        return height - pad - (q - q_min) / (q_max - q_min) * (height - 2 * pad)
+        return _SVG_HEIGHT - pad - (q - q_min) / (q_max - q_min) * (_SVG_HEIGHT - 2 * pad)
 
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (width, height, width, height),
+        'viewBox="0 0 %d %d">' % (_SVG_WIDTH, _SVG_HEIGHT, _SVG_WIDTH, _SVG_HEIGHT),
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for idx, (order, axis_label, times, values) in enumerate(curves):

@@ -65,7 +65,6 @@ from .frames import FrameData
 from .grid import GridChart, _streamed_compat, midpoints
 from .rotation_solver import (
     GATE_FACTOR_DEFAULT,
-    _structure_gate,
     additive_kernels,
     affine_gains,
     affine_line,
@@ -73,6 +72,7 @@ from .rotation_solver import (
     angle_sweeps,
     linear_fills,
     rkmk4_step,
+    structure_gate,
     sweep_linear,
 )
 
@@ -466,7 +466,7 @@ def solve_hierarchy(
         ]
         if not all(np.isfinite(f).all() for f in line_fields):
             # no monodromy to form: a non-finite coefficient fails the gate
-            _structure_gate(fd0, gate_factor)
+            structure_gate(fd0, gate_factor)
             raise PssframeError("the periodic start line holds a non-finite coefficient")
         phi0_start = _periodic_angle_start(chart.spacing[0], line_fields)
     else:

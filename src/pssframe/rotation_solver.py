@@ -587,32 +587,27 @@ class SolveReport:
         )
 
 
-def structure_gate(fd: FrameData, gate_factor, row_max=None):
-    """Residuals, threshold and verdict of the structure gate.
+def structure_gate(fd: FrameData, gate_factor):
+    """(structure, threshold, row_max) of a frame that passes the structure
+    gate; StructureGateError, carrying both residuals and the threshold, of
+    one that fails it.
 
     The threshold is gate_factor * h_max^2 * max(1, max |coefficient|), a
     NaN coefficient making it NaN and an infinite one infinite.  Both
     residuals must be at most a finite threshold, so a frame with a
-    non-finite coefficient never passes.  row_max is `fd.row_max_abs()`,
-    taken here when not given; the residuals and the threshold share it.
+    non-finite coefficient never passes.  gate_factor None gives no verdict
+    and an infinite threshold.  row_max is `fd.row_max_abs()`, which the
+    residuals and the threshold share.
     """
-    row_max = fd.row_max_abs() if row_max is None else row_max
-    res1, res2 = structure_residuals(fd, curvature=-1.0, row_max=row_max)
+    row_max = fd.row_max_abs()
+    structure = structure_residuals(fd, curvature=-1.0, row_max=row_max)
+    if gate_factor is None:
+        return structure, float("inf"), row_max
     h_max = max(fd.chart.spacing)
     threshold = gate_factor * h_max**2 * float(np.maximum(1.0, np.max(row_max)))
-    ok = bool(np.isfinite(threshold) and res1 <= threshold and res2 <= threshold)
-    return (res1, res2), threshold, ok
-
-
-def _structure_gate(fd: FrameData, gate_factor):
-    """(structure, threshold, row_max), or StructureGateError; no verdict
-    and an infinite threshold for gate_factor None."""
-    row_max = fd.row_max_abs()
-    if gate_factor is None:
-        return structure_residuals(fd, curvature=-1.0, row_max=row_max), float("inf"), row_max
-    structure, threshold, ok = structure_gate(fd, gate_factor, row_max)
-    if not ok:
-        raise StructureGateError(*structure, threshold)
+    res1, res2 = structure
+    if not (np.isfinite(threshold) and res1 <= threshold and res2 <= threshold):
+        raise StructureGateError(res1, res2, threshold)
     return structure, threshold, row_max
 
 
@@ -685,7 +680,7 @@ def angle_sweeps(fd: FrameData, phi0, base_idx, gate_factor, out=None):
     unless a coefficient is not finite (`live_rows`) or phi0 is -0.
     """
     chart = fd.chart
-    structure, threshold, row_max = _structure_gate(fd, gate_factor)
+    structure, threshold, row_max = structure_gate(fd, gate_factor)
     live = live_rows(row_max)
     if phi0 == 0.0 and np.signbit(phi0):
         live[:] = True
@@ -950,7 +945,7 @@ def solve_L_nd(
     n = fd.dim
     base_idx = fd.chart.base_index(base)
     L0 = initial_rotation(L0, n)
-    structure, threshold, row_max = _structure_gate(fd, gate_factor)
+    structure, threshold, row_max = structure_gate(fd, gate_factor)
 
     order = tuple(range(n))
     live = live_rows(row_max)

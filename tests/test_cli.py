@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -292,6 +293,23 @@ def test_structure_gate_failure_exits_one_without_a_pass(
         assert not (out / "manifest.json").exists()
 
 
+def test_verify_fails_a_frame_with_the_numbers_the_solvers_name(tmp_path, capsys):
+    field = tmp_path / "frame.pssfield"
+    save_frame_data(field, gate_failing_frame())
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
+    assert main(["solve-frame", "--config", cfg, "--out", str(tmp_path / "solve")]) == 1
+    named = re.fullmatch(
+        r"gate failure: structure residuals \((\S+), (\S+)\) exceed gate (\S+)\n",
+        capsys.readouterr().err,
+    ).groups()
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == "structure: res1=%s res2=%s threshold=%s FAIL" % named
+    results = read_manifest(out)["results"]
+    assert tuple("%.3e" % results[key] for key in ("res1", "res2", "threshold")) == named
+
+
 @pytest.mark.parametrize("state", ["perturbed", "nan-line"])
 @pytest.mark.parametrize("command", ["hierarchy", "conserve"])
 def test_camassa_holm_gate_failure_exits_one_without_a_pass(
@@ -400,6 +418,13 @@ def test_converge_fits_no_order_through_an_exactly_closed_form(tmp_path, capsys)
     assert results["pass"] is False
 
 
+def test_converge_orders_leave_out_only_the_pairs_through_an_exact_zero():
+    h, errors = [0.4, 0.2, 0.1], [3.1e-3, 7.9e-4, 0.0]
+    fit, pairs = cli._orders(h, errors)
+    assert fit is None and pairs[1] is None
+    assert pairs[0] == np.log(errors[0] / errors[1]) / np.log(h[0] / h[1])
+
+
 def _watch_models(monkeypatch):
     """Record weakrefs to the frame data and state of every model the CLI builds."""
     refs = []
@@ -415,15 +440,18 @@ def _watch_models(monkeypatch):
 
 
 def _alive_at_solves(monkeypatch, refs):
-    """Per `_solve` call, which of the watched objects are still alive."""
+    """Per rotation solve, which of the watched objects are still alive."""
     alive = []
-    solve = cli._solve
 
-    def checked(fd, cfg, keys):
-        alive.append([[ref() is not None for ref in pair] for pair in refs])
-        return solve(fd, cfg, keys)
+    def checked(solve):
+        def call(*args, **kwargs):
+            alive.append([[ref() is not None for ref in pair] for pair in refs])
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_solve", checked)
+        return call
+
+    for name in ("solve_phi_2d", "solve_L_nd"):
+        monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
     return alive
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import pssframe
 import pssframe.models
+from pssframe import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,3 +87,15 @@ def test_removed_names_are_gone():
     for name in dotted:
         assert not _resolve(pssframe, name), name
         assert not _resolve(importlib.import_module("pssframe.models"), name), name
+
+
+def test_readme_converge_columns_are_the_header_converge_writes(tmp_path):
+    documented = re.search(r"\*\*`converge\.csv`\*\* — rows `([^`]+)`", README.read_text())
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[model]\nkind = sine_gordon\n\n[chart]\norigin = -4, -4\nextent = 8, 8\n"
+        "counts = 9, 9\n\n[convergence]\nscales = 1, 2\n"
+    )
+    cli.main(["converge", "--config", str(config), "--out", str(tmp_path / "out")])
+    header = (tmp_path / "out" / "converge.csv").read_text().splitlines()[0]
+    assert header == documented.group(1)

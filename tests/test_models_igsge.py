@@ -9,7 +9,7 @@ import pytest
 
 from conftest import igsge_frame, mappings_of, needs_smaps, writable_copy
 from oracles import igsge_h_from_V
-from pssframe import DegenerateFrameError, FrameData, GridChart, solve_L_nd
+from pssframe import DegenerateFrameError, FrameData, GridChart, StructureGateError, solve_L_nd
 from pssframe.models import (
     IGSGEState,
     igsge_explicit_solution,
@@ -223,5 +223,6 @@ def test_a_declared_frame_refuses_writes(form, row):
     assert copy.zero_rows is None
     getattr(copy, form)[2, 0, 6, 4, 7] = np.inf
     assert copy.row_max_abs()[row, 0] == np.inf
-    _, threshold, ok = structure_gate(copy, 10.0)
-    assert threshold == np.inf and not ok
+    with pytest.raises(StructureGateError) as failed:
+        structure_gate(copy, 10.0)
+    assert failed.value.threshold == np.inf

@@ -5,13 +5,16 @@ Usage (from the repository root):
     python3 tools/output_digests.py [--seed N ...] [--compare DIR]
 
 Each of the four benchmark workloads takes its inputs from
-`perfbench/workloads.generate`.  Three fixed cases (`CASES`) reach paths
+`perfbench/workloads.generate`.  Five fixed cases (`CASES`) reach paths
 the workloads do not: an igsge 3D `solve-frame` at 49^3 with the
 coordinate check, whose full-volume blocks are the largest 3D blocks and
 whose rotation is written; an igsge 4D `converge` at 9^4 and 17^4, whose
-17^4 blocks are cut into slabs; and a Camassa-Holm `hierarchy` to order 4,
-which writes every phi_j and theta_j.  Their start matrices come from the
-seed as the workloads' do.  Each CLI command runs in a fresh interpreter,
+17^4 blocks are cut into slabs; a Camassa-Holm `hierarchy` to order 4,
+which writes every phi_j and theta_j; a 2D kink `converge` at 33^2, 65^2
+and 129^2, which runs the angle solve under `converge` and fits two pair
+orders; and a 2D kink `conserve` with `svg = true`, which solves a frame
+that is not Camassa-Holm's and writes its q.svg.  Their start matrices
+and start angles come from the seed as the workloads' do.  Each CLI command runs in a fresh interpreter,
 on the package under src/ of the checkout this script sits in, inside a
 temporary directory.  One `sha256  path` line is printed per output file,
 the path being `<workload>/<file>`, and one more for the command's stdout.  --seed may be
@@ -35,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -97,11 +102,38 @@ def _ch_hierarchy(seed, run_dir):
     return workloads.Inputs("hierarchy", config, 65 * 17 * 5, (), [config])
 
 
+def _kink(seed, run_dir, command, section, nodes):
+    """A 33^2 moving kink on the kink workload's chart, with a seeded start angle."""
+    phi0 = np.random.default_rng(seed).uniform(-np.pi / 4, np.pi / 4)
+    config = workloads._write_ini(
+        run_dir,
+        "kink-%s" % command,
+        {
+            "model": {"kind": "sine_gordon"},
+            "chart": {"origin": "0.5, -2", "extent": "3.5, 4", "counts": "33, 33"},
+            "solver": {"phi0": repr(float(phi0))},
+            **section,
+        },
+    )
+    return workloads.Inputs(command, config, nodes, (), [config])
+
+
+def _kink_converge(seed, run_dir):
+    section = {"convergence": {"scales": "1, 2, 4"}}
+    return _kink(seed, run_dir, "converge", section, 33**2 + 65**2 + 129**2)
+
+
+def _kink_conserve(seed, run_dir):
+    return _kink(seed, run_dir, "conserve", {"conservation": {"svg": "true"}}, 33**2)
+
+
 # name -> input generator(seed, run_dir) of the fixed cases
 CASES = {
     "igsge3d-solve-frame-49": _igsge3d_solve_frame,
     "igsge4d-converge": _igsge4d_converge,
     "ch-hierarchy-order4": _ch_hierarchy,
+    "kink-converge-33": _kink_converge,
+    "kink-conserve-33": _kink_conserve,
 }
 NAMES = list(workloads.WORKLOADS) + list(CASES)
 
