@@ -14,11 +14,12 @@ which writes every phi_j and theta_j; a 2D kink `converge` at 33^2, 65^2
 and 129^2, which runs the angle solve under `converge` and fits two pair
 orders; and a 2D kink `conserve` with `svg = true`, which solves a frame
 that is not Camassa-Holm's and writes its q.svg.  Their start matrices
-and start angles come from the seed as the workloads' do.  Each CLI command runs in a fresh interpreter,
-on the package under src/ of the checkout this script sits in, inside a
-temporary directory.  One `sha256  path` line is printed per output file,
-the path being `<workload>/<file>`, and one more for the command's stdout.  --seed may be
-given more than once; with more than one seed each path starts with
+and start angles come from the seed as the workloads' do.  Each CLI
+command runs in a fresh interpreter, on the package under src/ of the
+checkout this script sits in, inside a temporary directory.  One
+`sha256  path` line is printed per output file, the path being
+`<workload>/<file>`, and one more for the command's stdout.  --seed may
+be given more than once; with more than one seed each path starts with
 `<seed>/`.  Exits 1 when a command does not exit 0.
 
 --compare DIR runs the same commands on the same inputs, once with the
@@ -103,7 +104,7 @@ def _ch_hierarchy(seed, run_dir):
 
 
 def _kink(seed, run_dir, command, section, nodes):
-    """A 33^2 moving kink on the kink workload's chart, with a seeded start angle."""
+    """A 33^2 static kink on the kink workload's chart, with a seeded start angle."""
     phi0 = np.random.default_rng(seed).uniform(-np.pi / 4, np.pi / 4)
     config = workloads._write_ini(
         run_dir,
