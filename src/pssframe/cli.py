@@ -47,6 +47,7 @@ from .models import (
     sg_solution,
 )
 from .rotation_solver import (
+    file_structure_gate,
     solve_L_nd,
     solve_phi_2d,
     special_coordinates_check,
@@ -125,18 +126,21 @@ def _build_model(cfg: RunConfig, scale):
             state = igsge_explicit_solution(chart, cfg.c)
             return igsge_forms(state), state
     if kind == "external":
-        if scale != 1:
-            raise ConfigError("--grid-scale is not applicable to external fields")
-        try:
-            fd = load_frame_data(cfg.field_file)
-        except OSError as exc:
-            raise ConfigError(
-                "%s: %s" % (cfg.field_file, exc.strerror or exc)
-            ) from exc
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (cfg.field_file, exc)) from exc
-        return fd, None
+        return _external(cfg, scale, load_frame_data), None
     raise ConfigError("unsupported model kind %r" % kind)
+
+
+def _external(cfg: RunConfig, scale, read, *args):
+    """read(field_file, *args) of the external frame file; a grid scale,
+    and the file's OSError or ValueError, are a ConfigError naming it."""
+    if scale != 1:
+        raise ConfigError("--grid-scale is not applicable to external fields")
+    try:
+        return read(cfg.field_file, *args)
+    except OSError as exc:
+        raise ConfigError("%s: %s" % (cfg.field_file, exc.strerror or exc)) from exc
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (cfg.field_file, exc)) from exc
 
 
 def _model_line(cfg: RunConfig, state):
@@ -231,18 +235,23 @@ def _write_manifest(out_dir, command, cfg_path, scale, cfg, results):
 
 def _write_report_fields(out_dir, chart, report):
     _write(out_dir, "theta1.pssfield", write_field, chart, report.theta1)
-    n = chart.dim
-    rot = report.rotation
-    entries = [rot[..., i, j] for i in range(n) for j in range(n)]
-    _write(out_dir, "rotation.pssfield", write_field, chart, entries)
+    # the entries (i, j) in row-major order, as a component-major view
+    rot = report.rotation.reshape(chart.counts + (-1,))
+    _write(out_dir, "rotation.pssfield", write_field, chart, np.moveaxis(rot, -1, 0))
     if report.angle is not None:
         _write(out_dir, "phi.pssfield", write_field, chart, [report.angle])
 
 
 def cmd_verify(cfg, out_dir, scale):
-    fd, state = _build_model(cfg, scale)
     try:
-        (res1, res2), threshold, _ = structure_gate(fd, cfg.gate_factor)
+        if cfg.model_kind == "external":
+            # the file is folded into the gate as it is read: no frame is held
+            state = None
+            gate = _external(cfg, scale, file_structure_gate, cfg.gate_factor)
+        else:
+            fd, state = _build_model(cfg, scale)
+            gate = structure_gate(fd, cfg.gate_factor)
+        (res1, res2), threshold, _ = gate
         ok = True
     except StructureGateError as exc:
         res1, res2, threshold, ok = exc.res1, exc.res2, exc.threshold, False

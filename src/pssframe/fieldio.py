@@ -42,8 +42,11 @@ send a whole block down the slow path.
 Reading.  Any file that np.loadtxt reads after the header is accepted.  A
 body in the writer's own grammar, lines of m tokens [-]d+[.d+][e(+|-)d+]
 joined by single spaces, each line ending in a newline, takes a fast
-reader instead, `_read_fast`, which fills the component-major result chunk
-by chunk (whole lines of about 128 KB).  Per chunk:
+reader instead, `_read_fast`, which hands the nodes of each chunk (whole
+lines of about 128 KB) to the caller's fold as soon as they are parsed: by
+default they fill the component-major result, and a fold that keeps only
+what it needs of each chunk reads a file without holding it (the structure
+gate of `frames.frame_file_structure`).  Per chunk:
 
 - one pass over the bytes finds every byte that is not a digit; a table of
   allowed pairs of consecutive such events (`_RULES`) checks the grammar,
@@ -461,9 +464,32 @@ def _parse_chunk(buf, m):
     return values
 
 
-def _read_fast(fh):
-    """(chart, (m, nodes) array) of a file in the writer's own grammar, read
-    chunk by chunk, or None for any other file."""
+class _Fill:
+    """The default sink of `read_field`: the nodes into one (m, *counts) array."""
+
+    def __init__(self, chart, m):
+        self.data = np.empty((m,) + chart.counts)
+        self._flat = self.data.reshape(m, -1)
+        self._row = 0
+
+    def __call__(self, block):
+        self._flat[:, self._row : self._row + block.shape[1]] = block
+        self._row += block.shape[1]
+
+    def result(self):
+        return self.data
+
+
+def _sink(fold, chart, m):
+    """fold(chart, m), or the array's `_Fill` when there is no fold or it
+    declines the file."""
+    sink = None if fold is None else fold(chart, m)
+    return _Fill(chart, m) if sink is None else sink
+
+
+def _read_fast(fh, fold=None):
+    """(chart, sink) of a file in the writer's own grammar, its nodes handed
+    to the sink of `_sink` chunk by chunk, or None for any other file."""
     st = os.fstat(fh.fileno())
     if not stat.S_ISREG(st.st_mode):
         return None  # a pipe cannot be read a second time
@@ -478,7 +504,7 @@ def _read_fast(fh):
     # every value takes at least two bytes
     if 2 * n_nodes * m > st.st_size - len(line):
         return None
-    data = np.empty((m, n_nodes))
+    sink = _sink(fold, chart, m)
     row = 0
     while buf := fh.read(_CHUNK):
         if not buf.endswith(b"\n"):
@@ -489,15 +515,16 @@ def _read_fast(fh):
         if values is None or row + values.size // m > n_nodes:
             return None
         block = values.reshape(-1, m).T
-        data[:, row : row + block.shape[1]] = block
+        sink(block)
         row += block.shape[1]
     if row != n_nodes:
         return None
-    return chart, data
+    return chart, sink
 
 
 def _read_loadtxt(path):
-    """The general reader: any body np.loadtxt reads, with its messages."""
+    """The general reader: any body np.loadtxt reads, with its messages;
+    (chart, (m, nodes) view of the node-major array)."""
     with open(path, "r", encoding="ascii") as fh:
         chart, m = _parse_header(fh.readline())
         n_nodes = math.prod(chart.counts)
@@ -515,16 +542,26 @@ def _read_loadtxt(path):
                 "pssfield body has shape %s, expected (%d, %d)"
                 % (data.shape, n_nodes, m)
             )
-    return chart, data.T.copy()
+    return chart, data.T
 
 
-def read_field(path):
+def read_field(path, fold=None):
     """Read a pssfield v1 file; returns (chart, array of shape (m, *counts)).
 
-    A body in the writer's grammar takes the fast reader; any other file is
-    read by np.loadtxt, which gives the same values and every message."""
+    fold, when given, is called as fold(chart, m) once the header is read
+    and returns a sink, or None for the array after all.  The sink takes the
+    nodes in order as (m, k) component-major blocks, sink(block), and
+    read_field returns (chart, sink.result()) in place of the array.  A body
+    in the writer's grammar takes the fast reader, which hands on each chunk
+    as it is parsed.  Any other file, also one that leaves the grammar part
+    way, is read by np.loadtxt, which gives the same values and every
+    message, and its whole array goes as one block to a fresh sink."""
     with open(path, "rb") as fh:
-        fast = _read_fast(fh)
-    chart, data = fast or _read_loadtxt(path)
-    return chart, data.reshape((data.shape[0],) + chart.counts)
-
+        fast = _read_fast(fh, fold)
+    if fast is None:
+        chart, data = _read_loadtxt(path)
+        sink = _sink(fold, chart, data.shape[0])
+        sink(data)
+        fast = chart, sink
+    chart, sink = fast
+    return chart, sink.result()

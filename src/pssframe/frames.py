@@ -150,16 +150,36 @@ def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
     0 * inf is NaN.  The residuals are evaluated in slabs of whole planes of
     the first axis, each with a one-node halo and at most _BLOCK_NODES
     interior nodes (at least one plane), so no temporary is the size of the
-    grid.
+    grid; `frame_file_structure` evaluates the same coefficients on slabs of
+    a file as it is read.
     """
-    n, counts, h = fd.dim, fd.chart.counts, fd.chart.spacing
-    pairs = list(combinations(range(n), 2))
+    counts = fd.chart.counts
     row_max = fd.row_max_abs() if row_max is None else row_max
     K = float(curvature)
-    # rows f: omega_f, then the stored connection entries
     live = live_rows(row_max)
     if not np.isfinite(K):
         live[:] = True
+    plans = _structure_plans(fd.dim, live, K)
+    forms = [*fd.omega, *fd.connection]
+    step = _slab_planes(counts)
+    worst = ([], [])
+    for start in range(1, counts[0] - 1, step):
+        stop = min(start + step, counts[0] - 1)
+        # one-node halo
+        _fold_slab(plans, [form[:, start - 1 : stop + 1] for form in forms], fd.chart.spacing, worst)
+    return _max_norms(worst)
+
+
+def _slab_planes(counts):
+    """Interior first-axis planes per slab of `structure_residuals`."""
+    return max(1, _BLOCK_NODES // math.prod(c - 2 for c in counts[1:]))
+
+
+def _structure_plans(n, live, K):
+    """The coefficients of `structure_residuals` as (side, plan) pairs, the
+    res1 coefficients (side 0) first, with the terms of rows that `live`
+    (n + pairs, n) does not flag left out."""
+    pairs = list(combinations(range(n), 2))
 
     def entry(i, j):  # omega_ij as (sign, form of the stored upper entry)
         return (1 if i < j else -1), n + pairs.index((min(i, j), max(i, j)))
@@ -181,7 +201,7 @@ def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
                 w_terms.append((sign, a, b, scale, p1, p2))
         return k, l, f, d_terms, w_terms
 
-    plans = []  # the res1 coefficients, then the res2 ones
+    plans = []
     for k, l in pairs:
         for i in range(n):
             wedges = []
@@ -198,19 +218,22 @@ def structure_residuals(fd: FrameData, curvature=-1.0, *, row_max=None):
                     wedges.append((-s1 * s2, a, b, None))
             wedges.append((1, i, j, K))
             plans.append((1, plan(k, l, entry(i, j)[1], wedges)))
+    return plans
 
-    forms = [*fd.omega, *fd.connection]
-    step = max(1, _BLOCK_NODES // math.prod(c - 2 for c in counts[1:]))
-    worst = ([], [])
+
+def _fold_slab(plans, rows, h, worst):
+    """Append to worst[side] the max |r| of each planned coefficient on the
+    interior of a slab; rows holds each form's (n, planes, ...) slab."""
     # NaN and +-Inf coefficients pass on to the structure gate, which fails them
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(1, counts[0] - 1, step):
-            stop = min(start + step, counts[0] - 1)
-            rows = [form[:, start - 1 : stop + 1] for form in forms]  # one-node halo
-            for side, coefficient in plans:
-                r = _coefficient(rows, h, *coefficient)
-                if r is not None:  # else it vanishes identically
-                    worst[side].append(np.max(np.abs(r, out=r)))
+        for side, coefficient in plans:
+            r = _coefficient(rows, h, *coefficient)
+            if r is not None:  # else it vanishes identically
+                worst[side].append(np.max(np.abs(r, out=r)))
+
+
+def _max_norms(worst):
+    """(res1, res2) of the slab maxima; NaN when any is NaN."""
     return tuple(float(np.max(w, initial=0.0)) for w in worst)
 
 
@@ -424,14 +447,16 @@ def load_frame_data(path):
 
     A NaN or infinite coefficient is refused with a ValueError naming it.
     """
-    chart, stack = fieldio.read_field(path)
+    return _frame_data(*fieldio.read_field(path))
+
+
+def _frame_data(chart, stack):
+    """The FrameData of an (m, *counts) stack read from a frame file; a
+    non-finite coefficient, then a wrong component count, is a ValueError."""
     bad = np.argwhere(~np.isfinite(stack))
     if bad.size:
         comp, *node = bad[0].tolist()
-        raise ValueError(
-            "non-finite coefficient %r in component %d at node %s"
-            % (float(stack[tuple(bad[0])]), comp + 1, tuple(node))
-        )
+        raise _non_finite(stack[tuple(bad[0])], comp, node)
     n = chart.dim
     n_pairs = n * (n - 1) // 2
     if stack.shape[0] != n * n + n_pairs * n:
@@ -439,3 +464,112 @@ def load_frame_data(path):
     omega = stack[: n * n].reshape((n, n) + chart.counts)
     upper = stack[n * n :].reshape((n_pairs, n) + chart.counts)
     return FrameData(chart, omega, upper)
+
+
+def _non_finite(value, comp, node):
+    """The refusal of the first non-finite coefficient in component-major order."""
+    return ValueError(
+        "non-finite coefficient %r in component %d at node %s"
+        % (float(value), comp + 1, tuple(int(i) for i in node))
+    )
+
+
+def frame_file_structure(path):
+    """(chart, (res1, res2), row_max) of the frame file at path without
+    holding its frame.
+
+    The values are those of `structure_residuals` and `FrameData.row_max_abs`
+    on load_frame_data(path), and a file that it refuses is refused with the
+    same ValueError.  The file is folded as `fieldio.read_field` parses it
+    (`_FrameFold`): no array the size of the frame is built, unless the file
+    leaves the fast reader's grammar, when its np.loadtxt array is folded
+    once, or its header names no frame layout, when load_frame_data's own
+    checks name what is wrong.
+    """
+    chart, folded = fieldio.read_field(path, _frame_fold)
+    if isinstance(folded, np.ndarray):
+        fd = _frame_data(chart, folded)
+        row_max = fd.row_max_abs()
+        return chart, structure_residuals(fd, row_max=row_max), row_max
+    return (chart, *folded)
+
+
+def _frame_fold(chart, m):
+    """A `_FrameFold` for a header with the frame layout, else None (the
+    reader's whole array)."""
+    n = chart.dim
+    if n < 2 or m != n * n + n * (n - 1) // 2 * n:
+        return None
+    return _FrameFold(chart)
+
+
+class _FrameFold:
+    """The `read_field` sink of `frame_file_structure`.
+
+    The nodes are copied into one slab of whole first-axis planes,
+    `structure_residuals`' slab of _BLOCK_NODES interior nodes with its
+    one-plane halo; each full slab is folded and its last two planes start
+    the next.  The fold keeps four things: the max |coefficient| of each
+    component (NaN for one holding a NaN), the slab maxima of both
+    residuals, and the first non-finite coefficient in component-major
+    order.  The row maxima are not known before the last plane, so
+    the plan keeps every row: a row that `structure_residuals` would leave
+    out is +-0 at every node while every coefficient is finite, and with a
+    non-finite one it leaves out nothing either, so every max-norm is the
+    same double.  A max and a lexicographic min are the same whichever
+    blocks the nodes come in.
+    """
+
+    def __init__(self, chart):
+        n, counts = chart.dim, chart.counts
+        forms = n + n * (n - 1) // 2
+        self.chart = chart
+        self.plans = _structure_plans(n, np.ones((forms, n), bool), -1.0)
+        self.plane = math.prod(counts[1:])
+        self.slab = np.empty((forms * n, _slab_planes(counts) + 2) + counts[1:])
+        self.filled = 0  # nodes in the slab
+        self.first = 0  # the first-axis index of the slab's first plane
+        self.row_max = np.zeros(forms * n)
+        self.bad = None  # (component, node, value)
+        self.worst = ([], [])
+
+    def __call__(self, block):
+        flat = self.slab.reshape(len(self.slab), -1)
+        while block.shape[1]:
+            take = min(block.shape[1], flat.shape[1] - self.filled)
+            flat[:, self.filled : self.filled + take] = block[:, :take]
+            self.filled += take
+            block = block[:, take:]
+            if self.filled == flat.shape[1]:
+                self._fold(self.slab)
+                self.slab[:, :2] = self.slab[:, -2:]
+                self.filled = 2 * self.plane
+                self.first += len(self.slab[0]) - 2
+
+    def _fold(self, slab):
+        """Fold the planes of slab and its interior.  A slab after the first
+        folds its two halo planes again: that moves no max, and a non-finite
+        coefficient there is one the slab before has named already."""
+        flat = slab.reshape(len(slab), -1)
+        # max and -min of each component: no |slab| temporary
+        top = np.maximum(np.max(flat, axis=1), -np.min(flat, axis=1))
+        np.maximum(self.row_max, top, out=self.row_max)
+        odd = np.flatnonzero(~np.isfinite(top))
+        # a later slab holds no earlier node of a component
+        if odd.size and (self.bad is None or odd[0] < self.bad[0]):
+            comp = odd[0]
+            j = np.flatnonzero(~np.isfinite(flat[comp]))[0]
+            self.bad = comp, self.first * self.plane + j, flat[comp, j]
+        if slab.shape[1] > 2:  # else no interior plane
+            n = self.chart.dim
+            rows = list(slab.reshape((-1, n) + slab.shape[1:]))
+            _fold_slab(self.plans, rows, self.chart.spacing, self.worst)
+
+    def result(self):
+        """((res1, res2), row_max) of the whole file, or the ValueError of
+        its first non-finite coefficient."""
+        self._fold(self.slab[:, : self.filled // self.plane])
+        if self.bad is not None:
+            comp, node, value = self.bad
+            raise _non_finite(value, comp, np.unravel_index(node, self.chart.counts))
+        return _max_norms(self.worst), self.row_max.reshape(-1, self.chart.dim)

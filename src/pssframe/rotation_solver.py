@@ -105,6 +105,7 @@ from .frames import (
     DET_RTOL_DEFAULT,
     FrameData,
     connection_matrix,
+    frame_file_structure,
     live_rows,
     nonsingular_nodes,
     require_orthogonal,
@@ -601,9 +602,23 @@ def structure_gate(fd: FrameData, gate_factor):
     """
     row_max = fd.row_max_abs()
     structure = structure_residuals(fd, curvature=-1.0, row_max=row_max)
+    return _gate(fd.chart, structure, row_max, gate_factor)
+
+
+def file_structure_gate(path, gate_factor):
+    """`structure_gate` of the frame file at path, with the values and
+    refusals of structure_gate(load_frame_data(path), gate_factor), folded
+    as the file is read (`frames.frame_file_structure`), so the frame is
+    never held."""
+    return _gate(*frame_file_structure(path), gate_factor)
+
+
+def _gate(chart, structure, row_max, gate_factor):
+    """The threshold and verdict of `structure_gate` from the residuals and
+    row maxima of a frame on chart."""
     if gate_factor is None:
         return structure, float("inf"), row_max
-    h_max = max(fd.chart.spacing)
+    h_max = max(chart.spacing)
     threshold = gate_factor * h_max**2 * float(np.maximum(1.0, np.max(row_max)))
     res1, res2 = structure
     if not (np.isfinite(threshold) and res1 <= threshold and res2 <= threshold):
@@ -1016,15 +1031,16 @@ def special_coordinates_check(
     nonsingular_nodes(fd, det_rtol)  # only its refusal of a degenerate frame
 
     g, path_residual = potential(chart, report.theta1, base)
-    scalings = constants.reshape((n - 1,) + (1,) * n) * np.exp(-g)
-    growth = np.exp(g)
     row_max = fd.row_max_abs()
     residuals = []
+    # e^G and the scalings are formed where they are used, so neither is
+    # held through a path integration
     for i in range(1, n):
         form = rotated_form(fd, report.rotation, i, row_max)
-        form *= growth
+        form *= np.exp(g)
         form /= constants[i - 1]
         residuals.append(potential(chart, form, base)[1])
+    scalings = constants.reshape((n - 1,) + (1,) * n) * np.exp(-g)
     return CoordinateCheck(
         potential=g,
         path_residual=path_residual,

@@ -1,12 +1,15 @@
 """Command line: config parsing, subcommands, manifests, determinism."""
 
 import errno
+import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +28,7 @@ from pssframe.config import parse_config
 from pssframe.frames import require_orthogonal, save_frame_data
 from pssframe.grid import GridChart
 from pssframe.models import ch_from_arrays, igsge_explicit_solution, igsge_forms
+from pssframe.rotation_solver import structure_gate
 
 SG_CONFIG = """
 [model]
@@ -118,6 +122,13 @@ def test_verify_refuses_non_finite_field_file(tmp_path, capsys, dim, component, 
     assert "Traceback" not in err
 
 
+def gate_in_memory(monkeypatch, fd):
+    """Make verify's external frame file the in-memory frame fd: `verify`
+    folds the file into the gate as it reads it, so fd takes the place of
+    that whole step."""
+    monkeypatch.setattr(cli, "file_structure_gate", lambda path, factor: structure_gate(fd, factor))
+
+
 @pytest.mark.parametrize(
     "value", ["nan", "inf", "-inf"], ids=["nan", "+inf", "-inf"]
 )
@@ -128,7 +139,7 @@ def test_verify_fails_non_finite_frame_data(
 ):
     # frame data that reaches the gate without the file check
     fd = non_finite_frame(dim, component, float(value))
-    monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+    gate_in_memory(monkeypatch, fd)
     cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = unused\n")
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
@@ -278,6 +289,7 @@ def test_structure_gate_failure_exits_one_without_a_pass(
         field = "unused"
         fd = non_finite_frame(3, "omega", np.nan)
         monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+        gate_in_memory(monkeypatch, fd)  # verify folds the file into the gate
     cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -291,6 +303,22 @@ def test_structure_gate_failure_exits_one_without_a_pass(
         assert len(err) == 1
         assert err[0].startswith("gate failure: structure residuals")
         assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotation_file_holds_the_entries_in_row_major_order(tmp_path, n):
+    from types import SimpleNamespace
+
+    from pssframe.fieldio import read_field
+
+    chart = GridChart((0.0,) * n, (1.0,) * n, (3, 4, 5)[:n])
+    rotation = np.arange(math.prod(chart.counts) * n * n, dtype=float)
+    rotation = rotation.reshape(chart.counts + (n, n))
+    report = SimpleNamespace(theta1=np.zeros((n,) + chart.counts), rotation=rotation, angle=None)
+    cli._write_report_fields(str(tmp_path), chart, report)
+    _, stack = read_field(tmp_path / "rotation.pssfield")
+    want = [rotation[..., i, j] for i in range(n) for j in range(n)]
+    assert np.array_equal(stack, np.stack(want))
 
 
 def test_verify_fails_a_frame_with_the_numbers_the_solvers_name(tmp_path, capsys):
@@ -627,6 +655,118 @@ def test_external_damaged_field_file_is_one_config_error_line(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("config error: %s: " % field)
+
+
+def _bad_frame_file(field, kind):
+    """Write the frame file `kind` at field (or, for "missing", none)."""
+    if kind == "missing":
+        return
+    if kind == "one-dimensional":
+        from pssframe.fieldio import write_field
+
+        write_field(field, GridChart((0.0,), (0.5,), (5,)), np.ones((1, 5)))
+        return
+    fd = exp_metric_frame(9)
+    if kind in ("wrong-count", "wrong-count-nan"):
+        from pssframe.fieldio import write_field
+
+        stack = np.concatenate([fd.omega.reshape((4, 9, 9)), np.ones((3, 9, 9))])
+        stack[6, 8, 8] = np.nan if kind == "wrong-count-nan" else 1.0
+        write_field(field, fd.chart, stack)
+        return
+    save_frame_data(field, fd)
+    header, body = field.read_bytes().split(b"\n", 1)
+    lines = body.split(b"\n")
+    body = {
+        "truncated": b"\n".join(lines[:1]),
+        "cut-mid-token": _damage_fifth_line(body, 5, b""),
+        "garbled-token": _damage_fifth_line(body, 5, b"x"),
+        "non-ascii": _damage_fifth_line(body, 5, b"\xc3\xa9"),
+        "empty-body": b"",
+        "comment-and-nan": b"\n".join(lines[:3] + [b"# a comment"] + lines[3:]).replace(
+            lines[40], b" ".join([b"nan"] + lines[40].split()[1:])
+        ),
+        "extra-node": body + lines[0] + b"\n",
+        "bad-header": body,
+    }[kind]
+    if kind == "bad-header":
+        header = header.replace(b"counts=9,9", b"counts=9,x")
+    field.write_bytes(header + b"\n" + body)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "missing",
+        "truncated",
+        "cut-mid-token",
+        "garbled-token",
+        "non-ascii",
+        "empty-body",
+        "wrong-count",
+        "wrong-count-nan",
+        "one-dimensional",
+        "comment-and-nan",
+        "extra-node",
+        "bad-header",
+    ],
+)
+def test_verify_refuses_a_bad_frame_file_with_the_in_memory_line(tmp_path, capsys, kind):
+    # solve-frame reads the whole frame, as verify did before it folded the
+    # file into the gate; both must refuse a file with one and the same line
+    field = tmp_path / "frame.pssfield"
+    _bad_frame_file(field, kind)
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
+    lines = []
+    for command in ("solve-frame", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        lines.append(capsys.readouterr().err.splitlines())
+    assert len(lines[1]) == 1
+    assert lines[1][0].startswith("config error: %s: " % field)
+    assert lines[1] == lines[0]
+
+
+def test_verify_passes_a_loadtxt_only_frame_file_as_the_fast_one(tmp_path, capsys):
+    field = tmp_path / "frame.pssfield"
+    save_frame_data(field, exp_metric_frame(9))
+    fast = field.read_text()
+    header, body = fast.split("\n", 1)
+    commented = tmp_path / "commented.pssfield"
+    commented.write_text(header + "\n# a comment\n" + body)
+    stdout = []
+    for path in (field, commented):
+        cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / path.stem)]) == 0
+        stdout.append(capsys.readouterr().out.splitlines()[-1])
+        assert read_manifest(tmp_path / path.stem)["results"]["pass"] is True
+    assert stdout[0] == stdout[1]
+
+
+# tracemalloc peak in bytes of `verify` on a 513^2 moving-kink frame file,
+# the external-verify workload's size: 14,750,687 while the file was read
+# into one (6, 513, 513) array, 2,566,387 since it is folded into the gate
+# as it is read (the fast reader's chunk temporaries and one slab of 18
+# planes); the guard is the next multiple of 50,000 bytes
+VERIFY513_PEAK = 2_600_000
+
+
+def test_verify_of_a_frame_file_holds_one_slab(tmp_path, capsys):
+    from pssframe.models import sg_forms, sg_solution
+
+    field = tmp_path / "kink.pssfield"
+    chart = GridChart((-4.0, -4.0), (8.0 / 512,) * 2, (513, 513))
+    save_frame_data(field, sg_forms(sg_solution(chart, "moving_kink", 0.3)))
+    cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = %s\n" % field)
+    argv = ["verify", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # every first-call allocation
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= VERIFY513_PEAK
 
 
 @pytest.mark.parametrize("components", [0, -1])
@@ -1190,7 +1330,7 @@ def test_non_finite_manifest_values_are_strict_json(
     tmp_path, monkeypatch, value, threshold
 ):
     fd = non_finite_frame(2, "omega", float(value))
-    monkeypatch.setattr(cli, "load_frame_data", lambda path: fd)
+    gate_in_memory(monkeypatch, fd)
     cfg = write_config(tmp_path, "[model]\nkind = external\nfield_file = unused\n")
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -30,7 +30,7 @@ from pssframe.errors import (
 )
 
 from pssframe.models import ch_evolve, ch_forms, sg_forms, sg_solution
-from pssframe import frames
+from pssframe import fieldio, frames
 from pssframe.rotation_solver import (
     expm_skew,
     solve_L_nd,
@@ -613,3 +613,130 @@ def test_load_refuses_non_finite_coefficients(tmp_path, dim, component, value):
     save_frame_data(tmp_path / "bad.pssfield", non_finite_frame(dim, component, value))
     with pytest.raises(ValueError, match="non-finite coefficient"):
         load_frame_data(tmp_path / "bad.pssfield")
+
+
+# ---------------------------------------------------------------------------
+# the structure gate of a frame file, folded as the file is read
+
+
+def _gate_values(gate, *args):
+    """(res1, res2, threshold, passed) of a structure gate call."""
+    try:
+        (res1, res2), threshold, _ = gate(*args)
+        return res1, res2, threshold, True
+    except StructureGateError as exc:
+        return exc.res1, exc.res2, exc.threshold, False
+
+
+def _zeroed_random_frame(counts, seed):
+    """A random frame on counts with a few rows zero, so the in-memory plan
+    leaves terms out that the file's plan keeps."""
+    dim = len(counts)
+    rng = np.random.default_rng(seed)
+    chart = GridChart((0.0,) * dim, (0.1,) * dim, counts)
+    omega = rng.uniform(-1, 1, (dim, dim) + counts)
+    upper = rng.uniform(-1, 1, (dim * (dim - 1) // 2, dim) + counts)
+    omega[0, 1] = 0.0
+    upper[-1, 0] = -0.0
+    return FrameData(chart, omega, upper)
+
+
+def _assert_file_gate_is_the_in_memory_gate(path):
+    from pssframe.rotation_solver import file_structure_gate, structure_gate
+
+    fd = load_frame_data(path)
+    for factor in (10.0, 1e-9, None):
+        want = _gate_values(structure_gate, fd, factor)
+        assert _gate_values(file_structure_gate, path, factor) == want
+    chart, structure, row_max = frames.frame_file_structure(path)
+    assert chart == fd.chart
+    assert structure == structure_residuals(fd)
+    assert np.array_equal(row_max, fd.row_max_abs())
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(3, 6), (4, 5), (5, 4), (9, 5), (3, 5, 4), (4, 4, 5), (5, 3, 4), (4, 3, 3, 4)],
+    ids=lambda c: "x".join(map(str, c)),
+)
+# a chunk of a few nodes splits planes and slabs; two planes per slab, so
+# 9 x 5 ends in a slab of one plane
+@pytest.mark.parametrize("chunk, block_nodes", [(1 << 17, 8192), (150, 2), (1000, 30)])
+def test_file_gate_is_the_in_memory_gate(tmp_path, monkeypatch, counts, chunk, block_nodes):
+    monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+    monkeypatch.setattr(frames, "_BLOCK_NODES", block_nodes * math.prod(c - 2 for c in counts[1:]))
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, _zeroed_random_frame(counts, sum(counts)))
+    _assert_file_gate_is_the_in_memory_gate(path)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [lambda: exp_metric_frame(9), lambda: half_space_frame(3, 7), lambda: igsge_frame(13)],
+    ids=["exp-2d", "half-space-3d", "igsge-3d"],
+)
+def test_file_gate_of_curvature_minus_one_frames(tmp_path, frame):
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, frame())
+    _assert_file_gate_is_the_in_memory_gate(path)
+
+
+def test_file_gate_at_the_default_slab_ends_in_a_slab_of_one_plane(tmp_path):
+    # 4,096 interior nodes a plane: slabs of two planes, three interior planes
+    counts = (5, 4098)
+    assert frames._slab_planes(counts) == 2
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, _zeroed_random_frame(counts, 3))
+    _assert_file_gate_is_the_in_memory_gate(path)
+
+
+def test_file_gate_of_a_loadtxt_only_file(tmp_path, monkeypatch):
+    # a comment line in the body: np.loadtxt reads the file, after the fast
+    # reader has handed some chunks to a fold
+    monkeypatch.setattr(fieldio, "_CHUNK", 300)
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, _zeroed_random_frame((6, 5), 1))
+    lines = path.read_text().splitlines(True)
+    path.write_text("".join(lines[:20] + ["# a comment\n"] + lines[20:]))
+    _assert_file_gate_is_the_in_memory_gate(path)
+
+
+def _non_finite_refusal(read, path):
+    with pytest.raises(ValueError, match="non-finite coefficient") as info:
+        read(path)
+    return str(info.value)
+
+
+def _refuse_loadtxt(path):
+    raise AssertionError("the fast reader should have read %s" % path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e+400", "-1e+999"])
+@pytest.mark.parametrize("plane", ["first", "last"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_file_gate_refuses_the_first_non_finite_coefficient(
+    tmp_path, monkeypatch, dim, plane, text
+):
+    monkeypatch.setattr(fieldio, "_CHUNK", 200)
+    monkeypatch.setattr(frames, "_BLOCK_NODES", 9)
+    if "e+" in text:  # in the fast reader's grammar; nan and inf are not
+        monkeypatch.setattr(fieldio, "_read_loadtxt", _refuse_loadtxt)
+    counts = (7, 5) if dim == 2 else (6, 4, 5)
+    path = tmp_path / "frame.pssfield"
+    save_frame_data(path, _zeroed_random_frame(counts, 2))
+    header, *body = path.read_text().splitlines(True)
+    plane_nodes = math.prod(counts[1:])
+    node = 1 if plane == "first" else len(body) - plane_nodes + 2
+    # a later component at the other end of the file must not take its place,
+    # nor a later node of the same component
+    other = -1 if plane == "first" else 0
+    later = [(-1, 2)] if plane == "first" else []
+    for line, comp in [(node, 2), (other, 5)] + later:
+        values = body[line].split()
+        values[comp] = text
+        body[line] = " ".join(values) + "\n"
+    path.write_text(header + "".join(body))
+    message = _non_finite_refusal(load_frame_data, path)
+    at = tuple(int(i) for i in np.unravel_index(node, counts))
+    assert message == "non-finite coefficient %r in component 3 at node %s" % (float(text), at)
+    assert _non_finite_refusal(frames.frame_file_structure, path) == message

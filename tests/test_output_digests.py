@@ -63,3 +63,15 @@ def test_one_seed_prints_every_digest_without_a_seed_prefix(monkeypatch, capsys)
     names = list(output_digests.workloads.WORKLOADS) + list(output_digests.CASES)
     assert output_digests.NAMES == names
     assert lines == ["%s-5  %s/out" % (name, name) for name in names]
+
+
+def test_verify_cases_take_the_fast_reader_and_np_loadtxt(tmp_path):
+    from pssframe import fieldio
+
+    fast = {"igsge3d-verify-25": True, "kink-verify-commented-65": False}
+    assert [name for name in output_digests.CASES if "verify" in name] == list(fast)
+    for name, takes_fast in fast.items():
+        inputs = output_digests.generate(name, 5, str(tmp_path))
+        assert inputs.command == "verify"
+        with open(tmp_path / inputs.files[1], "rb") as fh:
+            assert (fieldio._read_fast(fh) is not None) == takes_fast

@@ -15,7 +15,7 @@ from pssframe import (
     solve_phi_2d,
     special_coordinates_check,
 )
-from pssframe import FrameData, grid, hierarchy, rotation_solver
+from pssframe import FrameData, cli, grid, hierarchy, rotation_solver
 from pssframe.errors import StructureGateError
 from pssframe.frames import live_rows
 from pssframe.grid import _Block, _lines, _streamed_compat, _sweep, midpoints
@@ -741,6 +741,14 @@ IGSGE4D_SOLVE_PEAK = 13_800_000
 # through the epilogue, 4,905,816 since they are dropped once the rotation
 # holds them
 KINK257_SOLVE_PEAK = 4_950_000
+# the same of a whole `solve-frame` run with the coordinate check on the
+# 257^2 kink workload's chart (static kink, phi0 0.3), which writes its
+# four fields: 11,293,988 while the coordinate check held e^G and the
+# scalings through its path integrations and the rotation was written
+# from a stacked copy of its entries, 10,194,366 since e^G is formed per
+# form, the scalings after the integrations and the rotation is written
+# from a view
+KINK257_SOLVE_FRAME_PEAK = 10_200_000
 
 
 def _traced_peak(solve):
@@ -779,6 +787,16 @@ def test_angle_solve_drops_cos_and_sin_before_the_epilogue():
     chart = GridChart((0.5, -2.0), (3.5 / 256, 4.0 / 256), (257, 257))
     fd = sg_forms(sg_solution(chart, "moving_kink", 0.5))
     assert _traced_peak(lambda: solve_phi_2d(fd, 0.3)) <= KINK257_SOLVE_PEAK
+
+
+def test_kink_solve_frame_holds_no_copy_of_the_rotation_or_growth(tmp_path, capsys):
+    cfg = tmp_path / "kink.ini"
+    cfg.write_text(
+        "[model]\nkind = sine_gordon\n\n[chart]\norigin = 0.5, -2\nextent = 3.5, 4\n"
+        "counts = 257, 257\n\n[solver]\nphi0 = 0.3\ncoordinates_check = true\n"
+    )
+    argv = ["solve-frame", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _traced_peak(lambda: cli.main(argv)) <= KINK257_SOLVE_FRAME_PEAK
 
 
 def test_theta1_skipping_zero_coframe_rows_is_the_dense_sum_bit_for_bit():

@@ -5,16 +5,20 @@ Usage (from the repository root):
     python3 tools/output_digests.py [--seed N ...] [--compare DIR]
 
 Each of the four benchmark workloads takes its inputs from
-`perfbench/workloads.generate`.  Five fixed cases (`CASES`) reach paths
+`perfbench/workloads.generate`.  Seven fixed cases (`CASES`) reach paths
 the workloads do not: an igsge 3D `solve-frame` at 49^3 with the
 coordinate check, whose full-volume blocks are the largest 3D blocks and
 whose rotation is written; an igsge 4D `converge` at 9^4 and 17^4, whose
 17^4 blocks are cut into slabs; a Camassa-Holm `hierarchy` to order 4,
 which writes every phi_j and theta_j; a 2D kink `converge` at 33^2, 65^2
 and 129^2, which runs the angle solve under `converge` and fits two pair
-orders; and a 2D kink `conserve` with `svg = true`, which solves a frame
-that is not Camassa-Holm's and writes its q.svg.  Their start matrices
-and start angles come from the seed as the workloads' do.  Each CLI
+orders; a 2D kink `conserve` with `svg = true`, which solves a frame
+that is not Camassa-Holm's and writes its q.svg; a `verify` of an igsge
+3D frame file at 25^3 (18 components, written by `save_frame_data`),
+which the gate folds over several slabs; and a `verify` of a 65^2 kink
+frame file with a comment line in its body, which only np.loadtxt reads.
+Their start matrices, start angles and kink velocities come from the seed
+as the workloads' do.  Each CLI
 command runs in a fresh interpreter, on the package under src/ of the
 checkout this script sits in, inside a temporary directory.  One
 `sha256  path` line is printed per output file, the path being
@@ -128,6 +132,42 @@ def _kink_conserve(seed, run_dir):
     return _kink(seed, run_dir, "conserve", {"conservation": {"svg": "true"}}, 33**2)
 
 
+def _verify(run_dir, name, write, nodes):
+    """A `verify` of the external frame file that write(path) writes."""
+    frame = workloads._input(run_dir, name + ".pssfield")
+    write(os.path.join(run_dir, frame))
+    config = workloads._write_ini(
+        run_dir, name, {"model": {"kind": "external", "field_file": frame}}
+    )
+    return workloads.Inputs("verify", config, nodes, ("pass",), [config, frame])
+
+
+def _igsge3d_verify(seed, run_dir):
+    from pssframe import GridChart
+    from pssframe.frames import save_frame_data
+    from pssframe.models import igsge_explicit_solution, igsge_forms
+
+    chart = GridChart((0.5, -4.0, -4.0), (5.5 / 24, 8.0 / 24, 8.0 / 24), (25, 25, 25))
+
+    def write(path):
+        save_frame_data(path, igsge_forms(igsge_explicit_solution(chart, (0.6, 0.8))))
+
+    return _verify(run_dir, "igsge3d-frame", write, 25**3)
+
+
+def _kink_verify_commented(seed, run_dir):
+    velocity = np.random.default_rng(seed).uniform(-0.5, 0.5)
+
+    def write(path):
+        workloads.write_kink_frame(path, 65, velocity)
+        with open(path) as fh:
+            header, body = fh.read().split("\n", 1)
+        with open(path, "w") as fh:
+            fh.write(header + "\n# a comment line: outside the fast reader's grammar\n" + body)
+
+    return _verify(run_dir, "kink-frame-commented", write, 65**2)
+
+
 # name -> input generator(seed, run_dir) of the fixed cases
 CASES = {
     "igsge3d-solve-frame-49": _igsge3d_solve_frame,
@@ -135,6 +175,8 @@ CASES = {
     "ch-hierarchy-order4": _ch_hierarchy,
     "kink-converge-33": _kink_converge,
     "kink-conserve-33": _kink_conserve,
+    "igsge3d-verify-25": _igsge3d_verify,
+    "kink-verify-commented-65": _kink_verify_commented,
 }
 NAMES = list(workloads.WORKLOADS) + list(CASES)
 
