@@ -33,11 +33,28 @@ floor(log10 |x|) and is corrected by one from the sign of y - 10^16 and of
 y - 10^17, read exactly from (p, e); where those are too close to call, both
 choices of X give the same digits after the carry.
 
+How the kernel lays out the text.  Each value becomes a record of four
+little-endian 64-bit words, 32 bytes, where a NUL byte stands for nothing;
+one bytes.translate pass over a block's records deletes every NUL:
+
+- the zone word: the sign and, for -4 <= X < 0, the prefix `0.` to `0.000`;
+- three body words: D's digits d0..d7, d8..d15 and d16, one digit value per
+  byte, first digit lowest, the first two from a 10,000-entry table of
+  four-digit groups of D's int32 halves.  The double d0..d7 + d8..d15 *
+  2^64 + d16 * 2^128 of the words has its highest set bit in the byte of
+  the last nonzero digit, so its exponent field gives the count of digits
+  up to that one; the bytes at and after the point's slot move up one
+  byte, carried from word to word; and one table by that count and X adds
+  the ASCII zero of each digit written (those up to the last nonzero one,
+  and the integer digits), the point where a digit follows it and the
+  exponent `e+dd` or `e-ddd` of the scientific notation (X < -4 or
+  X > 16) in the last word's six spare bytes, whose last is the separator.
+
 Fallback cells are the near-ties, NaN, +-Inf and |x| outside
 [_FAST_MIN, _FAST_MAX) (subnormals among them), where the scaled products or
 the split could leave the double range.  Only those cells are formatted by
-`format(x, ".17g")`, each into its own row of the output, so one NaN does not
-send a whole block down the slow path.
+`format(x, ".17g")`, each into its own record, so one NaN does not send a
+whole block down the slow path.
 
 Reading.  Any file that np.loadtxt reads after the header is accepted.  A
 body in the writer's own grammar, lines of m tokens [-]d+[.d+][e(+|-)d+]
@@ -88,10 +105,12 @@ from .grid import GridChart
 _MAGIC = "pssfield v1"
 
 # Values formatted per kernel call in `write_field`, rounded down to whole
-# nodes.  Each call costs about 100 numpy calls whatever its size, and its
-# work arrays take about 120 bytes per value, about 1 MB per call.  Larger
-# calls run slower per value (cache), smaller ones pay the fixed cost more
-# often.
+# nodes.  Each call costs about 130 numpy operations whatever its size, and
+# its records and work arrays take about 130 bytes per value, about 1.07 MB
+# per call (`WRITE257_ROTATION_PEAK` in the tests).  On the 257^2 kink's
+# four fields 4,096 runs about 6 % slower, 16,384 about 4 % faster for
+# twice the memory, which `KINK257_SOLVE_FRAME_PEAK` does not allow, and
+# 32,768 falls out of cache, 60 % slower.
 _BLOCK_VALUES = 8192
 
 # |x| range of the fast path; outside it x * 10^k or the Veltkamp split of x
@@ -100,6 +119,7 @@ _FAST_MIN, _FAST_MAX = 1e-200, 1e200
 # Decimal exponents of fast cells: floor(log10 |x|) over the fast range, one
 # correction step either side and the carry.
 _X_MIN, _X_MAX = -202, 201
+_NX = _X_MAX - _X_MIN + 1
 # Powers 10^k in the table: the writer's 10^(16 - X) for the X above and the
 # reader's 10^q for its safe shifts q.  At |k| <= 290 every Dekker partial
 # product of the reader stays exact and D * 10^q (D < 10^18) stays normal.
@@ -108,23 +128,16 @@ _K_MIN, _K_MAX = -290, 290
 _K_X = 16 - _K_MIN
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
 _TIE_TOL = 2.0**-30
-# Byte slots per value: right-aligned sign and "0.000" prefix, 17 digits and
-# a point, "e+dd[d]" padded at the end, and the separator.
-_ZONE, _BODY, _EXP = 6, 18, 5
-_SLOTS = _ZONE + _BODY + _EXP + 1
 _U8 = np.uint8
-_ROW = np.arange(_BODY, dtype=np.int8)[:, None]
+# Words of the writer's records, little-endian on every host so that a
+# record's bytes come in the order they are written.
+_W = np.dtype("<u8")
 
 
 @functools.cache
 def _tables():
-    """Lookup tables of the kernel, built on first use.
-
-    Returns ((P_hi, P_lo, P_hi high half, P_hi low half) of 10^k indexed by
-    k - _K_MIN, exponent bytes (5, X), sign and prefix bytes (6, 2 X + sign),
-    four-digit groups (4, 10000) as digit values, and each group's digit
-    count without trailing zeros (10000,)).
-    """
+    """(P_hi, P_lo, P_hi high half, P_hi low half) of 10^k indexed by
+    k - _K_MIN, built on first use; the writer and the reader share them."""
     pairs = []
     for k in range(_K_MIN, _K_MAX + 1):
         n = 10 ** abs(k)
@@ -139,31 +152,78 @@ def _tables():
     p_hi, p_lo = np.array(pairs).T.copy()
     c = p_hi * _SPLIT
     p_hh = c - (c - p_hi)
-    xs = range(_X_MIN, _X_MAX + 1)
-    exp = [("e%+03d" % x if x < -4 or x > 16 else "").ljust(_EXP, "\0") for x in xs]
-    zone = [
-        (sign + ("0." + "0" * (-x - 1) if -4 <= x < 0 else "")).rjust(_ZONE, "\0")
-        for x in xs
-        for sign in ("", "-")
-    ]
+    return p_hi, p_lo, p_hh, p_hi - p_hh
 
-    def columns(strings, width):
-        text = "".join(strings).encode("ascii")
-        return np.frombuffer(text, _U8).reshape(-1, width).T.copy()
 
-    groups = np.indices((10,) * 4, dtype=_U8).reshape(4, 10000)
-    # digits of each group up to its last nonzero one
-    sig = np.zeros(10000, _U8)
-    for count, digit in enumerate(groups, 1):
-        sig[digit != 0] = count
-    pow10 = (p_hi, p_lo, p_hh, p_hi - p_hh)
-    return pow10, columns(exp, _EXP), columns(zone, _ZONE), groups, sig
+@functools.cache
+def _words():
+    """Lookup tables of the writer's records, built with numpy on first use.
+
+    Returns (the word of each four-digit group 0..9999, one digit value per
+    byte, first digit lowest; _NX times the digits written, by the exponent
+    field of `_digit_words`; the body bytes at and after the point, (3, _NX)
+    words by X - _X_MIN; the ASCII zeros, the point and the exponent, (3,
+    18 * _NX) words by _NX * digits written + X - _X_MIN; the zone word,
+    (2 * _NX,) by 2 (X - _X_MIN) + sign).
+    """
+    groups = np.indices((10,) * 4, dtype=_U8).reshape(4, -1).T
+    digits = np.ascontiguousarray(groups).view("<u4").ravel().astype(_W)
+    # the double's highest set bit lies in the byte of the last nonzero
+    # digit: bits 0..63 are d0..d7, 64..127 are d8..d15 and 128.. is d16
+    bit = np.arange(2048) - 1023
+    rows = np.where(bit < 0, 0, np.minimum(bit // 8 + 1, 17)) * _NX
+
+    # the bytes of the body words by word, digits written, point slot p and
+    # byte: the digits before the point in place, the point where a digit
+    # follows it and the digits after it one slot up; p = 18 is 0.000ddd,
+    # whose point is in the zone, and integer digits are written whatever
+    # their value
+    slot = np.arange(24).reshape(3, 1, 1, 8)
+    p = np.arange(19)[:, None]
+    count = np.maximum(np.arange(18)[:, None, None], np.where(p == 18, 0, p))
+    digit = (slot < p) & (slot < count) | (slot > p) & (slot <= count)
+    body = (48 * digit + 46 * ((slot == p) & (count > p))).astype(_U8)
+
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    sci = (xs < -4) | (xs > 16)
+    small = (xs < 0) & ~sci
+    point = np.where(sci, 1, np.where(small, 18, xs + 1))
+    # the exponent of the scientific notation in slots 18..22, its hundreds
+    # digit only where it is not zero
+    a = np.abs(xs)
+    exp = np.zeros((_NX, 3, 8), _U8)
+    exp[:, 2, 2:7] = np.stack(
+        [
+            np.full(_NX, 101),
+            np.where(xs < 0, 45, 43),
+            np.where(a >= 100, 48 + a // 100, 0),
+            48 + a // 10 % 10,
+            48 + a % 10,
+        ],
+        1,
+    )
+    exp[~sci] = 0
+    fill = body.take(point, axis=2)
+    fill += exp.transpose(1, 0, 2)[:, None]
+    after = 255 * (slot[:, 0] >= point[:, None])
+    # the sign, then the prefix 0. to 0.000 of -4 <= X < 0
+    byte = np.arange(8)
+    prefix = small[:, None] & (byte >= 1) & (byte < 2 - xs[:, None])
+    zone = np.repeat(np.where(prefix, np.where(byte == 2, 46, 48), 0)[:, None], 2, 1)
+    zone[:, 1, 0] = 45
+    return (
+        digits,
+        rows,
+        after.astype(_U8).view(_W).reshape(3, -1),
+        fill.view(_W).reshape(3, -1),
+        zone.astype(_U8).view(_W).ravel(),
+    )
 
 
 def _scaled(w, idx, w_lo=None):
     """(w + w_lo) * 10^k as p + e, p = fl(w * P_hi), for the table rows `idx`
     of 10^k (k = _K_MIN + idx); see the module docstring."""
-    p_hi, p_lo, p_hh, p_hl = _tables()[0]
+    p_hi, p_lo, p_hh, p_hl = _tables()
     p = p_hi.take(idx)
     tail = None if w_lo is None else w_lo * p
     p *= w
@@ -192,21 +252,21 @@ def _scaled(w, idx, w_lo=None):
 
 def _decimal(values):
     """(D, X, fast): |x| = D * 10^(X - 16) to 17 digits for the fast cells
-    (D = 0, X = 0 for zeros); `fast` is False where `format` must be used."""
+    (D = 0, X = 0 for zeros), X of dtype intp; `fast` is False where
+    `format` must be used."""
     w = np.abs(values)
-    finite = np.isfinite(w)
-    w[~finite] = 1.0  # keeps the comparisons and log10 below quiet
     zero = w == 0
-    fast = finite & (((w >= _FAST_MIN) & (w < _FAST_MAX)) | zero)
-    w[~fast | zero] = 1.0
-    X = np.floor(np.log10(w)).astype(np.int16)
+    fast = (w >= _FAST_MIN) & (w < _FAST_MAX)  # False for NaN
+    w[~fast] = 1.0  # keeps log10 below quiet
+    fast |= zero
+    X = np.floor(np.log10(w)).astype(np.intp)
     p, e = _scaled(w, _K_X - X)
     # log10 can put X one off next to a power of ten
     low = (p < 1e16) | ((p == 1e16) & (e < 0))
     high = (p > 1e17) | ((p == 1e17) & (e >= 0))
     fix = np.flatnonzero(low | high)
     if fix.size:
-        X[fix] += high[fix].astype(np.int16) - low[fix]
+        X[fix] += high[fix].astype(np.intp) - low[fix]
         p[fix], e[fix] = _scaled(w[fix], _K_X - X[fix])
     r = np.rint(e)
     fast &= np.abs(e - r) < 0.5 - _TIE_TOL  # near-ties go to the fallback
@@ -220,74 +280,74 @@ def _decimal(values):
     return D, X, fast
 
 
-def _body(D, X, out):
-    """Write the digits and point of each value into `out` (18 slots by n)."""
-    groups, sig = _tables()[3:]
-    # digits d0..d16 of D in rows 1..17, framed by zero rows: d0, then four
-    # groups of four from two int32 halves; nsig counts the digits up to the
-    # last nonzero one
-    Z = np.empty((_BODY + 1, D.size), _U8)
-    Z[0] = Z[-1] = 0
-    hi = (D // 10**8).astype(np.int32)
-    lo = (D - hi * np.int64(10**8)).astype(np.int32)
-    top, g2 = np.divmod(hi, 10000)
-    Z[1] = top // 10000
-    g1 = top % 10000
-    g3, g4 = np.divmod(lo, 10000)
-    nsig = (Z[1] != 0).view(_U8)
-    for row, g in zip((2, 6, 10, 14), (g1, g2, g3, g4)):
-        Z[row : row + 4] = groups.take(g, axis=1)
-        count = sig.take(g)
-        nsig = np.where(count != 0, row - 1 + count, nsig)
-    digits = Z[1:18]
+def _digit_words(D):
+    """(v1, v2, v3, e): D's digits d0..d7, d8..d15 and d16 as the bytes of
+    three words, first digit lowest, and the exponent field of a double
+    whose highest set bit lies in the byte of D's last nonzero digit."""
+    digits = _words()[0]
+    hi = D // 10**9
+    D -= hi * 10**9
+    lo = D.astype(np.int32)
+    q = lo // 10
+    lo -= q * 10
+    words = []
+    for n in (hi.astype(np.int32), q):
+        g = n // 10000
+        n -= g * 10000
+        w = digits.take(n)
+        w <<= 32
+        w |= digits.take(g)
+        words.append(w)
+    v1, v2 = words
+    f = v1.astype(np.float64)
+    f += v2 * 2.0**64
+    f += lo * 2.0**128
+    return v1, v2, lo.astype(_W), f.view(np.int64) >> 52
 
-    # `%g`: fixed notation for -4 <= X < 17, trailing zeros stripped; digits
-    # before the point are X + 1 (fixed), 1 (scientific) or none (0.000ddd,
-    # whose point is in the prefix); integer digits are never stripped
-    sci = (X < -4) | (X > 16)
-    small = (X < 0) & ~sci
-    intlen = np.where(sci, 1, np.where(small, 0, X + 1)).astype(np.int8)
-    digits += 48
-    digits *= _ROW[:17] < np.maximum(nsig, intlen)
-    pos = np.where(small, _BODY, intlen).astype(np.int8)
 
-    # slot j holds digit j before the point, the point at `pos` (NUL when
-    # nothing follows it) and digit j - 1 after it; uint8 arithmetic selects,
-    # as np.where on these rows is several times slower
-    same, shifted = Z[1:], Z[:_BODY]
-    np.subtract(same, shifted, out=out)
-    out *= _ROW < pos
-    out += shifted
-    point = (nsig > pos) * _U8(46) - shifted
-    point *= _ROW == pos
-    out += point
+def _records(values, sep):
+    """The (n, 4) word records of `values` (see the module docstring), each
+    ending in its separator byte from `sep`."""
+    rows, after, fill, zone = _words()[1:]
+    D, X, fast = _decimal(values)
+    X -= _X_MIN  # the tables' index of X
+    rec = np.empty((values.size, 4), _W)
+    z = X << 1
+    z += np.signbit(values)
+    rec[:, 0] = zone.take(z)
+    v1, v2, v3, e = _digit_words(D)
+    row = rows.take(e)
+    row += X
+    # the bytes at and after the point's slot move up one byte, carried
+    # across words; then the ASCII zeros, the point and the exponent
+    carry = None
+    for i, v in enumerate((v1, v2, v3)):
+        t = after[i].take(X)
+        t &= v
+        v ^= t
+        v |= fill[i].take(row)
+        if carry is not None:
+            v |= carry
+        carry = t >> 56
+        t <<= 8
+        np.bitwise_or(v, t, out=rec[:, i + 1])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        rec[slow] = np.frombuffer(
+            b"".join(
+                format(x, ".17g").encode("ascii").ljust(32, b"\0")
+                for x in values[slow].tolist()
+            ),
+            _W,
+        ).reshape(-1, 4)
+    rec[:, 3] |= sep.astype(_W) << 56
+    return rec
 
 
 def _format_g17(values, sep):
     """Bytes of `format(x, ".17g")` for each x of `values`, each followed by its
     separator byte from `sep` (a uint8 array of the same length)."""
-    exp_t, zone_t = _tables()[1:3]
-    D, X, fast = _decimal(values)
-    C = np.empty((_SLOTS, values.size), _U8)
-    xi = X - _X_MIN
-    C[:_ZONE] = zone_t.take(2 * xi + np.signbit(values), axis=1)
-    _body(D, X, C[_ZONE : _ZONE + _BODY])
-    C[_ZONE + _BODY : -1] = exp_t.take(xi, axis=1)
-    C[-1] = sep
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = b"".join(
-            format(x, ".17g").encode("ascii").ljust(_SLOTS - 1, b"\0")
-            for x in values[slow].tolist()
-        )
-        C[:-1, slow] = np.frombuffer(text, _U8).reshape(-1, _SLOTS - 1).T
-    o = C.T  # one row per value; compressing the view beats a transposed copy
-    return o[o != 0].tobytes()
-
-
-def _fmt_tuple(values):
-    v = np.asarray(values, dtype=float)
-    return _format_g17(v, np.full(v.size, ord(","), _U8))[:-1].decode("ascii")
+    return _records(values, sep).tobytes().translate(None, b"\0")
 
 
 def _block_nodes(m):
@@ -312,8 +372,8 @@ def write_field(path, chart, components):
     header = (
         f"{_MAGIC}; dim={chart.dim}; "
         f"counts={','.join(str(c) for c in chart.counts)}; "
-        f"origin={_fmt_tuple(chart.origin)}; "
-        f"spacing={_fmt_tuple(chart.spacing)}; "
+        f"origin={','.join(format(float(v), '.17g') for v in chart.origin)}; "
+        f"spacing={','.join(format(float(v), '.17g') for v in chart.spacing)}; "
         f"components={m}"
     )
     flat = stack.reshape(m, -1)

@@ -1154,17 +1154,24 @@ def test_python_dash_m_runs_the_command_line():
 
 def test_importing_the_command_line_loads_no_numpy_fft():
     # ch_evolve imports numpy's FFT kernels when it runs, so a command that
-    # evolves nothing does not pay for loading numpy.fft
+    # evolves nothing does not pay for loading numpy.fft; the field writer's
+    # and reader's tables are built on first use, so neither does a command
+    # that writes or reads no field
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, pssframe.cli; from pssframe import fieldio; "
+        "print('numpy.fft' in sys.modules, fieldio._words.cache_info().currsize, "
+        "fieldio._tables.cache_info().currsize)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pssframe.cli; print('numpy.fft' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "0", "0"]
 
 
 def test_defaults_round_trip_through_parser(tmp_path):

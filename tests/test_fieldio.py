@@ -1,6 +1,8 @@
 """pssfield v1 text round trips and header validation."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +243,66 @@ def test_g17_kernel_formats_only_fallback_cells_per_value(monkeypatch, rng):
     monkeypatch.setattr(fieldio, "format", counting_format, raising=False)
     assert fieldio._format_g17(values, seps) == expected
     assert len(calls) == len(fallback)
+
+
+# the decades -6..18 reach every point slot of the body, those on the word
+# boundaries (7/8, 15/16) among them, and every 0.000 prefix; the rest are
+# the ends of the fast range [1e-200, 1e200) and the fallback cells past them
+_LAYOUT_EXPONENTS = list(range(-6, 19)) + [-202, -201, -200, 199, 200, 201, 202]
+
+
+def _significant_digits(text):
+    mantissa = text.lstrip("-").partition("e")[0].replace(".", "").lstrip("0")
+    return len(mantissa.rstrip("0"))
+
+
+@pytest.mark.parametrize("X", _LAYOUT_EXPONENTS)
+def test_g17_kernel_lays_out_every_digit_count_and_point_slot(X):
+    # for each k, a k-digit decimal of the decade 10^X whose double %.17g
+    # prints with k significant digits; in some decades (1e-6, 1e200) no
+    # double prints with one digit
+    rng = np.random.default_rng(X + 1000)
+    values = []
+    for k in range(1, 18):
+        for M in rng.integers(10 ** (k - 1), 10**k, 400).tolist():
+            x = float("%de%d" % (M, X - k + 1))
+            if _significant_digits(format(x, ".17g")) == k:
+                values.append(x)
+                break
+        else:
+            assert k == 1
+    assert len(values) >= 16
+    values = np.array(values + [-x for x in values])
+    expected = ("{:.17g}\n" * values.size).format(*values.tolist()).encode()
+    newline = np.full(values.size, ord("\n"), np.uint8)
+    assert fieldio._format_g17(values, newline) == expected
+
+
+# tracemalloc peak in bytes of write_field on the 257^2 kink workload's
+# chart for a rotation [[c, -s], [s, c]] of a kink angle, passed as
+# `solve-frame` passes it, a component-major view of its node-major
+# entries: 1,108,258 with a component-major slot matrix per block,
+# 1,073,435 with its 32-byte word records; the guard is the next multiple
+# of 50,000 bytes
+WRITE257_ROTATION_PEAK = 1_100_000
+
+
+def test_writing_the_kink_rotation_holds_one_block_of_records(tmp_path):
+    chart = GridChart((0.5, -2.0), (3.5 / 256, 4.0 / 256), (257, 257))
+    x, y = chart.meshgrid()
+    phi = 0.3 + 4.0 * np.arctan(np.exp(2.0 * x - y))
+    rot = np.stack([np.cos(phi), -np.sin(phi), np.sin(phi), np.cos(phi)], -1)
+    path = tmp_path / "rotation.pssfield"
+    write_field(path, chart, np.moveaxis(rot, -1, 0))
+    # a full collection empties the free lists, as for the solver guards
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_field(path, chart, np.moveaxis(rot, -1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WRITE257_ROTATION_PEAK
 
 
 def test_read_reports_the_exact_expected_node_count(tmp_path):
